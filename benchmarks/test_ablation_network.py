@@ -8,7 +8,7 @@ merge-work dominance (large P / large traces), not on the interconnect.
 """
 
 from repro.harness import Mode, overhead, render_table, run_suite
-from repro.simmpi import QDR_CLUSTER, SLOW_CLUSTER
+from repro.simmpi import QDR_CLUSTER, SLOW_CLUSTER, SimConfig
 
 P = 16
 PARAMS = {"problem_class": "A", "iterations": 10}
@@ -23,7 +23,7 @@ def _rows():
             modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
             workload_params=PARAMS,
             call_frequency=2,
-            network=network,
+            sim=SimConfig(network=network),
         )
         app = suite[Mode.APP]
         ch = overhead(suite[Mode.CHAMELEON], app)

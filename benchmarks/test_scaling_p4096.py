@@ -29,6 +29,7 @@ from repro.harness.bench import (
 )
 from repro.obs.schema import validate
 from repro.simmpi import SimConfig, run_spmd
+from tests.simmpi.linear_mailbox import linear_matching  # noqa: F401 - fixture
 
 pytestmark = pytest.mark.slow
 
@@ -86,21 +87,21 @@ def test_p4096_fast_vs_simulated_bit_identical():
     assert fast.total_bytes == sim.total_bytes
 
 
-def test_p4096_linear_indexed_equivalence_spot_check():
+def test_p4096_linear_indexed_equivalence_spot_check(
+        linear_matching):  # noqa: F811
     """At full scale the indexed mailbox must still reproduce the linear
     reference bit-for-bit (the exhaustive randomized check lives in
-    tests/simmpi/test_mailbox_matching.py at smaller P).  Run simulated:
-    linear matching is a fast-path fallback condition, so the fast knob
-    would make the comparison trivially skip the mailbox."""
-    indexed = run_spmd(_allreduce_barrier, 1024,
-                       config=SimConfig(matching="indexed",
-                                        collectives="simulated"))
-    linear = run_spmd(_allreduce_barrier, 1024,
-                      config=SimConfig(matching="linear",
-                                       collectives="simulated"))
-    assert indexed.clocks == linear.clocks
-    assert indexed.busy_times == linear.busy_times
-    assert indexed.messages_matched == linear.messages_matched
+    tests/simmpi/test_mailbox_matching.py at smaller P).  The simulated
+    leg is the one that exercises the mailbox; under defaults the fast
+    paths never touch it."""
+    for config in (SimConfig(collectives="simulated", p2p="simulated"),
+                   SimConfig()):
+        indexed = run_spmd(_allreduce_barrier, 1024, config=config)
+        with linear_matching():
+            linear = run_spmd(_allreduce_barrier, 1024, config=config)
+        assert indexed.clocks == linear.clocks
+        assert indexed.busy_times == linear.busy_times
+        assert indexed.messages_matched == linear.messages_matched
 
 
 def test_p16384_sharded_bit_identical_and_under_budget():

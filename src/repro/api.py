@@ -54,7 +54,7 @@ from .replay.replayer import ReplayResult, replay_trace
 from .resilience import QuarantineError, RetryPolicy
 from .scalatrace.difftool import TraceDiff, diff_traces
 from .scalatrace.trace import Trace
-from .simmpi.simconfig import DEFAULT_CONFIG, SimConfig, resolve_config
+from .simmpi.simconfig import DEFAULT_CONFIG, SimConfig
 from . import serve
 from .simmpi.timing import NetworkModel, QDR_CLUSTER
 
@@ -121,7 +121,6 @@ def run(
     call_frequency: int = 1,
     config_overrides: dict[str, Any] | None = None,
     sim: SimConfig | None = None,
-    network: NetworkModel | None = None,
     engine: ExperimentEngine | None = None,
     instrument: Instrument | None = None,
     faults: FaultPlan | None = None,
@@ -135,10 +134,7 @@ def run(
     engine's worker pool.
 
     ``sim`` is a :class:`SimConfig` carrying every simulator engine option
-    (network model, matching, collectives mode, p2p mode, shard count,
-    step budget).  The bare ``network=`` keyword shipped one release as a
-    deprecation shim and is now retired: passing it raises ``TypeError``
-    naming the ``SimConfig`` spelling.
+    (network model, collectives mode, p2p mode, shard count, step budget).
 
     Pass ``instrument=Recorder()`` to capture the run's virtual-time event
     timeline on ``result.obs`` (see :func:`inspect`); instrumented runs
@@ -152,7 +148,6 @@ def run(
     ``result.extra["fault_summary"]``.  The same plan and seed always
     reproduce the same result; an empty plan changes nothing.
     """
-    resolve_config(sim, network=network)
     engine = engine or get_engine()
     cell = make_cell(
         workload,

@@ -649,13 +649,12 @@ def _cmd_config(args: argparse.Namespace) -> int:
     print(f"  o_recv              {n.o_recv:.3e} s")
     print(f"  eager_threshold     {n.eager_threshold} B")
     print(f"  min_message_bytes   {n.min_message_bytes} B")
-    print(f"matching      {sim.matching}")
     print(f"collectives   {sim.collectives}")
     print(f"p2p           {sim.p2p}")
     print(f"shards        {sim.shards}")
     print(f"max_steps     {ms}")
     print(f"cache digest  {sim.digest()}")
-    print("  (digests only the outcome-determining fields; matching/"
+    print("  (digests only the outcome-determining fields; "
           "collectives/p2p/shards\n   select bit-identical strategies and "
           "share one cache slot)")
     return 0
@@ -958,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--config", action="append", metavar="KEY=VAL",
         help="engine option as a SimConfig field (repeatable): "
-        "network=qdr|slow|zero, matching=indexed|linear, "
+        "network=qdr|slow|zero, "
         "collectives=fast|simulated, p2p=fast|simulated, shards=N|auto, "
         "max_steps=N|none",
     )

@@ -43,9 +43,9 @@ import time
 from typing import Any, Callable, Iterable, Sequence
 
 from ..simmpi import ANY_SOURCE, ANY_TAG, NeighborPattern, run_spmd
-from ..simmpi.simconfig import SimConfig, resolve_auto_shards, resolve_config
+from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig, resolve_auto_shards
 
-SCHEMA_ID = "repro/bench-scaling/v4"
+SCHEMA_ID = "repro/bench-scaling/v5"
 
 #: Default process counts — the scaling ladder.  The 16384 tier is only
 #: tractable because eligible collectives take the macro fast path.
@@ -143,8 +143,6 @@ def bench_point(
     kernel: str,
     nprocs: int,
     sim: SimConfig | None = None,
-    *,
-    collectives: str | None = None,
 ) -> dict[str, Any]:
     """Run one (kernel, P) cell under ``sim`` and return its record.
 
@@ -153,7 +151,7 @@ def bench_point(
     shard-eligible the record additionally carries the ``shard_fallback``
     reason (and measured the single-process rerun).
     """
-    sim = resolve_config(sim, collectives=collectives)
+    sim = sim or DEFAULT_CONFIG
     fn = KERNELS[kernel]
     t0 = time.perf_counter()
     result = run_spmd(fn, nprocs, config=sim)
@@ -183,8 +181,6 @@ def run_scaling_bench(
     kernels: Sequence[str] = tuple(KERNELS),
     progress: Callable[[dict[str, Any]], None] | None = None,
     sim: SimConfig | None = None,
-    *,
-    collectives: str | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark matrix and return the ``BENCH_scaling`` document.
 
@@ -198,7 +194,7 @@ def run_scaling_bench(
     it only ever grows across cells, so per-cell values are upper bounds
     and the large-P cells carry the meaningful numbers.
     """
-    sim = resolve_config(sim, collectives=collectives)
+    sim = sim or DEFAULT_CONFIG
     for k in kernels:
         if k not in KERNELS:
             raise ValueError(
@@ -225,7 +221,6 @@ def run_scaling_bench(
         "ps": sorted({p for _, p, _ in points}),
         "kernels": list(kernels),
         "config": {
-            "matching": sim.matching,
             "collectives": sim.collectives,
             "p2p": sim.p2p,
             "shards": sim.shards,

@@ -40,7 +40,7 @@ from ..faults.plan import FaultPlan
 from ..obs.instrument import NULL_INSTRUMENT, Instrument
 from ..resilience.hostfaults import cell_hook
 from ..resilience.policy import QuarantinedCell, QuarantineError, RetryPolicy
-from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig, resolve_config
+from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig
 from ..simmpi.timing import NetworkModel
 from ..workloads.base import Workload
 from ..workloads.registry import make_workload
@@ -109,7 +109,7 @@ class Cell:
         normalizes ``config`` away — every suite over the same workload
         shares one cached baseline regardless of marker frequency.  The
         engine options enter through :meth:`SimConfig.cache_key`, which
-        excludes the bit-identity-invariant knobs (matching, collectives,
+        excludes the bit-identity-invariant knobs (collectives,
         shards): equivalent spellings share one cache slot.
         """
         config = None if self.mode is Mode.APP else self.config
@@ -157,7 +157,6 @@ def make_cell(
     call_frequency: int = 1,
     config_overrides: dict[str, Any] | None = None,
     config: ChameleonConfig | None = None,
-    network: NetworkModel | None = None,
     sim: SimConfig | None = None,
     warmup: Sequence[int] | None = None,
     faults: FaultPlan | None = None,
@@ -178,7 +177,7 @@ def make_cell(
         nprocs=nprocs,
         mode=mode,
         config=config,
-        sim=resolve_config(sim, network=network),
+        sim=sim or DEFAULT_CONFIG,
         faults=faults,
     )
 
@@ -191,7 +190,6 @@ def make_suite_cells(
     workload_params: dict[str, Any] | None = None,
     call_frequency: int = 1,
     config_overrides: dict[str, Any] | None = None,
-    network: NetworkModel | None = None,
     sim: SimConfig | None = None,
     warmup: Sequence[int] | None = None,
 ) -> list[Cell]:
@@ -214,7 +212,7 @@ def make_suite_cells(
             nprocs=nprocs,
             mode=mode,
             config=config,
-            sim=resolve_config(sim, network=network),
+            sim=sim or DEFAULT_CONFIG,
         )
         for mode in modes
     ]
@@ -746,7 +744,6 @@ class ExperimentEngine:
         workload_params: dict[str, Any] | None = None,
         call_frequency: int = 1,
         config_overrides: dict[str, Any] | None = None,
-        network: NetworkModel | None = None,
         sim: SimConfig | None = None,
     ) -> dict[Mode, RunResult]:
         """Run one workload under several modes (one config for all)."""
@@ -757,7 +754,6 @@ class ExperimentEngine:
             workload_params=workload_params,
             call_frequency=call_frequency,
             config_overrides=config_overrides,
-            network=network,
             sim=sim,
         )
         results = self.run_cells(cells)

@@ -32,8 +32,7 @@ from ..scalatrace.costmodel import DEFAULT_COSTS
 from ..scalatrace.trace import Trace
 from ..scalatrace.tracer import ScalaTraceTracer, TracerStats
 from ..simmpi.launcher import run_spmd
-from ..simmpi.simconfig import SimConfig, resolve_config
-from ..simmpi.timing import NetworkModel
+from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig
 from ..workloads.base import NullTracer, Workload
 from ..workloads.registry import PAPER_K
 
@@ -212,19 +211,15 @@ def run_mode(
     nprocs: int,
     mode: Mode,
     config: ChameleonConfig | None = None,
-    network: NetworkModel | None = None,
     instrument: Instrument | None = None,
     faults: FaultPlan | None = None,
-    collectives: str | None = None,
     sim: SimConfig | None = None,
 ) -> RunResult:
     """Execute one (workload, P, mode) combination.
 
     ``sim`` carries every simulator engine option as one
-    :class:`~repro.simmpi.SimConfig` (network model, matching, collectives
-    mode, p2p mode, shard count, step budget).  The retired
-    ``network=``/``collectives=`` keywords raise ``TypeError`` naming the
-    ``SimConfig`` spelling.  Matching, collectives, p2p and shards all
+    :class:`~repro.simmpi.SimConfig` (network model, collectives mode,
+    p2p mode, shard count, step budget).  Collectives, p2p and shards all
     produce bit-identical results and virtual times, so they are
     deliberately excluded from :meth:`Cell.digest`.
 
@@ -241,7 +236,7 @@ def run_mode(
     """
     cfg = config or chameleon_config_for(workload)
     ins = instrument if instrument is not None else NULL_INSTRUMENT
-    sim = resolve_config(sim, network=network, collectives=collectives)
+    sim = sim or DEFAULT_CONFIG
 
     async def main(ctx):
         if mode is Mode.APP:
@@ -317,7 +312,6 @@ def run_suite(
     workload_params: dict[str, Any] | None = None,
     call_frequency: int = 1,
     config_overrides: dict[str, Any] | None = None,
-    network: NetworkModel | None = None,
     sim: SimConfig | None = None,
 ) -> dict[Mode, RunResult]:
     """Run a workload under several modes with identical parameters.
@@ -341,7 +335,6 @@ def run_suite(
         workload_params=workload_params,
         call_frequency=call_frequency,
         config_overrides=config_overrides,
-        network=network,
         sim=sim,
     )
 

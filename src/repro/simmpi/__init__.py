@@ -41,7 +41,6 @@ from .simconfig import (
     DEFAULT_CONFIG,
     SimConfig,
     resolve_auto_shards,
-    resolve_config,
 )
 from .timing import QDR_CLUSTER, SLOW_CLUSTER, ZERO_COST, NetworkModel
 from .topology import (
@@ -103,7 +102,6 @@ __all__ = [
     "ints",
     "payload_nbytes",
     "resolve_auto_shards",
-    "resolve_config",
     "run_spmd",
     "square_grid",
     "wait_all",

@@ -23,29 +23,32 @@ collective calls).
 **Two execution paths.**  The *simulated* path (``_*_sim`` methods) spawns
 one real message per schedule edge through the Mailbox — every send/recv is
 an engine-visible operation.  The *macro fast path* evaluates the very same
-schedule (:mod:`repro.simmpi.schedules`) in closed form: the first rank to
-reach a collective opens a :class:`_CollGate`, later ranks join it, and the
-last arrival replays all ranks' algorithm bodies through an in-step
-*mini-engine* (:class:`_MiniEngine`) that performs the LogGP arithmetic of
-:mod:`repro.simmpi.comm` with the identical floating-point operation order —
-then bulk-advances every participant's clock in one scheduler step.  Both
-paths produce bit-identical virtual clocks, busy times and results; the
-fast path just never touches the Mailbox and never parks a task per round.
+schedule in closed form: the first rank to reach a collective opens a
+:class:`_CollGate`, later ranks join it, and the last arrival replays all
+ranks' algorithm bodies (the ``_g_*`` generators below) through the shared
+scalar replay core (:class:`repro.simmpi.replay.Replay`) — or, for large
+barriers and eager bcast/reduce, an array recurrence — evaluating the same
+:class:`~repro.simmpi.timing.NetworkModel` cost helpers as
+:mod:`repro.simmpi.comm`, then bulk-advances every participant's clock in
+one scheduler step.  Both paths produce bit-identical virtual clocks, busy
+times and results; the fast path just never touches the Mailbox and never
+parks a task per round.
 
 A collective is *eligible* for the fast path only when nothing outside the
 gate could observe the difference: no armed fault intersects the
 participants, no pending receive could match the collective's private tag
-window, matching is ``"indexed"`` and instrumentation (if any) asks for
-``"span"`` granularity.  Anything else falls back to the simulated path —
-per rank *and* per instance, with the verdict cached on the gate so all
-participants always agree.  See docs/PERF.md ("Macro-collectives").
+window, and instrumentation (if any) asks for ``"span"`` granularity.
+Anything else falls back to the simulated path — per rank *and* per
+instance, with the verdict cached on the gate so all participants always
+agree.  See docs/PERF.md ("Macro-collectives").
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from ..faults.injector import LOST
 from .comm import Comm, CommContext, MAX_USER_TAG
@@ -59,32 +62,10 @@ from .patterns import (
     _P2PGate,
     resolve_p2p_gate,
 )
+from .replay import EAGER_DONE, RankState, Replay
 from .schedules import binomial_children, binomial_parent, binomial_subtree
 
 # -- reduction operators -----------------------------------------------------
-
-#: lazily imported numpy module (MAX/MIN only need it for array payloads;
-#: importing per fold step made every reduce pay the sys.modules lookup)
-_np = None
-
-
-def _numpy():
-    global _np
-    if _np is None:
-        import numpy
-
-        _np = numpy
-    return _np
-
-
-def _numpy_or_none():
-    """Like :func:`_numpy` but degrades to ``None`` when numpy is absent
-    (the vectorized replays then fall back to the generator mini-engine)."""
-    try:
-        return _numpy()
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        return None
-
 
 def SUM(a: Any, b: Any) -> Any:
     return a + b
@@ -96,13 +77,13 @@ def PROD(a: Any, b: Any) -> Any:
 
 def MAX(a: Any, b: Any) -> Any:
     if hasattr(a, "shape") or hasattr(b, "shape"):
-        return _numpy().maximum(a, b)
+        return np.maximum(a, b)
     return a if a >= b else b
 
 
 def MIN(a: Any, b: Any) -> Any:
     if hasattr(a, "shape") or hasattr(b, "shape"):
-        return _numpy().minimum(a, b)
+        return np.minimum(a, b)
     return a if a <= b else b
 
 
@@ -121,8 +102,8 @@ def BOR(a: Any, b: Any) -> Any:
 #: Tags per collective instance: room for log2(P) rounds plus ring steps.
 _TAG_STRIDE = 4096
 
-# Below this communicator size the vectorized replays lose to plain scalar
-# loops on numpy call overhead; the scalar/generator paths stay bit-exact.
+# Below this communicator size the vectorized replays lose to the scalar
+# replay core on numpy call overhead; both are bit-exact.
 _VEC_MIN_SIZE = 16
 
 #: display algorithm per gated (leaf) collective, matching the labels the
@@ -172,16 +153,11 @@ def _observed(name: str, algorithm: str):
 # -- macro fast path: schedule generators ------------------------------------
 #
 # One plain-Python generator per collective algorithm, mirroring the async
-# ``_*_sim`` body op for op.  They yield mini-engine operations:
-#
-#   ("isend", dest, tagoff, payload, size)  -> handle (non-blocking)
-#   ("send",  dest, tagoff, payload, size)  -> None   (isend + wait fused)
-#   ("recv",  src, tagoff)                  -> payload
-#   ("wait",  handle)                       -> None
-#
+# ``_*_sim`` body op for op.  They yield the replay core's operations (see
+# repro.simmpi.replay; tags are offsets into the instance's private window)
 # and return the rank's collective result.  The LOST branches of the
 # simulated bodies are omitted: eligibility guarantees no fault can reach
-# the mini-engine, so no hole can ever flow through it.
+# the replay, so no hole can ever flow through it.
 
 
 def _g_barrier(rank: int, size: int):
@@ -192,7 +168,7 @@ def _g_barrier(rank: int, size: int):
         frm = (rank - dist) % size
         sreq = yield ("isend", to, round_no, None, 0)
         yield ("recv", frm, round_no)
-        if sreq is not _EAGER_DONE:  # waiting on eager sends is a no-op
+        if sreq is not EAGER_DONE:  # waiting on eager sends is a no-op
             yield ("wait", sreq)
         dist <<= 1
         round_no += 1
@@ -266,7 +242,7 @@ def _g_allgather(rank, size, value, nbytes):
     for step in range(size - 1):
         sreq = yield ("isend", right, step, (carry_rank, carry), nbytes)
         got = yield ("recv", left, step)
-        if sreq is not _EAGER_DONE:
+        if sreq is not EAGER_DONE:
             yield ("wait", sreq)
         carry_rank, carry = got
         out[carry_rank] = carry
@@ -281,7 +257,7 @@ def _g_alltoall(rank, size, values, nbytes):
         frm = (rank - step) % size
         sreq = yield ("isend", to, step, values[to], nbytes)
         out[frm] = yield ("recv", frm, step)
-        if sreq is not _EAGER_DONE:
+        if sreq is not EAGER_DONE:
             yield ("wait", sreq)
     return out
 
@@ -313,410 +289,54 @@ _GEN_FACTORIES: dict[str, Callable[..., Any]] = {
 }
 
 
-# -- macro fast path: mini-engine --------------------------------------------
+# -- macro fast path: vector replays -----------------------------------------
+#
+# Whole-world numpy recurrences for the highest-traffic schedules.  They
+# fill the same RankState objects the scalar core (replay.Replay) would and
+# evaluate the NetworkModel array helpers, whose elementwise float64
+# operations are IEEE-identical to the scalar chain.
 
 
-class _MiniFut:
-    """Completion handle inside the mini-engine (mirrors SimFuture)."""
+def _barrier_vector(sim: Replay, size: int) -> None:
+    """Dissemination barrier over arrays.
 
-    __slots__ = ("done", "value", "time", "busy_charge", "waiter")
-
-    def __init__(self) -> None:
-        self.done = False
-        self.value: Any = None
-        self.time = 0.0
-        self.busy_charge = 0.0
-        self.waiter: "_RankState | None" = None
-
-
-#: Shared pre-resolved handle for eager sends: their completion time equals
-#: the sender's clock at post, so waiting on them never advances anything —
-#: one immutable singleton replaces a _MiniFut allocation per eager message.
-_EAGER_DONE = _MiniFut()
-_EAGER_DONE.done = True
-_EAGER_DONE.time = -1.0
-
-# Mini messages are plain tuples (payload, nbytes, time, sender_fut):
-# ``sender_fut`` is None for eager messages (``time`` is the arrival) and
-# the sender's handle for rendezvous (``time`` is send_ready).
-
-
-class _RankState:
-    """One participant's replica of its Task state during the replay."""
-
-    __slots__ = (
-        "rank", "gen", "clock", "busy", "msgs_sent", "bytes_sent",
-        "msgs_received", "bytes_received", "done", "result",
-    )
-
-    def __init__(self, entry: "_GateEntry") -> None:
-        self.rank = entry.rank
-        self.gen = entry.gen
-        # Absolute values snapshotted at join time, so the float
-        # accumulation chains continue exactly where the task left off.
-        self.clock = entry.clock0
-        self.busy = entry.busy0
-        self.msgs_sent = entry.sent0
-        self.bytes_sent = entry.bytes_sent0
-        self.msgs_received = entry.recvd0
-        self.bytes_received = entry.bytes_recvd0
-        self.done = False
-        self.result: Any = None
-
-
-class _MiniEngine:
-    """Replays one collective instance with the engine's exact semantics.
-
-    The schedule generators are driven from a FIFO seeded in *gate-arrival
-    order* — the order the ranks dispatched their first collective
-    instruction, which is the order the real scheduler would have started
-    the message-level bodies in.  Wakes append to the same FIFO, inline
-    continuations replay the engine's resolved-future short-circuit, and
-    every clock/busy/counters mutation copies the arithmetic (and operation
-    order — float addition is not associative) of ``Comm.isend`` /
-    ``Comm._fire_match``.  Under the eligibility rules every fault
-    adjustment in those code paths is the identity, so skipping them here
-    is bit-exact.
+    Rank ``i`` in round ``r`` (dist ``2**r``) posts its send at
+    ``S = C + dt`` and completes its recv from ``(i - dist) % size`` at
+    ``max(S + o_recv, S_sender + latency)`` — what the scalar replay
+    computes whether the message was queued or the receiver parked,
+    because the recv immediately follows the send, so the post time *is*
+    ``S``.
     """
-
-    __slots__ = (
-        "net", "states", "_order", "_queued", "_pending", "_ready",
-        "total_messages", "total_bytes", "failed_state", "failure",
-        "_o_send", "_o_recv", "_latency", "_eager_max", "_min_bytes",
-        "_bandwidth",
-    )
-
-    def __init__(self, net, entries: list["_GateEntry"]) -> None:
-        self.net = net
-        # Hoisted NetworkModel constants: the replay arithmetic below uses
-        # them in exactly the expressions comm.py/timing.py evaluate, just
-        # without the attribute traffic.
-        self._o_send = net.o_send
-        self._o_recv = net.o_recv
-        self._latency = net.latency
-        self._eager_max = net.eager_threshold
-        self._min_bytes = net.min_message_bytes
-        self._bandwidth = net.bandwidth
-        self.states: dict[int, _RankState] = {}
-        self._order: list[_RankState] = []
-        for e in entries:
-            st = _RankState(e)
-            self.states[e.rank] = st
-            self._order.append(st)
-        # (src, dest, tagoff) -> message / pending recv.  Collective recvs
-        # are always exact (no wildcards) and every schedule uses each
-        # (edge, tagoff) pair at most once per instance, so a key holds at
-        # most one message and plain dict slots replace mailbox lanes.
-        self._queued: dict[tuple[int, int, int], tuple] = {}
-        self._pending: dict[tuple[int, int, int], tuple] = {}
-        self._ready: deque = deque()
-        self.total_messages = 0
-        self.total_bytes = 0
-        self.failed_state: _RankState | None = None
-        self.failure: BaseException | None = None
-
-    def run(self) -> None:
-        ready = self._ready
-        for st in self._order:
-            ready.append((st, None, None))
-        while ready:
-            st, fut, value = ready.popleft()
-            if fut is not None:
-                # Request.wait's resume: advance to the completion time,
-                # then absorb any deferred busy charge, in that order.
-                if fut.time > st.clock:
-                    st.clock = fut.time
-                if fut.busy_charge:
-                    st.busy += fut.busy_charge
-                    fut.busy_charge = 0.0
-            self._step(st, value)
-            if self.failure is not None:
-                return
-
-    def _step(self, st: _RankState, value: Any) -> None:
-        gen = st.gen
-        send = gen.send
-        queued = self._queued
-        while True:
-            try:
-                op = send(value)
-            except StopIteration as stop:
-                st.result = stop.value
-                st.done = True
-                return
-            except BaseException as exc:  # noqa: BLE001 - re-raised on owner
-                self.failed_state = st
-                self.failure = exc
-                return
-            code = op[0]
-            if code == "recv":
-                key = (op[1], st.rank, op[2])
-                msg = queued.pop(key, None)
-                if msg is None:
-                    fut = _MiniFut()
-                    fut.waiter = st
-                    self._pending[key] = (st.clock, fut, st)
-                    return
-                # message already queued: fire and continue inline, like
-                # irecv's immediate match + Request.wait short-circuit
-                value = self._fire_recv(st, st.clock, msg)
-                continue
-            if code == "isend" or code == "send":
-                fut = self._isend(st, op[1], op[2], op[3], op[4])
-                if code == "isend":
-                    value = fut
-                    continue
-            else:  # "wait"
-                fut = op[1]
-            if fut.done:
-                # resolved-future short-circuit: continue inline, advancing
-                # to the completion time exactly like Request.wait()
-                if fut.time > st.clock:
-                    st.clock = fut.time
-                if fut.busy_charge:
-                    st.busy += fut.busy_charge
-                    fut.busy_charge = 0.0
-                value = fut.value
-            else:
-                fut.waiter = st
-                return
-
-    # -- comm.py arithmetic replicas -----------------------------------
-
-    def _isend(self, st: _RankState, dest: int, tagoff: int,
-               payload: Any, size: int | None) -> _MiniFut:
-        nbytes = payload_nbytes(payload) if size is None else int(size)
-        st.msgs_sent += 1
-        st.bytes_sent += nbytes
-        self.total_messages += 1
-        self.total_bytes += nbytes
-        if nbytes <= self._eager_max:  # NetworkModel.eager
-            # charge(eager_send_cost) == o_send + transfer_time, one sum
-            mb = self._min_bytes
-            dt = self._o_send + (nbytes if nbytes > mb else mb) / self._bandwidth
-            st.clock += dt
-            st.busy += dt
-            self._deliver(st.rank, dest, tagoff,
-                          (payload, nbytes, st.clock + self._latency, None))
-            return _EAGER_DONE
-        fut = _MiniFut()
-        o_send = self._o_send
-        st.clock += o_send  # posting cost is paid now
-        st.busy += o_send
-        self._deliver(st.rank, dest, tagoff, (payload, nbytes, st.clock, fut))
-        return fut
-
-    def _deliver(self, src: int, dest: int, tagoff: int, msg: tuple) -> None:
-        key = (src, dest, tagoff)
-        p = self._pending.pop(key, None)
-        if p is not None:
-            post_time, fut, rst = p
-            self._fire(post_time, fut, rst, msg)
-        else:
-            self._queued[key] = msg
-
-    def _fire_recv(self, st: _RankState, post_time: float,
-                   msg: tuple) -> Any:
-        """Fire a match whose receiver is the currently-running state:
-        the _fire arithmetic fused with the receiver's inline resume
-        (advance to ``done_recv``), skipping the future allocation."""
-        payload, nbytes, msg_time, sfut = msg
-        if sfut is not None:  # rendezvous: msg_time is send_ready
-            mb = self._min_bytes
-            transfer = (nbytes if nbytes > mb else mb) / self._bandwidth
-            start = post_time + self._o_recv
-            if msg_time > start:
-                start = msg_time  # max(send_ready, post_time + o_recv)
-            done_recv = start + self._latency + transfer
-            sfut.done = True
-            sfut.time = start + transfer
-            sfut.busy_charge = transfer
-            if sfut.waiter is not None:
-                self._ready.append((sfut.waiter, sfut, None))
-                sfut.waiter = None
-        else:  # eager: msg_time is the arrival
-            done_recv = post_time + self._o_recv
-            if msg_time > done_recv:
-                done_recv = msg_time  # max(post + o_recv, arrival)
-        st.msgs_received += 1
-        st.bytes_received += nbytes
-        st.busy += self._o_recv
-        if done_recv > st.clock:
-            st.clock = done_recv
-        return payload
-
-    def _fire(self, post_time: float, fut: _MiniFut, rst: _RankState,
-              msg: tuple) -> None:
-        # Mirrors Comm._fire_match: sender resolution strictly before the
-        # receiver's counters and resolution, so wake order (and therefore
-        # every downstream float-accumulation order) matches the engine.
-        payload, nbytes, msg_time, sfut = msg
-        if sfut is not None:  # rendezvous: msg_time is send_ready
-            mb = self._min_bytes
-            transfer = (nbytes if nbytes > mb else mb) / self._bandwidth
-            start = post_time + self._o_recv
-            if msg_time > start:
-                start = msg_time  # max(send_ready, post_time + o_recv)
-            done_send = start + transfer
-            done_recv = start + self._latency + transfer
-            sfut.done = True
-            sfut.time = done_send
-            sfut.busy_charge = transfer
-            if sfut.waiter is not None:
-                self._ready.append((sfut.waiter, sfut, None))
-                sfut.waiter = None
-        else:  # eager: msg_time is the arrival
-            done_recv = post_time + self._o_recv
-            if msg_time > done_recv:
-                done_recv = msg_time  # max(post + o_recv, arrival)
-        rst.msgs_received += 1
-        rst.bytes_received += nbytes
-        rst.busy += self._o_recv
-        fut.done = True
-        fut.value = payload
-        fut.time = done_recv
-        if fut.waiter is not None:
-            self._ready.append((fut.waiter, fut, payload))
-            fut.waiter = None
+    net = sim.net
+    o_recv = net.o_recv
+    dt = net.eager_send_cost(0)  # constant per-message charge
+    nrounds = (size - 1).bit_length()
+    states = sim.states
+    C = np.empty(size, dtype=np.float64)
+    B = np.empty(size, dtype=np.float64)
+    for st in states.values():
+        C[st.rank] = st.clock
+        B[st.rank] = st.busy
+    dist = 1
+    for _ in range(nrounds):
+        S = C + dt
+        # np.roll(S, dist)[i] == S[(i - dist) % size]: the sender's post
+        C = net.eager_round_array(np.roll(S, dist), S)
+        B = (B + dt) + o_recv  # send charge then recv charge, in order
+        dist <<= 1
+    for st in states.values():
+        r = st.rank
+        st.clock = float(C[r])
+        st.busy = float(B[r])
+        st.msgs_sent += nrounds
+        st.msgs_received += nrounds
+        st.done = True
+    sim.total_messages = size * nrounds
 
 
-class _BarrierReplay:
-    """Generator-free replay of the dissemination barrier.
-
-    The barrier is the highest-message-count collective (every rank sends
-    every round) and carries no payloads, so its replay needs no futures,
-    no tuples and no generators: just the FIFO discipline of
-    :class:`_MiniEngine` over arrays.  Every float operation matches the
-    generic replay (and therefore the simulated path) exactly — the
-    per-message eager charge is a constant, precomputed with the same
-    expression ``eager_send_cost(0)`` evaluates.
-    """
-
-    __slots__ = ("net", "states", "_entries", "total_messages",
-                 "total_bytes", "failed_state", "failure")
-
-    def __init__(self, net, entries: list["_GateEntry"]) -> None:
-        self.net = net
-        self._entries = entries
-        self.states: dict[int, _RankState] = {
-            e.rank: _RankState(e) for e in entries
-        }
-        self.total_messages = 0
-        self.total_bytes = 0
-        self.failed_state = None
-        self.failure = None
-
-    def run(self) -> None:
-        size = len(self._entries)
-        states = self.states
-        net = self.net
-        o_recv = net.o_recv
-        latency = net.latency
-        # constant per-message charge: eager_send_cost(0) bit-for-bit
-        dt = net.o_send + net.transfer_time(0)
-        nrounds = 0
-        d = 1
-        while d < size:
-            nrounds += 1
-            d <<= 1
-        self.total_messages = size * nrounds
-        if nrounds and size >= _VEC_MIN_SIZE:
-            np = _numpy_or_none()
-            if np is not None:
-                self._run_vector(np, size, nrounds, dt, o_recv, latency)
-                return
-        # queued[dest][round] -> arrival time; parked[rank] -> post_time of
-        # the round it blocks on (round tracked in rnd[rank])
-        queued: dict[tuple[int, int], float] = {}
-        rnd = {}
-        parked_post: dict[int, float] = {}
-        ready: deque = deque()
-        for e in self._entries:
-            ready.append((states[e.rank], e.rank, 0, None))
-        while ready:
-            st, rank, round_no, resume_t = ready.popleft()
-            clock = st.clock
-            if resume_t is not None and resume_t > clock:
-                clock = resume_t
-            busy = st.busy
-            dist = 1 << round_no
-            while dist < size:
-                to = (rank + dist) % size
-                # isend(to, tag=round, size=0): charge, then deliver
-                clock += dt
-                busy += dt
-                st.msgs_sent += 1
-                arrival = clock + latency
-                tst = states[to]
-                if rnd.get(to) == round_no:
-                    # destination already parked on this round: fire
-                    del rnd[to]
-                    done_recv = parked_post.pop(to) + o_recv
-                    if arrival > done_recv:
-                        done_recv = arrival
-                    tst.msgs_received += 1
-                    tst.busy += o_recv
-                    ready.append((tst, to, round_no + 1, done_recv))
-                else:
-                    queued[(to, round_no)] = arrival
-                # recv((rank - dist) % size, tag=round)
-                got = queued.pop((rank, round_no), None)
-                if got is None:
-                    st.clock = clock
-                    st.busy = busy
-                    rnd[rank] = round_no
-                    parked_post[rank] = clock
-                    break
-                done_recv = clock + o_recv
-                if got > done_recv:
-                    done_recv = got
-                st.msgs_received += 1
-                busy += o_recv
-                if done_recv > clock:
-                    clock = done_recv
-                dist <<= 1
-                round_no += 1
-            else:
-                st.clock = clock
-                st.busy = busy
-                st.done = True
-
-    def _run_vector(self, np, size: int, nrounds: int, dt: float,
-                    o_recv: float, latency: float) -> None:
-        """Whole-world numpy recurrence for the dissemination barrier.
-
-        Rank ``i`` in round ``r`` (dist ``2**r``) posts its send at
-        ``S = C + dt`` and completes its recv from ``(i - dist) % size`` at
-        ``max(S + o_recv, S_sender + latency)`` — exactly the two scalar
-        paths above (queued and parked both reduce to that formula because
-        the recv immediately follows the send, so the post time *is* ``S``).
-        np.float64 elementwise ops are IEEE-identical to the CPython scalar
-        chain, so the result is bit-for-bit the same.
-        """
-        C = np.empty(size, dtype=np.float64)
-        B = np.empty(size, dtype=np.float64)
-        states = self.states
-        for st in states.values():
-            C[st.rank] = st.clock
-            B[st.rank] = st.busy
-        dist = 1
-        for _ in range(nrounds):
-            S = C + dt
-            # np.roll(A, dist)[i] == A[(i - dist) % size]: the sender's post
-            C = np.maximum(S + o_recv, np.roll(S + latency, dist))
-            B = (B + dt) + o_recv  # send charge then recv charge, in order
-            dist <<= 1
-        for st in states.values():
-            r = st.rank
-            st.clock = float(C[r])
-            st.busy = float(B[r])
-            st.msgs_sent += nrounds
-            st.msgs_received += nrounds
-            st.done = True
-
-
-class _TreeReplay:
-    """Vectorized replay of the binomial-tree collectives (bcast/reduce).
+def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
+                 size: int) -> bool:
+    """Binomial-tree bcast/reduce over arrays.
 
     Both schedules are round-synchronous in relative-rank space: bcast
     round ``t`` sends ``u -> u + 2**t`` for every ``u < 2**t`` (increasing
@@ -725,47 +345,27 @@ class _TreeReplay:
     ``reversed(binomial_children)`` fold).  Each rank's program order is a
     straight line — receives then sends for bcast, folds then one send for
     reduce — so per-round array updates reproduce the scalar clock/busy
-    accumulation chains exactly.  ``run`` returns ``False`` (bail to the
-    generator mini-engine) on any rendezvous-sized payload or a raising
-    reduction op; the generator path then reproduces the raise with the
-    engine's exact failure semantics.
+    accumulation chains exactly.  Returns ``False`` with ``sim`` untouched
+    (the caller then drives the generators) on any rendezvous-sized payload
+    or a raising reduction op; the generator path reproduces the raise with
+    the engine's exact failure semantics.
     """
-
-    __slots__ = ("net", "entries", "kind", "root", "size", "states",
-                 "total_messages", "total_bytes", "failed_state", "failure")
-
-    def __init__(self, net, entries: list["_GateEntry"], kind: str,
-                 root: int, size: int) -> None:
-        self.net = net
-        self.entries = entries
-        self.kind = kind
-        self.root = root
-        self.size = size
-        self.states: dict[int, _RankState] = {}
-        self.total_messages = 0
-        self.total_bytes = 0
-        self.failed_state = None
-        self.failure = None
-
-    def run(self) -> bool:
-        np = _numpy_or_none()
-        if np is None:
-            return False
-        size = self.size
-        by_rank = {e.rank: e for e in self.entries}
-        if len(by_rank) != size:  # pragma: no cover - gates always fill
-            return False
-        # relative rank u lives at comm-local rank (u + root) % size
-        rel = [by_rank[(u + self.root) % size] for u in range(size)]
-        if self.kind == "bcast":
-            return self._run_bcast(np, rel)
-        return self._run_reduce(np, rel)
-
-    def _run_bcast(self, np, rel: list["_GateEntry"]) -> bool:
-        size = self.size
-        net = self.net
+    net = sim.net
+    eager_max = net.eager_threshold
+    by_rank = {e.rank: e for e in entries}
+    # relative rank u lives at comm-local rank (u + root) % size
+    rel = [by_rank[(u + root) % size] for u in range(size)]
+    halves = []
+    half = 1
+    while half < size:
+        halves.append(half)
+        half <<= 1
+    # Data plane first: per-round byte counts (with the senders' eager
+    # charge, NetworkModel.eager_send_cost) and each rank's result.
+    o_send = net.o_send
+    rounds = []
+    if kind == "bcast":
         value = rel[0].genargs[1]  # root's payload, shared by reference
-        eager_max = net.eager_threshold
         default_nb = -1
         nbs = []
         for e in rel:
@@ -777,64 +377,21 @@ class _TreeReplay:
             else:
                 nbs.append(int(arg))
         if max(nbs) > eager_max:
-            return False  # rendezvous edges: generator replay handles
-        mb = net.min_message_bytes
+            return False
         nb_arr = np.array(nbs, dtype=np.int64)
-        # same expression _MiniEngine._isend evaluates, per sender
-        dts = net.o_send + np.where(nb_arr > mb, nb_arr, mb) / net.bandwidth
-        o_recv = net.o_recv
-        lat = net.latency
-        C = np.array([e.clock0 for e in rel], dtype=np.float64)
-        B = np.array([e.busy0 for e in rel], dtype=np.float64)
-        sent = np.zeros(size, dtype=np.int64)
-        recvd = np.zeros(size, dtype=np.int64)
-        bsent = np.zeros(size, dtype=np.int64)
-        brecvd = np.zeros(size, dtype=np.int64)
-        total_bytes = 0
-        half = 1
-        while half < size:
-            n = half if size - half > half else size - half
-            s = slice(0, n)
-            t = slice(half, half + n)
-            dt_s = dts[s]
-            Cs = C[s] + dt_s  # sender posts: clock += dt
-            C[s] = Cs
-            # receiver's first op: done = max(clock0 + o_recv, arrival)
-            C[t] = np.maximum(C[t] + o_recv, Cs + lat)
-            B[t] += o_recv
-            B[s] += dt_s
-            sent[s] += 1
-            bsent[s] += nb_arr[s]
-            recvd[t] += 1
-            brecvd[t] += nb_arr[s]
-            total_bytes += int(nb_arr[s].sum())
-            half <<= 1
-        self.total_messages = size - 1
-        self.total_bytes = total_bytes
-        self._writeback(rel, C, B, sent, bsent, recvd, brecvd,
-                        [value] * size)
-        return True
-
-    def _run_reduce(self, np, rel: list["_GateEntry"]) -> bool:
-        size = self.size
-        net = self.net
-        eager_max = net.eager_threshold
+        dt_arr = o_send + net.transfer_time_array(nb_arr)
+        for half in halves:
+            n = min(half, size - half)
+            rounds.append((half, nb_arr[:n], dt_arr[:n]))
+        results: list[Any] = [value] * size
+    else:
         acc = [e.genargs[1] for e in rel]
         ops = [e.genargs[2] for e in rel]
         nbargs = [e.genargs[3] for e in rel]
-        halves = []
-        half = 1
-        while half < size:
-            halves.append(half)
-            half <<= 1
         halves.reverse()  # decreasing distance == reversed(children) fold
-        # Data-plane pre-pass: fold accumulators and record per-edge byte
-        # counts in the exact per-receiver fold order.  A raising op bails
-        # to the generator replay, which re-runs the ops from scratch and
-        # reproduces the failure on the right rank.
-        nb_rounds = []
+        # Fold accumulators in the exact per-receiver fold order.
         for half in halves:
-            n = half if size - half > half else size - half
+            n = min(half, size - half)
             nbs = np.empty(n, dtype=np.int64)
             for u in range(n):
                 v = u + half
@@ -847,88 +404,74 @@ class _TreeReplay:
                     acc[u] = ops[u](acc[v], acc[u])
                 except BaseException:  # noqa: BLE001 - replayed by generators
                     return False
-            nb_rounds.append(nbs)
-        mb = net.min_message_bytes
-        bw = net.bandwidth
-        o_send = net.o_send
-        o_recv = net.o_recv
-        lat = net.latency
-        C = np.array([e.clock0 for e in rel], dtype=np.float64)
-        B = np.array([e.busy0 for e in rel], dtype=np.float64)
-        sent = np.zeros(size, dtype=np.int64)
-        recvd = np.zeros(size, dtype=np.int64)
-        bsent = np.zeros(size, dtype=np.int64)
-        brecvd = np.zeros(size, dtype=np.int64)
-        total_bytes = 0
-        for i, half in enumerate(halves):
-            n = half if size - half > half else size - half
-            u = slice(0, n)
-            v = slice(half, half + n)
-            nbs = nb_rounds[i]
-            dt_v = o_send + np.where(nbs > mb, nbs, mb) / bw
-            Cv = C[v] + dt_v  # sender finished folding; send charge
-            C[v] = Cv
-            C[u] = np.maximum(C[u] + o_recv, Cv + lat)
-            B[u] += o_recv
-            B[v] += dt_v
-            sent[v] += 1
-            bsent[v] += nbs
-            recvd[u] += 1
-            brecvd[u] += nbs
-            total_bytes += int(nbs.sum())
-        self.total_messages = size - 1
-        self.total_bytes = total_bytes
-        results: list[Any] = [None] * size
+            rounds.append((half, nbs, o_send + net.transfer_time_array(nbs)))
+        results = [None] * size
         results[0] = acc[0]  # only the root returns the reduction
-        self._writeback(rel, C, B, sent, bsent, recvd, brecvd, results)
-        return True
-
-    def _writeback(self, rel, C, B, sent, bsent, recvd, brecvd,
-                   results) -> None:
-        states = self.states
-        for i, e in enumerate(rel):
-            st = _RankState(e)
-            st.clock = float(C[i])
-            st.busy = float(B[i])
-            st.msgs_sent = e.sent0 + int(sent[i])
-            st.bytes_sent = e.bytes_sent0 + int(bsent[i])
-            st.msgs_received = e.recvd0 + int(recvd[i])
-            st.bytes_received = e.bytes_recvd0 + int(brecvd[i])
-            st.result = results[i]
-            st.done = True
-            states[st.rank] = st
+    o_recv = net.o_recv
+    C = np.array([e.clock0 for e in rel], dtype=np.float64)
+    B = np.array([e.busy0 for e in rel], dtype=np.float64)
+    sent = np.zeros(size, dtype=np.int64)
+    recvd = np.zeros(size, dtype=np.int64)
+    bsent = np.zeros(size, dtype=np.int64)
+    brecvd = np.zeros(size, dtype=np.int64)
+    total_bytes = 0
+    for half, nbs, dt in rounds:
+        lo = slice(0, len(nbs))
+        hi = slice(half, half + len(nbs))
+        s, t = (lo, hi) if kind == "bcast" else (hi, lo)
+        Cs = C[s] + dt  # sender posts: clock += dt
+        C[s] = Cs
+        C[t] = net.eager_round_array(Cs, C[t])
+        B[t] += o_recv
+        B[s] += dt
+        sent[s] += 1
+        bsent[s] += nbs
+        recvd[t] += 1
+        brecvd[t] += nbs
+        total_bytes += int(nbs.sum())
+    sim.total_messages = size - 1
+    sim.total_bytes = total_bytes
+    states = sim.states
+    for i, e in enumerate(rel):
+        st = states[e.rank]
+        st.clock = float(C[i])
+        st.busy = float(B[i])
+        st.msgs_sent += int(sent[i])
+        st.bytes_sent += int(bsent[i])
+        st.msgs_received += int(recvd[i])
+        st.bytes_received += int(brecvd[i])
+        st.result = results[i]
+        st.done = True
+    return True
 
 
 def _run_replay(kind: str, root: int | None, net,
-                entries: list["_GateEntry"], size: int):
+                entries: list, size: int) -> Replay:
     """Run one gate instance through the cheapest bit-exact replay.
 
-    Barrier takes the dedicated array replay; large bcast/reduce try the
-    vectorized tree replay and bail to the generator mini-engine on
-    rendezvous-sized payloads or raising reduction ops; everything else
-    drives the schedule generators.  Generators are only built when the
-    generator path actually runs.  Shared by the single-process gate and
-    the sharded engine's owner-shard replay.
+    Large barriers and eager bcast/reduce take the array replays;
+    everything else (and any tree the array replay declines) drives the
+    schedule generators through the scalar core.  Generators are only
+    built when that path actually runs.  Shared by the single-process
+    gate and the sharded engine's owner-shard replay.
     """
-    if kind == "barrier":
-        sim = _BarrierReplay(net, entries)
-        sim.run()
-        return sim
-    if size >= _VEC_MIN_SIZE and (kind == "bcast" or kind == "reduce"):
-        tree = _TreeReplay(net, entries, kind, root, size)
-        if tree.run():
-            return tree
+    sim = Replay(net, [RankState(e) for e in entries])
+    if size >= _VEC_MIN_SIZE:
+        if kind == "barrier":
+            _barrier_vector(sim, size)
+            return sim
+        if (kind == "bcast" or kind == "reduce") and \
+                _tree_vector(sim, entries, kind, root, size):
+            return sim
     factory = _GEN_FACTORIES[kind]
-    for e in entries:
-        if e.gen is None:
-            e.gen = factory(e.rank, size, *e.genargs)
-    sim = _MiniEngine(net, entries)
+    for st, e in zip(sim.states.values(), entries):
+        st.gen = factory(e.rank, size, *e.genargs)
     sim.run()
     return sim
 
 
 class _Raised:
-    """Wrapper carrying a mini-engine exception back to its owning rank."""
+    """Wrapper carrying a replay exception back to its owning rank."""
 
     __slots__ = ("exc",)
 
@@ -937,24 +480,21 @@ class _Raised:
 
 
 class _GateEntry:
-    """One rank's registration at a gate: its generator plus a snapshot of
-    the task state at join time (fault-timeout releases can move the task
-    on before the gate completes, so live reads would be stale)."""
+    """One rank's registration at a gate: its schedule arguments plus a
+    snapshot of the task state at join time (fault-timeout releases can
+    move the task on before the gate completes, so live reads would be
+    stale).  The schedule generator itself is built at replay time, and
+    only when the scalar core runs."""
 
     __slots__ = (
-        "rank", "task", "fut", "gen", "genargs", "clock0", "busy0", "sent0",
+        "rank", "task", "fut", "genargs", "clock0", "busy0", "sent0",
         "bytes_sent0", "recvd0", "bytes_recvd0",
     )
 
-    def __init__(self, rank, task, fut, gen, genargs=()):
+    def __init__(self, rank, task, fut, genargs=()):
         self.rank = rank
         self.task = task
         self.fut = fut
-        # The schedule generator is built lazily at replay time: the
-        # barrier/tree replays never drive generators at all, so deferring
-        # construction skips P generator allocations per gate on the
-        # hottest collectives.
-        self.gen = gen
         self.genargs = genargs
         self.clock0 = task.clock
         self.busy0 = task.busy
@@ -971,7 +511,7 @@ class _CollGate:
     (``reason`` is ``None`` for fast, else the fallback tag); the verdict
     is cached so every participant takes the same path.  Fast joiners
     register a :class:`_GateEntry` and park on a ``coll`` future; the last
-    arrival replays the whole instance through the mini-engine and resolves
+    arrival replays the whole instance (:func:`_run_replay`) and resolves
     everyone in one bulk advance.
     """
 
@@ -1003,12 +543,7 @@ class _CollGate:
             st = sim.failed_state
             entry = next(e for e in self.entries if e.rank == st.rank)
             task = entry.task
-            task.clock = st.clock
-            task.busy = st.busy
-            task.msgs_sent = st.msgs_sent
-            task.bytes_sent = st.bytes_sent
-            task.msgs_received = st.msgs_received
-            task.bytes_received = st.bytes_received
+            st.write_back(task)
             engine.wave_resolve(
                 [(entry.fut, _Raised(sim.failure), st.clock)]
             )
@@ -1025,12 +560,7 @@ class _CollGate:
                 continue
             st = sim.states[entry.rank]
             task = entry.task
-            task.clock = st.clock
-            task.busy = st.busy
-            task.msgs_sent = st.msgs_sent
-            task.bytes_sent = st.bytes_sent
-            task.msgs_received = st.msgs_received
-            task.bytes_received = st.bytes_received
+            st.write_back(task)
             if emit:
                 world = ctx.ranks[entry.rank]
                 ins.span(
@@ -1078,8 +608,6 @@ class Communicator(Comm):
         engine = self.engine
         if engine.collectives != "fast":
             return "disabled"
-        if engine.matching != "indexed":
-            return "linear-matching"
         ins = engine.instrument
         if ins.enabled and ins.granularity != "span":
             return "message-tracing"
@@ -1143,7 +671,7 @@ class Communicator(Comm):
             kind="coll", tag=seq, dest=ctx.ranks[self.rank], comm=ctx.id,
             post_time=task.clock,
         )
-        gate.entries.append(_GateEntry(self.rank, task, fut, None, genargs))
+        gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
         if len(gate.entries) == gate.expected:
             gate.complete(self)
         result = await fut
@@ -1506,8 +1034,6 @@ class Communicator(Comm):
         engine = self.engine
         if engine.p2p != "fast":
             return "disabled"
-        if engine.matching != "indexed":
-            return "linear-matching"
         ins = engine.instrument
         if ins.enabled and ins.granularity != "span":
             return "message-tracing"

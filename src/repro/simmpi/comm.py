@@ -21,8 +21,9 @@ holding user-tag messages in arrival order for ``ANY_SOURCE``/``ANY_TAG``
 receives.  Every message and receive carries a mailbox-local sequence
 number, and every lookup breaks ties by it, so the index produces exactly
 the match a linear FIFO scan of one arrival queue would (the pre-index
-implementation is preserved as :class:`LinearMailbox` and asserted
-equivalent by a randomized-traffic property test).
+implementation lives on as the test oracle
+``tests/simmpi/linear_mailbox.py``, asserted equivalent by a
+randomized-traffic property test).
 
 Every rank holds its own :class:`Comm` view (rank, size, bound task) of a
 shared :class:`CommContext` (mailboxes, membership).
@@ -376,113 +377,6 @@ class Mailbox:
         return out
 
 
-class LinearMailbox:
-    """The pre-index reference implementation: one FIFO arrival queue and
-    one FIFO pending queue, matched by linear scan.
-
-    Kept (a) as executable documentation of the matching semantics and
-    (b) as the oracle for the randomized equivalence test in
-    ``tests/simmpi/test_mailbox_matching.py``.  Select it with
-    ``run_spmd(..., matching="linear")``.
-    """
-
-    __slots__ = ("queued", "pending", "_seq")
-
-    def __init__(self) -> None:
-        self.queued: deque[Message] = deque()
-        self.pending: deque[PendingRecv] = deque()
-        self._seq = 0
-
-    # -- queued messages ---------------------------------------------------
-
-    def push_msg(self, msg: Message) -> None:
-        msg.seq = self._seq
-        self._seq += 1
-        self.queued.append(msg)
-
-    def match_msg(self, source: int, tag: int) -> Message | None:
-        for i, msg in enumerate(self.queued):
-            if _src_matches(source, msg.src) and _tag_matches(tag, msg.tag):
-                del self.queued[i]
-                return msg
-        return None
-
-    def peek_msg(self, source: int, tag: int) -> Message | None:
-        for msg in self.queued:
-            if _src_matches(source, msg.src) and _tag_matches(tag, msg.tag):
-                return msg
-        return None
-
-    def drain_messages(self) -> list[Message]:
-        out = list(self.queued)
-        self.queued.clear()
-        return out
-
-    def wild_candidate_sources(self, tag: int) -> set[int]:
-        """See :meth:`Mailbox.wild_candidate_sources`."""
-        srcs: set[int] = set()
-        for msg in self.queued:
-            if msg.tag <= MAX_USER_TAG and _tag_matches(tag, msg.tag):
-                srcs.add(msg.src)
-        return srcs
-
-    # -- posted receives ---------------------------------------------------
-
-    def push_pending(self, p: PendingRecv) -> None:
-        p.seq = self._seq
-        self._seq += 1
-        self.pending.append(p)
-
-    def match_pending(
-        self, msg: Message, faults_active: bool = False
-    ) -> PendingRecv | None:
-        if faults_active and any(p.future.done for p in self.pending):
-            # Prune receives already released by a fault timeout so they
-            # cannot steal messages from live receives.
-            self.pending = deque(p for p in self.pending if not p.future.done)
-        for i, p in enumerate(self.pending):
-            if _src_matches(p.src, msg.src) and _tag_matches(p.tag, msg.tag):
-                del self.pending[i]
-                return p
-        return None
-
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    def has_queued(self) -> bool:
-        return bool(self.queued)
-
-    def has_wild_pending(self) -> bool:
-        return any(
-            not p.future.done and (p.src == ANY_SOURCE or p.tag == ANY_TAG)
-            for p in self.pending
-        )
-
-    def has_tag_window(self, lo: int, hi: int) -> bool:
-        return any(lo <= m.tag < hi for m in self.queued) or any(
-            not p.future.done and lo <= p.tag < hi for p in self.pending
-        )
-
-    def clear_pending(self) -> None:
-        self.pending.clear()
-
-    def release_pending_from(self, src: int) -> list[PendingRecv]:
-        out: list[PendingRecv] = []
-        keep: deque[PendingRecv] = deque()
-        for p in self.pending:
-            if p.src == src and not p.future.done:
-                out.append(p)
-            elif p.src == src:
-                continue
-            else:
-                keep.append(p)
-        self.pending = keep
-        return out
-
-
-MAILBOX_KINDS = {"indexed": Mailbox, "linear": LinearMailbox}
-
-
 class _LazyMailboxes(dict):
     """Mailboxes materialized on first touch.
 
@@ -509,6 +403,10 @@ class _LazyMailboxes(dict):
 class CommContext:
     """State shared by all ranks of one communicator."""
 
+    #: builds each destination's matching state on first touch; the
+    #: equivalence tests swap in their linear-scan oracle here
+    mailbox_factory = Mailbox
+
     def __init__(self, engine: Engine, ranks: Sequence[int]) -> None:
         self.engine = engine
         self.id = engine.alloc_comm_id()
@@ -518,9 +416,7 @@ class CommContext:
         self.local_of: dict[int, int] = {
             world: i for i, world in enumerate(self.ranks)
         }
-        self._mailboxes: dict[int, Any] = _LazyMailboxes(
-            MAILBOX_KINDS[engine.matching]
-        )
+        self._mailboxes: dict[int, Any] = _LazyMailboxes(self.mailbox_factory)
         # Per-rank collective sequence numbers; SPMD programs call
         # collectives in the same order so these align across ranks and give
         # each collective instance a private tag window.
@@ -584,9 +480,9 @@ class CommContext:
                 )
                 latency *= lat_f
                 transfer *= bw_f
-            start = max(msg.send_ready, pending.post_time + net.o_recv)
-            done_send = start + transfer
-            done_recv = start + latency + transfer
+            done_send, done_recv = net.rendezvous_times(
+                msg.send_ready, pending.post_time, transfer, latency
+            )
             assert msg.sender_future is not None
             if not msg.sender_future.done:
                 # Streaming the payload is active work for the sender, but
@@ -597,7 +493,7 @@ class CommContext:
                 msg.sender_future.busy_charge = transfer
                 msg.sender_future.resolve(None, time=done_send)
         else:
-            done_recv = max(pending.post_time + net.o_recv, msg.arrival)
+            done_recv = net.eager_recv_complete(pending.post_time, msg.arrival)
         pending.task.msgs_received += 1
         pending.task.bytes_received += msg.nbytes
         # Like the rendezvous sender's transfer above, the receiver's
@@ -837,7 +733,7 @@ class Comm:
             fut.resolve(None, time=task.clock)
             return Request(fut, task, "isend")
         if net.eager(nbytes):
-            task.charge(net.o_send + net.transfer_time(nbytes))
+            task.charge(net.eager_send_cost(nbytes))
             latency = net.latency
             inj = self.engine.faults
             if inj.active:

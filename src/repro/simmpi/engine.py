@@ -109,14 +109,9 @@ class Engine:
         max_steps: int | None = None,
         instrument: Instrument = NULL_INSTRUMENT,
         faults: FaultInjector = NULL_INJECTOR,
-        matching: str = "indexed",
         collectives: str = "fast",
         p2p: str = "fast",
     ) -> None:
-        if matching not in ("indexed", "linear"):
-            raise ValueError(
-                f"matching must be 'indexed' or 'linear', got {matching!r}"
-            )
         if collectives not in ("fast", "simulated"):
             raise ValueError(
                 "collectives must be 'fast' or 'simulated', "
@@ -127,10 +122,6 @@ class Engine:
                 f"p2p must be 'fast' or 'simulated', got {p2p!r}"
             )
         self.network = network
-        #: mailbox implementation for every CommContext built on this engine:
-        #: "indexed" (per-(src, tag) lanes, the default) or "linear" (the
-        #: reference FIFO-scan oracle used by equivalence tests)
-        self.matching = matching
         #: collective execution policy: "fast" (closed-form macro
         #: collectives where eligible, per-message fallback otherwise) or
         #: "simulated" (always per-message).  Both are bit-identical in

@@ -18,8 +18,7 @@ from ..obs.instrument import NULL_INSTRUMENT, Instrument
 from .collectives import Communicator
 from .comm import CommContext
 from .engine import Engine, Task
-from .simconfig import SimConfig, resolve_auto_shards, resolve_config
-from .timing import NetworkModel
+from .simconfig import DEFAULT_CONFIG, SimConfig, resolve_auto_shards
 
 
 class RankContext:
@@ -134,24 +133,15 @@ def run_spmd(
     nprocs: int,
     *args: Any,
     config: SimConfig | None = None,
-    network: NetworkModel | None = None,
-    max_steps: int | None = None,
     instrument: Instrument = NULL_INSTRUMENT,
     faults: FaultPlan | FaultInjector | None = None,
-    matching: str | None = None,
-    collectives: str | None = None,
-    shards: int | None = None,
     **kwargs: Any,
 ) -> SpmdResult:
     """Run ``main(ctx, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
     ``main`` must be an ``async def``; it is instantiated once per rank.
-    Engine options travel in ``config`` (a :class:`SimConfig`); the
-    pre-``SimConfig`` per-knob keywords (``network=``/``matching=``/
-    ``collectives=``/``shards=``/``max_steps=``) are retired — passing
-    one raises ``TypeError`` naming the ``SimConfig`` spelling.  (They
-    stay in the signature so a stale call site gets that message instead
-    of the keyword silently landing in ``main``'s ``**kwargs``.)
+    Engine options travel in ``config`` (a :class:`SimConfig`); any other
+    keyword is forwarded to ``main``.
 
     ``instrument`` receives the run's observability events (scheduler,
     p2p, collectives, tracers); the default is the zero-cost no-op.
@@ -163,11 +153,6 @@ def run_spmd(
     crashed ranks appear in ``SpmdResult.failed_ranks`` with ``None``
     results, and no error is raised for them.  An empty plan is a strict
     no-op — all virtual times stay bit-identical.
-
-    ``config.matching`` selects the mailbox implementation: ``"indexed"``
-    (default, per-``(src, tag)`` lanes) or ``"linear"`` (the pre-index
-    FIFO-scan reference, kept for equivalence testing — both produce
-    bit-identical match order and virtual times).
 
     ``config.collectives`` selects the collective execution mode:
     ``"fast"`` (default) lets eligible collectives take the closed-form
@@ -195,10 +180,7 @@ def run_spmd(
     a concrete count per run from the world size and machine cores
     (:func:`~repro.simmpi.simconfig.resolve_auto_shards`).
     """
-    cfg = resolve_config(
-        config, network=network, max_steps=max_steps, matching=matching,
-        collectives=collectives, shards=shards,
-    )
+    cfg = config or DEFAULT_CONFIG
     if nprocs <= 0:
         raise ValueError("nprocs must be positive")
     if cfg.shards == "auto":
@@ -231,8 +213,7 @@ def _run_single(
         injector.plan.validate(nprocs)
     engine = Engine(network=cfg.network, max_steps=cfg.max_steps,
                     instrument=instrument, faults=injector,
-                    matching=cfg.matching, collectives=cfg.collectives,
-                    p2p=cfg.p2p)
+                    collectives=cfg.collectives, p2p=cfg.p2p)
     world_ctx = CommContext(engine, range(nprocs))
     for rank in range(nprocs):
         # Task must exist before the Communicator that references it; spawn

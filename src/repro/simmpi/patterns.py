@@ -13,15 +13,16 @@ pattern with the engine's exact LogGP arithmetic, and one
 virtual time to the message-level path, which survives unchanged as the
 per-instance fallback and as ``SimConfig(p2p="simulated")``.
 
-Two replay tiers, both writing into a :class:`~.rankstate.RankStateColumns`
-columnar store:
+Two replay tiers:
 
 * **slot replay** — when the pattern compiles to aligned slots (uniform op
   kind per position, matched sends strictly earlier than their recvs) and
   no instrumentation is attached, each slot is one vectorized numpy
-  expression over the participating ranks: no Python loop over ranks.
-* **script replay** — a scalar interpreter mirroring the collective
-  mini-engine op for op; handles wavefront dependency chains, rendezvous
+  expression over a :class:`~.rankstate.RankStateColumns` store: no Python
+  loop over ranks.
+* **script replay** — each rank's script fed, as a generator, to the shared
+  scalar replay core (:class:`repro.simmpi.replay.Replay`, the engine the
+  collective gates use); handles wavefront dependency chains, rendezvous
   fused sends and obs emission synthesis (per-message recv spans and
   p2p/* metrics identical to the simulated path's).
 
@@ -38,14 +39,13 @@ always ``None``):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .comm import MAX_USER_TAG
-from .errors import DeadlockError
 from .rankstate import RankStateColumns
+from .replay import EAGER_DONE, RankState, Replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .timing import NetworkModel
@@ -435,16 +435,14 @@ def _replay_slots(plan: list, cols: RankStateColumns,
 
     Returns ``False`` without touching ``cols`` when the plan is
     infeasible for this network (a fused send or an unfireable wait would
-    go rendezvous); the caller then runs the script replay.  Every
-    floating-point expression below evaluates the same IEEE-754 operation
-    sequence as ``comm.py``/the mini-engine, so the results are bit-equal.
+    go rendezvous); the caller then runs the script replay.  The
+    :class:`NetworkModel` array helpers evaluate the same IEEE-754
+    operation sequence as their scalar forms, so the results are bit-equal.
     """
     o_send = net.o_send
     o_recv = net.o_recv
     latency = net.latency
     eager_max = net.eager_threshold
-    mb = net.min_message_bytes
-    bw = net.bandwidth
     # Feasibility pass first: no column is mutated unless the whole plan
     # can run.  Rendezvous needs the matching recv to have fired before
     # the sender's wait slot; a fused ("send", ...) has its wait at the
@@ -471,7 +469,7 @@ def _replay_slots(plan: list, cols: RankStateColumns,
             cols.msgs_sent[idx] += 1
             cols.bytes_sent[idx] += nb
             # eager: charge(o_send + transfer); rendezvous: charge(o_send)
-            transfer = np.maximum(nb, mb) / bw
+            transfer = net.transfer_time_array(nb)
             dt = np.where(eager_m, o_send + transfer, o_send)
             c = clock[idx] + dt
             clock[idx] = c
@@ -493,7 +491,7 @@ def _replay_slots(plan: list, cols: RankStateColumns,
             post = clock[ridx]
             # eager: done_recv = max(post + o_recv, arrival)
             # rendezvous: start = max(post + o_recv, send_ready)
-            start = np.maximum(post + o_recv, mt)
+            start = net.match_start_array(post, mt)
             done_recv = np.where(eg, start, (start + latency) + tr)
             s_done_send[g] = start + tr
             cols.msgs_received[ridx] += 1
@@ -518,289 +516,27 @@ def _replay_slots(plan: list, cols: RankStateColumns,
     return True
 
 
-# -- script replay (scalar interpreter) ---------------------------------------
+# -- script replay (scalar core) -----------------------------------------------
 
 
-class _PFut:
-    """Completion handle inside the script replay (mirrors _MiniFut)."""
-
-    __slots__ = ("done", "time", "busy_charge", "waiter")
-
-    def __init__(self) -> None:
-        self.done = False
-        self.time = 0.0
-        self.busy_charge = 0.0
-        self.waiter = None
-
-
-#: Shared pre-resolved handle for eager sends (completion time equals the
-#: post-charge clock, so waiting never advances anything).
-_EAGER_DONE = _PFut()
-_EAGER_DONE.done = True
-_EAGER_DONE.time = -1.0
-
-
-class _PState:
-    """One rank's replica of its task state during the script replay."""
-
-    __slots__ = (
-        "i", "ops", "pc", "clock", "busy", "msgs_sent", "bytes_sent",
-        "msgs_received", "bytes_received", "isends", "events", "finished",
-    )
-
-    def __init__(self, i, ops, clock, busy, msgs_sent, bytes_sent,
-                 msgs_received, bytes_received, collect):
-        self.i = i
-        self.ops = ops
-        self.pc = 0
-        self.clock = clock
-        self.busy = busy
-        self.msgs_sent = msgs_sent
-        self.bytes_sent = bytes_sent
-        self.msgs_received = msgs_received
-        self.bytes_received = bytes_received
-        self.isends: list[_PFut] = []
-        self.events: list[tuple] | None = [] if collect else None
-        self.finished = False
-
-
-class _ScriptReplay:
-    """Scalar replay of one pattern instance.
-
-    Clock/busy/counter arithmetic copies the collective mini-engine (and
-    therefore ``Comm.isend`` / ``CommContext._fire_match``) operation for
-    operation; matching is per-(src, dest, tag) FIFO lanes, exactly the
-    indexed mailbox's discipline for exact-tag receives.  With ``collect``
-    the replay records, per rank in program order, the send-metric and
-    recv-span events the message-level path would have emitted, for the
-    gate to synthesize afterwards.
-    """
-
-    __slots__ = (
-        "pattern", "states", "_queued", "_pending", "_ready", "collect",
-        "_o_send", "_o_recv", "_latency", "_eager_max", "_min_bytes",
-        "_bandwidth",
-    )
-
-    def __init__(self, pattern: NeighborPattern, cols: RankStateColumns,
-                 net: "NetworkModel", collect: bool) -> None:
-        self.pattern = pattern
-        self.collect = collect
-        self._o_send = net.o_send
-        self._o_recv = net.o_recv
-        self._latency = net.latency
-        self._eager_max = net.eager_threshold
-        self._min_bytes = net.min_message_bytes
-        self._bandwidth = net.bandwidth
-        clock = cols.clock.tolist()
-        busy = cols.busy.tolist()
-        ms = cols.msgs_sent.tolist()
-        bs = cols.bytes_sent.tolist()
-        mr = cols.msgs_received.tolist()
-        br = cols.bytes_received.tolist()
-        self.states = [
-            _PState(
-                i, [op for op in pattern.ops[i] if op is not None],
-                clock[i], busy[i], ms[i], bs[i], mr[i], br[i], collect,
-            )
-            for i in range(cols.n)
-        ]
-        # (src, dest, tag) -> deque of messages / a single parked recv.
-        # A receiver blocks on each recv, so at most one pending per key;
-        # queued lanes are real deques (a channel may carry several
-        # messages, e.g. a 2-rank ring sending both ways on one tag).
-        self._queued: dict[tuple, deque] = {}
-        self._pending: dict[tuple, tuple] = {}
-        self._ready: deque = deque()
-
-    def run(self, cols: RankStateColumns) -> None:
-        ready = self._ready
-        for st in self.states:
-            ready.append((st, None))
-        while ready:
-            st, fut = ready.popleft()
-            if fut is not None:
-                # Request.wait's resume: advance to the completion time,
-                # then absorb any deferred busy charge, in that order.
-                if fut.time > st.clock:
-                    st.clock = fut.time
-                if fut.busy_charge:
-                    st.busy += fut.busy_charge
-                    fut.busy_charge = 0.0
-            self._step(st)
-        blocked = [
-            f"rank {st.i}: pattern {self.pattern.name!r} blocked at op "
-            f"{st.ops[st.pc - 1] if st.pc else None!r}"
-            for st in self.states if not st.finished
-        ]
-        if blocked:
-            # The message-level path would deadlock on the same cycle
-            # (e.g. mutual rendezvous blocking sends); same diagnosis.
-            raise DeadlockError(blocked)
-        for st in self.states:
-            i = st.i
-            cols.clock[i] = st.clock
-            cols.busy[i] = st.busy
-            cols.msgs_sent[i] = st.msgs_sent
-            cols.bytes_sent[i] = st.bytes_sent
-            cols.msgs_received[i] = st.msgs_received
-            cols.bytes_received[i] = st.bytes_received
-
-    def _step(self, st: _PState) -> None:
-        ops = st.ops
-        n = len(ops)
-        while st.pc < n:
-            op = ops[st.pc]
-            code = op[0]
-            if code == "recv":
-                src, tag = op[1], op[2]
-                key = (src, st.i, tag)
-                lane = self._queued.get(key)
-                if lane is None:
-                    fut = _PFut()
-                    fut.waiter = st
-                    self._pending[key] = (st.clock, fut, st)
-                    st.pc += 1
-                    return
-                msg = lane.popleft()
-                if not lane:
-                    del self._queued[key]
-                st.pc += 1
-                # already queued: fire inline, like irecv's immediate
-                # match + Request.wait short-circuit
-                self._fire_recv(st, st.clock, msg, src, tag)
-                continue
-            if code == "isend" or code == "send":
-                fut = self._isend(st, op[1], op[2], op[3])
-                st.pc += 1
-                if code == "isend":
-                    st.isends.append(fut)
-                    continue
-            else:
-                if code == "wait":
-                    fut = st.isends[op[1]]
-                    st.pc += 1
-                else:  # compute
-                    sec = op[1]
-                    st.clock += sec
-                    st.busy += sec
-                    st.pc += 1
-                    continue
-            if fut.done:
-                # resolved-future short-circuit, exactly Request.wait()
-                if fut.time > st.clock:
-                    st.clock = fut.time
-                if fut.busy_charge:
-                    st.busy += fut.busy_charge
-                    fut.busy_charge = 0.0
-            else:
-                fut.waiter = st
-                return
-        st.finished = True
-
-    # -- comm.py arithmetic replicas (see collectives._MiniEngine) ------
-
-    def _isend(self, st: _PState, dest: int, tag: int, nbytes: int) -> _PFut:
-        if st.events is not None:
-            # p2p/bytes_sent + p2p/messages are emitted at the pre-charge
-            # clock on the simulated path.
-            st.events.append(("s", st.clock, nbytes))
-        st.msgs_sent += 1
-        st.bytes_sent += nbytes
-        if nbytes <= self._eager_max:
-            mb = self._min_bytes
-            dt = self._o_send + (nbytes if nbytes > mb else mb) / self._bandwidth
-            st.clock += dt
-            st.busy += dt
-            self._deliver(st.i, dest, tag,
-                          (nbytes, st.clock + self._latency, None))
-            return _EAGER_DONE
-        fut = _PFut()
-        o_send = self._o_send
-        st.clock += o_send
-        st.busy += o_send
-        self._deliver(st.i, dest, tag, (nbytes, st.clock, fut))
-        return fut
-
-    def _deliver(self, src: int, dest: int, tag: int, msg: tuple) -> None:
-        key = (src, dest, tag)
-        p = self._pending.pop(key, None)
-        if p is not None:
-            post_time, fut, rst = p
-            self._fire(post_time, fut, rst, msg, src, tag)
-        else:
-            lane = self._queued.get(key)
-            if lane is None:
-                self._queued[key] = lane = deque()
-            lane.append(msg)
-
-    def _fire_recv(self, st: _PState, post_time: float, msg: tuple,
-                   src: int, tag: int) -> None:
-        nbytes, msg_time, sfut = msg
-        if sfut is not None:  # rendezvous: msg_time is send_ready
-            mb = self._min_bytes
-            transfer = (nbytes if nbytes > mb else mb) / self._bandwidth
-            start = post_time + self._o_recv
-            if msg_time > start:
-                start = msg_time
-            done_recv = start + self._latency + transfer
-            sfut.done = True
-            sfut.time = start + transfer
-            sfut.busy_charge = transfer
-            if sfut.waiter is not None:
-                self._ready.append((sfut.waiter, sfut))
-                sfut.waiter = None
-            rdv = True
-        else:  # eager: msg_time is the arrival
-            done_recv = post_time + self._o_recv
-            if msg_time > done_recv:
-                done_recv = msg_time
-            rdv = False
-        st.msgs_received += 1
-        st.bytes_received += nbytes
-        st.busy += self._o_recv
-        if done_recv > st.clock:
-            st.clock = done_recv
-        if st.events is not None:
-            st.events.append(("r", post_time, done_recv, src, tag,
-                              nbytes, rdv))
-
-    def _fire(self, post_time: float, fut: _PFut, rst: _PState,
-              msg: tuple, src: int, tag: int) -> None:
-        # Sender resolution strictly before the receiver's counters and
-        # resolution, mirroring CommContext.fire_match's wake order.
-        nbytes, msg_time, sfut = msg
-        if sfut is not None:  # rendezvous
-            mb = self._min_bytes
-            transfer = (nbytes if nbytes > mb else mb) / self._bandwidth
-            start = post_time + self._o_recv
-            if msg_time > start:
-                start = msg_time
-            done_send = start + transfer
-            done_recv = start + self._latency + transfer
-            sfut.done = True
-            sfut.time = done_send
-            sfut.busy_charge = transfer
-            if sfut.waiter is not None:
-                self._ready.append((sfut.waiter, sfut))
-                sfut.waiter = None
-            rdv = True
-        else:  # eager
-            done_recv = post_time + self._o_recv
-            if msg_time > done_recv:
-                done_recv = msg_time
-            rdv = False
-        rst.msgs_received += 1
-        rst.bytes_received += nbytes
-        rst.busy += self._o_recv
-        if rst.events is not None:
-            rst.events.append(("r", post_time, done_recv, src, tag,
-                               nbytes, rdv))
-        fut.done = True
-        fut.time = done_recv
-        if fut.waiter is not None:
-            self._ready.append((fut.waiter, fut))
-            fut.waiter = None
+def _g_script(ops: tuple):
+    """One rank's declared script as a schedule for the replay core
+    (payloads are always ``None``; ``wait k`` names the k-th isend)."""
+    handles = []
+    for op in ops:
+        if op is None:
+            continue
+        code = op[0]
+        if code == "isend":
+            handles.append((yield ("isend", op[1], op[2], None, op[3])))
+        elif code == "send":
+            yield ("send", op[1], op[2], None, op[3])
+        elif code == "wait":
+            handle = handles[op[1]]
+            if handle is not EAGER_DONE:  # waiting on eager sends is a no-op
+                yield ("wait", handle)
+        else:  # recv / compute: already in the core's vocabulary
+            yield op
 
 
 # -- the gate -----------------------------------------------------------------
@@ -874,26 +610,27 @@ def resolve_p2p_gate(comm, pattern: NeighborPattern, gate: _P2PGate) -> None:
     engine = comm.engine
     entries = sorted(gate.entries, key=lambda e: e.rank)
     # All communicator-local ranks participate, so entry i is local rank i.
-    cols = RankStateColumns.from_entries(entries)
     net = engine.network
     ins = engine.instrument
     emit = ins.enabled
-    events = None
-    replayed = False
-    if not emit:
-        plan = pattern.slot_plan()
-        if plan is not None:
-            replayed = _replay_slots(plan, cols, net)
-    if not replayed:
-        script = _ScriptReplay(pattern, cols, net, collect=emit)
-        script.run(cols)
-        if emit:
-            events = [st.events for st in script.states]
+    tasks = [e.task for e in entries]
+    plan = None if emit else pattern.slot_plan()
+    cols = None if plan is None else RankStateColumns.from_entries(entries)
+    if cols is not None and _replay_slots(plan, cols, net):
+        cols.write_back(tasks)
+        final_clock = cols.clock.tolist()
+    else:
+        states = [RankState(e, collect=emit) for e in entries]
+        for st in states:
+            st.gen = _g_script(pattern.ops[st.rank])
+        Replay(net, states).run()
+        for task, st in zip(tasks, states):
+            st.write_back(task)
+        final_clock = [st.clock for st in states]
+        events = [st.events for st in states]
     engine.total_messages += pattern.total_messages
     engine.total_bytes += pattern.total_bytes
     engine.p2p_fast += len(entries)
-    cols.write_back([e.task for e in entries])
-    final_clock = cols.clock.tolist()
     if emit:
         metrics = ins.metrics
         ranks = ctx.ranks

@@ -3,22 +3,20 @@
 The macro fast paths resolve whole phases (a collective instance, a
 declared p2p pattern) for every participant at once.  Holding each
 participant's clock/busy/traffic counters in one Python object per rank —
-the ``_RankState`` layout the collective mini-engine uses — costs an
+the ``RankState`` layout the scalar replay core uses — costs an
 allocation per rank per gate plus pointer-chasing over P objects, which
 docs/PERF.md measured as a ~10% GC + LLC working-set drag at P=16384.
 
 :class:`RankStateColumns` is the structure-of-arrays alternative: six
-parallel numpy columns indexed by position (local rank).  Gate replays
-mutate the columns — vectorized when the pattern allows, scalar otherwise —
-and :meth:`write_back` copies the final values onto the engine ``Task``
-objects in one pass.
+parallel numpy columns indexed by position (local rank).  The vectorized
+slot replay mutates the columns and :meth:`write_back` copies the final
+values onto the engine ``Task`` objects in one pass.
 
 Bit-exactness contract: every column round-trips through numpy without
 changing a single bit.  ``float64`` scalars and arrays perform IEEE-754
 arithmetic identical to Python ``float`` for the same expression shapes,
-``float(np.float64(x)) == x`` exactly, and ``int(np.int64(n)) == n``; the
-equivalence test in ``tests/simmpi/test_p2p_fastpath.py`` asserts the
-dict-of-objects and columnar representations stay interchangeable.
+``float(np.float64(x)) == x`` exactly, and ``int(np.int64(n)) == n``
+(asserted in ``tests/simmpi/test_p2p_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -72,41 +70,6 @@ class RankStateColumns:
             mr[i] = e.recvd0
             br[i] = e.bytes_recvd0
         return cols
-
-    @classmethod
-    def from_dicts(cls, dicts: Sequence[dict]) -> "RankStateColumns":
-        """Build columns from per-rank state dicts (the pre-columnar
-        representation; keys match :meth:`to_dicts`)."""
-        cols = cls(len(dicts))
-        for i, d in enumerate(dicts):
-            cols.clock[i] = d["clock"]
-            cols.busy[i] = d["busy"]
-            cols.msgs_sent[i] = d["msgs_sent"]
-            cols.bytes_sent[i] = d["bytes_sent"]
-            cols.msgs_received[i] = d["msgs_received"]
-            cols.bytes_received[i] = d["bytes_received"]
-        return cols
-
-    def to_dicts(self) -> list[dict]:
-        """Per-rank state dicts with native Python scalars (bit-exact:
-        ``float``/``int`` conversion of float64/int64 never rounds)."""
-        clock = self.clock.tolist()
-        busy = self.busy.tolist()
-        ms = self.msgs_sent.tolist()
-        bs = self.bytes_sent.tolist()
-        mr = self.msgs_received.tolist()
-        br = self.bytes_received.tolist()
-        return [
-            {
-                "clock": clock[i],
-                "busy": busy[i],
-                "msgs_sent": ms[i],
-                "bytes_sent": bs[i],
-                "msgs_received": mr[i],
-                "bytes_received": br[i],
-            }
-            for i in range(self.n)
-        ]
 
     def write_back(self, tasks: Sequence["Task"]) -> None:
         """Bulk-copy the columns onto engine tasks (``tasks[i]`` receives

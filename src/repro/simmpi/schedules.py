@@ -1,15 +1,9 @@
-"""Collective round structures, shared by both execution paths.
+"""Binomial-tree structure shared by both collective execution paths.
 
-The message-level collectives (:mod:`repro.simmpi.collectives`) and the
-macro-collective fast path evaluate *the same schedules*: dissemination
-rounds for barriers, binomial trees for bcast/reduce/gather/scatter, a ring
-for allgather and pairwise exchange for alltoall.  This module is the single
-definition of those structures so the two paths cannot drift — the fast
-path walks the orders produced here with closed-form LogGP arithmetic, the
-simulated path spawns one message per edge of the very same schedule.
-
-All helpers are pure functions of ``(size, root)``; none of them touch the
-engine, clocks or payloads.
+The message-level collectives and the macro fast path's schedule generators
+(:mod:`repro.simmpi.collectives`) walk the same trees for
+bcast/reduce/gather/scatter; the helpers here are pure functions of
+``(rank, size, root)`` and touch neither the engine, clocks nor payloads.
 """
 
 from __future__ import annotations
@@ -19,41 +13,8 @@ from .topology import binomial_children, binomial_parent
 __all__ = [
     "binomial_children",
     "binomial_parent",
-    "binomial_order",
     "binomial_subtree",
-    "dissemination_rounds",
-    "pairwise_steps",
-    "ring_neighbors",
 ]
-
-
-def dissemination_rounds(size: int) -> list[int]:
-    """Distances of the dissemination barrier: 1, 2, 4, ... < ``size``.
-
-    In round ``k`` every rank ``r`` sends to ``(r + d) % size`` and
-    receives from ``(r - d) % size`` where ``d = 2**k``.
-    """
-    rounds = []
-    dist = 1
-    while dist < size:
-        rounds.append(dist)
-        dist <<= 1
-    return rounds
-
-
-def binomial_order(size: int, root: int = 0) -> list[int]:
-    """Every rank in parent-before-children (BFS) order from ``root``.
-
-    This is a valid evaluation order for top-down tree collectives
-    (bcast, scatter); its reverse puts children before parents, which is a
-    valid order for bottom-up collectives (reduce, gather).
-    """
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(binomial_children(order[i], size, root))
-        i += 1
-    return order
 
 
 def binomial_subtree(rank: int, size: int, root: int = 0) -> list[int]:
@@ -66,17 +27,3 @@ def binomial_subtree(rank: int, size: int, root: int = 0) -> list[int]:
             out.append(child)
             stack.append(child)
     return out
-
-
-def ring_neighbors(rank: int, size: int) -> tuple[int, int]:
-    """``(right, left)`` neighbours of ``rank`` on the allgather ring."""
-    return (rank + 1) % size, (rank - 1) % size
-
-
-def pairwise_steps(rank: int, size: int) -> list[tuple[int, int, int]]:
-    """Pairwise-exchange schedule for alltoall: ``(step, to, frm)`` per
-    step ``1 .. size-1``."""
-    return [
-        (step, (rank + step) % size, (rank - step) % size)
-        for step in range(1, size)
-    ]

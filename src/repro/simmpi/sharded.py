@@ -259,7 +259,7 @@ class ShardCommunicator(Communicator):
         ordinal = task.msgs_sent  # after increment: matches Comm.isend
         inj = engine.faults
         if net.eager(nbytes):
-            task.charge(net.o_send + net.transfer_time(nbytes))
+            task.charge(net.eager_send_cost(nbytes))
             latency = net.latency
             if inj.active:
                 latency *= inj.link_factors(self.rank, dest)[0]
@@ -452,9 +452,9 @@ class ShardCommunicator(Communicator):
         self.engine.collectives_fast += 1
         fut = SimFuture(kind="coll", tag=seq, dest=self.rank, comm=ctx.id,
                         post_time=task.clock)
-        # No generator: the owner shard rebuilds schedules lazily from the
-        # (picklable) genargs tuple iff its replay takes the generator path.
-        gate.entries.append(_GateEntry(self.rank, task, fut, None, genargs))
+        # The owner shard builds schedules from the (picklable) genargs
+        # tuple iff its replay drives the scalar core.
+        gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
         if len(gate.entries) == gate.expected:
             ctx.gates_out.append((seq, gate))
             ctx.gate_pending[seq] = gate
@@ -494,16 +494,14 @@ def _gate_record(seq: int, gate: _CollGate) -> tuple:
 
 class _RemoteEntry:
     """Owner-shard stand-in for a _GateEntry: exactly the attributes the
-    replay's _RankState snapshot (and its lazy generator construction)
-    reads."""
+    replay's RankState snapshot (and its generator construction) reads."""
 
-    __slots__ = ("rank", "gen", "genargs", "clock0", "busy0", "sent0",
+    __slots__ = ("rank", "genargs", "clock0", "busy0", "sent0",
                  "bytes_sent0", "recvd0", "bytes_recvd0")
 
     def __init__(self, rank, genargs, clock0, busy0, sent0, bytes_sent0,
                  recvd0, bytes_recvd0) -> None:
         self.rank = rank
-        self.gen = None  # built by _run_replay iff the generator path runs
         self.genargs = genargs
         self.clock0 = clock0
         self.busy0 = busy0
@@ -533,7 +531,7 @@ def _safe_send(hb: Heartbeat, obj) -> bool:
 
 
 def _result_columns(states: list) -> tuple:
-    """Columnar encoding of replayed _RankStates (sorted by caller)."""
+    """Columnar encoding of replayed RankStates (sorted by caller)."""
     return (
         array("q", [st.rank for st in states]),
         [st.result for st in states],
@@ -592,12 +590,7 @@ def _apply_gate_states(ctx: ShardCommContext, engine: Engine, seq: int,
     for entry in gate.entries:
         st = states[entry.rank]
         task = entry.task
-        task.clock = st.clock
-        task.busy = st.busy
-        task.msgs_sent = st.msgs_sent
-        task.bytes_sent = st.bytes_sent
-        task.msgs_received = st.msgs_received
-        task.bytes_received = st.bytes_received
+        st.write_back(task)
         if emit:
             ins.span(entry.rank, gate.kind, "coll", entry.clock0, st.clock,
                      {"algorithm": alg, "comm": ctx.id, "size": ctx.size})
@@ -755,8 +748,7 @@ def _shard_worker(conn, shard_index: int, bounds: list[int], nprocs: int,
             ins = Recorder(time_bucket=rec_params[0], max_events=rec_params[1],
                            granularity=rec_params[2])
         engine = Engine(network=cfg.network, instrument=ins, faults=injector,
-                        matching=cfg.matching, collectives=cfg.collectives,
-                        p2p=cfg.p2p)
+                        collectives=cfg.collectives, p2p=cfg.p2p)
         ctx = ShardCommContext(engine, nprocs, lo, hi,
                                shard_index=shard_index, bounds=bounds,
                                armed=armed)

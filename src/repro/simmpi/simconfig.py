@@ -1,18 +1,13 @@
 """`SimConfig` — the one object that configures a simulated run.
 
-Engine options used to arrive as a growing pile of orthogonal keyword
-arguments (``network=``, ``matching=``, ``collectives=``, ``shards=``,
-``max_steps=``).  :class:`SimConfig` replaces them with a single frozen,
-validated dataclass accepted everywhere a run starts —
-``run_spmd(config=...)``, ``repro.api.run(sim=...)``, ``repro bench
---config KEY=VAL``.  The per-knob kwargs shipped one release as
-deprecation shims and are now removed: :func:`resolve_config` raises
-``TypeError`` naming the replacement spelling.
+A single frozen, validated dataclass carries every engine option and is
+accepted everywhere a run starts — ``run_spmd(config=...)``,
+``repro.api.run(sim=...)``, ``repro bench --config KEY=VAL``.
 
 Cache participation: :meth:`SimConfig.digest` (and the tuple behind it,
 :meth:`SimConfig.cache_key`) covers only the fields that can change a
 run's *virtual-time outcome* — the network model and ``max_steps``.
-``matching``, ``collectives``, ``p2p`` and ``shards`` are
+``collectives``, ``p2p`` and ``shards`` are
 bit-identity-preserving execution strategies (each is fuzz-verified
 against its reference path), so equivalent spellings of the same run hash
 identically and the run cache can serve a result computed under any of
@@ -29,7 +24,7 @@ from typing import Any
 
 from .timing import NetworkModel, QDR_CLUSTER, SLOW_CLUSTER, ZERO_COST
 
-__all__ = ["SimConfig", "DEFAULT_CONFIG", "parse_config", "resolve_config",
+__all__ = ["SimConfig", "DEFAULT_CONFIG", "parse_config",
            "resolve_auto_shards"]
 
 
@@ -39,9 +34,6 @@ class SimConfig:
 
     Attributes:
         network: LogGP cost model charged for every operation.
-        matching: mailbox implementation — ``"indexed"`` (default) or the
-            ``"linear"`` reference scan (bit-identical, kept for
-            equivalence testing).
         collectives: ``"fast"`` (closed-form macro collectives, default)
             or ``"simulated"`` (always message-level).
         p2p: ``"fast"`` (macro gate replay of declared
@@ -59,7 +51,6 @@ class SimConfig:
     """
 
     network: NetworkModel = QDR_CLUSTER
-    matching: str = "indexed"
     collectives: str = "fast"
     p2p: str = "fast"
     shards: int | str = 1
@@ -69,10 +60,6 @@ class SimConfig:
         if not isinstance(self.network, NetworkModel):
             raise ValueError(
                 f"network must be a NetworkModel, got {type(self.network).__name__}"
-            )
-        if self.matching not in ("indexed", "linear"):
-            raise ValueError(
-                f"matching must be 'indexed' or 'linear', got {self.matching!r}"
             )
         if self.collectives not in ("fast", "simulated"):
             raise ValueError(
@@ -105,8 +92,7 @@ class SimConfig:
     def cache_key(self) -> tuple:
         """The outcome-determining normal form used by the run cache.
 
-        Deliberately excludes ``matching``/``collectives``/``p2p``/
-        ``shards``: those select bit-identical execution strategies, so
+        Deliberately excludes ``collectives``/``p2p``/``shards``: those select bit-identical execution strategies, so
         two configs differing only there describe the same run.
         """
         n = self.network
@@ -126,8 +112,8 @@ class SimConfig:
         return hashlib.sha256(repr(self.cache_key()).encode()).hexdigest()
 
 
-#: The default configuration (QDR network, indexed mailbox, fast
-#: collectives, fast p2p, single process, unlimited steps).
+#: The default configuration (QDR network, fast collectives, fast p2p,
+#: single process, unlimited steps).
 DEFAULT_CONFIG = SimConfig()
 
 
@@ -151,33 +137,6 @@ def resolve_auto_shards(nprocs: int, cores: int | None = None) -> int:
     return min(cap, max(2, nprocs // 4096))
 
 
-def resolve_config(
-    config: SimConfig | None = None,
-    *,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> SimConfig:
-    """Reject retired per-knob engine kwargs; return the ``SimConfig``.
-
-    The pre-``SimConfig`` kwargs (``network=``, ``matching=``,
-    ``collectives=``, ``shards=``, ``max_steps=``) shipped one release as
-    ``DeprecationWarning`` shims and are now removed: any non-``None``
-    legacy value raises ``TypeError`` naming the replacement spelling.
-    Every entry point that used to accept them still routes through here
-    so the error message stays consistent.
-    """
-    used = {k: v for k, v in legacy.items() if v is not None}
-    if used:
-        names = ", ".join(f"{k}=" for k in sorted(used))
-        raise TypeError(
-            f"the {names} keyword{'s are' if len(used) > 1 else ' is'} no "
-            "longer accepted (removed after a one-release deprecation); "
-            f"pass config=SimConfig({', '.join(f'{k}=...' for k in sorted(used))}) "
-            "instead"
-        )
-    return config if config is not None else DEFAULT_CONFIG
-
-
 #: Named network models accepted by ``--config network=NAME``.
 NETWORK_PRESETS: dict[str, NetworkModel] = {
     "qdr": QDR_CLUSTER,
@@ -191,8 +150,7 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
 
     This is the parser behind ``repro bench --config`` (and any future
     ``--config`` flag).  Accepted keys: ``network`` (a preset name from
-    :data:`NETWORK_PRESETS`), ``matching``, ``collectives``, ``p2p``,
-    ``shards`` (int, or ``auto``) and ``max_steps`` (int, or ``none``
+    :data:`NETWORK_PRESETS`), ``collectives``, ``p2p``, ``shards`` (int, or ``auto``) and ``max_steps`` (int, or ``none``
     for unlimited).
     Raises ``ValueError`` with a usable message on anything else; field
     values are validated by ``SimConfig`` itself.
@@ -212,7 +170,7 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
                     f"unknown network preset {value!r}; choose from "
                     f"{', '.join(sorted(NETWORK_PRESETS))}"
                 ) from None
-        elif key in ("matching", "collectives", "p2p"):
+        elif key in ("collectives", "p2p"):
             fields[key] = value
         elif key in ("shards", "max_steps"):
             if key == "max_steps" and value.lower() == "none":
@@ -232,6 +190,6 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
         else:
             raise ValueError(
                 f"unknown --config key {key!r}; choose from "
-                "network, matching, collectives, p2p, shards, max_steps"
+                "network, collectives, p2p, shards, max_steps"
             )
     return SimConfig(**fields)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -48,13 +50,13 @@ class NetworkModel:
         """Whether a message of this size uses the eager protocol."""
         return nbytes <= self.eager_threshold
 
-    # -- closed-form round costs ------------------------------------------
+    # -- the LogGP arithmetic ----------------------------------------------
     #
-    # The macro-collective fast path evaluates collective schedules without
-    # spawning messages; these helpers reproduce the *exact* floating-point
-    # arithmetic of the message-level protocol in repro/simmpi/comm.py, in
-    # the same operation order, so both paths land on bit-identical virtual
-    # timestamps.  Any change here must mirror isend()/_fire_match().
+    # The one statement of the eager/rendezvous cost expressions.  The
+    # message-level protocol (comm.py, sharded.py), the scalar replay core
+    # (replay.py) and the vector replays all evaluate these, in this
+    # operation order — float addition is not associative, so bit-identical
+    # virtual timestamps across the tiers depend on it.
 
     def eager_send_cost(self, nbytes: int) -> float:
         """Sender-side charge of one eager send (overhead + wire copy);
@@ -67,14 +69,36 @@ class NetworkModel:
         return max(post_time + self.o_recv, arrival)
 
     def rendezvous_times(
-        self, send_ready: float, post_time: float, nbytes: int
+        self, send_ready: float, post_time: float, transfer: float,
+        latency: float,
     ) -> tuple[float, float]:
         """``(done_send, done_recv)`` of one rendezvous transfer: the wire
         starts at the later of the sender being ready and the receiver
-        having posted (plus its overhead)."""
-        transfer = self.transfer_time(nbytes)
+        having posted (plus its overhead).  ``transfer`` and ``latency``
+        are passed in because a degraded link scales them per message."""
         start = max(send_ready, post_time + self.o_recv)
-        return start + transfer, start + self.latency + transfer
+        return start + transfer, start + latency + transfer
+
+    # Array forms: elementwise float64 operations are IEEE-identical to the
+    # scalar chain above (asserted by tests/simmpi/test_replay_core.py).
+
+    def transfer_time_array(self, nbytes: np.ndarray) -> np.ndarray:
+        """:meth:`transfer_time` over an int64 array of payload sizes."""
+        return np.maximum(nbytes, self.min_message_bytes) / self.bandwidth
+
+    def match_start_array(self, post_time: np.ndarray,
+                          msg_time: np.ndarray) -> np.ndarray:
+        """``max(post_time + o_recv, msg_time)`` elementwise: an eager
+        receive's completion when ``msg_time`` is the arrival, a rendezvous
+        transfer's wire start when it is the sender's ready time."""
+        return np.maximum(post_time + self.o_recv, msg_time)
+
+    def eager_round_array(self, sent_clock: np.ndarray,
+                          post_time: np.ndarray) -> np.ndarray:
+        """Completion times of one round of eager messages: sender ``i``
+        finished charging at ``sent_clock[i]``, its receiver posted at
+        ``post_time[i]``."""
+        return self.match_start_array(post_time, sent_clock + self.latency)
 
     def scaled(
         self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0

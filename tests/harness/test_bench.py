@@ -27,13 +27,13 @@ SCHEMA = json.loads(
 
 
 def _doc(*cells: tuple) -> dict:
-    """Build a v4 document from (kernel, nprocs, wall[, shards]) cells."""
+    """Build a v5 document from (kernel, nprocs, wall[, shards]) cells."""
     return {
         "schema": SCHEMA_ID,
         "ps": sorted({c[1] for c in cells}),
         "kernels": sorted({c[0] for c in cells}),
-        "config": {"matching": "indexed", "collectives": "fast",
-                   "p2p": "fast", "shards": 1, "max_steps": None},
+        "config": {"collectives": "fast", "p2p": "fast", "shards": 1,
+                   "max_steps": None},
         "results": [
             {
                 "kernel": c[0],
@@ -148,7 +148,7 @@ class TestBenchDocument:
         assert r["collectives_fast"] == 0
 
     def test_retired_collectives_kwarg_raises(self):
-        with pytest.raises(TypeError, match="collectives="):
+        with pytest.raises(TypeError, match="collectives"):
             run_scaling_bench(ps=(4,), kernels=("allreduce_barrier",),
                               collectives="simulated")
 
@@ -271,7 +271,8 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "network       slow" in out
         assert "p2p           simulated" in out
-        assert "matching      indexed" in out
+        assert "collectives   fast" in out
+        assert "matching" not in out
         assert "cache digest  " in out
 
     def test_config_show_rejects_bad_config(self):

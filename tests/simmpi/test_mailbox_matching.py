@@ -2,11 +2,11 @@
 
 The indexed :class:`~repro.simmpi.comm.Mailbox` (per-``(src, tag)`` lanes +
 wildcard overflow lane) must be *observationally identical* to the
-pre-index :class:`~repro.simmpi.comm.LinearMailbox` FIFO scan: same match
-order, same payload/status per receive, same virtual timestamps, same
-counters.  These tests drive the same seeded traffic through both
-implementations (``run_spmd(..., config=SimConfig(matching=...))``) and assert byte-identical
-outcomes.
+pre-index :class:`~tests.simmpi.linear_mailbox.LinearMailbox` FIFO scan:
+same match order, same payload/status per receive, same virtual
+timestamps, same counters.  These tests drive the same seeded traffic
+through both implementations (the ``linear_matching`` fixture swaps the
+oracle in) and assert byte-identical outcomes.
 
 Traffic generation is deliberately adversarial for an index:
 
@@ -29,6 +29,11 @@ import random
 import pytest
 
 from repro.simmpi import SimConfig, ANY_SOURCE, ANY_TAG, run_spmd
+
+from .linear_mailbox import linear_matching  # noqa: F401 - pytest fixture
+
+#: message-level everywhere, so every operation goes through the mailbox
+SIMULATED = SimConfig(collectives="simulated", p2p="simulated")
 
 EAGER_SIZES = (64, 4096, 1 << 15)
 RENDEZVOUS_SIZES = (1 << 17, 1 << 18)
@@ -87,19 +92,17 @@ async def _traffic_prog(ctx, sends, recv_plan):
     return log
 
 
-def _transcript(seed: int, nprocs: int, msgs_per_rank: int, matching: str):
+def _transcript(seed: int, nprocs: int, msgs_per_rank: int):
     sends, recv_plan = make_traffic(seed, nprocs, msgs_per_rank)
-    result = run_spmd(
-        _traffic_prog, nprocs, sends, recv_plan,
-        config=SimConfig(matching=matching),
-    )
-    return result
+    return run_spmd(_traffic_prog, nprocs, sends, recv_plan,
+                    config=SIMULATED)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
-def test_indexed_matches_linear_p16(seed):
-    linear = _transcript(seed, 16, 12, "linear")
-    indexed = _transcript(seed, 16, 12, "indexed")
+def test_indexed_matches_linear_p16(seed, linear_matching):  # noqa: F811
+    with linear_matching():
+        linear = _transcript(seed, 16, 12)
+    indexed = _transcript(seed, 16, 12)
     assert indexed.results == linear.results  # match order + status + times
     assert indexed.clocks == linear.clocks
     assert indexed.busy_times == linear.busy_times
@@ -109,10 +112,11 @@ def test_indexed_matches_linear_p16(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 2024])
-def test_indexed_matches_linear_p64(seed):
+def test_indexed_matches_linear_p64(seed, linear_matching):  # noqa: F811
     """The ISSUE's P=64 bar: heavier fan-in, all four receive schemes."""
-    linear = _transcript(seed, 64, 8, "linear")
-    indexed = _transcript(seed, 64, 8, "indexed")
+    with linear_matching():
+        linear = _transcript(seed, 64, 8)
+    indexed = _transcript(seed, 64, 8)
     assert indexed.results == linear.results
     assert indexed.clocks == linear.clocks
     assert indexed.busy_times == linear.busy_times
@@ -143,8 +147,10 @@ def test_traffic_actually_mixes_protocols_and_wildcards():
     assert schemes == {"exact", "any_any", "src_anytag", "anysrc_tag"}
 
 
-def test_collectives_identical_across_matching_impls():
-    """Collective plumbing (high tags, exact matching) through both paths."""
+def test_collectives_identical_across_matching_impls(
+        linear_matching):  # noqa: F811
+    """Collective plumbing (high tags, exact matching) through both paths
+    (under defaults the fast path never touches a mailbox)."""
 
     async def prog(ctx):
         total = await ctx.comm.allreduce(ctx.rank)
@@ -152,8 +158,10 @@ def test_collectives_identical_across_matching_impls():
         await ctx.comm.barrier()
         return (total, gathered)
 
-    linear = run_spmd(prog, 32, config=SimConfig(matching="linear"))
-    indexed = run_spmd(prog, 32, config=SimConfig(matching="indexed"))
-    assert indexed.results == linear.results
-    assert indexed.clocks == linear.clocks
-    assert indexed.busy_times == linear.busy_times
+    for config in (SIMULATED, SimConfig()):
+        with linear_matching():
+            linear = run_spmd(prog, 32, config=config)
+        indexed = run_spmd(prog, 32, config=config)
+        assert indexed.results == linear.results
+        assert indexed.clocks == linear.clocks
+        assert indexed.busy_times == linear.busy_times

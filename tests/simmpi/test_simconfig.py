@@ -1,10 +1,11 @@
-"""SimConfig: validation, cache-digest stability, and the retirement
-errors that replaced the pre-SimConfig keyword arguments (one release as
-``DeprecationWarning`` shims, now ``TypeError``).
+"""SimConfig: validation, cache-digest stability, and what happens to the
+retired spellings (the pre-SimConfig keyword arguments and the ``matching``
+field end in Python's own ``TypeError``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -17,7 +18,6 @@ from repro.simmpi import (
     SLOW_CLUSTER,
     ZERO_COST,
     SimConfig,
-    resolve_config,
     run_spmd,
 )
 from repro.simmpi.simconfig import NETWORK_PRESETS, parse_config
@@ -31,7 +31,6 @@ class TestValidation:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.network is QDR_CLUSTER
-        assert cfg.matching == "indexed"
         assert cfg.collectives == "fast"
         assert cfg.p2p == "fast"
         assert cfg.shards == 1
@@ -42,7 +41,6 @@ class TestValidation:
         ("field", "value", "match"),
         [
             ("network", "qdr", "NetworkModel"),
-            ("matching", "hash", "matching"),
             ("collectives", "warp", "collectives"),
             ("p2p", "warp", "p2p"),
             ("shards", 0, "shards"),
@@ -66,6 +64,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="shards"):
             cfg.replace(shards=-1)
 
+    def test_matching_field_is_gone(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "network", "collectives", "p2p", "shards", "max_steps"]
+        with pytest.raises(TypeError, match="matching"):
+            SimConfig(matching="linear")
+        with pytest.raises(ValueError, match="unknown --config key"):
+            parse_config(["matching=linear"])
+
     def test_invalid_knob_rejected_at_simconfig(self):
         with pytest.raises(ValueError, match="collectives"):
             run_spmd(_prog, 2, config=SimConfig(collectives="warp"))
@@ -73,16 +79,18 @@ class TestValidation:
 
 class TestDigestStability:
     def test_equivalent_spellings_share_a_digest(self):
-        # matching/collectives/p2p/shards select bit-identical execution
+        # collectives/p2p/shards select bit-identical execution
         # strategies; the cache must serve one result for all of them.
         base = SimConfig()
+        # pinned: cache entries written before the matching field was
+        # removed must stay valid
+        assert base.digest() == ("eda9881b2a1e7ec6b46ec1e4e1dfc46c"
+                                 "dda7ef8c0ea40e180ae328eff6c9f08d")
         for variant in (
-            SimConfig(matching="linear"),
             SimConfig(collectives="simulated"),
             SimConfig(p2p="simulated"),
             SimConfig(shards=8),
-            SimConfig(matching="linear", collectives="simulated",
-                      p2p="simulated", shards=4),
+            SimConfig(collectives="simulated", p2p="simulated", shards=4),
         ):
             assert variant.digest() == base.digest()
             assert variant.cache_key() == base.cache_key()
@@ -104,35 +112,14 @@ class TestDigestStability:
 
 
 class TestRetiredKwargs:
-    """The pre-SimConfig per-knob keywords shipped one release as
-    ``DeprecationWarning`` shims and now raise ``TypeError`` naming the
-    replacement spelling."""
-
-    def test_resolve_config_names_every_offending_kwarg(self):
-        with pytest.raises(TypeError, match=r"network=, shards="):
-            resolve_config(None, network=ZERO_COST, shards=2)
-
-    def test_resolve_config_names_the_replacement(self):
-        with pytest.raises(TypeError, match=r"SimConfig\(collectives=\.\.\.\)"):
-            resolve_config(None, collectives="simulated")
-
-    def test_resolve_config_quiet_without_legacy_kwargs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_config(None) is DEFAULT_CONFIG
-            custom = SimConfig(shards=2)
-            assert resolve_config(custom) is custom
-
-    def test_none_valued_legacy_kwargs_are_ignored(self):
-        # stale call sites passing explicit None keep working: only a
-        # *value* trips the retirement error
-        assert resolve_config(None, network=None, collectives=None) \
-            is DEFAULT_CONFIG
+    """The pre-SimConfig per-knob keywords are gone from every
+    signature: a stale call site ends in Python's own ``TypeError``."""
 
     def test_run_spmd_legacy_kwargs_raise(self):
-        with pytest.raises(TypeError, match=r"network="):
+        # run_spmd forwards unknown keywords to ``main``, which rejects them
+        with pytest.raises(TypeError, match=r"network"):
             run_spmd(_prog, 4, network=ZERO_COST)
-        with pytest.raises(TypeError, match=r"collectives="):
+        with pytest.raises(TypeError, match=r"collectives"):
             run_spmd(_prog, 4, collectives="simulated")
 
     def test_run_spmd_config_path_is_quiet(self):
@@ -141,11 +128,11 @@ class TestRetiredKwargs:
             run_spmd(_prog, 4, config=SimConfig(network=ZERO_COST))
 
     def test_api_run_network_kwarg_raises(self):
-        with pytest.raises(TypeError, match=r"SimConfig\(network=\.\.\.\)"):
+        with pytest.raises(TypeError, match=r"network"):
             repro.run("bt", 8, "chameleon", network=ZERO_COST)
 
     def test_make_cell_network_kwarg_raises(self):
-        with pytest.raises(TypeError, match=r"network="):
+        with pytest.raises(TypeError, match=r"network"):
             make_cell("bt", 8, repro.Mode.CHAMELEON, network=ZERO_COST)
 
     def test_api_run_sim_path_is_quiet(self):
@@ -158,11 +145,10 @@ class TestRetiredKwargs:
 class TestParseConfig:
     def test_all_keys(self):
         cfg = parse_config([
-            "network=slow", "matching=linear", "collectives=simulated",
+            "network=slow", "collectives=simulated",
             "p2p=simulated", "shards=4", "max_steps=500",
         ])
         assert cfg.network is SLOW_CLUSTER
-        assert cfg.matching == "linear"
         assert cfg.collectives == "simulated"
         assert cfg.p2p == "simulated"
         assert cfg.shards == 4
