@@ -139,22 +139,6 @@ class RunResult:
     # -- aggregates ---------------------------------------------------------
 
     @property
-    def sum_stat(self):
-        """Removed after a one-release deprecation."""
-        raise AttributeError(
-            "RunResult.sum_stat was removed after a one-release "
-            "deprecation; use RunResult.stat(name, source='tracer')"
-        )
-
-    @property
-    def sum_cstat(self):
-        """Removed after a one-release deprecation."""
-        raise AttributeError(
-            "RunResult.sum_cstat was removed after a one-release "
-            "deprecation; use RunResult.stat(name, source='chameleon')"
-        )
-
-    @property
     def cstats0(self) -> ChameleonStats:
         if not self.chameleon_stats:
             raise ValueError("not a Chameleon run")

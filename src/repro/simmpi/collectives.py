@@ -1,4 +1,4 @@
-"""Collective operations: closed-form macro fast path + message-level path.
+"""Collective operations: one schedule per algorithm, two interpreters.
 
 Each collective is implemented with the classic algorithm an MPI library
 would use, so its virtual-time cost has the right shape automatically:
@@ -20,32 +20,52 @@ collectives in the same order on every rank, which keeps the windows
 aligned (the same assumption a real MPI library makes about matching
 collective calls).
 
-**Two execution paths.**  The *simulated* path (``_*_sim`` methods) spawns
-one real message per schedule edge through the Mailbox — every send/recv is
-an engine-visible operation.  The *macro fast path* evaluates the very same
-schedule in closed form: the first rank to reach a collective opens a
-:class:`_CollGate`, later ranks join it, and the last arrival replays all
-ranks' algorithm bodies (the ``_g_*`` generators below) through the shared
-scalar replay core (:class:`repro.simmpi.replay.Replay`) — or, for large
-barriers and eager bcast/reduce, an array recurrence — evaluating the same
-:class:`~repro.simmpi.timing.NetworkModel` cost helpers as
-:mod:`repro.simmpi.comm`, then bulk-advances every participant's clock in
-one scheduler step.  Both paths produce bit-identical virtual clocks, busy
-times and results; the fast path just never touches the Mailbox and never
-parks a task per round.
+**One schedule, two interpreters.**  Each algorithm above is written once,
+as a *schedule*: a plain-Python generator per rank (the ``_g_*`` functions
+below) that yields the operations of :mod:`repro.simmpi.replay` —
+``isend``/``send``/``recv``/``wait`` with tags relative to the instance's
+window — and returns the rank's result.  Two interpreters run it:
 
-A collective is *eligible* for the fast path only when nothing outside the
-gate could observe the difference: no armed fault intersects the
+* the *message-level* one, :meth:`Communicator._drive`, issues every
+  operation through the real ``isend``/``send``/``recv``/``Request.wait``
+  — one engine-visible message per schedule edge through the Mailbox.  It
+  is what ``SimConfig(collectives="simulated")`` selects, what every
+  ineligible instance falls back to, and what the bit-identity suites
+  compare against;
+* the *closed-form* one, :class:`repro.simmpi.replay.Replay`: the first
+  rank to reach a collective opens a :class:`_CollGate`, later ranks join
+  it, and the last arrival replays all ranks' schedules — or, for large
+  barriers and eager bcast/reduce, an array recurrence — evaluating the
+  same :class:`~repro.simmpi.timing.NetworkModel` cost helpers as
+  :mod:`repro.simmpi.comm`, then bulk-advances every participant's clock
+  in one scheduler step.
+
+Both produce bit-identical virtual clocks, busy times and results; the
+closed form just never touches the Mailbox and never parks a task per
+round.  ``Communicator.exchange`` runs declared p2p patterns the same way:
+``patterns._g_script`` is the schedule, the same two interpreters run it.
+
+A collective is *eligible* for the closed form only when nothing outside
+the gate could observe the difference: no armed fault intersects the
 participants, no pending receive could match the collective's private tag
 window, and instrumentation (if any) asks for ``"span"`` granularity.
-Anything else falls back to the simulated path — per rank *and* per
+Anything else takes the message-level interpreter — per rank *and* per
 instance, with the verdict cached on the gate so all participants always
-agree.  See docs/PERF.md ("Macro-collectives").
+agree.  Only there can a fault punch a ``LOST`` hole into a receive, so
+the schedules' hole-handling branches never run under the closed form.
+
+**One gate protocol, context-parameterised.**  How many ranks a gate waits
+for and what happens once it fills are the context's answer
+(:attr:`CommContext.gate_quorum`, :meth:`CommContext.gate_filled`): the
+whole communicator and an in-process replay here, one shard's block and a
+hand-off to the owner shard in :mod:`repro.simmpi.sharded`.  See
+docs/PERF.md ("Macro-collectives").
 """
 
 from __future__ import annotations
 
 import functools
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -60,6 +80,7 @@ from .patterns import (
     RUN_SIM,
     _P2PEntry,
     _P2PGate,
+    _g_script,
     resolve_p2p_gate,
 )
 from .replay import EAGER_DONE, RankState, Replay
@@ -106,8 +127,7 @@ _TAG_STRIDE = 4096
 # replay core on numpy call overhead; both are bit-exact.
 _VEC_MIN_SIZE = 16
 
-#: display algorithm per gated (leaf) collective, matching the labels the
-#: simulated path's ``_observed`` wrappers emit
+#: display algorithm per leaf collective (the ``algorithm`` span argument)
 _ALGORITHMS = {
     "barrier": "dissemination",
     "bcast": "binomial-tree",
@@ -120,11 +140,28 @@ _ALGORITHMS = {
 }
 
 
+def _emit_coll(ins, ctx: CommContext, rank: int, name: str, algorithm: str,
+               t0: float, t1: float, fast_hit: bool) -> None:
+    """One collective call as a span on its caller's lane (cat ``coll``)
+    plus its ``coll/*`` counters.  The only place they are emitted: the
+    message-level interpreter, the composed collectives and every gate
+    write-back end here, so the paths cannot label a call differently."""
+    world = ctx.ranks[rank]
+    ins.span(world, name, "coll", t0, t1,
+             {"algorithm": algorithm, "comm": ctx.id, "size": ctx.size})
+    count = ins.metrics.count
+    count("coll/calls", 1, rank=world, op=name, t=t1)
+    count("coll/time", t1 - t0, rank=world, op=name, t=t1)
+    if fast_hit:
+        count("coll/fast_hits", 1, rank=world, op=name, t=t1)
+
+
 def _observed(name: str, algorithm: str):
-    """Wrap a collective so its whole execution becomes one span on the
-    caller's lane (cat ``coll``), tagged with the algorithm the simulated
-    MPI library would have used.  With the no-op instrument the wrapper is
-    a single attribute check — virtual time is untouched either way."""
+    """Wrap a composed collective so its whole execution becomes one span,
+    tagged with the algorithm the simulated MPI library would have used
+    (the leaf calls inside emit their own).  With the no-op instrument the
+    wrapper is a single attribute check — virtual time is untouched either
+    way."""
 
     def deco(fn):
         @functools.wraps(fn)
@@ -134,15 +171,8 @@ def _observed(name: str, algorithm: str):
                 return await fn(self, *args, **kwargs)
             t0 = self.task.clock
             result = await fn(self, *args, **kwargs)
-            t1 = self.task.clock
-            world = self.world_rank(self.rank)
-            ins.span(
-                world, name, "coll", t0, t1,
-                {"algorithm": algorithm, "comm": self.context.id,
-                 "size": self.size},
-            )
-            ins.metrics.count("coll/calls", 1, rank=world, op=name, t=t1)
-            ins.metrics.count("coll/time", t1 - t0, rank=world, op=name, t=t1)
+            _emit_coll(ins, self.context, self.rank, name, algorithm, t0,
+                       self.task.clock, False)
             return result
 
         return wrapper
@@ -150,14 +180,15 @@ def _observed(name: str, algorithm: str):
     return deco
 
 
-# -- macro fast path: schedule generators ------------------------------------
+# -- schedules ----------------------------------------------------------------
 #
-# One plain-Python generator per collective algorithm, mirroring the async
-# ``_*_sim`` body op for op.  They yield the replay core's operations (see
-# repro.simmpi.replay; tags are offsets into the instance's private window)
-# and return the rank's collective result.  The LOST branches of the
-# simulated bodies are omitted: eligibility guarantees no fault can reach
-# the replay, so no hole can ever flow through it.
+# One plain-Python generator per collective algorithm: the only statement of
+# it.  They yield the operations of repro.simmpi.replay (tags are offsets
+# into the instance's private window) and return the rank's collective
+# result.  A receive yields LOST when a fault left a hole where the message
+# should be — possible under the message-level interpreter only (eligibility
+# keeps faults away from the closed form) — and each schedule says what its
+# algorithm does with one: reductions skip it, trees and rings pass it on.
 
 
 def _g_barrier(rank: int, size: int):
@@ -189,10 +220,15 @@ def _g_bcast(rank: int, size: int, root: int, value: Any, nbytes: int | None):
 def _g_reduce(rank, size, root, value, op, nbytes):
     if size == 1:
         return value
+    # Children in the bcast tree are exactly the senders in the reduce
+    # tree; fold deepest-first for determinism.  A crashed subtree's LOST
+    # is skipped: the reduction completes over the values that arrived.
     acc = value
     for child in reversed(binomial_children(rank, size, root)):
         child_val = yield ("recv", child, 0)
-        acc = op(child_val, acc)
+        if child_val is LOST:
+            continue
+        acc = child_val if acc is LOST else op(child_val, acc)
     parent = binomial_parent(rank, size, root)
     if parent is not None:
         yield ("send", parent, 0, acc, nbytes)
@@ -206,13 +242,15 @@ def _g_gather(rank, size, root, value, nbytes):
     segment: dict[int, Any] = {rank: value}
     for child in reversed(binomial_children(rank, size, root)):
         child_seg = yield ("recv", child, 0)
-        segment.update(child_seg)
+        if child_seg is not LOST:  # else that subtree's values are gone
+            segment.update(child_seg)
     parent = binomial_parent(rank, size, root)
     if parent is not None:
         seg_size = None if nbytes is None else nbytes * len(segment)
         yield ("send", parent, 0, segment, seg_size)
         return None
-    return [segment[r] for r in range(size)]
+    # complete-with-holes: contributions a fault swallowed become LOST
+    return [segment.get(r, LOST) for r in range(size)]
 
 
 def _g_scatter(rank, size, root, values, nbytes):
@@ -223,12 +261,15 @@ def _g_scatter(rank, size, root, values, nbytes):
         segment = {r: values[r] for r in range(size)}
     else:
         segment = yield ("recv", parent, 0)
+        if segment is LOST:
+            segment = {}  # nothing reached this subtree
+    # Each child owns the contiguous block of its tree descendants.
     for child in binomial_children(rank, size, root):
         members = binomial_subtree(child, size, root)
         child_seg = {r: segment[r] for r in members if r in segment}
         seg_size = None if nbytes is None else nbytes * max(len(child_seg), 1)
         yield ("send", child, 0, child_seg, seg_size)
-    return segment[rank]
+    return segment.get(rank, LOST)  # LOST only through a hole upstream
 
 
 def _g_allgather(rank, size, value, nbytes):
@@ -244,8 +285,14 @@ def _g_allgather(rank, size, value, nbytes):
         got = yield ("recv", left, step)
         if sreq is not EAGER_DONE:
             yield ("wait", sreq)
+        if got is LOST:
+            # forward the hole so every rank learns the same segment is
+            # missing, keep our own slots intact
+            carry_rank, carry = None, LOST
+            continue
         carry_rank, carry = got
-        out[carry_rank] = carry
+        if carry_rank is not None:
+            out[carry_rank] = carry
     return out
 
 
@@ -266,7 +313,8 @@ def _g_scan(rank, size, value, op, nbytes):
     acc = value
     if rank > 0:
         prev = yield ("recv", rank - 1, 0)
-        acc = op(prev, value)
+        if prev is not LOST:
+            acc = op(prev, value)
     if rank < size - 1:
         yield ("send", rank + 1, 0, acc, nbytes)
     return acc
@@ -479,6 +527,9 @@ class _Raised:
         self.exc = exc
 
 
+_entry_rank = attrgetter("rank")
+
+
 class _GateEntry:
     """One rank's registration at a gate: its schedule arguments plus a
     snapshot of the task state at join time (fault-timeout releases can
@@ -526,9 +577,8 @@ class _CollGate:
         self.consulted = 0
         self.entries: list[_GateEntry] = []
 
-    def complete(self, comm: "Communicator") -> None:
-        ctx = comm.context
-        engine = comm.engine
+    def complete(self, ctx: CommContext) -> None:
+        engine = ctx.engine
         sim = _run_replay(self.kind, self.root, engine.network,
                           self.entries, self.expected)
         engine.total_messages += sim.total_messages
@@ -542,37 +592,37 @@ class _CollGate:
             # them, as it releases any rank orphaned mid-collective.
             st = sim.failed_state
             entry = next(e for e in self.entries if e.rank == st.rank)
-            task = entry.task
-            st.write_back(task)
+            st.write_back(entry.task)
             engine.wave_resolve(
                 [(entry.fut, _Raised(sim.failure), st.clock)]
             )
             return
+        self.entries.sort(key=_entry_rank)  # wake order: by rank
+        self.settle(ctx, sim.states)
+
+    def settle(self, ctx: CommContext, states: dict) -> None:
+        """Finish the replayed gate for the entries parked in this process:
+        write each one's :class:`~repro.simmpi.replay.RankState` back onto
+        its task, emit its span and counters, and resolve all of them in
+        one bulk advance, in ``entries`` order.  Shared by the in-process
+        gate and both sides of the sharded owner replay."""
+        engine = ctx.engine
         ins = engine.instrument
         emit = ins.enabled
-        alg = _ALGORITHMS[self.kind]
+        kind = self.kind
+        algorithm = _ALGORITHMS[kind]
         resolutions = []
-        for entry in sorted(self.entries, key=lambda e: e.rank):
+        for entry in self.entries:
             if entry.fut.done:
                 # Released by a fault timeout while parked: the task
                 # already moved on with LOST at the release time; its
                 # replayed state must not overwrite the real one.
                 continue
-            st = sim.states[entry.rank]
-            task = entry.task
-            st.write_back(task)
+            st = states[entry.rank]
+            st.write_back(entry.task)
             if emit:
-                world = ctx.ranks[entry.rank]
-                ins.span(
-                    world, self.kind, "coll", entry.clock0, st.clock,
-                    {"algorithm": alg, "comm": ctx.id, "size": ctx.size},
-                )
-                ins.metrics.count("coll/calls", 1, rank=world,
-                                  op=self.kind, t=st.clock)
-                ins.metrics.count("coll/time", st.clock - entry.clock0,
-                                  rank=world, op=self.kind, t=st.clock)
-                ins.metrics.count("coll/fast_hits", 1, rank=world,
-                                  op=self.kind, t=st.clock)
+                _emit_coll(ins, ctx, entry.rank, kind, algorithm,
+                           entry.clock0, st.clock, True)
             resolutions.append((entry.fut, st.result, st.clock))
         engine.wave_resolve(resolutions)
 
@@ -581,8 +631,9 @@ class Communicator(Comm):
     """A :class:`Comm` with collective operations attached.
 
     Public collective methods are thin dispatchers: they consult the
-    instance's :class:`_CollGate` and either join the macro fast path or
-    run the message-level ``_*_sim`` body.  ``allreduce``, ``split`` and
+    instance's :class:`_CollGate` and hand the schedule's arguments to the
+    interpreter its verdict names — :meth:`_join_fast` (closed form) or
+    :meth:`_simulate` (message level).  ``allreduce``, ``split`` and
     ``dup`` are compositions of the leaf collectives and need no dispatch
     of their own.
     """
@@ -622,19 +673,19 @@ class Communicator(Comm):
                 return "tag-window"
         return None
 
-    def _consult_gate(self, kind: str, root: int | None) -> _CollGate | None:
-        """Join the decision gate for this rank's next collective instance.
-
-        Returns the gate when the instance runs on the fast path, or
-        ``None`` when this rank must run the message-level body.  The
-        verdict is computed once (first arrival) and cached, so all ranks
-        of one instance always take the same path.
+    def _consult_gate(self, kind: str, root: int | None) -> _CollGate:
+        """Join the decision gate for this rank's next collective instance
+        and return it; ``gate.reason`` is ``None`` when the instance runs
+        on the fast path, else why it takes the message-level interpreter.
+        The verdict is computed once (first arrival) and cached, so all
+        ranks of one instance always take the same path.
         """
         ctx = self.context
         seq = ctx.coll_seq[self.rank]
         gate = ctx._gates.get(seq)
         if gate is None:
-            gate = _CollGate(kind, root, self._fallback_reason(seq), ctx.size)
+            gate = _CollGate(kind, root, self._fallback_reason(seq),
+                             ctx.gate_quorum)
             ctx._gates[seq] = gate
         elif gate.kind != kind or gate.root != root:
             raise CollectiveMismatchError(
@@ -643,19 +694,18 @@ class Communicator(Comm):
                 f"{gate.kind}(root={gate.root})"
             )
         gate.consulted += 1
-        if gate.consulted == ctx.size:
+        if gate.consulted == gate.expected:
             del ctx._gates[seq]
-        if gate.reason is None:
-            return gate
-        engine = self.engine
-        engine.collectives_simulated += 1
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count(
-                "coll/fallbacks", 1, rank=self.world_rank(self.rank),
-                op=f"{kind}:{gate.reason}", t=self.task.clock,
-            )
-        return None
+        if gate.reason is not None:
+            engine = self.engine
+            engine.collectives_simulated += 1
+            ins = engine.instrument
+            if ins.enabled:
+                ins.metrics.count(
+                    "coll/fallbacks", 1, rank=self.world_rank(self.rank),
+                    op=f"{kind}:{gate.reason}", t=self.task.clock,
+                )
+        return gate
 
     async def _join_fast(self, gate: _CollGate, genargs: tuple) -> Any:
         """Register this rank on ``gate`` and await the bulk advance."""
@@ -673,58 +723,76 @@ class Communicator(Comm):
         )
         gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
         if len(gate.entries) == gate.expected:
-            gate.complete(self)
+            ctx.gate_filled(seq, gate)
         result = await fut
         task.advance_to(fut.time)
         if type(result) is _Raised:
             raise result.exc
         return result
 
+    async def _simulate(self, gate: _CollGate, genargs: tuple) -> Any:
+        """Run this rank's schedule for ``gate``'s instance through the
+        message-level interpreter, inside a freshly claimed tag window."""
+        kind = gate.kind
+        t0 = self.task.clock
+        schedule = _GEN_FACTORIES[kind](self.rank, self.size, *genargs)
+        result = await self._drive(schedule, self._claim_tags())
+        ins = self.engine.instrument
+        if ins.enabled:
+            _emit_coll(ins, self.context, self.rank, kind, _ALGORITHMS[kind],
+                       t0, self.task.clock, False)
+        return result
+
+    async def _drive(
+        self,
+        schedule,
+        base: int,
+        compute: Callable[[float], Any] | None = None,
+    ) -> Any:
+        """The message-level interpreter of a schedule: issue each yielded
+        operation through the ordinary ``isend``/``send``/``recv``/
+        ``Request.wait`` primitives, tags offset by ``base``, and return
+        the schedule's result.  The closed-form interpreter of the same
+        generators is :class:`repro.simmpi.replay.Replay`; this one is the
+        bit-identity oracle for it.  ``compute`` charges ``("compute", s)``
+        ops (default: the bare clock charge the replay makes).
+        """
+        value = None
+        while True:
+            try:
+                op = schedule.send(value)
+            except StopIteration as stop:
+                return stop.value
+            code = op[0]
+            value = None
+            if code == "recv":
+                value = await self.recv(op[1], tag=base + op[2])
+            elif code == "isend":
+                # a Request, never EAGER_DONE: schedules always wait on it
+                value = self.isend(op[1], op[3], tag=base + op[2], size=op[4])
+            elif code == "send":
+                await self.send(op[1], op[3], tag=base + op[2], size=op[4])
+            elif code == "wait":
+                await op[1].wait()
+            elif compute is not None:
+                compute(op[1])
+            else:
+                self.task.charge(op[1])
+
     # -- collectives ---------------------------------------------------------
 
     async def barrier(self) -> None:
         """Dissemination barrier: ceil(log2 P) rounds of paired messages."""
         gate = self._consult_gate("barrier", None)
-        if gate is None:
-            return await self._barrier_sim()
-        return await self._join_fast(gate, ())
-
-    @_observed("barrier", "dissemination")
-    async def _barrier_sim(self) -> None:
-        size = self.size
-        base = self._claim_tags()
-        if size == 1:
-            return
-        round_no = 0
-        dist = 1
-        while dist < size:
-            to = (self.rank + dist) % size
-            frm = (self.rank - dist) % size
-            sreq = self.isend(to, None, tag=base + round_no, size=0)
-            await self.recv(frm, tag=base + round_no)
-            await sreq.wait()
-            dist <<= 1
-            round_no += 1
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, ())
 
     async def bcast(self, value: Any, root: int = 0, size: int | None = None) -> Any:
         """Binomial-tree broadcast; returns the value on every rank."""
         self._check_peer(root, "root")
         gate = self._consult_gate("bcast", root)
-        if gate is None:
-            return await self._bcast_sim(value, root, size)
-        return await self._join_fast(gate, (root, value, size))
-
-    @_observed("bcast", "binomial-tree")
-    async def _bcast_sim(self, value: Any, root: int, size: int | None) -> Any:
-        base = self._claim_tags()
-        if self.size == 1:
-            return value
-        parent = binomial_parent(self.rank, self.size, root)
-        if parent is not None:
-            value = await self.recv(parent, tag=base)
-        for child in binomial_children(self.rank, self.size, root):
-            await self.send(child, value, tag=base, size=size)
-        return value
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (root, value, size))
 
     async def reduce(
         self,
@@ -737,33 +805,8 @@ class Communicator(Comm):
         (other ranks get ``None``), matching ``MPI_Reduce``."""
         self._check_peer(root, "root")
         gate = self._consult_gate("reduce", root)
-        if gate is None:
-            return await self._reduce_sim(value, op, root, size)
-        return await self._join_fast(gate, (root, value, op, size))
-
-    @_observed("reduce", "binomial-tree")
-    async def _reduce_sim(
-        self, value: Any, op: Callable[[Any, Any], Any], root: int,
-        size: int | None,
-    ) -> Any:
-        base = self._claim_tags()
-        if self.size == 1:
-            return value
-        # Children in the bcast tree are exactly the senders in the reduce
-        # tree; fold deepest-first for determinism.  LOST contributions
-        # (fault holes from a crashed subtree) are skipped: the reduction
-        # completes over the values that actually arrived.
-        acc = value
-        for child in reversed(binomial_children(self.rank, self.size, root)):
-            child_val = await self.recv(child, tag=base)
-            if child_val is LOST:
-                continue
-            acc = child_val if acc is LOST else op(child_val, acc)
-        parent = binomial_parent(self.rank, self.size, root)
-        if parent is not None:
-            await self.send(parent, acc, tag=base, size=size)
-            return None
-        return acc
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (root, value, op, size))
 
     @_observed("allreduce", "reduce+bcast")
     async def allreduce(
@@ -782,36 +825,8 @@ class Communicator(Comm):
         """Binomial-tree gather; ``root`` returns the rank-ordered list."""
         self._check_peer(root, "root")
         gate = self._consult_gate("gather", root)
-        if gate is None:
-            return await self._gather_sim(value, root, size)
-        return await self._join_fast(gate, (root, value, size))
-
-    @_observed("gather", "binomial-tree")
-    async def _gather_sim(
-        self, value: Any, root: int, size: int | None
-    ) -> list[Any] | None:
-        base = self._claim_tags()
-        if self.size == 1:
-            return [value]
-        segment: dict[int, Any] = {self.rank: value}
-        for child in reversed(binomial_children(self.rank, self.size, root)):
-            child_seg: dict[int, Any] = await self.recv(child, tag=base)
-            if child_seg is LOST:
-                continue  # fault hole: that subtree's values are gone
-            segment.update(child_seg)
-        parent = binomial_parent(self.rank, self.size, root)
-        if parent is not None:
-            seg_size = None if size is None else size * len(segment)
-            await self.send(parent, segment, tag=base, size=seg_size)
-            return None
-        if len(segment) != self.size:
-            if self.engine.faults.active:
-                # complete-with-holes: missing contributions become LOST
-                return [segment.get(r, LOST) for r in range(self.size)]
-            raise CollectiveMismatchError(  # pragma: no cover - invariant
-                f"gather assembled {len(segment)} of {self.size} values"
-            )
-        return [segment[r] for r in range(self.size)]
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (root, value, size))
 
     async def scatter(
         self, values: Sequence[Any] | None, root: int = 0, size: int | None = None
@@ -819,79 +834,21 @@ class Communicator(Comm):
         """Binomial-tree scatter; each rank returns its element of ``values``."""
         self._check_peer(root, "root")
         gate = self._consult_gate("scatter", root)
-        if gate is None:
-            return await self._scatter_sim(values, root, size)
         if self.rank == root and (values is None or len(values) != self.size):
-            # Raised before joining so a bad root cannot strand its peers
-            # in the gate; same error the simulated body raises.
+            # Raised before the schedule starts, so a bad root cannot strand
+            # its peers inside a gate.
             raise CollectiveMismatchError(
                 "scatter needs one value per rank" if self.size == 1
                 else "scatter root must supply exactly one value per rank"
             )
-        return await self._join_fast(gate, (root, values, size))
-
-    @_observed("scatter", "binomial-tree")
-    async def _scatter_sim(
-        self, values: Sequence[Any] | None, root: int, size: int | None
-    ) -> Any:
-        base = self._claim_tags()
-        if self.size == 1:
-            if values is None or len(values) != 1:
-                raise CollectiveMismatchError("scatter needs one value per rank")
-            return values[0]
-        parent = binomial_parent(self.rank, self.size, root)
-        if parent is None:
-            if values is None or len(values) != self.size:
-                raise CollectiveMismatchError(
-                    "scatter root must supply exactly one value per rank"
-                )
-            segment = {r: values[r] for r in range(self.size)}
-        else:
-            segment = await self.recv(parent, tag=base)
-            if segment is LOST:
-                segment = {}  # fault hole: nothing reached this subtree
-
-        # Each child owns the contiguous block of tree descendants; compute
-        # membership by walking the binomial structure.
-        for child in binomial_children(self.rank, self.size, root):
-            members = binomial_subtree(child, self.size, root)
-            child_seg = {r: segment[r] for r in members if r in segment}
-            seg_size = None if size is None else size * max(len(child_seg), 1)
-            await self.send(child, child_seg, tag=base, size=seg_size)
-        if self.rank not in segment:
-            return LOST  # reachable only through a fault hole upstream
-        return segment[self.rank]
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (root, values, size))
 
     async def allgather(self, value: Any, size: int | None = None) -> list[Any]:
         """Ring allgather: P-1 steps, each forwarding the next segment."""
         gate = self._consult_gate("allgather", None)
-        if gate is None:
-            return await self._allgather_sim(value, size)
-        return await self._join_fast(gate, (value, size))
-
-    @_observed("allgather", "ring")
-    async def _allgather_sim(self, value: Any, size: int | None) -> list[Any]:
-        base = self._claim_tags()
-        out: list[Any] = [None] * self.size
-        out[self.rank] = value
-        if self.size == 1:
-            return out
-        right = (self.rank + 1) % self.size
-        left = (self.rank - 1) % self.size
-        carry_rank, carry = self.rank, value
-        for step in range(self.size - 1):
-            sreq = self.isend(right, (carry_rank, carry), tag=base + step, size=size)
-            got = await self.recv(left, tag=base + step)
-            await sreq.wait()
-            if got is LOST:
-                # fault hole: forward the hole so every rank learns the
-                # same segment is missing, keep our own slots intact
-                carry_rank, carry = None, LOST
-                continue
-            carry_rank, carry = got
-            if carry_rank is not None:
-                out[carry_rank] = carry
-        return out
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (value, size))
 
     async def alltoall(
         self, values: Sequence[Any], size: int | None = None
@@ -902,47 +859,16 @@ class Communicator(Comm):
                 f"alltoall needs {self.size} values, got {len(values)}"
             )
         gate = self._consult_gate("alltoall", None)
-        if gate is None:
-            return await self._alltoall_sim(values, size)
-        return await self._join_fast(gate, (values, size))
-
-    @_observed("alltoall", "pairwise-exchange")
-    async def _alltoall_sim(
-        self, values: Sequence[Any], size: int | None
-    ) -> list[Any]:
-        base = self._claim_tags()
-        out: list[Any] = [None] * self.size
-        out[self.rank] = values[self.rank]
-        for step in range(1, self.size):
-            to = (self.rank + step) % self.size
-            frm = (self.rank - step) % self.size
-            sreq = self.isend(to, values[to], tag=base + step, size=size)
-            out[frm] = await self.recv(frm, tag=base + step)
-            await sreq.wait()
-        return out
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (values, size))
 
     async def scan(
         self, value: Any, op: Callable[[Any, Any], Any] = SUM, size: int | None = None
     ) -> Any:
         """Inclusive prefix scan (linear chain, like small-P MPI_Scan)."""
         gate = self._consult_gate("scan", None)
-        if gate is None:
-            return await self._scan_sim(value, op, size)
-        return await self._join_fast(gate, (value, op, size))
-
-    @_observed("scan", "linear-chain")
-    async def _scan_sim(
-        self, value: Any, op: Callable[[Any, Any], Any], size: int | None
-    ) -> Any:
-        base = self._claim_tags()
-        acc = value
-        if self.rank > 0:
-            prev = await self.recv(self.rank - 1, tag=base)
-            if prev is not LOST:
-                acc = op(prev, value)
-        if self.rank < self.size - 1:
-            await self.send(self.rank + 1, acc, tag=base, size=size)
-        return acc
+        run = self._join_fast if gate.reason is None else self._simulate
+        return await run(gate, (value, op, size))
 
     # -- communicator construction ----------------------------------------
 
@@ -994,9 +920,9 @@ class Communicator(Comm):
         content key) in the same program position.  Eligible instances
         resolve through the macro p2p gate — one bulk clock advance, no
         mailbox traffic; ineligible ones (and runs under
-        ``SimConfig(p2p="simulated")``) drive this rank's declared ops
-        through the ordinary message-level path instead.  Bit-identical
-        virtual time either way.
+        ``SimConfig(p2p="simulated")``) run this rank's declared script
+        through the message-level interpreter (:meth:`_drive`) instead.
+        Bit-identical virtual time either way.
 
         ``compute`` (pass ``ctx.compute``) is used by the fallback to
         charge the pattern's ``("compute", s)`` ops, which keeps fault
@@ -1010,9 +936,21 @@ class Communicator(Comm):
                 f"but communicator {self.context.id} has {self.size}"
             )
         gate = self._consult_p2p_gate(pattern)
-        if gate is None:
-            return await self._drive_pattern(pattern, compute)
-        return await self._join_p2p_fast(gate, pattern, compute)
+        if gate.reason is None and \
+                await self._join_p2p_fast(gate, pattern) is not RUN_SIM:
+            return
+        # Message level: the verdict said so, or the gate aborted mid-phase
+        # and this rank reruns from its join clock (parking cost nothing in
+        # virtual time).
+        engine = self.engine
+        engine.p2p_simulated += 1
+        ins = engine.instrument
+        if ins.enabled:
+            ins.metrics.count(
+                "p2p/fallbacks", 1, rank=self.world_rank(self.rank),
+                op=f"{pattern.name}:{gate.reason}", t=self.task.clock,
+            )
+        await self._drive(_g_script(pattern.ops[self.rank]), 0, compute)
 
     def _p2p_traffic_reason(self) -> str | None:
         """Mailbox-state eligibility: the gate may only bypass matching
@@ -1044,11 +982,9 @@ class Communicator(Comm):
             return "faults"
         return self._p2p_traffic_reason()
 
-    def _consult_p2p_gate(self, pattern: NeighborPattern) -> _P2PGate | None:
-        """Join the decision gate for this rank's next exchange instance.
-
-        Returns the gate when the instance runs on the fast path, or
-        ``None`` when this rank must drive the message-level body.
+    def _consult_p2p_gate(self, pattern: NeighborPattern) -> _P2PGate:
+        """Join the decision gate for this rank's next exchange instance;
+        its ``reason`` is ``None`` when the instance runs on the fast path.
         Unlike the collective gate, the verdict is *re-checked* at every
         arrival: traffic posted between arrivals (by ranks still short of
         their exchange call) could interleave with the pattern's
@@ -1062,7 +998,7 @@ class Communicator(Comm):
         gate = ctx._p2p_gates.get(seq)
         if gate is None:
             gate = _P2PGate(pattern, seq, self._p2p_fallback_reason(),
-                            ctx.size)
+                            ctx.gate_quorum)
             ctx._p2p_gates[seq] = gate
         elif gate.key != pattern.key:
             raise PatternMismatchError(
@@ -1072,27 +1008,14 @@ class Communicator(Comm):
         elif gate.reason is None and self._p2p_traffic_reason() is not None:
             gate.abort(self.engine, "mid-phase-traffic")
         gate.consulted += 1
-        if gate.consulted == ctx.size:
+        if gate.consulted == gate.expected:
             del ctx._p2p_gates[seq]
-        if gate.reason is None:
-            return gate
-        engine = self.engine
-        engine.p2p_simulated += 1
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count(
-                "p2p/fallbacks", 1, rank=self.world_rank(self.rank),
-                op=f"{pattern.name}:{gate.reason}", t=self.task.clock,
-            )
-        return None
+        return gate
 
-    async def _join_p2p_fast(
-        self,
-        gate: _P2PGate,
-        pattern: NeighborPattern,
-        compute: Callable[[float], Any] | None,
-    ) -> None:
-        """Register this rank on ``gate`` and await the bulk advance."""
+    async def _join_p2p_fast(self, gate: _P2PGate,
+                             pattern: NeighborPattern) -> Any:
+        """Register this rank on ``gate`` and await the bulk advance
+        (``None``), or :data:`RUN_SIM` when the gate aborted meanwhile."""
         ctx = self.context
         task = self.task
         fut = SimFuture(
@@ -1104,42 +1027,4 @@ class Communicator(Comm):
             resolve_p2p_gate(self, pattern, gate)
         result = await fut
         task.advance_to(fut.time)
-        if result is RUN_SIM:
-            # Aborted mid-phase: rerun from the join clock (parking cost
-            # nothing in virtual time) on the message-level path.
-            engine = self.engine
-            engine.p2p_simulated += 1
-            ins = engine.instrument
-            if ins.enabled:
-                ins.metrics.count(
-                    "p2p/fallbacks", 1, rank=self.world_rank(self.rank),
-                    op=f"{pattern.name}:{gate.reason}", t=task.clock,
-                )
-            await self._drive_pattern(pattern, compute)
-
-    async def _drive_pattern(
-        self,
-        pattern: NeighborPattern,
-        compute: Callable[[float], Any] | None,
-    ) -> None:
-        """Message-level reference: run this rank's declared ops through
-        the ordinary isend/send/recv/wait primitives (also the
-        ``p2p="simulated"`` path and the bit-identity oracle)."""
-        task = self.task
-        reqs: list[Any] = []
-        for op in pattern.ops[self.rank]:
-            if op is None:
-                continue
-            code = op[0]
-            if code == "isend":
-                reqs.append(self.isend(op[1], None, tag=op[2], size=op[3]))
-            elif code == "send":
-                await self.send(op[1], None, tag=op[2], size=op[3])
-            elif code == "recv":
-                await self.recv(op[1], tag=op[2])
-            elif code == "wait":
-                await reqs[op[1]].wait()
-            elif compute is not None:
-                compute(op[1])
-            else:
-                task.charge(op[1])
+        return result

@@ -431,6 +431,9 @@ class CommContext:
         # same order, so sequence N names one pattern instance.
         self.p2p_seq: dict[int, int] = {i: 0 for i in range(len(self.ranks))}
         self._p2p_gates: dict[int, Any] = {}
+        #: how many ranks join each gate in this process — all of them; a
+        #: shard's context waits for its own block only
+        self.gate_quorum = len(self.ranks)
         # Registered so a rank crash can purge its pending receives from
         # every communicator it participates in.
         engine._contexts.append(self)
@@ -442,14 +445,21 @@ class CommContext:
     def mailbox(self, local_rank: int):
         return self._mailboxes[local_rank]
 
+    def gate_filled(self, seq: int, gate) -> None:
+        """Collective gate ``seq`` has its quorum: replay it here and now.
+        (A shard's context hands it to the coordinator instead.)"""
+        gate.complete(self)
+
     # -- matching internals --------------------------------------------
     #
     # Delivery and match firing live on the context (not the sending
-    # Comm): the sharded engine applies remotely-originated messages to a
-    # mailbox with no sender-side Comm object in this process.
+    # Comm): the sharded engine applies remotely-originated messages with
+    # no sender-side Comm object in this process, and routes messages for
+    # ranks it does not own to their shard instead of a mailbox.
 
-    def deliver(self, mbox, msg: "Message") -> None:
-        """Offer a message to the destination mailbox, matching if possible."""
+    def deliver(self, msg: "Message") -> None:
+        """Offer a message to its destination mailbox, matching if possible."""
+        mbox = self._mailboxes[msg.dest]
         pending = mbox.match_pending(msg, self.engine.faults.active)
         if pending is not None:
             self.fire_match(pending, msg)
@@ -696,7 +706,6 @@ class Comm:
         net = self.net
         task = self.task
         ranks = self.context.ranks
-        mbox = self.context.mailbox(dest)
         task.msgs_sent += 1
         task.bytes_sent += nbytes
         self.engine.total_messages += 1
@@ -768,7 +777,7 @@ class Comm:
                 nbytes=nbytes,
                 arrival=task.clock + latency,
             )
-            self._deliver(mbox, msg)
+            self.context.deliver(msg)
             fut.resolve(None, time=task.clock)
         else:
             task.charge(net.o_send)  # posting cost is paid now
@@ -785,7 +794,7 @@ class Comm:
                 sender_future=fut,
                 sender_task=task,
             )
-            self._deliver(mbox, msg)
+            self.context.deliver(msg)
         return Request(fut, task, "isend")
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -807,7 +816,7 @@ class Comm:
 
         msg = mbox.match_msg(source, tag)
         if msg is not None:
-            self._fire_match(
+            self.context.fire_match(
                 PendingRecv(source, tag, task.clock, fut, task), msg
             )
             return Request(fut, task, "irecv")
@@ -838,11 +847,3 @@ class Comm:
         mbox = self.context.mailbox(self.rank)
         msg = mbox.peek_msg(source, tag)
         return None if msg is None else _status_of(msg)
-
-    # -- matching internals --------------------------------------------
-
-    def _deliver(self, mbox, msg: Message) -> None:
-        self.context.deliver(mbox, msg)
-
-    def _fire_match(self, pending: PendingRecv, msg: Message) -> None:
-        self.context.fire_match(pending, msg)

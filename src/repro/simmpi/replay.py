@@ -11,10 +11,12 @@ A *schedule* is one plain-Python generator per rank yielding operations
 and returning the rank's result.  Collective gates feed :class:`Replay`
 the ``_g_*`` generators of :mod:`repro.simmpi.collectives`, declared-pattern
 gates the script generator of :mod:`repro.simmpi.patterns`, and the sharded
-engine's owner shard reaches it through ``collectives._run_replay``.
+engine's owner shard reaches it through ``collectives._run_replay``.  It is
+one of a schedule's two interpreters; the other, ``Communicator._drive``,
+issues the same operations through the real message-level primitives.
 
-The replay reproduces what the real scheduler would have done with the
-message-level bodies, without touching the mailbox or parking a task per
+The replay reproduces what the real scheduler does under that message-level
+interpreter, without touching the mailbox or parking a task per
 message: generators are driven from a FIFO seeded in the order the states
 are given (gate-arrival order), wakes append to the same FIFO, a wait on
 an already-resolved handle continues inline like the engine's

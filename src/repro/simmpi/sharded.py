@@ -74,7 +74,6 @@ import multiprocessing
 import os
 from array import array
 from bisect import bisect_right
-from operator import attrgetter
 from time import perf_counter
 from typing import Any, Sequence
 
@@ -95,9 +94,9 @@ from ..resilience.supervise import (
     wave_deadline,
 )
 from .collectives import (
-    _ALGORITHMS,
     _CollGate,
-    _GateEntry,
+    _TAG_STRIDE,
+    _entry_rank,
     _run_replay,
     Communicator,
 )
@@ -110,14 +109,10 @@ from .comm import (
     PendingRecv,
     Request,
 )
-from .datatypes import payload_nbytes
 from .engine import Engine, Task, TaskState
-from .errors import CollectiveMismatchError, PatternMismatchError
 from .futures import SimFuture
-from .patterns import NeighborPattern, _P2PGate
+from .replay import RankState
 from .simconfig import SimConfig
-
-_TAG_STRIDE = 4096  # collectives._TAG_STRIDE (kept in sync by a test)
 
 #: arm the per-wave wall-clock breakdown (coordinator + workers)
 ENV_PROFILE = "REPRO_SHARD_PROFILE"
@@ -151,7 +146,7 @@ class ShardCommContext(CommContext):
         super().__init__(engine, range(nprocs))
         self.lo = lo
         self.hi = hi
-        self.owned_count = hi - lo
+        self.gate_quorum = hi - lo  # gates wait for the owned block only
         self.shard_index = shard_index
         #: sorted block-partition fencepost list for the whole world
         self.bounds = list(bounds) if bounds is not None else [0, nprocs]
@@ -193,7 +188,28 @@ class ShardCommContext(CommContext):
         if self.hazard is None:
             self.hazard = reason
 
-    def deliver(self, mbox, msg: Message) -> None:
+    def gate_filled(self, seq: int, gate: _CollGate) -> None:
+        """The owned block has joined: queue the gate for the coordinator,
+        which forwards the complete instance to its owner shard."""
+        self.gates_out.append((seq, gate))
+        self.gate_pending[seq] = gate
+
+    def deliver(self, msg: Message) -> None:
+        if not self.lo <= msg.dest < self.hi:
+            # Cross-shard: every sender-side cost was charged at post time,
+            # so the finished message is just queued for the coordinator; a
+            # rendezvous sender stays parked until the receiving shard's
+            # completion is routed back under ``pid``.
+            pid = None
+            if msg.rendezvous:
+                pid = (msg.src, msg.sender_task.msgs_sent)
+                self.rdv_waiting[pid] = msg.sender_future
+            self.outbox.append((
+                msg.src, msg.dest, msg.tag, msg.payload, msg.nbytes,
+                msg.send_ready if msg.rendezvous else msg.arrival,
+                msg.rendezvous, pid,
+            ))
+            return
         hits = self.wild_resolved.get(msg.dest) if self.wild_resolved \
             else None
         if hits is not None and msg.tag <= MAX_USER_TAG and any(
@@ -207,18 +223,19 @@ class ShardCommContext(CommContext):
             # up to that send, so it necessarily happens in this run too
             # and trips this flag before finals are produced.
             self.flag_hazard("wildcard-race")
-        super().deliver(mbox, msg)
+        super().deliver(msg)
 
 
 class ShardCommunicator(Communicator):
     """World communicator bound to a rank owned by this shard.
 
-    Intra-shard traffic uses the inherited implementation unchanged.
-    Cross-shard sends replicate ``Comm.isend``'s exact arithmetic locally
-    (all sender-side costs are charged at post time) and queue a record
-    for the coordinator; cross-shard receives simply park in the local
-    mailbox until the barrier delivers the message.  ``ANY_SOURCE``
-    receives are held for the coordinator's quiescent drain.  Anything
+    Everything runs the inherited implementation: intra-shard traffic
+    unchanged, cross-shard sends routed at delivery
+    (:meth:`ShardCommContext.deliver`), cross-shard receives parked in the
+    local mailbox until the barrier delivers the message, gates filled by
+    the owned block and handed on (:meth:`ShardCommContext.gate_filled`).
+    What this class adds is only the hazard checks: ``ANY_SOURCE``
+    receives are held for the coordinator's quiescent drain, and anything
     order-sensitive beyond that raises :class:`ShardHazard`.
     """
 
@@ -226,13 +243,9 @@ class ShardCommunicator(Communicator):
         self, dest: int, payload: Any = None, tag: int = 0, size: int | None = None
     ) -> Request:
         ctx: ShardCommContext = self.context  # type: ignore[assignment]
-        if ctx.owns(dest):
-            return super().isend(dest, payload, tag=tag, size=size)
-        self._check_peer(dest, "destination")
-        self._check_tag(tag, recv=False)
-        if ctx.armed_shards and (
-            ctx.self_armed or ctx.shard_of(dest) in ctx.armed_shards
-        ):
+        if (ctx.armed_shards and 0 <= dest < ctx.size and not ctx.owns(dest)
+                and (ctx.self_armed
+                     or ctx.shard_of(dest) in ctx.armed_shards)):
             # Crash islands: a message into (or out of) a crash-armed
             # shard would need the global failed set and purge semantics.
             ctx.flag_hazard("fault-cross-shard")
@@ -240,49 +253,7 @@ class ShardCommunicator(Communicator):
                 "cross-shard traffic touching a crash-armed shard is not "
                 "shard-safe; the run falls back to the single-process engine"
             )
-        nbytes = payload_nbytes(payload) if size is None else int(size)
-        net = self.net
-        task = self.task
-        engine = self.engine
-        task.msgs_sent += 1
-        task.bytes_sent += nbytes
-        engine.total_messages += 1
-        engine.total_bytes += nbytes
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count("p2p/bytes_sent", nbytes, rank=self.rank,
-                              op="send", t=task.clock)
-            ins.metrics.count("p2p/messages", 1, rank=self.rank,
-                              op="send", t=task.clock)
-        fut = SimFuture(kind="isend", src=self.rank, dest=dest, tag=tag,
-                        comm=ctx.id, post_time=task.clock)
-        ordinal = task.msgs_sent  # after increment: matches Comm.isend
-        inj = engine.faults
-        if net.eager(nbytes):
-            task.charge(net.eager_send_cost(nbytes))
-            latency = net.latency
-            if inj.active:
-                latency *= inj.link_factors(self.rank, dest)[0]
-                extra = inj.message_delay(self.rank, dest, ordinal)
-                if extra is None:  # pragma: no cover - drops are pre-filtered
-                    ctx.flag_hazard("message-drop")
-                    raise ShardHazard("message drop in a sharded run")
-                latency += extra
-                if extra and ins.enabled:
-                    ins.instant(self.rank, "msg_delayed", "fault", task.clock,
-                                {"dest": dest, "tag": tag, "extra": extra})
-                    ins.metrics.count("fault/messages_delayed", 1,
-                                      rank=self.rank, t=task.clock)
-            ctx.outbox.append((self.rank, dest, tag, payload, nbytes,
-                               task.clock + latency, False, None))
-            fut.resolve(None, time=task.clock)
-        else:
-            task.charge(net.o_send)  # posting cost is paid now
-            pid = (self.rank, ordinal)
-            ctx.rdv_waiting[pid] = fut
-            ctx.outbox.append((self.rank, dest, tag, payload, nbytes,
-                               task.clock, True, pid))
-        return Request(fut, task, "isend")
+        return super().isend(dest, payload, tag=tag, size=size)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         ctx: ShardCommContext = self.context  # type: ignore[assignment]
@@ -352,44 +323,17 @@ class ShardCommunicator(Communicator):
 
     # -- collectives ---------------------------------------------------
 
-    def _consult_gate(self, kind: str, root: int | None) -> _CollGate | None:
-        ctx: ShardCommContext = self.context  # type: ignore[assignment]
-        seq = ctx.coll_seq[self.rank]
-        gate = ctx._gates.get(seq)
-        if gate is None:
-            reason = self._fallback_reason(seq)
-            if reason == "tag-window":
-                # A divergent per-shard verdict would desynchronise the
-                # collective across shards; make it a whole-run hazard.
-                ctx.flag_hazard("tag-window")
-                raise ShardHazard(
-                    "pending traffic in a collective tag window"
-                )
-            # Every other verdict input (knobs, instrument granularity,
-            # static fault plan) is identical in all shards, so each shard
-            # independently computes the same fast/simulated decision.
-            gate = _CollGate(kind, root, reason, ctx.owned_count)
-            ctx._gates[seq] = gate
-        elif gate.kind != kind or gate.root != root:
-            raise CollectiveMismatchError(
-                f"rank {self.rank} called {kind}(root={root}) as collective "
-                f"#{seq} but other ranks are in "
-                f"{gate.kind}(root={gate.root})"
-            )
-        gate.consulted += 1
-        if gate.consulted == ctx.owned_count:
-            del ctx._gates[seq]
-        if gate.reason is None:
-            return gate
-        engine = self.engine
-        engine.collectives_simulated += 1
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count(
-                "coll/fallbacks", 1, rank=self.rank,
-                op=f"{kind}:{gate.reason}", t=self.task.clock,
-            )
-        return None
+    def _fallback_reason(self, seq: int) -> str | None:
+        # Every verdict input but one (knobs, instrument granularity,
+        # static fault plan) is identical in all shards, so each shard
+        # independently computes the same fast/simulated decision.  The
+        # mailbox scan is not: a divergent per-shard verdict would
+        # desynchronise the collective, so it is a whole-run hazard.
+        reason = super()._fallback_reason(seq)
+        if reason == "tag-window":
+            self.context.flag_hazard("tag-window")
+            raise ShardHazard("pending traffic in a collective tag window")
+        return reason
 
     # -- declared p2p patterns -----------------------------------------
 
@@ -401,7 +345,10 @@ class ShardCommunicator(Communicator):
         # differ from shards=1).  With a recorder attached that counter
         # difference would also surface as p2p/fallbacks metrics the
         # single-process run does not emit, so obs parity requires the
-        # oracle.
+        # oracle.  Cross-shard pattern mismatches at the same seq are
+        # caught by the message-level drive itself (a mismatched exchange
+        # deadlocks, and the "stuck" fallback reruns on the oracle, which
+        # raises the exact PatternMismatchError).
         if self.engine.p2p != "fast":
             return "disabled"
         if self.engine.instrument.enabled:
@@ -412,61 +359,8 @@ class ShardCommunicator(Communicator):
             )
         return "sharded"
 
-    def _consult_p2p_gate(self, pattern: NeighborPattern) -> None:
-        ctx: ShardCommContext = self.context  # type: ignore[assignment]
-        seq = ctx.p2p_seq[self.rank]
-        ctx.p2p_seq[self.rank] = seq + 1
-        gate = ctx._p2p_gates.get(seq)
-        if gate is None:
-            # Cross-shard pattern mismatches at the same seq are caught by
-            # the message-level drive itself (a mismatched exchange
-            # deadlocks, and the "stuck" fallback reruns on the oracle,
-            # which raises the exact PatternMismatchError).
-            gate = _P2PGate(pattern, seq, self._p2p_fallback_reason(),
-                            ctx.owned_count)
-            ctx._p2p_gates[seq] = gate
-        elif gate.key != pattern.key:
-            raise PatternMismatchError(
-                f"rank {self.rank} called exchange({pattern.name!r}) as p2p "
-                f"instance #{seq} but other ranks are in {gate.name!r}"
-            )
-        gate.consulted += 1
-        if gate.consulted == ctx.owned_count:
-            del ctx._p2p_gates[seq]
-        engine = self.engine
-        engine.p2p_simulated += 1
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count(
-                "p2p/fallbacks", 1, rank=self.world_rank(self.rank),
-                op=f"{pattern.name}:{gate.reason}", t=self.task.clock,
-            )
-        return None
-
-    async def _join_fast(self, gate: _CollGate, genargs: tuple) -> Any:
-        ctx: ShardCommContext = self.context  # type: ignore[assignment]
-        task = self.task
-        seq = ctx.coll_seq[self.rank]
-        ctx.coll_seq[self.rank] = seq + 1
-        task.collectives += 1
-        self.engine.collectives_fast += 1
-        fut = SimFuture(kind="coll", tag=seq, dest=self.rank, comm=ctx.id,
-                        post_time=task.clock)
-        # The owner shard builds schedules from the (picklable) genargs
-        # tuple iff its replay drives the scalar core.
-        gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
-        if len(gate.entries) == gate.expected:
-            ctx.gates_out.append((seq, gate))
-            ctx.gate_pending[seq] = gate
-        result = await fut
-        task.advance_to(fut.time)
-        return result
-
 
 # -- wire format helpers ------------------------------------------------------
-
-
-_entry_rank = attrgetter("rank")
 
 
 def _gate_record(seq: int, gate: _CollGate) -> tuple:
@@ -544,64 +438,15 @@ def _result_columns(states: list) -> tuple:
     )
 
 
-def _apply_gate_results(ctx: ShardCommContext, engine: Engine, seq: int,
-                        ranks, results, clocks, busys, sent, bsent,
-                        recvd, brecvd) -> None:
-    """Resolve this shard's entries for gate ``seq`` from replayed
-    columns; bulk-advance exactly like _CollGate.complete."""
-    gate = ctx.gate_pending.pop(seq)
-    ins = engine.instrument
-    emit = ins.enabled
-    alg = _ALGORITHMS[gate.kind]
-    by_rank = {e.rank: e for e in gate.entries}
-    resolutions = []
-    for i, rank in enumerate(ranks):
-        entry = by_rank[rank]
-        task = entry.task
-        task.clock = clocks[i]
-        task.busy = busys[i]
-        task.msgs_sent = sent[i]
-        task.bytes_sent = bsent[i]
-        task.msgs_received = recvd[i]
-        task.bytes_received = brecvd[i]
-        if emit:
-            ins.span(rank, gate.kind, "coll", entry.clock0, clocks[i],
-                     {"algorithm": alg, "comm": ctx.id, "size": ctx.size})
-            ins.metrics.count("coll/calls", 1, rank=rank,
-                              op=gate.kind, t=clocks[i])
-            ins.metrics.count("coll/time", clocks[i] - entry.clock0,
-                              rank=rank, op=gate.kind, t=clocks[i])
-            ins.metrics.count("coll/fast_hits", 1, rank=rank,
-                              op=gate.kind, t=clocks[i])
-        resolutions.append((entry.fut, results[i], clocks[i]))
-    engine.wave_resolve(resolutions)
-
-
-def _apply_gate_states(ctx: ShardCommContext, engine: Engine, seq: int,
-                       states: dict) -> None:
-    """Owner-side twin of :func:`_apply_gate_results`: resolve this
-    shard's entries for gate ``seq`` straight from the replay's state
-    dict, with no columnar round-trip."""
-    gate = ctx.gate_pending.pop(seq)
-    ins = engine.instrument
-    emit = ins.enabled
-    alg = _ALGORITHMS[gate.kind]
-    resolutions = []
-    for entry in gate.entries:
-        st = states[entry.rank]
-        task = entry.task
-        st.write_back(task)
-        if emit:
-            ins.span(entry.rank, gate.kind, "coll", entry.clock0, st.clock,
-                     {"algorithm": alg, "comm": ctx.id, "size": ctx.size})
-            ins.metrics.count("coll/calls", 1, rank=entry.rank,
-                              op=gate.kind, t=st.clock)
-            ins.metrics.count("coll/time", st.clock - entry.clock0,
-                              rank=entry.rank, op=gate.kind, t=st.clock)
-            ins.metrics.count("coll/fast_hits", 1, rank=entry.rank,
-                              op=gate.kind, t=st.clock)
-        resolutions.append((entry.fut, st.result, st.clock))
-    engine.wave_resolve(resolutions)
+def _states_from_columns(ranks, results, *columns) -> dict:
+    """Inverse of :func:`_result_columns`: the owner shard's replayed
+    states for this shard's ranks, rebuilt from one wire record."""
+    states = {}
+    for rank, result, *counters in zip(ranks, results, *columns):
+        # a state whose join-time snapshot *is* the replayed outcome
+        st = states[rank] = RankState(_RemoteEntry(rank, None, *counters))
+        st.result = result
+    return states
 
 
 def _replay_gate_job(ctx: ShardCommContext, engine: Engine, job: tuple) -> None:
@@ -648,7 +493,7 @@ def _replay_gate_job(ctx: ShardCommContext, engine: Engine, job: tuple) -> None:
         ctx.gate_results_out.append(
             (seq, *_result_columns([states[r] for r in ch[0]]))
         )
-    _apply_gate_states(ctx, engine, seq, states)
+    ctx.gate_pending.pop(seq).settle(ctx, states)
     if ctx.profile:
         ctx.replay_s += perf_counter() - t0
 
@@ -674,10 +519,9 @@ def _apply_inbox(ctx: ShardCommContext, engine: Engine, tasks: list[Task],
                  inbox: dict) -> None:
     """Apply one wave's deliveries.  Message records from one sender arrive
     in its program order (per-pair FIFO is all exact-source matching needs);
-    gate jobs replay on this shard; gate results bulk-advance exactly like
-    _CollGate.complete."""
+    gate jobs replay on this shard; gate results bulk-advance through the
+    same ``_CollGate.settle`` as a single-process gate."""
     for src, dest, tag, payload, nbytes, t, rdv, pid in inbox["msgs"]:
-        mbox = ctx.mailbox(dest)
         if rdv:
             proxy = SimFuture(kind="isend", src=src, dest=dest, tag=tag,
                               comm=ctx.id, post_time=t)
@@ -692,7 +536,7 @@ def _apply_inbox(ctx: ShardCommContext, engine: Engine, tasks: list[Task],
         else:
             msg = Message(src=src, dest=dest, tag=tag, payload=payload,
                           nbytes=nbytes, arrival=t)
-        ctx.deliver(mbox, msg)
+        ctx.deliver(msg)
     for pid, t, busy_charge, lost in inbox["replies"]:
         fut = ctx.rdv_waiting.pop(pid)
         if fut.done:
@@ -705,8 +549,8 @@ def _apply_inbox(ctx: ShardCommContext, engine: Engine, tasks: list[Task],
         _replay_gate_job(ctx, engine, job)
         if ctx.hazard is not None:
             return
-    for rec in inbox["gate_results"]:
-        _apply_gate_results(ctx, engine, *rec)
+    for seq, *columns in inbox["gate_results"]:
+        ctx.gate_pending.pop(seq).settle(ctx, _states_from_columns(*columns))
     for rank in inbox["drain"]:
         _drain_wildcard(ctx, rank)
         if ctx.hazard is not None:

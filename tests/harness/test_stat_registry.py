@@ -96,16 +96,6 @@ class TestRegistry:
         assert reg.has("chameleon/vote_time")  # stats-derived
 
 
-class TestRetiredShims:
-    def test_sum_stat_removed(self, chameleon):
-        with pytest.raises(AttributeError, match=r"source='tracer'"):
-            chameleon.sum_stat
-
-    def test_sum_cstat_removed(self, chameleon):
-        with pytest.raises(AttributeError, match=r"source='chameleon'"):
-            chameleon.sum_cstat
-
-
 class TestBreakdownFix:
     def test_chameleon_record_without_tracer_stats(self, chameleon):
         """Record time must survive the loss of the tracer_stats list.

@@ -1,10 +1,27 @@
-"""Collective correctness across communicator sizes (incl. non-powers of 2)."""
+"""Collective correctness across communicator sizes (incl. non-powers of 2).
+
+Every test runs its program under both interpreters of the collective
+schedules — the closed-form gate replay (``collectives="fast"``) and the
+message-level driver (``"simulated"``) — and asserts on each result, so an
+error in the one statement of an algorithm fails here whichever
+interpreter would have hidden it.
+"""
 
 import pytest
 
-from repro.simmpi import MAX, MIN, SUM, TaskFailedError, ZERO_COST, run_spmd
+from repro.simmpi import MAX, MIN, SUM, SimConfig, TaskFailedError, run_spmd
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 13, 16]
+INTERPRETERS = ("fast", "simulated")
+
+
+def run_both(main, size):
+    """One run per interpreter; each took the path its config names."""
+    for mode in INTERPRETERS:
+        res = run_spmd(main, size, config=SimConfig(collectives=mode))
+        assert (res.collectives_simulated if mode == "fast"
+                else res.collectives_fast) == 0
+        yield res
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -13,7 +30,8 @@ def test_barrier_completes(size):
         await ctx.comm.barrier()
         return "ok"
 
-    assert run_spmd(main, size).results == ["ok"] * size
+    for res in run_both(main, size):
+        assert res.results == ["ok"] * size
 
 
 def test_barrier_synchronizes_clocks():
@@ -23,9 +41,9 @@ def test_barrier_synchronizes_clocks():
         await ctx.comm.barrier()
         return ctx.clock
 
-    res = run_spmd(main, 4)
-    # Nobody exits the barrier before the slow rank reached it.
-    assert all(t >= 100.0 for t in res.results)
+    for res in run_both(main, 4):
+        # Nobody exits the barrier before the slow rank reached it.
+        assert all(t >= 100.0 for t in res.results)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -37,8 +55,8 @@ def test_bcast_from_any_root(size, root):
         value = {"data": 123} if ctx.rank == root_rank else None
         return await ctx.comm.bcast(value, root=root_rank)
 
-    res = run_spmd(main, size)
-    assert res.results == [{"data": 123}] * size
+    for res in run_both(main, size):
+        assert res.results == [{"data": 123}] * size
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -46,9 +64,9 @@ def test_reduce_sum_on_root_none_elsewhere(size):
     async def main(ctx):
         return await ctx.comm.reduce(ctx.rank, op=SUM, root=0)
 
-    res = run_spmd(main, size)
-    assert res.results[0] == size * (size - 1) // 2
-    assert all(v is None for v in res.results[1:])
+    for res in run_both(main, size):
+        assert res.results[0] == size * (size - 1) // 2
+        assert all(v is None for v in res.results[1:])
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -58,8 +76,8 @@ def test_reduce_nonzero_root(size):
     async def main(ctx):
         return await ctx.comm.reduce(ctx.rank + 1, op=SUM, root=root)
 
-    res = run_spmd(main, size)
-    assert res.results[root] == size * (size + 1) // 2
+    for res in run_both(main, size):
+        assert res.results[root] == size * (size + 1) // 2
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -69,8 +87,8 @@ def test_allreduce_max_and_min(size):
         lo = await ctx.comm.allreduce(ctx.rank, op=MIN)
         return (hi, lo)
 
-    res = run_spmd(main, size)
-    assert res.results == [(size - 1, 0)] * size
+    for res in run_both(main, size):
+        assert res.results == [(size - 1, 0)] * size
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -78,9 +96,9 @@ def test_gather_rank_ordered(size):
     async def main(ctx):
         return await ctx.comm.gather(ctx.rank * ctx.rank, root=0)
 
-    res = run_spmd(main, size)
-    assert res.results[0] == [r * r for r in range(size)]
-    assert all(v is None for v in res.results[1:])
+    for res in run_both(main, size):
+        assert res.results[0] == [r * r for r in range(size)]
+        assert all(v is None for v in res.results[1:])
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -89,8 +107,8 @@ def test_scatter_delivers_per_rank_values(size):
         values = [f"item-{r}" for r in range(ctx.size)] if ctx.rank == 0 else None
         return await ctx.comm.scatter(values, root=0)
 
-    res = run_spmd(main, size)
-    assert res.results == [f"item-{r}" for r in range(size)]
+    for res in run_both(main, size):
+        assert res.results == [f"item-{r}" for r in range(size)]
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -101,7 +119,8 @@ def test_scatter_nonzero_root(size):
         values = list(range(ctx.size)) if ctx.rank == root else None
         return await ctx.comm.scatter(values, root=root)
 
-    assert run_spmd(main, size).results == list(range(size))
+    for res in run_both(main, size):
+        assert res.results == list(range(size))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -110,7 +129,8 @@ def test_allgather(size):
         return await ctx.comm.allgather(chr(ord("a") + ctx.rank))
 
     expected = [chr(ord("a") + r) for r in range(size)]
-    assert run_spmd(main, size).results == [expected] * size
+    for res in run_both(main, size):
+        assert res.results == [expected] * size
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -119,9 +139,9 @@ def test_alltoall_transpose(size):
         values = [(ctx.rank, dest) for dest in range(ctx.size)]
         return await ctx.comm.alltoall(values)
 
-    res = run_spmd(main, size)
-    for r, row in enumerate(res.results):
-        assert row == [(src, r) for src in range(size)]
+    for res in run_both(main, size):
+        for r, row in enumerate(res.results):
+            assert row == [(src, r) for src in range(size)]
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -129,8 +149,8 @@ def test_scan_inclusive_prefix(size):
     async def main(ctx):
         return await ctx.comm.scan(ctx.rank + 1, op=SUM)
 
-    res = run_spmd(main, size)
-    assert res.results == [(r + 1) * (r + 2) // 2 for r in range(size)]
+    for res in run_both(main, size):
+        assert res.results == [(r + 1) * (r + 2) // 2 for r in range(size)]
 
 
 def test_scatter_wrong_count_raises():
@@ -138,8 +158,9 @@ def test_scatter_wrong_count_raises():
         values = [1, 2, 3] if ctx.rank == 0 else None
         await ctx.comm.scatter(values, root=0)
 
-    with pytest.raises(TaskFailedError):
-        run_spmd(main, 4)
+    for mode in INTERPRETERS:
+        with pytest.raises(TaskFailedError):
+            run_spmd(main, 4, config=SimConfig(collectives=mode))
 
 
 def test_mixed_collectives_sequence_stay_aligned():
@@ -150,8 +171,10 @@ def test_mixed_collectives_sequence_stay_aligned():
         top = await ctx.comm.bcast(max(values), root=0)
         return (total, top)
 
-    res = run_spmd(main, 7)
-    assert res.results == [(7, 6)] * 7
+    for res in run_both(main, 7):
+        assert res.results == [(7, 6)] * 7
+        # two 6-edge trees, 3 rounds x 7, a 6-step ring x 7, one more tree
+        assert res.total_messages == 12 + 21 + 42 + 6
 
 
 def test_collective_cost_grows_with_size():
@@ -161,11 +184,12 @@ def test_collective_cost_grows_with_size():
         await ctx.comm.barrier()
         return ctx.clock
 
-    t4 = max(run_spmd(main, 4).results)
-    t64 = max(run_spmd(main, 64).results)
-    assert t64 > t4
-    # Dissemination is log2: 3 rounds vs 6 rounds, so about 2x, never 16x.
-    assert t64 < 6 * t4
+    for small, large in zip(run_both(main, 4), run_both(main, 64)):
+        t4 = max(small.results)
+        t64 = max(large.results)
+        assert t64 > t4
+        # Dissemination is log2: 3 rounds vs 6 rounds, so about 2x, never 16x.
+        assert t64 < 6 * t4
 
 
 def test_split_groups_by_color():
@@ -175,12 +199,12 @@ def test_split_groups_by_color():
         total = await sub.allreduce(ctx.rank, op=SUM)
         return (color, sub.size, total)
 
-    res = run_spmd(main, 8)
     evens = sum(r for r in range(8) if r % 2 == 0)
     odds = sum(r for r in range(8) if r % 2 == 1)
-    for rank, (color, size, total) in enumerate(res.results):
-        assert size == 4
-        assert total == (evens if color == 0 else odds)
+    for res in run_both(main, 8):
+        for rank, (color, size, total) in enumerate(res.results):
+            assert size == 4
+            assert total == (evens if color == 0 else odds)
 
 
 def test_split_negative_color_opts_out():
@@ -191,8 +215,8 @@ def test_split_negative_color_opts_out():
             return None
         return await sub.allreduce(1, op=SUM)
 
-    res = run_spmd(main, 5)
-    assert res.results == [None, 4, 4, 4, 4]
+    for res in run_both(main, 5):
+        assert res.results == [None, 4, 4, 4, 4]
 
 
 def test_split_key_controls_rank_order():
@@ -201,8 +225,8 @@ def test_split_key_controls_rank_order():
         sub = await ctx.comm.split(0, key=-ctx.rank)
         return sub.rank
 
-    res = run_spmd(main, 4)
-    assert res.results == [3, 2, 1, 0]
+    for res in run_both(main, 4):
+        assert res.results == [3, 2, 1, 0]
 
 
 def test_dup_is_independent_context():
@@ -216,4 +240,5 @@ def test_dup_is_independent_context():
             return await dup.recv(0, tag=4)
         return None
 
-    assert run_spmd(main, 2).results[1] == "via-dup"
+    for res in run_both(main, 2):
+        assert res.results[1] == "via-dup"

@@ -4,8 +4,10 @@ arithmetic, exercised directly.
 The bit-identity fuzz suites reach :class:`repro.simmpi.replay.Replay`
 only through the gates; here a collective schedule and a declared-pattern
 script go through the *same* engine type by hand and are compared with the
-message-level run, and the behaviours only the core owns (failure capture,
-deadlock diagnosis, multi-message lanes) are pinned one by one.  The
+message-level run, one hand-written schedule goes through both of its
+interpreters (``Replay`` and ``Communicator._drive``) directly, and the
+behaviours only the core owns (failure capture, deadlock diagnosis,
+multi-message lanes) are pinned one by one.  The
 property tests hold the array helpers of ``NetworkModel`` — and the replay
 core's hoisted copy — to the scalar helpers bit for bit.
 """
@@ -28,7 +30,7 @@ from repro.simmpi import (
 from repro.simmpi.collectives import _GEN_FACTORIES, SUM
 from repro.simmpi.errors import TaskFailedError
 from repro.simmpi.patterns import _g_script
-from repro.simmpi.replay import RankState, Replay
+from repro.simmpi.replay import EAGER_DONE, RankState, Replay
 
 MESSAGE_LEVEL = SimConfig(collectives="simulated", p2p="simulated")
 EAGER, RENDEZVOUS = 512, 1 << 17
@@ -124,6 +126,40 @@ def test_pattern_script_matches_message_level(nbytes):
     sends = sum(ev[0] == "s" for st in sim.states.values()
                 for ev in st.events)
     assert sends == pattern.total_messages
+
+
+def _relay(rank: int, size: int, nbytes: int):
+    """A schedule no collective or pattern states: a ring shift overlapped
+    with compute, then everyone reports to rank 0 — every op kind once."""
+    req = yield ("isend", (rank + 1) % size, 0, rank, nbytes)
+    yield ("compute", 2e-6 * (rank + 1))
+    got = yield ("recv", (rank - 1) % size, 0)
+    if req is not EAGER_DONE:
+        yield ("wait", req)
+    if rank:
+        yield ("send", 0, 1, 10 * got + rank, nbytes)
+        return got
+    reports = []
+    for src in range(1, size):
+        reports.append((yield ("recv", src, 1)))
+    return reports
+
+
+@pytest.mark.parametrize("nbytes", [EAGER, RENDEZVOUS],
+                         ids=["eager", "rendezvous"])
+def test_one_schedule_object_type_through_both_interpreters(nbytes):
+    size = 5
+
+    async def prog(ctx):
+        ctx.compute(ctx.rank * SKEW)
+        return await ctx.comm._drive(_relay(ctx.rank, size, nbytes), 40)
+
+    res = run_spmd(prog, size)
+    sim = _replay([_relay(r, size, nbytes) for r in range(size)])
+    _assert_matches(sim, res)
+    assert [sim.states[r].result for r in range(size)] == res.results
+    assert res.results[0] == [1, 12, 23, 34]
+    assert res.messages_matched == res.total_messages == 2 * size - 1
 
 
 # -- behaviour only the core owns --------------------------------------------
