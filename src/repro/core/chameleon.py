@@ -284,49 +284,11 @@ class ChameleonTracer(ScalaTraceTracer):
 
         # (3) clustering (state C)
         if decision.do_cluster:
-            t0 = self.ctx.clock
-            self.topk = await cluster_over_tree(self, sigs, self.config,
-                                                failed)
-            self.cstats.clustering_time += self.ctx.clock - t0
-            self.cstats.reclusterings += 1
-            self.cstats.k_used = max(self.cstats.k_used, len(self.topk))
-            self.cstats.num_callpaths = max(
-                self.cstats.num_callpaths, self.topk.num_callpaths
-            )
-            mine = self.topk.find_cluster_of(self.rank)
-            if mine is not None:
-                self.my_cluster_members = mine.members
-            if obs.enabled:
-                obs.span(
-                    self.rank, "clustering", "chameleon", t0, self.ctx.clock,
-                    {"k": len(self.topk),
-                     "callpaths": self.topk.num_callpaths},
-                )
-                obs.metrics.count("marker/clustering_time",
-                                  self.ctx.clock - t0, rank=self.rank,
-                                  t=self.ctx.clock)
+            await self._cluster(sigs, failed, final=False)
 
         # (4) inter-compression of lead traces into the online trace
         if decision.do_merge and self.topk is not None:
-            t0 = self.ctx.clock
-            merged = await merge_lead_traces(
-                self, self.topk, self.online, self.config.window
-            )
-            if self.rank == 0:
-                self.online = merged
-            self.cstats.intercompression_time += self.ctx.clock - t0
-            # (6) all ranks drop their partial intra-node trace; the last
-            # event end is kept so delta times stay stitched.
-            self.compressor.take_nodes()
-            self.mergeacc.reset()
-            if obs.enabled:
-                obs.span(
-                    self.rank, "intercompression", "chameleon", t0,
-                    self.ctx.clock, {"k": len(self.topk)},
-                )
-                obs.metrics.count("marker/intercompression_time",
-                                  self.ctx.clock - t0, rank=self.rank,
-                                  t=self.ctx.clock)
+            await self._merge(final=False)
 
         # (5) tracing control for the lead phase
         if decision.state is MarkerState.C:
@@ -348,6 +310,53 @@ class ChameleonTracer(ScalaTraceTracer):
         self._sample_space(decision.state.value, intra_bytes_pre)
         self.sigacc.reset()
         return decision
+
+    async def _cluster(self, sigs, failed: frozenset[int],
+                       final: bool) -> None:
+        """Cluster the ranks on ``sigs`` over the tree and adopt the
+        broadcast Top-K (a marker in state C, or finalize)."""
+        t0 = self.ctx.clock
+        self.topk = await cluster_over_tree(self, sigs, self.config, failed)
+        self.cstats.clustering_time += self.ctx.clock - t0
+        self.cstats.reclusterings += 1
+        self.cstats.k_used = max(self.cstats.k_used, len(self.topk))
+        self.cstats.num_callpaths = max(
+            self.cstats.num_callpaths, self.topk.num_callpaths
+        )
+        mine = self.topk.find_cluster_of(self.rank)
+        if mine is not None:
+            self.my_cluster_members = mine.members
+        obs = self.obs
+        if obs.enabled:
+            extra = ({"final": True} if final
+                     else {"callpaths": self.topk.num_callpaths})
+            obs.span(self.rank, "clustering", "chameleon", t0,
+                     self.ctx.clock, {"k": len(self.topk), **extra})
+            obs.metrics.count("marker/clustering_time", self.ctx.clock - t0,
+                              rank=self.rank, t=self.ctx.clock)
+
+    async def _merge(self, final: bool) -> None:
+        """Inter-compress the K lead traces into rank 0's online trace
+        (a merging marker, or finalize); afterwards *all* ranks drop their
+        partial intra-node trace — the last event end is kept, so delta
+        times stay stitched."""
+        t0 = self.ctx.clock
+        merged = await merge_lead_traces(
+            self, self.topk, self.online, self.config.window
+        )
+        if self.rank == 0:
+            self.online = merged
+        self.cstats.intercompression_time += self.ctx.clock - t0
+        self.compressor.take_nodes()
+        self.mergeacc.reset()
+        obs = self.obs
+        if obs.enabled:
+            extra = {"final": True} if final else {}
+            obs.span(self.rank, "intercompression", "chameleon", t0,
+                     self.ctx.clock, {"k": len(self.topk), **extra})
+            obs.metrics.count("marker/intercompression_time",
+                              self.ctx.clock - t0, rank=self.rank,
+                              t=self.ctx.clock)
 
     def _sample_space(self, state: str, intra_bytes: int) -> None:
         allocated = intra_bytes
@@ -401,42 +410,10 @@ class ChameleonTracer(ScalaTraceTracer):
             vote == self.nprocs - len(failed)
         )
         if self.topk is None or all_tracing:
-            sigs = self.mergeacc.snapshot()
-            t0 = self.ctx.clock
-            self.topk = await cluster_over_tree(self, sigs, self.config,
-                                                failed)
-            self.cstats.clustering_time += self.ctx.clock - t0
-            self.cstats.reclusterings += 1
-            self.cstats.k_used = max(self.cstats.k_used, len(self.topk))
-            self.cstats.num_callpaths = max(
-                self.cstats.num_callpaths, self.topk.num_callpaths
-            )
-            mine = self.topk.find_cluster_of(self.rank)
-            if mine is not None:
-                self.my_cluster_members = mine.members
-            if obs.enabled:
-                obs.span(
-                    self.rank, "clustering", "chameleon", t0, self.ctx.clock,
-                    {"k": len(self.topk), "final": True},
-                )
-                obs.metrics.count("marker/clustering_time",
-                                  self.ctx.clock - t0, rank=self.rank,
-                                  t=self.ctx.clock)
-        t0 = self.ctx.clock
-        merged = await merge_lead_traces(
-            self, self.topk, self.online, self.config.window
-        )
-        self.cstats.intercompression_time += self.ctx.clock - t0
-        self.compressor.take_nodes()
-        if obs.enabled:
-            obs.span(self.rank, "intercompression", "chameleon", t0,
-                     self.ctx.clock, {"k": len(self.topk), "final": True})
-            obs.metrics.count("marker/intercompression_time",
-                              self.ctx.clock - t0, rank=self.rank,
-                              t=self.ctx.clock)
+            await self._cluster(self.mergeacc.snapshot(), failed, final=True)
+        await self._merge(final=True)
         self._sample_space(decision.state.value, intra_bytes_pre)
         if self.rank == 0:
-            self.online = merged
             assert self.online is not None
             self.online.nprocs = self.nprocs
             return self.online

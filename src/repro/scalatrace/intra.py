@@ -32,8 +32,6 @@ DEFAULT_WINDOW = 64
 
 def _participants_equal(a: TraceNode, b: TraceNode) -> bool:
     """Whether two congruent subtrees cover the same rank populations."""
-    from .rsd import EventNode
-
     if isinstance(a, EventNode) and isinstance(b, EventNode):
         return a.record.participants == b.record.participants
     return all(

@@ -15,12 +15,14 @@ Table IV space savings come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..faults.injector import LOST
+from ..simmpi.collectives import SUM
 from ..simmpi.comm import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Request
 from ..simmpi.datatypes import payload_nbytes
 from ..simmpi.launcher import RankContext
+from ..simmpi.patterns import NeighborPattern
 from ..simmpi.topology import RadixTree
 from .costmodel import DEFAULT_COSTS, InstrumentationCostModel
 from .endpoint import EndpointStat
@@ -226,6 +228,60 @@ class ScalaTraceTracer:
         self._post()
         return values
 
+    async def exchange(self, pattern: NeighborPattern, *,
+                       compute: Callable[[float], Any] | None = None) -> None:
+        """Run this rank's script of a declared phase, call by call.
+
+        The traced counterpart of ``Communicator.exchange``: every op goes
+        through this tracer's own ``isend``/``send``/``recv``/``wait`` with
+        the position's label from ``pattern.sites`` pushed as the innermost
+        logical frame, so the ops of one ``exchange`` call — which share
+        their real frames — keep one stack signature per call site of the
+        per-message code the script stands for.  A ``("sendrecv", label)``
+        entry makes an isend and the recv and wait at the next two
+        positions one ``sendrecv`` call.  The interpreter lives in this
+        package because the stack walker skips its frames (and would stop
+        at simmpi's).
+        """
+        ops, sites = pattern.ops[self.rank], pattern.sites
+        if sites is None or len(sites) < len(ops):
+            raise ValueError(
+                f"pattern {pattern.name!r}: no call-site table covering "
+                f"the {len(ops)} positions of rank {self.rank}'s script"
+            )
+        frame = self.ctx.frame
+        compute = compute or self.ctx.compute
+        requests: list[Request | None] = []
+        script = zip(ops, sites)
+        for op, site in script:
+            if op is None:
+                continue
+            kind = op[0]
+            if kind == "wait":
+                await self.wait(requests[op[1]])
+            elif kind == "compute":
+                compute(op[1])
+            elif site is None:
+                raise ValueError(
+                    f"pattern {pattern.name!r}: {op!r} has no call-site label"
+                )
+            elif type(site) is tuple:  # ("sendrecv", label)
+                (recv, _), _ = next(script), next(script)
+                requests.append(None)  # keeps ("wait", k) numbering aligned
+                with frame(site[1]):
+                    await self.sendrecv(op[1], None, source=recv[1],
+                                        sendtag=op[2], recvtag=recv[2],
+                                        size=op[3])
+            else:
+                with frame(site):
+                    if kind == "isend":
+                        requests.append(
+                            self.isend(op[1], None, tag=op[2], size=op[3]))
+                    elif kind == "send":
+                        await self.send(op[1], None, tag=op[2], size=op[3])
+                    else:
+                        await self.recv(op[1], tag=op[2])
+
     async def barrier(self) -> None:
         self._record(Op.BARRIER)
         await self.comm.barrier()
@@ -241,8 +297,6 @@ class ScalaTraceTracer:
     async def reduce(
         self, value: Any, op=None, root: int = 0, size: int | None = None
     ) -> Any:
-        from ..simmpi.collectives import SUM
-
         nbytes = payload_nbytes(value) if size is None else int(size)
         self._record(Op.REDUCE, root=root, nbytes=nbytes)
         out = await self.comm.reduce(value, op=op or SUM, root=root, size=size)
@@ -250,8 +304,6 @@ class ScalaTraceTracer:
         return out
 
     async def allreduce(self, value: Any, op=None, size: int | None = None) -> Any:
-        from ..simmpi.collectives import SUM
-
         nbytes = payload_nbytes(value) if size is None else int(size)
         self._record(Op.ALLREDUCE, nbytes=nbytes)
         out = await self.comm.allreduce(value, op=op or SUM, size=size)

@@ -917,18 +917,17 @@ class Communicator(Comm):
         """Run one declared regular exchange (collective over the comm).
 
         Every rank must call ``exchange`` with an equal pattern (same
-        content key) in the same program position.  Eligible instances
-        resolve through the macro p2p gate — one bulk clock advance, no
-        mailbox traffic; ineligible ones (and runs under
-        ``SimConfig(p2p="simulated")``) run this rank's declared script
-        through the message-level interpreter (:meth:`_drive`) instead.
-        Bit-identical virtual time either way.
+        content key) in the same program position.  The script is the only
+        statement of the phase; this is its untraced interpreter (a tracer
+        runs the same script call by call and never comes here).  Eligible
+        instances resolve through the macro p2p gate — one bulk clock
+        advance, no mailbox traffic; the rest, and every instance under
+        ``SimConfig(p2p="simulated")``, run this rank's script through
+        :meth:`_drive`.  Bit-identical virtual time all three ways.
 
-        ``compute`` (pass ``ctx.compute``) is used by the fallback to
-        charge the pattern's ``("compute", s)`` ops, which keeps fault
-        compute-factor draws aligned with the undeclared body; the gate
-        replay charges them directly (fault plans force the fallback, so
-        the factors are the identity whenever the gate runs).
+        ``compute`` (pass ``ctx.compute``) charges the ``("compute", s)``
+        ops in ``_drive`` so fault compute-factor draws advance; the gate
+        charges them directly (fault plans never reach the gate).
         """
         if pattern.size != self.size:
             raise PatternMismatchError(

@@ -1,17 +1,16 @@
 """Declared regular p2p patterns and the macro p2p gate replay.
 
-PR 5 made collectives closed-form; this module does the same for the
-*regular* point-to-point phases that dominate the stencil/wavefront
+The *regular* point-to-point phases that dominate the stencil/wavefront
 workloads (POP halos, Sweep3D sweeps, AMG/LULESH neighbor exchanges, NPB
-transposes).  A workload declares its exchange structure once as a
-:class:`NeighborPattern` — a per-rank script of isend/send/recv/wait/compute
-ops with static peers, tags and sizes — and ``Communicator.exchange``
-resolves an eligible instance through a :class:`_P2PGate`: every rank of
-the communicator parks on the gate, the last arrival replays the whole
-pattern with the engine's exact LogGP arithmetic, and one
-``engine.wave_resolve`` bulk-advances all clocks.  Bit-identical in
-virtual time to the message-level path, which survives unchanged as the
-per-instance fallback and as ``SimConfig(p2p="simulated")``.
+transposes) resolve in closed form, like collectives.  A workload states
+such a phase once, as a :class:`NeighborPattern` — a per-rank script of
+isend/send/recv/wait/compute ops with static peers, tags and sizes, plus a
+call-site table for tracers — and ``Communicator.exchange`` resolves an
+eligible instance through a :class:`_P2PGate`: every rank parks on the
+gate, the last arrival replays the whole pattern with the engine's exact
+LogGP arithmetic, and one ``engine.wave_resolve`` bulk-advances all clocks.
+Bit-identical in virtual time to ``Communicator._drive``, the message-level
+interpreter of the same script (per-instance fallback, ``p2p="simulated"``).
 
 Two replay tiers:
 
@@ -81,12 +80,13 @@ class NeighborPattern:
     """
 
     __slots__ = (
-        "name", "size", "ops", "total_messages", "total_bytes",
+        "name", "size", "ops", "sites", "total_messages", "total_bytes",
         "_plan", "_plan_tried",
     )
 
     def __init__(self, name: str, size: int,
-                 ops: Sequence[Sequence[tuple | None]]) -> None:
+                 ops: Sequence[Sequence[tuple | None]],
+                 sites: tuple | None = None) -> None:
         if not isinstance(name, str) or not name:
             raise ValueError("pattern name must be a non-empty string")
         if not isinstance(size, int) or size < 1:
@@ -101,6 +101,7 @@ class NeighborPattern:
         frozen = tuple(tuple(rank_ops) for rank_ops in ops)
         self.total_messages, self.total_bytes = self._validate(frozen)
         self.ops = frozen
+        self.sites = sites  # call-site table, for tracers: never read here
         self._plan = None
         self._plan_tried = False
 
@@ -571,7 +572,7 @@ class _P2PGate:
     arrival re-checks that the communicator's mailboxes are still clean
     (stray traffic posted between arrivals aborts the gate — parked ranks
     are released with :data:`RUN_SIM` at their join clocks, costing zero
-    virtual time, and everyone runs the message-level body instead).
+    virtual time, and everyone runs the script message by message instead).
     """
 
     __slots__ = ("key", "name", "seq", "reason", "expected", "consulted",

@@ -12,7 +12,7 @@ ranklist factorization and partial-group collectives.
 from __future__ import annotations
 
 from ..simmpi.launcher import RankContext
-from .base import Workload, declare_pattern, run_declared
+from .base import Workload, declare_pattern
 
 
 class AMG(Workload):
@@ -72,25 +72,9 @@ class AMG(Workload):
             "amg-smooth", ctx.size,
             (level, self.fine_points, self.compute_scale),
             lambda: self._smooth_ops(ctx.size, level),
+            sites=("isend", "recv", None, None),
         )
-        if await run_declared(ctx, tracer, pattern):
-            return
-        stride = self.active_stride(level)
-        if ctx.rank % stride != 0:
-            return
-        nbytes = self.level_bytes(level, ctx.size)
-        left = ctx.rank - stride
-        right = ctx.rank + stride
-        sreq = None
-        if right < ctx.size:
-            sreq = tracer.isend(right, None, tag=90 + level, size=nbytes)
-        if left >= 0:
-            await tracer.recv(left, tag=90 + level)
-        if sreq is not None:
-            await tracer.wait(sreq)
-        self.compute(
-            ctx, max(self.fine_points >> (2 * level), 1) / ctx.size * 2e-8
-        )
+        await tracer.exchange(pattern, compute=ctx.compute)
 
     async def timestep(self, ctx: RankContext, tracer, step: int) -> None:
         # down-sweep: smooth and restrict

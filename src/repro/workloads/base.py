@@ -26,15 +26,9 @@ class NullTracer:
 
     Forwards every traced call straight to the raw communicator and makes
     the marker a no-op, so the virtual time of a run under NullTracer is the
-    paper's baseline application time.
+    paper's baseline application time.  That includes ``exchange``: a
+    declared phase goes to ``Communicator.exchange`` and its macro gate.
     """
-
-    #: declared exchanges may bypass the per-call tracer surface: the
-    #: NullTracer adds nothing per call, so a workload's regular phases can
-    #: run through ``Communicator.exchange`` (and its macro fast path)
-    #: without changing what this tracer observes.  Real tracers keep the
-    #: original per-call sites — their signatures hash the call sequence.
-    pattern_transparent = True
 
     def __init__(self, ctx: RankContext) -> None:
         self.ctx = ctx
@@ -58,6 +52,13 @@ class NullTracer:
 
 
 # -- declared regular exchanges ---------------------------------------------
+#
+# A regular p2p phase is stated once: per-rank op scripts plus one call-site
+# table, handed to ``tracer.exchange(pattern, compute=ctx.compute)``.  The
+# NullTracer forwards that to ``Communicator.exchange`` (macro gate, or the
+# message-level driver); every real tracer runs this rank's script call by
+# call (``ScalaTraceTracer.exchange``), recording each op under the label
+# its position has in the table.  No workload writes the messages out again.
 
 #: process-wide pattern cache: building a NeighborPattern is O(P * ops) and
 #: workloads re-enter the same phase every timestep, so instances are built
@@ -70,6 +71,7 @@ def declare_pattern(
     size: int,
     key: tuple,
     build: Callable[[], Sequence],
+    sites: Sequence,
 ) -> NeighborPattern:
     """Get (or build and cache) a declared exchange pattern.
 
@@ -77,30 +79,22 @@ def declare_pattern(
     (tags, byte counts, pre-scaled compute durations, ...); ``build`` is
     only called on a cache miss and returns the per-rank op lists for
     :class:`~repro.simmpi.patterns.NeighborPattern`.
+
+    ``sites`` is the phase's call-site table, one entry per script
+    *position* and shared by all ranks (``name`` fixes it, so it is not
+    part of ``key``): a label for a position that is an MPI call site —
+    positions with equal labels are one site, e.g. a send issued in a loop
+    — ``None`` for waits and computes, and ``("sendrecv", label)`` on an
+    isend whose next two positions (its recv and wait) belong to the same
+    ``MPI_Sendrecv`` call.
     """
     cache_key = (name, size, key)
     pattern = _PATTERN_CACHE.get(cache_key)
     if pattern is None:
         pattern = _PATTERN_CACHE[cache_key] = NeighborPattern(
-            name, size, build()
+            name, size, build(), tuple(sites)
         )
     return pattern
-
-
-async def run_declared(ctx: RankContext, tracer: Any,
-                       pattern: NeighborPattern) -> bool:
-    """Run ``pattern`` through the declared-exchange path if the tracer
-    permits it; returns whether it ran.
-
-    Declared phases only bypass the tracer when it is *pattern
-    transparent* (the :class:`NullTracer`): tracers that hash call sites
-    must keep seeing the original per-message calls, so workloads fall
-    through to their unchanged bodies when this returns ``False``.
-    """
-    if not getattr(tracer, "pattern_transparent", False):
-        return False
-    await ctx.comm.exchange(pattern, compute=ctx.compute)
-    return True
 
 
 @dataclass(frozen=True)

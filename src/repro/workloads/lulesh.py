@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..simmpi.collectives import MIN
 from ..simmpi.launcher import RankContext
 from ..simmpi.topology import cube_grid
-from .base import Workload, declare_pattern, run_declared
+from .base import Workload, declare_pattern
 
 #: the six face directions of the 3-D decomposition
 _FACES = (
@@ -33,6 +33,11 @@ _FACES = (
     (0, -1, 0),
     (0, 0, 1),
     (0, 0, -1),
+)
+#: call-site table of one ghost exchange (script layout of ``_ghost_ops``):
+#: the isends are one site issued in a loop, the recvs another
+_GHOST_SITES = (
+    ("isend",) * len(_FACES) + ("recv",) * len(_FACES) + (None,) * len(_FACES)
 )
 
 
@@ -99,24 +104,9 @@ class LULESH(Workload):
         pattern = declare_pattern(
             "lulesh-ghost", ctx.size, (tag, nbytes),
             lambda: self._ghost_ops(ctx.size, tag, nbytes),
+            sites=_GHOST_SITES,
         )
-        if await run_declared(ctx, tracer, pattern):
-            return
-        grid = cube_grid(ctx.size)
-        requests = []
-        for i, d in enumerate(_FACES):
-            peer = grid.neighbor(ctx.rank, *d)
-            if peer is not None:
-                requests.append(
-                    tracer.isend(peer, None, tag=tag + i, size=nbytes)
-                )
-        for i, d in enumerate(_FACES):
-            # matching receive direction: the opposite face's sends
-            opposite = i ^ 1
-            peer = grid.neighbor(ctx.rank, *d)
-            if peer is not None:
-                await tracer.recv(peer, tag=tag + opposite)
-        await tracer.wait_all(requests)
+        await tracer.exchange(pattern, compute=ctx.compute)
 
     async def timestep(self, ctx: RankContext, tracer, step: int) -> None:
         work = self.step_seconds()

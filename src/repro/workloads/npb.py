@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ..simmpi.launcher import RankContext
 from ..simmpi.topology import Grid2D, square_grid
-from .base import ProblemClass, Workload, declare_pattern, run_declared
+from .base import ProblemClass, Workload, declare_pattern
 
 #: NPB problem classes (grid points per dimension, timesteps) — BT/SP/LU
 #: use the same grids; iteration counts follow the benchmark specs
@@ -330,20 +330,15 @@ class CG(_GridWorkload):
 
     async def timestep(self, ctx: RankContext, tracer, step: int) -> None:
         work = self.step_compute(ctx)
-        partner = self.transpose_partner(ctx.rank, ctx.size)
         row_bytes = 8 * max(self.problem_class.points // ctx.size, 1)
         with ctx.frame("spmv"):
             self.compute(ctx, 0.7 * work)
             pattern = declare_pattern(
                 "cg-transpose", ctx.size, (row_bytes,),
                 lambda: self._transpose_ops(ctx.size, row_bytes),
+                sites=(("sendrecv", "transpose"), None, None),
             )
-            if not await run_declared(ctx, tracer, pattern) \
-                    and partner != ctx.rank:
-                await tracer.sendrecv(
-                    partner, None, source=partner, sendtag=20, recvtag=20,
-                    size=row_bytes,
-                )
+            await tracer.exchange(pattern, compute=ctx.compute)
         with ctx.frame("dot_rho"):
             self.compute(ctx, 0.15 * work)
             await tracer.allreduce(0.0, size=8)

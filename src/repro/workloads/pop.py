@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..simmpi.launcher import RankContext
 from ..simmpi.topology import square_grid
-from .base import Workload, declare_pattern, run_declared
+from .base import Workload, declare_pattern
 
 
 def convergence_iters(step: int, base: int = 12, spread: int = 8) -> int:
@@ -87,22 +87,9 @@ class POP(Workload):
         pattern = declare_pattern(
             "pop-halo", ctx.size, (tag, size),
             lambda: self._halo_ops(ctx.size, tag, size),
+            sites=("isend", "recv", None) * 2,
         )
-        if await run_declared(ctx, tracer, pattern):
-            return
-        grid = square_grid(ctx.size)
-        for fwd_of, bwd_of in (
-            (grid.east, grid.west),
-            (grid.south, grid.north),
-        ):
-            fwd, bwd = fwd_of(ctx.rank), bwd_of(ctx.rank)
-            sreq = None
-            if fwd is not None:
-                sreq = tracer.isend(fwd, None, tag=tag, size=size)
-            if bwd is not None:
-                await tracer.recv(bwd, tag=tag)
-            if sreq is not None:
-                await tracer.wait(sreq)
+        await tracer.exchange(pattern, compute=ctx.compute)
 
     async def timestep(self, ctx: RankContext, tracer, step: int) -> None:
         hb = self.halo_bytes(ctx.size)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..simmpi.launcher import RankContext
 from ..simmpi.topology import square_grid
-from .base import Workload, declare_pattern, run_declared
+from .base import Workload, declare_pattern
 
 #: the eight octants as (di, dj) sweep directions, each appearing twice
 #: (two k-block sweeps per direction pair in the real code)
@@ -74,6 +74,9 @@ class Sweep3D(Workload):
         ops = []
         for rank in range(nprocs):
             row, col = grid.coords(rank)
+            # position-dependent imbalance: ranks near the sweep origin
+            # start earlier and wait longer at the far corner (paper:
+            # "Sweep3D exhibits load imbalance")
             imbalance = 1.0 + 0.05 * ((row + col) % 4)
             work = self.points_per_rank(nprocs) * 1.5e-8 * imbalance / len(
                 _OCTANTS
@@ -92,16 +95,7 @@ class Sweep3D(Workload):
         return ops
 
     async def timestep(self, ctx: RankContext, tracer, step: int) -> None:
-        grid = square_grid(ctx.size)
-        row, col = grid.coords(ctx.rank)
         fb = self.face_bytes(ctx.size)
-        # position-dependent imbalance: ranks near the sweep origin start
-        # earlier and wait longer at the far corner (paper: "Sweep3D
-        # exhibits load imbalance")
-        imbalance = 1.0 + 0.05 * ((row + col) % 4)
-        work = (
-            self.points_per_rank(ctx.size) * 1.5e-8 * imbalance / len(_OCTANTS)
-        )
         for di, dj in _OCTANTS:
             with ctx.frame("sweep"):
                 pattern = declare_pattern(
@@ -109,21 +103,8 @@ class Sweep3D(Workload):
                     (di, dj, fb, self.nx, self.ny, self.nz,
                      self.weak_scaling, self.compute_scale),
                     lambda di=di, dj=dj: self._octant_ops(ctx.size, di, dj, fb),
+                    sites=("recv_i", "recv_j", None, "send_i", "send_j"),
                 )
-                if await run_declared(ctx, tracer, pattern):
-                    continue
-                up_i = grid.neighbor(ctx.rank, -di, 0)
-                up_j = grid.neighbor(ctx.rank, 0, -dj)
-                if up_i is not None:
-                    await tracer.recv(up_i, tag=30)
-                if up_j is not None:
-                    await tracer.recv(up_j, tag=31)
-                self.compute(ctx, work)
-                down_i = grid.neighbor(ctx.rank, di, 0)
-                down_j = grid.neighbor(ctx.rank, 0, dj)
-                if down_i is not None:
-                    await tracer.send(down_i, None, tag=30, size=fb)
-                if down_j is not None:
-                    await tracer.send(down_j, None, tag=31, size=fb)
+                await tracer.exchange(pattern, compute=ctx.compute)
         with ctx.frame("flux_err"):
             await tracer.allreduce(0.0, size=8)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.scalatrace import Op, RankSet, ScalaTraceTracer, Trace
-from repro.simmpi import SimConfig, ANY_SOURCE, ZERO_COST, run_spmd
+from repro.simmpi import (ANY_SOURCE, ZERO_COST, NeighborPattern, SimConfig,
+                          run_spmd)
+from repro.simmpi.errors import TaskFailedError
 
 
 def run_traced(prog, nprocs):
@@ -145,3 +147,64 @@ class TestTracedWildcards:
         trace = res.results[0]["ret"][1]
         srs = [l.record for l in trace.leaves() if l.record.op is Op.SENDRECV]
         assert srs and all(r.src is None for r in srs)  # wildcard recorded
+
+
+class TestDeclaredExchange:
+    """``tracer.exchange``: a declared script run call by call, each op
+    recorded under its position's call-site label."""
+
+    @staticmethod
+    def ring(size, sites):
+        ops = [
+            [("isend", (r + 1) % size, 3, 8), ("recv", (r - 1) % size, 3),
+             ("wait", 0), ("compute", 1e-6),
+             ("isend", (r + 1) % size, 4, 8), ("recv", (r - 1) % size, 4),
+             ("wait", 1)]
+            for r in range(size)
+        ]
+        return NeighborPattern("ring", size, ops, sites)
+
+    def test_labels_are_the_call_site_classes(self):
+        pattern = self.ring(4, ("put", "get", None, None, "put", "get", None))
+
+        async def prog(ctx, tr):
+            await tr.exchange(pattern, compute=ctx.compute)
+            return [(r.op, r.stack_sig, r.frames[-1])
+                    for r in tr.interval_records()]
+
+        res = run_traced(prog, 4)
+        for out in res.results:
+            recs = out["ret"]
+            assert [r[0] for r in recs] == [Op.ISEND, Op.RECV] * 2
+            assert [r[2] for r in recs] == ["<put>", "<get>"] * 2
+            # equal labels share a signature, distinct labels do not
+            assert recs[0][1] == recs[2][1] != recs[1][1] == recs[3][1]
+        assert res.p2p_fast == res.p2p_simulated == 0
+        assert all(c >= 1e-6 for c in res.clocks)
+
+    def test_sendrecv_entry_fuses_three_positions(self):
+        pattern = self.ring(
+            4, (("sendrecv", "shift"), None, None, None, "put", "get", None))
+
+        async def prog(ctx, tr):
+            await tr.exchange(pattern)
+            return [(r.op, r.tag.mean) for r in tr.interval_records()]
+
+        res = run_traced(prog, 4)
+        for out in res.results:
+            assert out["ret"] == [(Op.SENDRECV, 3), (Op.ISEND, 4),
+                                  (Op.RECV, 4)]
+
+    @pytest.mark.parametrize("sites", (
+        None,  # an unlabelled pattern is for the simulator only
+        ("put", "get", None),  # table shorter than the script
+        ("put", None, None, None, "put", "get", None),  # recv unlabelled
+    ))
+    def test_incomplete_table_is_an_error(self, sites):
+        pattern = self.ring(2, sites)
+
+        async def prog(ctx, tr):
+            await tr.exchange(pattern)
+
+        with pytest.raises(TaskFailedError, match="call-site"):
+            run_traced(prog, 2)

@@ -6,15 +6,16 @@ Mirror of ``test_collective_fastpath.py`` for declared
 runs the same program under ``p2p="fast"`` and ``p2p="simulated"`` and
 asserts *exact* equality (``==`` on floats, no tolerances) of results,
 per-rank virtual clocks, per-rank busy times and traffic totals.  The
-workload tests add a third leg: the original hand-written message-level
-bodies (forced by a tracer that is not pattern-transparent) must agree
-with both.
+workload tests add a third leg: a cost-free tracer that runs the same
+script call by call through the tracer-level ``exchange`` (what every
+traced mode executes) must agree with both.
 
 Coverage:
 
 * POP halo (slot replay), Sweep3D wavefront (script replay: recv-before-
-  send chains) and AMG smoothing (partial participation) over
-  P ∈ {4, 16, 64, 256}, eager and rendezvous payloads;
+  send chains), AMG smoothing (partial participation) and CG's transpose
+  (one ``sendrecv`` site) over P ∈ {4, 16, 64, 256}, LULESH ghost
+  exchanges over the cubes P ∈ {8, 27, 64}, eager and rendezvous payloads;
 * every documented fallback reason, each surfaced as a labelled
   ``p2p/fallbacks`` metric and each bit-identical to the always-simulated
   run;
@@ -30,6 +31,7 @@ import pytest
 
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.obs.instrument import Recorder
+from repro.scalatrace import ScalaTraceTracer
 from repro.simmpi import (
     ANY_SOURCE,
     NeighborPattern,
@@ -41,6 +43,8 @@ from repro.simmpi import (
 from repro.simmpi.errors import TaskFailedError
 from repro.workloads.amg import AMG
 from repro.workloads.base import NullTracer
+from repro.workloads.lulesh import LULESH
+from repro.workloads.npb import CG
 from repro.workloads.pop import POP
 from repro.workloads.sweep3d import Sweep3D
 
@@ -65,19 +69,28 @@ _WORKLOADS = {
         "rendezvous": lambda: AMG(fine_points=1 << 26, levels=2,
                                   iterations=2),
     },
+    "cg": {
+        "eager": lambda: CG(problem_class="A", iterations=2),
+        "rendezvous": lambda: CG(problem_class="D", iterations=2),
+    },
+}
+#: LULESH runs on perfect cubes only, so it gets its own P ladder
+_LULESH = {
+    "eager": lambda: LULESH(edge_elems=8, iterations=2),
+    "rendezvous": lambda: LULESH(edge_elems=96, iterations=2),
 }
 
 
-class _OpaqueTracer(NullTracer):
-    """Not pattern-transparent: forces the original message-level bodies."""
+def _workload_prog(factory, per_call: bool = False):
+    """``per_call`` swaps the NullTracer for a tracer with recording
+    switched off: it charges nothing, but still issues every op of a
+    declared script through its own ``isend``/``send``/``recv``/
+    ``sendrecv``/``wait``."""
 
-    pattern_transparent = False
-
-
-def _workload_prog(factory, opaque: bool = False):
     async def prog(ctx):
         workload = factory()
-        tracer = (_OpaqueTracer if opaque else NullTracer)(ctx)
+        tracer = (ScalaTraceTracer if per_call else NullTracer)(ctx)
+        tracer.enabled = False
         await workload.run(ctx, tracer)
         return ctx.rank
 
@@ -132,29 +145,38 @@ def _chain_pattern(size: int, nbytes: int = 8) -> NeighborPattern:
     return NeighborPattern("test-chain", size, ops)
 
 
+def _assert_three_legs_agree(factory, nprocs):
+    fast, sim = _pair(_workload_prog(factory), nprocs)
+    _assert_identical(fast, sim)
+    per_call = run_spmd(_workload_prog(factory, per_call=True), nprocs,
+                        config=SimConfig(p2p="fast"))
+    _assert_identical(fast, per_call)
+    assert fast.p2p_fast > 0
+    assert fast.p2p_simulated == 0
+    assert sim.p2p_fast == 0
+    assert sim.p2p_simulated > 0
+    # the tracer-level exchange never consults the gate at all
+    assert per_call.p2p_fast == 0
+    assert per_call.p2p_simulated == 0
+    # the fast path must also collapse scheduler work
+    assert fast.engine_steps < sim.engine_steps
+
+
 class TestWorkloadBitIdentity:
-    """The tentpole contract: fast == simulated == original bodies."""
+    """The tentpole contract: one script, three interpreters — the macro
+    gate, the message-level driver and a tracer's per-call ``exchange``."""
 
     @pytest.mark.parametrize("nprocs", FUZZ_PS)
     @pytest.mark.parametrize("regime", ("eager", "rendezvous"))
     @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
     def test_fast_simulated_and_original_agree(self, workload, regime,
                                                nprocs):
-        factory = _WORKLOADS[workload][regime]
-        fast, sim = _pair(_workload_prog(factory), nprocs)
-        _assert_identical(fast, sim)
-        original = run_spmd(_workload_prog(factory, opaque=True), nprocs,
-                            config=SimConfig(p2p="fast"))
-        _assert_identical(fast, original)
-        assert fast.p2p_fast > 0
-        assert fast.p2p_simulated == 0
-        assert sim.p2p_fast == 0
-        assert sim.p2p_simulated > 0
-        # an opaque tracer never consults the gate at all
-        assert original.p2p_fast == 0
-        assert original.p2p_simulated == 0
-        # the fast path must also collapse scheduler work
-        assert fast.engine_steps < sim.engine_steps
+        _assert_three_legs_agree(_WORKLOADS[workload][regime], nprocs)
+
+    @pytest.mark.parametrize("nprocs", (8, 27, 64))
+    @pytest.mark.parametrize("regime", ("eager", "rendezvous"))
+    def test_lulesh_three_legs_agree(self, regime, nprocs):
+        _assert_three_legs_agree(_LULESH[regime], nprocs)
 
 
 class TestReplayTiers:
