@@ -24,7 +24,6 @@ from .clustering import (
 )
 from .config import CLUSTERING_ALGOS, ChameleonConfig
 from .energy import EnergyReport, PowerModel, energy_report, rank_energy, run_energy
-from .marker import MARKER_COMM_ID, chameleon_marker
 from .online import (
     CLUSTER_TAG,
     ONLINE_TAG,
@@ -46,14 +45,12 @@ __all__ = [
     "ClusterSet",
     "EnergyReport",
     "IntervalSignatures",
-    "MARKER_COMM_ID",
     "MarkerDecision",
     "MarkerState",
     "ONLINE_TAG",
     "PhaseTracker",
     "PowerModel",
     "SignatureAccumulator",
-    "chameleon_marker",
     "cluster_over_tree",
     "distance",
     "energy_report",

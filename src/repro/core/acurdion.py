@@ -16,9 +16,6 @@ does so *once*, inside the finalize wrapper:
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..scalatrace.events import EventRecord, Op
 from ..scalatrace.trace import Trace
 from ..scalatrace.tracer import ScalaTraceTracer
 from ..simmpi.launcher import RankContext
@@ -47,11 +44,10 @@ class AcurdionTracer(ScalaTraceTracer):
         self.clustering_time = 0.0
         self.intercompression_time = 0.0
 
-    def _record(self, op: Op, **kw: Any) -> EventRecord | None:
-        rec = super()._record(op, **kw)
-        if rec is not None:
-            self.sigacc.observe(rec.stack_sig, rec.src_offset, rec.dest_offset)
-        return rec
+    def _track_signature(
+        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
+    ) -> None:
+        self.sigacc.observe(stack_sig, src_offset, dest_offset)
 
     async def finalize(self) -> Trace | None:
         """Cluster once, merge the K lead traces, return trace on rank 0."""

@@ -89,70 +89,11 @@ class AutoMarkerTracer(ChameleonTracer):
             return True
         return False
 
-    async def _maybe_auto_marker(self, stack_sig: int | None) -> None:
-        if stack_sig is None:
-            return
-        if self._observe_collective(stack_sig):
+    async def _collective_done(self, stack_sig: int | None) -> None:
+        await super()._collective_done(stack_sig)
+        if stack_sig is not None and self._observe_collective(stack_sig):
             self.auto_markers += 1
             await super().marker()
 
     async def marker(self):  # noqa: D102 - manual markers become no-ops
         return None
-
-    # -- traced collective wrappers: fire the detector after completion ----
-
-    async def barrier(self) -> None:
-        sig = self._peek_sig()
-        await super().barrier()
-        await self._maybe_auto_marker(sig)
-
-    async def allreduce(self, value, op=None, size=None):
-        sig = self._peek_sig()
-        out = await super().allreduce(value, op=op, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def bcast(self, value, root=0, size=None):
-        sig = self._peek_sig()
-        out = await super().bcast(value, root=root, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def reduce(self, value, op=None, root=0, size=None):
-        sig = self._peek_sig()
-        out = await super().reduce(value, op=op, root=root, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def allgather(self, value, size=None):
-        sig = self._peek_sig()
-        out = await super().allgather(value, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def gather(self, value, root=0, size=None):
-        sig = self._peek_sig()
-        out = await super().gather(value, root=root, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def alltoall(self, values, size=None):
-        sig = self._peek_sig()
-        out = await super().alltoall(values, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    async def scatter(self, values, root=0, size=None):
-        sig = self._peek_sig()
-        out = await super().scatter(values, root=root, size=size)
-        await self._maybe_auto_marker(sig)
-        return out
-
-    def _peek_sig(self) -> int:
-        """The stack signature this collective call site will record.
-
-        Captured with the same walker the recorder uses (the wrapper frames
-        live in skipped modules, so both observe identical frames).
-        """
-        sig, _frames = self.walker.capture(self.ctx.task.logical_stack)
-        return sig

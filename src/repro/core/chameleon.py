@@ -26,16 +26,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..faults.injector import LOST
-from ..scalatrace.events import EventRecord, Op
-from ..scalatrace.intra import fold_tail
-from ..scalatrace.ranklist import RankSet
 from ..scalatrace.trace import Trace
 from ..scalatrace.tracer import ScalaTraceTracer
 from ..simmpi.launcher import RankContext
 from .callpath import SignatureAccumulator
 from .clustering import ClusterSet
 from .config import ChameleonConfig
-from .online import cluster_over_tree, merge_lead_traces
+from .online import cluster_over_tree, fold_into_online, merge_lead_traces
 from .phase import MarkerDecision, MarkerState, PhaseTracker
 
 
@@ -79,10 +76,7 @@ class ChameleonTracer(ScalaTraceTracer):
         # empty final marker interval would collapse all ranks into one
         # cluster and replay a single rank's behaviour everywhere.
         self.mergeacc = SignatureAccumulator(mode=config.signature_filter)
-        #: building trace structures (False on non-leads during lead phase)
-        self.tracing = True
         self.topk: ClusterSet | None = None
-        self.my_cluster_members: RankSet = RankSet.single(self.rank)
         self.online: Trace | None = (
             Trace(nprocs=self.nprocs) if self.rank == 0 else None
         )
@@ -95,30 +89,13 @@ class ChameleonTracer(ScalaTraceTracer):
         # per marker.
         self._obs_state: str | None = None
 
-    # -- recording override --------------------------------------------------
+    # -- signature hook of the event path ----------------------------------
 
-    def _record(self, op: Op, **kw: Any) -> EventRecord | None:
-        if self.tracing:
-            rec = super()._record(op, **kw)
-            if rec is not None:
-                self.sigacc.observe(rec.stack_sig, rec.src_offset, rec.dest_offset)
-                self.mergeacc.observe(
-                    rec.stack_sig, rec.src_offset, rec.dest_offset
-                )
-            return rec
-        # Lead phase, non-lead: no trace is built (zero allocation), but the
-        # signatures must keep flowing so this rank can vote on phase
-        # changes (paper Fig. 2).
-        self.stats.events_skipped += 1
-        sig, _frames = self.walker.capture(self.ctx.task.logical_stack)
-        src = kw.get("src")
-        dest = kw.get("dest")
-        src_off = None if src is None else src - self.rank
-        dest_off = None if dest is None else dest - self.rank
-        self.sigacc.observe(sig, src_off, dest_off)
-        self.mergeacc.observe(sig, src_off, dest_off)
-        self.ctx.compute(self.costs.per_signature_event)
-        return None
+    def _track_signature(
+        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
+    ) -> None:
+        self.sigacc.observe(stack_sig, src_offset, dest_offset)
+        self.mergeacc.observe(stack_sig, src_offset, dest_offset)
 
     # -- fault tolerance -----------------------------------------------------
 
@@ -164,22 +141,21 @@ class ChameleonTracer(ScalaTraceTracer):
             # call's replacements (another rank may have repaired it first).
             replacements, collapsed = self.topk.reelect(failed)
             mine = self.topk.find_cluster_of(self.rank)
-            if mine is not None:
-                self.my_cluster_members = mine.members
-                if mine.lead == self.rank and not self.tracing:
-                    # Elected as replacement lead: this rank's trace now
-                    # stands in for the cluster, so start recording.
-                    self.tracing = True
-                    if obs.enabled:
-                        obs.instant(
-                            self.rank, "lead_reelection", "fault",
-                            self.ctx.clock,
-                            {"is_new_lead": True,
-                             "cluster": list(mine.members.ranks()),
-                             "failed": sorted(failed)},
-                        )
-                        obs.metrics.count("fault/lead_reelections", 1,
-                                          rank=self.rank, t=self.ctx.clock)
+            if (mine is not None and mine.lead == self.rank
+                    and not self.tracing):
+                # Elected as replacement lead: this rank's trace now
+                # stands in for the cluster, so start recording.
+                self.tracing = True
+                if obs.enabled:
+                    obs.instant(
+                        self.rank, "lead_reelection", "fault",
+                        self.ctx.clock,
+                        {"is_new_lead": True,
+                         "cluster": list(mine.members.ranks()),
+                         "failed": sorted(failed)},
+                    )
+                    obs.metrics.count("fault/lead_reelections", 1,
+                                      rank=self.rank, t=self.ctx.clock)
             if replacements and obs.enabled:
                 obs.instant(
                     self.rank, "lead_reelection", "fault", self.ctx.clock,
@@ -323,9 +299,6 @@ class ChameleonTracer(ScalaTraceTracer):
         self.cstats.num_callpaths = max(
             self.cstats.num_callpaths, self.topk.num_callpaths
         )
-        mine = self.topk.find_cluster_of(self.rank)
-        if mine is not None:
-            self.my_cluster_members = mine.members
         obs = self.obs
         if obs.enabled:
             extra = ({"final": True} if final
@@ -420,7 +393,7 @@ class ChameleonTracer(ScalaTraceTracer):
         return None
 
     async def _finalize_degraded(self, failed: frozenset[int]) -> Trace | None:
-        """Fault fall-back finalize: a full ScalaTrace-style merge over the
+        """Fault fall-back finalize: the ScalaTrace finalize over the
         surviving ranks.
 
         Every survivor has been full-tracing since the degraded transition,
@@ -439,13 +412,8 @@ class ChameleonTracer(ScalaTraceTracer):
                         self.ctx.clock,
                         {"alive": len(alive), "failed": sorted(failed)})
         intra_bytes_pre = self.compressor.size_bytes() if self.tracing else 0
-        local = Trace(
-            nodes=self.compressor.take_nodes(),
-            origin=RankSet.single(self.rank),
-            nprocs=self.nprocs,
-        )
         t0 = self.ctx.clock
-        merged = await self.merge_over_tree(local, members=alive)
+        merged = await super().finalize(members=alive)
         self.cstats.intercompression_time += self.ctx.clock - t0
         if obs.enabled:
             obs.span(self.rank, "intercompression", "chameleon", t0,
@@ -455,15 +423,7 @@ class ChameleonTracer(ScalaTraceTracer):
             return None
         assert merged is not None
         if self.online is not None and self.online.nodes:
-            work0 = self.meter.total
-            self.online.nodes.extend(merged.nodes)
-            fold_tail(self.online.nodes, self.config.window, self.meter,
-                      match_participants=True)
-            self.online.origin = self.online.origin.union(merged.origin)
-            self.ctx.compute(
-                (self.meter.total - work0) * self.costs.per_merge_cell
-            )
-            self.online.nprocs = self.nprocs
-            return self.online
+            fold_into_online(self, self.online, merged, self.config.window)
+            merged = self.online
         merged.nprocs = self.nprocs
         return merged

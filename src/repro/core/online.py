@@ -25,7 +25,7 @@ from ..scalatrace.inter import merge_traces
 from ..scalatrace.ranklist import RankSet
 from ..scalatrace.rsd import TraceNode, iter_leaves
 from ..scalatrace.trace import Trace
-from ..scalatrace.tracer import ScalaTraceTracer
+from ..scalatrace.tracer import ScalaTraceTracer, reduce_over_tree
 from ..simmpi.comm import MAX_USER_TAG
 from ..simmpi.topology import RadixTree
 from .callpath import IntervalSignatures
@@ -64,11 +64,7 @@ async def cluster_over_tree(
     else:
         tree = RadixTree(size, arity=config.tree_arity)
 
-    local = ClusterSet.local(sigs.as_tuple(), rank)
-    for child in reversed(tree.children(rank)):
-        child_set: ClusterSet = await comm.recv(child, tag=CLUSTER_TAG)
-        if child_set is LOST:
-            continue  # fault hole: that subtree's clusters are gone
+    def absorb(local: ClusterSet, child_set: ClusterSet) -> ClusterSet:
         work0 = meter.total
         local.merge(child_set, meter)
         # prune only when over the per-node budget (paper: <= 2K + 1 items)
@@ -77,15 +73,16 @@ async def cluster_over_tree(
         tracer.ctx.compute(
             (meter.total - work0) * tracer.costs.per_cluster_op
         )
-    parent = tree.parent(rank)
-    if parent is not None:
-        await comm.send(parent, local, tag=CLUSTER_TAG, size=local.size_bytes())
-        topk: ClusterSet | None = None
-    else:
+        return local
+
+    topk: ClusterSet | None = await reduce_over_tree(
+        comm, tree, ClusterSet.local(sigs.as_tuple(), rank), CLUSTER_TAG,
+        absorb, ClusterSet.size_bytes,
+    )
+    if topk is not None:  # the tree root selects the Top-K
         work0 = meter.total
-        local.prune(config.k, config.algorithm, meter, config.seed)
+        topk.prune(config.k, config.algorithm, meter, config.seed)
         tracer.ctx.compute((meter.total - work0) * tracer.costs.per_cluster_op)
-        topk = local
     topk = await comm.bcast(topk, root=0)
     if topk is None or topk is LOST:
         # Cut off from the broadcast result (only reachable through fault
@@ -178,18 +175,20 @@ async def merge_lead_traces(
     if rank == 0:
         assert online is not None
         if partial is not None and partial.nodes:
-            work0 = meter.total
-            online.nodes.extend(partial.nodes)
-            fold_tail(online.nodes, window, meter, match_participants=True)
-            online.origin = online.origin.union(partial.origin)
-            tracer.ctx.compute(
-                (meter.total - work0) * tracer.costs.per_merge_cell
-            )
+            fold_into_online(tracer, online, partial, window)
         return online
     return None
 
 
-async def merge_full_traces(tracer: ScalaTraceTracer) -> Trace | None:
-    """Plain ScalaTrace finalize (all P ranks participate) — kept here for
-    symmetry so baselines share the entry point."""
-    return await tracer.finalize()
+def fold_into_online(
+    tracer: ScalaTraceTracer, online: Trace, segment: Trace, window: int
+) -> None:
+    """Rank 0 appends one merged segment (an interval's lead traces, or the
+    survivors' full traces of a degraded finalize) to the online trace,
+    folds segments that repeat across intervals, and charges the work."""
+    meter = tracer.meter
+    work0 = meter.total
+    online.nodes.extend(segment.nodes)
+    fold_tail(online.nodes, window, meter, match_participants=True)
+    online.origin = online.origin.union(segment.origin)
+    tracer.ctx.compute((meter.total - work0) * tracer.costs.per_merge_cell)

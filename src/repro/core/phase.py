@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass
 
 from ..faults.injector import LOST
+from ..scalatrace.tracer import reduce_over_tree
 from ..simmpi.collectives import SUM, Communicator
 from ..simmpi.comm import MAX_USER_TAG
 from ..simmpi.topology import RadixTree
@@ -93,24 +94,34 @@ class PhaseTracker:
 
         mismatch = 1 if self.old_callpath != current_callpath else 0
         if comm.engine.faults.active:
-            return await self._decide_ft(comm, current_callpath, mismatch,
-                                         failed)
-        glob = await comm.reduce(mismatch, op=SUM, root=0, size=8)
-        glob = await comm.bcast(glob, root=0, size=8)
+            glob, missing = await self._vote_ft(comm, mismatch, failed)
+        else:
+            glob = await comm.reduce(mismatch, op=SUM, root=0, size=8)
+            glob = await comm.bcast(glob, root=0, size=8)
+            missing = 0
         self.votes += 1
         self.old_callpath = current_callpath
+        return self._transition(glob, missing)
 
-        if glob == 0:
+    def _transition(self, glob: int | None, missing: int) -> MarkerDecision:
+        """The transition graph: the vote's global mismatch count (None
+        when too few votes arrived to trust it) and the number of missing
+        votes to this marker's decision, updating the two flags."""
+        if glob is None:
+            # Safest is for everyone to trace: leave any lead phase and
+            # fall through to AT with Re-Clustering re-armed.
+            self.lead_flag = False
+        elif glob == 0:
             if self.re_clustering:
                 self.re_clustering = False
                 return MarkerDecision(
-                    MarkerState.C, do_cluster=True, do_merge=True
+                    MarkerState.C, do_cluster=True, do_merge=True,
+                    votes_missing=missing,
                 )
             # Steady lead phase: leads keep tracing, nothing to do.
             self.lead_flag = True
-            return MarkerDecision(MarkerState.L)
-
-        if self.lead_flag:
+            return MarkerDecision(MarkerState.L, votes_missing=missing)
+        elif self.lead_flag:
             # Pattern broke during the lead phase: flush lead traces.  The
             # paper's Algorithm 1 listing does not re-arm Re-Clustering
             # here, but its Figure 2 sends all processes back to AT ("all
@@ -121,87 +132,6 @@ class PhaseTracker:
             self.lead_flag = False
             self.re_clustering = True
             return MarkerDecision(
-                MarkerState.L, do_merge=True, phase_changed=True
-            )
-
-        self.re_clustering = True
-        return MarkerDecision(MarkerState.AT, phase_changed=True)
-
-    # -- fault-tolerant vote ------------------------------------------------
-
-    async def _decide_ft(
-        self,
-        comm: Communicator,
-        current_callpath: int,
-        mismatch: int,
-        failed: frozenset[int],
-    ) -> MarkerDecision:
-        """The vote under fault injection: reduce ``(mismatch, votes)``
-        pairs over a radix tree spanning only the *alive* ranks.
-
-        ``failed`` is an epoch-consistent snapshot (the same frozenset on
-        every rank of this marker round — the simulation's stand-in for a
-        ULFM-style agreement), so all alive ranks build the same tree and
-        take the same branch.  Votes can still go missing (messages dropped
-        past the retry budget, a rank dying mid-vote): the pair's count
-        says how many arrived, and when fewer than ``vote_quorum`` of the
-        world — or fewer than the alive ranks we expected — voted, the
-        tracker conservatively drops back to AT and re-arms re-clustering.
-        """
-        alive = [r for r in range(comm.size) if r not in failed]
-        tree = RadixTree(alive, arity=2)
-        me = comm.rank
-
-        total, nvotes = mismatch, 1
-        for child in reversed(tree.children(me)):
-            got = await comm.recv(child, tag=VOTE_TAG)
-            if got is LOST:
-                continue
-            t, n = got
-            total += t
-            nvotes += n
-        parent = tree.parent(me)
-        if parent is not None:
-            await comm.send(parent, (total, nvotes), tag=VOTE_TAG, size=16)
-            result = await comm.recv(parent, tag=VOTE_RESULT_TAG)
-        else:
-            result = (total, nvotes)
-        for child in tree.children(me):
-            await comm.send(child, result, tag=VOTE_RESULT_TAG, size=16)
-
-        self.votes += 1
-        self.old_callpath = current_callpath
-
-        if result is LOST:
-            # Cut off from the vote result entirely: safest is to trace.
-            self.lead_flag = False
-            self.re_clustering = True
-            return MarkerDecision(
-                MarkerState.AT, phase_changed=True, votes_missing=comm.size
-            )
-        glob, nvotes = result
-        missing = comm.size - nvotes
-        if nvotes < len(alive) or nvotes < self.vote_quorum * comm.size:
-            # Too many votes missing to trust the transition graph.
-            self.lead_flag = False
-            self.re_clustering = True
-            return MarkerDecision(
-                MarkerState.AT, phase_changed=True, votes_missing=missing
-            )
-
-        if glob == 0:
-            if self.re_clustering:
-                self.re_clustering = False
-                return MarkerDecision(
-                    MarkerState.C, do_cluster=True, do_merge=True,
-                    votes_missing=missing,
-                )
-            self.lead_flag = True
-            return MarkerDecision(MarkerState.L, votes_missing=missing)
-        if self.lead_flag:
-            self.lead_flag = False
-            self.re_clustering = True
-            return MarkerDecision(
                 MarkerState.L, do_merge=True, phase_changed=True,
                 votes_missing=missing,
             )
@@ -209,6 +139,46 @@ class PhaseTracker:
         return MarkerDecision(
             MarkerState.AT, phase_changed=True, votes_missing=missing
         )
+
+    # -- fault-tolerant vote ------------------------------------------------
+
+    async def _vote_ft(
+        self, comm: Communicator, mismatch: int, failed: frozenset[int]
+    ) -> tuple[int | None, int]:
+        """The vote under fault injection: reduce ``(mismatch, votes)``
+        pairs over a radix tree spanning only the *alive* ranks, then pass
+        the root's pair back down.  Returns ``(global mismatch, votes
+        missing)``.
+
+        ``failed`` is an epoch-consistent snapshot (the same frozenset on
+        every rank of this marker round — the simulation's stand-in for a
+        ULFM-style agreement), so all alive ranks build the same tree and
+        take the same branch.  Votes can still go missing (messages dropped
+        past the retry budget, a rank dying mid-vote): the pair's count
+        says how many arrived, and when fewer than ``vote_quorum`` of the
+        world — or fewer than the alive ranks we expected — voted, or this
+        rank was cut off from the result entirely, the mismatch count is
+        None: the tracker conservatively drops back to AT and re-arms
+        re-clustering.
+        """
+        alive = [r for r in range(comm.size) if r not in failed]
+        tree = RadixTree(alive, arity=2)
+        me = comm.rank
+        result = await reduce_over_tree(
+            comm, tree, (mismatch, 1), VOTE_TAG,
+            lambda mine, got: (mine[0] + got[0], mine[1] + got[1]),
+            lambda pair: 16,
+        )
+        if result is None:  # not the root: the result comes back down
+            result = await comm.recv(tree.parent(me), tag=VOTE_RESULT_TAG)
+        for child in tree.children(me):
+            await comm.send(child, result, tag=VOTE_RESULT_TAG, size=16)
+        if result is LOST:
+            return None, comm.size
+        glob, nvotes = result
+        if nvotes < len(alive) or nvotes < self.vote_quorum * comm.size:
+            glob = None
+        return glob, comm.size - nvotes
 
     def force_final(self) -> MarkerDecision:
         """``MPI_Finalize``: re-clustering is forced (at least the finalize

@@ -7,8 +7,13 @@ inter-node compression: all P ranks reduce their compressed traces over a
 radix tree rooted at rank 0, interior nodes merging child traces into their
 own — the ``O(n^2 log P)`` step whose cost Chameleon attacks.
 
-Recording can be switched off per rank (``tracer.enabled``); Chameleon uses
-this for non-lead processes in the L state, which is where the paper's
+Two per-rank flags gate the event path (:meth:`ScalaTraceTracer._record`).
+``tracer.enabled = False`` takes the whole interposition layer out: no
+stack walk, no signatures, the call is only counted as skipped (a test and
+fidelity-comparison switch; nothing in ``src/`` clears it).
+``tracer.tracing = False`` stops *building trace records* while the stack
+signature of every call keeps flowing into the signature hook — Chameleon
+sets it on non-lead processes in the L state, which is where the paper's
 Table IV space savings come from.
 """
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..faults.injector import LOST
-from ..simmpi.collectives import SUM
+from ..simmpi.collectives import SUM, Communicator
 from ..simmpi.comm import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Request
 from ..simmpi.datatypes import payload_nbytes
 from ..simmpi.launcher import RankContext
@@ -52,6 +57,43 @@ class TracerStats:
     bytes_by_state: dict[str, int] = field(default_factory=dict)
 
 
+async def reduce_over_tree(
+    comm: Communicator,
+    tree: RadixTree,
+    value: Any,
+    tag: int,
+    combine: Callable[[Any, Any], Any],
+    size_of: Callable[[Any], int],
+    stats: TracerStats | None = None,
+) -> Any:
+    """One up-sweep of ``tree`` (Algorithm 3's reduction step), run by every
+    member: receive the children's values in reverse order, ``combine`` each
+    into ``value``, send the result to the parent.  Returns the reduced
+    value on the tree root and None on every other member.
+
+    A child's value that arrives as a ``LOST`` hole (dropped past the retry
+    budget, or the child died) is skipped: that subtree's contribution is
+    gone.  With ``stats``, the virtual time spent in the receives and the
+    send is added to its ``merge_comm_time``.
+    """
+    task, rank = comm.task, comm.rank
+    for child in reversed(tree.children(rank)):
+        tc0 = task.clock
+        got = await comm.recv(child, tag=tag)
+        if stats is not None:
+            stats.merge_comm_time += task.clock - tc0
+        if got is not LOST:
+            value = combine(value, got)
+    parent = tree.parent(rank)
+    if parent is None:
+        return value
+    tc0 = task.clock
+    await comm.send(parent, value, tag=tag, size=size_of(value))
+    if stats is not None:
+        stats.merge_comm_time += task.clock - tc0
+    return None
+
+
 class ScalaTraceTracer:
     """Interposition layer recording one rank's MPI activity."""
 
@@ -72,10 +114,13 @@ class ScalaTraceTracer:
         self.meter = WorkMeter()
         self.compressor = IntraCompressor(window=window, meter=self.meter)
         self.walker = StackWalker()
+        #: the interposition layer is on (see the module docstring)
         self.enabled = True
+        #: building trace records (False on Chameleon's non-leads during
+        #: the lead phase: signatures only)
+        self.tracing = True
         self.stats = TracerStats()
         self._last_event_end = ctx.clock
-        self._interval_records: list[EventRecord] = []  # since last marker
 
     # -- identity -----------------------------------------------------------
 
@@ -99,18 +144,30 @@ class ScalaTraceTracer:
         nbytes: int = 0,
         tag: int = 0,
         comm_id: int | None = None,
-    ) -> EventRecord | None:
-        """PMPI pre-wrapper: build and compress the event record.
-
-        Returns the record (or None when tracing is disabled) so subclasses
-        can feed signature accumulators.
+    ) -> int | None:
+        """PMPI pre-wrapper, the one event path of every tracer: capture
+        the call site, feed the signature hook, then either build and
+        compress the event record or (``tracing`` off) only charge the
+        signature.  Returns the stack signature, None when the layer is
+        disabled.
         """
         if not self.enabled:
             self.stats.events_skipped += 1
             return None
         t0 = self.ctx.clock
-        dt = max(self.ctx.clock - self._last_event_end, 0.0)
         sig, frames = self.walker.capture(self.ctx.task.logical_stack)
+        self._track_signature(
+            sig,
+            None if src is None else src - self.rank,
+            None if dest is None else dest - self.rank,
+        )
+        if not self.tracing:
+            # No trace is built (zero allocation); the signature above is
+            # what lets this rank still vote on phase changes (paper Fig. 2).
+            self.stats.events_skipped += 1
+            self.ctx.compute(self.costs.per_signature_event)
+            return sig
+        dt = max(t0 - self._last_event_end, 0.0)
         rec = EventRecord(
             op=op,
             stack_sig=sig,
@@ -126,7 +183,6 @@ class ScalaTraceTracer:
         rec.dhist.record(dt)
         work0 = self.meter.total
         self.compressor.append(rec)
-        self._interval_records.append(rec)
         self.stats.events_recorded += 1
         charge = (
             self.costs.per_event_record
@@ -141,21 +197,27 @@ class ScalaTraceTracer:
                               op=op.name.lower(), t=self.ctx.clock)
             ins.metrics.count("record/time", self.ctx.clock - t0,
                               rank=self.rank, t=self.ctx.clock)
-        return rec
+        return sig
+
+    def _track_signature(
+        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
+    ) -> None:
+        """Signature hook of the event path: called once per intercepted
+        call with its stack signature and relative endpoint offsets,
+        whether or not a record is built.  Plain ScalaTrace keeps no
+        signatures; the clustering tracers fill this in."""
 
     def _post(self) -> None:
         """PMPI post-wrapper: next delta time starts after the call."""
         self._last_event_end = self.ctx.clock
 
+    async def _collective_done(self, stack_sig: int | None) -> None:
+        """Post-wrapper of every collective: the one collective-completion
+        point (the auto-marker tracer hangs its anchor detector here)."""
+        self._post()
+
     def current_bytes(self) -> int:
         return self.compressor.size_bytes()
-
-    def interval_records(self) -> list[EventRecord]:
-        """Events recorded since the last :meth:`clear_interval` call."""
-        return list(self._interval_records)
-
-    def clear_interval(self) -> None:
-        self._interval_records.clear()
 
     # -- traced MPI API ------------------------------------------------------
 
@@ -283,57 +345,59 @@ class ScalaTraceTracer:
                         await self.recv(op[1], tag=op[2])
 
     async def barrier(self) -> None:
-        self._record(Op.BARRIER)
+        sig = self._record(Op.BARRIER)
         await self.comm.barrier()
-        self._post()
+        await self._collective_done(sig)
 
     async def bcast(self, value: Any, root: int = 0, size: int | None = None) -> Any:
         nbytes = payload_nbytes(value) if size is None else int(size)
-        self._record(Op.BCAST, root=root, nbytes=nbytes)
+        sig = self._record(Op.BCAST, root=root, nbytes=nbytes)
         out = await self.comm.bcast(value, root=root, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def reduce(
         self, value: Any, op=None, root: int = 0, size: int | None = None
     ) -> Any:
         nbytes = payload_nbytes(value) if size is None else int(size)
-        self._record(Op.REDUCE, root=root, nbytes=nbytes)
+        sig = self._record(Op.REDUCE, root=root, nbytes=nbytes)
         out = await self.comm.reduce(value, op=op or SUM, root=root, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def allreduce(self, value: Any, op=None, size: int | None = None) -> Any:
         nbytes = payload_nbytes(value) if size is None else int(size)
-        self._record(Op.ALLREDUCE, nbytes=nbytes)
+        sig = self._record(Op.ALLREDUCE, nbytes=nbytes)
         out = await self.comm.allreduce(value, op=op or SUM, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def gather(self, value: Any, root: int = 0, size: int | None = None):
         nbytes = payload_nbytes(value) if size is None else int(size)
-        self._record(Op.GATHER, root=root, nbytes=nbytes)
+        sig = self._record(Op.GATHER, root=root, nbytes=nbytes)
         out = await self.comm.gather(value, root=root, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def scatter(self, values, root: int = 0, size: int | None = None):
-        self._record(Op.SCATTER, root=root, nbytes=0 if size is None else size)
+        sig = self._record(
+            Op.SCATTER, root=root, nbytes=0 if size is None else size
+        )
         out = await self.comm.scatter(values, root=root, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def allgather(self, value: Any, size: int | None = None):
         nbytes = payload_nbytes(value) if size is None else int(size)
-        self._record(Op.ALLGATHER, nbytes=nbytes)
+        sig = self._record(Op.ALLGATHER, nbytes=nbytes)
         out = await self.comm.allgather(value, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def alltoall(self, values, size: int | None = None):
-        self._record(Op.ALLTOALL, nbytes=0 if size is None else size)
+        sig = self._record(Op.ALLTOALL, nbytes=0 if size is None else size)
         out = await self.comm.alltoall(values, size=size)
-        self._post()
+        await self._collective_done(sig)
         return out
 
     async def marker(self):
@@ -362,27 +426,20 @@ class ScalaTraceTracer:
         if self.rank not in tree:
             return None
         t0 = self.ctx.clock
-        for child in reversed(tree.children(self.rank)):
-            tc0 = self.ctx.clock
-            child_trace: Trace = await self.comm.recv(child, tag=TRACE_TAG)
-            self.stats.merge_comm_time += self.ctx.clock - tc0
-            if child_trace is LOST:
-                continue  # fault hole: the child's partial trace is gone
+
+        def merge(trace: Trace, child_trace: Trace) -> Trace:
             work0 = self.meter.total
             trace.nodes = merge_traces(trace.nodes, child_trace.nodes, self.meter)
             trace.origin = trace.origin.union(child_trace.origin)
             self.ctx.compute(
                 (self.meter.total - work0) * self.costs.per_merge_cell
             )
-        parent = tree.parent(self.rank)
-        result: Trace | None = trace
-        if parent is not None:
-            tc0 = self.ctx.clock
-            await self.comm.send(
-                parent, trace, tag=TRACE_TAG, size=trace.size_bytes()
-            )
-            self.stats.merge_comm_time += self.ctx.clock - tc0
-            result = None
+            return trace
+
+        result: Trace | None = await reduce_over_tree(
+            self.comm, tree, trace, TRACE_TAG, merge, Trace.size_bytes,
+            self.stats,
+        )
         self.stats.merge_time += self.ctx.clock - t0
         ins = self.obs
         if ins.enabled:
@@ -394,14 +451,16 @@ class ScalaTraceTracer:
                               rank=self.rank, t=self.ctx.clock)
         return result
 
-    async def finalize(self) -> Trace | None:
+    async def finalize(self, members: Sequence[int] | None = None) -> Trace | None:
         """ScalaTrace's ``MPI_Finalize`` wrapper: global inter-node merge.
 
-        Returns the global trace on rank 0 and ``None`` on other ranks.
+        Returns the global trace on rank 0 and ``None`` on other ranks
+        (with ``members`` — the survivors of a faulted run — on the first
+        member).
         """
         local = Trace(
             nodes=self.compressor.take_nodes(),
             origin=RankSet.single(self.rank),
             nprocs=self.nprocs,
         )
-        return await self.merge_over_tree(local)
+        return await self.merge_over_tree(local, members)

@@ -1,14 +1,18 @@
 """End-to-end Chameleon tracer behaviour on the simulated runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
     AcurdionTracer,
+    AutoMarkerTracer,
     ChameleonConfig,
     ChameleonTracer,
     MarkerState,
 )
-from repro.scalatrace import Op, Trace
+from repro.scalatrace import Op, ScalaTraceTracer, StackWalker, Trace
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
 
 
@@ -273,3 +277,85 @@ class TestAcurdion:
         t_cham = max(run_spmd(cham, 8).results)
         t_acur = max(run_spmd(acur, 8).results)
         assert t_acur < t_cham
+
+
+class CountingWalker(StackWalker):
+    """Counts the stack walks a tracer performs."""
+
+    calls = 0
+
+    def capture(self, logical_stack=()):
+        self.calls += 1
+        return super().capture(logical_stack)
+
+
+class TestEventPath:
+    """Every tracer class runs the one event path of
+    ``ScalaTraceTracer._record``: one stack walk per intercepted call, and
+    no per-event state beyond the compressed tree."""
+
+    @pytest.mark.parametrize("make, has_non_leads", (
+        (ScalaTraceTracer, False),
+        (lambda ctx: ChameleonTracer(ctx, ChameleonConfig(k=2)), True),
+        (lambda ctx: AcurdionTracer(ctx, ChameleonConfig(k=2)), False),
+        (lambda ctx: AutoMarkerTracer(ctx, ChameleonConfig(k=2)), True),
+    ), ids=("scalatrace", "chameleon", "acurdion", "automarker"))
+    def test_one_stack_walk_per_intercepted_call(self, make, has_non_leads):
+        async def main(ctx):
+            tracer = make(ctx)
+            tracer.walker = CountingWalker()
+            for _ in range(10):
+                await stencil_step(ctx, tracer)
+                await tracer.marker()
+            calls = tracer.walker.calls
+            await tracer.finalize()
+            return calls, tracer.stats
+
+        res = run_spmd(main, 8, config=SimConfig(network=ZERO_COST))
+        for calls, stats in res.results:
+            assert calls == stats.events_recorded + stats.events_skipped
+        # the signature-only branch (non-leads in the lead phase) was taken
+        skipped = sum(stats.events_skipped for _, stats in res.results)
+        assert (skipped > 0) == has_non_leads
+
+    @pytest.mark.parametrize("make", (
+        ScalaTraceTracer,
+        # a call site per rank and K >= P: every rank is its own cluster's
+        # lead and traces through the lead phase
+        lambda ctx: ChameleonTracer(ctx, ChameleonConfig(k=4)),
+    ), ids=("scalatrace", "chameleon-lead"))
+    def test_folded_events_are_not_retained(self, make):
+        """A rank that records N foldable events holds the compressed
+        tree's few records afterwards, not N raw ones."""
+        steps, per_step = 50, 4
+
+        async def main(ctx):
+            tracer = make(ctx)
+            born = []
+            append = tracer.compressor.append
+
+            def tap(record):
+                born.append(weakref.ref(record))
+                append(record)
+
+            tracer.compressor.append = tap
+            for _ in range(steps):
+                for _ in range(per_step):
+                    with ctx.frame(f"kernel_{ctx.rank}"):
+                        await tracer.allreduce(1.0)
+                await tracer.marker()
+            gc.collect()
+            live = sum(ref() is not None for ref in born)
+            leaves = tracer.compressor.leaf_count()
+            online = getattr(tracer, "online", None)
+            if online is not None:
+                leaves += online.leaf_count()
+            await tracer.finalize()
+            return len(born), live, leaves
+
+        res = run_spmd(main, 2, config=SimConfig(network=ZERO_COST))
+        assert [born for born, _, _ in res.results] == [steps * per_step] * 2
+        # summed over the ranks: a lead's merged records live on in rank
+        # 0's online trace (messages pass references in the simulation)
+        live = sum(live for _, live, _ in res.results)
+        assert live <= sum(leaves for _, _, leaves in res.results)

@@ -1,4 +1,4 @@
-"""Remaining tracer API surface: collectives, intervals, subset merges."""
+"""Remaining tracer API surface: collectives, counters, subset merges."""
 
 import pytest
 
@@ -8,9 +8,25 @@ from repro.simmpi import (ANY_SOURCE, ZERO_COST, NeighborPattern, SimConfig,
 from repro.simmpi.errors import TaskFailedError
 
 
-def run_traced(prog, nprocs):
+class RecordingTracer(ScalaTraceTracer):
+    """Keeps every raw event record it hands to its compressor (the tracer
+    itself holds only the compressed tree)."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.records = []
+        append = self.compressor.append
+
+        def keep(record):
+            self.records.append(record)
+            append(record)
+
+        self.compressor.append = keep
+
+
+def run_traced(prog, nprocs, tracer_cls=ScalaTraceTracer):
     async def main(ctx):
-        tracer = ScalaTraceTracer(ctx)
+        tracer = tracer_cls(ctx)
         ret = await prog(ctx, tracer)
         return {"ret": ret, "tracer": tracer}
 
@@ -58,21 +74,6 @@ class TestTracedCollectives:
 
 
 class TestIntervalTracking:
-    def test_interval_records_and_clear(self):
-        async def prog(ctx, tr):
-            await tr.barrier()
-            await tr.barrier()
-            n1 = len(tr.interval_records())
-            tr.clear_interval()
-            n2 = len(tr.interval_records())
-            await tr.barrier()
-            n3 = len(tr.interval_records())
-            await tr.finalize()
-            return (n1, n2, n3)
-
-        res = run_traced(prog, 2)
-        assert res.results[0]["ret"] == (2, 0, 1)
-
     def test_peak_bytes_monotone(self):
         async def prog(ctx, tr):
             peaks = []
@@ -169,10 +170,9 @@ class TestDeclaredExchange:
 
         async def prog(ctx, tr):
             await tr.exchange(pattern, compute=ctx.compute)
-            return [(r.op, r.stack_sig, r.frames[-1])
-                    for r in tr.interval_records()]
+            return [(r.op, r.stack_sig, r.frames[-1]) for r in tr.records]
 
-        res = run_traced(prog, 4)
+        res = run_traced(prog, 4, RecordingTracer)
         for out in res.results:
             recs = out["ret"]
             assert [r[0] for r in recs] == [Op.ISEND, Op.RECV] * 2
@@ -188,9 +188,9 @@ class TestDeclaredExchange:
 
         async def prog(ctx, tr):
             await tr.exchange(pattern)
-            return [(r.op, r.tag.mean) for r in tr.interval_records()]
+            return [(r.op, r.tag.mean) for r in tr.records]
 
-        res = run_traced(prog, 4)
+        res = run_traced(prog, 4, RecordingTracer)
         for out in res.results:
             assert out["ret"] == [(Op.SENDRECV, 3), (Op.ISEND, 4),
                                   (Op.RECV, 4)]
