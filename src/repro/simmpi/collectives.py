@@ -33,33 +33,41 @@ window — and returns the rank's result.  Two interpreters run it:
   ineligible instance falls back to, and what the bit-identity suites
   compare against;
 * the *closed-form* one, :class:`repro.simmpi.replay.Replay`: the first
-  rank to reach a collective opens a :class:`_CollGate`, later ranks join
-  it, and the last arrival replays all ranks' schedules — or, for large
-  barriers and eager bcast/reduce, an array recurrence — evaluating the
-  same :class:`~repro.simmpi.timing.NetworkModel` cost helpers as
+  rank to reach an instance opens a :class:`_Gate`, later ranks join it,
+  and the last arrival replays all ranks' schedules — or, for large
+  barriers, eager bcast/reduce and slot-aligned exchanges, an array
+  recurrence — evaluating the same
+  :class:`~repro.simmpi.timing.NetworkModel` cost helpers as
   :mod:`repro.simmpi.comm`, then bulk-advances every participant's clock
   in one scheduler step.
 
 Both produce bit-identical virtual clocks, busy times and results; the
 closed form just never touches the Mailbox and never parks a task per
-round.  ``Communicator.exchange`` runs declared p2p patterns the same way:
-``patterns._g_script`` is the schedule, the same two interpreters run it.
+round.
 
-A collective is *eligible* for the closed form only when nothing outside
-the gate could observe the difference: no armed fault intersects the
-participants, no pending receive could match the collective's private tag
-window, and instrumentation (if any) asks for ``"span"`` granularity.
-Anything else takes the message-level interpreter — per rank *and* per
-instance, with the verdict cached on the gate so all participants always
-agree.  Only there can a fault punch a ``LOST`` hole into a receive, so
-the schedules' hole-handling branches never run under the closed form.
+**One gate, every kind.**  A declared p2p pattern
+(``Communicator.exchange``) is one more gate *kind* next to ``barrier`` …
+``scan``: ``patterns._g_script`` is its schedule, and the same gate class,
+consult/join pair, verdict function, replay dispatch, settle and
+message-level tail run it.  A kind contributes data — its schedule, the
+sequence counter that numbers its instances, the ``SimConfig`` switch and
+engine counters it answers to — and the inputs its verdict reads.
 
-**One gate protocol, context-parameterised.**  How many ranks a gate waits
-for and what happens once it fills are the context's answer
-(:attr:`CommContext.gate_quorum`, :meth:`CommContext.gate_filled`): the
-whole communicator and an in-process replay here, one shard's block and a
-hand-off to the owner shard in :mod:`repro.simmpi.sharded`.  See
-docs/PERF.md ("Macro-collectives").
+An instance is *eligible* for the closed form only when nothing outside
+the gate could observe the difference: no armed fault, pending receive or
+stray message that could touch it, and instrumentation (if any) at
+``"span"`` granularity.  Anything else takes the message-level interpreter
+— per rank *and* per instance, with the verdict cached on the gate so all
+participants always agree.  Only there can a fault punch a ``LOST`` hole
+into a receive, so the schedules' hole-handling branches never run under
+the closed form.  The fallback ledger of docs/INTERNALS.md lists every
+reason a verdict can return, the input it reads and the test reaching it.
+
+How many ranks a gate waits for and what happens once it fills are the
+context's answer (:attr:`CommContext.gate_quorum`,
+:meth:`CommContext.gate_filled`): the live members and an in-process
+replay here, one shard's block and a hand-off to the owner shard in
+:mod:`repro.simmpi.sharded`.  See docs/PERF.md ("Gates").
 """
 
 from __future__ import annotations
@@ -75,14 +83,8 @@ from .comm import Comm, CommContext, MAX_USER_TAG
 from .datatypes import payload_nbytes
 from .errors import CollectiveMismatchError, PatternMismatchError
 from .futures import SimFuture
-from .patterns import (
-    NeighborPattern,
-    RUN_SIM,
-    _P2PEntry,
-    _P2PGate,
-    _g_script,
-    resolve_p2p_gate,
-)
+from .patterns import NeighborPattern, _g_script, slots_vector
+from .rankstate import RankStateColumns
 from .replay import EAGER_DONE, RankState, Replay
 from .schedules import binomial_children, binomial_parent, binomial_subtree
 
@@ -321,7 +323,7 @@ def _g_scan(rank, size, value, op, nbytes):
 
 
 #: kind -> schedule-generator factory, called as ``factory(rank, size,
-#: *genargs)``.  Dispatchers hand :meth:`Communicator._join_fast` the plain
+#: *genargs)``.  Dispatchers hand :meth:`Communicator._join` the plain
 #: ``genargs`` tuple instead of a live generator so a gate entry stays
 #: picklable — the sharded engine ships entries to the coordinator process
 #: and reconstructs the generators there from this same map.
@@ -335,6 +337,15 @@ _GEN_FACTORIES: dict[str, Callable[..., Any]] = {
     "alltoall": _g_alltoall,
     "scan": _g_scan,
 }
+
+
+def _schedule(kind: str, root: Any, rank: int, size: int, genargs: tuple):
+    """``rank``'s schedule generator for one gated instance.  An exchange
+    has no per-rank arguments: its script is in the pattern, the gate's
+    ``root``."""
+    if kind == "exchange":
+        return _g_script(root.ops[rank])
+    return _GEN_FACTORIES[kind](rank, size, *genargs)
 
 
 # -- macro fast path: vector replays -----------------------------------------
@@ -493,27 +504,39 @@ def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
     return True
 
 
-def _run_replay(kind: str, root: int | None, net,
-                entries: list, size: int) -> Replay:
+def _run_replay(kind: str, root: Any, net, entries: list, size: int,
+                collect: bool = False) -> Replay:
     """Run one gate instance through the cheapest bit-exact replay.
 
-    Large barriers and eager bcast/reduce take the array replays;
-    everything else (and any tree the array replay declines) drives the
-    schedule generators through the scalar core.  Generators are only
-    built when that path actually runs.  Shared by the single-process
-    gate and the sharded engine's owner-shard replay.
+    Large barriers, eager bcast/reduce and slot-aligned exchanges take the
+    array replays; everything else (and anything an array replay declines)
+    drives the schedule generators through the scalar core.  Generators
+    are only built when that path actually runs.  ``collect`` makes the
+    core record the per-message obs events of an exchange, which only it
+    can.  Shared by the single-process gate and the sharded engine's
+    owner-shard replay.
     """
-    sim = Replay(net, [RankState(e) for e in entries])
-    if size >= _VEC_MIN_SIZE:
+    if kind == "exchange":
+        # A script has no user callable whose raise order the arrival
+        # order would decide, and the slot columns are positional.
+        entries.sort(key=_entry_rank)
+        cols = None if collect else slots_vector(root, entries, net)
+        if cols is not None:
+            sim = Replay(net, ())
+            sim.states = cols  # columnar: _Gate.settle lands them in bulk
+            sim.total_messages = root.total_messages
+            sim.total_bytes = root.total_bytes
+            return sim
+    sim = Replay(net, [RankState(e, collect) for e in entries])
+    if kind != "exchange" and size >= _VEC_MIN_SIZE:
         if kind == "barrier":
             _barrier_vector(sim, size)
             return sim
         if (kind == "bcast" or kind == "reduce") and \
                 _tree_vector(sim, entries, kind, root, size):
             return sim
-    factory = _GEN_FACTORIES[kind]
     for st, e in zip(sim.states.values(), entries):
-        st.gen = factory(e.rank, size, *e.genargs)
+        st.gen = _schedule(kind, root, e.rank, size, e.genargs)
     sim.run()
     return sim
 
@@ -527,7 +550,18 @@ class _Raised:
         self.exc = exc
 
 
+#: What an aborted gate resolves its parked entries with: rerun this
+#: instance on the message-level path, from your join clock.
+RUN_SIM = object()
+
 _entry_rank = attrgetter("rank")
+
+
+def _tag_base(seq: int) -> int:
+    """First tag of collective instance ``seq``'s private window.  Windows
+    start well above MAX_USER_TAG (tags 1..1023 above it are reserved for
+    tool traffic such as trace shipping)."""
+    return MAX_USER_TAG + 1024 + seq * _TAG_STRIDE
 
 
 class _GateEntry:
@@ -555,32 +589,55 @@ class _GateEntry:
         self.bytes_recvd0 = task.bytes_received
 
 
-class _CollGate:
-    """Rendezvous point for one collective instance on one communicator.
+class _Gate:
+    """Rendezvous point for one gated instance — a collective or a declared
+    exchange — on one communicator.
 
     The first arriving rank computes the fast-vs-simulated verdict
-    (``reason`` is ``None`` for fast, else the fallback tag); the verdict
-    is cached so every participant takes the same path.  Fast joiners
-    register a :class:`_GateEntry` and park on a ``coll`` future; the last
-    arrival replays the whole instance (:func:`_run_replay`) and resolves
-    everyone in one bulk advance.
+    (``reason`` is ``None`` for fast, else a fallback reason of the ledger
+    in docs/INTERNALS.md); the verdict is cached so every participant takes
+    the same path.  Fast joiners register a :class:`_GateEntry` and park;
+    the last arrival replays the whole instance (:func:`_run_replay`) and
+    resolves everyone in one bulk advance.  A conflict that only shows up
+    between arrivals aborts the gate instead (:meth:`abort`).
+
+    ``root`` is what, beyond ``kind``, all ranks of the instance must agree
+    on: the root rank of a rooted collective, the pattern of an exchange
+    (patterns compare by content), else ``None``.  ``awaited`` counts the live ranks
+    still to consult; at zero the gate leaves the context's table and, on
+    the fast path, is full.
     """
 
-    __slots__ = ("kind", "root", "reason", "expected", "consulted", "entries")
+    __slots__ = ("kind", "root", "seq", "reason", "awaited", "entries")
 
-    def __init__(self, kind: str, root: int | None, reason: str | None,
-                 expected: int) -> None:
+    def __init__(self, kind: str, root: Any, seq: int, reason: str | None,
+                 awaited: int) -> None:
         self.kind = kind
         self.root = root
+        self.seq = seq
         self.reason = reason
-        self.expected = expected
-        self.consulted = 0
+        self.awaited = awaited
         self.entries: list[_GateEntry] = []
+
+    @property
+    def name(self) -> str:
+        """The instance's ``op`` label: a pattern's name, else the kind."""
+        return self.root.name if self.kind == "exchange" else self.kind
+
+    def abort(self, engine, reason: str) -> None:
+        """Late conflict: the verdict becomes ``reason`` and every parked
+        entry is released to the message-level path at its own join clock
+        (parking cost nothing in virtual time)."""
+        self.reason = reason
+        entries, self.entries = self.entries, []
+        engine.wave_resolve([(e.fut, RUN_SIM, e.clock0) for e in entries])
 
     def complete(self, ctx: CommContext) -> None:
         engine = ctx.engine
-        sim = _run_replay(self.kind, self.root, engine.network,
-                          self.entries, self.expected)
+        entries = self.entries
+        sim = _run_replay(
+            self.kind, self.root, engine.network, entries, len(entries),
+            self.kind == "exchange" and engine.instrument.enabled)
         engine.total_messages += sim.total_messages
         engine.total_bytes += sim.total_bytes
         if sim.failure is not None:
@@ -591,26 +648,33 @@ class _CollGate:
             # simulated path; with faults the op-timeout backstop releases
             # them, as it releases any rank orphaned mid-collective.
             st = sim.failed_state
-            entry = next(e for e in self.entries if e.rank == st.rank)
+            entry = next(e for e in entries if e.rank == st.rank)
             st.write_back(entry.task)
             engine.wave_resolve(
                 [(entry.fut, _Raised(sim.failure), st.clock)]
             )
             return
-        self.entries.sort(key=_entry_rank)  # wake order: by rank
+        entries.sort(key=_entry_rank)  # wake order: by rank
         self.settle(ctx, sim.states)
 
-    def settle(self, ctx: CommContext, states: dict) -> None:
+    def settle(self, ctx: CommContext, states) -> None:
         """Finish the replayed gate for the entries parked in this process:
-        write each one's :class:`~repro.simmpi.replay.RankState` back onto
-        its task, emit its span and counters, and resolve all of them in
-        one bulk advance, in ``entries`` order.  Shared by the in-process
-        gate and both sides of the sharded owner replay."""
+        write each one's replayed state (``rank -> RankState``, or whole
+        columns) back onto its task, emit what its message-level run would
+        have, and resolve all of them in one bulk advance, in ``entries``
+        order.  Shared by the in-process gate and both sides of the sharded
+        owner replay."""
         engine = ctx.engine
+        if type(states) is RankStateColumns:
+            # A slot-replayed exchange, entries in rank order: uninstrumented
+            # (nothing to emit) and fault-free (nobody was released early).
+            states.write_back([e.task for e in self.entries])
+            engine.wave_resolve(
+                [(e.fut, None, t)
+                 for e, t in zip(self.entries, states.clock.tolist())])
+            return
         ins = engine.instrument
         emit = ins.enabled
-        kind = self.kind
-        algorithm = _ALGORITHMS[kind]
         resolutions = []
         for entry in self.entries:
             if entry.fut.done:
@@ -621,124 +685,192 @@ class _CollGate:
             st = states[entry.rank]
             st.write_back(entry.task)
             if emit:
-                _emit_coll(ins, ctx, entry.rank, kind, algorithm,
-                           entry.clock0, st.clock, True)
+                self._emit(ins, ctx, entry.rank, entry.clock0, st)
             resolutions.append((entry.fut, st.result, st.clock))
         engine.wave_resolve(resolutions)
+
+    def _emit(self, ins, ctx: CommContext, rank: int, t0: float,
+              st: RankState) -> None:
+        """What ``rank``'s message-level run of this instance would have
+        emitted at span granularity: a collective's one ``coll`` span; an
+        exchange's per-message events, which the core collected."""
+        kind = self.kind
+        if kind != "exchange":
+            _emit_coll(ins, ctx, rank, kind, _ALGORITHMS[kind], t0,
+                       st.clock, True)
+            return
+        for ev in st.events:
+            if ev[0] == "s":
+                ctx.emit_send(ins, rank, ev[2], ev[1])
+            else:
+                _, post, done, src, tag, nbytes, rdv = ev
+                ctx.emit_recv(ins, src, rank, tag, nbytes, rdv, post, done)
+        ins.metrics.count("p2p/fast_hits", 1, rank=ctx.ranks[rank],
+                          op=self.name, t=st.clock)
 
 
 class Communicator(Comm):
     """A :class:`Comm` with collective operations attached.
 
-    Public collective methods are thin dispatchers: they consult the
-    instance's :class:`_CollGate` and hand the schedule's arguments to the
-    interpreter its verdict names — :meth:`_join_fast` (closed form) or
-    :meth:`_simulate` (message level).  ``allreduce``, ``split`` and
-    ``dup`` are compositions of the leaf collectives and need no dispatch
-    of their own.
+    Public collective methods — and ``exchange``, one more gate kind — are
+    thin dispatchers onto :meth:`_gated`: consult the instance's
+    :class:`_Gate` and hand the schedule's arguments to the interpreter its
+    verdict names, :meth:`_join` (closed form) or :meth:`_simulate`
+    (message level).  ``allreduce``, ``split`` and ``dup`` are compositions
+    of the leaf collectives and need no dispatch of their own.
     """
 
-    # -- internal helpers ----------------------------------------------------
+    # -- the gate protocol -----------------------------------------------
 
-    def _claim_tags(self) -> int:
-        """Reserve a tag window for one collective instance.
+    def _traffic_reason(self) -> str | None:
+        """Mailbox-state eligibility of an exchange: its gate may only
+        bypass matching when nothing is queued or posted anywhere on this
+        communicator (only materialized mailboxes are visited, so an idle
+        communicator costs nothing to scan)."""
+        for mbox in self.context._mailboxes.values():
+            if mbox.has_wild_pending():
+                return "pending-wildcard"
+            if mbox.has_pending():
+                return "pending-recv"
+            if mbox.has_queued():
+                return "queued-traffic"
+        return None
 
-        Windows start well above MAX_USER_TAG (tags 1..1023 above it are
-        reserved for tool traffic such as trace shipping).
-        """
-        seq = self.context.coll_seq[self.rank]
-        self.context.coll_seq[self.rank] = seq + 1
-        self.task.collectives += 1
-        return MAX_USER_TAG + 1024 + seq * _TAG_STRIDE
-
-    def _fallback_reason(self, seq: int) -> str | None:
-        """Why collective instance ``seq`` must take the simulated path
-        (``None`` = the fast path is safe).  Evaluated once per instance by
+    def _fallback_reason(self, kind: str, seq: int) -> str | None:
+        """Why instance ``seq`` of ``kind`` must take the message-level
+        path (``None`` = the gate is safe).  Evaluated once per instance by
         the first arriving rank; every input is either static for the whole
-        run or can only strand the verdict on the safe (fallback) side."""
+        run or can only strand the verdict on the safe (fallback) side —
+        except an exchange's mailbox scan, which :meth:`_consult` repeats
+        at every arrival.  The only place reasons are decided; the ledger
+        in docs/INTERNALS.md lists each with the test that reaches it."""
         engine = self.engine
-        if engine.collectives != "fast":
+        exchange = kind == "exchange"
+        if (engine.p2p if exchange else engine.collectives) != "fast":
             return "disabled"
         ins = engine.instrument
         if ins.enabled and ins.granularity != "span":
             return "message-tracing"
+        if exchange:
+            if engine.faults.active:
+                # Any armed plan falls back — message/link faults perturb
+                # p2p directly, and compute factors are keyed to a per-rank
+                # draw sequence only the real ``ctx.compute`` path advances.
+                return "faults"
+            return self._traffic_reason()
         ctx = self.context
         reason = engine.faults.collective_fallback_reason(ctx.ranks)
         if reason is not None:
             return reason
-        base = MAX_USER_TAG + 1024 + seq * _TAG_STRIDE
-        hi = base + _TAG_STRIDE
+        base = _tag_base(seq)
         for mbox in ctx._mailboxes.values():
-            if mbox.has_tag_window(base, hi):
+            if mbox.has_tag_window(base, base + _TAG_STRIDE):
                 return "tag-window"
         return None
 
-    def _consult_gate(self, kind: str, root: int | None) -> _CollGate:
-        """Join the decision gate for this rank's next collective instance
-        and return it; ``gate.reason`` is ``None`` when the instance runs
-        on the fast path, else why it takes the message-level interpreter.
-        The verdict is computed once (first arrival) and cached, so all
-        ranks of one instance always take the same path.
+    def _consult(self, kind: str, root: Any) -> _Gate:
+        """Take this rank's next sequence number of ``kind``'s family, join
+        that instance's decision gate and return it; ``gate.reason`` is
+        ``None`` when the instance runs on the fast path, else why it takes
+        the message-level interpreter.  The verdict is computed once (first
+        arrival) and cached, so all ranks of one instance always take the
+        same path.  An exchange's mailbox scan is *re-checked* at every
+        arrival: traffic posted between arrivals (by ranks still short of
+        their exchange call) could interleave with the pattern's messages,
+        so a dirty scan aborts the gate.
         """
         ctx = self.context
-        seq = ctx.coll_seq[self.rank]
-        gate = ctx._gates.get(seq)
+        exchange = kind == "exchange"
+        seqs = ctx.p2p_seq if exchange else ctx.coll_seq
+        seq = seqs[self.rank]
+        key = (exchange, seq)
+        gate = ctx._gates.get(key)
         if gate is None:
-            gate = _CollGate(kind, root, self._fallback_reason(seq),
-                             ctx.gate_quorum)
-            ctx._gates[seq] = gate
+            gate = ctx._gates[key] = _Gate(
+                kind, root, seq, self._fallback_reason(kind, seq),
+                ctx.gate_quorum)
         elif gate.kind != kind or gate.root != root:
+            if exchange:
+                raise PatternMismatchError(
+                    f"rank {self.rank} called exchange({root.name!r}) as p2p "
+                    f"instance #{seq} but other ranks are in {gate.name!r}"
+                )
             raise CollectiveMismatchError(
                 f"rank {self.rank} called {kind}(root={root}) as collective "
                 f"#{seq} but other ranks are in "
                 f"{gate.kind}(root={gate.root})"
             )
-        gate.consulted += 1
-        if gate.consulted == gate.expected:
-            del ctx._gates[seq]
-        if gate.reason is not None:
-            engine = self.engine
-            engine.collectives_simulated += 1
-            ins = engine.instrument
-            if ins.enabled:
-                ins.metrics.count(
-                    "coll/fallbacks", 1, rank=self.world_rank(self.rank),
-                    op=f"{kind}:{gate.reason}", t=self.task.clock,
-                )
+        elif exchange and gate.reason is None \
+                and self._traffic_reason() is not None:
+            gate.abort(self.engine, "mid-phase-traffic")
+        seqs[self.rank] = seq + 1
+        gate.awaited -= 1
+        if not gate.awaited:
+            del ctx._gates[key]
         return gate
 
-    async def _join_fast(self, gate: _CollGate, genargs: tuple) -> Any:
-        """Register this rank on ``gate`` and await the bulk advance."""
+    def _gated(self, kind: str, root: Any, genargs: tuple,
+               compute: Callable[[float], Any] | None = None):
+        """This rank's share of one gated instance, as an awaitable: the
+        gate when its verdict allows, else the message-level interpreter.
+        (Not a coroutine itself: every resume walks the await chain, and a
+        gated call is the hottest one there is.)"""
+        gate = self._consult(kind, root)
+        run = self._join if gate.reason is None else self._simulate
+        return run(gate, genargs, compute)
+
+    async def _join(self, gate: _Gate, genargs: tuple,
+                    compute: Callable[[float], Any] | None = None) -> Any:
+        """Register this rank on ``gate`` and await the bulk advance — or,
+        when the gate aborts meanwhile (:data:`RUN_SIM`), rerun from the
+        join clock on the message-level path."""
         ctx = self.context
         task = self.task
-        seq = ctx.coll_seq[self.rank]
-        # Mirror _claim_tags' bookkeeping so fast and simulated instances
-        # interleave freely on one communicator (windows stay aligned).
-        ctx.coll_seq[self.rank] = seq + 1
-        task.collectives += 1
-        self.engine.collectives_fast += 1
+        exchange = gate.kind == "exchange"
         fut = SimFuture(
-            kind="coll", tag=seq, dest=ctx.ranks[self.rank], comm=ctx.id,
-            post_time=task.clock,
+            kind="p2p" if exchange else "coll", tag=gate.seq,
+            dest=ctx.ranks[self.rank], comm=ctx.id, post_time=task.clock,
         )
         gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
-        if len(gate.entries) == gate.expected:
-            ctx.gate_filled(seq, gate)
+        if not gate.awaited:
+            # The quorum is in: these calls are served by the fast path.
+            if exchange:
+                self.engine.p2p_fast += len(gate.entries)
+            else:
+                self.engine.collectives_fast += len(gate.entries)
+            ctx.gate_filled(gate)
         result = await fut
         task.advance_to(fut.time)
+        if result is RUN_SIM:
+            return await self._simulate(gate, genargs, compute)
         if type(result) is _Raised:
             raise result.exc
         return result
 
-    async def _simulate(self, gate: _CollGate, genargs: tuple) -> Any:
-        """Run this rank's schedule for ``gate``'s instance through the
-        message-level interpreter, inside a freshly claimed tag window."""
+    async def _simulate(self, gate: _Gate, genargs: tuple,
+                        compute: Callable[[float], Any] | None = None) -> Any:
+        """The message-level tail: run this rank's schedule for ``gate``'s
+        instance through :meth:`_drive` — a collective inside its private
+        tag window, an exchange on the script's own user tags (base 0)."""
         kind = gate.kind
+        exchange = kind == "exchange"
+        engine = self.engine
+        if exchange:
+            engine.p2p_simulated += 1
+        else:
+            engine.collectives_simulated += 1
+        ins = engine.instrument
         t0 = self.task.clock
-        schedule = _GEN_FACTORIES[kind](self.rank, self.size, *genargs)
-        result = await self._drive(schedule, self._claim_tags())
-        ins = self.engine.instrument
         if ins.enabled:
+            ins.metrics.count(
+                "p2p/fallbacks" if exchange else "coll/fallbacks", 1,
+                rank=self.world_rank(self.rank),
+                op=f"{gate.name}:{gate.reason}", t=t0,
+            )
+        schedule = _schedule(kind, gate.root, self.rank, self.size, genargs)
+        result = await self._drive(
+            schedule, 0 if exchange else _tag_base(gate.seq), compute)
+        if ins.enabled and not exchange:
             _emit_coll(ins, self.context, self.rank, kind, _ALGORITHMS[kind],
                        t0, self.task.clock, False)
         return result
@@ -783,16 +915,12 @@ class Communicator(Comm):
 
     async def barrier(self) -> None:
         """Dissemination barrier: ceil(log2 P) rounds of paired messages."""
-        gate = self._consult_gate("barrier", None)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, ())
+        return await self._gated("barrier", None, ())
 
     async def bcast(self, value: Any, root: int = 0, size: int | None = None) -> Any:
         """Binomial-tree broadcast; returns the value on every rank."""
         self._check_peer(root, "root")
-        gate = self._consult_gate("bcast", root)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (root, value, size))
+        return await self._gated("bcast", root, (root, value, size))
 
     async def reduce(
         self,
@@ -804,9 +932,7 @@ class Communicator(Comm):
         """Binomial-tree reduction; the result is returned on ``root`` only
         (other ranks get ``None``), matching ``MPI_Reduce``."""
         self._check_peer(root, "root")
-        gate = self._consult_gate("reduce", root)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (root, value, op, size))
+        return await self._gated("reduce", root, (root, value, op, size))
 
     @_observed("allreduce", "reduce+bcast")
     async def allreduce(
@@ -824,31 +950,23 @@ class Communicator(Comm):
     ) -> list[Any] | None:
         """Binomial-tree gather; ``root`` returns the rank-ordered list."""
         self._check_peer(root, "root")
-        gate = self._consult_gate("gather", root)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (root, value, size))
+        return await self._gated("gather", root, (root, value, size))
 
     async def scatter(
         self, values: Sequence[Any] | None, root: int = 0, size: int | None = None
     ) -> Any:
         """Binomial-tree scatter; each rank returns its element of ``values``."""
         self._check_peer(root, "root")
-        gate = self._consult_gate("scatter", root)
         if self.rank == root and (values is None or len(values) != self.size):
-            # Raised before the schedule starts, so a bad root cannot strand
-            # its peers inside a gate.
             raise CollectiveMismatchError(
                 "scatter needs one value per rank" if self.size == 1
                 else "scatter root must supply exactly one value per rank"
             )
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (root, values, size))
+        return await self._gated("scatter", root, (root, values, size))
 
     async def allgather(self, value: Any, size: int | None = None) -> list[Any]:
         """Ring allgather: P-1 steps, each forwarding the next segment."""
-        gate = self._consult_gate("allgather", None)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (value, size))
+        return await self._gated("allgather", None, (value, size))
 
     async def alltoall(
         self, values: Sequence[Any], size: int | None = None
@@ -858,17 +976,13 @@ class Communicator(Comm):
             raise CollectiveMismatchError(
                 f"alltoall needs {self.size} values, got {len(values)}"
             )
-        gate = self._consult_gate("alltoall", None)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (values, size))
+        return await self._gated("alltoall", None, (values, size))
 
     async def scan(
         self, value: Any, op: Callable[[Any, Any], Any] = SUM, size: int | None = None
     ) -> Any:
         """Inclusive prefix scan (linear chain, like small-P MPI_Scan)."""
-        gate = self._consult_gate("scan", None)
-        run = self._join_fast if gate.reason is None else self._simulate
-        return await run(gate, (value, op, size))
+        return await self._gated("scan", None, (value, op, size))
 
     # -- communicator construction ----------------------------------------
 
@@ -906,7 +1020,7 @@ class Communicator(Comm):
         assert new is not None
         return new
 
-    # -- declared p2p patterns (macro p2p fast path) -----------------------
+    # -- declared p2p patterns -------------------------------------------
 
     async def exchange(
         self,
@@ -919,9 +1033,9 @@ class Communicator(Comm):
         Every rank must call ``exchange`` with an equal pattern (same
         content key) in the same program position.  The script is the only
         statement of the phase; this is its untraced interpreter (a tracer
-        runs the same script call by call and never comes here).  Eligible
-        instances resolve through the macro p2p gate — one bulk clock
-        advance, no mailbox traffic; the rest, and every instance under
+        runs the same script call by call and never comes here).  It is one
+        more gate kind: eligible instances resolve in one bulk clock
+        advance with no mailbox traffic; the rest, and every instance under
         ``SimConfig(p2p="simulated")``, run this rank's script through
         :meth:`_drive`.  Bit-identical virtual time all three ways.
 
@@ -934,96 +1048,4 @@ class Communicator(Comm):
                 f"pattern {pattern.name!r} declares {pattern.size} ranks "
                 f"but communicator {self.context.id} has {self.size}"
             )
-        gate = self._consult_p2p_gate(pattern)
-        if gate.reason is None and \
-                await self._join_p2p_fast(gate, pattern) is not RUN_SIM:
-            return
-        # Message level: the verdict said so, or the gate aborted mid-phase
-        # and this rank reruns from its join clock (parking cost nothing in
-        # virtual time).
-        engine = self.engine
-        engine.p2p_simulated += 1
-        ins = engine.instrument
-        if ins.enabled:
-            ins.metrics.count(
-                "p2p/fallbacks", 1, rank=self.world_rank(self.rank),
-                op=f"{pattern.name}:{gate.reason}", t=self.task.clock,
-            )
-        await self._drive(_g_script(pattern.ops[self.rank]), 0, compute)
-
-    def _p2p_traffic_reason(self) -> str | None:
-        """Mailbox-state eligibility: the gate may only bypass matching
-        when nothing is queued or posted anywhere on this communicator
-        (only materialized mailboxes are visited, so an idle communicator
-        costs nothing to scan)."""
-        for mbox in self.context._mailboxes.values():
-            if mbox.has_wild_pending():
-                return "pending-wildcard"
-            if mbox.has_pending():
-                return "pending-recv"
-            if mbox.has_queued():
-                return "queued-traffic"
-        return None
-
-    def _p2p_fallback_reason(self) -> str | None:
-        """Why this exchange instance must take the message-level path
-        (``None`` = the gate is safe), evaluated by the first arrival."""
-        engine = self.engine
-        if engine.p2p != "fast":
-            return "disabled"
-        ins = engine.instrument
-        if ins.enabled and ins.granularity != "span":
-            return "message-tracing"
-        if engine.faults.active:
-            # Any armed plan falls back — message/link faults perturb p2p
-            # directly, and compute factors are keyed to a per-rank draw
-            # sequence only the real ``ctx.compute`` path advances.
-            return "faults"
-        return self._p2p_traffic_reason()
-
-    def _consult_p2p_gate(self, pattern: NeighborPattern) -> _P2PGate:
-        """Join the decision gate for this rank's next exchange instance;
-        its ``reason`` is ``None`` when the instance runs on the fast path.
-        Unlike the collective gate, the verdict is *re-checked* at every
-        arrival: traffic posted between arrivals (by ranks still short of
-        their exchange call) could interleave with the pattern's
-        messages, so a dirty mailbox scan aborts the gate and releases
-        the already-parked ranks to the message-level path at their join
-        clocks.
-        """
-        ctx = self.context
-        seq = ctx.p2p_seq[self.rank]
-        ctx.p2p_seq[self.rank] = seq + 1
-        gate = ctx._p2p_gates.get(seq)
-        if gate is None:
-            gate = _P2PGate(pattern, seq, self._p2p_fallback_reason(),
-                            ctx.gate_quorum)
-            ctx._p2p_gates[seq] = gate
-        elif gate.key != pattern.key:
-            raise PatternMismatchError(
-                f"rank {self.rank} called exchange({pattern.name!r}) as p2p "
-                f"instance #{seq} but other ranks are in {gate.name!r}"
-            )
-        elif gate.reason is None and self._p2p_traffic_reason() is not None:
-            gate.abort(self.engine, "mid-phase-traffic")
-        gate.consulted += 1
-        if gate.consulted == gate.expected:
-            del ctx._p2p_gates[seq]
-        return gate
-
-    async def _join_p2p_fast(self, gate: _P2PGate,
-                             pattern: NeighborPattern) -> Any:
-        """Register this rank on ``gate`` and await the bulk advance
-        (``None``), or :data:`RUN_SIM` when the gate aborted meanwhile."""
-        ctx = self.context
-        task = self.task
-        fut = SimFuture(
-            kind="p2p", tag=gate.seq, dest=ctx.ranks[self.rank],
-            comm=ctx.id, post_time=task.clock,
-        )
-        gate.entries.append(_P2PEntry(self.rank, task, fut))
-        if len(gate.entries) == gate.expected:
-            resolve_p2p_gate(self, pattern, gate)
-        result = await fut
-        task.advance_to(fut.time)
-        return result
+        await self._gated("exchange", pattern, (), compute)

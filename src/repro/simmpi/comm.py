@@ -26,7 +26,14 @@ implementation lives on as the test oracle
 randomized-traffic property test).
 
 Every rank holds its own :class:`Comm` view (rank, size, bound task) of a
-shared :class:`CommContext` (mailboxes, membership).
+shared :class:`CommContext`: membership, mailboxes, and the gate state of
+:mod:`repro.simmpi.collectives` — the sequence counters that number a
+rank's collectives and declared exchanges, the one table of open gates
+(both families), the quorum a gate waits for and what happens when it
+fills or a member dies.  The context is also the one place a p2p message
+is described to a recorder (:meth:`CommContext.emit_send` /
+:meth:`~CommContext.emit_recv`), for the primitives here and for a
+replayed exchange alike.
 """
 
 from __future__ import annotations
@@ -417,22 +424,19 @@ class CommContext:
             world: i for i, world in enumerate(self.ranks)
         }
         self._mailboxes: dict[int, Any] = _LazyMailboxes(self.mailbox_factory)
-        # Per-rank collective sequence numbers; SPMD programs call
-        # collectives in the same order so these align across ranks and give
-        # each collective instance a private tag window.
+        # Per-rank sequence numbers of the two gated families.  SPMD
+        # programs call collectives, and declared exchanges, in the same
+        # order on every rank, so number N names one instance: it gives a
+        # collective its private tag window and names either in diagnostics.
         self.coll_seq: dict[int, int] = {i: 0 for i in range(len(self.ranks))}
-        # Macro-collective gates keyed by collective sequence number: the
-        # first rank to reach sequence N decides fast-vs-simulated for that
-        # instance, later arrivals join (fast) or follow the verdict
-        # (simulated).  Entries are removed once every rank has consulted.
-        self._gates: dict[int, Any] = {}
-        # Per-rank declared-p2p sequence numbers and their gates, the p2p
-        # mirror of coll_seq/_gates: every rank calls exchange() in the
-        # same order, so sequence N names one pattern instance.
         self.p2p_seq: dict[int, int] = {i: 0 for i in range(len(self.ranks))}
-        self._p2p_gates: dict[int, Any] = {}
-        #: how many ranks join each gate in this process — all of them; a
-        #: shard's context waits for its own block only
+        # Open gates of both families, keyed ``(is_exchange, seq)``: the
+        # first rank to reach an instance decides fast-vs-simulated for it,
+        # later arrivals join (fast) or follow the verdict (simulated).  A
+        # gate leaves the table once every live rank has consulted it.
+        self._gates: dict[tuple[bool, int], Any] = {}
+        #: how many ranks each new gate waits for in this process — the
+        #: live members; a shard's context counts its own block only
         self.gate_quorum = len(self.ranks)
         # Registered so a rank crash can purge its pending receives from
         # every communicator it participates in.
@@ -445,10 +449,26 @@ class CommContext:
     def mailbox(self, local_rank: int):
         return self._mailboxes[local_rank]
 
-    def gate_filled(self, seq: int, gate) -> None:
-        """Collective gate ``seq`` has its quorum: replay it here and now.
-        (A shard's context hands it to the coordinator instead.)"""
+    def gate_filled(self, gate) -> None:
+        """``gate`` has its quorum: replay it here and now.  (A shard's
+        context hands it to the coordinator instead.)"""
         gate.complete(self)
+
+    def rank_died(self, local_rank: int) -> None:
+        """A member failed: later gates stop counting it, and so does every
+        open gate it never consulted — one still collecting fast joiners
+        sends them to the message-level path, where a dead peer is a
+        ``LOST`` hole rather than a join that never comes."""
+        self.gate_quorum -= 1
+        for key, gate in list(self._gates.items()):
+            exchange, seq = key
+            if (self.p2p_seq if exchange else self.coll_seq)[local_rank] > seq:
+                continue  # consulted before it died
+            if gate.reason is None:
+                gate.abort(self.engine, "failed-participant")
+            gate.awaited -= 1
+            if not gate.awaited:
+                del self._gates[key]
 
     # -- matching internals --------------------------------------------
     #
@@ -515,32 +535,39 @@ class CommContext:
         pending.future.busy_charge = net.o_recv
         ins = self.engine.instrument
         if ins.enabled:
-            # One span per delivered message on the *receiver's* lane, from
-            # the receive post to completion: the wait/latency view the
-            # paper's rendezvous-cost argument is about.
-            wsrc = self.ranks[msg.src]
-            wdest = self.ranks[msg.dest]
-            cat = "p2p" if msg.tag <= MAX_USER_TAG else "p2p.tool"
-            ins.span(
-                wdest,
-                f"recv<-{wsrc}",
-                cat,
-                pending.post_time,
-                done_recv,
-                {
-                    "src": wsrc,
-                    "tag": msg.tag,
-                    "nbytes": msg.nbytes,
-                    "rendezvous": msg.rendezvous,
-                    "comm": self.id,
-                },
-            )
-            ins.metrics.count("p2p/bytes_received", msg.nbytes, rank=wdest,
-                              op="recv", t=done_recv)
-            ins.metrics.observe("p2p/recv_latency",
-                                max(done_recv - pending.post_time, 0.0),
-                                rank=wdest)
+            self.emit_recv(ins, msg.src, msg.dest, msg.tag, msg.nbytes,
+                           msg.rendezvous, pending.post_time, done_recv)
         pending.future.resolve(msg, time=done_recv)
+
+    # -- p2p emission ----------------------------------------------------
+    #
+    # The only statement of what one message looks like to a recorder: the
+    # message-level primitives emit through these, and a replayed exchange
+    # synthesizes its messages' events through them.
+
+    def emit_send(self, ins, src: int, nbytes: int, t: float) -> None:
+        """One message's send counters, at its pre-charge post time."""
+        world = self.ranks[src]
+        ins.metrics.count("p2p/bytes_sent", nbytes, rank=world, op="send", t=t)
+        ins.metrics.count("p2p/messages", 1, rank=world, op="send", t=t)
+
+    def emit_recv(self, ins, src: int, dest: int, tag: int, nbytes: int,
+                  rendezvous: bool, post: float, done: float) -> None:
+        """One span per delivered message on the *receiver's* lane, from
+        the receive post to completion: the wait/latency view the paper's
+        rendezvous-cost argument is about."""
+        wsrc = self.ranks[src]
+        wdest = self.ranks[dest]
+        ins.span(
+            wdest, f"recv<-{wsrc}",
+            "p2p" if tag <= MAX_USER_TAG else "p2p.tool", post, done,
+            {"src": wsrc, "tag": tag, "nbytes": nbytes,
+             "rendezvous": rendezvous, "comm": self.id},
+        )
+        ins.metrics.count("p2p/bytes_received", nbytes, rank=wdest,
+                          op="recv", t=done)
+        ins.metrics.observe("p2p/recv_latency", max(done - post, 0.0),
+                            rank=wdest)
 
 
 def _status_of(msg: Message) -> dict:
@@ -713,14 +740,7 @@ class Comm:
 
         ins = self.engine.instrument
         if ins.enabled:
-            ins.metrics.count(
-                "p2p/bytes_sent", nbytes, rank=ranks[self.rank],
-                op="send", t=task.clock,
-            )
-            ins.metrics.count(
-                "p2p/messages", 1, rank=ranks[self.rank],
-                op="send", t=task.clock,
-            )
+            self.context.emit_send(ins, self.rank, nbytes, task.clock)
 
         fut = SimFuture(kind="isend", src=ranks[self.rank], dest=ranks[dest],
                         tag=tag, comm=self.context.id, post_time=task.clock)

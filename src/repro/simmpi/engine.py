@@ -54,7 +54,6 @@ class Task:
         "bytes_sent",
         "msgs_received",
         "bytes_received",
-        "collectives",
         "logical_stack",
         "gate_wake",
     )
@@ -74,7 +73,6 @@ class Task:
         self.bytes_sent = 0
         self.msgs_received = 0
         self.bytes_received = 0
-        self.collectives = 0
         # Logical call frames pushed by workloads (see RankContext.frame);
         # consumed by the tracer's stack-signature walker.
         self.logical_stack: list[str] = []
@@ -112,32 +110,17 @@ class Engine:
         collectives: str = "fast",
         p2p: str = "fast",
     ) -> None:
-        if collectives not in ("fast", "simulated"):
-            raise ValueError(
-                "collectives must be 'fast' or 'simulated', "
-                f"got {collectives!r}"
-            )
-        if p2p not in ("fast", "simulated"):
-            raise ValueError(
-                f"p2p must be 'fast' or 'simulated', got {p2p!r}"
-            )
         self.network = network
-        #: collective execution policy: "fast" (closed-form macro
-        #: collectives where eligible, per-message fallback otherwise) or
-        #: "simulated" (always per-message).  Both are bit-identical in
-        #: virtual time and results; "fast" is the default.
+        #: gate policy per family (validated by ``SimConfig``): "fast" lets
+        #: eligible collectives / declared exchanges resolve in closed form
+        #: and falls back per instance otherwise, "simulated" runs every one
+        #: message-level.  Bit-identical in virtual time and results.
         self.collectives = collectives
-        #: declared-p2p execution policy: "fast" (macro gate replay of
-        #: eligible NeighborPattern exchanges, per-message fallback
-        #: otherwise) or "simulated" (always per-message).  Both are
-        #: bit-identical in virtual time; "fast" is the default.
         self.p2p = p2p
-        #: per-rank collective calls served by the closed-form fast path /
-        #: routed to the message-level algorithms
+        #: per-rank gated calls of each family served by the closed form /
+        #: run through the message-level interpreter
         self.collectives_fast = 0
         self.collectives_simulated = 0
-        #: per-rank declared-pattern exchanges resolved by the p2p gate /
-        #: driven through the message-level mailbox path
         self.p2p_fast = 0
         self.p2p_simulated = 0
         self.tasks: list[Task] = []
@@ -394,6 +377,7 @@ class Engine:
     def _purge_pending(self, task: Task) -> None:
         """Sever the dead rank from every communicator it participates in:
 
+        * no gate waits for it any longer (``CommContext.rank_died``);
         * its own posted receives are dropped (later sends must not match a
           receiver that no longer exists);
         * live peers' pending receives *naming it as the source* are
@@ -415,6 +399,7 @@ class Engine:
             local = ctx.local_of.get(task.rank)
             if local is None:
                 continue
+            ctx.rank_died(local)
             dead_mbox = ctx._mailboxes[local]
             for mbox in ctx._mailboxes.values():
                 if mbox is dead_mbox:

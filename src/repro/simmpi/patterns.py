@@ -1,29 +1,29 @@
-"""Declared regular p2p patterns and the macro p2p gate replay.
+"""Declared regular p2p patterns: the pattern, its slot compiler and the
+vectorized slot replay.
 
 The *regular* point-to-point phases that dominate the stencil/wavefront
 workloads (POP halos, Sweep3D sweeps, AMG/LULESH neighbor exchanges, NPB
 transposes) resolve in closed form, like collectives.  A workload states
 such a phase once, as a :class:`NeighborPattern` — a per-rank script of
 isend/send/recv/wait/compute ops with static peers, tags and sizes, plus a
-call-site table for tracers — and ``Communicator.exchange`` resolves an
-eligible instance through a :class:`_P2PGate`: every rank parks on the
-gate, the last arrival replays the whole pattern with the engine's exact
-LogGP arithmetic, and one ``engine.wave_resolve`` bulk-advances all clocks.
-Bit-identical in virtual time to ``Communicator._drive``, the message-level
-interpreter of the same script (per-instance fallback, ``p2p="simulated"``).
+call-site table for tracers — and ``Communicator.exchange`` runs it as one
+more gate kind (:mod:`repro.simmpi.collectives`): an eligible instance is
+replayed by its last arrival, every other one runs :func:`_g_script`
+through ``Communicator._drive``, the message-level interpreter of the same
+script.  Bit-identical in virtual time either way.
 
-Two replay tiers:
+This module contributes the two things only a declared script has:
 
-* **slot replay** — when the pattern compiles to aligned slots (uniform op
-  kind per position, matched sends strictly earlier than their recvs) and
-  no instrumentation is attached, each slot is one vectorized numpy
-  expression over a :class:`~.rankstate.RankStateColumns` store: no Python
-  loop over ranks.
-* **script replay** — each rank's script fed, as a generator, to the shared
-  scalar replay core (:class:`repro.simmpi.replay.Replay`, the engine the
-  collective gates use); handles wavefront dependency chains, rendezvous
-  fused sends and obs emission synthesis (per-message recv spans and
-  p2p/* metrics identical to the simulated path's).
+* **slot replay** (:func:`slots_vector`) — when the pattern compiles to
+  aligned slots (uniform op kind per position, matched sends strictly
+  earlier than their recvs), each slot is one vectorized numpy expression
+  over a :class:`~.rankstate.RankStateColumns` store: no Python loop over
+  ranks.  It sits in front of the scalar core exactly like the barrier and
+  tree recurrences do for collectives.
+* **script replay** (:func:`_g_script`) — a rank's script as a schedule for
+  the shared scalar core (:class:`repro.simmpi.replay.Replay`); handles
+  wavefront dependency chains, rendezvous fused sends and the obs events an
+  instrumented gate synthesizes.
 
 The op vocabulary (all peers are communicator-local ranks, payloads are
 always ``None``):
@@ -44,25 +44,12 @@ import numpy as np
 
 from .comm import MAX_USER_TAG
 from .rankstate import RankStateColumns
-from .replay import EAGER_DONE, RankState, Replay
+from .replay import EAGER_DONE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .timing import NetworkModel
 
 _OP_KINDS = ("isend", "send", "recv", "wait", "compute")
-
-
-class _RunSimToken:
-    """Sentinel a gate resolves parked entries with when the instance must
-    rerun on the message-level path (mid-phase traffic abort)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<RUN_SIM>"
-
-
-RUN_SIM = _RunSimToken()
 
 
 class NeighborPattern:
@@ -74,8 +61,8 @@ class NeighborPattern:
     as many sends as receives, so a completed instance leaves every
     mailbox exactly as it found it).
 
-    Instances are immutable and content-keyed: ranks of one gate must
-    present patterns with equal :attr:`key` or the gate raises
+    Instances are immutable and compare by content (name, size, scripts):
+    ranks of one gate must present equal patterns or the gate raises
     ``PatternMismatchError``.
     """
 
@@ -274,10 +261,15 @@ class NeighborPattern:
                 f"must be a user tag in [0, {MAX_USER_TAG}]"
             )
 
-    @property
-    def key(self) -> tuple:
-        """Content identity: ranks joining one gate must agree on this."""
-        return (self.name, self.size, self.ops)
+    def __eq__(self, other: object) -> bool:
+        """Content identity: what ranks joining one gate must agree on."""
+        return self is other or (
+            type(other) is NeighborPattern
+            and (self.name, self.size, self.ops)
+            == (other.name, other.size, other.ops))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.size))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -517,6 +509,22 @@ def _replay_slots(plan: list, cols: RankStateColumns,
     return True
 
 
+def slots_vector(pattern: NeighborPattern, entries: list,
+                 net: "NetworkModel") -> RankStateColumns | None:
+    """Replay one whole exchange over arrays and return the final columns
+    (``entries`` in rank order), or ``None`` when the pattern has no slot
+    plan or the plan is infeasible on this network; the caller then drives
+    the scripts through the scalar core.  Unlike the collective vector
+    replays this fills no per-rank state objects — the gate lands the
+    columns on the tasks in bulk: at P=16384 the objects alone cost a fifth
+    of a slot-replayed instance."""
+    plan = pattern.slot_plan()
+    if plan is None:
+        return None
+    cols = RankStateColumns.from_entries(entries)
+    return cols if _replay_slots(plan, cols, net) else None
+
+
 # -- script replay (scalar core) -----------------------------------------------
 
 
@@ -538,127 +546,3 @@ def _g_script(ops: tuple):
                 yield ("wait", handle)
         else:  # recv / compute: already in the core's vocabulary
             yield op
-
-
-# -- the gate -----------------------------------------------------------------
-
-
-class _P2PEntry:
-    """One rank's registration at a p2p gate: its park future plus a
-    snapshot of the task state at join time."""
-
-    __slots__ = (
-        "rank", "task", "fut", "clock0", "busy0", "sent0",
-        "bytes_sent0", "recvd0", "bytes_recvd0",
-    )
-
-    def __init__(self, rank, task, fut):
-        self.rank = rank
-        self.task = task
-        self.fut = fut
-        self.clock0 = task.clock
-        self.busy0 = task.busy
-        self.sent0 = task.msgs_sent
-        self.bytes_sent0 = task.bytes_sent
-        self.recvd0 = task.msgs_received
-        self.bytes_recvd0 = task.bytes_received
-
-
-class _P2PGate:
-    """Rendezvous point for one declared-pattern instance on one
-    communicator.
-
-    The first arriving rank computes the fast-vs-simulated verdict; every
-    arrival re-checks that the communicator's mailboxes are still clean
-    (stray traffic posted between arrivals aborts the gate — parked ranks
-    are released with :data:`RUN_SIM` at their join clocks, costing zero
-    virtual time, and everyone runs the script message by message instead).
-    """
-
-    __slots__ = ("key", "name", "seq", "reason", "expected", "consulted",
-                 "entries")
-
-    def __init__(self, pattern: NeighborPattern, seq: int,
-                 reason: str | None, expected: int) -> None:
-        self.key = pattern.key
-        self.name = pattern.name
-        self.seq = seq
-        self.reason = reason
-        self.expected = expected
-        self.consulted = 0
-        self.entries: list[_P2PEntry] = []
-
-    def abort(self, engine, reason: str) -> None:
-        """Late-conflict abort: release every parked entry to the
-        message-level path at its own join clock."""
-        self.reason = reason
-        entries = self.entries
-        self.entries = []
-        engine.wave_resolve(
-            [(e.fut, RUN_SIM, e.clock0) for e in entries]
-        )
-
-
-def resolve_p2p_gate(comm, pattern: NeighborPattern, gate: _P2PGate) -> None:
-    """Replay the pattern for all participants and bulk-advance clocks.
-
-    Called by the last-arriving rank.  Chooses the vectorized slot replay
-    when no instrumentation is attached and the pattern compiled (and is
-    network-feasible); otherwise the scalar script replay, which also
-    synthesizes the obs events the message-level path would have emitted.
-    """
-    ctx = comm.context
-    engine = comm.engine
-    entries = sorted(gate.entries, key=lambda e: e.rank)
-    # All communicator-local ranks participate, so entry i is local rank i.
-    net = engine.network
-    ins = engine.instrument
-    emit = ins.enabled
-    tasks = [e.task for e in entries]
-    plan = None if emit else pattern.slot_plan()
-    cols = None if plan is None else RankStateColumns.from_entries(entries)
-    if cols is not None and _replay_slots(plan, cols, net):
-        cols.write_back(tasks)
-        final_clock = cols.clock.tolist()
-    else:
-        states = [RankState(e, collect=emit) for e in entries]
-        for st in states:
-            st.gen = _g_script(pattern.ops[st.rank])
-        Replay(net, states).run()
-        for task, st in zip(tasks, states):
-            st.write_back(task)
-        final_clock = [st.clock for st in states]
-        events = [st.events for st in states]
-    engine.total_messages += pattern.total_messages
-    engine.total_bytes += pattern.total_bytes
-    engine.p2p_fast += len(entries)
-    if emit:
-        metrics = ins.metrics
-        ranks = ctx.ranks
-        for i, entry in enumerate(entries):
-            world = ranks[entry.rank]
-            for ev in events[i]:
-                if ev[0] == "s":
-                    _, t, nbytes = ev
-                    metrics.count("p2p/bytes_sent", nbytes, rank=world,
-                                  op="send", t=t)
-                    metrics.count("p2p/messages", 1, rank=world,
-                                  op="send", t=t)
-                else:
-                    _, post, done, src, tag, nbytes, rdv = ev
-                    wsrc = ranks[src]
-                    ins.span(
-                        world, f"recv<-{wsrc}", "p2p", post, done,
-                        {"src": wsrc, "tag": tag, "nbytes": nbytes,
-                         "rendezvous": rdv, "comm": ctx.id},
-                    )
-                    metrics.count("p2p/bytes_received", nbytes, rank=world,
-                                  op="recv", t=done)
-                    metrics.observe("p2p/recv_latency",
-                                    max(done - post, 0.0), rank=world)
-            metrics.count("p2p/fast_hits", 1, rank=world, op=pattern.name,
-                          t=final_clock[i])
-    engine.wave_resolve(
-        [(entry.fut, None, final_clock[i])
-         for i, entry in enumerate(entries)]
-    )

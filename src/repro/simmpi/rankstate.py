@@ -40,12 +40,11 @@ class RankStateColumns:
     """
 
     __slots__ = (
-        "n", "clock", "busy", "msgs_sent", "bytes_sent",
+        "clock", "busy", "msgs_sent", "bytes_sent",
         "msgs_received", "bytes_received",
     )
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.clock = np.zeros(n, dtype=np.float64)
         self.busy = np.zeros(n, dtype=np.float64)
         self.msgs_sent = np.zeros(n, dtype=np.int64)
@@ -56,8 +55,8 @@ class RankStateColumns:
     @classmethod
     def from_entries(cls, entries: Sequence) -> "RankStateColumns":
         """Build columns from gate entries carrying ``clock0``/``busy0``/
-        counter snapshots (``_P2PEntry`` / ``_GateEntry`` shaped objects),
-        position ``i`` holding ``entries[i]``'s snapshot."""
+        counter snapshots (``_GateEntry`` shaped objects), position ``i``
+        holding ``entries[i]``'s snapshot."""
         cols = cls(len(entries))
         clock, busy = cols.clock, cols.busy
         ms, bs = cols.msgs_sent, cols.bytes_sent

@@ -74,6 +74,7 @@ import multiprocessing
 import os
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from time import perf_counter
 from typing import Any, Sequence
 
@@ -94,10 +95,11 @@ from ..resilience.supervise import (
     wave_deadline,
 )
 from .collectives import (
-    _CollGate,
+    _Gate,
     _TAG_STRIDE,
     _entry_rank,
     _run_replay,
+    _tag_base,
     Communicator,
 )
 from .comm import (
@@ -166,8 +168,8 @@ class ShardCommContext(CommContext):
         #: rendezvous completions produced this wave (we are the receiver)
         self.rdv_replies_out: list[tuple] = []
         #: locally-complete collective gates awaiting the global replay
-        self.gates_out: list[tuple[int, _CollGate]] = []
-        self.gate_pending: dict[int, _CollGate] = {}
+        self.gates_out: list[_Gate] = []
+        self.gate_pending: dict[int, _Gate] = {}
         #: owner-replay completion columns for foreign ranks, this wave
         self.gate_results_out: list[tuple] = []
         #: held ANY_SOURCE receives: rank -> (tag, post_time, future, task)
@@ -188,11 +190,11 @@ class ShardCommContext(CommContext):
         if self.hazard is None:
             self.hazard = reason
 
-    def gate_filled(self, seq: int, gate: _CollGate) -> None:
+    def gate_filled(self, gate: _Gate) -> None:
         """The owned block has joined: queue the gate for the coordinator,
         which forwards the complete instance to its owner shard."""
-        self.gates_out.append((seq, gate))
-        self.gate_pending[seq] = gate
+        self.gates_out.append(gate)
+        self.gate_pending[gate.seq] = gate
 
     def deliver(self, msg: Message) -> None:
         if not self.lo <= msg.dest < self.hi:
@@ -321,50 +323,48 @@ class ShardCommunicator(Communicator):
         self.context.flag_hazard("split")
         raise ShardHazard("split()/dup() are not shard-safe")
 
-    # -- collectives ---------------------------------------------------
+    # -- gates -----------------------------------------------------------
 
-    def _fallback_reason(self, seq: int) -> str | None:
-        # Every verdict input but one (knobs, instrument granularity,
+    def _fallback_reason(self, kind: str, seq: int) -> str | None:
+        engine = self.engine
+        if kind == "exchange" and engine.p2p == "fast":
+            # A gate needs every participant's entry inside one engine,
+            # which a shard never has: declared exchanges always drive
+            # their message-level ops here (bit-identical in virtual time
+            # by the macro-p2p contract; only the fast/simulated instance
+            # counters differ from shards=1).  With a recorder attached
+            # that counter difference would also surface as p2p/fallbacks
+            # metrics the single-process run does not emit, so obs parity
+            # requires the oracle.  Cross-shard pattern mismatches at the
+            # same seq are caught by the message-level drive itself (a
+            # mismatched exchange deadlocks, and the "stuck" fallback
+            # reruns on the oracle, which raises the exact
+            # PatternMismatchError).
+            if engine.instrument.enabled:
+                self.context.flag_hazard("p2p-patterns")
+                raise ShardHazard(
+                    "declared p2p patterns under instrumentation are not "
+                    "shard-safe; the run falls back to the single-process "
+                    "engine"
+                )
+            return "sharded"
+        # Every other verdict input but one (knobs, instrument granularity,
         # static fault plan) is identical in all shards, so each shard
         # independently computes the same fast/simulated decision.  The
         # mailbox scan is not: a divergent per-shard verdict would
         # desynchronise the collective, so it is a whole-run hazard.
-        reason = super()._fallback_reason(seq)
+        reason = super()._fallback_reason(kind, seq)
         if reason == "tag-window":
             self.context.flag_hazard("tag-window")
             raise ShardHazard("pending traffic in a collective tag window")
         return reason
 
-    # -- declared p2p patterns -----------------------------------------
-
-    def _p2p_fallback_reason(self) -> str | None:
-        # The p2p gate needs every participant's entry inside one engine,
-        # which a shard never has: declared exchanges always drive their
-        # message-level ops here (bit-identical in virtual time by the
-        # macro-p2p contract; only the fast/simulated instance counters
-        # differ from shards=1).  With a recorder attached that counter
-        # difference would also surface as p2p/fallbacks metrics the
-        # single-process run does not emit, so obs parity requires the
-        # oracle.  Cross-shard pattern mismatches at the same seq are
-        # caught by the message-level drive itself (a mismatched exchange
-        # deadlocks, and the "stuck" fallback reruns on the oracle, which
-        # raises the exact PatternMismatchError).
-        if self.engine.p2p != "fast":
-            return "disabled"
-        if self.engine.instrument.enabled:
-            self.context.flag_hazard("p2p-patterns")
-            raise ShardHazard(
-                "declared p2p patterns under instrumentation are not "
-                "shard-safe; the run falls back to the single-process engine"
-            )
-        return "sharded"
-
 
 # -- wire format helpers ------------------------------------------------------
 
 
-def _gate_record(seq: int, gate: _CollGate) -> tuple:
-    """Columnar encoding of one shard's entries for gate ``seq``.  Typed
+def _gate_record(gate: _Gate) -> tuple:
+    """Columnar encoding of one shard's entries for ``gate``.  Typed
     arrays pickle as raw buffers: at P=65536 that is the difference
     between shipping the numeric columns as bytes and as boxed objects.
 
@@ -374,7 +374,7 @@ def _gate_record(seq: int, gate: _CollGate) -> tuple:
     gate.entries.sort(key=_entry_rank)
     es = gate.entries
     return (
-        seq, gate.kind, gate.root,
+        gate.seq, gate.kind, gate.root,
         array("q", [e.rank for e in es]),
         array("d", [e.clock0 for e in es]),
         array("d", [e.busy0 for e in es]),
@@ -386,23 +386,11 @@ def _gate_record(seq: int, gate: _CollGate) -> tuple:
     )
 
 
-class _RemoteEntry:
-    """Owner-shard stand-in for a _GateEntry: exactly the attributes the
-    replay's RankState snapshot (and its generator construction) reads."""
-
-    __slots__ = ("rank", "genargs", "clock0", "busy0", "sent0",
-                 "bytes_sent0", "recvd0", "bytes_recvd0")
-
-    def __init__(self, rank, genargs, clock0, busy0, sent0, bytes_sent0,
-                 recvd0, bytes_recvd0) -> None:
-        self.rank = rank
-        self.genargs = genargs
-        self.clock0 = clock0
-        self.busy0 = busy0
-        self.sent0 = sent0
-        self.bytes_sent0 = bytes_sent0
-        self.recvd0 = recvd0
-        self.bytes_recvd0 = bytes_recvd0
+#: Owner-shard stand-in for a _GateEntry: exactly the attributes the
+#: replay's RankState snapshot (and its generator construction) reads.
+_RemoteEntry = namedtuple(
+    "_RemoteEntry", "rank genargs clock0 busy0 sent0 bytes_sent0 recvd0 "
+                    "bytes_recvd0")
 
 
 def _safe_send(hb: Heartbeat, obj) -> bool:
@@ -520,7 +508,7 @@ def _apply_inbox(ctx: ShardCommContext, engine: Engine, tasks: list[Task],
     """Apply one wave's deliveries.  Message records from one sender arrive
     in its program order (per-pair FIFO is all exact-source matching needs);
     gate jobs replay on this shard; gate results bulk-advance through the
-    same ``_CollGate.settle`` as a single-process gate."""
+    same ``_Gate.settle`` as a single-process gate."""
     for src, dest, tag, payload, nbytes, t, rdv, pid in inbox["msgs"]:
         if rdv:
             proxy = SimFuture(kind="isend", src=src, dest=dest, tag=tag,
@@ -646,7 +634,7 @@ def _shard_worker(conn, shard_index: int, bounds: list[int], nprocs: int,
             status = {
                 "msgs": ctx.outbox,
                 "replies": ctx.rdv_replies_out,
-                "gates": [_gate_record(seq, g) for seq, g in ctx.gates_out],
+                "gates": [_gate_record(g) for g in ctx.gates_out],
                 "gate_results": ctx.gate_results_out,
                 "wild": [
                     (rank,
@@ -803,7 +791,7 @@ def _coordinate(conns: Sequence, procs: Sequence, bounds: list[int],
         for seq in sorted(s for s, acc in gates.items()
                           if acc[2] == nprocs):
             kind, root, _, chunks = gates.pop(seq)
-            base = MAX_USER_TAG + 1024 + seq * _TAG_STRIDE
+            base = _tag_base(seq)
             if any(base <= t < base + _TAG_STRIDE for t in high_tags_routed):
                 # A user (or tool) message crossed shards inside this
                 # gate's private window; the single-process verdict scan

@@ -14,16 +14,27 @@ Coverage:
 * eager and rendezvous payload sizes;
 * fault-triggered fallback (a crash on a participant routes the instance
   to the simulated path and matches today's degraded behaviour exactly);
+* every fallback reason of the ledger (docs/INTERNALS.md) a collective's
+  verdict can return, by its ``coll/fallbacks`` label;
 * span-granularity observability parity and message-granularity fallback.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.faults.plan import CrashFault, FaultPlan
+from repro.faults.plan import (
+    ComputeFault,
+    CrashFault,
+    FaultPlan,
+    LinkFault,
+    MessageFaults,
+)
 from repro.obs.instrument import Recorder
 from repro.simmpi import SimConfig, run_spmd
 from repro.simmpi.collectives import BOR, LAND, LOR, MAX, MIN, PROD, SUM
@@ -227,6 +238,92 @@ class TestFallbacks:
         assert sim.collectives_fast == 0
         assert sim.collectives_simulated == 3 * 7  # barrier+reduce+bcast
 
+    @staticmethod
+    async def _two_allreduces(ctx):
+        a = await ctx.comm.allreduce(ctx.rank)
+        return a, await ctx.comm.allreduce(ctx.rank + 1)
+
+    def _assert_reason(self, prog, nprocs, reason, *, config=None,
+                       granularity="span", **kwargs):
+        """Every collective of ``prog`` falls back for ``reason`` alone,
+        and the run matches the always-simulated one exactly."""
+        rec = Recorder(granularity=granularity)
+        res = run_spmd(prog, nprocs, config=config, instrument=rec, **kwargs)
+        assert res.collectives_fast == 0
+        assert res.collectives_simulated > 0
+        assert {op.rsplit(":", 1)[1] for (_, _rank, _phase, op)
+                in rec.metrics.labels("coll/fallbacks")} == {reason}
+        assert rec.metrics.value("coll/fallbacks") == res.collectives_simulated
+        _assert_identical(*_pair(prog, nprocs, **kwargs))
+
+    def test_reason_disabled(self):
+        self._assert_reason(self._two_allreduces, 5, "disabled",
+                            config=SimConfig(collectives="simulated"))
+
+    def test_reason_message_tracing(self):
+        self._assert_reason(self._two_allreduces, 5, "message-tracing",
+                            granularity="message")
+
+    def test_reason_message_faults(self):
+        plan = FaultPlan(messages=MessageFaults(delay_prob=0.5))
+        self._assert_reason(self._two_allreduces, 5, "message-faults",
+                            faults=plan)
+
+    def test_reason_crash_armed(self):
+        # armed on a participant, never fires inside the run
+        plan = FaultPlan(crashes=(CrashFault(rank=2, time=10.0),))
+        self._assert_reason(self._two_allreduces, 5, "crash-armed",
+                            faults=plan)
+
+    def test_reason_link_fault(self):
+        plan = FaultPlan(links=(LinkFault(src=0, dest=1, latency_factor=3.0),))
+        self._assert_reason(self._two_allreduces, 5, "link-fault", faults=plan)
+
+    def test_reason_tag_window(self):
+        # A receive posted on an exact tag inside the first collective's
+        # private window (one the barrier's two rounds do not use); the
+        # message that completes it is sent once the barrier is over.
+        from repro.simmpi.collectives import _tag_base
+
+        async def prog(ctx):
+            comm, rank = ctx.comm, ctx.rank
+            tag = _tag_base(0) + 100
+            req = comm.irecv(source=1, tag=tag) if rank == 0 else None
+            await comm.barrier()
+            if rank == 1:
+                await comm.send(0, None, tag=tag, size=8)
+            if req is not None:
+                await req.wait()
+            return rank
+
+        self._assert_reason(prog, 4, "tag-window")
+
+    @pytest.mark.parametrize("joined_first", (False, True))
+    def test_reason_failed_participant(self, joined_first):
+        """A rank that raises under an active plan is a failed participant
+        of every later collective.  With ``joined_first`` ranks 0, 1 and 3
+        are already parked on the first instance's fast gate when rank 2
+        dies: the gate aborts for the same reason and they rerun
+        message-level from their join clocks instead of waiting out the
+        op-timeout for a join that never comes."""
+        plan = FaultPlan(compute=(ComputeFault(rank=0, slowdown=1.5),))
+
+        async def prog(ctx):
+            comm, rank = ctx.comm, ctx.rank
+            if rank == 2:
+                if joined_first:
+                    await comm.recv(3, tag=7)  # parks until rank 3 has run
+                raise RuntimeError("boom")
+            if joined_first and rank == 3:
+                await comm.send(2, None, tag=7, size=8)
+            return await TestFallbacks._two_allreduces(ctx)
+
+        self._assert_reason(prog, 6, "failed-participant", faults=plan)
+        res = run_spmd(prog, 6, faults=plan)
+        assert res.failed_ranks == (2,)
+        assert res.fault_summary["timeout"] == 0
+        assert res.results[0] == (13, 18)  # the survivors' sums
+
     def test_invalid_knob_rejected(self):
         async def prog(ctx):
             return None
@@ -302,3 +399,40 @@ class TestStepCollapse:
         # bulk gate resolution, never re-entering the scheduler loop.
         assert res.engine_steps == 64
         assert res.collectives_fast == 7 * 64
+
+
+def test_fallback_ledger_matches_source():
+    """The fallback ledger in docs/INTERNALS.md and the source agree: the
+    reasons are exactly the strings a ``*_reason`` function returns or a
+    gate is aborted with, and every test the ledger names exists."""
+    root = Path(__file__).resolve().parents[2]
+    doc = (root / "docs" / "INTERNALS.md").read_text()
+    table = doc.split("#### Fallback ledger", 1)[1].split("\n## ", 1)[0]
+    ledger: dict[str, list[str]] = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            ledger[cells[0].strip("`")] = re.findall(r"`(tests/[^`]+)`",
+                                                     cells[3])
+    in_source = set()
+    files = sorted((root / "src/repro/simmpi").glob("*.py"))
+    files.append(root / "src/repro/faults/injector.py")
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.endswith("_reason"):
+                in_source.update(
+                    r.value.value for r in ast.walk(node)
+                    if isinstance(r, ast.Return)
+                    and isinstance(r.value, ast.Constant)
+                    and isinstance(r.value.value, str))
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "abort":
+                in_source.add(node.args[1].value)
+    assert set(ledger) == in_source
+    for reason, test_ids in ledger.items():
+        assert test_ids, f"no test reaches {reason!r}"
+        for test_id in test_ids:
+            path, *_cls, name = test_id.split("::")
+            assert f"def {name}(" in (root / path).read_text(), test_id

@@ -21,11 +21,15 @@ Coverage:
   run;
 * sharded-engine behaviour (never gates; hazard under instrumentation);
 * span-granularity observability parity;
+* one seeded program interleaving collectives and exchanges on the world
+  and on a ``split`` half, with stray traffic aborting one gate mid-way;
 * pattern validation errors and gate key mismatches;
 * the columnar rank-state store writes back every column.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -247,9 +251,19 @@ def _reasons(rec: Recorder) -> set:
     }
 
 
+def _assert_fell_back(res, rec: Recorder, *reasons: str) -> None:
+    """The run's one exchange per rank went message-level on every rank,
+    for exactly ``reasons``."""
+    assert res.p2p_fast == 0
+    assert res.p2p_simulated == res.nprocs
+    assert rec.metrics.value("p2p/fallbacks") == res.nprocs
+    assert _reasons(rec) == set(reasons)
+
+
 class TestFallbackReasons:
-    """Every documented eligibility-envelope exit, each bit-identical and
-    each surfaced as a labelled ``p2p/fallbacks`` metric."""
+    """Every exchange reason of the fallback ledger (docs/INTERNALS.md),
+    each bit-identical and each surfaced as a labelled ``p2p/fallbacks``
+    metric next to the ``p2p_simulated`` counter."""
 
     def _pattern_prog(self, pattern):
         async def prog(ctx):
@@ -263,9 +277,7 @@ class TestFallbackReasons:
         rec = Recorder(granularity="span")
         res = run_spmd(self._pattern_prog(pattern), 4,
                        config=SimConfig(p2p="simulated"), instrument=rec)
-        assert res.p2p_fast == 0
-        assert res.p2p_simulated == 4
-        assert _reasons(rec) == {"disabled"}
+        _assert_fell_back(res, rec, "disabled")
 
     def test_linear_matching(self, linear_matching):  # noqa: F811
         """Not a fallback reason any more (the gate never touches a
@@ -287,8 +299,7 @@ class TestFallbackReasons:
         pattern = _ring_pattern(4, name="fb-tracing")
         rec = Recorder()  # granularity="message"
         res = run_spmd(self._pattern_prog(pattern), 4, instrument=rec)
-        assert res.p2p_fast == 0
-        assert _reasons(rec) == {"message-tracing"}
+        _assert_fell_back(res, rec, "message-tracing")
 
     def test_faults(self):
         # an armed crash is a standing fallback condition even when it
@@ -298,8 +309,7 @@ class TestFallbackReasons:
         rec = Recorder(granularity="span")
         res = run_spmd(self._pattern_prog(pattern), 4, faults=plan,
                        instrument=rec)
-        assert res.p2p_fast == 0
-        assert _reasons(rec) == {"faults"}
+        _assert_fell_back(res, rec, "faults")
         fast, sim = _pair(self._pattern_prog(pattern), 4, faults=plan)
         _assert_identical(fast, sim)
 
@@ -332,8 +342,7 @@ class TestFallbackReasons:
 
         rec = Recorder(granularity="span")
         res = run_spmd(prog, 4, instrument=rec)
-        assert res.p2p_fast == 0
-        assert _reasons(rec) == {"pending-wildcard"}
+        _assert_fell_back(res, rec, "pending-wildcard")
         _assert_identical(*_pair(prog, 4))
 
     def test_pending_recv(self):
@@ -351,8 +360,7 @@ class TestFallbackReasons:
 
         rec = Recorder(granularity="span")
         res = run_spmd(prog, 4, instrument=rec)
-        assert res.p2p_fast == 0
-        assert _reasons(rec) == {"pending-recv"}
+        _assert_fell_back(res, rec, "pending-recv")
         _assert_identical(*_pair(prog, 4))
 
     def test_queued_traffic(self):
@@ -370,8 +378,7 @@ class TestFallbackReasons:
 
         rec = Recorder(granularity="span")
         res = run_spmd(prog, 4, instrument=rec)
-        assert res.p2p_fast == 0
-        assert _reasons(rec) == {"queued-traffic"}
+        _assert_fell_back(res, rec, "queued-traffic")
         _assert_identical(*_pair(prog, 4))
 
     def test_mid_phase_traffic(self):
@@ -392,9 +399,8 @@ class TestFallbackReasons:
 
         rec = Recorder(granularity="span")
         res = run_spmd(prog, 4, instrument=rec)
-        assert res.p2p_fast == 0
-        reasons = _reasons(rec)
-        assert "mid-phase-traffic" in reasons
+        # rank 0 reran after the abort; ranks 1-3 consulted an aborted gate
+        _assert_fell_back(res, rec, "mid-phase-traffic")
         _assert_identical(*_pair(prog, 4))
 
     def test_clean_faultplan_without_crashes_keeps_fast_path(self):
@@ -483,6 +489,82 @@ class TestObservabilityParity:
         assert rec_fast.metrics.value("p2p/fast_hits") == 6
         assert rec_sim.metrics.value("p2p/fast_hits") == 0
         assert rec_sim.metrics.value("p2p/fallbacks") == 6
+
+
+class TestInterleaving:
+    """Collectives and exchanges share one gate table per communicator:
+    interleave them, on the world and on a ``split`` half, and let a late
+    rank's stray message abort one exchange gate after rank 0 has parked
+    on it."""
+
+    def test_seeded_interleaving_with_mid_gate_abort(self):
+        nprocs = 8
+        rng = random.Random(0x16A7E)
+        kinds = ("allreduce", "barrier", "bcast", "scan", "exchange",
+                 "sub-allreduce", "sub-allgather", "sub-exchange")
+        script = [rng.choice(kinds) for _ in range(48)]
+        stray_at = [i for i, k in enumerate(script) if k == "exchange"][2]
+        world_ring = _ring_pattern(nprocs, name="mix-world")
+        chain = _chain_pattern(nprocs)
+        half_ring = _ring_pattern(nprocs // 2, nbytes=80 * 1024,
+                                  name="mix-half")
+
+        async def prog(ctx):
+            comm, rank = ctx.comm, ctx.rank
+            sub = await comm.split(color=rank % 2, key=rank)
+            acc = 0.0
+            for i, kind in enumerate(script):
+                ctx.compute(1e-7 * ((rank * 7 + i) % 5))
+                if kind == "allreduce":
+                    acc += await comm.allreduce(rank + i * 0.25)
+                elif kind == "barrier":
+                    await comm.barrier()
+                elif kind == "bcast":
+                    acc += await comm.bcast(i if rank == i % nprocs else None,
+                                            root=i % nprocs)
+                elif kind == "scan":
+                    acc += await comm.scan(rank + 1)
+                elif kind == "exchange":
+                    stray = i == stray_at
+                    req = comm.isend(5, None, tag=99, size=8) \
+                        if stray and rank == 3 else None
+                    await comm.exchange(chain if i % 2 else world_ring,
+                                        compute=ctx.compute)
+                    if req is not None:
+                        await req.wait()
+                    if stray and rank == 5:
+                        await comm.recv(3, tag=99)
+                elif kind == "sub-allreduce":
+                    acc += await sub.allreduce(rank * 0.5)
+                elif kind == "sub-allgather":
+                    acc += sum(await sub.allgather(rank))
+                else:
+                    await sub.exchange(half_ring)
+            return acc
+
+        def spans(rec):
+            return sorted(
+                (s.cat, s.rank, s.name, s.start, s.end,
+                 tuple(sorted(s.args.items())))
+                for s in rec.spans if s.cat in ("coll", "p2p"))
+
+        rec_fast = Recorder(granularity="span")
+        rec_sim = Recorder(granularity="span")
+        fast = run_spmd(prog, nprocs, instrument=rec_fast)
+        sim = run_spmd(prog, nprocs, instrument=rec_sim,
+                       config=SimConfig(collectives="simulated",
+                                        p2p="simulated"))
+        _assert_identical(fast, sim)
+        assert spans(rec_fast) == spans(rec_sim)
+        # exactly one world exchange instance left the fast path, mid-gate:
+        # three ranks were parked on it when rank 3's message showed up
+        assert _reasons(rec_fast) == {"mid-phase-traffic"}
+        assert fast.p2p_simulated == nprocs
+        assert fast.p2p_fast == \
+            (script.count("exchange") - 1 + script.count("sub-exchange")) \
+            * nprocs
+        assert fast.collectives_simulated == 0
+        assert sim.p2p_fast == sim.collectives_fast == 0
 
 
 class TestPatternValidation:
