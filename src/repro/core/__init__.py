@@ -28,6 +28,7 @@ from .online import (
     CLUSTER_TAG,
     ONLINE_TAG,
     cluster_over_tree,
+    fold_into_online,
     merge_lead_traces,
     replace_participants,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "distance",
     "energy_report",
     "find_top_k",
+    "fold_into_online",
     "hierarchical",
     "k_farthest",
     "k_medoids",

@@ -22,7 +22,7 @@ from ..simmpi.launcher import RankContext
 from .callpath import SignatureAccumulator
 from .clustering import ClusterSet
 from .config import ChameleonConfig
-from .online import cluster_over_tree, merge_lead_traces
+from .online import cluster_over_tree, fold_into_online, merge_lead_traces
 
 
 class AcurdionTracer(ScalaTraceTracer):
@@ -61,10 +61,8 @@ class AcurdionTracer(ScalaTraceTracer):
 
         online = Trace(nprocs=self.nprocs) if self.rank == 0 else None
         t0 = self.ctx.clock
-        merged = await merge_lead_traces(
-            self, self.topk, online, self.config.window
-        )
+        segment = await merge_lead_traces(self, self.topk)
+        if segment is not None:
+            fold_into_online(self, online, segment, self.config.window)
         self.intercompression_time = self.ctx.clock - t0
-        if self.rank == 0 and merged is not None:
-            merged.nprocs = self.nprocs
-        return merged
+        return online

@@ -80,6 +80,9 @@ class ChameleonTracer(ScalaTraceTracer):
         self.online: Trace | None = (
             Trace(nprocs=self.nprocs) if self.rank == 0 else None
         )
+        #: running ``online.size_bytes()`` (0 off rank 0): advanced by what
+        #: ``fold_into_online`` returns, read by every marker's space sample
+        self.online_bytes = self.online.size_bytes() if self.online else 0
         self.cstats = ChameleonStats()
         #: fault-degraded mode: clustering collapsed (or rank 0 died), so
         #: every survivor falls back to full ScalaTrace-style tracing
@@ -314,11 +317,11 @@ class ChameleonTracer(ScalaTraceTracer):
         partial intra-node trace — the last event end is kept, so delta
         times stay stitched."""
         t0 = self.ctx.clock
-        merged = await merge_lead_traces(
-            self, self.topk, self.online, self.config.window
-        )
-        if self.rank == 0:
-            self.online = merged
+        segment = await merge_lead_traces(self, self.topk)
+        if segment is not None:
+            self.online_bytes += fold_into_online(
+                self, self.online, segment, self.config.window
+            )
         self.cstats.intercompression_time += self.ctx.clock - t0
         self.compressor.take_nodes()
         self.mergeacc.reset()
@@ -332,9 +335,7 @@ class ChameleonTracer(ScalaTraceTracer):
                               t=self.ctx.clock)
 
     def _sample_space(self, state: str, intra_bytes: int) -> None:
-        allocated = intra_bytes
-        if self.rank == 0 and self.online is not None:
-            allocated += self.online.size_bytes()
+        allocated = intra_bytes + self.online_bytes
         self.cstats.space_samples.append((state, allocated))
         self.stats.bytes_by_state[state] = (
             self.stats.bytes_by_state.get(state, 0) + allocated
@@ -423,7 +424,9 @@ class ChameleonTracer(ScalaTraceTracer):
             return None
         assert merged is not None
         if self.online is not None and self.online.nodes:
-            fold_into_online(self, self.online, merged, self.config.window)
+            self.online_bytes += fold_into_online(
+                self, self.online, merged, self.config.window
+            )
             merged = self.online
         merged.nprocs = self.nprocs
         return merged

@@ -8,9 +8,9 @@ Two collective phases run at a clustering/flush marker:
   them.
 * :func:`merge_lead_traces` — each Top-K lead replaces its events'
   ranklists with its *cluster's* ranklist, the K leads reduce their traces
-  over a radix tree restricted to the leads (``O(n^2 log K)``), the Top-K
-  root ships the partial global trace to rank 0, and rank 0 folds it into
-  the incrementally grown *online trace*.
+  over a radix tree restricted to the leads (``O(n^2 log K)``) and the
+  Top-K root ships the partial global trace to rank 0, which folds it into
+  the incrementally grown *online trace* with :func:`fold_into_online`.
 
 Both functions use the raw communicator (tracer-internal traffic is never
 recorded) and charge measured work to virtual time through the tracer's
@@ -123,17 +123,15 @@ def replace_participants(
 
 
 async def merge_lead_traces(
-    tracer: ScalaTraceTracer,
-    topk: ClusterSet,
-    online: Trace | None,
-    window: int,
+    tracer: ScalaTraceTracer, topk: ClusterSet
 ) -> Trace | None:
-    """Algorithm 3 lines 25–47: merge the Top-K lead traces into the online
-    trace at rank 0.
+    """Algorithm 3 lines 25–47: merge the Top-K lead traces and deliver the
+    result to rank 0.
 
     Every rank participates in the call; non-leads simply delete their
-    partial traces (done by the caller).  Returns the updated online trace
-    on rank 0, ``None`` elsewhere.
+    partial traces (done by the caller).  Returns the interval's merged
+    segment on rank 0 — for :func:`fold_into_online` — and ``None``
+    elsewhere, or when nothing arrived.
     """
     comm = tracer.comm
     rank = comm.rank
@@ -172,23 +170,22 @@ async def merge_lead_traces(
             if partial is LOST:
                 partial = None  # fault hole: this interval's merge is gone
 
-    if rank == 0:
-        assert online is not None
-        if partial is not None and partial.nodes:
-            fold_into_online(tracer, online, partial, window)
-        return online
-    return None
+    # only rank 0 can still hold a partial here
+    return partial if partial is not None and partial.nodes else None
 
 
 def fold_into_online(
     tracer: ScalaTraceTracer, online: Trace, segment: Trace, window: int
-) -> None:
+) -> int:
     """Rank 0 appends one merged segment (an interval's lead traces, or the
     survivors' full traces of a degraded finalize) to the online trace,
-    folds segments that repeat across intervals, and charges the work."""
+    folds segments that repeat across intervals, and charges the work.
+    Returns the change of ``online.size_bytes()`` (owed to a running count)."""
     meter = tracer.meter
     work0 = meter.total
+    grown = sum(n.size_bytes() for n in segment.nodes)
     online.nodes.extend(segment.nodes)
-    fold_tail(online.nodes, window, meter, match_participants=True)
+    grown += fold_tail(online.nodes, window, meter, match_participants=True)
     online.origin = online.origin.union(segment.origin)
     tracer.ctx.compute((meter.total - work0) * tracer.costs.per_merge_cell)
+    return grown

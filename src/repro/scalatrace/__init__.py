@@ -30,7 +30,6 @@ from .rsd import (
     iter_leaves,
     merge_nodes,
     same_shape,
-    shape_signature,
 )
 from .signatures import (
     EndpointSignatures,
@@ -90,6 +89,5 @@ __all__ = [
     "merge_nodes",
     "merge_traces",
     "same_shape",
-    "shape_signature",
     "summarize",
 ]

@@ -182,10 +182,6 @@ class EndpointStat:
             return rank + self.pattern.start
         return None
 
-    @property
-    def is_constant_rel(self) -> bool:
-        return self.rel is not None
-
     def copy(self) -> "EndpointStat":
         return EndpointStat(
             self.rel,

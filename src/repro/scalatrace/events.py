@@ -152,14 +152,6 @@ class EventRecord:
             self.dest is None,
         )
 
-    # Backwards-compatible alias used throughout the tests/tools.
-    def match_key(self):
-        return (
-            self.static_key(),
-            None if self.src is None else self.src.rel,
-            None if self.dest is None else self.dest.rel,
-        )
-
     @property
     def src_offset(self) -> int | None:
         """Constant relative source offset if that encoding survived."""
@@ -183,9 +175,14 @@ class EventRecord:
         ``allow_chain`` distinguishes intra-node folding (stream order —
         strided endpoint patterns may extend) from inter-node merging
         (different ranks — only matching constant/cycle encodings merge).
+        :meth:`static_key`'s fields are compared in place (this runs per
+        fold candidate); ``_ep_compatible`` covers its two endpoint flags.
         """
         return (
-            self.static_key() == other.static_key()
+            self.op is other.op
+            and self.stack_sig == other.stack_sig
+            and self.comm_id == other.comm_id
+            and self.root == other.root
             and self._ep_compatible(self.src, other.src, allow_chain)
             and self._ep_compatible(self.dest, other.dest, allow_chain)
         )
@@ -223,8 +220,12 @@ class EventRecord:
     def size_bytes(self) -> int:
         """Modelled allocation of this record (paper Table IV accounting):
         fixed header + endpoint encodings + ranklist + sparse histogram."""
-        ep = sum(e.size_bytes() for e in (self.src, self.dest) if e is not None)
-        return 96 + ep + self.participants.size_bytes() + self.dhist.size_bytes()
+        size = 96 + self.participants.size_bytes() + self.dhist.size_bytes()
+        if self.src is not None:
+            size += self.src.size_bytes()
+        if self.dest is not None:
+            size += self.dest.size_bytes()
+        return size
 
     def __str__(self) -> str:
         ep = ""

@@ -40,12 +40,16 @@ def _participants_equal(a: TraceNode, b: TraceNode) -> bool:
     )
 
 
+def _size(nodes: list[TraceNode]) -> int:
+    return sum(n.size_bytes() for n in nodes)
+
+
 def fold_tail(
     nodes: list[TraceNode],
     window: int,
     meter: WorkMeter,
     match_participants: bool = False,
-) -> None:
+) -> int:
     """Run the absorb/create rewrite rules to fixpoint on the list's tail.
 
     Shared by the per-rank compressor (folding raw events) and Chameleon's
@@ -55,6 +59,12 @@ def fold_tail(
     records from different clusters would union their ranklists and
     misattribute iterations (a per-rank stream never needs the check —
     every node covers exactly the owning rank).
+
+    Returns the change of ``sum(n.size_bytes() for n in nodes)``, which the
+    list's owner adds to its running count (nodes cache no size).  Only what
+    a rewrite touches is sized: the subtrees it merges into, before and
+    after (a merge can also *shrink* a record, when an endpoint pattern
+    stops being representable), the run it deletes and a new loop's header.
     """
 
     def congruent(a: TraceNode, b: TraceNode) -> bool:
@@ -62,6 +72,7 @@ def fold_tail(
             return False
         return not match_participants or _participants_equal(a, b)
 
+    delta = 0
     changed = True
     while changed:
         changed = False
@@ -72,8 +83,10 @@ def fold_tail(
                 continue
             tail = nodes[-m:]
             if all(congruent(b, t) for b, t in zip(prev.body, tail)):
+                delta -= _size(prev.body) + _size(tail)
                 for b, t in zip(prev.body, tail):
                     merge_nodes(b, t, meter)
+                delta += _size(prev.body)
                 prev.iters += 1
                 del nodes[-m:]
                 meter.folds += 1
@@ -88,14 +101,17 @@ def fold_tail(
             first = nodes[-2 * m : -m]
             second = nodes[-m:]
             if all(congruent(a, b) for a, b in zip(first, second)):
+                delta -= _size(first) + _size(second)
                 for a, b in zip(first, second):
                     merge_nodes(a, b, meter)
                 loop = LoopNode(2, first)
+                delta += loop.size_bytes()
                 del nodes[-2 * m :]
                 nodes.append(loop)
                 meter.folds += 1
                 changed = True
                 break
+    return delta
 
 
 class IntraCompressor:
@@ -107,13 +123,15 @@ class IntraCompressor:
         self.window = window
         self.meter = meter if meter is not None else WorkMeter()
         self.nodes: list[TraceNode] = []
-        self.appended_events = 0
+        #: running sum of the nodes' ``size_bytes()``: ``append`` adds the
+        #: record and the fold's delta, ``take_nodes`` zeroes it
+        self._bytes = 0
 
     def append(self, record: EventRecord) -> None:
         """Add one event and re-compress the tail."""
         self.nodes.append(EventNode(record))
-        self.appended_events += 1
-        fold_tail(self.nodes, self.window, self.meter)
+        self._bytes += record.size_bytes()
+        self._bytes += fold_tail(self.nodes, self.window, self.meter)
 
     # -- introspection ---------------------------------------------------
 
@@ -126,10 +144,11 @@ class IntraCompressor:
         return sum(n.expanded_count() for n in self.nodes)
 
     def size_bytes(self) -> int:
-        return sum(n.size_bytes() for n in self.nodes)
+        """O(1): the count ``append`` keeps (== the sum over ``nodes``)."""
+        return self._bytes
 
     def take_nodes(self) -> list[TraceNode]:
         """Detach and return the compressed nodes (compressor resets)."""
         nodes, self.nodes = self.nodes, []
-        self.appended_events = 0
+        self._bytes = 0
         return nodes

@@ -175,6 +175,8 @@ class RankSet:
         return hash(self._members)
 
     def union(self, other: "RankSet") -> "RankSet":
+        if set(self._members).issuperset(other._members):
+            return self  # immutable, and nothing to add (every intra fold)
         return RankSet(self._members + other._members)
 
     def size_bytes(self) -> int:

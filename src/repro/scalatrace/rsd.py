@@ -41,11 +41,6 @@ class WorkMeter:
     merges: int = 0
     folds: int = 0
 
-    def reset(self) -> None:
-        self.comparisons = 0
-        self.merges = 0
-        self.folds = 0
-
     @property
     def total(self) -> int:
         return self.comparisons + self.merges + self.folds
@@ -170,10 +165,3 @@ def expand(nodes: list[TraceNode]) -> Iterator[EventRecord]:
         else:
             for _ in range(node.iters):
                 yield from expand(node.body)
-
-
-def shape_signature(node: TraceNode) -> tuple:
-    """A hashable structural key (used to prefilter congruence checks)."""
-    if isinstance(node, EventNode):
-        return ("E", node.record.match_key())
-    return ("L", node.iters, tuple(shape_signature(n) for n in node.body))

@@ -58,8 +58,11 @@ class DeltaHistogram:
         self.max = dt if dt > self.max else self.max
 
     def merge(self, other: "DeltaHistogram") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
+        if other.total == 1:  # one sample (every intra-node fold): one bin
+            self.counts[other.counts.index(1)] += 1
+        else:
+            for i, c in enumerate(other.counts):
+                self.counts[i] += c
         self.total += other.total
         self.sum += other.sum
         self.min = min(self.min, other.min)
@@ -96,7 +99,7 @@ class DeltaHistogram:
 
     def size_bytes(self) -> int:
         """Modelled allocation: only non-empty bins are stored (sparse)."""
-        nonzero = sum(1 for c in self.counts if c)
+        nonzero = len(self.counts) - self.counts.count(0)
         return 8 * (4 + 2 * nonzero)  # total/sum/min/max + (bin, count) pairs
 
     def copy(self) -> "DeltaHistogram":

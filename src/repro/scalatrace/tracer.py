@@ -190,7 +190,7 @@ class ScalaTraceTracer:
         )
         self.ctx.compute(charge)
         self.stats.record_time += self.ctx.clock - t0
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self.current_bytes())
+        self.stats.peak_bytes = max(self.stats.peak_bytes, self.compressor.size_bytes())
         ins = self.obs
         if ins.enabled:
             ins.metrics.count("record/events", 1, rank=self.rank,
@@ -215,9 +215,6 @@ class ScalaTraceTracer:
         """Post-wrapper of every collective: the one collective-completion
         point (the auto-marker tracer hangs its anchor detector here)."""
         self._post()
-
-    def current_bytes(self) -> int:
-        return self.compressor.size_bytes()
 
     # -- traced MPI API ------------------------------------------------------
 
@@ -284,11 +281,6 @@ class ScalaTraceTracer:
         value = await request.wait()
         self._post()
         return value
-
-    async def wait_all(self, requests: Sequence[Request]) -> list[Any]:
-        values = [await r.wait() for r in requests]
-        self._post()
-        return values
 
     async def exchange(self, pattern: NeighborPattern, *,
                        compute: Callable[[float], Any] | None = None) -> None:

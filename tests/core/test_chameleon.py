@@ -229,7 +229,7 @@ class TestAcurdion:
                     await tracer.allreduce(1.0)
                 await tracer.marker()  # no-op for ACURDION
             trace = await tracer.finalize()
-            return {"trace": trace, "bytes": tracer.current_bytes(),
+            return {"trace": trace, "bytes": tracer.compressor.size_bytes(),
                     "stats": tracer.stats}
 
         res = run_spmd(main, 8, config=SimConfig(network=ZERO_COST))

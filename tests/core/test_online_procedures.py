@@ -6,9 +6,13 @@ from repro.core import (
     ChameleonConfig,
     IntervalSignatures,
     cluster_over_tree,
+    fold_into_online,
     merge_lead_traces,
     replace_participants,
 )
+from repro.core import chameleon
+from repro.faults.plan import CrashFault, FaultPlan
+from repro.harness.runner import Mode, run_mode
 from repro.scalatrace import (
     EndpointStat,
     EventNode,
@@ -19,6 +23,7 @@ from repro.scalatrace import (
     Trace,
 )
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
+from repro.workloads import make_workload
 
 
 def run_ranks(prog, nprocs):
@@ -117,8 +122,11 @@ class TestMergeLeadTraces:
                 await tr.allreduce(0.0, size=8)
             topk = await cluster_over_tree(tr, sigs, config)
             online = Trace(nprocs=ctx.size) if ctx.rank == 0 else None
-            merged = await merge_lead_traces(tr, topk, online, config.window)
-            return merged
+            segment = await merge_lead_traces(tr, topk)
+            assert (segment is not None) == (ctx.rank == 0)
+            if segment is not None:
+                fold_into_online(tr, online, segment, config.window)
+            return online
 
         results = run_ranks(prog, 6)
         online = results[0]
@@ -132,17 +140,92 @@ class TestMergeLeadTraces:
             config = ChameleonConfig(k=1)
             online = Trace(nprocs=ctx.size) if ctx.rank == 0 else None
             for phase in ("a", "b"):
+                before = online.size_bytes() if online else 0
                 with ctx.frame(f"phase_{phase}"):
                     await tr.allreduce(0.0, size=8)
                 sigs = IntervalSignatures(callpath=hash(phase) & 0xFF, src=0,
                                           dest=0)
                 topk = await cluster_over_tree(tr, sigs, config)
-                merged = await merge_lead_traces(tr, topk, online,
-                                                 config.window)
-                if ctx.rank == 0:
-                    online = merged
+                segment = await merge_lead_traces(tr, topk)
+                if segment is not None:
+                    grown = fold_into_online(tr, online, segment,
+                                             config.window)
+                    assert grown == online.size_bytes() - before
             return online
 
         online = run_ranks(prog, 4)[0]
         assert online.leaf_count() == 2  # one per phase
         assert online.expanded_count() == 2
+
+
+class TestOnlineByteCount:
+    """Rank 0 keeps ``online_bytes`` beside its online trace instead of
+    re-summing the trace at every marker: the count must equal
+    ``online.size_bytes()`` wherever it is read, after every fold and when
+    the run ends."""
+
+    @staticmethod
+    def _watch(monkeypatch) -> dict:
+        seen = {"samples": 0, "folds": 0, "refolded": 0, "degraded_folds": 0,
+                "finalized": 0}
+        sample_space = chameleon.ChameleonTracer._sample_space
+        finalize = chameleon.ChameleonTracer.finalize
+        fold = chameleon.fold_into_online
+
+        def checked_sample(self, state, intra_bytes):
+            if self.rank == 0:
+                assert self.online_bytes == self.online.size_bytes()
+                seen["samples"] += 1
+            sample_space(self, state, intra_bytes)
+
+        def checked_fold(tracer, online, segment, window):
+            added = sum(n.size_bytes() for n in segment.nodes)
+            grown = fold(tracer, online, segment, window)
+            assert tracer.online_bytes + grown == online.size_bytes()
+            seen["folds"] += 1
+            seen["refolded"] += grown != added  # fold_tail rewrote the tail
+            seen["degraded_folds"] += tracer.degraded
+            return grown
+
+        async def checked_finalize(self):
+            trace = await finalize(self)
+            if self.rank == 0:
+                assert self.online_bytes == self.online.size_bytes()
+                seen["finalized"] += 1
+            return trace
+
+        monkeypatch.setattr(chameleon.ChameleonTracer, "_sample_space",
+                            checked_sample)
+        monkeypatch.setattr(chameleon.ChameleonTracer, "finalize",
+                            checked_finalize)
+        monkeypatch.setattr(chameleon, "fold_into_online", checked_fold)
+        return seen
+
+    def test_recluster_and_flush_path(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        workload = make_workload("lu_modified", problem_class="A",
+                                 iterations=12, phase_period=5)
+        result = run_mode(workload, 9, Mode.CHAMELEON)
+        assert result.chameleon_stats[0].reclusterings >= 3
+        assert seen["samples"] == 13  # 12 markers + finalize
+        assert seen["folds"] >= 4 and not seen["degraded_folds"]
+        assert seen["finalized"] == 1
+        assert result.trace.size_bytes() > 64
+
+    def test_segments_that_repeat_across_intervals(self, monkeypatch):
+        # the run where the online trace's own fold_tail rewrites nodes
+        seen = self._watch(monkeypatch)
+        run_mode(make_workload("synthetic"), 8, Mode.CHAMELEON)
+        assert seen["refolded"] >= 2 and seen["finalized"] == 1
+
+    def test_degraded_finalize_folds_into_the_online_trace(self, monkeypatch):
+        # the collapse case of test_tracer_pins: a single-member cluster's
+        # lead dies, rank 0 degrades and its finalize folds the survivors'
+        # merged trace into the online trace
+        seen = self._watch(monkeypatch)
+        workload = make_workload("bt", problem_class="A", iterations=24)
+        plan = FaultPlan(seed=11, crashes=(CrashFault(rank=12, time=0.019),))
+        result = run_mode(workload, 16, Mode.CHAMELEON, faults=plan)
+        assert list(result.failed_ranks) == [12]
+        assert seen["degraded_folds"] == 1 and seen["folds"] > 1
+        assert seen["samples"] == 25 and seen["finalized"] == 1

@@ -155,7 +155,9 @@ class TestTrace:
         # statistics survive the roundtrip
         leaves, leaves2 = list(t.leaves()), list(t2.leaves())
         for l1, l2 in zip(leaves, leaves2):
-            assert l1.record.match_key() == l2.record.match_key()
+            assert l1.record.static_key() == l2.record.static_key()
+            assert l1.record.src_offset == l2.record.src_offset
+            assert l1.record.dest_offset == l2.record.dest_offset
             assert l1.record.dhist.total == l2.record.dhist.total
             assert l1.record.count.mean == l2.record.count.mean
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.scalatrace import (
+    EndpointStat,
     EventNode,
     EventRecord,
     IntraCompressor,
@@ -15,8 +16,6 @@ from repro.scalatrace import (
 
 
 def ev(sig: int, op: Op = Op.SEND, dest_off: int | None = 1, rank: int = 0) -> EventRecord:
-    from repro.scalatrace import EndpointStat
-
     dest = (
         EndpointStat.of(rank + dest_off, rank)
         if op.is_p2p and dest_off is not None
@@ -175,7 +174,7 @@ class TestMeterAndState:
         assert len(nodes) == 1
         assert c.nodes == []
         assert c.leaf_count() == 0
-        assert c.appended_events == 0
+        assert c.size_bytes() == 0
 
     def test_size_bytes_sublinear_for_loops(self):
         c_loop = IntraCompressor()
@@ -183,3 +182,137 @@ class TestMeterAndState:
         c_flat = IntraCompressor()
         feed(c_flat, list(range(100)))
         assert c_loop.size_bytes() < c_flat.size_bytes() / 10
+
+
+# -- size accounting: the running count is the recursive sum -----------------
+
+_SITE_OPS = (Op.SEND, Op.RECV, Op.ALLREDUCE, Op.SEND, Op.BARRIER)
+_DELTAS = (0.0, 2e-7, 3e-5, 4e-3, 0.5)
+
+
+def _recursive_size(compressor: IntraCompressor) -> int:
+    return sum(n.size_bytes() for n in compressor.nodes)
+
+
+def _endpoint(mode: str, base: int, rep: int) -> EndpointStat:
+    """The endpoint of a site's ``rep``-th repetition.
+
+    ``const`` and ``strided`` are what one rank's stream produces (relative
+    and absolute forms move together).  ``hub`` keeps the absolute target
+    while the relative offset jumps irregularly — records stay mergeable
+    through the absolute form while the strided pattern stops being
+    representable, so a merge *drops* it and the record shrinks.
+    ``scramble`` moves both forms: the repetition does not fold.
+    """
+    jump = (base * 7 + rep * rep * 3) % 5
+    if mode == "const":
+        return EndpointStat.of(base, 0)
+    if mode == "strided":
+        return EndpointStat.of(base + rep, 0)
+    if mode == "hub":
+        return EndpointStat.of(base, base + jump)
+    return EndpointStat.of(base + jump, rep % 2)
+
+
+def _site_event(site: int, mode: str, base: int, dt: int, rep: int) -> EventRecord:
+    op = _SITE_OPS[site]
+    ep = _endpoint(mode, base, rep) if op.is_p2p else None
+    rec = EventRecord(
+        op=op,
+        stack_sig=100 + site,
+        comm_id=1,
+        src=ep if op is Op.RECV else None,
+        dest=ep if op is Op.SEND else None,
+        participants=RankSet.single(0),
+    )
+    rec.count.add(64)
+    rec.tag.add(0)
+    rec.dhist.record(_DELTAS[(dt + rep) % len(_DELTAS)])
+    return rec
+
+
+_site = st.tuples(
+    st.integers(0, len(_SITE_OPS) - 1),
+    st.sampled_from(["const", "strided", "hub", "scramble"]),
+    st.integers(0, 3),
+    st.integers(0, len(_DELTAS) - 1),
+)
+#: a stream is a sequence of blocks, each a short body repeated a few times
+_blocks = st.lists(
+    st.tuples(st.lists(_site, min_size=1, max_size=4), st.integers(1, 6)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestRunningByteCount:
+    """``IntraCompressor.size_bytes()`` is a count ``append`` keeps, not a
+    re-sum: it must equal the recursive definition after every event."""
+
+    @given(
+        _blocks,
+        st.sampled_from([1, 2, 3, 8, 64]),
+        st.sets(st.integers(0, 120), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_count_equals_recursive_sum_after_every_append(
+        self, blocks, window, take_at
+    ):
+        c = IntraCompressor(window=window)
+        appended = 0
+        for body, reps in blocks:
+            for rep in range(reps):
+                for site, mode, base, dt in body:
+                    c.append(_site_event(site, mode, base, dt, rep))
+                    assert c.size_bytes() == _recursive_size(c)
+                    appended += 1
+                    if appended in take_at:
+                        c.take_nodes()
+                        assert c.size_bytes() == 0
+
+    def test_merge_that_drops_a_pattern_shrinks_the_count(self):
+        c = IntraCompressor()
+        sizes = []
+        for rel in (1, 0, 5):  # same target, offsets 1, 0, 5: no stride fits
+            rec = ev(7)
+            rec.dest = EndpointStat.of(3, 3 - rel)
+            c.append(rec)
+            sizes.append(c.size_bytes())
+            assert c.size_bytes() == _recursive_size(c)
+        (loop,) = c.nodes
+        assert loop.iters == 3
+        assert loop.body[0].record.dest.pattern is None
+        assert sizes[2] < sizes[1]
+
+    def test_sizing_work_per_event_does_not_grow_with_the_trace(
+        self, monkeypatch
+    ):
+        """Work counter, no timing: the ``EventRecord.size_bytes`` calls
+        made while a repetitive phase is appended (with the size read after
+        every event, as ``_record`` reads it) do not depend on how many
+        unfolded nodes already sit in front of the phase."""
+        calls = [0]
+        sized = EventRecord.size_bytes
+
+        def counting(record):
+            calls[0] += 1
+            return sized(record)
+
+        monkeypatch.setattr(EventRecord, "size_bytes", counting)
+
+        def phase_sizings(prefix: int) -> int:
+            c = IntraCompressor()
+            for i in range(prefix):
+                c.append(ev(1000 + i))
+            calls[0] = 0
+            for _ in range(20):  # 20 x (4 x 6 + 1) = 500 events
+                for _ in range(6):
+                    for site in (1, 2, 3, 4):
+                        c.append(ev(site))
+                        c.size_bytes()
+                c.append(ev(5, Op.BARRIER))
+                c.size_bytes()
+            assert len(c.nodes) == prefix + 1
+            return calls[0]
+
+        assert phase_sizings(10) == phase_sizings(200)

@@ -1,4 +1,4 @@
-"""RSD node primitives: same_shape, merge_nodes, fold_tail, signatures."""
+"""RSD node primitives: same_shape, merge_nodes, fold_tail."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.scalatrace import (
     iter_leaves,
     merge_nodes,
     same_shape,
-    shape_signature,
 )
 
 
@@ -75,11 +74,13 @@ class TestMergeNodes:
 
 class TestShapeSignature:
     def test_stable_and_discriminating(self):
-        assert shape_signature(leaf(1)) == shape_signature(leaf(1))
-        assert shape_signature(leaf(1)) != shape_signature(leaf(2))
+        assert same_shape(leaf(1), leaf(1))
+        assert not same_shape(leaf(1), leaf(2))
         l1 = LoopNode(2, [leaf(1)])
         l2 = LoopNode(3, [leaf(1)])
-        assert shape_signature(l1) != shape_signature(l2)
+        assert same_shape(l1, LoopNode(2, [leaf(1)]))
+        assert not same_shape(l1, l2)
+        assert not same_shape(l1, LoopNode(2, [leaf(2)]))
 
 
 class TestFoldTail:

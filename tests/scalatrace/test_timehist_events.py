@@ -5,7 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.scalatrace import DeltaHistogram, EventRecord, Op, ParamStat, RankSet
+from repro.scalatrace import (
+    DeltaHistogram,
+    EndpointStat,
+    EventRecord,
+    Op,
+    ParamStat,
+    RankSet,
+)
 
 DT = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -126,8 +133,6 @@ class TestParamStat:
 
 
 def _record(rank=0, op=Op.SEND, sig=111, dest_off=1):
-    from repro.scalatrace import EndpointStat
-
     r = EventRecord(
         op=op,
         stack_sig=sig,
@@ -143,10 +148,32 @@ def _record(rank=0, op=Op.SEND, sig=111, dest_off=1):
 
 class TestEventRecord:
     def test_match_key_fields(self):
-        assert _record().match_key() == _record(rank=3).match_key()
-        assert _record().match_key() != _record(op=Op.RECV).match_key()
-        assert _record().match_key() != _record(sig=222).match_key()
-        assert _record().match_key() != _record(dest_off=2).match_key()
+        assert _record().static_key() == _record(rank=3).static_key()
+        assert _record().static_key() != _record(op=Op.RECV).static_key()
+        assert _record().static_key() != _record(sig=222).static_key()
+        # the relative offset is not a static field: the endpoints decide
+        assert _record().static_key() == _record(dest_off=2).static_key()
+        assert _record().dest_offset != _record(dest_off=2).dest_offset
+
+    def test_can_merge_compares_every_static_field(self):
+        """``can_merge`` spells the static comparison out field by field;
+        it must agree with ``static_key()`` on each of them."""
+        base = _record()
+        assert base.can_merge(_record(rank=3))
+        variants = [_record(op=Op.RECV), _record(sig=222), _record(),
+                    _record(), _record(), _record()]
+        variants[2].comm_id = 2
+        variants[3].root = 0
+        variants[4].dest = None
+        variants[5].src = EndpointStat.of(1, 0)
+        for other in variants:
+            assert base.static_key() != other.static_key()
+            assert not base.can_merge(other)
+            assert not other.can_merge(base)
+        # same static fields, different offset: mergeable only in stream
+        # order, where the offsets chain into a strided pattern
+        assert base.can_merge(_record(dest_off=2))
+        assert not base.can_merge(_record(dest_off=2), allow_chain=False)
 
     def test_merge_unions_participants(self):
         a, b = _record(rank=0), _record(rank=5)

@@ -190,3 +190,51 @@ class TestFinalizeMerge:
 
         res = run_traced(prog, 9, tree_arity=4)
         assert res.results[0]["trace"].leaf_count() == 1
+
+
+class TestRecordSizingWork:
+    def test_converged_loop_sizes_the_fold_not_the_tree(self, monkeypatch):
+        """Work counter, no timing: once the PRSD has converged, one
+        ``_record`` sizes the new record plus what the fold rewrites (the
+        loop body before and after, and the run it absorbs) — never the
+        unfolded nodes in front of the loop."""
+        from repro.scalatrace import EventRecord
+
+        calls = [0]
+        per_record: list[int] = []
+        sized = EventRecord.size_bytes
+        record = ScalaTraceTracer._record
+
+        def counting(rec):
+            calls[0] += 1
+            return sized(rec)
+
+        def counted_record(self, *args, **kwargs):
+            before = calls[0]
+            sig = record(self, *args, **kwargs)
+            per_record.append(calls[0] - before)
+            return sig
+
+        monkeypatch.setattr(EventRecord, "size_bytes", counting)
+        monkeypatch.setattr(ScalaTraceTracer, "_record", counted_record)
+        prefix, width, iters = 40, 3, 30
+
+        async def main(ctx):
+            tr = ScalaTraceTracer(ctx)
+            for i in range(prefix):
+                with ctx.frame(f"setup_{i}"):
+                    await tr.barrier()
+            for _ in range(iters):
+                for site in range(width):
+                    with ctx.frame(f"step_{site}"):
+                        await tr.allreduce(1.0)
+            assert len(tr.compressor.nodes) == prefix + 1
+            assert tr.stats.peak_bytes >= tr.compressor.size_bytes() == sum(
+                n.size_bytes() for n in tr.compressor.nodes)
+
+        run_spmd(main, 1, config=SimConfig(network=ZERO_COST))
+        converged = per_record[prefix + 2 * width:]
+        assert len(converged) == (iters - 2) * width
+        # the new record, and 3 sizings of a `width`-leaf run per absorb
+        assert max(converged) == 1 + 3 * width < prefix
+        assert sum(converged) == (iters - 2) * (width + 3 * width)
