@@ -40,14 +40,10 @@ class AcurdionTracer(ScalaTraceTracer):
         )
         self.config = config
         self.sigacc = SignatureAccumulator()
+        self._sigaccs = (self.sigacc,)
         self.topk: ClusterSet | None = None
         self.clustering_time = 0.0
         self.intercompression_time = 0.0
-
-    def _track_signature(
-        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
-    ) -> None:
-        self.sigacc.observe(stack_sig, src_offset, dest_offset)
 
     async def finalize(self) -> Trace | None:
         """Cluster once, merge the K lead traces, return trace on rank 0."""

@@ -15,6 +15,7 @@ events the paper's O(n) bound describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..scalatrace.signatures import EndpointSignatures
 
@@ -37,8 +38,8 @@ class IntervalSignatures:
 class SignatureAccumulator:
     """Incremental builder of :class:`IntervalSignatures`.
 
-    ``observe`` is called once per recorded MPI event; ``snapshot`` reads the
-    current triple and ``reset`` starts the next interval.
+    ``observe`` folds one intercepted MPI call in, ``observe_many`` a batch
+    of them; ``snapshot`` reads the triple, ``reset`` starts the next interval.
 
     ``mode`` selects the Call-Path formula:
 
@@ -59,8 +60,7 @@ class SignatureAccumulator:
     distinct_sigs: set = field(default_factory=set)
     # Dedup-mode Call-Path, folded incrementally as each *new* distinct
     # call site arrives (its multiplier is fixed by arrival order, so the
-    # fold never needs to be recomputed).  Snapshotting used to replay the
-    # whole distinct-site list per marker — O(sites) work at every marker.
+    # fold never needs to be recomputed).
     _dedup_cp: int = 0
 
     def __post_init__(self) -> None:
@@ -73,14 +73,27 @@ class SignatureAccumulator:
         src_offset: int | None = None,
         dest_offset: int | None = None,
     ) -> None:
-        self._callpath ^= ((self._seq % 10) + 1) * (stack_sig & _MASK64) & _MASK64
-        self._seq += 1
-        self.events += 1
-        if stack_sig not in self.distinct_sigs:
-            seq = len(self.distinct_sigs)
-            self.distinct_sigs.add(stack_sig)
-            self._dedup_cp ^= ((seq % 10) + 1) * (stack_sig & _MASK64) & _MASK64
-        self._endpoints.observe(src_offset, dest_offset)
+        self.observe_many(((stack_sig, src_offset, dest_offset),))
+
+    def observe_many(
+        self, events: Iterable[tuple[int, int | None, int | None]]
+    ) -> None:
+        """Fold ``(stack_sig, src_offset, dest_offset)`` events in, in
+        order.  The SRC/DEST means are a float recurrence, so a batch is
+        replayed addition by addition: any split of an event sequence into
+        batches leaves the same state, bit for bit."""
+        callpath, seq, distinct = self._callpath, self._seq, self.distinct_sigs
+        endpoints = self._endpoints.observe
+        for stack_sig, src_offset, dest_offset in events:
+            term = stack_sig & _MASK64
+            callpath ^= ((seq % 10) + 1) * term & _MASK64
+            seq += 1
+            if stack_sig not in distinct:
+                self._dedup_cp ^= ((len(distinct) % 10) + 1) * term & _MASK64
+                distinct.add(stack_sig)
+            endpoints(src_offset, dest_offset)
+        self.events += seq - self._seq
+        self._callpath, self._seq = callpath, seq
 
     def snapshot(self) -> IntervalSignatures:
         src, dest = self._endpoints.values()

@@ -76,6 +76,7 @@ class ChameleonTracer(ScalaTraceTracer):
         # empty final marker interval would collapse all ranks into one
         # cluster and replay a single rank's behaviour everywhere.
         self.mergeacc = SignatureAccumulator(mode=config.signature_filter)
+        self._sigaccs = (self.sigacc, self.mergeacc)
         self.topk: ClusterSet | None = None
         self.online: Trace | None = (
             Trace(nprocs=self.nprocs) if self.rank == 0 else None
@@ -91,14 +92,6 @@ class ChameleonTracer(ScalaTraceTracer):
         # state-*transition* instants (cat "state") rather than one instant
         # per marker.
         self._obs_state: str | None = None
-
-    # -- signature hook of the event path ----------------------------------
-
-    def _track_signature(
-        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
-    ) -> None:
-        self.sigacc.observe(stack_sig, src_offset, dest_offset)
-        self.mergeacc.observe(stack_sig, src_offset, dest_offset)
 
     # -- fault tolerance -----------------------------------------------------
 

@@ -497,7 +497,8 @@ def _repair_deadlock(
             )
             colls_to_drop.append((op.key, instance))
         # blocked sends resolve at the end; they cannot wedge mid-schedule
-    for key, instance in set(colls_to_drop):
+    # first-seen order: a set would follow signature values and the hash seed
+    for key, instance in dict.fromkeys(colls_to_drop):
         for rank, sched in enumerate(schedules):
             for idx in range(progress[rank], len(sched)):
                 op = sched[idx]

@@ -44,12 +44,6 @@ class KeyDiff:
     def rank_coverage_equal(self) -> bool:
         return self.ranks_a == self.ranks_b
 
-    @property
-    def occurrence_ratio(self) -> float:
-        if self.occurrences_a == 0:
-            return float("inf") if self.occurrences_b else 1.0
-        return self.occurrences_b / self.occurrences_a
-
 
 @dataclass
 class TraceDiff:

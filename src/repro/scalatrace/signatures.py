@@ -121,6 +121,9 @@ class StackWalker:
 
     def __init__(self, extra_skip: tuple[str, ...] = ()) -> None:
         self._skip = self._SKIP_FRAGMENTS + extra_skip
+        #: ``co_filename`` -> keep its frames (1), skip them (0), stop the
+        #: walk there (-1): the fragment tests run once per source file
+        self._frame_kind: dict[str, int] = {}
         # Memo over complete captures: an SPMD loop hits the same (stack,
         # logical frames) shape on every iteration, so the combine/label
         # work collapses to one dict probe after the first event.
@@ -132,13 +135,21 @@ class StackWalker:
     def capture(self, logical_stack: Sequence[str] = ()) -> tuple[int, tuple[str, ...]]:
         """Return ``(stack_signature, human-readable frame list)``."""
         frames: list[tuple[str, str, int]] = []
+        kinds = self._frame_kind
         f = sys._getframe(1)
         while f is not None:
-            filename = f.f_code.co_filename
-            if self._STOP_FRAGMENT in filename:
+            code = f.f_code
+            filename = code.co_filename
+            kind = kinds.get(filename)
+            if kind is None:
+                kind = kinds[filename] = (
+                    -1 if self._STOP_FRAGMENT in filename
+                    else 0 if any(frag in filename for frag in self._skip) else 1
+                )
+            if kind < 0:
                 break
-            if not any(frag in filename for frag in self._skip):
-                frames.append((filename, f.f_code.co_name, f.f_lineno))
+            if kind:
+                frames.append((filename, code.co_name, f.f_lineno))
             f = f.f_back
         key = (tuple(frames), tuple(logical_stack))
         hit = self._capture_cache.get(key)
@@ -155,6 +166,17 @@ class StackWalker:
             self._capture_cache.clear()
         self._capture_cache[key] = out
         return out
+
+
+def push_logical(
+    captured: tuple[int, tuple[str, ...]], name: str
+) -> tuple[int, tuple[str, ...]]:
+    """``captured`` (a :meth:`StackWalker.capture` result) as it reads with
+    ``name`` pushed as one more, innermost, logical frame: one more XOR
+    term of :func:`combine_frames`, one more label."""
+    sig, labels = captured
+    term = _rotl(_logical_signature(name), len(labels) * 7 + 1)
+    return sig ^ term, labels + (f"<{name}>",)
 
 
 def callpath_signature(stack_sigs: Iterable[int]) -> int:

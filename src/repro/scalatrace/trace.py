@@ -9,7 +9,6 @@ trace files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -105,7 +104,6 @@ class Trace:
             nprocs=int(meta["nprocs"]),
         )
         stack: list[list[TraceNode]] = [trace.nodes]
-        loop_stack: list[LoopNode] = []
         for line in lines[1:]:
             stripped = line.strip()
             if stripped.startswith("loop "):
@@ -113,12 +111,10 @@ class Trace:
                 loop = LoopNode(iters, [])
                 stack[-1].append(loop)
                 stack.append(loop.body)
-                loop_stack.append(loop)
             elif stripped == "}":
                 if len(stack) == 1:
                     raise ValueError("unbalanced loop brackets")
                 stack.pop()
-                loop_stack.pop()
             else:
                 stack[-1].append(EventNode(_event_from_text(stripped)))
         if len(stack) != 1:

@@ -7,14 +7,17 @@ inter-node compression: all P ranks reduce their compressed traces over a
 radix tree rooted at rank 0, interior nodes merging child traces into their
 own — the ``O(n^2 log P)`` step whose cost Chameleon attacks.
 
-Two per-rank flags gate the event path (:meth:`ScalaTraceTracer._record`).
+Two per-rank flags gate the event path (:meth:`ScalaTraceTracer._record`:
+one stack walk, the signature hook, build-or-skip, charge).
 ``tracer.enabled = False`` takes the whole interposition layer out: no
 stack walk, no signatures, the call is only counted as skipped (a test and
 fidelity-comparison switch; nothing in ``src/`` clears it).
 ``tracer.tracing = False`` stops *building trace records* while the stack
 signature of every call keeps flowing into the signature hook — Chameleon
 sets it on non-lead processes in the L state, which is where the paper's
-Table IV space savings come from.
+Table IV space savings come from.  A declared phase
+(:meth:`ScalaTraceTracer.exchange`) walks and feeds the hook once per
+``exchange``, not per op: with ``tracing`` off an op costs its charge only.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .inter import merge_traces
 from .intra import DEFAULT_WINDOW, IntraCompressor
 from .ranklist import RankSet
 from .rsd import WorkMeter
-from .signatures import StackWalker
+from .signatures import StackWalker, push_logical
 from .trace import Trace
 
 #: reserved tag for shipping trace payloads up the reduction tree
@@ -114,6 +117,11 @@ class ScalaTraceTracer:
         self.meter = WorkMeter()
         self.compressor = IntraCompressor(window=window, meter=self.meter)
         self.walker = StackWalker()
+        #: what the signature hook feeds (the clustering tracers name theirs)
+        self._sigaccs: tuple = ()
+        #: shared by every record of this rank (a RankSet has no mutator)
+        self._self_set = RankSet.single(ctx.comm.rank)
+        self._scripts: dict[tuple, tuple] = {}  # see _script
         #: the interposition layer is on (see the module docstring)
         self.enabled = True
         #: building trace records (False on Chameleon's non-leads during
@@ -144,28 +152,29 @@ class ScalaTraceTracer:
         nbytes: int = 0,
         tag: int = 0,
         comm_id: int | None = None,
+        site: tuple[int, tuple[str, ...]] | None = None,
     ) -> int | None:
         """PMPI pre-wrapper, the one event path of every tracer: capture
         the call site, feed the signature hook, then either build and
         compress the event record or (``tracing`` off) only charge the
-        signature.  Returns the stack signature, None when the layer is
-        disabled.
+        signature.  A caller that already holds the call site's capture and
+        has fed the hook (:meth:`exchange`) passes it as ``site``.  Returns
+        the stack signature, None when the layer is disabled.
         """
         if not self.enabled:
             self.stats.events_skipped += 1
             return None
         t0 = self.ctx.clock
-        sig, frames = self.walker.capture(self.ctx.task.logical_stack)
-        self._track_signature(
-            sig,
-            None if src is None else src - self.rank,
-            None if dest is None else dest - self.rank,
-        )
+        if site is None:
+            site = self.walker.capture(self.ctx.task.logical_stack)
+            self._track_signature(
+                site[0],
+                None if src is None else src - self.rank,
+                None if dest is None else dest - self.rank,
+            )
+        sig, frames = site
         if not self.tracing:
-            # No trace is built (zero allocation); the signature above is
-            # what lets this rank still vote on phase changes (paper Fig. 2).
-            self.stats.events_skipped += 1
-            self.ctx.compute(self.costs.per_signature_event)
+            self._signature_only()
             return sig
         dt = max(t0 - self._last_event_end, 0.0)
         rec = EventRecord(
@@ -175,7 +184,7 @@ class ScalaTraceTracer:
             src=None if src is None else EndpointStat.of(src, self.rank),
             dest=None if dest is None else EndpointStat.of(dest, self.rank),
             root=root,
-            participants=RankSet.single(self.rank),
+            participants=self._self_set,
             frames=frames,
         )
         rec.count.add(nbytes)
@@ -199,13 +208,25 @@ class ScalaTraceTracer:
                               rank=self.rank, t=self.ctx.clock)
         return sig
 
-    def _track_signature(
-        self, stack_sig: int, src_offset: int | None, dest_offset: int | None
-    ) -> None:
-        """Signature hook of the event path: called once per intercepted
-        call with its stack signature and relative endpoint offsets,
-        whether or not a record is built.  Plain ScalaTrace keeps no
-        signatures; the clustering tracers fill this in."""
+    def _signature_only(self, *_event: Any, **_fields: Any) -> None:
+        """The event path with ``tracing`` off, past the hook: no trace is
+        built; the signature still lets the rank vote (paper Fig. 2)."""
+        self.stats.events_skipped += 1
+        self.ctx.compute(self.costs.per_signature_event)
+
+    def _track_signature(self, stack_sig: int, src_offset: int | None,
+                         dest_offset: int | None) -> None:
+        """Signature hook of the event path: every intercepted call's stack
+        signature and relative endpoint offsets, record built or not."""
+        for acc in self._sigaccs:
+            acc.observe(stack_sig, src_offset, dest_offset)
+
+    def _track_signatures(self, events: Sequence[tuple]) -> None:
+        """The hook for one declared exchange: all its calls at once, in
+        program order and ahead of the calls themselves (hook state is read
+        only at markers and finalize, never inside a phase)."""
+        for acc in self._sigaccs:
+            acc.observe_many(events)
 
     def _post(self) -> None:
         """PMPI post-wrapper: next delta time starts after the call."""
@@ -282,59 +303,101 @@ class ScalaTraceTracer:
         self._post()
         return value
 
+    def _script(self, pattern: NeighborPattern) -> tuple[list, list, Any]:
+        """This rank's script of ``pattern`` against the stack around the
+        ``exchange`` call (walked once, here): ``(steps, events, pattern)``,
+        memoised per (captured stack, pattern).
+
+        ``steps`` pairs each op with the ``_record`` arguments of its call,
+        its site being the capture with the position's label pushed (None
+        for waits and computes).  Placeholders are dropped; a ``("sendrecv",
+        label)`` entry fuses an isend with the recv and wait at the next
+        two positions into one ``("sendrecv", dest, sendtag, size, source,
+        recvtag)`` op.  ``events``: the hook's inputs, in program order.
+        """
+        captured = (self.walker.capture(self.ctx.task.logical_stack)
+                    if self.enabled else (0, ()))
+        key = (captured, id(pattern))
+        known = self._scripts.get(key)
+        if known is not None:
+            return known
+        rank, ops, sites = self.rank, pattern.ops[self.rank], pattern.sites
+        if sites is None or len(sites) < len(ops):
+            raise ValueError(
+                f"pattern {pattern.name!r}: no call-site table covering "
+                f"the {len(ops)} positions of rank {rank}'s script"
+            )
+        steps: list[tuple[tuple, tuple | None]] = []
+        events: list[tuple[int, int | None, int | None]] = []
+        script = zip(ops, sites)
+        for op, label in script:
+            if op is None:
+                continue
+            if op[0] in ("wait", "compute"):
+                steps.append((op, None))
+                continue
+            if label is None:
+                raise ValueError(
+                    f"pattern {pattern.name!r}: {op!r} has no call-site label"
+                )
+            if type(label) is tuple:  # ("sendrecv", label)
+                (recv, _), _ = next(script), next(script)
+                op, label = ("sendrecv", *op[1:], *recv[1:]), label[1]
+            kind = op[0]
+            src = op[-2] if kind in ("recv", "sendrecv") else None
+            dest, nbytes = (None, 0) if kind == "recv" else (op[1], op[3])
+            site = push_logical(captured, label)
+            steps.append((op, (Op[kind.upper()], dict(
+                src=src, dest=dest, nbytes=nbytes, tag=op[2], site=site))))
+            events.append((site[0], None if src is None else src - rank,
+                           None if dest is None else dest - rank))
+        # the entry holds the pattern, so its id stays its own
+        known = self._scripts[key] = (steps, events, pattern)
+        return known
+
     async def exchange(self, pattern: NeighborPattern, *,
                        compute: Callable[[float], Any] | None = None) -> None:
         """Run this rank's script of a declared phase, call by call.
 
-        The traced counterpart of ``Communicator.exchange``: every op goes
-        through this tracer's own ``isend``/``send``/``recv``/``wait`` with
-        the position's label from ``pattern.sites`` pushed as the innermost
-        logical frame, so the ops of one ``exchange`` call — which share
-        their real frames — keep one stack signature per call site of the
-        per-message code the script stands for.  A ``("sendrecv", label)``
-        entry makes an isend and the recv and wait at the next two
-        positions one ``sendrecv`` call.  The interpreter lives in this
-        package because the stack walker skips its frames (and would stop
-        at simmpi's).
+        The traced counterpart of ``Communicator.exchange``.  The ops of
+        one ``exchange`` share their real frames and differ in the label
+        ``pattern.sites`` gives their position, so the stack is walked once
+        per ``exchange`` (:meth:`_script`), the signature hook is fed the
+        whole call as one batch, and each op is issued straight on the
+        communicator after the pre-step this rank's state asks for:
+        ``_record`` with the derived site or, ``tracing`` off, the signature
+        charge alone.  A disabled layer walks nothing and feeds no hook.
         """
-        ops, sites = pattern.ops[self.rank], pattern.sites
-        if sites is None or len(sites) < len(ops):
-            raise ValueError(
-                f"pattern {pattern.name!r}: no call-site table covering "
-                f"the {len(ops)} positions of rank {self.rank}'s script"
-            )
-        frame = self.ctx.frame
+        steps, events, _ = self._script(pattern)
+        if self.enabled:
+            self._track_signatures(events)
+        pre = (self._record if self.tracing or not self.enabled
+               else self._signature_only)
+        comm, post = self.comm, self._post
         compute = compute or self.ctx.compute
         requests: list[Request | None] = []
-        script = zip(ops, sites)
-        for op, site in script:
-            if op is None:
-                continue
+        for op, event in steps:
             kind = op[0]
-            if kind == "wait":
-                await self.wait(requests[op[1]])
-            elif kind == "compute":
+            if kind == "compute":
                 compute(op[1])
-            elif site is None:
-                raise ValueError(
-                    f"pattern {pattern.name!r}: {op!r} has no call-site label"
-                )
-            elif type(site) is tuple:  # ("sendrecv", label)
-                (recv, _), _ = next(script), next(script)
-                requests.append(None)  # keeps ("wait", k) numbering aligned
-                with frame(site[1]):
-                    await self.sendrecv(op[1], None, source=recv[1],
-                                        sendtag=op[2], recvtag=recv[2],
-                                        size=op[3])
+                continue
+            if kind == "wait":
+                await requests[op[1]].wait()
             else:
-                with frame(site):
-                    if kind == "isend":
-                        requests.append(
-                            self.isend(op[1], None, tag=op[2], size=op[3]))
-                    elif kind == "send":
-                        await self.send(op[1], None, tag=op[2], size=op[3])
-                    else:
-                        await self.recv(op[1], tag=op[2])
+                pre(event[0], **event[1])
+                if kind == "isend":
+                    requests.append(
+                        comm.isend(op[1], None, tag=op[2], size=op[3]))
+                elif kind == "send":
+                    await comm.send(op[1], None, tag=op[2], size=op[3])
+                elif kind == "recv":
+                    await comm.recv(op[1], tag=op[2])
+                else:
+                    requests.append(None)  # keeps ("wait", k) numbering aligned
+                    await comm.sendrecv(op[1], None, source=op[4],
+                                        sendtag=op[2], recvtag=op[5],
+                                        size=op[3])
+            post()
 
     async def barrier(self) -> None:
         sig = self._record(Op.BARRIER)
@@ -452,7 +515,7 @@ class ScalaTraceTracer:
         """
         local = Trace(
             nodes=self.compressor.take_nodes(),
-            origin=RankSet.single(self.rank),
+            origin=self._self_set,
             nprocs=self.nprocs,
         )
         return await self.merge_over_tree(local, members)

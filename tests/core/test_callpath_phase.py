@@ -1,8 +1,11 @@
 """Interval signatures and the Algorithm 1 transition graph."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import MarkerState, PhaseTracker, SignatureAccumulator
+from repro.scalatrace import callpath_signature
+from repro.scalatrace.signatures import _MASK64
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
 
 
@@ -50,6 +53,74 @@ class TestSignatureAccumulator:
             acc.observe(11, dest_offset=1)
             acc.observe(22, src_offset=-1)
         assert a.snapshot() == b.snapshot()
+
+
+def per_event_observe(acc, stack_sig, src_offset=None, dest_offset=None):
+    """``SignatureAccumulator.observe`` as it read before ``observe_many``
+    existed (verbatim): the per-event reference the batched fold must
+    reproduce addition by addition."""
+    acc._callpath ^= ((acc._seq % 10) + 1) * (stack_sig & _MASK64) & _MASK64
+    acc._seq += 1
+    acc.events += 1
+    if stack_sig not in acc.distinct_sigs:
+        seq = len(acc.distinct_sigs)
+        acc.distinct_sigs.add(stack_sig)
+        acc._dedup_cp ^= ((seq % 10) + 1) * (stack_sig & _MASK64) & _MASK64
+    acc._endpoints.observe(src_offset, dest_offset)
+
+
+def state_of(acc):
+    ends = acc._endpoints
+    return (acc._callpath, acc._dedup_cp, acc._seq, acc.events,
+            sorted(acc.distinct_sigs), ends.src.count, ends.dest.count,
+            ends.src.mean.hex(), ends.dest.mean.hex(), acc.snapshot())
+
+
+# few distinct sites (so the dedup fold both fires and skips), any offsets
+_OFFSETS = st.none() | st.integers(-70000, 70000)
+_EVENTS = st.lists(
+    st.tuples(st.sampled_from([0, 1, 0xDEAD, (1 << 64) - 1, 1 << 63, 77]),
+              _OFFSETS, _OFFSETS),
+    max_size=40)
+
+
+class TestObserveMany:
+    @pytest.mark.parametrize("mode", ("sequence", "dedup"))
+    @settings(max_examples=150, deadline=None)
+    @given(prior=_EVENTS, events=_EVENTS, data=st.data())
+    def test_any_batching_equals_the_per_event_loop(self, mode, prior,
+                                                    events, data):
+        """From an arbitrary prior state, under any split of the events
+        into batches: every field equal, the float means bit for bit."""
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(events)), max_size=6)))
+        reference = SignatureAccumulator(mode=mode)
+        batched = SignatureAccumulator(mode=mode)
+        for acc in (reference, batched):
+            for event in prior:
+                per_event_observe(acc, *event)
+        for event in events:
+            per_event_observe(reference, *event)
+        for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+            batched.observe_many(events[lo:hi])
+        assert state_of(batched) == state_of(reference)
+        if mode == "sequence" and not prior:
+            assert batched.snapshot().callpath == callpath_signature(
+                [sig for sig, _, _ in events])
+
+    @settings(max_examples=50, deadline=None)
+    @given(events=_EVENTS)
+    def test_observe_is_a_batch_of_one(self, events):
+        single, reference = SignatureAccumulator(), SignatureAccumulator()
+        for event in events:
+            single.observe(*event)
+            per_event_observe(reference, *event)
+        assert state_of(single) == state_of(reference)
+
+    def test_a_generator_is_consumed_once(self):
+        acc = SignatureAccumulator()
+        acc.observe_many((sig, None, 1) for sig in (5, 6, 5))
+        assert (acc.events, acc.prsd_events) == (3, 2)
 
 
 def run_phase_sequence(per_rank_callpaths):

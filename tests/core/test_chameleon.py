@@ -13,7 +13,7 @@ from repro.core import (
     MarkerState,
 )
 from repro.scalatrace import Op, ScalaTraceTracer, StackWalker, Trace
-from repro.simmpi import SimConfig, ZERO_COST, run_spmd
+from repro.simmpi import NeighborPattern, SimConfig, ZERO_COST, run_spmd
 
 
 def run_chameleon(prog, nprocs, config=None, network=ZERO_COST):
@@ -291,8 +291,9 @@ class CountingWalker(StackWalker):
 
 class TestEventPath:
     """Every tracer class runs the one event path of
-    ``ScalaTraceTracer._record``: one stack walk per intercepted call, and
-    no per-event state beyond the compressed tree."""
+    ``ScalaTraceTracer._record``: one stack walk per intercepted call — per
+    ``exchange`` for the calls of a declared phase — and no per-event
+    state beyond the compressed tree."""
 
     @pytest.mark.parametrize("make, has_non_leads", (
         (ScalaTraceTracer, False),
@@ -301,19 +302,31 @@ class TestEventPath:
         (lambda ctx: AutoMarkerTracer(ctx, ChameleonConfig(k=2)), True),
     ), ids=("scalatrace", "chameleon", "acurdion", "automarker"))
     def test_one_stack_walk_per_intercepted_call(self, make, has_non_leads):
+        """walks == exchanges + collectives + direct p2p calls."""
+        nprocs, steps = 8, 10
+        # a declared ring: 2 recorded calls (isend, recv) per exchange
+        ring = NeighborPattern("ring", nprocs, [
+            [("isend", (r + 1) % nprocs, 5, 64),
+             ("recv", (r - 1) % nprocs, 5), ("wait", 0)]
+            for r in range(nprocs)], ("put", "get", None))
+
         async def main(ctx):
             tracer = make(ctx)
             tracer.walker = CountingWalker()
-            for _ in range(10):
+            for _ in range(steps):
                 await stencil_step(ctx, tracer)
+                await tracer.exchange(ring)
                 await tracer.marker()
             calls = tracer.walker.calls
             await tracer.finalize()
             return calls, tracer.stats
 
-        res = run_spmd(main, 8, config=SimConfig(network=ZERO_COST))
-        for calls, stats in res.results:
-            assert calls == stats.events_recorded + stats.events_skipped
+        res = run_spmd(main, nprocs, config=SimConfig(network=ZERO_COST))
+        for rank, (calls, stats) in enumerate(res.results):
+            direct = (rank + 1 < nprocs) + (rank > 0)  # stencil send, recv
+            assert calls == steps * (1 + 1 + direct)  # + exchange, allreduce
+            assert stats.events_recorded + stats.events_skipped \
+                == steps * (2 + 1 + direct)
         # the signature-only branch (non-leads in the lead phase) was taken
         skipped = sum(stats.events_skipped for _, stats in res.results)
         assert (skipped > 0) == has_non_leads

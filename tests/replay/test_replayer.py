@@ -233,3 +233,89 @@ class TestAccuracyMetric:
             "acc_vs_scalatrace",
             "acc_vs_app",
         }
+
+
+class TestDeadlockRepairOrder:
+    """The repair drops blocked collective instances in first-seen order
+    (by rank), not in the iteration order of a set — which follows the
+    signature values and ``PYTHONHASHSEED``."""
+
+    def test_two_droppable_instances_of_one_key(self):
+        from repro.replay.replayer import ReplayOp, _repair_deadlock
+        from repro.scalatrace import Op
+
+        # Rank 0 is blocked on instance 0 of the key, rank 1 (which ran its
+        # instance 0 in an earlier, partly repaired round) on instance 1.
+        # Instance 0 goes first: rank 0 loses its 1st and then — renumbered
+        # — its 3rd op; dropping instance 1 first would leave its 3rd.
+        for sig in range(16):  # some key hashes every set order wrong
+            key = (Op.ALLREDUCE.value, sig, 0)
+            schedules = [
+                [ReplayOp("coll", sleep, 8, op=Op.ALLREDUCE, key=key)
+                 for sleep in (0.1, 0.2, 0.3)]
+                for _rank in range(2)
+            ]
+            assert _repair_deadlock(schedules, [0, 1]) == 3
+            assert [[op.sleep for op in s] for s in schedules] \
+                == [[0.2], [0.1, 0.3]]
+
+    def test_replay_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """One trace text, replayed in fresh interpreters under four hash
+        seeds: one event count.  The trace is a clustered three-group
+        stream with a phase change, whose replay needs many repair rounds."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.harness.engine import ExperimentEngine
+
+        groups = 3
+
+        def computes(base):
+            return [{"op": "compute", "seconds": base + 1e-4 * g,
+                     "ranks": {"mod": groups, "eq": g}}
+                    for g in range(groups)]
+
+        warmup = {"ops": [{"op": "compute", "seconds": 3e-4},
+                          {"op": "allreduce", "size": 8, "frame": "init"}]}
+        phase_a = {"ops": [
+            *computes(5e-4),
+            {"op": "shift", "groups": groups, "offset": 1, "size": 512,
+             "frame": "sweep_{group}"},
+            {"op": "bcast", "root": 3, "size": 64, "frame": "params"},
+            {"op": "allreduce", "size": 8, "frame": "residual"},
+        ]}
+        phase_b = {"ops": [
+            *computes(3e-4),
+            {"op": "shift", "groups": groups, "offset": 2, "tag": 1,
+             "size": 1024, "frame": "relax_{group}"},
+            {"op": "shift", "groups": groups, "offset": 1, "tag": 2,
+             "size": 128, "frame": "halo_{group}"},
+            {"op": "barrier", "frame": "sync"},
+            {"op": "allreduce", "size": 8, "frame": "norm"},
+        ]}
+        result = repro.stream_run(
+            [warmup] * 2 + [phase_a] * 4 + [phase_b] * 6, 8, "chameleon",
+            engine=ExperimentEngine(jobs=1, cache=None))
+        path = tmp_path / "trace.st"
+        result.trace.save(str(path))
+        script = (
+            "import sys\n"
+            "from repro.replay import replay_trace\n"
+            "from repro.scalatrace import Trace\n"
+            "stats = replay_trace(Trace.load(sys.argv[1])).stats\n"
+            "print(stats.ops_issued, stats.deadlock_repairs)\n"
+        )
+        src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
+        outputs = set()
+        for hash_seed in range(4):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env={"PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src,
+                     "PATH": os.environ.get("PATH", "")},
+                capture_output=True, text=True, timeout=120, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        issued, repairs = map(int, outputs.pop().split())
+        assert issued > 0 and repairs > 0  # the repair path did run

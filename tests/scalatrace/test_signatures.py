@@ -12,6 +12,7 @@ from repro.scalatrace import (
     frame_signature,
     hash_u64,
 )
+from repro.scalatrace.signatures import push_logical
 
 U64 = st.integers(0, (1 << 64) - 1)
 
@@ -183,3 +184,40 @@ class TestStackWalker:
         sig2, frames2 = _level1(w, ("phase-x",))
         assert sig1 != sig2
         assert "<phase-x>" in frames2
+
+    @given(st.lists(st.text(max_size=8), max_size=5), st.text(max_size=8))
+    def test_pushed_frame_is_derivable_from_the_capture_without_it(
+            self, logical, label):
+        """What ``exchange`` relies on: capture once, derive every call
+        site — signature and labels equal a real capture under the pushed
+        frame, for any logical stack, at any real depth."""
+        w = StackWalker()
+        for call in (_Level2.call, _level1):
+            # one line: the test's own frame must read the same both times
+            bare, pushed = [call(w, s) for s in (logical, logical + [label])]
+            assert push_logical(bare, label) == pushed
+
+    def test_frame_kinds_are_classified_once_per_file(self):
+        w, skipping = StackWalker(), StackWalker(extra_skip=(__file__,))
+        seen = []
+        for _ in range(2):
+            seen.append((_level1(w, ()), dict(w._frame_kind)))
+        assert seen[0] == seen[1] and seen[0][1][__file__] == 1
+        # the memo is the walker's own: another walker's skip list holds
+        kept, skipped = [walker.capture()[1] for walker in (w, skipping)]
+        here = __file__.rsplit("/", 1)[-1]
+        assert any(here in label for label in kept)
+        assert not any(here in label for label in skipped)
+        assert skipping._frame_kind[__file__] == 0
+
+    def test_walk_stops_at_the_simulator(self):
+        from repro.simmpi import run_spmd
+
+        async def main(ctx):
+            w = StackWalker()
+            sig, frames = w.capture()
+            return frames, sorted(w._frame_kind.values())
+
+        frames, kinds = run_spmd(main, 1).results[0]
+        assert [f.split(":")[1] for f in frames] == ["main"]
+        assert kinds == [-1, 1]  # this file kept, the walk ends in simmpi

@@ -238,3 +238,51 @@ class TestRecordSizingWork:
         # the new record, and 3 sizings of a `width`-leaf run per absorb
         assert max(converged) == 1 + 3 * width < prefix
         assert sum(converged) == (iters - 2) * (width + 3 * width)
+
+
+class TestSharedParticipants:
+    def test_one_rankset_per_tracer_survives_every_rewrite(self):
+        """Every record a rank builds shares the tracer's one ``RankSet``
+        (nothing mutates a RankSet: ``union`` returns ``self`` or a new
+        set, ``replace_participants`` assigns a new one).  After the PRSD
+        fold, a participant substitution and an inter-node merge rewrote
+        the records around it, the shared instance still reads ``{rank}``."""
+        from repro.core.online import replace_participants
+        from repro.scalatrace import RankSet, merge_traces
+
+        taken: dict[int, tuple] = {}
+
+        async def main(ctx):
+            tr = ScalaTraceTracer(ctx)
+            born = []
+            append = tr.compressor.append
+
+            def tap(record):
+                born.append(record.participants)
+                append(record)
+
+            tr.compressor.append = tap
+            for _ in range(4):  # folds into one loop: fold_tail merges
+                with ctx.frame("a"):
+                    await tr.allreduce(1.0, size=8)
+                with ctx.frame("b"):
+                    await tr.barrier()
+            assert len(born) == 8 and all(p is tr._self_set for p in born)
+            assert len(tr.compressor.nodes) == 1
+            taken[ctx.rank] = (tr._self_set, tr.compressor.take_nodes())
+
+        run_spmd(main, 3, config=SimConfig(network=ZERO_COST))
+        shared = {rank: own for rank, (own, _) in taken.items()}
+        before = {rank: (own.ranks(), own.size_bytes(), str(own))
+                  for rank, own in shared.items()}
+        assert before == {rank: ((rank,), RankSet.single(rank).size_bytes(),
+                                 str(RankSet.single(rank)))
+                          for rank in range(3)}
+        merged = merge_traces(taken[0][1], taken[1][1])
+        leaf = next(Trace(nodes=merged).leaves())
+        assert leaf.record.participants.ranks() == (0, 1)
+        replace_participants(taken[2][1], RankSet([2, 5, 8]))
+        leaf = next(Trace(nodes=taken[2][1]).leaves())
+        assert leaf.record.participants.ranks() == (2, 5, 8)
+        assert {rank: (own.ranks(), own.size_bytes(), str(own))
+                for rank, own in shared.items()} == before
