@@ -17,11 +17,15 @@ signature of every call keeps flowing into the signature hook — Chameleon
 sets it on non-lead processes in the L state, which is where the paper's
 Table IV space savings come from.  A declared phase
 (:meth:`ScalaTraceTracer.exchange`) walks and feeds the hook once per
-``exchange``, not per op: with ``tracing`` off an op costs its charge only.
+``exchange``, not per op, and hands its calls to the exchange gate as a
+*schedule* with the pre/post steps inside: the tracer rides in the one
+interpreter that runs the phase (the gate's replay, else ``_drive``), at
+the event and on its clock, instead of being a second one beside it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -31,6 +35,7 @@ from ..simmpi.comm import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Request
 from ..simmpi.datatypes import payload_nbytes
 from ..simmpi.launcher import RankContext
 from ..simmpi.patterns import NeighborPattern
+from ..simmpi.replay import EAGER_DONE
 from ..simmpi.topology import RadixTree
 from .costmodel import DEFAULT_COSTS, InstrumentationCostModel
 from .endpoint import EndpointStat
@@ -152,67 +157,67 @@ class ScalaTraceTracer:
         nbytes: int = 0,
         tag: int = 0,
         comm_id: int | None = None,
-        site: tuple[int, tuple[str, ...]] | None = None,
     ) -> int | None:
-        """PMPI pre-wrapper, the one event path of every tracer: capture
-        the call site, feed the signature hook, then either build and
-        compress the event record or (``tracing`` off) only charge the
-        signature.  A caller that already holds the call site's capture and
-        has fed the hook (:meth:`exchange`) passes it as ``site``.  Returns
-        the stack signature, None when the layer is disabled.
+        """PMPI pre-wrapper of a direct call (collective or p2p), the event
+        path in this rank's own frames: capture the call site, feed the
+        signature hook, then either build, charge and account the event
+        record or (``tracing`` off) only charge the signature.  Returns the
+        stack signature, None when the layer is disabled.
         """
         if not self.enabled:
             self.stats.events_skipped += 1
             return None
-        t0 = self.ctx.clock
-        if site is None:
-            site = self.walker.capture(self.ctx.task.logical_stack)
-            self._track_signature(
-                site[0],
-                None if src is None else src - self.rank,
-                None if dest is None else dest - self.rank,
-            )
-        sig, frames = site
-        if not self.tracing:
-            self._signature_only()
-            return sig
-        dt = max(t0 - self._last_event_end, 0.0)
+        ctx = self.ctx
+        t0 = ctx.clock
+        site = self.walker.capture(ctx.task.logical_stack)
+        self._track_signature(site[0],
+                              None if src is None else src - self.rank,
+                              None if dest is None else dest - self.rank)
+        if self.tracing:
+            ctx.compute(self._build(op, t0, site, src, dest, nbytes, tag,
+                                    root, comm_id))
+            self._account(op, t0, ctx.clock)
+        else:  # no trace is built; the signature still lets the rank vote
+            self.stats.events_skipped += 1
+            ctx.compute(self.costs.per_signature_event)
+        return site[0]
+
+    def _build(self, op: Op, t0: float, site: tuple[int, tuple[str, ...]],
+               src: int | None, dest: int | None, nbytes: int, tag: int,
+               root: int | None = None, comm_id: int | None = None) -> float:
+        """Build and compress the record of a call entered at virtual time
+        ``t0``; returns the charge, known the moment it is appended."""
         rec = EventRecord(
             op=op,
-            stack_sig=sig,
+            stack_sig=site[0],
             comm_id=self.comm.context.id if comm_id is None else comm_id,
             src=None if src is None else EndpointStat.of(src, self.rank),
             dest=None if dest is None else EndpointStat.of(dest, self.rank),
             root=root,
             participants=self._self_set,
-            frames=frames,
+            frames=site[1],
         )
         rec.count.add(nbytes)
         rec.tag.add(tag)
-        rec.dhist.record(dt)
+        rec.dhist.record(max(t0 - self._last_event_end, 0.0))
         work0 = self.meter.total
         self.compressor.append(rec)
         self.stats.events_recorded += 1
-        charge = (
+        return (
             self.costs.per_event_record
             + (self.meter.total - work0) * self.costs.per_compression_op
         )
-        self.ctx.compute(charge)
-        self.stats.record_time += self.ctx.clock - t0
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self.compressor.size_bytes())
+
+    def _account(self, op: Op, t0: float, t1: float) -> None:
+        """The event path past the charge, which ended at clock ``t1``."""
+        stats = self.stats
+        stats.record_time += t1 - t0
+        stats.peak_bytes = max(stats.peak_bytes, self.compressor.size_bytes())
         ins = self.obs
         if ins.enabled:
             ins.metrics.count("record/events", 1, rank=self.rank,
-                              op=op.name.lower(), t=self.ctx.clock)
-            ins.metrics.count("record/time", self.ctx.clock - t0,
-                              rank=self.rank, t=self.ctx.clock)
-        return sig
-
-    def _signature_only(self, *_event: Any, **_fields: Any) -> None:
-        """The event path with ``tracing`` off, past the hook: no trace is
-        built; the signature still lets the rank vote (paper Fig. 2)."""
-        self.stats.events_skipped += 1
-        self.ctx.compute(self.costs.per_signature_event)
+                              op=op.name.lower(), t=t1)
+            ins.metrics.count("record/time", t1 - t0, rank=self.rank, t=t1)
 
     def _track_signature(self, stack_sig: int, src_offset: int | None,
                          dest_offset: int | None) -> None:
@@ -308,12 +313,13 @@ class ScalaTraceTracer:
         ``exchange`` call (walked once, here): ``(steps, events, pattern)``,
         memoised per (captured stack, pattern).
 
-        ``steps`` pairs each op with the ``_record`` arguments of its call,
-        its site being the capture with the position's label pushed (None
-        for waits and computes).  Placeholders are dropped; a ``("sendrecv",
-        label)`` entry fuses an isend with the recv and wait at the next
-        two positions into one ``("sendrecv", dest, sendtag, size, source,
-        recvtag)`` op.  ``events``: the hook's inputs, in program order.
+        ``steps`` pairs each op with the ``Op`` and ``_build`` arguments of
+        its call, its site being the capture with the position's label
+        pushed (None for waits and computes).  Placeholders are dropped; a
+        ``("sendrecv", label)`` entry fuses an isend with the recv and wait
+        at the next two positions into one ``("sendrecv", dest, sendtag,
+        size, source, recvtag)`` op.  ``events``: the hook's inputs, in
+        program order.
         """
         captured = (self.walker.capture(self.ctx.task.logical_stack)
                     if self.enabled else (0, ()))
@@ -347,8 +353,8 @@ class ScalaTraceTracer:
             src = op[-2] if kind in ("recv", "sendrecv") else None
             dest, nbytes = (None, 0) if kind == "recv" else (op[1], op[3])
             site = push_logical(captured, label)
-            steps.append((op, (Op[kind.upper()], dict(
-                src=src, dest=dest, nbytes=nbytes, tag=op[2], site=site))))
+            steps.append((op, (Op[kind.upper()],
+                               (site, src, dest, nbytes, op[2]))))
             events.append((site[0], None if src is None else src - rank,
                            None if dest is None else dest - rank))
         # the entry holds the pattern, so its id stays its own
@@ -357,47 +363,66 @@ class ScalaTraceTracer:
 
     async def exchange(self, pattern: NeighborPattern, *,
                        compute: Callable[[float], Any] | None = None) -> None:
-        """Run this rank's script of a declared phase, call by call.
+        """Run this rank's script of a declared phase, traced.
 
-        The traced counterpart of ``Communicator.exchange``.  The ops of
-        one ``exchange`` share their real frames and differ in the label
-        ``pattern.sites`` gives their position, so the stack is walked once
-        per ``exchange`` (:meth:`_script`), the signature hook is fed the
-        whole call as one batch, and each op is issued straight on the
-        communicator after the pre-step this rank's state asks for:
-        ``_record`` with the derived site or, ``tracing`` off, the signature
-        charge alone.  A disabled layer walks nothing and feeds no hook.
+        What needs this rank's own frames happens here, at the call: the
+        one stack walk (:meth:`_script`; the ops of one ``exchange`` share
+        their real frames and differ in the label ``pattern.sites`` gives
+        their position) and the signature hook, fed the call as one batch
+        (a disabled layer walks nothing and feeds no hook).  The calls are
+        a schedule (:meth:`_traced`) handed to ``Communicator.exchange``:
+        the gate's last arrival replays it, or this rank drives it message
+        by message — one statement either way.
         """
+        self.comm.check_pattern(pattern)  # before a script is looked up
         steps, events, _ = self._script(pattern)
         if self.enabled:
             self._track_signatures(events)
-        pre = (self._record if self.tracing or not self.enabled
-               else self._signature_only)
-        comm, post = self.comm, self._post
-        compute = compute or self.ctx.compute
-        requests: list[Request | None] = []
+        await self.comm.exchange(
+            pattern, compute=compute or self.ctx.compute,
+            schedule=functools.partial(self._traced, steps))
+
+    def _traced(self, steps: list, state: Any):
+        """The schedule of ``steps`` (:meth:`_script`), for whichever
+        interpreter starts it: per call the pre-step this rank's state asks
+        for (build + charge + account, the signature charge alone with
+        ``tracing`` off, a bare count when disabled), the call in the replay
+        core's vocabulary, the post-step.  It never walks the stack (it may
+        run in the last arrival's frames: sites were resolved at the call)
+        and reads time only off ``state.clock`` — the ``Task`` or
+        ``RankState`` the interpreter advances."""
+        tracing = self.tracing and self.enabled
+        skip = self.enabled and ("compute", self.costs.per_signature_event)
+        handles: list = []
         for op, event in steps:
             kind = op[0]
             if kind == "compute":
-                compute(op[1])
+                yield op
                 continue
             if kind == "wait":
-                await requests[op[1]].wait()
+                if handles[op[1]] is not EAGER_DONE:  # as _g_script
+                    yield ("wait", handles[op[1]])
             else:
-                pre(event[0], **event[1])
-                if kind == "isend":
-                    requests.append(
-                        comm.isend(op[1], None, tag=op[2], size=op[3]))
-                elif kind == "send":
-                    await comm.send(op[1], None, tag=op[2], size=op[3])
-                elif kind == "recv":
-                    await comm.recv(op[1], tag=op[2])
+                if tracing:
+                    t0 = state.clock
+                    yield ("compute", self._build(event[0], t0, *event[1]))
+                    self._account(event[0], t0, state.clock)
                 else:
-                    requests.append(None)  # keeps ("wait", k) numbering aligned
-                    await comm.sendrecv(op[1], None, source=op[4],
-                                        sendtag=op[2], recvtag=op[5],
-                                        size=op[3])
-            post()
+                    self.stats.events_skipped += 1
+                    if skip:
+                        yield skip
+                if kind == "recv":
+                    yield op
+                elif kind == "send":
+                    yield ("send", op[1], op[2], None, op[3])
+                else:  # a sendrecv is Comm.sendrecv under its one record
+                    handle = yield ("isend", op[1], op[2], None, op[3])
+                    handles.append(handle)
+                    if kind == "sendrecv":
+                        yield ("recv", op[4], op[5])
+                        if handle is not EAGER_DONE:
+                            yield ("wait", handle)
+            self._last_event_end = state.clock  # the post-step
 
     async def barrier(self) -> None:
         sig = self._record(Op.BARRIER)

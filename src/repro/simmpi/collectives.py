@@ -339,12 +339,16 @@ _GEN_FACTORIES: dict[str, Callable[..., Any]] = {
 }
 
 
-def _schedule(kind: str, root: Any, rank: int, size: int, genargs: tuple):
-    """``rank``'s schedule generator for one gated instance.  An exchange
-    has no per-rank arguments: its script is in the pattern, the gate's
-    ``root``."""
+def _schedule(kind: str, root: Any, rank: int, size: int, genargs: Any,
+              state: Any):
+    """``rank``'s schedule generator for one gated instance, built when an
+    interpreter starts it.  An exchange's script is in the pattern, the
+    gate's ``root``; for per-rank arguments it may bring its own schedule
+    of that script (a tracer's): a factory, called with the interpreter's
+    state object — the ``Task`` or ``RankState`` whose ``.clock`` is the
+    rank's virtual time while the schedule runs."""
     if kind == "exchange":
-        return _g_script(root.ops[rank])
+        return genargs(state) if genargs else _g_script(root.ops[rank])
     return _GEN_FACTORIES[kind](rank, size, *genargs)
 
 
@@ -511,16 +515,18 @@ def _run_replay(kind: str, root: Any, net, entries: list, size: int,
     Large barriers, eager bcast/reduce and slot-aligned exchanges take the
     array replays; everything else (and anything an array replay declines)
     drives the schedule generators through the scalar core.  Generators
-    are only built when that path actually runs.  ``collect`` makes the
-    core record the per-message obs events of an exchange, which only it
-    can.  Shared by the single-process gate and the sharded engine's
-    owner-shard replay.
+    are only built when that path actually runs.  Only the core can run
+    the schedules exchange entries bring along (all or none do: a run's
+    ranks share one tracer class) or, with ``collect``, record an exchange's
+    per-message obs events.  Shared by the single-process gate and the
+    sharded engine's owner-shard replay.
     """
     if kind == "exchange":
         # A script has no user callable whose raise order the arrival
         # order would decide, and the slot columns are positional.
         entries.sort(key=_entry_rank)
-        cols = None if collect else slots_vector(root, entries, net)
+        cols = None if collect or entries[0].genargs \
+            else slots_vector(root, entries, net)
         if cols is not None:
             sim = Replay(net, ())
             sim.states = cols  # columnar: _Gate.settle lands them in bulk
@@ -536,7 +542,7 @@ def _run_replay(kind: str, root: Any, net, entries: list, size: int,
                 _tree_vector(sim, entries, kind, root, size):
             return sim
     for st, e in zip(sim.states.values(), entries):
-        st.gen = _schedule(kind, root, e.rank, size, e.genargs)
+        st.gen = _schedule(kind, root, e.rank, size, e.genargs, st)
     sim.run()
     return sim
 
@@ -726,14 +732,19 @@ class Communicator(Comm):
         """Mailbox-state eligibility of an exchange: its gate may only
         bypass matching when nothing is queued or posted anywhere on this
         communicator (only materialized mailboxes are visited, so an idle
-        communicator costs nothing to scan)."""
-        for mbox in self.context._mailboxes.values():
+        communicator costs nothing to scan; nor does one nothing was posted
+        on since its last clean scan — matching only ever removes)."""
+        ctx = self.context
+        if ctx.posts == ctx.clean_posts:
+            return None
+        for mbox in ctx._mailboxes.values():
             if mbox.has_wild_pending():
                 return "pending-wildcard"
             if mbox.has_pending():
                 return "pending-recv"
             if mbox.has_queued():
                 return "queued-traffic"
+        ctx.clean_posts = ctx.posts
         return None
 
     def _fallback_reason(self, kind: str, seq: int) -> str | None:
@@ -867,7 +878,8 @@ class Communicator(Comm):
                 rank=self.world_rank(self.rank),
                 op=f"{gate.name}:{gate.reason}", t=t0,
             )
-        schedule = _schedule(kind, gate.root, self.rank, self.size, genargs)
+        schedule = _schedule(kind, gate.root, self.rank, self.size, genargs,
+                             self.task)
         result = await self._drive(
             schedule, 0 if exchange else _tag_base(gate.seq), compute)
         if ins.enabled and not exchange:
@@ -1022,30 +1034,36 @@ class Communicator(Comm):
 
     # -- declared p2p patterns -------------------------------------------
 
-    async def exchange(
-        self,
-        pattern: NeighborPattern,
-        *,
-        compute: Callable[[float], Any] | None = None,
-    ) -> None:
-        """Run one declared regular exchange (collective over the comm).
-
-        Every rank must call ``exchange`` with an equal pattern (same
-        content key) in the same program position.  The script is the only
-        statement of the phase; this is its untraced interpreter (a tracer
-        runs the same script call by call and never comes here).  It is one
-        more gate kind: eligible instances resolve in one bulk clock
-        advance with no mailbox traffic; the rest, and every instance under
-        ``SimConfig(p2p="simulated")``, run this rank's script through
-        :meth:`_drive`.  Bit-identical virtual time all three ways.
-
-        ``compute`` (pass ``ctx.compute``) charges the ``("compute", s)``
-        ops in ``_drive`` so fault compute-factor draws advance; the gate
-        charges them directly (fault plans never reach the gate).
-        """
+    def check_pattern(self, pattern: NeighborPattern) -> None:
+        """``pattern`` has one script per rank of this communicator."""
         if pattern.size != self.size:
             raise PatternMismatchError(
                 f"pattern {pattern.name!r} declares {pattern.size} ranks "
                 f"but communicator {self.context.id} has {self.size}"
             )
-        await self._gated("exchange", pattern, (), compute)
+
+    async def exchange(
+        self,
+        pattern: NeighborPattern,
+        *,
+        compute: Callable[[float], Any] | None = None,
+        schedule: Callable[[Any], Any] | None = None,
+    ) -> None:
+        """Run one declared regular exchange (collective over the comm).
+
+        Every rank must call ``exchange`` with an equal pattern (same
+        content key) in the same program position.  The script is the only
+        statement of the phase, traced or not: a tracer's ``exchange`` comes
+        here too, bringing as ``schedule`` its own schedule of this rank's
+        script (a factory, see :func:`_schedule`) in place of the plain one.
+        It is one more gate kind: eligible instances resolve in one bulk
+        clock advance with no mailbox traffic; the rest, and every instance
+        under ``SimConfig(p2p="simulated")``, run this rank's schedule
+        through :meth:`_drive`.  Bit-identical virtual time all three ways.
+
+        ``compute`` (pass ``ctx.compute``) charges the ``("compute", s)``
+        ops in ``_drive`` so fault compute-factor draws advance; the gate
+        charges them directly (fault plans never reach the gate).
+        """
+        self.check_pattern(pattern)
+        await self._gated("exchange", pattern, schedule, compute)

@@ -438,6 +438,9 @@ class CommContext:
         #: how many ranks each new gate waits for in this process — the
         #: live members; a shard's context counts its own block only
         self.gate_quorum = len(self.ranks)
+        #: messages queued + receives posted so far, and the count at the
+        #: last clean exchange-eligibility scan: only a post can dirty one
+        self.posts = self.clean_posts = 0
         # Registered so a rank crash can purge its pending receives from
         # every communicator it participates in.
         engine._contexts.append(self)
@@ -485,6 +488,7 @@ class CommContext:
             self.fire_match(pending, msg)
             return
         mbox.push_msg(msg)
+        self.posts += 1
 
     def fire_match(self, pending: "PendingRecv", msg: "Message") -> None:
         """Compute completion times and resolve both sides' futures."""
@@ -860,6 +864,7 @@ class Comm:
             fut.resolve(LOST, time=task.clock)
             return Request(fut, task, "irecv")
         mbox.push_pending(PendingRecv(source, tag, task.clock, fut, task))
+        self.context.posts += 1
         return Request(fut, task, "irecv")
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> dict | None:

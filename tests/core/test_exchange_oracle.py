@@ -1,12 +1,15 @@
 """``tracer.exchange`` against its per-call oracle, bit for bit.
 
-The batched interpreter (one stack walk and one signature batch per
-``exchange``, ops issued straight on the communicator) and the per-call
-oracle (``tests/scalatrace/exchange_oracle.py``: every op through the
-tracer's own wrappers under ``ctx.frame(label)``) run the same seeded
-programs; everything a run produces must be equal — ``repr`` of every
-rank's ``TracerStats`` and ``ChameleonStats``, the final clocks, who is
-still tracing, and the serialized trace with its raw signature values.
+A traced declared phase is a schedule (one stack walk and one signature
+batch at the call, then the tracer's pre/post steps around each op) with
+two interpreters: the exchange gate's replay and the message-level
+``_drive``.  Both, and the per-call oracle
+(``tests/scalatrace/exchange_oracle.py``: every op through the tracer's own
+wrappers under ``ctx.frame(label)``), run the same seeded programs;
+everything a run produces must be equal — ``repr`` of every rank's
+``TracerStats`` and ``ChameleonStats``, the final clocks and busy times,
+who is still tracing, and the serialized trace with its raw signature
+values.
 
 Also here: the counter tests of the event path for declared phases — how
 many stack walks a run makes, and that a Chameleon non-lead in the lead
@@ -16,16 +19,22 @@ phase does no per-event tracer work.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pytest
 
 from repro.core import (AcurdionTracer, AutoMarkerTracer, ChameleonConfig,
                         ChameleonTracer)
-from repro.faults.plan import CrashFault, FaultPlan, MessageFaults
+from repro.faults.plan import (ComputeFault, CrashFault, FaultPlan,
+                               MessageFaults)
+from repro.obs.instrument import Recorder
 from repro.scalatrace import ScalaTraceTracer
-from repro.simmpi import NeighborPattern, run_spmd
+from repro.simmpi import (DeadlockError, NeighborPattern, SimConfig,
+                          run_spmd)
+from repro.simmpi.errors import TaskFailedError
 
 from ..scalatrace.exchange_oracle import CallCounts, per_call
+from ..simmpi.test_p2p_fastpath import _reasons
 from .test_callpath_phase import state_of
 from .test_chameleon import CountingWalker
 
@@ -93,7 +102,10 @@ def program(patterns):
     return prog
 
 
-def run(tracer_cls, make_args, prog, nprocs, faults=None, tap=None):
+FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
+
+
+def run(tracer_cls, make_args, prog, nprocs, faults=None, tap=None, **kwargs):
     async def main(ctx):
         tracer = tracer_cls(ctx, *make_args)
         if tap is not None:
@@ -107,8 +119,12 @@ def run(tracer_cls, make_args, prog, nprocs, faults=None, tap=None):
             "trace": None if trace is None else trace.serialize(),
         }
 
-    res = run_spmd(main, nprocs, faults=faults)
-    return res.results, res.clocks, res.failed_ranks
+    return run_spmd(main, nprocs, faults=faults, **kwargs)
+
+
+def observed(res):
+    """Everything of a run the interpreters must agree on."""
+    return res.results, res.clocks, res.busy_times, res.failed_ranks
 
 
 TRACERS = {
@@ -129,23 +145,100 @@ def test_batched_exchange_equals_the_per_call_oracle(tracer, nprocs):
         patterns = [random_pattern(rng, nprocs, f"p{seed}-{i}")
                     for i in range(3)]
         prog = program(patterns)
-        clean = run(cls, args, prog, nprocs)
-        assert clean == run(per_call(cls), args, prog, nprocs)
+        clean = run(cls, args, prog, nprocs, config=FAST)
+        driven = run(cls, args, prog, nprocs, config=DRIVEN)
+        assert observed(clean) == observed(driven) \
+            == observed(run(per_call(cls), args, prog, nprocs))
+        # every declared instance is consulted once per rank; nearly all are
+        # replayed (a marker's merge may leave a receive posted: pending-recv)
+        assert clean.p2p_fast + clean.p2p_simulated \
+            == driven.p2p_simulated == 2 * STEPS * nprocs
+        assert clean.p2p_fast > clean.p2p_simulated and driven.p2p_fast == 0
         skipped += sum("events_skipped=0," not in out["stats"]
-                       for out in clean[0])
+                       for out in clean.results)
         victim = nprocs - 1  # dies half way through its own run
         plans = (
             FaultPlan(seed=seed, crashes=(
-                CrashFault(rank=victim, time=0.5 * clean[1][victim]),)),
+                CrashFault(rank=victim, time=0.5 * clean.clocks[victim]),)),
             FaultPlan(seed=seed, messages=MessageFaults(
                 drop_prob=0.1, max_retries=1)),
+            # the charges go through ``compute``: same draws, same order
+            FaultPlan(seed=seed, compute=(
+                ComputeFault(rank=0, slowdown=1.5, jitter=0.25),
+                ComputeFault(rank=victim, jitter=0.5))),
         )
         for plan in plans:
-            got = run(cls, args, prog, nprocs, faults=plan)
-            assert got == run(per_call(cls), args, prog, nprocs, faults=plan)
-            assert all(crash.rank in got[2] for crash in plan.crashes)
+            rec = Recorder(granularity="span")
+            got = run(cls, args, prog, nprocs, faults=plan, config=FAST,
+                      instrument=rec)
+            assert observed(got) \
+                == observed(run(cls, args, prog, nprocs, faults=plan,
+                                config=DRIVEN)) \
+                == observed(run(per_call(cls), args, prog, nprocs,
+                                faults=plan))
+            assert all(crash.rank in got.failed_ranks
+                       for crash in plan.crashes)
+            assert got.p2p_fast == 0 < got.p2p_simulated
+            assert _reasons(rec) == {"faults"}
     # the signature-only branch ran exactly where there are non-leads
     assert (skipped > 0) == (tracer in ("chameleon", "automarker"))
+
+
+@pytest.mark.parametrize("tracer", sorted(TRACERS))
+def test_aborted_gate_reruns_the_schedule_from_the_join_clocks(tracer):
+    """Rank 1 posts a receive between rank 0's arrival at a clean gate and
+    its own (``mid-phase-traffic``): the parked rank reruns the instance
+    under ``_drive`` from its join clock.  That equals the oracle's run only
+    because a schedule is built when an interpreter starts it — at the call
+    no record is appended and no counter touched, so nothing happens twice."""
+    cls, args = TRACERS[tracer]
+    nprocs, stray_at = 4, 7  # the lead phase of the clustering tracers
+    rng = random.Random(11)
+    patterns = [random_pattern(rng, nprocs, f"a{i}") for i in range(2)]
+
+    async def prog(ctx, tracer):
+        for step in range(STEPS):
+            stray = step == stray_at
+            req = tracer.irecv(2, tag=99) if stray and ctx.rank == 1 else None
+            await tracer.exchange(patterns[0], compute=ctx.compute)
+            if stray and ctx.rank == 2:
+                await tracer.send(1, None, tag=99, size=8)
+            if req is not None:
+                await tracer.wait(req)
+            with ctx.frame("outer"):
+                await tracer.exchange(patterns[1])
+            await tracer.allreduce(1.0, size=8)
+            await tracer.marker()
+
+    rec = Recorder(granularity="span")
+    got = run(cls, args, prog, nprocs, instrument=rec)
+    assert observed(got) == observed(run(per_call(cls), args, prog, nprocs)) \
+        == observed(run(cls, args, prog, nprocs, config=DRIVEN))
+    aborted = [(rank, op) for _, rank, _, op
+               in rec.metrics.labels("p2p/fallbacks")
+               if op.endswith(":mid-phase-traffic")]
+    # all four ranks of that one instance, rank 0 after parking on it
+    assert sorted(rank for rank, _ in aborted) == list(range(nprocs))
+    assert got.p2p_fast + got.p2p_simulated == 2 * STEPS * nprocs
+    assert got.p2p_fast > got.p2p_simulated
+
+
+@pytest.mark.parametrize("config", (FAST, DRIVEN), ids=("gate", "drive"))
+def test_deadlocking_script_ends_in_a_deadlock_error_not_a_hang(config):
+    """Two blocking rendezvous sends facing each other, tracer attached:
+    the same verdict from both interpreters of the traced schedule."""
+    knot = NeighborPattern("knot", 3, [
+        [("send", 1, 0, 1 << 17), ("recv", 1, 0)],
+        [("send", 0, 0, 1 << 17), ("recv", 0, 0)],
+        [],
+    ], ("put", "get"))
+
+    async def prog(ctx, tracer):
+        await tracer.exchange(knot)
+
+    with pytest.raises((DeadlockError, TaskFailedError)) as ei:
+        run(ScalaTraceTracer, (), prog, 3, config=config)
+    assert isinstance(getattr(ei.value, "original", ei.value), DeadlockError)
 
 
 def test_non_lead_in_the_lead_phase_does_no_per_event_work():
@@ -180,8 +273,12 @@ def test_non_lead_in_the_lead_phase_does_no_per_event_work():
     new = run(ChameleonTracer, args, prog, nprocs, tap=tap_for(False))
     old = run(per_call(ChameleonTracer), args, prog, nprocs,
               tap=tap_for(True))
-    assert new == old
-    assert snapshots[False] == snapshots[True] and snapshots[True]
+    assert observed(new) == observed(old)
+    # appended in host completion order (a gate wakes its ranks in rank
+    # order, the oracle in message order): not an observable of a run
+    by_rank_clock = itemgetter(0, 3)
+    assert sorted(snapshots[False], key=by_rank_clock) \
+        == sorted(snapshots[True], key=by_rank_clock) and snapshots[True]
     lead_phase = [counts for c in counters.values()
                   for tracing, counts in c.intervals if not tracing]
     assert len(lead_phase) >= (nprocs - 2) * 4
@@ -215,7 +312,9 @@ def test_sigacc_state_after_a_declared_interval(mode):
 
     run_one(ChameleonTracer, False)
     run_one(per_call(ChameleonTracer), True)
-    assert states[False] == states[True]
+    # appended in host completion order: compare by rank
+    assert sorted(states[False], key=itemgetter(0)) \
+        == sorted(states[True], key=itemgetter(0))
     assert all(sigacc[3] > 0 for _, sigacc, _ in states[True])  # .events
 
 

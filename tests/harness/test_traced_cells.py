@@ -1,0 +1,149 @@
+"""Traced cells through the exchange gate: counters and observability.
+
+A traced declared phase is a schedule the exchange gate replays
+(``ScalaTraceTracer.exchange``), so a traced ``run_mode`` cell consults the
+gates its ``app`` twin consults.  Named beforehand and exact: how often a
+cell consults and what that saves the engine, how many mailbox probes a
+gate instance may cost, and that attaching a span-granularity recorder
+picks no other strategy.  (The bit-identity of the two interpreters is
+``tests/core/test_exchange_oracle.py``.)
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+import pytest
+
+from repro.harness import runner
+from repro.harness.runner import Mode, run_mode
+from repro.obs.instrument import Recorder
+from repro.simmpi import SimConfig
+from repro.simmpi.collectives import Communicator
+from repro.simmpi.comm import Mailbox
+from repro.workloads import make_workload
+
+from ..simmpi.test_p2p_fastpath import _reasons
+
+FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
+
+#: the two gated cells of benchmarks/pipeline, at test size
+CELLS = {
+    "pop": ("pop", 9, Mode.CHAMELEON, {"iterations": 6}),
+    "sweep3d": ("sweep3d", 16, Mode.SCALATRACE, {"iterations": 2}),
+}
+
+
+def cell(monkeypatch, spec, mode=None, **kwargs):
+    """One ``run_mode`` cell: ``(RunResult, SpmdResult)`` — the engine's
+    counters are on the latter, which ``run_mode`` does not return."""
+    name, nprocs, traced_mode, params = spec
+    kept = []
+    real = runner.run_spmd
+
+    def keeping(*args, **kw):
+        kept.append(real(*args, **kw))
+        return kept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "run_spmd", keeping)
+        result = run_mode(make_workload(name, **params), nprocs,
+                          mode or traced_mode, **kwargs)
+    return result, kept[-1]
+
+
+@pytest.mark.parametrize("spec", CELLS.values(), ids=CELLS)
+def test_a_traced_cell_consults_every_gate_its_app_twin_does(monkeypatch,
+                                                             spec):
+    traced, spmd = cell(monkeypatch, spec, sim=FAST)
+    driven, spmd_driven = cell(monkeypatch, spec, sim=DRIVEN)
+    _, spmd_app = cell(monkeypatch, spec, Mode.APP, sim=FAST)
+    # every declared instance is consulted exactly once per rank
+    assert spmd_app.p2p_fast > 0 == spmd_app.p2p_simulated
+    assert spmd.p2p_fast + spmd.p2p_simulated == spmd_app.p2p_fast \
+        == spmd_driven.p2p_simulated
+    assert spmd.p2p_fast > spmd.p2p_simulated and spmd_driven.p2p_fast == 0
+    # which is what takes the phases' messages off the engine
+    assert spmd.engine_steps < spmd_driven.engine_steps
+    assert spmd.messages_matched < spmd_driven.messages_matched
+    # the knob that already exists is the differential switch
+    assert traced.fingerprint() == driven.fingerprint()
+
+
+@pytest.mark.parametrize("spec", CELLS.values(), ids=CELLS)
+def test_a_span_recorder_does_not_pick_the_strategy(monkeypatch, spec):
+    _, plain = cell(monkeypatch, spec)
+    span, message = Recorder(granularity="span"), Recorder()
+    by_span, spmd_span = cell(monkeypatch, spec, instrument=span)
+    by_message, spmd_message = cell(monkeypatch, spec, instrument=message)
+    verdicts = ("p2p_fast", "p2p_simulated", "collectives_fast")
+    assert [getattr(spmd_span, v) for v in verdicts] \
+        == [getattr(plain, v) for v in verdicts]
+    assert span.metrics.value("p2p/fast_hits") == spmd_span.p2p_fast
+    # the schedule emits record/* at the resumed clock, the gate the
+    # per-message events its replay collected: totals are those of the run
+    # that drives every exchange message by message ...
+    driven = Recorder(granularity="span")
+    cell(monkeypatch, spec, instrument=driven, sim=DRIVEN)
+    for metric in ("record/events", "record/time", "p2p/bytes_sent",
+                   "p2p/messages", "p2p/bytes_received"):
+        assert span.metrics.value(metric) == driven.metrics.value(metric) > 0
+    # ... and of the message-granularity run, whose p2p/* counts the
+    # collectives' messages on top (it drives those too)
+    for metric in ("record/events", "record/time"):
+        assert span.metrics.value(metric) == message.metrics.value(metric)
+    assert message.metrics.value("p2p/messages") \
+        > span.metrics.value("p2p/messages")
+    assert by_span.clocks == by_message.clocks
+    # a default Recorder() still answers message-tracing — and a traced
+    # exchange now says so, one fallback per consult
+    assert spmd_message.p2p_fast == 0 < spmd_message.p2p_simulated
+    assert message.metrics.value("p2p/fallbacks") \
+        == spmd_message.p2p_simulated
+    assert _reasons(message) == {"message-tracing"}
+
+
+def test_a_gate_instance_scans_the_mailboxes_once(monkeypatch):
+    """Once any p2p has touched the communicator (the marker's vote and
+    lead merge do) a gate re-scanned every materialised mailbox at *every*
+    arrival, O(P^2) per instance.  Posts are counted on the context now:
+    an instance that sees none between its arrivals probes each mailbox at
+    most once."""
+    calls = defaultdict(int)  # Mailbox method -> calls so far
+    # instance -> (posts so far, probes, mailboxes) of each consult
+    arrivals = defaultdict(list)
+    consult = Communicator._consult
+
+    def counted(name):
+        method = getattr(Mailbox, name)
+
+        def counting(mbox, *args):
+            calls[name] += 1
+            return method(mbox, *args)
+
+        monkeypatch.setattr(Mailbox, name, counting)
+
+    for name in ("has_wild_pending", "push_msg", "push_pending"):
+        counted(name)
+
+    def consulting(comm, kind, root):
+        ctx, before = comm.context, calls["has_wild_pending"]
+        seq = ctx.p2p_seq[comm.rank]
+        gate = consult(comm, kind, root)
+        if kind == "exchange":
+            arrivals[ctx.id, seq].append(
+                (calls["push_msg"] + calls["push_pending"],
+                 calls["has_wild_pending"] - before, len(ctx._mailboxes)))
+        return gate
+
+    monkeypatch.setattr(Communicator, "_consult", consulting)
+    _, spmd = cell(monkeypatch,  # 6 markers: AT, C and four of L
+                   ("pop", 16, Mode.CHAMELEON, {"iterations": 6}))
+    quiet = [a for a in arrivals.values()
+             if len({posts for posts, _, _ in a}) == 1]
+    assert len(quiet) > 0.9 * len(arrivals) > 50
+    assert all(len(a) == 16 for a in arrivals.values())
+    for a in quiet:
+        assert sum(n for _, n, _ in a) <= a[0][2]
+    # the communicator was touched: there is something to scan
+    assert max(a[0][2] for a in quiet) == 16 and spmd.p2p_fast > 0

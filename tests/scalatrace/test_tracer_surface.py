@@ -151,8 +151,8 @@ class TestTracedWildcards:
 
 
 class TestDeclaredExchange:
-    """``tracer.exchange``: a declared script run call by call, each op
-    recorded under its position's call-site label."""
+    """``tracer.exchange``: a declared script as a traced schedule, each
+    op recorded under its position's call-site label."""
 
     @staticmethod
     def ring(size, sites):
@@ -179,7 +179,8 @@ class TestDeclaredExchange:
             assert [r[2] for r in recs] == ["<put>", "<get>"] * 2
             # equal labels share a signature, distinct labels do not
             assert recs[0][1] == recs[2][1] != recs[1][1] == recs[3][1]
-        assert res.p2p_fast == res.p2p_simulated == 0
+        # the traced script is a schedule: the gate replayed it
+        assert (res.p2p_fast, res.p2p_simulated) == (4, 0)
         assert all(c >= 1e-6 for c in res.clocks)
 
     def test_sendrecv_entry_fuses_three_positions(self):

@@ -6,9 +6,9 @@ Mirror of ``test_collective_fastpath.py`` for declared
 runs the same program under ``p2p="fast"`` and ``p2p="simulated"`` and
 asserts *exact* equality (``==`` on floats, no tolerances) of results,
 per-rank virtual clocks, per-rank busy times and traffic totals.  The
-workload tests add a third leg: a cost-free tracer that runs the same
-script call by call through the tracer-level ``exchange`` (what every
-traced mode executes) must agree with both.
+workload tests add the traced legs: a cost-free tracer whose ``exchange``
+hands the gate its own schedule of the same script (what every traced mode
+executes) must agree with both, gated and driven.
 
 Coverage:
 
@@ -85,15 +85,15 @@ _LULESH = {
 }
 
 
-def _workload_prog(factory, per_call: bool = False):
-    """``per_call`` swaps the NullTracer for a tracer with recording
-    switched off: it charges nothing, but still issues every op of a
-    declared script through its own ``isend``/``send``/``recv``/
-    ``sendrecv``/``wait``."""
+def _workload_prog(factory, traced: bool = False):
+    """``traced`` swaps the NullTracer for a tracer with recording switched
+    off: it charges nothing, but hands the gate its own schedule of every
+    declared script (pre-step, op, post-step per call) in place of the
+    plain one."""
 
     async def prog(ctx):
         workload = factory()
-        tracer = (ScalaTraceTracer if per_call else NullTracer)(ctx)
+        tracer = (ScalaTraceTracer if traced else NullTracer)(ctx)
         tracer.enabled = False
         await workload.run(ctx, tracer)
         return ctx.rank
@@ -150,25 +150,30 @@ def _chain_pattern(size: int, nbytes: int = 8) -> NeighborPattern:
 
 
 def _assert_three_legs_agree(factory, nprocs):
+    """Four legs by now: the gate and ``_drive``, each under the NullTracer
+    (the plain script) and under the tracer (its schedule of the script)."""
     fast, sim = _pair(_workload_prog(factory), nprocs)
     _assert_identical(fast, sim)
-    per_call = run_spmd(_workload_prog(factory, per_call=True), nprocs,
-                        config=SimConfig(p2p="fast"))
-    _assert_identical(fast, per_call)
-    assert fast.p2p_fast > 0
-    assert fast.p2p_simulated == 0
-    assert sim.p2p_fast == 0
-    assert sim.p2p_simulated > 0
-    # the tracer-level exchange never consults the gate at all
-    assert per_call.p2p_fast == 0
-    assert per_call.p2p_simulated == 0
-    # the fast path must also collapse scheduler work
-    assert fast.engine_steps < sim.engine_steps
+    traced_fast, traced_sim = _pair(_workload_prog(factory, traced=True),
+                                    nprocs)
+    _assert_identical(fast, traced_fast)
+    _assert_identical(fast, traced_sim)
+    for gated, driven in ((fast, sim), (traced_fast, traced_sim)):
+        assert gated.p2p_fast > 0
+        assert gated.p2p_simulated == 0
+        assert driven.p2p_fast == 0
+        assert driven.p2p_simulated > 0
+        # the fast path must also collapse scheduler work
+        assert gated.engine_steps < driven.engine_steps
+    # every declared instance is consulted once per rank, traced or not
+    assert traced_fast.p2p_fast == fast.p2p_fast
+    assert traced_sim.p2p_simulated == sim.p2p_simulated
 
 
 class TestWorkloadBitIdentity:
-    """The tentpole contract: one script, three interpreters — the macro
-    gate, the message-level driver and a tracer's per-call ``exchange``."""
+    """The tentpole contract: one script, two interpreters — the macro gate
+    and the message-level driver — whether the schedule is the plain script
+    or a tracer's."""
 
     @pytest.mark.parametrize("nprocs", FUZZ_PS)
     @pytest.mark.parametrize("regime", ("eager", "rendezvous"))
@@ -628,6 +633,36 @@ class TestPatternValidation:
         with pytest.raises(TaskFailedError) as ei:
             run_spmd(prog, 4)
         assert isinstance(ei.value.original, PatternMismatchError)
+
+    @pytest.mark.parametrize("case", ("too-big", "too-small",
+                                      "patterns-differ"))
+    def test_traced_mismatches_raise_what_the_untraced_ones_do(self, case):
+        """A tracer's ``exchange`` goes through the same gate: a pattern of
+        the wrong size and ranks presenting different patterns are a
+        ``PatternMismatchError`` with the NullTracer's message (a traced
+        run used to die inside the script, resp. run to completion)."""
+        sites = ("put", "get", None)
+        a = NeighborPattern("key-a", 4, _ring_pattern(4, rounds=1).ops, sites)
+        b = NeighborPattern("key-b", 4, _ring_pattern(4, rounds=1).ops, sites)
+        wrong = {n: NeighborPattern(f"ring-{n}", n,
+                                    _ring_pattern(n, rounds=1).ops, sites)
+                 for n in (3, 6)}
+
+        def failure(tracer_cls):
+            async def prog(ctx):
+                tracer = tracer_cls(ctx)
+                for _ in range(2):
+                    await tracer.exchange(
+                        wrong[6] if case == "too-big"
+                        else wrong[3] if case == "too-small"
+                        else a if ctx.rank % 2 else b)
+
+            with pytest.raises(TaskFailedError) as ei:
+                run_spmd(prog, 4)
+            assert isinstance(ei.value.original, PatternMismatchError)
+            return ei.value.rank, str(ei.value.original)
+
+        assert failure(ScalaTraceTracer) == failure(NullTracer)
 
 
 class TestColumnarState:
