@@ -14,6 +14,7 @@ All tests here are ``slow``-marked: tier-1 stays fast, and CI's dedicated
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import time
@@ -21,7 +22,7 @@ import time
 import pytest
 
 from repro.harness.bench import (
-    SHARD_TIERS,
+    EXTRA_POINTS,
     compare,
     load_bench,
     run_scaling_bench,
@@ -104,34 +105,32 @@ def test_p4096_linear_indexed_equivalence_spot_check(
         assert indexed.messages_matched == linear.messages_matched
 
 
-def test_p16384_sharded_bit_identical_and_under_budget():
-    """The sharded-engine tier: shards=4 at P=16384 must stay bit-identical
-    to the single-process engine (no fallback) and inside interactive
-    time; the wall-time race against the committed single-process number
-    runs in CI's bench job via the BENCH_scaling gate."""
-    single = run_spmd(_allreduce_barrier, 16384)
+def test_p16384_runs_with_the_collector_paused():
+    """From ``GC_PAUSE_NPROCS`` ranks up ``run_spmd`` pauses the cyclic
+    collector (docs/PERF.md, "One engine"): seen from inside a rank at the
+    real threshold, restored afterwards, inside the tier's budget."""
+
+    async def prog(ctx):
+        await ctx.comm.barrier()
+        return gc.isenabled()
+
+    assert gc.isenabled()
     t0 = time.perf_counter()
-    sharded = run_spmd(_allreduce_barrier, 16384, config=SimConfig(shards=4))
+    result = run_spmd(prog, 16384)
     wall = time.perf_counter() - t0
-    assert wall < 60.0, f"P=16384 shards=4 took {wall:.1f}s"
-    assert sharded.extras.get("shards") == 4
-    assert "shard_fallback" not in sharded.extras
-    assert sharded.results == single.results
-    assert sharded.clocks == single.clocks
-    assert sharded.busy_times == single.busy_times
-    assert sharded.total_messages == single.total_messages
-    assert sharded.total_bytes == single.total_bytes
+    assert wall < 60.0, f"P=16384 barrier took {wall:.1f}s"
+    assert result.results == [False] * 16384
+    assert gc.isenabled()
 
 
-def test_p65536_sharded_tier_completes():
-    """The new top rung: allreduce+barrier at P=65536 under shards=4."""
+def test_p65536_tier_completes():
+    """The top rung: allreduce+barrier at P=65536."""
     t0 = time.perf_counter()
-    result = run_spmd(_allreduce_barrier, 65536, config=SimConfig(shards=4))
+    result = run_spmd(_allreduce_barrier, 65536)
     wall = time.perf_counter() - t0
-    assert wall < 120.0, f"P=65536 shards=4 took {wall:.1f}s"
+    assert wall < 120.0, f"P=65536 allreduce+barrier took {wall:.1f}s"
     assert result.results == [65536 * 65535 // 2] * 65536
     assert result.collectives_fast == 3 * 65536
-    assert "shard_fallback" not in result.extras
 
 
 def test_bench_document_schema_and_gate(results_dir):
@@ -144,12 +143,12 @@ def test_bench_document_schema_and_gate(results_dir):
     errors = validate(doc, schema)
     assert errors == [], errors
 
-    cells = {(r["kernel"], r["nprocs"], r["shards"]) for r in doc["results"]}
+    cells = {(r["kernel"], r["nprocs"]) for r in doc["results"]}
     for p in (256, 1024, 4096, 16384):
-        assert ("allreduce_barrier", p, 1) in cells
-        assert ("halo_exchange", p, 1) in cells
-    for kernel, p, shards in SHARD_TIERS:
-        assert (kernel, p, shards) in cells
+        assert ("allreduce_barrier", p) in cells
+        assert ("halo_exchange", p) in cells
+    for point in EXTRA_POINTS:
+        assert point in cells
 
     # Loose local gate (2x): catches order-of-magnitude regressions on any
     # hardware; the strict ±20% comparison runs in CI's bench job where the

@@ -39,9 +39,9 @@ seed to check bit-identical reproduction, and reports survival plus the
 trace-fidelity delta against the fault-free baseline.
 
 Host resilience: ``repro chaos host`` sweeps *host-level* faults — killed
-and SIGSTOPped shard/pool worker processes, damaged cache files — twice,
-asserting every fault ends in a recorded fallback, retry or quarantine
-with identical virtual-time results (docs/RESILIENCE.md).  ``repro cache
+and hung pool worker processes, damaged cache files — twice, asserting
+every fault ends in a recorded retry, quarantine or invalidation with
+identical virtual-time results (docs/RESILIENCE.md).  ``repro cache
 verify`` (``--fix``) sweeps the run cache for corrupt and orphaned
 entries.
 
@@ -599,9 +599,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     kernels = tuple(args.kernel) if args.kernel else tuple(KERNELS)
 
     def _progress(record: dict) -> None:
-        shards = f" shards={record['shards']}" if record["shards"] != 1 else ""
         print(
-            f"[bench] {record['kernel']} P={record['nprocs']}{shards}: "
+            f"[bench] {record['kernel']} P={record['nprocs']}: "
             f"{record['wall_s']:.3f}s, "
             f"{record['matched_per_s']} matches/s",
             file=sys.stderr,
@@ -651,11 +650,10 @@ def _cmd_config(args: argparse.Namespace) -> int:
     print(f"  min_message_bytes   {n.min_message_bytes} B")
     print(f"collectives   {sim.collectives}")
     print(f"p2p           {sim.p2p}")
-    print(f"shards        {sim.shards}")
     print(f"max_steps     {ms}")
     print(f"cache digest  {sim.digest()}")
     print("  (digests only the outcome-determining fields; "
-          "collectives/p2p/shards\n   select bit-identical strategies and "
+          "collectives/p2p\n   select bit-identical strategies and "
           "share one cache slot)")
     return 0
 
@@ -882,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", action="append", metavar="NAME",
         help=f"run only this scenario (repeatable; matrix scenarios: "
         f"{', '.join(CHAOS_SCENARIOS)}; host scenarios: "
-        "kill-shard-worker, stop-shard-worker, ... — an unknown name "
+        "kill-pool-worker, poison-cell, ... — an unknown name "
         "lists the full set)",
     )
     p_chaos.add_argument(
@@ -958,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", action="append", metavar="KEY=VAL",
         help="engine option as a SimConfig field (repeatable): "
         "network=qdr|slow|zero, "
-        "collectives=fast|simulated, p2p=fast|simulated, shards=N|auto, "
+        "collectives=fast|simulated, p2p=fast|simulated, "
         "max_steps=N|none",
     )
     p_bench.set_defaults(fn=_cmd_bench)

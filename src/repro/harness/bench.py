@@ -2,23 +2,19 @@
 
 The paper's claim is a finalize cost that stays flat as P grows; this
 module measures whether the *simulator itself* keeps up — it drives two
-microkernels through ``run_spmd`` at P ∈ {256, 1024, 4096, 16384} and
-records, per point, the wall time, peak RSS, scheduler steps, the
-point-to-point match throughput and how many collective instances took the
-macro fast path.  ``repro bench`` emits the result as ``BENCH_scaling.json``
-and CI gates every change against the committed baseline with a ±20%
-wall-time tolerance (see :func:`compare`), so a quadratic regression in the
-mailbox or scheduler shows up as a red build rather than a slow paper run.
+microkernels through ``run_spmd`` at P ∈ {256, 1024, 4096, 16384} (plus
+the collective kernel at P=65536) and records, per point, the wall time,
+peak RSS, scheduler steps, the point-to-point match throughput and how
+many collective instances took the macro fast path.  ``repro bench`` emits
+the result as ``BENCH_scaling.json`` and CI gates every change against the
+committed baseline with a ±20% wall-time tolerance (see :func:`compare`),
+so a quadratic regression in the mailbox or scheduler shows up as a red
+build rather than a slow paper run.
 
 Engine options come in as a :class:`~repro.simmpi.SimConfig` (CLI:
-``repro bench --config KEY=VAL``, e.g. ``--config collectives=simulated``
-or ``--config shards=4``); the default ladder additionally appends the
-sharded-engine tiers in :data:`SHARD_TIERS` — ``allreduce_barrier`` at
-P=16384 and P=65536 under ``shards=4``, plus the P=65536 single-process
-reference cell — so CI tracks the conservative-PDES path next to the
-single-process engine it must beat at scale.  (The legacy
-``collectives=`` keyword shipped one release as a deprecation shim and now
-raises ``TypeError``.)
+``repro bench --config KEY=VAL``, e.g. ``--config collectives=simulated``).
+(The legacy ``collectives=`` keyword shipped one release as a deprecation
+shim and now raises ``TypeError``.)
 
 Kernels:
 
@@ -43,27 +39,19 @@ import time
 from typing import Any, Callable, Iterable, Sequence
 
 from ..simmpi import ANY_SOURCE, ANY_TAG, NeighborPattern, run_spmd
-from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig, resolve_auto_shards
+from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig
 
-SCHEMA_ID = "repro/bench-scaling/v5"
+SCHEMA_ID = "repro/bench-scaling/v6"
 
 #: Default process counts — the scaling ladder.  The 16384 tier is only
 #: tractable because eligible collectives take the macro fast path.
 DEFAULT_PS = (256, 1024, 4096, 16384)
 
-#: Extra ``(kernel, nprocs, shards)`` points appended when the *default*
-#: ladder runs: the sharded-engine leg.  The collective kernel at both
-#: big tiers (plus the P=65536 single-process reference cell the sharded
-#: run must beat) — the regime the parallel owner-shard gate replay
-#: exists for.  The sharded cells run *before* the P=65536 reference so
-#: their workers fork from the post-ladder heap rather than from the
-#: reference cell's freed-but-retained arenas (which copy-on-write
-#: fault into every worker and would charge the sharded cell for the
-#: single-process run's leavings).
-SHARD_TIERS = (
-    ("allreduce_barrier", 16384, 4),
-    ("allreduce_barrier", 65536, 4),
-    ("allreduce_barrier", 65536, 1),
+#: Extra ``(kernel, nprocs)`` points appended when the *default* ladder
+#: runs: the collective kernel one tier up, where the collector pause of
+#: ``run_spmd`` decides the wall time.
+EXTRA_POINTS = (
+    ("allreduce_barrier", 65536),
 )
 
 #: Wall times below this (seconds) are noise-dominated; the regression gate
@@ -144,24 +132,15 @@ def bench_point(
     nprocs: int,
     sim: SimConfig | None = None,
 ) -> dict[str, Any]:
-    """Run one (kernel, P) cell under ``sim`` and return its record.
-
-    The ``shards`` field records the requested shard count with ``"auto"``
-    resolved for this cell's P (what actually ran); when the run was not
-    shard-eligible the record additionally carries the ``shard_fallback``
-    reason (and measured the single-process rerun).
-    """
+    """Run one (kernel, P) cell under ``sim`` and return its record."""
     sim = sim or DEFAULT_CONFIG
     fn = KERNELS[kernel]
     t0 = time.perf_counter()
     result = run_spmd(fn, nprocs, config=sim)
     wall = time.perf_counter() - t0
-    shards = (sim.shards if isinstance(sim.shards, int)
-              else resolve_auto_shards(nprocs))
-    record = {
+    return {
         "kernel": kernel,
         "nprocs": nprocs,
-        "shards": shards,
         "wall_s": round(wall, 4),
         "peak_rss_kb": _peak_rss_kb(),
         "engine_steps": result.engine_steps,
@@ -171,9 +150,6 @@ def bench_point(
         "p2p_fast": result.p2p_fast,
         "virtual_makespan_s": result.max_time,
     }
-    if "shard_fallback" in result.extras:
-        record["shard_fallback"] = result.extras["shard_fallback"]
-    return record
 
 
 def run_scaling_bench(
@@ -185,9 +161,7 @@ def run_scaling_bench(
     """Run the benchmark matrix and return the ``BENCH_scaling`` document.
 
     ``ps=None`` selects the default ladder — :data:`DEFAULT_PS` for every
-    kernel, plus the :data:`SHARD_TIERS` sharded-engine points (skipped
-    when ``sim`` itself already shards, so an explicit ``--config
-    shards=N`` sweep is not double-run).  An explicit ``ps`` runs exactly
+    kernel, plus :data:`EXTRA_POINTS`.  An explicit ``ps`` runs exactly
     that matrix.
 
     Note that ``peak_rss_kb`` is a high-water mark for the whole process:
@@ -201,29 +175,22 @@ def run_scaling_bench(
                 f"unknown bench kernel {k!r}; choose from {sorted(KERNELS)}"
             )
     base_ps = DEFAULT_PS if ps is None else tuple(ps)
-    points: list[tuple[str, int, SimConfig]] = [
-        (kernel, p, sim) for kernel in kernels for p in base_ps
-    ]
-    if ps is None and sim.shards == 1:
-        points.extend(
-            (kernel, p, sim.replace(shards=s))
-            for kernel, p, s in SHARD_TIERS
-            if kernel in kernels
-        )
+    points = [(kernel, p) for kernel in kernels for p in base_ps]
+    if ps is None:
+        points.extend(pt for pt in EXTRA_POINTS if pt[0] in kernels)
     results = []
-    for kernel, p, cell_sim in points:
-        record = bench_point(kernel, p, cell_sim)
+    for kernel, p in points:
+        record = bench_point(kernel, p, sim)
         results.append(record)
         if progress is not None:
             progress(record)
     return {
         "schema": SCHEMA_ID,
-        "ps": sorted({p for _, p, _ in points}),
+        "ps": sorted({p for _, p in points}),
         "kernels": list(kernels),
         "config": {
             "collectives": sim.collectives,
             "p2p": sim.p2p,
-            "shards": sim.shards,
             "max_steps": sim.max_steps,
         },
         "results": results,
@@ -254,7 +221,7 @@ def compare(
     """Wall-time regression gate: current vs baseline, ±``tolerance``.
 
     Returns one message per violation (empty list = pass).  Every
-    ``(kernel, nprocs, shards)`` cell of the *baseline* must exist in
+    ``(kernel, nprocs)`` cell of the *baseline* must exist in
     ``current`` and run within ``(1 + tolerance) *`` the baseline wall
     time; walls under :data:`WALL_FLOOR_S` are clamped to the floor on
     *both* sides of the ratio, so micro-cells whose runtime is timer
@@ -262,16 +229,13 @@ def compare(
     Speed-ups and extra cells in ``current`` never fail.
     """
     by_cell = {
-        (r["kernel"], r["nprocs"], r.get("shards", 1)): r
-        for r in current.get("results", [])
+        (r["kernel"], r["nprocs"]): r for r in current.get("results", [])
     }
     problems = []
     for base in baseline.get("results", []):
-        key = (base["kernel"], base["nprocs"], base.get("shards", 1))
+        key = (base["kernel"], base["nprocs"])
         cur = by_cell.get(key)
-        label = f"{key[0]} @ P={key[1]}" + (
-            f" shards={key[2]}" if key[2] != 1 else ""
-        )
+        label = f"{key[0]} @ P={key[1]}"
         if cur is None:
             problems.append(f"{label}: missing from current results")
             continue
@@ -287,14 +251,13 @@ def compare(
 
 def format_bench(doc: dict[str, Any]) -> str:
     lines = [
-        f"{'kernel':<18s} {'P':>6s} {'sh':>4s} {'wall[s]':>8s} "
+        f"{'kernel':<18s} {'P':>6s} {'wall[s]':>8s} "
         f"{'RSS[MB]':>8s} {'steps':>9s} {'matched':>9s} {'match/s':>10s} "
         f"{'coll.fast':>9s} {'p2p.fast':>9s}"
     ]
     for r in doc["results"]:
         lines.append(
-            f"{r['kernel']:<18s} {r['nprocs']:>6d} "
-            f"{str(r.get('shards', 1)):>4s} {r['wall_s']:>8.3f} "
+            f"{r['kernel']:<18s} {r['nprocs']:>6d} {r['wall_s']:>8.3f} "
             f"{r['peak_rss_kb'] / 1024:>8.1f} {r['engine_steps']:>9d} "
             f"{r['messages_matched']:>9d} {r['matched_per_s']:>10d} "
             f"{r.get('collectives_fast', 0):>9d} {r.get('p2p_fast', 0):>9d}"

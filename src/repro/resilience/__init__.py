@@ -1,19 +1,15 @@
 """repro.resilience — host-level supervision, retry policy and chaos.
 
 Everything in :mod:`repro.faults` happens *inside virtual time*; this
-package is about the **real host**: shard worker processes that hang or
-die, harness pool workers killed by the OS, cache files damaged on disk.
-It provides
+package is about the **real host**: harness pool workers that hang or are
+killed by the OS, cache files damaged on disk.  It provides
 
 * :class:`RetryPolicy` — capped/seeded backoff, per-cell wall-clock
   deadlines and poisoned-cell quarantine for the experiment harness
   (:class:`QuarantineError` carries the completed partial results);
-* supervision primitives (:mod:`repro.resilience.supervise`) used by the
-  sharded engine: worker heartbeats, deadline-bounded receives and
-  bounded teardown escalation;
 * :class:`HostFaultPlan` — deterministic, seeded injection of host
-  faults (kill/SIGSTOP/delay shard and pool workers, corrupt or truncate
-  cache entries) behind zero-cost hooks;
+  faults (kill or hang pool workers, corrupt or truncate cache entries)
+  behind zero-cost hooks;
 * the ``repro chaos host`` sweep (:mod:`repro.resilience.chaos`) proving
   every injected host fault terminates with a recorded outcome and
   bit-identical virtual-time results.
@@ -29,7 +25,6 @@ from .hostfaults import (
     installed,
 )
 from .policy import QuarantinedCell, QuarantineError, RetryPolicy
-from .supervise import WorkerTimeout, shutdown_workers
 
 __all__ = [
     "HostFaultPlan",
@@ -37,8 +32,6 @@ __all__ = [
     "QuarantineError",
     "QuarantinedCell",
     "RetryPolicy",
-    "WorkerTimeout",
     "apply_cache_faults",
     "installed",
-    "shutdown_workers",
 ]

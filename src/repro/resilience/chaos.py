@@ -3,56 +3,38 @@
 The virtual-time chaos matrix (``repro chaos``) proves the *simulated
 system* survives crashed ranks and dropped messages.  This sweep proves
 the *host machinery* survives real process faults: it arms one
-:class:`~repro.resilience.HostFaultPlan` per scenario, kills / SIGSTOPs /
-delays actual shard and pool worker processes, damages actual cache
-files, and asserts that every fault terminates in a **recorded** fallback,
-retry, quarantine or invalidation — never a hang and never a wrong
-answer.
+:class:`~repro.resilience.HostFaultPlan` per scenario, kills or hangs
+actual pool worker processes, damages actual cache files, and asserts that
+every fault terminates in a **recorded** retry, quarantine or invalidation
+— never a hang and never a wrong answer.
 
 Every scenario runs ``runs`` times (default twice) and the outcomes must
 be equal; the report contains no wall-clock times or host paths, so two
 invocations of the whole sweep produce byte-identical JSON — which is
 exactly what the ``chaos-host`` CI job diffs.
-
-Shard scenarios run under deliberately small supervision deadlines
-(``REPRO_SHARD_DEADLINE=2``, ``REPRO_SHARD_HEARTBEAT=0.1``) so the sweep
-finishes in seconds; the production defaults stay untouched outside the
-sweep.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..harness.cache import RunCache
 from ..harness.engine import ExperimentEngine, make_cell
 from ..harness.runner import Mode
-from ..simmpi import SimConfig, run_spmd
 from .hostfaults import HostFaultPlan, apply_cache_faults, installed
 from .policy import QuarantineError, RetryPolicy
-from .supervise import ENV_HEARTBEAT, ENV_WAVE_DEADLINE
 
 #: Every host-fault scenario the sweep knows, in report order.
 HOST_SCENARIOS = (
-    "kill-shard-worker",
-    "kill-shard-mid-replay",
-    "stop-shard-worker",
-    "slow-shard-worker",
-    "stall-shard-final",
     "kill-pool-worker",
     "poison-cell",
     "hang-cell",
     "corrupt-cache",
     "truncate-cache",
 )
-
-#: Supervision env while shard scenarios run (small = fast sweep).
-_SHARD_ENV = {ENV_WAVE_DEADLINE: "2", ENV_HEARTBEAT: "0.1"}
 
 #: Harness policy for pool scenarios: tight deadlines and near-zero
 #: backoff so a full sweep stays in the seconds range.
@@ -63,53 +45,6 @@ _POOL_POLICY = RetryPolicy(
     backoff_cap=0.05,
     poll_interval=0.02,
 )
-
-
-@contextlib.contextmanager
-def _shard_env() -> Iterator[None]:
-    saved = {key: os.environ.get(key) for key in _SHARD_ENV}
-    os.environ.update(_SHARD_ENV)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-async def _ring_kernel(ctx):
-    """Small p2p + collective mix: several waves across 2 shards."""
-    comm, rank, size = ctx.comm, ctx.rank, ctx.size
-    right, left = (rank + 1) % size, (rank - 1) % size
-    acc = 0.0
-    for r in range(3):
-        send = comm.isend(right, rank * 10 + r, tag=r)
-        acc += await comm.recv(source=left, tag=r)
-        await send.wait()
-        acc += await comm.allreduce(rank + r * 0.25)
-    await comm.barrier()
-    return acc
-
-
-def _run_shard_scenario(plan: HostFaultPlan, expect: str) -> dict[str, Any]:
-    with _shard_env():
-        base = run_spmd(_ring_kernel, 8, config=SimConfig(shards=1))
-        with installed(plan):
-            hit = run_spmd(_ring_kernel, 8, config=SimConfig(shards=2))
-    fallback = hit.extras.get("shard_fallback", "")
-    identical = (
-        hit.results == base.results
-        and hit.clocks == base.clocks
-        and hit.total_messages == base.total_messages
-    )
-    return {
-        "fallback": fallback,
-        "teardown": hit.extras.get("shard_teardown", "clean"),
-        "identical": identical,
-        "recovered": fallback == expect and identical,
-    }
 
 
 def _pool_cells():
@@ -196,26 +131,6 @@ def _run_cache_scenario(seed: int, mode: str) -> dict[str, Any]:
 
 def _scenario_runners(seed: int) -> dict[str, Callable[[], dict[str, Any]]]:
     return {
-        "kill-shard-worker": lambda: _run_shard_scenario(
-            HostFaultPlan(seed=seed, kill_shard=1), "worker-died"
-        ),
-        # Dies inside an owner-side gate replay — after its status went
-        # out but before the foreign completion columns come back, the
-        # window where a naive coordinator would wait forever.
-        "kill-shard-mid-replay": lambda: _run_shard_scenario(
-            HostFaultPlan(seed=seed, kill_replay_shard=0), "worker-died"
-        ),
-        "stop-shard-worker": lambda: _run_shard_scenario(
-            HostFaultPlan(seed=seed, stop_shard=1), "worker-timeout"
-        ),
-        "slow-shard-worker": lambda: _run_shard_scenario(
-            HostFaultPlan(seed=seed, delay_shard=1, delay_s=30.0),
-            "worker-timeout",
-        ),
-        "stall-shard-final": lambda: _run_shard_scenario(
-            HostFaultPlan(seed=seed, stall_final=1, delay_s=30.0),
-            "worker-hung",
-        ),
         "kill-pool-worker": lambda: _run_kill_pool(seed),
         "poison-cell": lambda: _run_poison(seed, hang=False),
         "hang-cell": lambda: _run_poison(seed, hang=True),
@@ -250,7 +165,7 @@ def run_host_chaos(
             f"(known: {', '.join(HOST_SCENARIOS)})"
         )
     report: dict[str, Any] = {
-        "version": 1,
+        "version": 2,
         "kind": "host",
         "seed": seed,
         "runs": runs,

@@ -1,22 +1,20 @@
-"""Deterministic host-fault injection: kill, stop, delay real processes.
+"""Deterministic host-fault injection: kill or hang real processes.
 
 Where :mod:`repro.faults` makes things go wrong *inside virtual time*
 (crashed ranks, dropped messages), this module attacks the **host-level
-machinery itself**: shard worker processes, harness pool workers and
-on-disk cache entries.  A :class:`HostFaultPlan` says which process dies,
-stops or stalls and when — seeded and reproducible, so the chaos sweep
-(``repro chaos host``) can assert that every injected fault ends in a
-*recorded* fallback, retry or quarantine, never a hang and never a wrong
-answer.
+machinery itself**: harness pool workers and on-disk cache entries.  A
+:class:`HostFaultPlan` says which process dies or hangs — seeded and
+reproducible, so the chaos sweep (``repro chaos host``) can assert that
+every injected fault ends in a *recorded* retry or quarantine, never a
+hang and never a wrong answer.
 
 Delivery: :func:`install` serializes the plan into the
 ``REPRO_HOST_FAULTS`` environment variable, which forked **and** spawned
-workers inherit; the hook functions (:func:`shard_wave_hook`,
-:func:`shard_final_hook`, :func:`cell_hook`) are called from the
-production code paths and are a single dict lookup when no plan is
-installed — zero-cost on the happy path.  The installing process's PID is
-recorded so a cell fault can never kill the coordinating process when a
-cell happens to execute inline.
+workers inherit; :func:`cell_hook` is called from the production code
+path and is a single dict lookup when no plan is installed — zero-cost on
+the happy path.  The installing process's PID is recorded so a cell fault
+can never kill the coordinating process when a cell happens to execute
+inline.
 
 Cross-process attempt budgets (``attempts`` limits how many executions of
 the target cell are injured — 1 models a transient kill, a large budget
@@ -50,9 +48,6 @@ class HostFaultPlanError(ValueError):
 class HostFaultPlan:
     """Everything allowed to go wrong at the *host* level in one run.
 
-    Shard faults fire inside the targeted shard worker at the start of
-    wave ``at_wave`` (1-based); ``stall_final`` fires after the worker
-    receives ``("finish",)``, while it is producing its final result.
     Cell faults fire inside whichever pool worker picks the matching cell
     up — ``kill_cell`` SIGKILLs the worker (breaking the pool),
     ``hang_cell`` sleeps ``hang_s`` (tripping the cell deadline).  Cache
@@ -60,16 +55,6 @@ class HostFaultPlan:
     """
 
     seed: int = 0x0457
-    #: shard index to SIGKILL / SIGSTOP / delay at wave ``at_wave``
-    kill_shard: int | None = None
-    stop_shard: int | None = None
-    delay_shard: int | None = None
-    delay_s: float = 0.0
-    at_wave: int = 1
-    #: shard index that stalls (sleeps ``delay_s``) while finalizing
-    stall_final: int | None = None
-    #: shard index to SIGKILL right before an owner-side gate replay
-    kill_replay_shard: int | None = None
     #: digest prefix (or exact label) of the harness cell to injure
     kill_cell: str = ""
     hang_cell: str = ""
@@ -85,26 +70,14 @@ class HostFaultPlan:
 
     def is_empty(self) -> bool:
         return (
-            self.kill_shard is None
-            and self.stop_shard is None
-            and self.delay_shard is None
-            and self.stall_final is None
-            and self.kill_replay_shard is None
-            and not self.kill_cell
+            not self.kill_cell
             and not self.hang_cell
             and not self.cache_mode
         )
 
     def validate(self) -> None:
-        for name in ("kill_shard", "stop_shard", "delay_shard",
-                     "stall_final", "kill_replay_shard"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise HostFaultPlanError(f"{name}={value} is negative")
-        if self.at_wave < 1:
-            raise HostFaultPlanError(f"at_wave={self.at_wave} must be >= 1")
-        if self.delay_s < 0 or self.hang_s < 0:
-            raise HostFaultPlanError("delays must be non-negative")
+        if self.hang_s < 0:
+            raise HostFaultPlanError("hang_s must be non-negative")
         if self.attempts < 1:
             raise HostFaultPlanError(f"attempts={self.attempts} must be >= 1")
         if self.cache_mode not in ("", "flip", "truncate"):
@@ -186,51 +159,8 @@ def active_plan() -> tuple[HostFaultPlan, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# injection hooks (called from production code; no-ops unless armed)
+# injection hook (called from production code; a no-op unless armed)
 # ---------------------------------------------------------------------------
-
-
-def shard_wave_hook(shard_index: int, wave: int) -> None:
-    """Called by each shard worker at the start of every wave."""
-    if ENV_HOST_FAULTS not in os.environ:
-        return
-    active = active_plan()
-    if active is None:
-        return
-    plan, _owner = active
-    if wave != plan.at_wave:
-        return
-    if plan.kill_shard == shard_index:
-        os.kill(os.getpid(), signal.SIGKILL)
-    if plan.stop_shard == shard_index:
-        os.kill(os.getpid(), signal.SIGSTOP)
-    if plan.delay_shard == shard_index and plan.delay_s > 0:
-        time.sleep(plan.delay_s)
-
-
-def shard_replay_hook(shard_index: int) -> None:
-    """Called by a shard worker right before an owner-side gate replay."""
-    if ENV_HOST_FAULTS not in os.environ:
-        return
-    active = active_plan()
-    if active is None:
-        return
-    plan, _owner = active
-    if plan.kill_replay_shard == shard_index:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def shard_final_hook(shard_index: int) -> None:
-    """Called by each shard worker after ``("finish",)``, before the
-    final result is sent."""
-    if ENV_HOST_FAULTS not in os.environ:
-        return
-    active = active_plan()
-    if active is None:
-        return
-    plan, _owner = active
-    if plan.stall_final == shard_index and plan.delay_s > 0:
-        time.sleep(plan.delay_s)
 
 
 def _matches(plan_target: str, digest: str, label: str) -> bool:

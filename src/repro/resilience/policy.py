@@ -33,11 +33,6 @@ from dataclasses import dataclass
 #: in seconds (unset or non-positive = no deadline).
 ENV_CELL_DEADLINE = "REPRO_CELL_DEADLINE"
 
-#: Environment variable supplying the default idle timeout for streamed
-#: serve jobs in seconds (unset = the built-in default; non-positive = no
-#: timeout).
-ENV_JOB_IDLE_TIMEOUT = "REPRO_JOB_IDLE_TIMEOUT"
-
 #: Default idle timeout for streamed serve jobs (seconds).
 DEFAULT_JOB_IDLE_TIMEOUT = 300.0
 
@@ -114,8 +109,7 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """The default policy, with ``$REPRO_CELL_DEADLINE`` and
-        ``$REPRO_JOB_IDLE_TIMEOUT`` applied."""
+        """The default policy, with ``$REPRO_CELL_DEADLINE`` applied."""
         raw = os.environ.get(ENV_CELL_DEADLINE, "")
         try:
             deadline: float | None = float(raw)
@@ -123,14 +117,7 @@ class RetryPolicy:
             deadline = None
         if deadline is not None and deadline <= 0:
             deadline = None
-        raw_idle = os.environ.get(ENV_JOB_IDLE_TIMEOUT, "")
-        try:
-            idle: float | None = float(raw_idle)
-        except ValueError:
-            idle = DEFAULT_JOB_IDLE_TIMEOUT
-        if idle is not None and idle <= 0:
-            idle = None
-        return cls(cell_deadline=deadline, job_idle_timeout=idle)
+        return cls(cell_deadline=deadline)
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,6 @@ def _parse_spec(body: dict[str, Any], limits: ServeConfig) -> JobSpec:
         sim = parse_config([f"{k}={v}" for k, v in sorted(sim_kv.items())])
     except ValueError as exc:
         raise JobError(400, f"bad config: {exc}") from None
-    if sim.shards != 1:
-        raise JobError(
-            400, "sharded execution is not supported for serve jobs "
-            "(jobs already parallelize across the worker pool)"
-        )
     label = body.get("label", "")
     if not isinstance(label, str) or len(label) > 200:
         raise JobError(400, "label must be a string of <= 200 chars")

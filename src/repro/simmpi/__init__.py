@@ -37,11 +37,7 @@ from .futures import SimFuture
 from .launcher import RankContext, SpmdResult, run_spmd
 from .patterns import NeighborPattern
 from .rankstate import RankStateColumns
-from .simconfig import (
-    DEFAULT_CONFIG,
-    SimConfig,
-    resolve_auto_shards,
-)
+from .simconfig import DEFAULT_CONFIG, SimConfig
 from .timing import QDR_CLUSTER, SLOW_CLUSTER, ZERO_COST, NetworkModel
 from .topology import (
     Grid2D,
@@ -101,7 +97,6 @@ __all__ = [
     "hypercube_neighbors",
     "ints",
     "payload_nbytes",
-    "resolve_auto_shards",
     "run_spmd",
     "square_grid",
     "wait_all",

@@ -48,7 +48,7 @@ round.
 **One gate, every kind.**  A declared p2p pattern
 (``Communicator.exchange``) is one more gate *kind* next to ``barrier`` …
 ``scan``: ``patterns._g_script`` is its schedule, and the same gate class,
-consult/join pair, verdict function, replay dispatch, settle and
+consult/join pair, verdict function, replay dispatch, completion and
 message-level tail run it.  A kind contributes data — its schedule, the
 sequence counter that numbers its instances, the ``SimConfig`` switch and
 engine counters it answers to — and the inputs its verdict reads.
@@ -63,11 +63,9 @@ into a receive, so the schedules' hole-handling branches never run under
 the closed form.  The fallback ledger of docs/INTERNALS.md lists every
 reason a verdict can return, the input it reads and the test reaching it.
 
-How many ranks a gate waits for and what happens once it fills are the
-context's answer (:attr:`CommContext.gate_quorum`,
-:meth:`CommContext.gate_filled`): the live members and an in-process
-replay here, one shard's block and a hand-off to the owner shard in
-:mod:`repro.simmpi.sharded`.  See docs/PERF.md ("Gates").
+A gate waits for the communicator's live members
+(:attr:`CommContext.gate_quorum`); the last to join replays it
+(:meth:`_Gate.complete`).  See docs/PERF.md ("Gates").
 """
 
 from __future__ import annotations
@@ -324,9 +322,8 @@ def _g_scan(rank, size, value, op, nbytes):
 
 #: kind -> schedule-generator factory, called as ``factory(rank, size,
 #: *genargs)``.  Dispatchers hand :meth:`Communicator._join` the plain
-#: ``genargs`` tuple instead of a live generator so a gate entry stays
-#: picklable — the sharded engine ships entries to the coordinator process
-#: and reconstructs the generators there from this same map.
+#: ``genargs`` tuple instead of a live generator: an array replay never
+#: builds one.
 _GEN_FACTORIES: dict[str, Callable[..., Any]] = {
     "barrier": _g_barrier,
     "bcast": _g_bcast,
@@ -518,8 +515,7 @@ def _run_replay(kind: str, root: Any, net, entries: list, size: int,
     are only built when that path actually runs.  Only the core can run
     the schedules exchange entries bring along (all or none do: a run's
     ranks share one tracer class) or, with ``collect``, record an exchange's
-    per-message obs events.  Shared by the single-process gate and the
-    sharded engine's owner-shard replay.
+    per-message obs events.
     """
     if kind == "exchange":
         # A script has no user callable whose raise order the arrival
@@ -529,7 +525,7 @@ def _run_replay(kind: str, root: Any, net, entries: list, size: int,
             else slots_vector(root, entries, net)
         if cols is not None:
             sim = Replay(net, ())
-            sim.states = cols  # columnar: _Gate.settle lands them in bulk
+            sim.states = cols  # columnar: _Gate.complete lands them in bulk
             sim.total_messages = root.total_messages
             sim.total_bytes = root.total_bytes
             return sim
@@ -639,6 +635,10 @@ class _Gate:
         engine.wave_resolve([(e.fut, RUN_SIM, e.clock0) for e in entries])
 
     def complete(self, ctx: CommContext) -> None:
+        """Every awaited rank has joined: replay the instance, write each
+        entry's replayed state (``rank -> RankState``, or whole columns)
+        back onto its task, emit what its message-level run would have, and
+        resolve all of them in one bulk advance, in rank order."""
         engine = ctx.engine
         entries = self.entries
         sim = _run_replay(
@@ -661,28 +661,19 @@ class _Gate:
             )
             return
         entries.sort(key=_entry_rank)  # wake order: by rank
-        self.settle(ctx, sim.states)
-
-    def settle(self, ctx: CommContext, states) -> None:
-        """Finish the replayed gate for the entries parked in this process:
-        write each one's replayed state (``rank -> RankState``, or whole
-        columns) back onto its task, emit what its message-level run would
-        have, and resolve all of them in one bulk advance, in ``entries``
-        order.  Shared by the in-process gate and both sides of the sharded
-        owner replay."""
-        engine = ctx.engine
+        states = sim.states
         if type(states) is RankStateColumns:
             # A slot-replayed exchange, entries in rank order: uninstrumented
             # (nothing to emit) and fault-free (nobody was released early).
-            states.write_back([e.task for e in self.entries])
+            states.write_back([e.task for e in entries])
             engine.wave_resolve(
                 [(e.fut, None, t)
-                 for e, t in zip(self.entries, states.clock.tolist())])
+                 for e, t in zip(entries, states.clock.tolist())])
             return
         ins = engine.instrument
         emit = ins.enabled
         resolutions = []
-        for entry in self.entries:
+        for entry in entries:
             if entry.fut.done:
                 # Released by a fault timeout while parked: the task
                 # already moved on with LOST at the release time; its
@@ -849,7 +840,7 @@ class Communicator(Comm):
                 self.engine.p2p_fast += len(gate.entries)
             else:
                 self.engine.collectives_fast += len(gate.entries)
-            ctx.gate_filled(gate)
+            gate.complete(ctx)
         result = await fut
         task.advance_to(fut.time)
         if result is RUN_SIM:

@@ -319,17 +319,6 @@ class Mailbox:
         deleted, so the lane dict doubles as the live-message indicator."""
         return bool(self._lanes)
 
-    def wild_candidate_sources(self, tag: int) -> set[int]:
-        """Distinct sources of live queued messages an ``(ANY_SOURCE,
-        tag)`` receive could match right now.  The sharded engine's
-        quiescent-drain probe: with exactly one candidate source the match
-        is interleaving-invariant (per-pair FIFO) and safe to fire."""
-        srcs: set[int] = set()
-        for msg in self._wild:
-            if not msg.consumed and _tag_matches(tag, msg.tag):
-                srcs.add(msg.src)
-        return srcs
-
     def has_wild_pending(self) -> bool:
         """Any live posted receive that could match by wildcard (the
         overflow pending lane also carries ANY_SOURCE exact-high-tag
@@ -435,8 +424,7 @@ class CommContext:
         # later arrivals join (fast) or follow the verdict (simulated).  A
         # gate leaves the table once every live rank has consulted it.
         self._gates: dict[tuple[bool, int], Any] = {}
-        #: how many ranks each new gate waits for in this process — the
-        #: live members; a shard's context counts its own block only
+        #: how many ranks each new gate waits for: the live members
         self.gate_quorum = len(self.ranks)
         #: messages queued + receives posted so far, and the count at the
         #: last clean exchange-eligibility scan: only a post can dirty one
@@ -451,11 +439,6 @@ class CommContext:
 
     def mailbox(self, local_rank: int):
         return self._mailboxes[local_rank]
-
-    def gate_filled(self, gate) -> None:
-        """``gate`` has its quorum: replay it here and now.  (A shard's
-        context hands it to the coordinator instead.)"""
-        gate.complete(self)
 
     def rank_died(self, local_rank: int) -> None:
         """A member failed: later gates stop counting it, and so does every
@@ -474,11 +457,6 @@ class CommContext:
                 del self._gates[key]
 
     # -- matching internals --------------------------------------------
-    #
-    # Delivery and match firing live on the context (not the sending
-    # Comm): the sharded engine applies remotely-originated messages with
-    # no sender-side Comm object in this process, and routes messages for
-    # ranks it does not own to their shard instead of a mailbox.
 
     def deliver(self, msg: "Message") -> None:
         """Offer a message to its destination mailbox, matching if possible."""
@@ -534,8 +512,8 @@ class CommContext:
         # o_recv overhead is deferred to Request.wait so busy accumulates
         # in program order regardless of when the match fires — without
         # this, a non-blocking receive completed mid-compute would charge
-        # o_recv at a schedule-dependent point, breaking shard-vs-single
-        # bitwise busy equality.
+        # o_recv at a schedule-dependent point, which the gate replays
+        # could not reproduce bitwise.
         pending.future.busy_charge = net.o_recv
         ins = self.engine.instrument
         if ins.enabled:

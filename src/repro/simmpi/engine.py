@@ -251,32 +251,11 @@ class Engine:
         by the failure are released with :data:`~repro.faults.LOST` after
         the plan's virtual-time ``op_timeout`` instead of deadlocking.
         """
-        inj = self.faults
-        while True:
-            self.run_ready()
-            if not (inj.active and self._release_one_orphan()):
-                break
-
-        unfinished = [
-            t for t in self.tasks
-            if t.state not in (TaskState.DONE, TaskState.FAILED)
-        ]
-        if unfinished:
-            raise DeadlockError(self._deadlock_detail(unfinished))
-
-    def run_ready(self) -> None:
-        """Drive the ready queue until it drains (one conservative wave).
-
-        This is :meth:`run` without the orphan-release loop and the
-        deadlock check: the sharded engine (see
-        :mod:`repro.simmpi.sharded`) calls it once per wave barrier and
-        resolves cross-shard futures between calls, while :meth:`run`
-        wraps it for the single-process case.  Error semantics are
-        identical to :meth:`run`.
-        """
         ins = self.instrument
         inj = self.faults
-        while self._ready:
+        # An op-timeout release queues its victim, so the queue is never
+        # empty inside the loop.
+        while self._ready or (inj.active and self._release_one_orphan()):
             task = self._ready.popleft()
             if task.state != TaskState.READY:  # pragma: no cover - invariant
                 continue
@@ -355,6 +334,12 @@ class Engine:
                 if self._current is task:
                     self._current = None
 
+        unfinished = [
+            t for t in self.tasks
+            if t.state not in (TaskState.DONE, TaskState.FAILED)
+        ]
+        if unfinished:
+            raise DeadlockError(self._deadlock_detail(unfinished))
 
     # -- fault handling ----------------------------------------------------
 
@@ -433,33 +418,10 @@ class Engine:
         runs always complete: every release makes progress, so the run
         terminates as long as the rank programs do.
         """
-        victim = self._orphan_candidate()
-        if victim is None:
-            return False
-        self.release_orphan(victim)
-        return True
-
-    @staticmethod
-    def _orphan_key(t: Task) -> tuple[float, int]:
-        # Earliest *posted* operation first — timeout order follows
-        # virtual-time causality, with rank only as the deterministic
-        # tie-break.  Futures without post metadata (synthetic waits)
-        # fall back to the task clock.
-        fut = t.blocked_on
-        post = fut.post_time if fut is not None and fut.post_time is not None else t.clock
-        return (post, t.rank)
-
-    def _orphan_candidate(self) -> Task | None:
-        """The task the next op-timeout would release, or None.  Exposed
-        separately so the sharded coordinator can arbitrate the *global*
-        minimum across shards before any worker releases anything."""
         blocked = [t for t in self.tasks if t.state is TaskState.BLOCKED]
         if not blocked:
-            return None
-        return min(blocked, key=self._orphan_key)
-
-    def release_orphan(self, victim: Task) -> None:
-        """Release ``victim`` with ``LOST`` at ``clock + op_timeout``."""
+            return False
+        victim = min(blocked, key=self._orphan_key)
         fut = victim.blocked_on
         assert fut is not None and not fut.done
         release_t = victim.clock + self.faults.plan.op_timeout
@@ -472,6 +434,17 @@ class Engine:
             ins.metrics.count("fault/timeouts", 1, rank=victim.rank,
                               t=release_t)
         fut.resolve(LOST, time=release_t)
+        return True
+
+    @staticmethod
+    def _orphan_key(t: Task) -> tuple[float, int]:
+        # Earliest *posted* operation first — timeout order follows
+        # virtual-time causality, with rank only as the deterministic
+        # tie-break.  Futures without post metadata (synthetic waits)
+        # fall back to the task clock.
+        fut = t.blocked_on
+        post = fut.post_time if fut is not None and fut.post_time is not None else t.clock
+        return (post, t.rank)
 
     def _deadlock_detail(self, unfinished: list[Task]) -> list[str]:
         """One line per stuck rank; ops orphaned by a crashed peer say so.

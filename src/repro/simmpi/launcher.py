@@ -9,6 +9,7 @@ return values, final clocks and communication statistics.
 from __future__ import annotations
 
 import contextlib
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
@@ -18,7 +19,16 @@ from ..obs.instrument import NULL_INSTRUMENT, Instrument
 from .collectives import Communicator
 from .comm import CommContext
 from .engine import Engine, Task
-from .simconfig import DEFAULT_CONFIG, SimConfig, resolve_auto_shards
+from .simconfig import DEFAULT_CONFIG, SimConfig
+
+#: World size from which ``run_spmd`` pauses the cyclic collector while it
+#: builds the task graph and runs the engine.  A P-rank world is P live
+#: coroutines, tasks and communicators that all survive to the end of the
+#: run, so every generation-2 pass re-walks them and frees nothing; from
+#: here up that re-walking is half the wall time (docs/PERF.md, "One
+#: engine").  Below it every cell runs the engine with the collector as it
+#: found it.
+GC_PAUSE_NPROCS = 8192
 
 
 class RankContext:
@@ -86,7 +96,6 @@ class SpmdResult:
     busy_times: list[float]
     total_messages: int
     total_bytes: int
-    extras: dict[str, Any] = field(default_factory=dict)
     #: scheduler steps the engine executed (coroutine resumes)
     engine_steps: int = 0
     #: point-to-point matches fired (send paired with its receive)
@@ -170,60 +179,38 @@ def run_spmd(
     eligibility fallback) drives the declared ops message-level.  See
     docs/PERF.md ("Macro p2p").
 
-    ``config.shards`` partitions the ranks over that many worker
-    processes advancing in conservative-PDES waves — bit-identical
-    virtual clocks/busy/results/totals to ``shards=1``, with automatic
-    fallback to the single-process engine whenever a run uses a feature
-    the sharded path cannot reproduce exactly (see docs/PERF.md,
-    "Sharded engine"; the fallback reason lands in
-    ``SpmdResult.extras["shard_fallback"]``).  ``shards="auto"`` resolves
-    a concrete count per run from the world size and machine cores
-    (:func:`~repro.simmpi.simconfig.resolve_auto_shards`).
+    From ``GC_PAUSE_NPROCS`` ranks up the cyclic garbage collector is paused
+    for the duration of the run and restored to its previous state on the
+    way out, also when the run raises.
     """
     cfg = config or DEFAULT_CONFIG
     if nprocs <= 0:
         raise ValueError("nprocs must be positive")
-    if cfg.shards == "auto":
-        # Resolve before dispatch so the sharded path (and extras) always
-        # sees a concrete count; cache identity is unaffected (shards is
-        # excluded from SimConfig.cache_key by design).
-        cfg = cfg.replace(shards=resolve_auto_shards(nprocs))
-    if cfg.shards > 1:
-        from .sharded import run_sharded
-
-        return run_sharded(main, nprocs, args, kwargs, cfg,
-                           instrument=instrument, faults=faults)
-    return _run_single(main, nprocs, args, kwargs, cfg,
-                       instrument=instrument, faults=faults)
-
-
-def _run_single(
-    main: MainFn,
-    nprocs: int,
-    args: tuple,
-    kwargs: dict,
-    cfg: SimConfig,
-    *,
-    instrument: Instrument = NULL_INSTRUMENT,
-    faults: FaultPlan | FaultInjector | None = None,
-) -> SpmdResult:
-    """The single-process engine: the reference (and oracle) execution."""
     injector = injector_for(faults)
     if injector.active:
         injector.plan.validate(nprocs)
     engine = Engine(network=cfg.network, max_steps=cfg.max_steps,
                     instrument=instrument, faults=injector,
                     collectives=cfg.collectives, p2p=cfg.p2p)
-    world_ctx = CommContext(engine, range(nprocs))
-    for rank in range(nprocs):
-        # Task must exist before the Communicator that references it; spawn
-        # with a placeholder coroutine created right after.
-        task = Task(rank, None)  # type: ignore[arg-type]
-        comm = Communicator(world_ctx, rank, task)
-        rctx = RankContext(comm, task)
-        task.coro = main(rctx, *args, **kwargs)
-        engine.adopt(task)
-    engine.run()
+    # Everything built below stays reachable from the engine until the
+    # run returns: a collection during it can free nothing of the world.
+    pause_gc = nprocs >= GC_PAUSE_NPROCS and gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        world_ctx = CommContext(engine, range(nprocs))
+        for rank in range(nprocs):
+            # Task must exist before the Communicator that references it;
+            # spawn with a placeholder coroutine created right after.
+            task = Task(rank, None)  # type: ignore[arg-type]
+            comm = Communicator(world_ctx, rank, task)
+            rctx = RankContext(comm, task)
+            task.coro = main(rctx, *args, **kwargs)
+            engine.adopt(task)
+        engine.run()
+    finally:
+        if pause_gc:
+            gc.enable()
     return SpmdResult(
         results=engine.results(),
         clocks=engine.clocks(),

@@ -10,8 +10,7 @@ A *schedule* is one plain-Python generator per rank yielding operations
 
 and returning the rank's result.  Collective gates feed :class:`Replay`
 the ``_g_*`` generators of :mod:`repro.simmpi.collectives`, declared-pattern
-gates the script generator of :mod:`repro.simmpi.patterns`, and the sharded
-engine's owner shard reaches it through ``collectives._run_replay``.  It is
+gates the script generator of :mod:`repro.simmpi.patterns`.  It is
 one of a schedule's two interpreters; the other, ``Communicator._drive``,
 issues the same operations through the real message-level primitives.
 

@@ -7,25 +7,22 @@ accepted everywhere a run starts — ``run_spmd(config=...)``,
 Cache participation: :meth:`SimConfig.digest` (and the tuple behind it,
 :meth:`SimConfig.cache_key`) covers only the fields that can change a
 run's *virtual-time outcome* — the network model and ``max_steps``.
-``collectives``, ``p2p`` and ``shards`` are
-bit-identity-preserving execution strategies (each is fuzz-verified
-against its reference path), so equivalent spellings of the same run hash
-identically and the run cache can serve a result computed under any of
-them.
+``collectives`` and ``p2p`` are bit-identity-preserving execution
+strategies (each is fuzz-verified against its reference path), so
+equivalent spellings of the same run hash identically and the run cache
+can serve a result computed under any of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Any
 
 from .timing import NetworkModel, QDR_CLUSTER, SLOW_CLUSTER, ZERO_COST
 
-__all__ = ["SimConfig", "DEFAULT_CONFIG", "parse_config",
-           "resolve_auto_shards"]
+__all__ = ["SimConfig", "DEFAULT_CONFIG", "parse_config"]
 
 
 @dataclass(frozen=True)
@@ -40,20 +37,12 @@ class SimConfig:
             ``NeighborPattern`` exchanges, default) or ``"simulated"``
             (always message-level).  Bit-identical either way; see
             docs/PERF.md, "Macro p2p".
-        shards: worker processes the ranks are partitioned over.  ``1``
-            (default) is the single-process engine; ``shards > 1`` runs
-            conservative-PDES waves and is bit-identical to ``shards=1``
-            (ineligible runs fall back automatically — see
-            docs/PERF.md, "Sharded engine").  ``"auto"`` picks the shard
-            count per run from the world size and the machine's cores
-            via :func:`resolve_auto_shards`.
         max_steps: scheduler-resume budget; ``None`` means unlimited.
     """
 
     network: NetworkModel = QDR_CLUSTER
     collectives: str = "fast"
     p2p: str = "fast"
-    shards: int | str = 1
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
@@ -70,16 +59,6 @@ class SimConfig:
             raise ValueError(
                 f"p2p must be 'fast' or 'simulated', got {self.p2p!r}"
             )
-        if isinstance(self.shards, str):
-            if self.shards != "auto":
-                raise ValueError(
-                    f"shards must be an int or 'auto', got {self.shards!r}"
-                )
-        elif not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise ValueError(f"shards must be an int or 'auto', "
-                             f"got {self.shards!r}")
-        elif self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.max_steps is not None and self.max_steps <= 0:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
 
@@ -92,8 +71,9 @@ class SimConfig:
     def cache_key(self) -> tuple:
         """The outcome-determining normal form used by the run cache.
 
-        Deliberately excludes ``collectives``/``p2p``/``shards``: those select bit-identical execution strategies, so
-        two configs differing only there describe the same run.
+        Deliberately excludes ``collectives``/``p2p``: those select
+        bit-identical execution strategies, so two configs differing only
+        there describe the same run.
         """
         n = self.network
         return (
@@ -113,28 +93,8 @@ class SimConfig:
 
 
 #: The default configuration (QDR network, fast collectives, fast p2p,
-#: single process, unlimited steps).
+#: unlimited steps).
 DEFAULT_CONFIG = SimConfig()
-
-
-def resolve_auto_shards(nprocs: int, cores: int | None = None) -> int:
-    """The shard count ``shards="auto"`` resolves to for a ``nprocs``-rank
-    run on a machine with ``cores`` CPUs (default: ``os.cpu_count()``).
-
-    The heuristic encodes the measured break-even points from docs/PERF.md
-    ("Sharded engine"): below ~8k ranks the fork + wave-barrier overhead
-    eats the win, so stay single-process; above it, grow the shard count
-    with the world size (one shard per ~4k ranks) up to a cap set by the
-    core count.  Sharding wins even on a single core — workers win on
-    heap locality, not parallelism — so the cap does not collapse to
-    ``cores``; it merely stops piling on barrier overhead where extra
-    shards cannot also buy CPU parallelism.
-    """
-    if nprocs < 8192:
-        return 1
-    cores = cores or os.cpu_count() or 1
-    cap = 4 if cores <= 4 else 8
-    return min(cap, max(2, nprocs // 4096))
 
 
 #: Named network models accepted by ``--config network=NAME``.
@@ -150,8 +110,8 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
 
     This is the parser behind ``repro bench --config`` (and any future
     ``--config`` flag).  Accepted keys: ``network`` (a preset name from
-    :data:`NETWORK_PRESETS`), ``collectives``, ``p2p``, ``shards`` (int, or ``auto``) and ``max_steps`` (int, or ``none``
-    for unlimited).
+    :data:`NETWORK_PRESETS`), ``collectives``, ``p2p`` and ``max_steps``
+    (int, or ``none`` for unlimited).
     Raises ``ValueError`` with a usable message on anything else; field
     values are validated by ``SimConfig`` itself.
     """
@@ -172,24 +132,19 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
                 ) from None
         elif key in ("collectives", "p2p"):
             fields[key] = value
-        elif key in ("shards", "max_steps"):
-            if key == "max_steps" and value.lower() == "none":
+        elif key == "max_steps":
+            if value.lower() == "none":
                 fields[key] = None
-                continue
-            if key == "shards" and value.lower() == "auto":
-                fields[key] = "auto"
                 continue
             try:
                 fields[key] = int(value)
             except ValueError:
                 raise ValueError(
-                    f"--config {key}= expects an integer"
-                    f"{' (or auto)' if key == 'shards' else ''}, "
-                    f"got {value!r}"
+                    f"--config max_steps= expects an integer, got {value!r}"
                 ) from None
         else:
             raise ValueError(
                 f"unknown --config key {key!r}; choose from "
-                "network, collectives, p2p, shards, max_steps"
+                "network, collectives, p2p, max_steps"
             )
     return SimConfig(**fields)

@@ -53,7 +53,7 @@ class NetworkModel:
     # -- the LogGP arithmetic ----------------------------------------------
     #
     # The one statement of the eager/rendezvous cost expressions.  The
-    # message-level protocol (comm.py, sharded.py), the scalar replay core
+    # message-level protocol (comm.py), the scalar replay core
     # (replay.py) and the vector replays all evaluate these, in this
     # operation order — float addition is not associative, so bit-identical
     # virtual timestamps across the tiers depend on it.

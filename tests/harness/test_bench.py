@@ -9,8 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.harness.bench import (
+    EXTRA_POINTS,
     SCHEMA_ID,
-    SHARD_TIERS,
     WALL_FLOOR_S,
     compare,
     load_bench,
@@ -27,18 +27,16 @@ SCHEMA = json.loads(
 
 
 def _doc(*cells: tuple) -> dict:
-    """Build a v5 document from (kernel, nprocs, wall[, shards]) cells."""
+    """Build a v6 document from (kernel, nprocs, wall) cells."""
     return {
         "schema": SCHEMA_ID,
         "ps": sorted({c[1] for c in cells}),
         "kernels": sorted({c[0] for c in cells}),
-        "config": {"collectives": "fast", "p2p": "fast", "shards": 1,
-                   "max_steps": None},
+        "config": {"collectives": "fast", "p2p": "fast", "max_steps": None},
         "results": [
             {
                 "kernel": c[0],
                 "nprocs": c[1],
-                "shards": c[3] if len(c) > 3 else 1,
                 "wall_s": c[2],
                 "peak_rss_kb": 1024,
                 "engine_steps": 10,
@@ -98,37 +96,14 @@ class TestCompareGate:
         assert compare(cur, base, tolerance=0.2) == []
         assert compare(base, cur, tolerance=0.2) == []
 
-    def test_cells_keyed_by_shards(self):
-        # A sharded baseline cell is distinct from the single-process one
-        # at the same (kernel, P): it must be present and is gated on its
-        # own wall time.
-        base = _doc(("allreduce_barrier", 256, 1.0),
-                    ("allreduce_barrier", 256, 0.5, 4))
-        cur = _doc(("allreduce_barrier", 256, 1.0))
-        problems = compare(cur, base, tolerance=0.2)
-        assert len(problems) == 1
-        assert "shards=4" in problems[0] and "missing" in problems[0]
-        cur = _doc(("allreduce_barrier", 256, 1.0),
-                   ("allreduce_barrier", 256, 2.0, 4))
-        problems = compare(cur, base, tolerance=0.2)
-        assert len(problems) == 1 and "shards=4" in problems[0]
-
-    def test_legacy_shardless_baseline_records_still_compare(self):
-        base = _doc(("allreduce_barrier", 256, 1.0))
-        for r in base["results"]:
-            del r["shards"]  # pre-v3 record shape
-        cur = _doc(("allreduce_barrier", 256, 1.0))
-        assert compare(cur, base, tolerance=0.2) == []
-
 
 class TestBenchDocument:
     def test_tiny_matrix_validates_against_schema(self):
         doc = run_scaling_bench(ps=(4, 8))
         assert validate(doc, SCHEMA) == []
-        assert len(doc["results"]) == 4  # 2 kernels x 2 Ps, no shard tiers
+        assert len(doc["results"]) == 4  # 2 kernels x 2 Ps, no extra points
         for r in doc["results"]:
             assert r["engine_steps"] > 0
-            assert r["shards"] == 1
             if r["kernel"] == "halo_exchange":
                 # P2P traffic still goes through the mailbox under the
                 # collective fast path.
@@ -168,33 +143,16 @@ class TestBenchDocument:
         assert r["p2p_fast"] == 4
         assert r["messages_matched"] == 4
 
-    def test_sharded_point_records_shards(self):
-        doc = run_scaling_bench(ps=(8,), kernels=("allreduce_barrier",),
-                                sim=SimConfig(shards=2))
-        (r,) = doc["results"]
-        assert r["shards"] == 2
-        assert "shard_fallback" not in r
-
-    def test_halo_kernel_is_shard_eligible(self):
-        # The halo kernel's wildcard drain round used to force the
-        # single-process rerun; the quiescent-drain protocol keeps it
-        # sharded now (single candidate sender per receive).
-        doc = run_scaling_bench(ps=(8,), kernels=("halo_exchange",),
-                                sim=SimConfig(shards=2))
-        (r,) = doc["results"]
-        assert r["shards"] == 2
-        assert "shard_fallback" not in r
-
     def test_committed_baseline_is_valid_and_covers_the_ladder(self):
         doc = load_bench(str(REPO / "benchmarks" / "BENCH_scaling.json"))
         assert validate(doc, SCHEMA) == []
-        cells = {(r["kernel"], r["nprocs"], r["shards"])
-                 for r in doc["results"]}
+        cells = [(r["kernel"], r["nprocs"]) for r in doc["results"]]
+        assert len(set(cells)) == len(cells)
         for p in (256, 1024, 4096, 16384):
-            assert ("allreduce_barrier", p, 1) in cells
-            assert ("halo_exchange", p, 1) in cells
-        for kernel, p, shards in SHARD_TIERS:
-            assert (kernel, p, shards) in cells
+            assert ("allreduce_barrier", p) in cells
+            assert ("halo_exchange", p) in cells
+        for point in EXTRA_POINTS:
+            assert point in cells
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown bench kernel"):
@@ -234,19 +192,17 @@ class TestBenchCli:
         assert main(
             ["bench", "--p", "4", "--kernel", "allreduce_barrier",
              "-o", str(out), "--config", "collectives=simulated",
-             "--config", "shards=2"]
+             "--config", "p2p=simulated"]
         ) == 0
         doc = load_bench(str(out))
         assert doc["config"]["collectives"] == "simulated"
-        assert doc["config"]["shards"] == 2
-        (r,) = doc["results"]
-        assert r["shards"] == 2
+        assert doc["config"]["p2p"] == "simulated"
 
     def test_bench_rejects_bad_config(self):
         with pytest.raises(SystemExit, match="unknown --config key"):
             main(["bench", "--p", "4", "--config", "warp=9"])
         with pytest.raises(SystemExit, match="KEY=VAL"):
-            main(["bench", "--p", "4", "--config", "shards"])
+            main(["bench", "--p", "4", "--config", "p2p"])
 
     def test_bench_fails_on_regression(self, tmp_path, capsys):
         # Baseline with an impossible wall time: any real run regresses.

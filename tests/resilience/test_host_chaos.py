@@ -1,6 +1,6 @@
 """The `repro chaos host` sweep and the HostFaultPlan machinery.
 
-The full 9-scenario sweep runs in CI (twice, diffed); here we keep to the
+The full five-scenario sweep runs in CI (twice, diffed); here we keep to the
 plan schema, a representative sweep subset, rerun determinism of the
 report, and the CLI surface.
 """
@@ -24,25 +24,25 @@ from repro.resilience.hostfaults import (
 
 class TestHostFaultPlan:
     def test_roundtrip(self):
-        plan = HostFaultPlan(kill_shard=1, at_wave=2, cache_mode="flip")
+        plan = HostFaultPlan(kill_cell="ab12", attempts=2, cache_mode="flip")
         assert HostFaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(HostFaultPlanError, match="unknown"):
-            HostFaultPlan.from_dict({"kill_shards": 1})
+            HostFaultPlan.from_dict({"kill_cells": "ab12"})
 
     def test_validation(self):
         with pytest.raises(HostFaultPlanError):
-            HostFaultPlan(kill_shard=-1).validate()
+            HostFaultPlan(hang_s=-1.0).validate()
         with pytest.raises(HostFaultPlanError):
-            HostFaultPlan(at_wave=0).validate()
+            HostFaultPlan(attempts=0).validate()
         with pytest.raises(HostFaultPlanError):
             HostFaultPlan(cache_mode="zero").validate()
         with pytest.raises(HostFaultPlanError):
             HostFaultPlan(kill_cell="a", hang_cell="b").validate()
 
     def test_installed_arms_and_disarms_env(self):
-        plan = HostFaultPlan(stop_shard=0)
+        plan = HostFaultPlan(hang_cell="ab12", hang_s=1.0)
         assert ENV_HOST_FAULTS not in os.environ
         with installed(plan):
             active = active_plan()
@@ -58,7 +58,7 @@ class TestHostFaultPlan:
 
     def test_empty_plan(self):
         assert HostFaultPlan().is_empty()
-        assert not HostFaultPlan(kill_shard=0).is_empty()
+        assert not HostFaultPlan(kill_cell="ab12").is_empty()
 
 
 class TestHostChaosSweep:
@@ -80,14 +80,10 @@ class TestHostChaosSweep:
         assert on_disk == report
 
     @pytest.mark.slow
-    def test_shard_and_pool_scenarios_recover(self):
-        report = run_host_chaos(
-            ["kill-shard-worker", "kill-pool-worker", "poison-cell"]
-        )
+    def test_pool_scenarios_recover(self):
+        report = run_host_chaos(["kill-pool-worker", "poison-cell"])
         assert report["ok"]
-        shard = report["scenarios"]["kill-shard-worker"]
-        assert shard["fallback"] == "worker-died"
-        assert shard["identical"]
+        assert report["scenarios"]["kill-pool-worker"]["quarantined"] == 0
         assert report["scenarios"]["poison-cell"]["target_hit"]
 
     def test_report_has_no_host_specific_fields(self, tmp_path):

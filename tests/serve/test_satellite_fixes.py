@@ -17,10 +17,7 @@ from repro.harness.cache import RunCache, _spill_path, _spill_writer_alive
 from repro.harness.engine import ExperimentEngine, make_cell
 from repro.harness.runner import Mode
 from repro.resilience import QuarantineError, RetryPolicy
-from repro.resilience.policy import (
-    DEFAULT_JOB_IDLE_TIMEOUT,
-    ENV_JOB_IDLE_TIMEOUT,
-)
+from repro.resilience.policy import DEFAULT_JOB_IDLE_TIMEOUT
 from repro.simmpi.errors import TaskFailedError
 from repro.workloads.stream import canonical_steps_json, normalize_steps
 
@@ -135,13 +132,13 @@ class TestIdleTimeoutPolicy:
         assert RetryPolicy(job_idle_timeout=None).job_idle_timeout is None
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_JOB_IDLE_TIMEOUT, "12.5")
-        assert RetryPolicy.from_env().job_idle_timeout == 12.5
-        monkeypatch.setenv(ENV_JOB_IDLE_TIMEOUT, "0")
-        assert RetryPolicy.from_env().job_idle_timeout is None
-        monkeypatch.setenv(ENV_JOB_IDLE_TIMEOUT, "junk")
-        assert RetryPolicy.from_env().job_idle_timeout == \
-            DEFAULT_JOB_IDLE_TIMEOUT
+        # the environment sets the cell deadline only; a streamed job's
+        # idle timeout is `repro serve --idle-timeout`
+        monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
+        monkeypatch.setenv("REPRO_JOB_IDLE_TIMEOUT", "7")
+        policy = RetryPolicy.from_env()
+        assert policy.cell_deadline == 12.5
+        assert policy.job_idle_timeout == DEFAULT_JOB_IDLE_TIMEOUT
 
 
 class TestWorkerExceptionPickling:

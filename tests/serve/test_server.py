@@ -201,6 +201,7 @@ class TestErrors:
         with pytest.raises(ServeHTTPError) as err:
             client.create_job(nprocs=4, config={"shards": 2})
         assert err.value.status == 400
+        assert "unknown --config key" in err.value.body
 
     def test_bad_spec_field_400(self, client):
         with pytest.raises(ServeHTTPError) as err:

@@ -4,8 +4,7 @@ Moved here verbatim from ``repro.simmpi.comm`` when the ``matching`` engine
 option was removed: the runtime only ever needs the indexed mailbox, and the
 linear scan exists to prove the index changes nothing.  Tests select it with
 the :func:`linear_matching` fixture, which swaps the factory
-``CommContext`` builds its mailboxes from (shard workers fork after the
-swap, so sharded runs inherit it).
+``CommContext`` builds its mailboxes from.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from repro.simmpi.comm import (
     ANY_SOURCE,
     ANY_TAG,
-    MAX_USER_TAG,
     CommContext,
     Message,
     PendingRecv,
@@ -68,14 +66,6 @@ class LinearMailbox:
         out = list(self.queued)
         self.queued.clear()
         return out
-
-    def wild_candidate_sources(self, tag: int) -> set[int]:
-        """See :meth:`Mailbox.wild_candidate_sources`."""
-        srcs: set[int] = set()
-        for msg in self.queued:
-            if msg.tag <= MAX_USER_TAG and _tag_matches(tag, msg.tag):
-                srcs.add(msg.src)
-        return srcs
 
     # -- posted receives ---------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Engine scheduling, virtual clocks, and failure propagation."""
 
+import gc
+
 import pytest
 
 from repro.simmpi import (
@@ -11,6 +13,7 @@ from repro.simmpi import (
     TaskFailedError,
     TaskState,
     ZERO_COST,
+    launcher,
     run_spmd,
 )
 
@@ -147,3 +150,64 @@ def test_engine_rejects_non_future_yield():
     engine.spawn(0, main())
     with pytest.raises(TaskFailedError):
         engine.run()
+
+
+class TestCollectorPause:
+    """From ``GC_PAUSE_NPROCS`` ranks up ``run_spmd`` pauses the cyclic
+    collector for the run and leaves it the way it found it."""
+
+    @pytest.fixture
+    def threshold(self, monkeypatch):
+        monkeypatch.setattr(launcher, "GC_PAUSE_NPROCS", 4)
+
+    @staticmethod
+    async def _sees(ctx):
+        await ctx.comm.barrier()
+        return gc.isenabled()
+
+    def test_paused_at_the_threshold_not_below(self, threshold):
+        assert gc.isenabled()
+        assert run_spmd(self._sees, 4).results == [False] * 4
+        assert gc.isenabled()
+        assert run_spmd(self._sees, 3).results == [True] * 3
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("error", [DeadlockError, TaskFailedError])
+    def test_restored_when_the_run_raises(self, threshold, error):
+        seen = []
+
+        async def main(ctx):
+            seen.append(gc.isenabled())
+            if error is TaskFailedError and ctx.rank == 3:
+                raise RuntimeError("boom")
+            await ctx.comm.recv(source=(ctx.rank + 1) % ctx.size, tag=7)
+
+        with pytest.raises(error):
+            run_spmd(main, 4)
+        assert seen == [False] * 4
+        assert gc.isenabled()
+
+    def test_left_disabled_when_found_disabled(self, threshold):
+        gc.disable()
+        try:
+            assert run_spmd(self._sees, 4).results == [False] * 4
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_pause_changes_no_result(self, monkeypatch):
+        async def main(ctx):
+            right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+            ctx.compute(1e-6 * ctx.rank)
+            send = ctx.comm.isend(right, [ctx.rank] * 600, tag=1)
+            got = await ctx.comm.recv(source=left, tag=1)
+            await send.wait()
+            return got[0] + await ctx.comm.allreduce(ctx.rank)
+
+        runs = []
+        for threshold in (8, 9):  # paused, not paused
+            monkeypatch.setattr(launcher, "GC_PAUSE_NPROCS", threshold)
+            r = run_spmd(main, 8)
+            runs.append((r.results, r.clocks, r.busy_times, r.total_messages,
+                         r.total_bytes, r.engine_steps, r.messages_matched))
+        assert runs[0] == runs[1]

@@ -19,7 +19,6 @@ Coverage:
 * every documented fallback reason, each surfaced as a labelled
   ``p2p/fallbacks`` metric and each bit-identical to the always-simulated
   run;
-* sharded-engine behaviour (never gates; hazard under instrumentation);
 * span-granularity observability parity;
 * one seeded program interleaving collectives and exchanges on the world
   and on a ``split`` half, with stray traffic aborting one gate mid-way;
@@ -414,43 +413,6 @@ class TestFallbackReasons:
         fast, sim = _pair(self._pattern_prog(pattern), 4, faults=plan)
         _assert_identical(fast, sim)
         assert fast.p2p_fast == 4
-
-
-class TestSharded:
-    def test_shard_workers_never_gate_but_stay_identical(self):
-        pattern = _ring_pattern(8, name="shard-ring")
-
-        async def prog(ctx):
-            for _ in range(2):
-                await ctx.comm.exchange(pattern)
-            return ctx.rank
-
-        single = run_spmd(prog, 8)
-        sharded = run_spmd(prog, 8, config=SimConfig(shards=2))
-        assert "shard_fallback" not in sharded.extras
-        # virtual time is identical; only the strategy-dependent p2p
-        # counters differ (workers always take the message-level path)
-        assert sharded.clocks == single.clocks
-        assert sharded.busy_times == single.busy_times
-        assert sharded.total_messages == single.total_messages
-        assert sharded.total_bytes == single.total_bytes
-        assert single.p2p_fast == 2 * 8
-        assert sharded.p2p_fast == 0
-        assert sharded.p2p_simulated == 2 * 8
-
-    def test_instrumented_sharded_run_reruns_on_the_oracle(self):
-        pattern = _ring_pattern(8, name="shard-ins-ring")
-
-        async def prog(ctx):
-            await ctx.comm.exchange(pattern)
-            return ctx.rank
-
-        rec = Recorder(granularity="span")
-        res = run_spmd(prog, 8, config=SimConfig(shards=2), instrument=rec)
-        # obs parity requires the single-process oracle: the run is
-        # flagged, rerun, and reports the hazard
-        assert res.extras["shard_fallback"] == "hazard:p2p-patterns"
-        assert res.p2p_fast == 8
 
 
 class TestObservabilityParity:

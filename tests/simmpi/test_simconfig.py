@@ -33,7 +33,6 @@ class TestValidation:
         assert cfg.network is QDR_CLUSTER
         assert cfg.collectives == "fast"
         assert cfg.p2p == "fast"
-        assert cfg.shards == 1
         assert cfg.max_steps is None
         assert cfg == DEFAULT_CONFIG
 
@@ -43,9 +42,6 @@ class TestValidation:
             ("network", "qdr", "NetworkModel"),
             ("collectives", "warp", "collectives"),
             ("p2p", "warp", "p2p"),
-            ("shards", 0, "shards"),
-            ("shards", 2.0, "shards"),
-            ("shards", True, "shards"),
             ("max_steps", 0, "max_steps"),
             ("max_steps", -5, "max_steps"),
         ],
@@ -56,17 +52,17 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            SimConfig().shards = 4  # type: ignore[misc]
+            SimConfig().max_steps = 4  # type: ignore[misc]
 
     def test_replace_revalidates(self):
         cfg = SimConfig()
-        assert cfg.replace(shards=4).shards == 4
-        with pytest.raises(ValueError, match="shards"):
-            cfg.replace(shards=-1)
+        assert cfg.replace(max_steps=4).max_steps == 4
+        with pytest.raises(ValueError, match="max_steps"):
+            cfg.replace(max_steps=-1)
 
     def test_matching_field_is_gone(self):
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
-            "network", "collectives", "p2p", "shards", "max_steps"]
+            "network", "collectives", "p2p", "max_steps"]
         with pytest.raises(TypeError, match="matching"):
             SimConfig(matching="linear")
         with pytest.raises(ValueError, match="unknown --config key"):
@@ -79,8 +75,8 @@ class TestValidation:
 
 class TestDigestStability:
     def test_equivalent_spellings_share_a_digest(self):
-        # collectives/p2p/shards select bit-identical execution
-        # strategies; the cache must serve one result for all of them.
+        # collectives/p2p select bit-identical execution strategies; the
+        # cache must serve one result for all of them.
         base = SimConfig()
         # pinned: cache entries written before the matching field was
         # removed must stay valid
@@ -89,8 +85,7 @@ class TestDigestStability:
         for variant in (
             SimConfig(collectives="simulated"),
             SimConfig(p2p="simulated"),
-            SimConfig(shards=8),
-            SimConfig(collectives="simulated", p2p="simulated", shards=4),
+            SimConfig(collectives="simulated", p2p="simulated"),
         ):
             assert variant.digest() == base.digest()
             assert variant.cache_key() == base.cache_key()
@@ -105,7 +100,7 @@ class TestDigestStability:
         mode = repro.Mode.CHAMELEON
         a = make_cell("bt", 8, mode, sim=SimConfig(network=SLOW_CLUSTER))
         b = make_cell("bt", 8, mode,
-                      sim=SimConfig(network=SLOW_CLUSTER, shards=4))
+                      sim=SimConfig(network=SLOW_CLUSTER, p2p="simulated"))
         c = make_cell("bt", 8, mode)
         assert a.digest() == b.digest()
         assert c.digest() != a.digest()
@@ -146,12 +141,11 @@ class TestParseConfig:
     def test_all_keys(self):
         cfg = parse_config([
             "network=slow", "collectives=simulated",
-            "p2p=simulated", "shards=4", "max_steps=500",
+            "p2p=simulated", "max_steps=500",
         ])
         assert cfg.network is SLOW_CLUSTER
         assert cfg.collectives == "simulated"
         assert cfg.p2p == "simulated"
-        assert cfg.shards == 4
         assert cfg.max_steps == 500
 
     def test_empty_is_default(self):
@@ -167,12 +161,13 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         ("pair", "match"),
         [
-            ("shards", "KEY=VAL"),
+            ("max_steps", "KEY=VAL"),
             ("=4", "KEY=VAL"),
-            ("shards=", "KEY=VAL"),
+            ("max_steps=", "KEY=VAL"),
             ("network=fddi", "unknown network preset"),
-            ("shards=four", "expects an integer"),
+            ("max_steps=four", "expects an integer"),
             ("warp=9", "unknown --config key"),
+            ("shards=4", "unknown --config key"),  # removed with its engine
         ],
     )
     def test_rejects_malformed_pairs(self, pair, match):
@@ -180,5 +175,5 @@ class TestParseConfig:
             parse_config([pair])
 
     def test_field_validation_still_applies(self):
-        with pytest.raises(ValueError, match="shards"):
-            parse_config(["shards=0"])
+        with pytest.raises(ValueError, match="max_steps"):
+            parse_config(["max_steps=0"])

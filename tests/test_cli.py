@@ -80,6 +80,11 @@ def test_bad_workload_rejected():
         main(["run", "--workload", "does-not-exist"])
 
 
+def test_removed_config_key_rejected():
+    with pytest.raises(SystemExit, match="unknown --config key 'shards'"):
+        main(["bench", "--p", "4", "--config", "shards=auto"])
+
+
 def test_timeline_and_diff(tmp_path, capsys):
     a = str(tmp_path / "a.st")
     b = str(tmp_path / "b.st")
