@@ -9,10 +9,11 @@ prints
 * the option inventory: the fields of the four config dataclasses, every
   ``REPRO_*`` environment name mentioned under ``src/``, every CLI flag,
 
-and exits non-zero when ``src/`` holds more lines than the number
-committed beside this script (``src_budget.json``).  A PR that has to grow
-``src/`` raises that number in the same commit, where a reviewer sees it;
-one that shrinks it lowers it (``--update``).
+and exits non-zero when ``src/`` holds more lines, or the inventory more
+options, than the two numbers committed beside this script
+(``src_budget.json``: ``src_lines``, ``options``).  A PR that has to grow
+either raises that number in the same commit, where a reviewer sees it; one
+that shrinks them lowers both (``--update``).
 
 Stdlib only; reads the sources, imports nothing from them.
 """
@@ -79,36 +80,41 @@ def option_inventory() -> dict[str, list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--update", action="store_true",
-                        help="write the current size to src_budget.json")
+                        help="write the current sizes to src_budget.json")
     args = parser.parse_args(argv)
 
     sizes = package_lines()
-    total = sum(sizes.values())
     print("lines per package (src/repro):")
     for name, lines in sorted(sizes.items(), key=lambda kv: -kv[1]):
         print(f"  {name:<14}{lines:>7}")
-    print(f"  {'src/ total':<14}{total:>7}")
+    print(f"  {'src/ total':<14}{sum(sizes.values()):>7}")
 
     inventory = option_inventory()
     print("options:")
     for name, items in inventory.items():
         print(f"  {name} ({len(items)}): {', '.join(items)}")
-    print(f"  option count: {sum(len(v) for v in inventory.values())}")
+    now = {"src_lines": sum(sizes.values()),
+           "options": sum(len(v) for v in inventory.values())}
+    print(f"  option count: {now['options']}")
 
     if args.update:
-        BUDGET.write_text(json.dumps({"src_lines": total}, indent=2) + "\n")
-        print(f"budget set to {total}")
+        BUDGET.write_text(json.dumps(now, indent=2) + "\n")
+        print(f"budget set to {now}")
         return 0
-    budget = json.loads(BUDGET.read_text())["src_lines"]
-    if total > budget:
-        print(f"FAIL: src/ has {total} lines, {total - budget} over the "
-              f"committed budget of {budget} ({BUDGET.name}); shrink it, or "
-              "raise the budget in this commit and say why", file=sys.stderr)
-        return 1
-    print(f"ok: src/ has {total} lines, budget {budget}"
-          + (f" — lower it with --update ({budget - total} to spare)"
-             if total < budget else ""))
-    return 0
+    budget = json.loads(BUDGET.read_text())
+    status = 0
+    for key, have in now.items():
+        if have > budget[key]:
+            print(f"FAIL: {key} is {have}, {have - budget[key]} over the "
+                  f"committed budget of {budget[key]} ({BUDGET.name}); "
+                  "shrink it, or raise the budget in this commit and say "
+                  "why", file=sys.stderr)
+            status = 1
+        else:
+            print(f"ok: {key} is {have}, budget {budget[key]}"
+                  + (f" — lower it with --update ({budget[key] - have} to "
+                     "spare)" if have < budget[key] else ""))
+    return status
 
 
 if __name__ == "__main__":

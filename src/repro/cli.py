@@ -150,9 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         params["problem_class"] = args.problem_class
     if args.iterations:
         params["iterations"] = args.iterations
+    sim = _sim_from(args)
     faults = _faults_from(args)
     if faults is not None:
-        return _run_with_faults(args, engine, mode, params, faults)
+        return _run_with_faults(args, engine, mode, params, faults, sim)
     modes = (Mode.APP, mode) if mode is not Mode.APP else (Mode.APP,)
     obs_wanted = bool(args.trace_out or args.metrics_out or args.obs_out)
     if obs_wanted:
@@ -167,6 +168,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             modes=modes,
             workload_params=params,
             call_frequency=args.call_frequency,
+            sim=sim,
         )
         suite = {}
         for cell in cells:
@@ -183,6 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             modes=modes,
             workload_params=params,
             call_frequency=args.call_frequency,
+            sim=sim,
         )
     app = suite[Mode.APP]
     print(f"application time (aggregated): {app.total_time:.6f} s")
@@ -214,6 +217,7 @@ def _run_with_faults(
     mode: Mode,
     params: dict,
     faults: FaultPlan,
+    sim,
 ) -> int:
     """`run --faults`: one faulted cell, no fault-free APP baseline."""
     from .api import run as api_run
@@ -226,6 +230,7 @@ def _run_with_faults(
         mode,
         workload_params=params or None,
         call_frequency=args.call_frequency,
+        sim=sim,
         engine=engine,
         instrument=Recorder() if obs_wanted else None,
         faults=faults,
@@ -797,6 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=None, metavar="N",
         help="override the fault plan's seed (requires --faults)",
     )
+    p_run.add_argument(
+        "--config", action="append", metavar="KEY=VAL",
+        help="engine option as a SimConfig field (repeatable), as in "
+        "`repro bench --config`; with --trace-out, `collectives=simulated` "
+        "and `p2p=simulated` put every constituent message on the timeline",
+    )
     _add_engine_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
@@ -1000,9 +1011,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on concurrently-open streamed jobs",
     )
     p_serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
+        "--idle-timeout", type=float, default=300.0, metavar="SECONDS",
         help="fail a streamed job when no event arrives for this long "
-        "(default: the engine policy's job_idle_timeout)",
+        "(default: 300)",
     )
     _add_engine_flags(p_serve)
     p_serve.set_defaults(fn=_cmd_serve)

@@ -10,10 +10,11 @@ engine fixes that at the harness level:
 * **Declarative cells** (:class:`Cell`) carry everything needed to rebuild
   and execute a run, so they pickle cleanly across process boundaries and
   hash stably for the cache.
-* **Fan-out**: cache misses execute on a ``ProcessPoolExecutor`` when
-  ``jobs > 1``.  Runs share no state and are deterministic, so parallel
-  results are identical to serial ones (asserted by the test-suite via
-  ``RunResult.fingerprint``).
+* **Lanes**: with ``jobs > 1`` cache misses execute on single-worker
+  process pools, one cell per lane at a time, so a dead or overdue worker
+  is always one known cell's.  Runs share no state and are deterministic,
+  so parallel results are identical to serial ones (asserted by the
+  test-suite via ``RunResult.fingerprint``).
 * **Content-addressed caching** (:mod:`repro.harness.cache`): a second
   invocation of the same experiment serves its cells from disk.
 * **Structured progress/metrics**: every scheduled/hit/executed cell is
@@ -30,9 +31,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..core.config import ChameleonConfig
@@ -221,8 +229,11 @@ def make_suite_cells(
     return cells
 
 
-def _execute_cell(cell: Cell, digest: str = "") -> tuple[RunResult, float]:
-    """Worker entry point: rebuild the workload and run the cell."""
+def _execute_cell(
+    cell: Cell, digest: str = "", instrument: Instrument | None = None
+) -> tuple[RunResult, float]:
+    """The one place a cell becomes a ``run_mode`` call (inline, in a lane's
+    worker, or instrumented): rebuild the workload and run it."""
     cell_hook(digest, cell.label)  # chaos injection point; no-op unarmed
     start = time.perf_counter()
     result = run_mode(
@@ -231,6 +242,7 @@ def _execute_cell(cell: Cell, digest: str = "") -> tuple[RunResult, float]:
         cell.mode,
         config=cell.config,
         sim=cell.sim,
+        instrument=instrument,
         faults=cell.faults,
     )
     return result, time.perf_counter() - start
@@ -246,10 +258,11 @@ class CellEvent:
     """One structured progress notification from the engine.
 
     ``kind`` is one of ``scheduled`` / ``hit`` / ``start`` / ``done`` /
-    ``retry`` (worker-pool crash recovery, labelled with the suspected
-    cells) / ``deadline`` (a running cell exceeded its wall-clock budget
-    and its worker was killed) / ``quarantine`` (a cell exhausted its
-    attempt budget and was abandoned so the batch could finish);
+    ``retry`` (the cell's worker died and the cell is queued again) /
+    ``deadline`` (a running cell exceeded its wall-clock budget and its
+    worker was killed) / ``quarantine`` (a cell exhausted its attempt
+    budget and was abandoned so the batch could finish) — every one
+    carries the label and digest of the one cell it is about;
     ``index``/``total`` position the cell within its batch, ``wall`` is
     the execution wall-time (``done`` events only).
     """
@@ -276,7 +289,6 @@ class EngineMetrics:
     quarantined: int = 0  # cells abandoned after repeated host faults
     batches: int = 0
     total_wall: float = 0.0  # wall-clock across batches
-    cell_walls: list[tuple[str, float]] = field(default_factory=list)
 
     @property
     def misses(self) -> int:
@@ -327,7 +339,7 @@ class ExperimentEngine:
             metrics, and :meth:`run_cell_instrumented` threads it into the
             simulation itself.
         policy: a :class:`~repro.resilience.RetryPolicy` bounding the
-            engine's host-fault recovery (pool-crash retries, per-cell
+            engine's host-fault recovery (worker-death retries, per-cell
             deadlines, quarantine); defaults to
             :meth:`RetryPolicy.from_env`.
     """
@@ -360,19 +372,26 @@ class ExperimentEngine:
             self.progress(event)
 
     def run_cells(
-        self, cells: Sequence[Cell], *, contain_errors: bool = False
+        self,
+        cells: Sequence[Cell],
+        *,
+        contain_errors: bool = False,
+        digests: Sequence[str] | None = None,
     ) -> list[RunResult]:
         """Execute a batch, resolving duplicates and cache hits first.
 
         Returns results positionally aligned with ``cells``.  Identical
         cells (same digest) within the batch are simulated once and the
         result shared; order of the returned list is deterministic and
-        independent of worker completion order.
+        independent of worker completion order.  ``digests`` hands over
+        the cells' :meth:`Cell.digest` values when the caller already
+        holds them (a ``stream`` cell's digest hashes its whole step
+        program); otherwise each is computed here, once.
 
         Raises :class:`~repro.resilience.QuarantineError` when one or
         more cells exhausted their :class:`RetryPolicy` attempt budget
-        (repeated pool kills or deadline overruns); the error carries the
-        completed partial results instead of discarding them.
+        (repeated worker deaths or deadline overruns); the error carries
+        the completed partial results instead of discarding them.
 
         With ``contain_errors`` a cell whose *execution* raises (a
         deterministic simulation error — bad root rank, deadlock, engine
@@ -387,16 +406,17 @@ class ExperimentEngine:
         total = len(cells)
         self.metrics.batches += 1
         self.metrics.scheduled += total
+        if digests is None:
+            digests = [cell.digest() for cell in cells]
 
         by_digest: dict[str, list[int]] = {}
-        for i, cell in enumerate(cells):
-            by_digest.setdefault(cell.digest(), []).append(i)
-            self._emit(CellEvent("scheduled", cells[i].label,
-                                 cells[i].digest(), i, total))
+        for i, (cell, digest) in enumerate(zip(cells, digests)):
+            by_digest.setdefault(digest, []).append(i)
+            self._emit(CellEvent("scheduled", cell.label, digest, i, total))
         self.metrics.deduped += total - len(by_digest)
 
         results: list[RunResult | None] = [None] * total
-        pending: list[tuple[str, Cell]] = []
+        pending: dict[str, Cell] = {}
         for digest, indices in by_digest.items():
             cell = cells[indices[0]]
             hit = self.cache.get(digest) if self.cache is not None else None
@@ -407,7 +427,7 @@ class ExperimentEngine:
                 for i in indices:
                     results[i] = hit
             else:
-                pending.append((digest, cell))
+                pending[digest] = cell
 
         quarantined: list[QuarantinedCell] = []
         if pending:
@@ -422,65 +442,67 @@ class ExperimentEngine:
 
     def _execute_pending(
         self,
-        pending: list[tuple[str, Cell]],
+        pending: dict[str, Cell],
         by_digest: dict[str, list[int]],
         results: list[RunResult | None],
         total: int,
         contain_errors: bool = False,
     ) -> list[QuarantinedCell]:
-        def complete(digest: str, result: RunResult, wall: float) -> None:
-            cell_indices = by_digest[digest]
-            cell = pending_map[digest]
-            if self.cache is not None:
-                self.cache.put(digest, result)
-            self.metrics.executed += 1
-            self.metrics.cell_walls.append((cell.label, wall))
-            self._emit(CellEvent("done", cell.label, digest,
-                                 cell_indices[0], total, wall))
-            for i in cell_indices:
-                results[i] = result
-
-        pending_map = {digest: cell for digest, cell in pending}
-        for digest, cell in pending:
-            self._emit(CellEvent("start", cell.label, digest,
-                                 by_digest[digest][0], total))
-        if self.jobs > 1 and len(pending) > 1:
-            return self._execute_pool(pending_map, by_digest, complete, total,
-                                      contain_errors)
         quarantined: list[QuarantinedCell] = []
-        for digest, cell in pending:
+
+        def settle(digest: str,
+                   outcome: Callable[[], tuple[RunResult, float]]) -> None:
+            """What became of one executed cell: its result — or, under
+            ``contain_errors``, its own error.  That reproduces on every
+            retry (unlike a host fault), so it consumes the cell at once:
+            one attempt, reason ``cell-error: <exception>``."""
+            cell, indices = pending[digest], by_digest[digest]
             try:
-                result, wall = _execute_cell(cell, digest)
+                result, wall = outcome()
+            except BrokenProcessPool:
+                raise  # the worker's death, not the cell's error
             except Exception as exc:
                 if not contain_errors:
                     raise
-                quarantined.append(self._condemn_cell(
+                quarantined.append(self._quarantine(
                     cell, digest, f"cell-error: {type(exc).__name__}: {exc}",
-                    by_digest[digest][0], total,
-                ))
-                continue
-            complete(digest, result, wall)
+                    1, indices[0], total))
+                return
+            if self.cache is not None:
+                self.cache.put(digest, result)
+            self.metrics.executed += 1
+            self._emit(CellEvent("done", cell.label, digest, indices[0],
+                                 total, wall))
+            for i in indices:
+                results[i] = result
+
+        for digest, cell in pending.items():
+            self._emit(CellEvent("start", cell.label, digest,
+                                 by_digest[digest][0], total))
+        if self.jobs > 1 and len(pending) > 1:
+            quarantined += self._execute_pool(pending, by_digest, settle,
+                                              total)
+        else:
+            for digest, cell in pending.items():
+                settle(digest, partial(_execute_cell, cell, digest))
         return quarantined
 
-    def _condemn_cell(
-        self, cell: Cell, digest: str, reason: str, index: int, total: int
-    ) -> QuarantinedCell:
-        """Quarantine a cell whose execution raised deterministically.
-
-        Unlike host faults (crashes, deadlines), a cell error reproduces
-        on every retry, so it consumes the cell immediately: one attempt,
-        reason ``cell-error: <exception>``."""
+    def _quarantine(self, cell: Cell, digest: str, reason: str,
+                    attempts: int, index: int, total: int) -> QuarantinedCell:
+        """Abandon ``cell`` so its batch can finish: counted, reported as
+        a ``quarantine`` event, returned for the :class:`QuarantineError`."""
         self.metrics.quarantined += 1
         if self.instrument.enabled:
             self.instrument.metrics.count(
                 "resilience/cell_quarantined", 1, op=cell.label
             )
         self._emit(CellEvent(
-            "quarantine", f"{cell.label} ({reason})", digest, index, total
+            "quarantine", f"{cell.label} ({reason} x{attempts})", digest,
+            index, total
         ))
-        return QuarantinedCell(cell.label, digest, 1, reason)
+        return QuarantinedCell(cell.label, digest, attempts, reason)
 
-    # -- host-fault recovery (pool crashes, deadlines, quarantine) ---------
+    # -- host-fault recovery (worker deaths, deadlines, quarantine) --------
 
     @staticmethod
     def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
@@ -488,7 +510,7 @@ class ExperimentEngine:
         executor notices the deaths and raises BrokenProcessPool, which
         the caller handles like any other crash.
 
-        Workers can exit between the deadline poll and this sweep: the
+        Workers can exit between the deadline check and this sweep: the
         ``_processes`` map may hold ``None`` sentinels mid-teardown, and a
         reaped ``Process`` handle raises ``ValueError`` once closed — both
         must be skipped so one dead worker can't abort the remaining
@@ -501,206 +523,114 @@ class ExperimentEngine:
             except (OSError, ValueError, AttributeError):
                 pass  # racing exit / closed handle: already dead
 
-    def _drain_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        batch: dict[str, Cell],
-        remaining: dict[str, Cell],
-        started: dict[str, float],
-        overdue: set[str],
-        complete: Callable[[str, RunResult, float], None],
-        total: int,
-        on_cell_error: Callable[[str, str], None] | None = None,
-    ) -> None:
-        """Run one pool generation to completion or first crash.
-
-        ``started`` records when each cell's future was first observed
-        running (deadline clock); cells added to ``overdue`` had their
-        workers killed for exceeding ``policy.cell_deadline``.  With
-        ``on_cell_error`` a worker exception that is *not* a pool crash
-        is reported to the callback (digest, reason) instead of being
-        re-raised, and the generation keeps draining.
-        """
-        policy = self.policy
-        futures = {
-            pool.submit(_execute_cell, cell, digest): digest
-            for digest, cell in batch.items()
-        }
-        outstanding = set(futures)
-        killing = False
-        while outstanding:
-            done, outstanding = wait(outstanding,
-                                     timeout=policy.poll_interval,
-                                     return_when=FIRST_COMPLETED)
-            for fut in done:
-                digest = futures[fut]
-                try:
-                    # re-raises worker errors (and BrokenProcessPool)
-                    result, wall = fut.result()
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    if on_cell_error is None:
-                        raise
-                    remaining.pop(digest, None)
-                    started.pop(digest, None)
-                    on_cell_error(
-                        digest, f"cell-error: {type(exc).__name__}: {exc}"
-                    )
-                    continue
-                complete(digest, result, wall)
-                remaining.pop(digest, None)
-                started.pop(digest, None)
-            if killing or policy.cell_deadline is None:
-                continue
-            now = time.monotonic()
-            for fut in outstanding:
-                if not fut.running():
-                    continue
-                digest = futures[fut]
-                begun = started.setdefault(digest, now)
-                if now - begun >= policy.cell_deadline:
-                    overdue.add(digest)
-            if overdue:
-                for digest in overdue:
-                    cell = batch[digest]
-                    if self.instrument.enabled:
-                        self.instrument.metrics.count(
-                            "resilience/cell_deadline", 1, op=cell.label
-                        )
-                    self._emit(CellEvent("deadline", cell.label, digest,
-                                         0, total))
-                # No per-worker kill switch exists, so enforce the
-                # deadline the blunt way: break the pool and let the
-                # crash path re-run the innocent cells.
-                self._kill_pool_workers(pool)
-                killing = True  # wait for the BrokenProcessPool to surface
-
     def _execute_pool(
         self,
-        pending_map: dict[str, Cell],
+        pending: dict[str, Cell],
         by_digest: dict[str, list[int]],
-        complete: Callable[[str, RunResult, float], None],
+        settle: Callable[[str, Callable[[], tuple[RunResult, float]]], None],
         total: int,
-        contain_errors: bool = False,
     ) -> list[QuarantinedCell]:
-        """Fan pending cells over a worker pool, surviving host faults.
+        """Run pending cells over worker *lanes*, surviving host faults.
 
-        Two regimes: **fan-out** (all cells share one pool) until
-        ``policy.isolate_after`` unattributed pool crashes, then
-        **isolation** (one cell per single-worker pool) so the cell that
-        keeps killing the pool is identified precisely instead of the
-        whole batch being blamed.  Deadline overruns are always precise —
-        the overdue cell is known — and count against that cell's attempt
-        budget directly.  Cells that exhaust ``policy.max_attempts`` are
-        quarantined; everything else completes.
+        A lane is a single-worker pool that is handed one cell at a time
+        from a FIFO and reused for the next when that returns, so a dead
+        worker (OOM kill, signal, interpreter crash, our own deadline
+        kill) is its current cell's, precisely: it costs that cell one
+        attempt and the lane is rebuilt.  The cell is queued again after
+        ``policy.backoff(attempt)``, or quarantined once it has used
+        ``policy.max_attempts``.  A cell running past
+        ``policy.cell_deadline`` (measured from its submission to the idle
+        lane) has its lane's worker killed; siblings on other lanes are
+        untouched.  A worker *exception* is the cell's own error and
+        ``settle``'s business, like its result.
         """
         policy = self.policy
-        workers = min(self.jobs, len(pending_map))
-        remaining = dict(pending_map)
-        attempts: dict[str, int] = {digest: 0 for digest in remaining}
-        reasons: dict[str, str] = {}
+        queue = deque(pending)
+        attempts = dict.fromkeys(pending, 0)
         quarantined: list[QuarantinedCell] = []
-        crashes = 0
+        idle = [ProcessPoolExecutor(max_workers=1)
+                for _ in range(min(self.jobs, len(pending)))]
+        # future -> (its lane, the cell's digest, when it was submitted)
+        running: dict[Future, tuple[ProcessPoolExecutor, str, float]] = {}
+        killed: set[Future] = set()  # overdue: lane worker already killed
 
-        on_cell_error: Callable[[str, str], None] | None = None
-        if contain_errors:
-            def on_cell_error(digest: str, reason: str) -> None:
-                quarantined.append(self._condemn_cell(
-                    pending_map[digest], digest, reason,
-                    by_digest[digest][0], total,
-                ))
-
-        def charge(digest: str, reason: str) -> None:
-            """One attempt consumed; quarantine on budget exhaustion."""
-            attempts[digest] += 1
-            reasons[digest] = reason
-            if attempts[digest] >= policy.max_attempts:
-                cell = remaining.pop(digest)
-                quarantined.append(
-                    QuarantinedCell(cell.label, digest, attempts[digest],
-                                    reason)
-                )
-                self.metrics.quarantined += 1
+        def kill_overdue() -> float | None:
+            """Kill the worker of every lane whose cell is past the deadline
+            (the death surfaces as that lane's BrokenProcessPool); return
+            the seconds until the next lane is due, None to just block."""
+            if policy.cell_deadline is None:
+                return None
+            now, due = time.monotonic(), None
+            for fut, (lane, digest, begun) in running.items():
+                if fut in killed:
+                    continue
+                left = begun + policy.cell_deadline - now
+                if left > 0:
+                    due = left if due is None else min(due, left)
+                    continue
+                cell = pending[digest]
                 if self.instrument.enabled:
                     self.instrument.metrics.count(
-                        "resilience/cell_quarantined", 1, op=cell.label
-                    )
-                self._emit(CellEvent(
-                    "quarantine", f"{cell.label} ({reason} "
-                    f"x{attempts[digest]})", digest,
-                    by_digest[digest][0], total
-                ))
+                        "resilience/cell_deadline", 1, op=cell.label)
+                self._emit(CellEvent("deadline", cell.label, digest,
+                                     by_digest[digest][0], total))
+                self._kill_pool_workers(lane)
+                killed.add(fut)
+            return due
 
-        # -- fan-out regime ------------------------------------------------
-        while remaining and crashes < policy.isolate_after:
-            started: dict[str, float] = {}
-            overdue: set[str] = set()
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(remaining))
-                ) as pool:
-                    self._drain_pool(pool, dict(remaining), remaining,
-                                     started, overdue, complete, total,
-                                     on_cell_error)
-                break  # all cells completed
-            except BrokenProcessPool:
-                # A worker died (OOM kill, signal, interpreter crash, our
-                # own deadline kill) — not a cell error, which re-raises
-                # above.  Deadline kills are attributed precisely; an
-                # unattributed crash suspects every running cell but
-                # charges none of them (isolation mode decides).
-                for digest in overdue & set(remaining):
-                    charge(digest, "deadline")
-                if not overdue:
-                    crashes += 1
-                    if crashes > policy.max_pool_crashes:
-                        raise
-                    # Cells observed running when the pool broke are prime
-                    # suspects; when the crash outran the poll tick, every
-                    # incomplete cell is.
-                    suspects = [pending_map[d].label for d in started
-                                if d in remaining]
-                    if not suspects:
-                        suspects = [cell.label for cell in remaining.values()]
-                    if self.instrument.enabled:
-                        self.instrument.metrics.count("fault/pool_retries", 1)
-                        self.instrument.metrics.count(
-                            "resilience/pool_crash", 1
-                        )
-                    self._emit(CellEvent(
-                        "retry", f"worker-pool (crash {crashes}, suspects: "
-                        f"{', '.join(suspects) or 'unknown'})", "", 0, total
-                    ))
-                    time.sleep(policy.backoff(crashes))
+        def crashed(digest: str, reason: str) -> None:
+            """The cell's worker died under it: one attempt spent."""
+            cell, index = pending[digest], by_digest[digest][0]
+            attempts[digest] += 1
+            if attempts[digest] >= policy.max_attempts:
+                quarantined.append(self._quarantine(
+                    cell, digest, reason, attempts[digest], index, total))
+                return
+            if self.instrument.enabled:
+                self.instrument.metrics.count("fault/pool_retries", 1,
+                                              op=cell.label)
+            self._emit(CellEvent("retry", cell.label, digest, index, total))
+            time.sleep(policy.backoff(attempts[digest]))
+            queue.append(digest)
 
-        # -- isolation regime ------------------------------------------------
-        if remaining and crashes >= policy.isolate_after:
-            self._emit(CellEvent(
-                "retry", f"worker-pool (isolating {len(remaining)} cells "
-                f"after {crashes} crashes)", "", 0, total
-            ))
-        while remaining:
-            digest, cell = next(iter(remaining.items()))
-            started = {}
-            overdue = set()
-            try:
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    self._drain_pool(pool, {digest: cell}, remaining,
-                                     started, overdue, complete, total,
-                                     on_cell_error)
-            except BrokenProcessPool:
-                # Single-cell pool: the crash is this cell's, precisely.
-                charge(digest, "deadline" if digest in overdue
-                       else "pool-crash")
-                if digest in remaining:
-                    if self.instrument.enabled:
-                        self.instrument.metrics.count("fault/pool_retries", 1)
-                    self._emit(CellEvent(
-                        "retry", cell.label, digest,
-                        by_digest[digest][0], total
-                    ))
-                    time.sleep(policy.backoff(attempts[digest]))
+        try:
+            while queue or running:
+                while queue and idle:
+                    digest, lane = queue.popleft(), idle.pop()
+                    try:
+                        fut = lane.submit(_execute_cell, pending[digest],
+                                          digest)
+                    except BrokenProcessPool as exc:
+                        # the lane's worker died between cells; nobody can
+                        # tell that from dying at the start of this one
+                        fut = Future()
+                        fut.set_exception(exc)
+                    running[fut] = (lane, digest, time.monotonic())
+                done, _ = wait(running, timeout=kill_overdue(),
+                               return_when=FIRST_COMPLETED)
+                for fut in done:
+                    lane, digest, _ = running[fut]  # the lane's until idle
+                    # a killed lane is rebuilt even if the cell's result
+                    # beat the kill: its worker is gone either way
+                    broken = fut in killed
+                    killed.discard(fut)
+                    try:
+                        settle(digest, fut.result)
+                    except BrokenProcessPool:
+                        crashed(digest, "deadline" if broken else "pool-crash")
+                        broken = True
+                    if broken:
+                        lane.shutdown()
+                        lane = ProcessPoolExecutor(max_workers=1)
+                    del running[fut]
+                    idle.append(lane)
+        finally:
+            # only an error leaves lanes running: their work is abandoned
+            for lane, _, _ in running.values():
+                self._kill_pool_workers(lane)
+                lane.shutdown()
+            for lane in idle:
+                lane.shutdown()
         return quarantined
 
     def run_cell_instrumented(
@@ -714,24 +644,16 @@ class ExperimentEngine:
         timeline to offer.  Virtual-time results are still identical to
         the cached path — the instrument only observes.
         """
-        ins = instrument if instrument is not None else self.instrument
-        start = time.perf_counter()
-        result = run_mode(
-            cell.build_workload(),
-            cell.nprocs,
-            cell.mode,
-            config=cell.config,
-            sim=cell.sim,
-            instrument=ins,
-            faults=cell.faults,
+        digest = cell.digest()
+        result, wall = _execute_cell(
+            cell, digest,
+            instrument if instrument is not None else self.instrument,
         )
-        wall = time.perf_counter() - start
         self.metrics.batches += 1
         self.metrics.scheduled += 1
         self.metrics.executed += 1
         self.metrics.total_wall += wall
-        self.metrics.cell_walls.append((cell.label, wall))
-        self._emit(CellEvent("done", cell.label, cell.digest(), 0, 1, wall))
+        self._emit(CellEvent("done", cell.label, digest, 0, 1, wall))
         return result
 
     # -- convenience entry points -----------------------------------------

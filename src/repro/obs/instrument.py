@@ -91,13 +91,6 @@ class Instrument:
     enabled: bool = False
     #: metric sink; the no-op default discards every write
     metrics: MetricsRegistry = NULL_METRICS
-    #: event fidelity this instrument needs from the runtime:
-    #: ``"span"`` — whole-operation spans suffice, so eligible collectives
-    #: may take the closed-form macro fast path (it synthesizes the same
-    #: ``coll`` spans the simulated path would emit); ``"message"`` —
-    #: per-message events are wanted, forcing collectives through the
-    #: message-level algorithms so every constituent p2p span is real
-    granularity: str = "span"
 
     def span(
         self,
@@ -206,26 +199,17 @@ class Recorder(Instrument):
         max_events: safety valve — beyond this many buffered events new
             spans/instants are dropped (counted in ``dropped``) so a
             pathological run cannot exhaust memory.
-        granularity: ``"message"`` (default) records every constituent
-            p2p event of a collective, which routes collectives through
-            the message-level algorithms; ``"span"`` accepts one ``coll``
-            span per collective per rank and keeps the closed-form fast
-            path eligible.  Virtual time is bit-identical either way.
+
+    A recorder records what ran and picks no strategy: a collective the
+    closed form resolved is one ``coll`` span per rank, one the
+    message-level interpreter drove (``SimConfig(collectives="simulated")``)
+    has its constituent p2p events inside that span.  Virtual time is
+    bit-identical either way.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        time_bucket: float = 0.0,
-        max_events: int = 2_000_000,
-        granularity: str = "message",
-    ):
-        if granularity not in ("message", "span"):
-            raise ValueError(
-                f"granularity must be 'message' or 'span', got {granularity!r}"
-            )
-        self.granularity = granularity
+    def __init__(self, time_bucket: float = 0.0, max_events: int = 2_000_000):
         self.spans: list[SpanEvent] = []
         self.instants: list[InstantEvent] = []
         self.metrics = MetricsRegistry(time_bucket=time_bucket)

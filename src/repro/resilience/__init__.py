@@ -4,7 +4,7 @@ Everything in :mod:`repro.faults` happens *inside virtual time*; this
 package is about the **real host**: harness pool workers that hang or are
 killed by the OS, cache files damaged on disk.  It provides
 
-* :class:`RetryPolicy` — capped/seeded backoff, per-cell wall-clock
+* :class:`RetryPolicy` — capped backoff, per-cell wall-clock
   deadlines and poisoned-cell quarantine for the experiment harness
   (:class:`QuarantineError` carries the completed partial results);
 * :class:`HostFaultPlan` — deterministic, seeded injection of host

@@ -43,7 +43,6 @@ _POOL_POLICY = RetryPolicy(
     cell_deadline=1.5,
     backoff_base=0.01,
     backoff_cap=0.05,
-    poll_interval=0.02,
 )
 
 

@@ -18,13 +18,14 @@ Two job kinds share one lifecycle vocabulary:
   complete.
 
 Streamed jobs cannot be deadline-killed (threads aren't killable), so
-their supervision is the policy's ``job_idle_timeout``: a stream that
-goes quiet mid-job is aborted and failed as abandoned.
+their supervision is ``ServeConfig.idle_timeout``: a stream that goes
+quiet mid-job is aborted and failed as abandoned.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time
@@ -70,8 +71,9 @@ class JobError(Exception):
 class ServeConfig:
     """Tunables of the ingestion service (service-level DoS bounds).
 
-    ``idle_timeout`` of ``None`` defers to the engine policy's
-    ``job_idle_timeout``; an explicit value overrides it.
+    ``idle_timeout`` is the wall-clock seconds a streamed job may wait
+    for its next event chunk before it is failed as abandoned; ``None``
+    disables the timeout.
     """
 
     host: str = "127.0.0.1"
@@ -81,7 +83,7 @@ class ServeConfig:
     max_steps_per_job: int = 100_000
     max_ops_per_step: int = MAX_OPS_PER_STEP
     max_nprocs: int = 4096
-    idle_timeout: float | None = None
+    idle_timeout: float | None = 300.0
     retain_jobs: int = 1024
     #: seconds the upload dispatcher waits after waking to coalesce
     #: concurrently-submitted jobs into one engine batch
@@ -94,8 +96,12 @@ class ServeConfig:
             raise ValueError("max_body_bytes must be >= 1024")
         if self.max_nprocs < 1:
             raise ValueError("max_nprocs must be >= 1")
-        if self.idle_timeout is not None and self.idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive (or None)")
+        if self.idle_timeout is not None and not (
+            math.isfinite(self.idle_timeout) and self.idle_timeout > 0
+        ):
+            raise ValueError(
+                "idle_timeout must be positive and finite (or None)"
+            )
 
 
 @dataclass(frozen=True)
@@ -349,11 +355,6 @@ class JobRegistry:
                  config: ServeConfig | None = None) -> None:
         self.engine = engine
         self.config = config or ServeConfig()
-        self.idle_timeout = (
-            self.config.idle_timeout
-            if self.config.idle_timeout is not None
-            else engine.policy.job_idle_timeout
-        )
         self._jobs: dict[str, Job] = {}
         self._lock = threading.RLock()
         self._counter = itertools.count(1)
@@ -402,7 +403,8 @@ class JobRegistry:
                     429, f"too many open streamed jobs "
                     f"({active}/{self.config.max_stream_jobs})"
                 )
-            job = Job(self._new_id(), spec, "streamed", self.idle_timeout)
+            job = Job(self._new_id(), spec, "streamed",
+                      self.config.idle_timeout)
             self._register(job)
         job.thread = threading.Thread(
             target=self._run_streamed, args=(job,),
@@ -551,7 +553,10 @@ class JobRegistry:
         }
         quarantined: dict[str, Any] = {}
         try:
-            results = self.engine.run_cells(cells, contain_errors=True)
+            results = self.engine.run_cells(
+                cells, contain_errors=True,
+                digests=[job.digest for job in jobs],
+            )
         except QuarantineError as err:
             results = err.results
             quarantined = {q.digest: q for q in err.quarantined}

@@ -55,13 +55,14 @@ engine counters it answers to — and the inputs its verdict reads.
 
 An instance is *eligible* for the closed form only when nothing outside
 the gate could observe the difference: no armed fault, pending receive or
-stray message that could touch it, and instrumentation (if any) at
-``"span"`` granularity.  Anything else takes the message-level interpreter
-— per rank *and* per instance, with the verdict cached on the gate so all
-participants always agree.  Only there can a fault punch a ``LOST`` hole
-into a receive, so the schedules' hole-handling branches never run under
-the closed form.  The fallback ledger of docs/INTERNALS.md lists every
-reason a verdict can return, the input it reads and the test reaching it.
+stray message that could touch it (a recorder is not such an observer: it
+records whichever interpreter ran).  Anything else takes the message-level
+interpreter — per rank *and* per instance, with the verdict cached on the
+gate so all participants always agree.  Only there can a fault punch a
+``LOST`` hole into a receive, so the schedules' hole-handling branches
+never run under the closed form.  The fallback ledger of docs/INTERNALS.md
+lists every reason a verdict can return, the input it reads and the test
+reaching it.
 
 A gate waits for the communicator's live members
 (:attr:`CommContext.gate_quorum`); the last to join replays it
@@ -688,9 +689,9 @@ class _Gate:
 
     def _emit(self, ins, ctx: CommContext, rank: int, t0: float,
               st: RankState) -> None:
-        """What ``rank``'s message-level run of this instance would have
-        emitted at span granularity: a collective's one ``coll`` span; an
-        exchange's per-message events, which the core collected."""
+        """What the closed form reports of ``rank``'s part in this
+        instance: a collective's one ``coll`` span; an exchange's
+        per-message events, which the core collected."""
         kind = self.kind
         if kind != "exchange":
             _emit_coll(ins, ctx, rank, kind, _ALGORITHMS[kind], t0,
@@ -750,9 +751,6 @@ class Communicator(Comm):
         exchange = kind == "exchange"
         if (engine.p2p if exchange else engine.collectives) != "fast":
             return "disabled"
-        ins = engine.instrument
-        if ins.enabled and ins.granularity != "span":
-            return "message-tracing"
         if exchange:
             if engine.faults.active:
                 # Any armed plan falls back — message/link faults perturb

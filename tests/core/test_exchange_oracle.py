@@ -168,7 +168,7 @@ def test_batched_exchange_equals_the_per_call_oracle(tracer, nprocs):
                 ComputeFault(rank=victim, jitter=0.5))),
         )
         for plan in plans:
-            rec = Recorder(granularity="span")
+            rec = Recorder()
             got = run(cls, args, prog, nprocs, faults=plan, config=FAST,
                       instrument=rec)
             assert observed(got) \
@@ -210,7 +210,7 @@ def test_aborted_gate_reruns_the_schedule_from_the_join_clocks(tracer):
             await tracer.allreduce(1.0, size=8)
             await tracer.marker()
 
-    rec = Recorder(granularity="span")
+    rec = Recorder()
     got = run(cls, args, prog, nprocs, instrument=rec)
     assert observed(got) == observed(run(per_call(cls), args, prog, nprocs)) \
         == observed(run(cls, args, prog, nprocs, config=DRIVEN))

@@ -4,13 +4,14 @@ A traced declared phase is a schedule the exchange gate replays
 (``ScalaTraceTracer.exchange``), so a traced ``run_mode`` cell consults the
 gates its ``app`` twin consults.  Named beforehand and exact: how often a
 cell consults and what that saves the engine, how many mailbox probes a
-gate instance may cost, and that attaching a span-granularity recorder
-picks no other strategy.  (The bit-identity of the two interpreters is
-``tests/core/test_exchange_oracle.py``.)
+gate instance may cost, and that attaching a recorder picks no other
+strategy on any kind of benchmark cell.  (The bit-identity of the two
+interpreters is ``tests/core/test_exchange_oracle.py``.)
 """
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 
 import pytest
@@ -22,8 +23,7 @@ from repro.simmpi import SimConfig
 from repro.simmpi.collectives import Communicator
 from repro.simmpi.comm import Mailbox
 from repro.workloads import make_workload
-
-from ..simmpi.test_p2p_fastpath import _reasons
+from repro.workloads.stream import canonical_steps_json, normalize_steps
 
 FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
 
@@ -31,6 +31,32 @@ FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
 CELLS = {
     "pop": ("pop", 9, Mode.CHAMELEON, {"iterations": 6}),
     "sweep3d": ("sweep3d", 16, Mode.SCALATRACE, {"iterations": 2}),
+}
+
+
+def _stream_program(seed=7, steps=8):
+    """A seeded ``stream`` program: the seed draws sizes, the root and the
+    compute seconds around a fixed collective + ``shift`` step."""
+    rng = random.Random(seed)
+    step = {"ops": [
+        {"op": "compute", "seconds": round(rng.uniform(1e-5, 9e-5), 7)},
+        {"op": "shift", "groups": 2, "offset": 1,
+         "size": 8 * rng.randrange(8, 64), "frame": "sweep_{group}"},
+        {"op": "bcast", "root": rng.randrange(8), "size": 64},
+        {"op": "allreduce", "size": 8, "frame": "residual"},
+        {"op": "barrier"},
+    ]}
+    return canonical_steps_json(normalize_steps([step] * steps))
+
+
+#: ... plus the benchmark's two kinds of cell with no declared phase
+ALL_CELLS = {
+    **CELLS,
+    "lu_modified": ("lu_modified", 9, Mode.CHAMELEON,
+                    {"problem_class": "A", "iterations": 6,
+                     "phase_period": 2}),
+    "stream": ("stream", 8, Mode.CHAMELEON,
+               {"steps_json": _stream_program()}),
 }
 
 
@@ -70,37 +96,29 @@ def test_a_traced_cell_consults_every_gate_its_app_twin_does(monkeypatch,
     assert traced.fingerprint() == driven.fingerprint()
 
 
-@pytest.mark.parametrize("spec", CELLS.values(), ids=CELLS)
+@pytest.mark.parametrize("spec", ALL_CELLS.values(), ids=ALL_CELLS)
 def test_a_span_recorder_does_not_pick_the_strategy(monkeypatch, spec):
-    _, plain = cell(monkeypatch, spec)
-    span, message = Recorder(granularity="span"), Recorder()
-    by_span, spmd_span = cell(monkeypatch, spec, instrument=span)
-    by_message, spmd_message = cell(monkeypatch, spec, instrument=message)
-    verdicts = ("p2p_fast", "p2p_simulated", "collectives_fast")
-    assert [getattr(spmd_span, v) for v in verdicts] \
-        == [getattr(plain, v) for v in verdicts]
-    assert span.metrics.value("p2p/fast_hits") == spmd_span.p2p_fast
+    plain, spmd_plain = cell(monkeypatch, spec)
+    rec = Recorder()
+    recorded, spmd = cell(monkeypatch, spec, instrument=rec)
+    verdicts = ("p2p_fast", "p2p_simulated", "collectives_fast",
+                "collectives_simulated")
+    assert [getattr(spmd, v) for v in verdicts] \
+        == [getattr(spmd_plain, v) for v in verdicts]
+    assert spmd.collectives_fast > 0
+    assert recorded.clocks == plain.clocks
+    assert rec.metrics.value("p2p/fast_hits") == spmd.p2p_fast
+    assert rec.metrics.value("coll/fast_hits") == spmd.collectives_fast
+    if not spmd.p2p_fast:
+        return  # no declared phase: nothing for the gate to report
     # the schedule emits record/* at the resumed clock, the gate the
     # per-message events its replay collected: totals are those of the run
-    # that drives every exchange message by message ...
-    driven = Recorder(granularity="span")
+    # that drives every exchange message by message
+    driven = Recorder()
     cell(monkeypatch, spec, instrument=driven, sim=DRIVEN)
     for metric in ("record/events", "record/time", "p2p/bytes_sent",
                    "p2p/messages", "p2p/bytes_received"):
-        assert span.metrics.value(metric) == driven.metrics.value(metric) > 0
-    # ... and of the message-granularity run, whose p2p/* counts the
-    # collectives' messages on top (it drives those too)
-    for metric in ("record/events", "record/time"):
-        assert span.metrics.value(metric) == message.metrics.value(metric)
-    assert message.metrics.value("p2p/messages") \
-        > span.metrics.value("p2p/messages")
-    assert by_span.clocks == by_message.clocks
-    # a default Recorder() still answers message-tracing — and a traced
-    # exchange now says so, one fallback per consult
-    assert spmd_message.p2p_fast == 0 < spmd_message.p2p_simulated
-    assert message.metrics.value("p2p/fallbacks") \
-        == spmd_message.p2p_simulated
-    assert _reasons(message) == {"message-tracing"}
+        assert rec.metrics.value(metric) == driven.metrics.value(metric) > 0
 
 
 def test_a_gate_instance_scans_the_mailboxes_once(monkeypatch):

@@ -51,6 +51,27 @@ def test_metrics_out_is_jsonl(obs_run):
     assert any(n.startswith("chameleon/") for n in names)
 
 
+def _metric_total(path, name):
+    with open(path, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    return sum(r["value"] for r in rows if r["name"] == name)
+
+
+def test_run_config_asks_for_the_per_message_view(obs_run, tmp_path):
+    """The recorder records what ran; ``--config`` picks what runs."""
+    assert _metric_total(obs_run["metrics"], "coll/fast_hits") > 0
+    driven = str(tmp_path / "driven.jsonl")
+    rc = main(
+        ["run", "--workload", "synthetic", "--nprocs", "4", "--iterations",
+         "3", "--mode", "chameleon", "--no-cache", "--metrics-out", driven,
+         "--config", "collectives=simulated", "--config", "p2p=simulated"]
+    )
+    assert rc == 0
+    assert _metric_total(driven, "coll/fast_hits") == 0
+    assert _metric_total(driven, "p2p/messages") \
+        > _metric_total(obs_run["metrics"], "p2p/messages")
+
+
 def test_trace_subcommand(obs_run, tmp_path, capsys):
     out = str(tmp_path / "exported.json")
     assert main(["trace", obs_run["bundle"], "-o", out]) == 0

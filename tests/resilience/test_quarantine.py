@@ -1,16 +1,23 @@
 """Harness host-fault recovery: deadlines, bounded retry, quarantine.
 
-A poisoned cell (one that deterministically kills every pool worker it
-lands on) must cost the batch exactly itself: siblings complete, the
-poison is identified precisely (isolation mode) and surfaced through
-:class:`QuarantineError` *with* the completed partial results.  Transient
-kills retry and succeed; hangs trip the per-cell wall-clock deadline.
+A poisoned cell (one that deterministically kills every worker it is
+handed to) must cost the batch exactly itself: siblings complete, the
+poison is identified by construction (a lane runs one cell at a time) and
+surfaced through :class:`QuarantineError` *with* the completed partial
+results.  Transient kills retry and succeed; hangs trip the per-cell
+wall-clock deadline.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from repro.cli import main
+from repro.harness import engine as engine_module
 from repro.harness.engine import CellEvent, ExperimentEngine, make_cell
 from repro.harness.runner import Mode
 from repro.resilience import (
@@ -19,10 +26,15 @@ from repro.resilience import (
     RetryPolicy,
     installed,
 )
+from repro.serve.jobs import ServeConfig
+from repro.simmpi.errors import TaskFailedError
+
+from ..serve.test_satellite_fixes import POISON
+from ..serve.test_satellite_fixes import _cell as _stream_cell
 
 #: Near-zero backoff + tight deadline so each test runs in seconds.
 FAST = RetryPolicy(max_attempts=2, cell_deadline=1.5, backoff_base=0.01,
-                   backoff_cap=0.05, poll_interval=0.02)
+                   backoff_cap=0.05)
 
 
 def _cells(n=6):
@@ -74,9 +86,10 @@ class TestQuarantine:
         assert all(r is not None for r in results)
         assert engine.metrics.quarantined == 0
         retries = [e for e in events if e.kind == "retry"]
-        assert retries, "pool crash must surface a retry event"
-        # The retry event names the suspected cells, not just a count.
-        assert any("uniform/P=4/app" in e.label for e in retries)
+        assert retries, "a worker death must surface a retry event"
+        # The retry event names the one cell that is queued again.
+        assert {(e.label, e.digest) for e in retries} \
+            == {(cells[1].label, target)}
 
     def test_quarantine_event_emitted(self):
         cells = _cells(4)
@@ -114,6 +127,90 @@ class TestQuarantine:
             [r.fingerprint() for r in serial]
 
 
+    def test_a_cell_error_does_not_wait_for_a_hung_sibling(self):
+        """Fail-fast (no ``contain_errors``): the error leaves the pool at
+        once and the work still in flight is abandoned, not waited for."""
+        hung, bad = _cells(1)[0], _stream_cell(POISON)
+        engine = ExperimentEngine(jobs=2, cache=None, policy=RetryPolicy())
+        began = time.monotonic()
+        with installed(HostFaultPlan(hang_cell=hung.digest(), hang_s=60.0)):
+            with pytest.raises(TaskFailedError):
+                engine.run_cells([hung, bad])
+        assert time.monotonic() - began < 30
+
+
+#: fault name -> (plan keywords around the target digest, cells quarantined)
+FAULTS = {
+    "poison": (lambda t, d: dict(kill_cell=t, attempts=100, state_dir=d), 1),
+    "hang": (lambda t, d: dict(hang_cell=t, hang_s=60.0), 1),
+    "transient": (lambda t, d: dict(kill_cell=t, attempts=1, state_dir=d), 0),
+}
+
+
+class TestAttribution:
+    """A lane runs one cell at a time: every worker death and deadline is
+    that cell's, and costs no sibling anything."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_every_fault_event_is_the_targets(self, fault, tmp_path):
+        plan_kwargs, n_quarantined = FAULTS[fault]
+        cells = _cells(6)
+        target = cells[2].digest()
+        events: list[CellEvent] = []
+        engine = ExperimentEngine(jobs=2, cache=None, policy=FAST,
+                                  progress=events.append)
+        quarantined = []
+        with installed(HostFaultPlan(**plan_kwargs(target, str(tmp_path)))):
+            try:
+                engine.run_cells(cells)
+            except QuarantineError as err:
+                quarantined = err.quarantined
+        assert [q.digest for q in quarantined] == [target] * n_quarantined
+        recovery = [e for e in events
+                    if e.kind in ("retry", "deadline", "quarantine")]
+        assert recovery
+        assert {e.digest for e in recovery} == {target}
+        assert all(e.label.startswith(cells[2].label) for e in recovery)
+        done = Counter(e.digest for e in events if e.kind == "done")
+        assert done == {cell.digest(): 1 for cell in cells
+                        if not n_quarantined or cell.digest() != target}
+        assert engine.metrics.executed == len(cells) - n_quarantined
+        if fault == "poison":
+            # exactly max_attempts workers died for it, not one more
+            marker = tmp_path / f"attempts-{target[:16]}"
+            assert int(marker.read_text()) == FAST.max_attempts
+
+    def test_a_worker_dying_between_cells_is_one_retry(self, monkeypatch):
+        """A reused lane whose idle worker was killed breaks at the next
+        submit: that costs the submitted cell an attempt, not the batch."""
+        pools = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", Recording)
+        events: list[CellEvent] = []
+
+        def progress(event):
+            if event.kind == "done" and not events:
+                for pool in pools:  # the lane that just returned is idle
+                    ExperimentEngine._kill_pool_workers(pool)
+                time.sleep(0.3)  # let the executors notice the deaths
+            if event.kind in ("done", "retry", "quarantine"):
+                events.append(event)
+
+        cells = _cells(5)
+        engine = ExperimentEngine(jobs=2, cache=None, policy=FAST,
+                                  progress=progress)
+        results = engine.run_cells(cells)
+        assert all(r is not None for r in results)
+        retries = [e for e in events if e.kind == "retry"]
+        assert retries and all(e.digest for e in retries)
+        assert Counter(e.kind for e in events)["done"] == len(cells)
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -121,9 +218,33 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(cell_deadline=0.0)
         with pytest.raises(ValueError):
-            RetryPolicy(poll_interval=0.0)
+            RetryPolicy(backoff_base=-0.1)
+
+    @pytest.mark.parametrize("removed", [
+        "isolate_after", "max_pool_crashes", "poll_interval",
+        "backoff_jitter", "seed", "job_idle_timeout",
+    ])
+    def test_removed_fields_are_gone(self, removed):
+        with pytest.raises(TypeError):
+            RetryPolicy(**{removed: 1})
+
+    def test_backoff_is_capped_exponential(self):
+        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.5)
+        assert [policy.backoff(n) for n in (1, 2, 3, 4, 9)] \
+            == [0.1, 0.2, 0.4, 0.5, 0.5]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_deadlines_are_rejected(self, value, monkeypatch,
+                                               capsys):
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_jitter=-0.1)
+            RetryPolicy(cell_deadline=float(value))
+        with pytest.raises(ValueError):
+            ServeConfig(idle_timeout=float(value))
+        monkeypatch.setenv("REPRO_CELL_DEADLINE", value)
+        assert RetryPolicy.from_env().cell_deadline is None
+        assert main(["serve", "--idle-timeout", value, "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "idle_timeout" in err and len(err.splitlines()) == 1
 
     def test_from_env_reads_cell_deadline(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")

@@ -1,8 +1,8 @@
 """Regression tests for the harness/cache correctness fixes that ride
 along with the serving PR: unique spill naming + in-flight detection,
 the dead-worker kill guard, the bench throughput floor, the streamed-job
-idle-timeout policy knob, worker-exception pickling, and contained cell
-errors in ``run_cells``.
+idle timeout, worker-exception pickling, and contained cell errors in
+``run_cells``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.harness.cache import RunCache, _spill_path, _spill_writer_alive
 from repro.harness.engine import ExperimentEngine, make_cell
 from repro.harness.runner import Mode
 from repro.resilience import QuarantineError, RetryPolicy
-from repro.resilience.policy import DEFAULT_JOB_IDLE_TIMEOUT
+from repro.serve.jobs import ServeConfig
 from repro.simmpi.errors import TaskFailedError
 from repro.workloads.stream import canonical_steps_json, normalize_steps
 
@@ -121,24 +121,26 @@ class TestBenchFloor:
 
 
 class TestIdleTimeoutPolicy:
+    """``ServeConfig.idle_timeout`` is the one statement of a streamed
+    job's idle timeout."""
+
     def test_default(self):
-        assert RetryPolicy().job_idle_timeout == DEFAULT_JOB_IDLE_TIMEOUT
+        assert ServeConfig().idle_timeout == 300.0
 
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
-            RetryPolicy(job_idle_timeout=0)
+            ServeConfig(idle_timeout=0)
 
     def test_none_allowed(self):
-        assert RetryPolicy(job_idle_timeout=None).job_idle_timeout is None
+        assert ServeConfig(idle_timeout=None).idle_timeout is None
 
     def test_from_env(self, monkeypatch):
         # the environment sets the cell deadline only; a streamed job's
         # idle timeout is `repro serve --idle-timeout`
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
         monkeypatch.setenv("REPRO_JOB_IDLE_TIMEOUT", "7")
-        policy = RetryPolicy.from_env()
-        assert policy.cell_deadline == 12.5
-        assert policy.job_idle_timeout == DEFAULT_JOB_IDLE_TIMEOUT
+        assert RetryPolicy.from_env().cell_deadline == 12.5
+        assert ServeConfig().idle_timeout == 300.0
 
 
 class TestWorkerExceptionPickling:

@@ -16,7 +16,7 @@ Coverage:
   to the simulated path and matches today's degraded behaviour exactly);
 * every fallback reason of the ledger (docs/INTERNALS.md) a collective's
   verdict can return, by its ``coll/fallbacks`` label;
-* span-granularity observability parity and message-granularity fallback.
+* observability parity: a recorder sees the same ``coll`` spans either way.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -243,11 +244,10 @@ class TestFallbacks:
         a = await ctx.comm.allreduce(ctx.rank)
         return a, await ctx.comm.allreduce(ctx.rank + 1)
 
-    def _assert_reason(self, prog, nprocs, reason, *, config=None,
-                       granularity="span", **kwargs):
+    def _assert_reason(self, prog, nprocs, reason, *, config=None, **kwargs):
         """Every collective of ``prog`` falls back for ``reason`` alone,
         and the run matches the always-simulated one exactly."""
-        rec = Recorder(granularity=granularity)
+        rec = Recorder()
         res = run_spmd(prog, nprocs, config=config, instrument=rec, **kwargs)
         assert res.collectives_fast == 0
         assert res.collectives_simulated > 0
@@ -259,10 +259,6 @@ class TestFallbacks:
     def test_reason_disabled(self):
         self._assert_reason(self._two_allreduces, 5, "disabled",
                             config=SimConfig(collectives="simulated"))
-
-    def test_reason_message_tracing(self):
-        self._assert_reason(self._two_allreduces, 5, "message-tracing",
-                            granularity="message")
 
     def test_reason_message_faults(self):
         plan = FaultPlan(messages=MessageFaults(delay_prob=0.5))
@@ -339,15 +335,17 @@ class TestObservabilityParity:
             for s in rec.spans if s.cat == "coll"
         )
 
-    def test_span_granularity_spans_and_metrics_identical(self):
-        async def prog(ctx):
-            await ctx.comm.barrier()
-            v = await ctx.comm.allreduce(ctx.rank)
-            g = await ctx.comm.gather(ctx.rank, root=0)
-            return (v, len(g) if g else 0)
+    @staticmethod
+    async def _prog(ctx):
+        await ctx.comm.barrier()
+        v = await ctx.comm.allreduce(ctx.rank)
+        g = await ctx.comm.gather(ctx.rank, root=0)
+        return (v, len(g) if g else 0)
 
-        rec_fast = Recorder(granularity="span")
-        rec_sim = Recorder(granularity="span")
+    def test_span_granularity_spans_and_metrics_identical(self):
+        prog = self._prog
+        rec_fast = Recorder()
+        rec_sim = Recorder()
         fast = run_spmd(prog, 9, config=SimConfig(collectives="fast"), instrument=rec_fast)
         sim = run_spmd(prog, 9, config=SimConfig(collectives="simulated"), instrument=rec_sim)
         _assert_identical(fast, sim)
@@ -370,21 +368,35 @@ class TestObservabilityParity:
         assert rec_fast.metrics.value("coll/fast_hits") == 4 * 9
         assert rec_sim.metrics.value("coll/fast_hits") == 0
 
-    def test_message_granularity_recorder_forces_fallback(self):
-        async def prog(ctx):
-            return await ctx.comm.allreduce(ctx.rank)
-
-        rec = Recorder()  # granularity="message"
-        res = run_spmd(prog, 6, instrument=rec)
-        assert res.collectives_fast == 0
-        assert res.collectives_simulated > 0
-        rec2 = Recorder(granularity="span")
-        res2 = run_spmd(prog, 6, instrument=rec2)
-        assert res2.collectives_fast > 0
-        # Either way the coll spans agree.
-        assert self._coll_spans(rec) == self._coll_spans(rec2)
-        # And the fallback reason is surfaced as a labelled metric.
-        assert rec.metrics.value("coll/fallbacks") > 0
+    def test_a_recorder_records_whichever_interpreter_ran(self):
+        """``SimConfig`` alone picks the strategy; a recorder sees one
+        ``coll`` span per collective per rank from the closed form, and
+        the constituent messages inside those spans when the message-level
+        interpreter is asked for."""
+        by_default, driven = Recorder(), Recorder()
+        fast = run_spmd(self._prog, 9, instrument=by_default)
+        sim = run_spmd(
+            self._prog, 9, instrument=driven,
+            config=SimConfig(collectives="simulated", p2p="simulated"),
+        )
+        _assert_identical(fast, sim)
+        assert fast.collectives_fast == 4 * 9 \
+            == by_default.metrics.value("coll/fast_hits")
+        assert by_default.metrics.value("p2p/messages") == 0
+        # allreduce is a reduce and a bcast under its own span
+        names = ("barrier", "reduce", "bcast", "allreduce", "gather")
+        assert Counter((s.rank, s.name) for s in by_default.spans
+                       if s.cat == "coll") \
+            == {(rank, name): 1 for rank in range(9) for name in names}
+        assert self._coll_spans(by_default) == self._coll_spans(driven)
+        assert sim.collectives_fast == 0 \
+            == driven.metrics.value("coll/fast_hits")
+        messages = [s for s in driven.spans if s.cat.startswith("p2p")]
+        assert messages and driven.metrics.value("p2p/messages") > 0
+        colls = [s for s in driven.spans if s.cat == "coll"]
+        for m in messages:
+            assert any(c.rank == m.rank and c.start <= m.start
+                       and m.end <= c.end for c in colls)
 
 
 class TestStepCollapse:

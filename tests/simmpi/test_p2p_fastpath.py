@@ -19,7 +19,7 @@ Coverage:
 * every documented fallback reason, each surfaced as a labelled
   ``p2p/fallbacks`` metric and each bit-identical to the always-simulated
   run;
-* span-granularity observability parity;
+* observability parity: a recorder sees the same events either way;
 * one seeded program interleaving collectives and exchanges on the world
   and on a ``split`` half, with stray traffic aborting one gate mid-way;
 * pattern validation errors and gate key mismatches;
@@ -278,7 +278,7 @@ class TestFallbackReasons:
 
     def test_disabled(self):
         pattern = _ring_pattern(4, name="fb-disabled")
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(self._pattern_prog(pattern), 4,
                        config=SimConfig(p2p="simulated"), instrument=rec)
         _assert_fell_back(res, rec, "disabled")
@@ -299,18 +299,12 @@ class TestFallbackReasons:
         _assert_identical(fast, sim)
         _assert_identical(fast, defaults)
 
-    def test_message_tracing(self):
-        pattern = _ring_pattern(4, name="fb-tracing")
-        rec = Recorder()  # granularity="message"
-        res = run_spmd(self._pattern_prog(pattern), 4, instrument=rec)
-        _assert_fell_back(res, rec, "message-tracing")
-
     def test_faults(self):
         # an armed crash is a standing fallback condition even when it
         # never fires inside the run
         pattern = _ring_pattern(4, name="fb-faults")
         plan = FaultPlan(crashes=(CrashFault(rank=2, time=10.0),))
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(self._pattern_prog(pattern), 4, faults=plan,
                        instrument=rec)
         _assert_fell_back(res, rec, "faults")
@@ -344,7 +338,7 @@ class TestFallbackReasons:
                 await req.wait()
             return rank
 
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "pending-wildcard")
         _assert_identical(*_pair(prog, 4))
@@ -362,7 +356,7 @@ class TestFallbackReasons:
                 await req.wait()
             return rank
 
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "pending-recv")
         _assert_identical(*_pair(prog, 4))
@@ -380,7 +374,7 @@ class TestFallbackReasons:
                 await comm.recv(0, tag=99)
             return rank
 
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "queued-traffic")
         _assert_identical(*_pair(prog, 4))
@@ -401,7 +395,7 @@ class TestFallbackReasons:
                 await comm.recv(1, tag=99)
             return rank
 
-        rec = Recorder(granularity="span")
+        rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         # rank 0 reran after the abort; ranks 1-3 consulted an aborted gate
         _assert_fell_back(res, rec, "mid-phase-traffic")
@@ -430,8 +424,8 @@ class TestObservabilityParity:
             await ctx.comm.exchange(pattern)
             return ctx.rank
 
-        rec_fast = Recorder(granularity="span")
-        rec_sim = Recorder(granularity="span")
+        rec_fast = Recorder()
+        rec_sim = Recorder()
         fast = run_spmd(prog, 6, config=SimConfig(p2p="fast"),
                         instrument=rec_fast)
         sim = run_spmd(prog, 6, config=SimConfig(p2p="simulated"),
@@ -515,8 +509,8 @@ class TestInterleaving:
                  tuple(sorted(s.args.items())))
                 for s in rec.spans if s.cat in ("coll", "p2p"))
 
-        rec_fast = Recorder(granularity="span")
-        rec_sim = Recorder(granularity="span")
+        rec_fast = Recorder()
+        rec_sim = Recorder()
         fast = run_spmd(prog, nprocs, instrument=rec_fast)
         sim = run_spmd(prog, nprocs, instrument=rec_sim,
                        config=SimConfig(collectives="simulated",
