@@ -69,11 +69,9 @@ class EndpointStat:
 
     # -- single-observation extension (intra-rank, in stream order) --------
 
-    def _pattern_extended(self, rel_value: int) -> Pattern | None:
+    @staticmethod
+    def _pattern_extended(p: Pattern, rel_value: int) -> Pattern | None:
         """The pattern after appending one relative offset, or None."""
-        p = self.pattern
-        if p is None:
-            return None
         q = p.copy()
         q.n += 1
         if rel_value == p.start and p.stride in (None, 0) and p.length == 1:
@@ -118,8 +116,7 @@ class EndpointStat:
         if a is None or b is None:
             return None
         if b.n == 1 and allow_chain:
-            helper = EndpointStat(None, None, a)
-            return helper._pattern_extended(b.start)
+            return EndpointStat._pattern_extended(a, b.start)
         if b.n == 1 and a.length == 1 and a.start == b.start:
             # cross-rank: same constant offset, still a trivial cycle
             merged = a.copy()
@@ -152,20 +149,22 @@ class EndpointStat:
             is not None
         )
 
+    def merged(self, other: "EndpointStat", allow_chain: bool = True) -> tuple | None:
+        """``(rel, abs_, pattern)`` with ``other`` folded in, or None when no
+        encoding survives (``can_merge`` is False).  Mutates nothing."""
+        pattern = self._patterns_mergeable(self.pattern, other.pattern, allow_chain)
+        rel = self.rel if self.rel == other.rel else None
+        abs_ = self.abs_ if self.abs_ == other.abs_ else None
+        if rel is None and abs_ is None and pattern is None:
+            return None
+        return rel, abs_, pattern
+
     def merge(self, other: "EndpointStat", allow_chain: bool = True) -> None:
         """Fold ``other`` into this stat (``can_merge`` must hold)."""
-        merged_pattern = self._patterns_mergeable(
-            self.pattern, other.pattern, allow_chain
-        )
-        rel = self.rel if self.rel is not None and self.rel == other.rel else None
-        abs_ = (
-            self.abs_ if self.abs_ is not None and self.abs_ == other.abs_ else None
-        )
-        if rel is None and abs_ is None and merged_pattern is None:
+        encoding = self.merged(other, allow_chain)
+        if encoding is None:
             raise ValueError("endpoint stats are not mergeable")
-        self.rel = rel
-        self.abs_ = abs_
-        self.pattern = merged_pattern
+        self.rel, self.abs_, self.pattern = encoding
 
     # -- interpretation ------------------------------------------------------
 

@@ -161,46 +161,54 @@ class EventRecord:
     def dest_offset(self) -> int | None:
         return None if self.dest is None else self.dest.rel
 
-    @staticmethod
-    def _ep_compatible(
-        a: EndpointStat | None, b: EndpointStat | None, allow_chain: bool
-    ) -> bool:
-        if a is None or b is None:
-            return a is None and b is None
-        return a.can_merge(b, allow_chain)
-
     def can_merge(self, other: "EventRecord", allow_chain: bool = True) -> bool:
         """Whether ``other`` may fold into this record.
 
         ``allow_chain`` distinguishes intra-node folding (stream order —
         strided endpoint patterns may extend) from inter-node merging
         (different ranks — only matching constant/cycle encodings merge).
-        :meth:`static_key`'s fields are compared in place (this runs per
-        fold candidate); ``_ep_compatible`` covers its two endpoint flags.
+        :meth:`static_key`'s fields are compared in place: this is hot.
         """
         return (
             self.op is other.op
             and self.stack_sig == other.stack_sig
             and self.comm_id == other.comm_id
             and self.root == other.root
-            and self._ep_compatible(self.src, other.src, allow_chain)
-            and self._ep_compatible(self.dest, other.dest, allow_chain)
+            and (self.src is None) == (other.src is None)
+            and (self.dest is None) == (other.dest is None)
+            and (self.src is None or self.src.can_merge(other.src, allow_chain))
+            and (self.dest is None or self.dest.can_merge(other.dest, allow_chain))
         )
 
-    def merge(self, other: "EventRecord", allow_chain: bool = True) -> None:
-        """Fold ``other`` into this record (``can_merge`` must hold)."""
-        if not self.can_merge(other, allow_chain):
-            raise ValueError(
-                f"cannot merge events: {self} vs {other}"
-            )
-        if self.src is not None:
-            self.src.merge(other.src, allow_chain)  # type: ignore[arg-type]
-        if self.dest is not None:
-            self.dest.merge(other.dest, allow_chain)  # type: ignore[arg-type]
-        self.participants = self.participants.union(other.participants)
+    def merge(self, other: "EventRecord", allow_chain: bool = True) -> int:
+        """Fold ``other`` in; returns the change of :meth:`size_bytes`.  Decides
+        what :meth:`can_merge` decides, but keeps both endpoints' merged encodings
+        and only then assigns: a refused pair raises ``ValueError``, nothing moved."""
+        src, dest = self.src, self.dest
+        src_to = dest_to = None
+        if not (
+            self.op is other.op
+            and self.stack_sig == other.stack_sig
+            and self.comm_id == other.comm_id
+            and self.root == other.root
+            and (src is None) == (other.src is None)
+            and (dest is None) == (other.dest is None)
+            and (src is None or (src_to := src.merged(other.src, allow_chain)))
+            and (dest is None or (dest_to := dest.merged(other.dest, allow_chain)))
+        ):
+            raise ValueError(f"cannot merge events: {self} vs {other}")
+        delta = self.dhist.merge(other.dhist)
+        for ep, to in ((src, src_to), (dest, dest_to)):
+            if to:  # a pattern is never gained; dropped, its 5 words go
+                delta -= 40 * (ep.pattern is not None and to[2] is None)
+                ep.rel, ep.abs_, ep.pattern = to
+        union = self.participants.union(other.participants)
+        if union is not self.participants:  # never on an intra-node fold
+            delta += union.size_bytes() - self.participants.size_bytes()
+            self.participants = union
         self.count.merge(other.count)
         self.tag.merge(other.tag)
-        self.dhist.merge(other.dhist)
+        return delta
 
     def copy(self) -> "EventRecord":
         return EventRecord(

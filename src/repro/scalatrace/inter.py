@@ -82,7 +82,7 @@ def merge_traces(
     i = j = 0
     while i < la and j < lb:
         if ka[i] == kb[j] and dp[i][j] == dp[i + 1][j + 1] + 1:
-            if same_shape(a[i], b[j], meter, match_iters=True, allow_chain=False):
+            if same_shape(a[i], b[j], meter, allow_chain=False):
                 merged = a[i]
                 if isinstance(merged, LoopNode):
                     other = b[j]

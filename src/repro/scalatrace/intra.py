@@ -40,10 +40,6 @@ def _participants_equal(a: TraceNode, b: TraceNode) -> bool:
     )
 
 
-def _size(nodes: list[TraceNode]) -> int:
-    return sum(n.size_bytes() for n in nodes)
-
-
 def fold_tail(
     nodes: list[TraceNode],
     window: int,
@@ -60,58 +56,59 @@ def fold_tail(
     misattribute iterations (a per-rank stream never needs the check —
     every node covers exactly the owning rank).
 
+    A candidate run length is tried on its first pair, by index: when node
+    types or call sites differ (equal signatures are necessary, not
+    sufficient) it builds nothing and is charged the one comparison it would
+    have cost.
     Returns the change of ``sum(n.size_bytes() for n in nodes)``, which the
-    list's owner adds to its running count (nodes cache no size).  Only what
-    a rewrite touches is sized: the subtrees it merges into, before and
-    after (a merge can also *shrink* a record, when an endpoint pattern
-    stops being representable), the run it deletes and a new loop's header.
+    list's owner adds to its running count (nodes cache no size): what the
+    merges report (a dropped endpoint pattern *shrinks* a record) less the
+    absorbed run, the only thing sized, plus 16 for a new loop's header.
     """
 
-    def congruent(a: TraceNode, b: TraceNode) -> bool:
-        if not same_shape(a, b, meter, match_iters=True):
+    def absorbed(body: list[TraceNode], at: int, m: int) -> bool:
+        """Fold the last ``m`` nodes into ``body[at : at + m]`` if congruent."""
+        nonlocal delta, misses
+        a, b = body[at], nodes[-m]
+        leaf = isinstance(a, EventNode)
+        if leaf != isinstance(b, EventNode) or (
+            leaf and a.record.stack_sig != b.record.stack_sig
+        ):
+            misses += 1  # what same_shape would charge to refuse this pair
             return False
-        return not match_participants or _participants_equal(a, b)
+        pairs = list(zip(body[at : at + m], nodes[-m:]))
+        for a, b in pairs:
+            if not same_shape(a, b, meter) or (
+                match_participants and not _participants_equal(a, b)
+            ):
+                return False
+        for a, b in pairs:
+            delta += merge_nodes(a, b, meter) - b.size_bytes()
+        meter.folds += 1
+        return True
 
-    delta = 0
-    changed = True
-    while changed:
-        changed = False
+    delta = misses = 0
+    while True:
+        n = len(nodes)
         # Rule 1: absorb the tail into an immediately preceding loop.
-        for m in range(1, min(window, len(nodes) - 1) + 1):
-            prev = nodes[-m - 1]
+        for m in range(1, min(window, n - 1) + 1):
+            prev = nodes[n - m - 1]
             if not isinstance(prev, LoopNode) or len(prev.body) != m:
                 continue
-            tail = nodes[-m:]
-            if all(congruent(b, t) for b, t in zip(prev.body, tail)):
-                delta -= _size(prev.body) + _size(tail)
-                for b, t in zip(prev.body, tail):
-                    merge_nodes(b, t, meter)
-                delta += _size(prev.body)
+            if absorbed(prev.body, 0, m):
                 prev.iters += 1
-                del nodes[-m:]
-                meter.folds += 1
-                changed = True
+                del nodes[n - m :]
                 break
-        if changed:
-            continue
-        # Rule 2: fold two adjacent congruent runs into a new loop.
-        for m in range(1, window + 1):
-            if len(nodes) < 2 * m:
-                break
-            first = nodes[-2 * m : -m]
-            second = nodes[-m:]
-            if all(congruent(a, b) for a, b in zip(first, second)):
-                delta -= _size(first) + _size(second)
-                for a, b in zip(first, second):
-                    merge_nodes(a, b, meter)
-                loop = LoopNode(2, first)
-                delta += loop.size_bytes()
-                del nodes[-2 * m :]
-                nodes.append(loop)
-                meter.folds += 1
-                changed = True
-                break
-    return delta
+        else:
+            # Rule 2: fold two adjacent congruent runs into a new loop.
+            for m in range(1, min(window, n // 2) + 1):
+                if absorbed(nodes, n - 2 * m, m):
+                    nodes[n - 2 * m :] = [LoopNode(2, nodes[n - 2 * m : n - m])]
+                    delta += 16
+                    break
+            else:  # fixpoint: neither rule applies
+                meter.comparisons += misses
+                return delta
 
 
 class IntraCompressor:

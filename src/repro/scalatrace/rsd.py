@@ -13,8 +13,7 @@ A compressed trace is a list of nodes where each node is either
 Two predicates drive compression:
 
 * :func:`same_shape` — structural congruence (same match keys / loop shapes,
-  ignoring statistics and loop counts where noted); used to *detect*
-  repetitions.
+  ignoring statistics); used to *detect* repetitions.
 * :func:`merge_nodes` — folds one congruent subtree's statistics into
   another; used when a repetition is found or when traces from different
   ranks are combined.
@@ -99,16 +98,13 @@ def same_shape(
     a: TraceNode,
     b: TraceNode,
     meter: WorkMeter | None = None,
-    match_iters: bool = True,
     allow_chain: bool = True,
 ) -> bool:
     """Structural congruence of two subtrees.
 
     EventNodes are congruent when their records are mergeable; LoopNodes
-    when their bodies are pairwise congruent (and, if ``match_iters``, the
-    iteration counts agree — inter-node merging requires it so that merged
-    statistics keep a consistent meaning; intra-node folding absorbs a
-    repetition into a neighbouring loop regardless of its count).
+    when their iteration counts agree (so that merged statistics keep a
+    consistent meaning) and their bodies are pairwise congruent.
     ``allow_chain`` is False for cross-rank merges (see EventRecord).
     """
     if meter is not None:
@@ -116,13 +112,10 @@ def same_shape(
     if isinstance(a, EventNode) and isinstance(b, EventNode):
         return a.record.can_merge(b.record, allow_chain)
     if isinstance(a, LoopNode) and isinstance(b, LoopNode):
-        if match_iters and a.iters != b.iters:
-            return False
-        if len(a.body) != len(b.body):
+        if a.iters != b.iters or len(a.body) != len(b.body):
             return False
         return all(
-            same_shape(x, y, meter, match_iters, allow_chain)
-            for x, y in zip(a.body, b.body)
+            same_shape(x, y, meter, allow_chain) for x, y in zip(a.body, b.body)
         )
     return False
 
@@ -132,19 +125,19 @@ def merge_nodes(
     src: TraceNode,
     meter: WorkMeter | None = None,
     allow_chain: bool = True,
-) -> None:
-    """Fold ``src``'s statistics into the congruent subtree ``dst``."""
+) -> int:
+    """Fold ``src``'s statistics into congruent ``dst``; returns its byte delta."""
     if meter is not None:
         meter.merges += 1
     if isinstance(dst, EventNode) and isinstance(src, EventNode):
-        dst.record.merge(src.record, allow_chain)
-        return
+        return dst.record.merge(src.record, allow_chain)
     if isinstance(dst, LoopNode) and isinstance(src, LoopNode):
         if len(dst.body) != len(src.body):
             raise ValueError("merge of loops with different body lengths")
-        for d, s in zip(dst.body, src.body):
+        return sum(
             merge_nodes(d, s, meter, allow_chain)
-        return
+            for d, s in zip(dst.body, src.body)
+        )
     raise ValueError(f"cannot merge {type(dst).__name__} with {type(src).__name__}")
 
 

@@ -57,16 +57,19 @@ class DeltaHistogram:
         self.min = dt if dt < self.min else self.min
         self.max = dt if dt > self.max else self.max
 
-    def merge(self, other: "DeltaHistogram") -> None:
-        if other.total == 1:  # one sample (every intra-node fold): one bin
-            self.counts[other.counts.index(1)] += 1
-        else:
-            for i, c in enumerate(other.counts):
-                self.counts[i] += c
+    def merge(self, other: "DeltaHistogram") -> int:
+        """Returns the change of :meth:`size_bytes`: 16 per bin it opens."""
+        counts, opened = self.counts, 0
+        # one sample (every intra-node fold) fills one bin
+        for i in (other.counts.index(1),) if other.total == 1 else range(_NBINS):
+            if other.counts[i]:
+                opened += not counts[i]
+                counts[i] += other.counts[i]
         self.total += other.total
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
+        return 16 * opened
 
     @property
     def mean(self) -> float:

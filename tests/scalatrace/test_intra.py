@@ -11,8 +11,13 @@ from repro.scalatrace import (
     LoopNode,
     Op,
     RankSet,
+    Trace,
+    WorkMeter,
     expand,
+    fold_tail,
 )
+
+from .fold_oracle import fold_tail as frozen_fold_tail
 
 
 def ev(sig: int, op: Op = Op.SEND, dest_off: int | None = 1, rank: int = 0) -> EventRecord:
@@ -316,3 +321,103 @@ class TestRunningByteCount:
             return calls[0]
 
         assert phase_sizings(10) == phase_sizings(200)
+
+
+# -- the frozen reference: PR 24's fold_tail against its parent ---------------
+
+
+class _Twins:
+    """One node stream through the live ``fold_tail`` and the frozen one."""
+
+    def __init__(self, window: int, match_participants: bool = False) -> None:
+        self.args = (window, match_participants)
+        self.live, self.ref = [], []
+        self.live_meter, self.ref_meter = WorkMeter(), WorkMeter()
+
+    def push(self, nodes) -> None:
+        """Extend both lists (the reference gets copies) and fold each once:
+        everything observable must agree, and the live delta must be the
+        change of the recursive definition of size."""
+        window, match = self.args
+        self.live.extend(nodes)
+        self.ref.extend(n.copy() for n in nodes)
+        before = sum(n.size_bytes() for n in self.live)
+        got = fold_tail(self.live, window, self.live_meter, match)
+        want = frozen_fold_tail(self.ref, window, self.ref_meter, match)
+        assert Trace(nodes=self.live).serialize() == Trace(nodes=self.ref).serialize()
+        assert self.live_meter == self.ref_meter
+        assert got == want == sum(n.size_bytes() for n in self.live) - before
+
+
+#: noise: a one-off event between repetitions (its own call site), or a
+#: repeat of site 0's signature with an endpoint nothing merges with
+_noise = st.one_of(
+    st.none(),
+    st.integers(0, 2).map(lambda i: ev(900 + i, Op.BARRIER)),
+    st.integers(5, 9).map(lambda off: _site_event(0, "scramble", off, 0, off)),
+)
+#: an outer period: inner blocks (body x reps) and then a closing collective,
+#: repeated — the paper's nested PRSD shape, with noise after some periods
+_nested = st.lists(
+    st.tuples(_blocks, st.integers(1, 4), _noise), min_size=1, max_size=3
+)
+_POPULATIONS = (RankSet([0, 1, 2, 3]), RankSet([0, 2, 4, 6]), RankSet([5]))
+
+
+class TestAgainstFrozenFold:
+    """``fold_oracle.fold_tail`` is the parent's code; the live one skips
+    candidates and counts bytes differently, and must not be told apart."""
+
+    @given(_nested, st.sampled_from([1, 3, 64]))
+    @settings(max_examples=250, deadline=None)
+    def test_per_rank_stream_after_every_append(self, periods, window):
+        twins = _Twins(window)
+        for blocks, outer, noise in periods:
+            for _ in range(outer):
+                for body, reps in blocks:
+                    for rep in range(reps):
+                        for site, mode, base, dt in body:
+                            rec = _site_event(site, mode, base, dt, rep)
+                            twins.push([EventNode(rec)])
+                twins.push([EventNode(ev(800, Op.ALLREDUCE))])
+            if noise is not None:
+                twins.push([EventNode(noise)])
+
+    @given(
+        st.lists(
+            st.tuples(
+                _blocks,
+                # the segment arrives once per entry, from that cluster
+                st.lists(st.sampled_from(_POPULATIONS), min_size=1, max_size=4),
+                st.booleans(),  # heterogeneous cluster: rel + pattern dropped
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, 3, 64]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_online_segments_with_cluster_populations(
+        self, segments, window, match
+    ):
+        """Chameleon's use: whole merged segments (loops included) land at
+        once, their records cover multi-rank populations, and only equal
+        populations may fold (``match_participants=True``; without it a
+        fold unions two populations and the ranklist changes size)."""
+        twins = _Twins(window, match)
+        for blocks, clusters, heterogeneous in segments:
+            for members in clusters:
+                c = IntraCompressor()
+                for body, reps in blocks:
+                    for rep in range(reps):
+                        for site, mode, base, dt in body:
+                            c.append(_site_event(site, mode, base, dt, rep))
+                segment = Trace(nodes=c.take_nodes())
+                for leaf in segment.leaves():
+                    rec = leaf.record
+                    rec.participants = members
+                    for ep in (rec.src, rec.dest):
+                        if heterogeneous and ep is not None and ep.abs_ is not None:
+                            ep.rel = ep.pattern = None
+                twins.push(segment.nodes)

@@ -43,8 +43,7 @@ class TestSameShape:
         b = LoopNode(3, [leaf(1)])
         c = LoopNode(4, [leaf(1)])
         assert same_shape(a, b)
-        assert not same_shape(a, c, match_iters=True)
-        assert same_shape(a, c, match_iters=False)
+        assert not same_shape(a, c)  # equal bodies, different counts
 
     def test_mixed_types_never_match(self):
         assert not same_shape(leaf(1), LoopNode(2, [leaf(1)]))
@@ -69,7 +68,18 @@ class TestMergeNodes:
         with pytest.raises(ValueError):
             merge_nodes(LoopNode(2, [leaf(1)]), leaf(1))
         with pytest.raises(ValueError):
+            merge_nodes(leaf(1), LoopNode(2, [leaf(1)]))
+        with pytest.raises(ValueError):
             merge_nodes(LoopNode(2, [leaf(1)]), LoopNode(2, [leaf(1), leaf(2)]))
+
+    def test_returns_the_subtree_byte_delta(self):
+        a = LoopNode(2, [leaf(1, rank=0), LoopNode(3, [leaf(2, rank=0)])])
+        b = LoopNode(2, [leaf(1, rank=5), LoopNode(3, [leaf(2, rank=5)])])
+        b.body[0].record.dhist.record(0.25)  # a bin `a` has not filled yet
+        before = a.size_bytes()
+        delta = merge_nodes(a, b, allow_chain=False)
+        # two ranklists grew from <0> to <0, 5>, one histogram by one bin
+        assert delta == a.size_bytes() - before == 2 * 16 + 16
 
 
 class TestShapeSignature:

@@ -53,7 +53,8 @@ class TestDeltaHistogram:
         for y in ys:
             b.record(y)
             c.record(y)
-        a.merge(b)
+        before = a.size_bytes()
+        assert a.merge(b) == a.size_bytes() - before  # 16 per bin it opened
         assert a.total == c.total
         assert a.counts == c.counts
         assert a.mean == pytest.approx(c.mean)
@@ -185,6 +186,72 @@ class TestEventRecord:
     def test_merge_mismatched_keys_rejected(self):
         with pytest.raises(ValueError):
             _record().merge(_record(op=Op.RECV))
+
+    def test_failed_merge_mutates_nothing(self):
+        """``merge`` validates for itself (no ``can_merge`` first): a pair it
+        refuses — on a static field, or on the *second* endpoint after the
+        first one's merged encoding was already computed — raises and leaves
+        every field of the destination as it was."""
+
+        def state(r):
+            return (r.src and r.src.to_text(), r.dest and r.dest.to_text(),
+                    r.participants.ranks(), r.count.to_text(), r.tag.to_text(),
+                    r.dhist.to_text())
+
+        def pair():
+            a, b = _record(rank=0), _record(rank=3, dest_off=2)
+            # same absolute source from two ranks: merging drops a.src's
+            # relative form and pattern; the destinations share no encoding
+            a.src, b.src = EndpointStat.of(4, 0), EndpointStat.of(4, 3)
+            b.dhist.record(5.0)
+            return a, b
+
+        a, b = pair()
+        assert a.src.can_merge(b.src, False) and not a.dest.can_merge(b.dest, False)
+        before = state(a)
+        with pytest.raises(ValueError):
+            a.merge(b, allow_chain=False)
+        assert state(a) == before and a.src.rel == 4
+        # the same source pair does merge once the destinations agree
+        a, b = pair()
+        b.dest = EndpointStat.of(4, 3)
+        a.merge(b, allow_chain=False)
+        assert a.src.rel is None and a.participants.ranks() == (0, 3)
+        # and a refusal on a static field never reaches the endpoints
+        for other in (_record(op=Op.RECV), _record(sig=222)):
+            a = _record()
+            before = state(a)
+            with pytest.raises(ValueError):
+                a.merge(other)
+            assert state(a) == before
+
+    def test_merge_returns_its_byte_delta(self):
+        """0 for the common intra-node fold; -40 when an endpoint's pattern
+        stops being representable, the ranklist difference when the
+        population grew, 16 per histogram bin opened."""
+
+        def merged(dst, other, **kw):
+            before = dst.size_bytes()
+            delta = dst.merge(other, **kw)
+            assert delta == dst.size_bytes() - before
+            return delta
+
+        def to_hub(offset, dt=0.001):
+            r = _record()
+            r.dest = EndpointStat.of(13, 13 - offset)  # same target, abs 13
+            r.dhist = DeltaHistogram()
+            r.dhist.record(dt)
+            return r
+
+        assert merged(_record(), _record()) == 0
+        hub = to_hub(1)
+        assert merged(hub, to_hub(0)) == 0  # offsets 1, 0: a stride of -1
+        assert merged(hub, to_hub(5)) == -40  # no stride fits; abs survives
+        assert hub.dest.pattern is None
+        assert merged(hub, to_hub(5, dt=2.0)) == 16  # nothing left to drop
+        wide = _record(rank=0)
+        assert merged(wide, _record(rank=5), allow_chain=False) == 16  # <0> -> <0,5>
+        assert merged(wide, _record(rank=5), allow_chain=False) == 0
 
     def test_copy_deep(self):
         a = _record()

@@ -193,31 +193,40 @@ class TestFinalizeMerge:
 
 
 class TestRecordSizingWork:
-    def test_converged_loop_sizes_the_fold_not_the_tree(self, monkeypatch):
-        """Work counter, no timing: once the PRSD has converged, one
-        ``_record`` sizes the new record plus what the fold rewrites (the
-        loop body before and after, and the run it absorbs) — never the
-        unfolded nodes in front of the loop."""
-        from repro.scalatrace import EventRecord
+    """Work counters, no timing, on one converged PRSD: ``prefix`` unfolded
+    setup events, then ``iters`` repetitions of a ``width``-site body."""
 
-        calls = [0]
-        per_record: list[int] = []
-        sized = EventRecord.size_bytes
+    PREFIX, WIDTH, ITERS = 40, 3, 30
+
+    def converged(self, monkeypatch) -> dict[str, list[int]]:
+        """Calls made inside each ``_record`` after the loop converged (two
+        bodies in), by what was called."""
+        from repro.scalatrace import EventRecord, intra
+
+        calls = dict.fromkeys(("size_bytes", "same_shape", "can_merge", "merge"), 0)
+        per_record: dict[str, list[int]] = {name: [] for name in calls}
         record = ScalaTraceTracer._record
 
-        def counting(rec):
-            calls[0] += 1
-            return sized(rec)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
 
         def counted_record(self, *args, **kwargs):
-            before = calls[0]
+            before = dict(calls)
             sig = record(self, *args, **kwargs)
-            per_record.append(calls[0] - before)
+            for name in calls:
+                per_record[name].append(calls[name] - before[name])
             return sig
 
-        monkeypatch.setattr(EventRecord, "size_bytes", counting)
+        for name in ("size_bytes", "can_merge", "merge"):
+            monkeypatch.setattr(
+                EventRecord, name, counting(name, getattr(EventRecord, name)))
+        monkeypatch.setattr(
+            intra, "same_shape", counting("same_shape", intra.same_shape))
         monkeypatch.setattr(ScalaTraceTracer, "_record", counted_record)
-        prefix, width, iters = 40, 3, 30
+        prefix, width, iters = self.PREFIX, self.WIDTH, self.ITERS
 
         async def main(ctx):
             tr = ScalaTraceTracer(ctx)
@@ -233,11 +242,32 @@ class TestRecordSizingWork:
                 n.size_bytes() for n in tr.compressor.nodes)
 
         run_spmd(main, 1, config=SimConfig(network=ZERO_COST))
-        converged = per_record[prefix + 2 * width:]
-        assert len(converged) == (iters - 2) * width
-        # the new record, and 3 sizings of a `width`-leaf run per absorb
-        assert max(converged) == 1 + 3 * width < prefix
-        assert sum(converged) == (iters - 2) * (width + 3 * width)
+        tail = {name: counts[prefix + 2 * width:]
+                for name, counts in per_record.items()}
+        assert len(tail["merge"]) == (iters - 2) * width
+        return tail
+
+    def test_converged_loop_sizes_the_fold_not_the_tree(self, monkeypatch):
+        """One ``_record`` sizes the new record and, when its fold absorbs a
+        run, that run once (the merges report their own change) — never the
+        loop body, never the unfolded nodes in front of the loop."""
+        sized = self.converged(monkeypatch)["size_bytes"]
+        assert max(sized) == 1 + self.WIDTH < self.PREFIX
+        assert sum(sized) == (self.ITERS - 2) * (self.WIDTH + self.WIDTH)
+
+    def test_converged_loop_compares_only_what_can_match(self, monkeypatch):
+        """A candidate run length whose first pair differs in node type or
+        call site costs no ``same_shape`` call: what is left is one real
+        comparison per event, made when the body is complete."""
+        compared = self.converged(monkeypatch)["same_shape"]
+        assert max(compared) == self.WIDTH
+        assert sum(compared) == len(compared)  # <= 2 per append; here 1
+
+    def test_one_can_merge_evaluation_per_merged_record(self, monkeypatch):
+        """``merge`` validates for itself instead of calling ``can_merge``
+        and then merging the endpoints again."""
+        tail = self.converged(monkeypatch)
+        assert sum(tail["can_merge"]) == sum(tail["merge"]) == len(tail["merge"])
 
 
 class TestSharedParticipants:
