@@ -73,7 +73,16 @@ class SignatureAccumulator:
         src_offset: int | None = None,
         dest_offset: int | None = None,
     ) -> None:
-        self.observe_many(((stack_sig, src_offset, dest_offset),))
+        """Fold one event in: one step of :meth:`observe_many`'s loop."""
+        term = stack_sig & _MASK64
+        self._callpath ^= ((self._seq % 10) + 1) * term & _MASK64
+        self._seq += 1
+        self.events += 1
+        distinct = self.distinct_sigs
+        if stack_sig not in distinct:
+            self._dedup_cp ^= ((len(distinct) % 10) + 1) * term & _MASK64
+            distinct.add(stack_sig)
+        self._endpoints.observe(src_offset, dest_offset)
 
     def observe_many(
         self, events: Iterable[tuple[int, int | None, int | None]]

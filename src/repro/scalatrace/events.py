@@ -82,9 +82,10 @@ class ParamStat:
 
     @classmethod
     def of(cls, value: float) -> "ParamStat":
-        s = cls()
-        s.add(value)
-        return s
+        """Born with its first sample: bit-equal to ``ParamStat()`` +
+        ``add(value)`` (``0.0 + value`` is the mean ``add`` computes, sign
+        of zero included), ``min``/``max`` keep the value's type."""
+        return cls(1, 0.0 + value, value, value)
 
     def add(self, value: float) -> None:
         self.n += 1

@@ -56,10 +56,11 @@ def fold_tail(
     misattribute iterations (a per-rank stream never needs the check —
     every node covers exactly the owning rank).
 
-    A candidate run length is tried on its first pair, by index: when node
-    types or call sites differ (equal signatures are necessary, not
-    sufficient) it builds nothing and is charged the one comparison it would
-    have cost.
+    A candidate run length is tried on its first pair, in place in the rule's
+    loop: when node types or call sites differ (equal signatures are
+    necessary, not sufficient) it calls nothing and is counted as the one
+    comparison ``same_shape`` would have charged to refuse it.  Nodes are
+    never subclassed, so ``type(x) is`` decides kinds.
     Returns the change of ``sum(n.size_bytes() for n in nodes)``, which the
     list's owner adds to its running count (nodes cache no size): what the
     merges report (a dropped endpoint pattern *shrinks* a record) less the
@@ -67,15 +68,9 @@ def fold_tail(
     """
 
     def absorbed(body: list[TraceNode], at: int, m: int) -> bool:
-        """Fold the last ``m`` nodes into ``body[at : at + m]`` if congruent."""
-        nonlocal delta, misses
-        a, b = body[at], nodes[-m]
-        leaf = isinstance(a, EventNode)
-        if leaf != isinstance(b, EventNode) or (
-            leaf and a.record.stack_sig != b.record.stack_sig
-        ):
-            misses += 1  # what same_shape would charge to refuse this pair
-            return False
+        """Fold the last ``m`` nodes into ``body[at : at + m]`` if congruent
+        (a candidate whose first pair is not a certain miss)."""
+        nonlocal delta
         pairs = list(zip(body[at : at + m], nodes[-m:]))
         for a, b in pairs:
             if not same_shape(a, b, meter) or (
@@ -93,16 +88,26 @@ def fold_tail(
         # Rule 1: absorb the tail into an immediately preceding loop.
         for m in range(1, min(window, n - 1) + 1):
             prev = nodes[n - m - 1]
-            if not isinstance(prev, LoopNode) or len(prev.body) != m:
+            if type(prev) is not LoopNode or len(prev.body) != m:
                 continue
-            if absorbed(prev.body, 0, m):
+            a, b = prev.body[0], nodes[n - m]
+            if type(a) is not type(b) or (
+                type(a) is EventNode and a.record.stack_sig != b.record.stack_sig
+            ):
+                misses += 1
+            elif absorbed(prev.body, 0, m):
                 prev.iters += 1
                 del nodes[n - m :]
                 break
         else:
             # Rule 2: fold two adjacent congruent runs into a new loop.
             for m in range(1, min(window, n // 2) + 1):
-                if absorbed(nodes, n - 2 * m, m):
+                a, b = nodes[n - 2 * m], nodes[n - m]
+                if type(a) is not type(b) or (
+                    type(a) is EventNode and a.record.stack_sig != b.record.stack_sig
+                ):
+                    misses += 1
+                elif absorbed(nodes, n - 2 * m, m):
                     nodes[n - 2 * m :] = [LoopNode(2, nodes[n - 2 * m : n - m])]
                     delta += 16
                     break

@@ -132,7 +132,7 @@ class RankSet:
     order — the property event merging relies on.
     """
 
-    __slots__ = ("_lists", "_members")
+    __slots__ = ("_lists", "_members", "_size")
 
     def __init__(self, ranks: Iterable[int]) -> None:
         members = sorted(set(ranks))
@@ -143,6 +143,8 @@ class RankSet:
         self._lists: list[Ranklist] = (
             [single] if single is not None else _arithmetic_runs(members)
         )
+        #: :meth:`size_bytes`, fixed here: a RankSet has no mutator
+        self._size = sum(rl.size_bytes() for rl in self._lists)
 
     @classmethod
     def single(cls, rank: int) -> "RankSet":
@@ -175,12 +177,13 @@ class RankSet:
         return hash(self._members)
 
     def union(self, other: "RankSet") -> "RankSet":
-        if set(self._members).issuperset(other._members):
-            return self  # immutable, and nothing to add (every intra fold)
+        # immutable, and nothing to add: the same set on every intra fold
+        if other is self or set(self._members).issuperset(other._members):
+            return self
         return RankSet(self._members + other._members)
 
     def size_bytes(self) -> int:
-        return sum(rl.size_bytes() for rl in self._lists)
+        return self._size
 
     def __str__(self) -> str:
         return "+".join(str(rl) for rl in self._lists)

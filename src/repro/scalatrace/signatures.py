@@ -76,6 +76,9 @@ _SIG_CACHE_MAX = 1 << 16
 
 _frame_sig_cache: dict[tuple[str, str, int], int] = {}
 _logical_sig_cache: dict[str, int] = {}
+#: endpoint offset -> ``hash_u64(offset)``: a rank talks to a few fixed
+#: neighbours, and every event of every accumulator hashes their offsets
+_offset_sig_cache: dict[int, int] = {}
 
 
 def frame_signature(filename: str, function: str, lineno: int) -> int:
@@ -101,6 +104,15 @@ def _logical_signature(name: str) -> int:
             _logical_sig_cache.clear()
         sig = fnv1a64(("logical:" + name).encode())
         _logical_sig_cache[name] = sig
+    return sig
+
+
+def _offset_signature(offset: int) -> int:
+    """``hash_u64(offset)`` entered into the offset table: the miss path of
+    :meth:`EndpointSignatures.observe`, which probes the table inline."""
+    if len(_offset_sig_cache) >= _SIG_CACHE_MAX:
+        _offset_sig_cache.clear()
+    sig = _offset_sig_cache[offset] = hash_u64(offset)
     return sig
 
 
@@ -232,9 +244,11 @@ class EndpointSignatures:
 
     def observe(self, src_offset: int | None, dest_offset: int | None) -> None:
         if src_offset is not None:
-            self.src.add(hash_u64(src_offset))
+            sig = _offset_sig_cache.get(src_offset)
+            self.src.add(_offset_signature(src_offset) if sig is None else sig)
         if dest_offset is not None:
-            self.dest.add(hash_u64(dest_offset))
+            sig = _offset_sig_cache.get(dest_offset)
+            self.dest.add(_offset_signature(dest_offset) if sig is None else sig)
 
     def values(self) -> tuple[int, int]:
         return self.src.signature(), self.dest.signature()

@@ -39,7 +39,7 @@ from ..simmpi.replay import EAGER_DONE
 from ..simmpi.topology import RadixTree
 from .costmodel import DEFAULT_COSTS, InstrumentationCostModel
 from .endpoint import EndpointStat
-from .events import EventRecord, Op
+from .events import EventRecord, Op, ParamStat
 from .inter import merge_traces
 from .intra import DEFAULT_WINDOW, IntraCompressor
 from .ranklist import RankSet
@@ -114,6 +114,8 @@ class ScalaTraceTracer:
     ) -> None:
         self.ctx = ctx
         self.comm = ctx.comm
+        #: this rank in ``comm``; a plain attribute, read on every event
+        self.rank: int = ctx.comm.rank
         self.costs = costs
         self.tree_arity = tree_arity
         #: the run's observability event bus (no-op unless a Recorder was
@@ -125,7 +127,7 @@ class ScalaTraceTracer:
         #: what the signature hook feeds (the clustering tracers name theirs)
         self._sigaccs: tuple = ()
         #: shared by every record of this rank (a RankSet has no mutator)
-        self._self_set = RankSet.single(ctx.comm.rank)
+        self._self_set = RankSet.single(self.rank)
         self._scripts: dict[tuple, tuple] = {}  # see _script
         #: the interposition layer is on (see the module docstring)
         self.enabled = True
@@ -136,10 +138,6 @@ class ScalaTraceTracer:
         self._last_event_end = ctx.clock
 
     # -- identity -----------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
 
     @property
     def nprocs(self) -> int:
@@ -167,20 +165,23 @@ class ScalaTraceTracer:
         if not self.enabled:
             self.stats.events_skipped += 1
             return None
-        ctx = self.ctx
-        t0 = ctx.clock
-        site = self.walker.capture(ctx.task.logical_stack)
-        self._track_signature(site[0],
-                              None if src is None else src - self.rank,
-                              None if dest is None else dest - self.rank)
+        ctx, rank, task = self.ctx, self.rank, self.ctx.task
+        t0 = task.clock
+        site = self.walker.capture(task.logical_stack)
+        sig = site[0]
+        # the signature hook: every intercepted call, record built or not
+        src_offset = None if src is None else src - rank
+        dest_offset = None if dest is None else dest - rank
+        for acc in self._sigaccs:
+            acc.observe(sig, src_offset, dest_offset)
         if self.tracing:
             ctx.compute(self._build(op, t0, site, src, dest, nbytes, tag,
                                     root, comm_id))
-            self._account(op, t0, ctx.clock)
+            self._account(op, t0, task.clock)
         else:  # no trace is built; the signature still lets the rank vote
             self.stats.events_skipped += 1
             ctx.compute(self.costs.per_signature_event)
-        return site[0]
+        return sig
 
     def _build(self, op: Op, t0: float, site: tuple[int, tuple[str, ...]],
                src: int | None, dest: int | None, nbytes: int, tag: int,
@@ -195,10 +196,11 @@ class ScalaTraceTracer:
             dest=None if dest is None else EndpointStat.of(dest, self.rank),
             root=root,
             participants=self._self_set,
+            # born with the call's one sample: ParamStat.of, inlined
+            count=ParamStat(1, 0.0 + nbytes, nbytes, nbytes),
+            tag=ParamStat(1, 0.0 + tag, tag, tag),
             frames=site[1],
         )
-        rec.count.add(nbytes)
-        rec.tag.add(tag)
         rec.dhist.record(max(t0 - self._last_event_end, 0.0))
         work0 = self.meter.total
         self.compressor.append(rec)
@@ -218,13 +220,6 @@ class ScalaTraceTracer:
             ins.metrics.count("record/events", 1, rank=self.rank,
                               op=op.name.lower(), t=t1)
             ins.metrics.count("record/time", t1 - t0, rank=self.rank, t=t1)
-
-    def _track_signature(self, stack_sig: int, src_offset: int | None,
-                         dest_offset: int | None) -> None:
-        """Signature hook of the event path: every intercepted call's stack
-        signature and relative endpoint offsets, record built or not."""
-        for acc in self._sigaccs:
-            acc.observe(stack_sig, src_offset, dest_offset)
 
     def _track_signatures(self, events: Sequence[tuple]) -> None:
         """The hook for one declared exchange: all its calls at once, in

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import MarkerState, PhaseTracker, SignatureAccumulator
 from repro.scalatrace import callpath_signature
-from repro.scalatrace.signatures import _MASK64
+from repro.scalatrace.signatures import _MASK64, hash_u64
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
 
 
@@ -121,6 +121,60 @@ class TestObserveMany:
         acc = SignatureAccumulator()
         acc.observe_many((sig, None, 1) for sig in (5, 6, 5))
         assert (acc.events, acc.prsd_events) == (3, 2)
+
+
+def frozen_observe_many(acc, events):
+    """``SignatureAccumulator.observe_many`` as it read while ``observe``
+    still routed a 1-tuple through it (verbatim), with the endpoint fold of
+    that time inlined: ``hash_u64`` called per offset, no table."""
+    callpath, seq, distinct = acc._callpath, acc._seq, acc.distinct_sigs
+    ends = acc._endpoints
+    for stack_sig, src_offset, dest_offset in events:
+        term = stack_sig & _MASK64
+        callpath ^= ((seq % 10) + 1) * term & _MASK64
+        seq += 1
+        if stack_sig not in distinct:
+            acc._dedup_cp ^= ((len(distinct) % 10) + 1) * term & _MASK64
+            distinct.add(stack_sig)
+        if src_offset is not None:
+            ends.src.add(hash_u64(src_offset))
+        if dest_offset is not None:
+            ends.dest.add(hash_u64(dest_offset))
+    acc.events += seq - acc._seq
+    acc._callpath, acc._seq = callpath, seq
+
+
+#: a feed: events with a reset (a marker) between some of them
+_FEED = st.lists(st.none() | _EVENTS, max_size=5)
+
+
+class TestThreeFeeds:
+    @pytest.mark.parametrize("mode", ("sequence", "dedup"))
+    @settings(max_examples=150, deadline=None)
+    @given(feed=_FEED, data=st.data())
+    def test_per_event_batched_and_frozen_agree_bit_for_bit(self, mode,
+                                                           feed, data):
+        """Per-event ``observe``, ``observe_many`` under any split and the
+        frozen batch fold read the same triple, ``events`` and
+        ``prsd_events`` — and the same float means — after every interval;
+        ``None`` in the feed is a ``reset()``."""
+        single, batched, frozen = (SignatureAccumulator(mode=mode)
+                                   for _ in range(3))
+        for interval in feed:
+            if interval is None:
+                for acc in (single, batched, frozen):
+                    acc.reset()
+                continue
+            for event in interval:
+                single.observe(*event)
+            cuts = sorted(data.draw(st.lists(
+                st.integers(0, len(interval)), max_size=4)))
+            for lo, hi in zip([0] + cuts, cuts + [len(interval)]):
+                batched.observe_many(interval[lo:hi])
+            frozen_observe_many(frozen, interval)
+            states = [(state_of(acc), acc.prsd_events)
+                      for acc in (single, batched, frozen)]
+            assert states[0] == states[1] == states[2]
 
 
 def run_phase_sequence(per_rank_callpaths):

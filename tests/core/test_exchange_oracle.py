@@ -244,9 +244,9 @@ def test_deadlocking_script_ends_in_a_deadlock_error_not_a_hang(config):
 def test_non_lead_in_the_lead_phase_does_no_per_event_work():
     """Between two markers of a declared phase a Chameleon non-lead walks
     the stack once per ``exchange`` and per collective, and makes no
-    ``_record``, ``_track_signature`` or ``observe`` call for a declared
-    op — while its skipped-event count, interval signatures and clock are
-    the per-call oracle's."""
+    ``_record`` or ``observe`` call for a declared op — while its
+    skipped-event count, interval signatures and clock are the per-call
+    oracle's."""
     nprocs = 9
     rng = random.Random(7)
     prog = program([random_pattern(rng, nprocs, f"c{i}") for i in range(3)])
@@ -285,7 +285,7 @@ def test_non_lead_in_the_lead_phase_does_no_per_event_work():
     for counts in lead_phase:
         # per step: two exchanges, and the allreduce — a collective is the
         # one intercepted call here that takes the per-event path
-        assert counts == {"exchange": 2, "walk": 3, "record": 1, "hook": 1,
+        assert counts == {"exchange": 2, "walk": 3, "record": 1,
                           "observe": 2}
 
 

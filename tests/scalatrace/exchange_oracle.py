@@ -77,7 +77,7 @@ def per_call(tracer_cls: type) -> type:
 
 class CallCounts:
     """Counts the calls one tracer makes on its event path — ``_record``,
-    the ``_track_signature`` hook, ``StackWalker.capture``,
+    ``StackWalker.capture``, the signature hook's
     ``SignatureAccumulator.observe`` — and its ``exchange`` calls, per
     marker interval: ``intervals`` holds ``(tracing during it, counts)``.
 
@@ -85,14 +85,13 @@ class CallCounts:
     gets a walker that skips this file (as the oracle's does).
     """
 
-    NAMES = ("record", "hook", "walk", "observe", "exchange")
+    NAMES = ("record", "walk", "observe", "exchange")
 
     def __init__(self, tracer) -> None:
         self.counts = dict.fromkeys(self.NAMES, 0)
         self.intervals: list[tuple[bool, dict[str, int]]] = []
         tracer.walker = StackWalker(extra_skip=SKIP)
         self._wrap(tracer, "_record", "record")
-        self._wrap(tracer, "_track_signature", "hook")
         self._wrap(tracer, "exchange", "exchange")
         self._wrap(tracer.walker, "capture", "walk")
         for acc in tracer._sigaccs:

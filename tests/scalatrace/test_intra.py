@@ -1,5 +1,7 @@
 """Intra-node RSD/PRSD loop compression."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -364,9 +366,61 @@ _nested = st.lists(
 _POPULATIONS = (RankSet([0, 1, 2, 3]), RankSet([0, 2, 4, 6]), RankSet([5]))
 
 
+def _fixed_stream():
+    """Deterministic: distinct one-off sites in front, then a nested
+    repetitive phase with endpoint noise — many certain misses per append,
+    a few real candidates, folds of both rules."""
+    out = [ev(1000 + i, Op.BARRIER) for i in range(12)]
+    for outer in range(6):
+        for rep in range(5):
+            for site, mode in ((0, "const"), (1, "hub"), (3, "strided")):
+                out.append(_site_event(site, mode, 2, site, rep))
+        out.append(ev(800, Op.ALLREDUCE))
+        if outer % 2:
+            out.append(_site_event(0, "scramble", 7, 0, outer))
+    return out
+
+
 class TestAgainstFrozenFold:
-    """``fold_oracle.fold_tail`` is the parent's code; the live one skips
-    candidates and counts bytes differently, and must not be told apart."""
+    """``fold_oracle.fold_tail`` is the exhaustive scan, kept verbatim; the
+    live one skips candidates and counts bytes differently, and must not be
+    told apart."""
+
+    def test_meter_totals_of_a_fixed_stream(self):
+        twins = _Twins(64)
+        for rec in _fixed_stream():
+            twins.push([EventNode(rec)])
+        meter = twins.live_meter
+        assert meter == twins.ref_meter
+        assert meter.comparisons > meter.merges > meter.folds > 0
+
+    def test_a_certain_miss_never_enters_absorbed(self):
+        """Work counter: every ``absorbed`` call ``fold_tail`` makes (both
+        rules) is for a candidate whose first pair is not a certain miss —
+        different node types, or events from different call sites."""
+        entered, misses = [0], [0]
+
+        def profile(frame, event, arg):
+            if event != "call" or frame.f_code.co_name != "absorbed":
+                return
+            loc = frame.f_locals
+            a, b = loc["body"][loc["at"]], loc["nodes"][-loc["m"]]
+            entered[0] += 1
+            if type(a) is not type(b) or (
+                type(a) is EventNode and a.record.stack_sig != b.record.stack_sig
+            ):
+                misses[0] += 1
+
+        c = IntraCompressor()
+        sys.setprofile(profile)
+        try:
+            for rec in _fixed_stream():
+                c.append(rec)
+        finally:
+            sys.setprofile(None)
+        assert entered[0] > 0 and misses[0] == 0
+        # ... while the scans did meet certain misses, charged as before
+        assert c.meter.comparisons > entered[0]
 
     @given(_nested, st.sampled_from([1, 3, 64]))
     @settings(max_examples=250, deadline=None)

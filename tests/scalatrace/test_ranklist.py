@@ -137,3 +137,47 @@ class TestRankSetAlgebra:
         small = RankSet.contiguous(0, 8).size_bytes()
         large = RankSet.contiguous(0, 1024).size_bytes()
         assert small == large
+
+
+def _summed(rs: RankSet) -> int:
+    """The definition ``size_bytes`` fixes at construction."""
+    return sum(rl.size_bytes() for rl in rs.ranklists)
+
+
+class TestFixedSize:
+    @given(
+        st.sets(st.integers(0, 300), min_size=1, max_size=40),
+        st.sets(st.integers(0, 300), min_size=1, max_size=40),
+    )
+    def test_size_is_the_sum_over_ranklists_through_unions(self, xs, ys):
+        rs = RankSet(xs)
+        subset = RankSet(sorted(xs)[: len(xs) // 2 + 1])
+        superset = RankSet(xs | ys)
+        assert rs.size_bytes() == _summed(rs)
+        assert rs.union(rs) is rs
+        assert rs.union(subset) is rs
+        for u in (rs.union(superset), superset.union(rs), rs.union(RankSet(ys))):
+            assert u.size_bytes() == _summed(u)
+            assert u == superset
+
+    def test_record_sizing_never_sizes_a_ranklist(self, monkeypatch):
+        """Work counter: ``EventRecord.size_bytes`` reads the participant
+        set's fixed size; no ``Ranklist.size_bytes`` call behind it."""
+        from repro.scalatrace import EndpointStat, EventRecord, Op, Ranklist
+
+        rec = EventRecord(op=Op.SEND, stack_sig=1,
+                          dest=EndpointStat.of(3, 0),
+                          participants=RankSet([0, 1, 5, 6, 7, 40]))
+        rec.count.add(8)
+        rec.dhist.record(1e-6)
+        expected = rec.size_bytes()
+        calls = [0]
+        real = Ranklist.size_bytes
+
+        def counting(rl):
+            calls[0] += 1
+            return real(rl)
+
+        monkeypatch.setattr(Ranklist, "size_bytes", counting)
+        assert rec.size_bytes() == expected
+        assert calls[0] == 0

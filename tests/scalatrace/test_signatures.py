@@ -1,6 +1,9 @@
 """Signature primitives: hashing, stack capture, Call-Path, SRC/DEST."""
 
-from hypothesis import given, strategies as st
+from collections import Counter
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from repro.scalatrace import (
     EndpointSignatures,
@@ -12,6 +15,7 @@ from repro.scalatrace import (
     frame_signature,
     hash_u64,
 )
+from repro.scalatrace import signatures
 from repro.scalatrace.signatures import push_logical
 
 U64 = st.integers(0, (1 << 64) - 1)
@@ -74,6 +78,20 @@ class TestCallPath:
     @given(st.lists(U64, min_size=1, max_size=30))
     def test_in_range(self, sigs):
         assert 0 <= callpath_signature(sigs) < (1 << 64)
+
+    def test_a_run_of_one_call_site_keeps_few_bits(self):
+        """A documented limitation of the paper's formula, not a bug of
+        this code: for a run of one site ``1·s ^ 2·s ^ 3·s ^ 4·s`` keeps
+        only a few high bits of ``s``, so two different sites can give one
+        Call-Path.  These two are the stack signatures of
+        ``test_pipeline_fuzz``'s ``["shift_right"] * 4`` step from one
+        checkout path, where the collision, with ``ClusterSet.prune``'s
+        per-group rule, costs the Chameleon trace its rank coverage
+        (docs/INTERNALS.md, "Known gaps")."""
+        s, r = 0xD840DCF9E6983E3C, 0xD840D8F9E69830F0
+        assert s != r
+        assert callpath_signature([s] * 4) == callpath_signature([r] * 4) \
+            == 0x8100800002000000
 
 
 class TestRunningAverage:
@@ -139,6 +157,55 @@ class TestEndpointSignatures:
         es.observe(2, 3)
         es.reset()
         assert es.values() == (0, 0)
+
+
+_OFFSETS = st.none() | st.integers(-(1 << 70), 1 << 70) | st.integers(-9, 9)
+
+
+class TestOffsetTable:
+    """``EndpointSignatures.observe`` reads ``hash_u64(offset)`` from a
+    bounded module table; what it folds in is what the uncached hash is."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_OFFSETS, _OFFSETS), max_size=60),
+           st.integers(1, 5))
+    def test_overflowing_table_folds_the_uncached_hash(self, pairs, cap):
+        table: dict[int, int] = {}
+        with mock.patch.object(signatures, "_offset_sig_cache", table), \
+                mock.patch.object(signatures, "_SIG_CACHE_MAX", cap):
+            es = EndpointSignatures()
+            src, dest = RunningAverage(), RunningAverage()
+            for s, d in pairs:
+                es.observe(s, d)
+                if s is not None:
+                    src.add(hash_u64(s))
+                if d is not None:
+                    dest.add(hash_u64(d))
+                assert len(table) <= cap
+                assert all(table[k] == hash_u64(k) for k in table)
+        assert (es.src, es.dest) == (src, dest)
+        assert es.values() == (src.signature(), dest.signature())
+
+    def test_a_chameleon_cell_hashes_each_offset_once(self, monkeypatch):
+        """Work counter, no timing: a P=16 ``pop`` chameleon cell calls
+        ``hash_u64`` at most once per distinct endpoint offset, though
+        every event feeds two accumulators."""
+        from repro.harness.runner import Mode, run_mode
+        from repro.workloads import make_workload
+
+        calls: Counter = Counter()
+        real = signatures.hash_u64
+
+        def counting(value):
+            calls[value] += 1
+            return real(value)
+
+        monkeypatch.setattr(signatures, "_offset_sig_cache", {})
+        monkeypatch.setattr(signatures, "hash_u64", counting)
+        result = run_mode(make_workload("pop", iterations=6), 16,
+                          Mode.CHAMELEON)
+        assert result.trace is not None and calls
+        assert max(calls.values()) == 1
 
 
 class _Level2:

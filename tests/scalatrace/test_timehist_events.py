@@ -133,6 +133,59 @@ class TestParamStat:
         assert t.n == 0 and math.isinf(t.min)
 
 
+def _fields(s: ParamStat) -> list:
+    """Every field with its type; the mean by its bits."""
+    return [(type(v), v.hex() if type(v) is float else v)
+            for v in (s.n, s.mean, s.min, s.max)]
+
+
+def _added(value) -> ParamStat:
+    s = ParamStat()
+    s.add(value)
+    return s
+
+
+#: call parameters as the tracer sees them, and past a double's mantissa
+_PARAMS = st.integers(-(1 << 70), 1 << 70) | st.sampled_from(
+    [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63) + 5])
+
+
+class TestBornWithSample:
+    """A record's ``ParamStat`` is built holding its first sample; it must
+    be ``ParamStat()`` + ``add(v)`` field for field, type for type."""
+
+    @given(_PARAMS)
+    def test_of_is_empty_plus_add(self, value):
+        assert _fields(ParamStat.of(value)) == _fields(_added(value))
+
+    @given(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]))
+    def test_of_a_float_keeps_adds_mean(self, value):
+        assert _fields(ParamStat.of(value)) == _fields(_added(value))
+
+    def test_a_built_record_holds_its_call_as_one_added_sample(self):
+        """Through the tracer's ``_build``: payload size and tag."""
+        from repro.scalatrace import ScalaTraceTracer
+        from repro.simmpi import SimConfig, ZERO_COST, run_spmd
+
+        sizes = [0, 7, (1 << 53) + 1]
+
+        async def main(ctx):
+            tracer = ScalaTraceTracer(ctx)
+            for size in sizes:
+                with ctx.frame(f"site{size}"):  # one site each: no folding
+                    if ctx.rank == 0:
+                        await tracer.send(1, None, tag=size % 5, size=size)
+                    else:
+                        await tracer.recv(0, tag=size % 5)
+            return [leaf.record for leaf in tracer.compressor.nodes]
+
+        records = run_spmd(main, 2, config=SimConfig(network=ZERO_COST)).results[0]
+        assert len(records) == len(sizes)
+        for rec, size in zip(records, sizes):
+            assert _fields(rec.count) == _fields(_added(size))
+            assert _fields(rec.tag) == _fields(_added(size % 5))
+
+
 def _record(rank=0, op=Op.SEND, sig=111, dest_off=1):
     r = EventRecord(
         op=op,
