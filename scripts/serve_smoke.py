@@ -40,7 +40,7 @@ def main() -> None:
     steps = default_steps()
     cache_dir = tempfile.mkdtemp(prefix="serve-smoke-cache-")
     engine = ExperimentEngine(jobs=2, cache=RunCache(cache_dir))
-    server = ServerThread(engine, ServeConfig(port=0, batch_window=0.01))
+    server = ServerThread(engine, ServeConfig(port=0))
     server.start()
     print(f"serve-smoke: server up on port {server.port}")
     try:

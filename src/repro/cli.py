@@ -58,7 +58,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .api import EXPERIMENTS as _EXPERIMENTS
+from .api import EXPERIMENTS as _EXPERIMENTS, run_experiment
 from .faults.plan import FaultPlan, FaultPlanError
 from .harness import Mode, overhead, run_suite
 from .harness.engine import CellEvent, ExperimentEngine, configure_engine
@@ -420,16 +420,13 @@ def _cmd_chaos_host(args: argparse.Namespace) -> int:
     from .resilience.chaos import HOST_SCENARIOS, run_host_chaos
 
     scenarios = args.scenario or list(HOST_SCENARIOS)
-    unknown = [s for s in scenarios if s not in HOST_SCENARIOS]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown host chaos scenario(s): {', '.join(unknown)} "
-            f"(known: {', '.join(HOST_SCENARIOS)})"
-        )
     seed = args.fault_seed if args.fault_seed is not None else 0x0457
     print(f"chaos host: {len(scenarios)} scenarios, seed={seed:#x}")
-    report = run_host_chaos(scenarios, seed=seed,
-                            report_path=args.report, log=print)
+    try:
+        report = run_host_chaos(scenarios, seed=seed,
+                                report_path=args.report, log=print)
+    except ValueError as exc:  # an unknown scenario name
+        raise SystemExit(f"error: {exc}") from None
     if args.report:
         print(f"chaos report: {args.report}")
     if report["ok"]:
@@ -664,17 +661,12 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        fn = _EXPERIMENTS[args.name]
-    except KeyError:
-        print(
-            f"unknown experiment {args.name!r}; choose from "
-            f"{', '.join(sorted(_EXPERIMENTS))}",
-            file=sys.stderr,
-        )
-        return 2
     engine = _engine_from(args)
-    rows, text = fn()
+    try:
+        rows, text = run_experiment(args.name)
+    except ValueError as exc:  # an unknown name
+        print(exc, file=sys.stderr)
+        return 2
     print(text)
     print(engine.metrics.summary())
     if args.export:
@@ -688,10 +680,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import signal
+    import threading
 
-    from .serve.app import ServeApp
+    from .serve.app import ServerThread
     from .serve.jobs import ServeConfig
 
     engine = _engine_from(args)
@@ -705,49 +697,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    app = ServeApp(engine, config)
-
-    async def _main() -> None:
-        await app.start()
-        # Explicit handlers rather than relying on KeyboardInterrupt: a
-        # process started in the background inherits SIGINT as SIG_IGN,
-        # in which case Python never raises KeyboardInterrupt at all —
-        # add_signal_handler overrides the disposition either way, and
-        # SIGTERM gets the same graceful path.  Installed before the
-        # banner so "listening on" means signals are handled too.
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-POSIX loop: ctrl-C still arrives as KeyboardInterrupt
+    # Explicit handlers rather than relying on KeyboardInterrupt: a
+    # process started in the background inherits SIGINT as SIG_IGN, in
+    # which case Python never raises KeyboardInterrupt at all —
+    # signal.signal overrides the disposition either way, and SIGTERM
+    # gets the same graceful path.  Installed before the banner so
+    # "listening on" means signals are handled too.
+    stop = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: stop.set())
+    with ServerThread(engine, config) as server:
         print(
-            f"repro serve: listening on http://{config.host}:{app.port} "
+            f"repro serve: listening on http://{config.host}:{server.port} "
             f"(jobs={engine.jobs}, cache="
             f"{'on' if engine.cache is not None else 'off'})",
             flush=True,
         )
-        server = app._server
-        assert server is not None
-        async with server:
-            forever = asyncio.ensure_future(server.serve_forever())
-            waiter = asyncio.ensure_future(stop.wait())
-            done, pending = await asyncio.wait(
-                {forever, waiter}, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in pending:
-                task.cancel()
-            if forever in done:
-                forever.result()  # surface unexpected server errors
-
-    try:
-        asyncio.run(_main())
+        stop.wait()
         print("repro serve: shutting down", file=sys.stderr)
-    except KeyboardInterrupt:
-        print("repro serve: shutting down", file=sys.stderr)
-    finally:
-        app.registry.shutdown()
     return 0
 
 

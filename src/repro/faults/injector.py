@@ -168,10 +168,6 @@ class FaultInjector:
         """(latency_factor, bandwidth_factor) for the directed link."""
         return self._links.get((src, dest), (1.0, 1.0))
 
-    @property
-    def has_link_faults(self) -> bool:
-        return bool(self._links)
-
     # -- collective eligibility --------------------------------------------
 
     def collective_fallback_reason(self, world_ranks) -> str | None:

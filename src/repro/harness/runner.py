@@ -203,8 +203,8 @@ def run_mode(
 
     ``sim`` carries every simulator engine option as one
     :class:`~repro.simmpi.SimConfig` (network model, collectives mode,
-    p2p mode, shard count, step budget).  Collectives, p2p and shards all
-    produce bit-identical results and virtual times, so they are
+    p2p mode, step budget).  Both collectives and p2p modes yield
+    bit-identical results and virtual times, so the two are
     deliberately excluded from :meth:`Cell.digest`.
 
     Pass a :class:`~repro.obs.instrument.Recorder` as ``instrument`` to

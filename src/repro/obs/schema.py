@@ -16,7 +16,6 @@ annotations — so the schema file remains valid input for standard tooling.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 
@@ -106,12 +105,3 @@ def check(instance: Any, schema: dict[str, Any]) -> None:
     errors = validate(instance, schema)
     if errors:
         raise SchemaError(errors)
-
-
-def validate_file(instance_path: str, schema_path: str) -> list[str]:
-    """Validate a JSON document on disk against a schema on disk."""
-    with open(instance_path, encoding="utf-8") as fh:
-        instance = json.load(fh)
-    with open(schema_path, encoding="utf-8") as fh:
-        schema = json.load(fh)
-    return validate(instance, schema)

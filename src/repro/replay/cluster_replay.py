@@ -30,14 +30,6 @@ class CoverageReport:
     def full_coverage(self) -> bool:
         return len(self.ranks_covered) == self.nprocs
 
-    @property
-    def balanced(self) -> float:
-        """max/min ops per covered rank (1.0 = perfectly uniform)."""
-        active = [c for c in self.ops_per_rank if c > 0]
-        if not active:
-            return 1.0
-        return max(active) / min(active)
-
 
 def coverage(trace: Trace, nprocs: int | None = None) -> CoverageReport:
     """Analyse which ranks a trace's replay would exercise."""

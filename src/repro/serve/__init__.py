@@ -1,6 +1,6 @@
 """repro.serve — streaming trace-ingestion service with online clustering.
 
-A long-running asyncio HTTP server (stdlib only) behind ``repro serve``:
+A long-running HTTP server (stdlib ``http.server``) behind ``repro serve``:
 clients create jobs, stream step events as NDJSON chunks (or upload a
 whole stream at creation), and the server feeds each tenant job's events
 into the Chameleon machinery *incrementally* — clustering state advances
@@ -17,7 +17,7 @@ batch ``repro run --workload stream``.  See docs/SERVING.md.
 
 This module keeps imports lazy so that dependency-light consumers (the
 ``stream`` workload, the protocol helpers) never pull in the engine or
-the asyncio app.
+the HTTP app.
 """
 
 from __future__ import annotations

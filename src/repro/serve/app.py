@@ -1,7 +1,7 @@
-"""The asyncio HTTP front of the ingestion service (stdlib only).
+"""The HTTP front of the ingestion service: a stdlib ``ThreadingHTTPServer``.
 
-A deliberately small HTTP/1.1 server: every connection carries one
-request (``Connection: close``), bodies are bounded by
+Every connection carries one request on its own thread
+(``Connection: close``), bodies are bounded by
 ``ServeConfig.max_body_bytes``, and all responses are JSON except the
 trace download (``text/plain``).  The heavy lifting — simulation
 threads, engine batches, quarantine — lives in :mod:`repro.serve.jobs`;
@@ -27,9 +27,10 @@ GET    /healthz                      liveness probe
 
 from __future__ import annotations
 
-import asyncio
 import json
+import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..harness.engine import ExperimentEngine
@@ -37,133 +38,103 @@ from .jobs import TERMINAL_STATES, JobError, JobRegistry, ServeConfig
 
 __all__ = ["ServeApp", "ServeConfig", "ServerThread"]
 
-_MAX_HEADER_BYTES = 32 * 1024
-
-
-class _BadRequest(Exception):
-    pass
+_JSON = "application/json"
 
 
 def _json_bytes(doc: Any) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-_REASONS = {
-    200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-}
+class _Handler(BaseHTTPRequestHandler):
+    """One request: bound the body, route it, write one response."""
+
+    server: ServeApp
+    protocol_version = "HTTP/1.1"
+    #: not the stdlib's HTTP/0.9, whose replies have no status line: a
+    #: malformed request line still gets a 400 with headers and JSON
+    default_request_version = "HTTP/1.1"
+    #: buffer the response so its head and body leave in one write
+    wbufsize = -1
+
+    def _serve(self) -> None:
+        limit = self.server.config.max_body_bytes
+        length_raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(length_raw)
+        except ValueError:
+            self._reply(400, {"error": f"bad Content-Length: {length_raw!r}"})
+            return
+        if length < 0:
+            self._reply(400, {"error": "negative Content-Length"})
+            return
+        if length > limit:
+            self._reply(413, {"error": f"body of {length} bytes exceeds the "
+                              f"{limit}-byte limit"})
+            return
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            return  # the client hung up mid-body
+        path = self.path.split("?", 1)[0]
+        try:
+            status, doc, content_type = self.server.route(
+                self.command, path, body
+            )
+        except JobError as exc:
+            status, doc, content_type = exc.status, {"error": str(exc)}, _JSON
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            status, doc, content_type = (
+                500, {"error": f"{type(exc).__name__}: {exc}"}, _JSON
+            )
+        self._reply(status, doc, content_type)
+
+    do_GET = do_POST = do_DELETE = _serve
+
+    def _reply(self, status: int, doc: Any, content_type: str = _JSON) -> None:
+        payload = doc.encode("utf-8") if isinstance(doc, str) else \
+            _json_bytes(doc)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        # The stdlib's own parse errors (400, 414, 431, 501) get a JSON
+        # body like every other error, not its HTML page.
+        self._reply(code, {"error": message or self.responses[code][0]})
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass
 
 
-class ServeApp:
-    """One server instance: a registry plus an asyncio acceptor."""
+class ServeApp(ThreadingHTTPServer):
+    """One server instance: a registry plus a thread-per-request server.
+
+    Binds at construction (``port=0`` picks an ephemeral port); serve it
+    with :class:`ServerThread`.
+    """
+
+    daemon_threads = True
+    request_queue_size = 128
 
     def __init__(self, engine: ExperimentEngine,
                  config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
+        super().__init__((self.config.host, self.config.port), _Handler)
+        self.port: int = self.server_address[1]
         self.registry = JobRegistry(engine, self.config)
-        self._server: asyncio.base_events.Server | None = None
-        self.port: int | None = None
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that hangs up mid-exchange is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    # -- routing (runs on the request's thread; may block on registry locks)
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.registry.shutdown()
-
-    # -- connection handling ---------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except _BadRequest as exc:
-                await self._respond(writer, 400, {"error": str(exc)})
-                return
-            except JobError as exc:
-                await self._respond(writer, exc.status, {"error": str(exc)})
-                return
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ConnectionError):
-                return
-            try:
-                status, doc, content_type = await asyncio.get_running_loop(
-                ).run_in_executor(None, self._route, method, path, body)
-            except JobError as exc:
-                status, doc, content_type = (
-                    exc.status, {"error": str(exc)}, "application/json"
-                )
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                status, doc, content_type = (
-                    500, {"error": f"{type(exc).__name__}: {exc}"},
-                    "application/json",
-                )
-            await self._respond(writer, status, doc, content_type)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise _BadRequest("request head too large") from None
-        if len(head) > _MAX_HEADER_BYTES:
-            raise _BadRequest("request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3:
-            raise _BadRequest(f"malformed request line: {lines[0]!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise _BadRequest(f"malformed header: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        length_raw = headers.get("content-length", "0")
-        try:
-            length = int(length_raw)
-        except ValueError:
-            raise _BadRequest(
-                f"bad Content-Length: {length_raw!r}"
-            ) from None
-        if length < 0:
-            raise _BadRequest("negative Content-Length")
-        if length > self.config.max_body_bytes:
-            raise JobError(
-                413, f"body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit"
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target.split("?", 1)[0], body
-
-    # -- routing (runs in a worker thread; may block on registry locks) ---
-
-    def _route(self, method: str, path: str,
-               body: bytes) -> tuple[int, Any, str]:
+    def route(self, method: str, path: str,
+              body: bytes) -> tuple[int, Any, str]:
         reg = self.registry
         if path == "/healthz" and method == "GET":
             return 200, {"ok": True}, "application/json"
@@ -224,88 +195,36 @@ class ServeApp:
             raise JobError(400, "body must be a JSON object")
         return doc
 
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       doc: Any, content_type: str = "application/json"
-                       ) -> None:
-        if isinstance(doc, str):
-            payload = doc.encode("utf-8")
-        else:
-            payload = _json_bytes(doc)
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + payload)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
 
 class ServerThread:
-    """A :class:`ServeApp` on its own event loop in a daemon thread.
+    """The one serve loop: a :class:`ServeApp` served by a daemon thread.
 
-    The test-suite and the CI smoke script use this to run a real server
-    in-process: ``with ServerThread(engine) as srv: ... srv.port ...``.
+    ``repro serve``, the test-suite and the CI smoke script all run the
+    server this way: ``with ServerThread(engine) as srv: ... srv.port ...``.
     """
 
     def __init__(self, engine: ExperimentEngine,
                  config: ServeConfig | None = None) -> None:
         self.app = ServeApp(engine, config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-
-    @property
-    def port(self) -> int:
-        assert self.app.port is not None, "server not started"
-        return self.app.port
-
-    @property
-    def registry(self) -> JobRegistry:
-        return self.app.registry
-
-    def start(self, timeout: float = 10.0) -> "ServerThread":
+        self.port = self.app.port
+        self.registry = self.app.registry
+        # A 0.05 s poll, not the stdlib's 0.5 s: shutdown() waits for the
+        # loop's next poll, so the default made every stop() take 0.5 s.
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
+            target=self.app.serve_forever, kwargs={"poll_interval": 0.05},
+            name="repro-serve", daemon=True,
         )
+
+    def start(self) -> "ServerThread":
         self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("server failed to start in time")
         return self
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def main() -> None:
-            await self.app.start()
-            self._started.set()
-            assert self.app._server is not None
-            async with self.app._server:
-                try:
-                    await self.app._server.serve_forever()
-                except asyncio.CancelledError:
-                    pass
-
-        try:
-            self._loop.run_until_complete(main())
-        finally:
-            self._loop.close()
-
     def stop(self, timeout: float = 10.0) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            def _shutdown() -> None:
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(_shutdown)
-            thread.join(timeout)
-        self.app.registry.shutdown()
+        if self._thread.is_alive():
+            self.app.shutdown()
+            self._thread.join(timeout)
+        self.app.server_close()
+        self.registry.shutdown()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -55,7 +55,7 @@ EOF = _Eof()
 class EventBuffer:
     """Thread-safe ordered buffer between HTTP handlers and a simulation.
 
-    Producers (the asyncio request handlers) call :meth:`extend` /
+    Producers (the HTTP request handlers) call :meth:`extend` /
     :meth:`close` / :meth:`abort`; the single consumer (the job's
     simulation thread, via every rank's coroutine) calls :meth:`get`
     with a monotonically non-decreasing index.
@@ -71,11 +71,6 @@ class EventBuffer:
     def __len__(self) -> int:
         with self._cond:
             return len(self._steps)
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
 
     @property
     def abort_reason(self) -> str | None:

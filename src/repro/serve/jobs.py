@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.config import ChameleonConfig
-from ..harness.engine import ExperimentEngine, make_cell
+from ..harness.engine import Cell, ExperimentEngine, make_cell
 from ..harness.runner import Mode, RunResult, chameleon_config_for, run_mode
 from ..obs.metrics import MetricsRegistry
 from ..resilience.policy import QuarantineError
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 TERMINAL_STATES = ("complete", "failed", "cancelled")
+
+#: seconds the upload dispatcher waits after waking to coalesce
+#: concurrently-submitted jobs into one engine batch
+BATCH_WINDOW = 0.05
 
 
 class JobError(Exception):
@@ -85,9 +89,6 @@ class ServeConfig:
     max_nprocs: int = 4096
     idle_timeout: float | None = 300.0
     retain_jobs: int = 1024
-    #: seconds the upload dispatcher waits after waking to coalesce
-    #: concurrently-submitted jobs into one engine batch
-    batch_window: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_stream_jobs < 1:
@@ -269,6 +270,16 @@ class Job:
             self.digest = digest
             self.cache_outcome = cache_outcome
             self.state = "complete"
+
+    def batch_cell(self) -> Cell:
+        """The equivalent batch cell: ``repro run --workload stream`` over
+        this job's events — its digest is the job's cache slot."""
+        spec = self.spec
+        return make_cell(
+            "stream", spec.nprocs, spec.mode,
+            workload_params={"steps_json": canonical_steps_json(self.steps)},
+            config=spec.config, sim=spec.sim,
+        )
 
     # -- views -----------------------------------------------------------
 
@@ -495,14 +506,7 @@ class JobRegistry:
         if not job.steps:
             job.complete_with(result, None, None)
             return
-        cell = make_cell(
-            "stream", job.spec.nprocs, job.spec.mode,
-            workload_params={
-                "steps_json": canonical_steps_json(job.steps)
-            },
-            config=job.spec.config, sim=job.spec.sim,
-        )
-        digest = cell.digest()
+        digest = job.batch_cell().digest()
         cache = self.engine.cache
         outcome = "disabled"
         if cache is not None:
@@ -526,7 +530,7 @@ class JobRegistry:
                     self._qcond.wait()
                 if self._shutdown and not self._upload_q:
                     return
-            time.sleep(self.config.batch_window)  # coalesce a burst
+            time.sleep(BATCH_WINDOW)  # coalesce a burst
             with self._qcond:
                 batch = [j for j in self._upload_q
                          if j.state not in TERMINAL_STATES]
@@ -537,13 +541,7 @@ class JobRegistry:
     def _run_upload_batch(self, jobs: list[Job]) -> None:
         cells = []
         for job in jobs:
-            cell = make_cell(
-                "stream", job.spec.nprocs, job.spec.mode,
-                workload_params={
-                    "steps_json": canonical_steps_json(job.steps)
-                },
-                config=job.spec.config, sim=job.spec.sim,
-            )
+            cell = job.batch_cell()
             job.digest = cell.digest()
             cells.append(cell)
         cache = self.engine.cache

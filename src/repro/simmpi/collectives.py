@@ -85,7 +85,7 @@ from .futures import SimFuture
 from .patterns import NeighborPattern, _g_script, slots_vector
 from .rankstate import RankStateColumns
 from .replay import EAGER_DONE, RankState, Replay
-from .schedules import binomial_children, binomial_parent, binomial_subtree
+from .topology import binomial_children, binomial_parent, binomial_subtree
 
 # -- reduction operators -----------------------------------------------------
 

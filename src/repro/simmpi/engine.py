@@ -190,12 +190,6 @@ class Engine:
         self._next_comm_id += 1
         return self._next_comm_id
 
-    @property
-    def current_task(self) -> Task:
-        if self._current is None:
-            raise RuntimeError("no task is currently running")
-        return self._current
-
     # -- scheduling --------------------------------------------------------
 
     def _wake(self, task: Task, fut: SimFuture) -> None:
@@ -499,6 +493,3 @@ class Engine:
     def busy_times(self) -> list[float]:
         """Per-rank active (non-waiting) virtual time."""
         return [t.busy for t in self._by_rank()]
-
-    def max_clock(self) -> float:
-        return max((t.clock for t in self.tasks), default=0.0)

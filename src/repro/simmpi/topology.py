@@ -264,3 +264,15 @@ def binomial_parent(rank: int, size: int, root: int = 0) -> int | None:
     # set that bit, receiving from v without it
     parent = v - (1 << (v.bit_length() - 1))
     return (parent + root) % size
+
+
+def binomial_subtree(rank: int, size: int, root: int = 0) -> list[int]:
+    """All ranks in the binomial subtree rooted at ``rank``."""
+    out = [rank]
+    stack = [rank]
+    while stack:
+        node = stack.pop()
+        for child in binomial_children(node, size, root):
+            out.append(child)
+            stack.append(child)
+    return out

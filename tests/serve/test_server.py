@@ -6,7 +6,14 @@ blocking :class:`ServeClient` — the same pair the CI smoke job uses.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
 import random
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +36,7 @@ def server(tmp_path):
         policy=RetryPolicy(max_attempts=1, cell_deadline=None),
     )
     srv = ServerThread(
-        engine, ServeConfig(port=0, batch_window=0.01, max_stream_jobs=16)
+        engine, ServeConfig(port=0, max_stream_jobs=16)
     )
     srv.start()
     yield srv
@@ -225,6 +232,58 @@ class TestErrors:
         stats = client.stats()
         assert "jobs" in stats and "engine" in stats
 
+    # -- the transport itself, over raw sockets ---------------------------
+
+    def test_malformed_request_line_400(self, server):
+        status, doc = _raw(server, b"garbage\r\n\r\n")
+        assert status == 400
+        assert "garbage" in doc["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_400(self, server, length):
+        status, doc = _raw(
+            server, f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}"
+            "\r\n\r\n".encode()
+        )
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_oversized_body_413_before_it_is_sent(self, server):
+        limit = server.app.config.max_body_bytes
+        status, doc = _raw(
+            server, f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {limit + 1}"
+            "\r\n\r\n".encode()
+        )
+        assert status == 413
+        assert f"{limit}-byte limit" in doc["error"]
+
+    def test_unsupported_method_501(self, server):
+        status, doc = _raw(server, b"PUT /v1/jobs HTTP/1.1\r\n\r\n")
+        assert status == 501
+        assert "PUT" in doc["error"]
+
+    def test_client_gone_mid_body_leaves_server_up(self, server, client,
+                                                   capfd):
+        # "{}" alone would create a job: the short body must not be routed
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n{}")
+        assert client.health() == {"ok": True}
+        assert client.stats()["jobs"] == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+
+def _raw(server, request: bytes) -> tuple[int, dict]:
+    """Send ``request`` as-is; return the status and the JSON body."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        reply = sock.makefile("rb").read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"application/json" in head
+    return int(head.split()[1]), json.loads(body)
+
 
 class TestIdleTimeout:
     def test_quiet_stream_fails_as_idle(self, tmp_path):
@@ -243,32 +302,39 @@ class TestIdleTimeout:
             srv.stop()
 
 
+def _src_env() -> dict:
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    return dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+
+def test_app_import_leaves_asyncio_out():
+    code = "import sys, repro.serve.app; print('asyncio' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 class TestCliShutdown:
-    def test_sigint_stops_a_backgrounded_server(self):
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_sigint_stops_a_backgrounded_server(self, signame):
         # A process launched with `&` from a non-interactive shell (the
         # CI boot check) inherits SIGINT as SIG_IGN, so Python never
         # installs its KeyboardInterrupt handler; the CLI must install
-        # explicit loop signal handlers or `kill -INT` is a no-op and
-        # the server runs forever.  Reproduce that inheritance exactly.
-        import os
-        import pathlib
-        import signal
-        import subprocess
-        import sys
-
-        repo = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        # explicit signal handlers or `kill -INT` is a no-op and the
+        # server runs forever.  Reproduce that inheritance exactly;
+        # SIGTERM must take the same graceful path.
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs", "1", "--no-cache"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_src_env(),
             text=True,
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
         )
         try:
             banner = proc.stdout.readline()
             assert "listening on" in banner
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(getattr(signal, signame))
             out, _ = proc.communicate(timeout=30)
         except BaseException:
             proc.kill()
