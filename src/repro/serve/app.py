@@ -3,9 +3,11 @@
 Every connection carries one request on its own thread
 (``Connection: close``), bodies are bounded by
 ``ServeConfig.max_body_bytes``, and all responses are JSON except the
-trace download (``text/plain``).  The heavy lifting — simulation
-threads, engine batches, quarantine — lives in :mod:`repro.serve.jobs`;
-handlers here only translate HTTP to registry calls.
+trace download (``text/plain``).  A connection that stalls mid-request
+for ``_Handler.timeout`` seconds is closed, freeing its thread.  The
+heavy lifting — streamed jobs' worker processes, engine batches,
+quarantine — lives in :mod:`repro.serve.jobs`; handlers here only
+translate HTTP to registry calls.
 
 Routes (all under ``/v1`` except the health probe):
 
@@ -55,6 +57,9 @@ class _Handler(BaseHTTPRequestHandler):
     default_request_version = "HTTP/1.1"
     #: buffer the response so its head and body leave in one write
     wbufsize = -1
+    #: seconds a socket read or write may wait: a client that stalls
+    #: mid-head or mid-body is disconnected instead of holding a thread
+    timeout = 30.0
 
     def _serve(self) -> None:
         limit = self.server.config.max_body_bytes

@@ -3,29 +3,38 @@
 The Chameleon machinery runs inside a single-threaded simulated SPMD
 world (:func:`~repro.simmpi.launcher.run_spmd` drives every rank
 coroutine in one OS thread).  Incremental clustering therefore works by
-*blocking the simulation on the stream*: each per-job simulation runs in
-a dedicated thread whose rank coroutines pull steps from a thread-safe
+*blocking the simulation on the stream*: each streamed job simulates in
+its own worker process (:func:`stream_worker`, started from a
+``forkserver``), whose rank coroutines pull steps from a thread-safe
 :class:`EventBuffer`; when the next step hasn't arrived yet the whole
 simulation parks (virtual time is untouched — clocks only advance on
 executed ops), and resumes the moment an HTTP chunk lands.  Clustering
 state really does advance chunk-by-chunk: after every marker the rank-0
-tracer's live :class:`~repro.core.clustering.ClusterSet` is published to
-the job, long before close.
+tracer's live :class:`~repro.core.clustering.ClusterSet` is sent to the
+server as a progress snapshot, long before close.
 
 Bit-identity with the batch path is structural: the loop below replays
 :meth:`repro.workloads.base.Workload.run` exactly (validate, setup,
 pre-step, step, progress point, marker), executes the same normalized
 step dicts through the same :func:`~repro.workloads.stream.exec_step`,
-and defers nothing to job close.
+and defers nothing to job close.  The worker's own entry frames sit
+above simmpi's engine frame, where the call-path walker stops, so they
+never reach a signature.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
+from multiprocessing.connection import Connection
+from multiprocessing.context import BaseContext
 from typing import Any, Callable
 
+from ..core.config import ChameleonConfig
+from ..harness.runner import Mode, run_mode
 from ..simmpi.launcher import RankContext
+from ..simmpi.simconfig import SimConfig
 from ..workloads.base import Workload
 from ..workloads.stream import StreamWorkload
 
@@ -35,7 +44,17 @@ __all__ = [
     "LiveStreamWorkload",
     "StreamAborted",
     "cluster_snapshot",
+    "stream_worker",
+    "worker_context",
 ]
+
+#: How a streamed job's worker starts.  Not ``fork``: the server always
+#: has threads, and forking a threaded process is unsafe (Python 3.12
+#: warns).  Not ``spawn``: every job would re-import the package.
+START_METHOD = "forkserver"
+#: What the fork server imports once, so every worker forks warm and
+#: none re-runs the main script.
+FORKSERVER_PRELOAD = ["__main__", "repro.serve.ingest"]
 
 
 class StreamAborted(RuntimeError):
@@ -53,12 +72,12 @@ EOF = _Eof()
 
 
 class EventBuffer:
-    """Thread-safe ordered buffer between HTTP handlers and a simulation.
+    """Thread-safe ordered buffer between a stream and a simulation.
 
-    Producers (the HTTP request handlers) call :meth:`extend` /
-    :meth:`close` / :meth:`abort`; the single consumer (the job's
-    simulation thread, via every rank's coroutine) calls :meth:`get`
-    with a monotonically non-decreasing index.
+    The producer (a worker's pipe-draining thread) calls :meth:`extend` /
+    :meth:`close` / :meth:`abort`; the single consumer (the simulation,
+    via every rank's coroutine) calls :meth:`get` with a monotonically
+    non-decreasing index.
     """
 
     def __init__(self, idle_timeout: float | None = None) -> None:
@@ -229,3 +248,75 @@ def progress_snapshot(step_index: int, decision: Any,
     if topk is not None:
         snap["clusters"] = cluster_snapshot(topk)
     return snap
+
+
+# -- the worker process ------------------------------------------------------
+#
+# One duplex pipe per job; every message is a tuple whose first item names
+# its kind.  Server -> worker: ("steps", list), ("close",), ("abort",
+# reason).  Worker -> server: ("progress", step, snapshot) after each
+# rank-0 marker, then exactly one of ("result", RunResult), ("aborted",
+# reason) or ("error", "Type: msg").
+
+
+def worker_context() -> BaseContext:
+    """The context streamed jobs start their workers from.
+
+    Starts this process's fork server (once; later calls find it running)
+    with :data:`FORKSERVER_PRELOAD` imported.
+    """
+    # imported here, not at the top: the batch workloads import the app
+    # and build no registry, so they load none of the fork server
+    import multiprocessing.forkserver
+
+    ctx = multiprocessing.get_context(START_METHOD)
+    ctx.set_forkserver_preload(FORKSERVER_PRELOAD)
+    multiprocessing.forkserver.ensure_running()
+    return ctx
+
+
+def _drain(conn: Connection, buffer: EventBuffer) -> None:
+    """Move the server's messages into ``buffer`` as they arrive, so a
+    handler's send never waits on a busy simulation."""
+    try:
+        while True:
+            msg = conn.recv()
+            if msg[0] == "steps":
+                try:
+                    buffer.extend(msg[1])
+                except StreamAborted:
+                    pass  # the job is ending; its terminal message says why
+            elif msg[0] == "close":
+                buffer.close()
+            else:
+                buffer.abort(msg[1])
+    except (EOFError, OSError):
+        buffer.abort("server connection lost")
+
+
+def stream_worker(conn: Connection, nprocs: int, mode: Mode,
+                  config: ChameleonConfig, sim: SimConfig,
+                  idle_timeout: float | None) -> None:
+    """A streamed job's worker process: run the stream fed over ``conn``
+    and answer with progress snapshots and one terminal message."""
+    buffer = EventBuffer(idle_timeout)
+    threading.Thread(target=_drain, args=(conn, buffer),
+                     name="repro-serve-drain", daemon=True).start()
+
+    def publish(step: int, decision: Any, tracer: Any) -> None:
+        conn.send(("progress", step,
+                   progress_snapshot(step, decision, tracer)))
+
+    try:
+        result = run_mode(
+            LiveStreamWorkload(buffer, publish=publish), nprocs, mode,
+            config=config, sim=sim,
+        )
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        # The simulator wraps a StreamAborted raised inside a rank
+        # coroutine in its own failure type; the buffer remembers.
+        reason = buffer.abort_reason
+        conn.send(("aborted", reason) if reason is not None
+                  else ("error", f"{type(exc).__name__}: {exc}"))
+    else:
+        conn.send(("result", result))

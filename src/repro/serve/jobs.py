@@ -2,13 +2,16 @@
 
 Two job kinds share one lifecycle vocabulary:
 
-* **streamed** jobs (``POST /v1/jobs`` then NDJSON chunks) run a
-  dedicated simulation thread that consumes an :class:`EventBuffer`
-  incrementally — state ``open`` while accepting events, ``finalizing``
-  after close, then ``complete``/``failed``/``cancelled``.  On success
-  the result is written into the engine's content-addressed cache under
-  the digest of the *equivalent batch cell*, so a later batch run (or
-  upload of the same events) is a cache hit.
+* **streamed** jobs (``POST /v1/jobs`` then NDJSON chunks) each
+  simulate in their own worker process
+  (:func:`~repro.serve.ingest.stream_worker`, forked from a
+  ``forkserver``) fed chunk by chunk over a pipe — state ``open`` while
+  accepting events, ``finalizing`` after close, then
+  ``complete``/``failed``/``cancelled``.  The server keeps the job's
+  state and its steps; on success the result is written into the
+  engine's content-addressed cache under the digest of the *equivalent
+  batch cell*, so a later batch run (or upload of the same events) is a
+  cache hit.
 * **upload** jobs (``steps`` inline at creation) are batched by a single
   dispatcher thread into one ``engine.run_cells(..., contain_errors=True)``
   call: they multiplex over the engine's worker pool, dedup against the
@@ -17,9 +20,11 @@ Two job kinds share one lifecycle vocabulary:
   ``failed`` with its quarantine record while its batch siblings
   complete.
 
-Streamed jobs cannot be deadline-killed (threads aren't killable), so
-their supervision is ``ServeConfig.idle_timeout``: a stream that goes
-quiet mid-job is aborted and failed as abandoned.
+A streamed job's supervision is ``ServeConfig.idle_timeout``, kept by
+its worker: a stream that goes quiet mid-job is aborted and failed as
+abandoned.  A worker that dies before its terminal message fails its job
+with the quarantine reason ``worker-died``; the server and its other
+jobs carry on.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Any
 
 from ..core.config import ChameleonConfig
 from ..harness.engine import Cell, ExperimentEngine, make_cell
-from ..harness.runner import Mode, RunResult, chameleon_config_for, run_mode
+from ..harness.runner import Mode, RunResult, chameleon_config_for
 from ..obs.metrics import MetricsRegistry
 from ..resilience.policy import QuarantineError
 from ..simmpi.simconfig import SimConfig, parse_config
@@ -44,8 +51,7 @@ from ..workloads.stream import (
     canonical_steps_json,
     normalize_steps,
 )
-from .ingest import EventBuffer, LiveStreamWorkload, StreamAborted, \
-    progress_snapshot
+from .ingest import stream_worker, worker_context
 from .protocol import ProtocolError
 
 __all__ = [
@@ -166,10 +172,14 @@ def _parse_spec(body: dict[str, Any], limits: ServeConfig) -> JobSpec:
 
 
 class Job:
-    """One tenant job; all mutable state is guarded by ``_lock``."""
+    """One tenant job; all mutable state is guarded by ``_lock``.
 
-    def __init__(self, job_id: str, spec: JobSpec, kind: str,
-                 idle_timeout: float | None) -> None:
+    A streamed job also holds its worker process and the server's end of
+    the worker's pipe; what goes down the pipe is sent under
+    ``_send_lock``, so the worker sees the steps in ``steps`` order.
+    """
+
+    def __init__(self, job_id: str, spec: JobSpec, kind: str) -> None:
         self.id = job_id
         self.spec = spec
         self.kind = kind  # "streamed" | "upload"
@@ -187,64 +197,88 @@ class Job:
         self.digest: str | None = None
         self.cache_outcome: str | None = None
         self.metrics = MetricsRegistry()
-        self.buffer = (
-            EventBuffer(idle_timeout) if kind == "streamed" else None
-        )
+        self.worker: BaseProcess | None = None
+        self.conn: Connection | None = None
         self.thread: threading.Thread | None = None
+        self._send_lock = threading.Lock()
+        self._aborted: str | None = None
 
     # -- producer side (HTTP handlers) ----------------------------------
 
     def append_steps(self, steps: list[dict], nbytes: int,
                      max_steps: int) -> int:
-        with self._lock:
-            if self.state != "open":
-                raise JobError(
-                    409, f"job {self.id} is {self.state}, not accepting "
-                    "events"
-                )
-            if len(self.steps) + len(steps) > max_steps:
-                raise JobError(
-                    413, f"job {self.id} would exceed {max_steps} steps"
-                )
-            self.steps.extend(steps)
-            self.chunks += 1
-            self.bytes_in += nbytes
-            self.metrics.count("serve/chunks", 1)
-            self.metrics.count("serve/steps_received", len(steps))
-            self.metrics.count("serve/bytes_in", nbytes)
-        assert self.buffer is not None
-        try:
-            return self.buffer.extend(steps)
-        except StreamAborted as exc:
-            raise JobError(409, f"job {self.id}: {exc}") from None
+        with self._send_lock:
+            with self._lock:
+                if self.state != "open":
+                    raise JobError(
+                        409, f"job {self.id} is {self.state}, not "
+                        "accepting events"
+                    )
+                if self._aborted is not None:
+                    raise JobError(409, f"job {self.id}: {self._aborted}")
+                if len(self.steps) + len(steps) > max_steps:
+                    raise JobError(
+                        413, f"job {self.id} would exceed {max_steps} steps"
+                    )
+                self.steps.extend(steps)
+                self.chunks += 1
+                self.bytes_in += nbytes
+                self.metrics.count("serve/chunks", 1)
+                self.metrics.count("serve/steps_received", len(steps))
+                self.metrics.count("serve/bytes_in", nbytes)
+                total = len(self.steps)
+            if not self._send(("steps", steps)):
+                raise JobError(409, f"job {self.id}: its worker is gone")
+        return total
 
     def close(self) -> str:
-        with self._lock:
-            if self.state in TERMINAL_STATES:
-                return self.state
-            if self.state == "open":
-                self.state = "finalizing"
-        if self.buffer is not None:
-            self.buffer.close()
+        with self._send_lock:
+            with self._lock:
+                if self.state in TERMINAL_STATES:
+                    return self.state
+                if self.state == "open":
+                    self.state = "finalizing"
+            if self.kind == "streamed":
+                self._send(("close",))
         return "finalizing"
 
     def cancel(self) -> str:
+        if self.kind == "streamed":
+            return self.abort("cancelled")
+        # upload job: mark for the dispatcher to skip
         with self._lock:
             if self.state in TERMINAL_STATES:
                 return self.state
-        if self.buffer is not None:
-            self.buffer.abort("cancelled")
-        else:
-            # upload job: mark for the dispatcher to skip
-            with self._lock:
-                self.state = "cancelled"
-                self.error = "cancelled"
+            self.state = "cancelled"
+            self.error = "cancelled"
         return "cancelling"
 
-    # -- consumer side (sim thread / dispatcher) -------------------------
+    def abort(self, reason: str) -> str:
+        """Tell a streamed job's worker to stop; its terminal message
+        (``aborted`` with ``reason``) ends the job."""
+        with self._send_lock:
+            with self._lock:
+                if self.state in TERMINAL_STATES:
+                    return self.state
+                if self._aborted is not None:
+                    return "cancelling"
+                self._aborted = reason
+            self._send(("abort", reason))
+        return "cancelling"
 
-    def publish(self, step_index: int, decision: Any, tracer: Any) -> None:
-        snap = progress_snapshot(step_index, decision, tracer)
+    def _send(self, msg: tuple) -> bool:
+        """Send ``msg`` to the worker; ``False`` when the pipe is gone
+        (the receiver then records how the worker ended)."""
+        assert self.conn is not None
+        try:
+            self.conn.send(msg)
+        except OSError:
+            return False
+        return True
+
+    # -- consumer side (receiver thread / dispatcher) --------------------
+
+    def progress(self, step_index: int, snap: dict[str, Any]) -> None:
         with self._lock:
             self.consumed = step_index + 1
             self.live = snap
@@ -360,7 +394,8 @@ class Job:
 
 
 class JobRegistry:
-    """All jobs of one server, plus the threads that execute them."""
+    """All jobs of one server, plus the worker processes and threads that
+    execute them."""
 
     def __init__(self, engine: ExperimentEngine,
                  config: ServeConfig | None = None) -> None:
@@ -369,6 +404,7 @@ class JobRegistry:
         self._jobs: dict[str, Job] = {}
         self._lock = threading.RLock()
         self._counter = itertools.count(1)
+        self._ctx = worker_context()
         self._upload_q: list[Job] = []
         self._qcond = threading.Condition()
         self._shutdown = False
@@ -396,7 +432,7 @@ class JobRegistry:
                 raise JobError(400, f"bad steps: {exc}") from None
             if not steps:
                 raise JobError(400, "steps must contain at least one step")
-            job = Job(self._new_id(), spec, "upload", None)
+            job = Job(self._new_id(), spec, "upload")
             job.steps = steps
             with self._lock:
                 self._register(job)
@@ -414,11 +450,26 @@ class JobRegistry:
                     429, f"too many open streamed jobs "
                     f"({active}/{self.config.max_stream_jobs})"
                 )
-            job = Job(self._new_id(), spec, "streamed",
-                      self.config.idle_timeout)
+            job = Job(self._new_id(), spec, "streamed")
+            job.conn, child_conn = self._ctx.Pipe()
             self._register(job)
+        job.worker = self._ctx.Process(
+            target=stream_worker,
+            args=(child_conn, spec.nprocs, spec.mode, spec.config, spec.sim,
+                  self.config.idle_timeout),
+            name=f"repro-serve-{job.id}", daemon=True,
+        )
+        try:
+            job.worker.start()
+        except Exception as exc:
+            job.fail(f"worker failed to start: {type(exc).__name__}: {exc}")
+            raise
+        finally:
+            # the worker's end lives in the worker alone, so the pipe
+            # reports EOF the moment the worker dies
+            child_conn.close()
         job.thread = threading.Thread(
-            target=self._run_streamed, args=(job,),
+            target=self._receive, args=(job,),
             name=f"repro-serve-{job.id}", daemon=True,
         )
         job.thread.start()
@@ -464,35 +515,37 @@ class JobRegistry:
 
     # -- streamed execution ----------------------------------------------
 
-    def _run_streamed(self, job: Job) -> None:
-        assert job.buffer is not None
-        workload = LiveStreamWorkload(job.buffer, publish=job.publish)
+    def _receive(self, job: Job) -> None:
+        """The job's receiver thread: apply the worker's progress, then
+        its one terminal message — once the worker has exited, so a
+        terminal job has no live worker."""
+        assert job.conn is not None and job.worker is not None
+        msg: tuple = ()
         try:
-            result = run_mode(
-                workload, job.spec.nprocs, job.spec.mode,
-                config=job.spec.config, sim=job.spec.sim,
-            )
-        except StreamAborted as exc:
-            self._fail_streamed(job, str(exc))
-        except Exception as exc:  # noqa: BLE001 - tenant isolation boundary
-            # The simulator wraps a StreamAborted raised inside a rank
-            # coroutine in its own failure type; the buffer remembers.
-            aborted = job.buffer.abort_reason
-            if aborted is not None:
-                self._fail_streamed(job, aborted)
+            while True:
+                msg = job.conn.recv()
+                if msg[0] != "progress":
+                    break
+                job.progress(msg[1], msg[2])
+        except (EOFError, OSError):
+            msg = ()
+        job.worker.join()
+        job.conn.close()
+        if not msg:
+            job.fail(f"worker exited with code {job.worker.exitcode}",
+                     quarantine={"reason": "worker-died", "attempts": 1})
+        elif msg[0] == "result":
+            self._finalize_streamed(job, msg[1])
+        elif msg[0] == "aborted":
+            reason = msg[1]
+            if reason == "cancelled":
+                job.fail("cancelled", state="cancelled")
             else:
-                reason = f"cell-error: {type(exc).__name__}: {exc}"
-                job.fail(f"{type(exc).__name__}: {exc}",
+                job.fail(reason,
                          quarantine={"reason": reason, "attempts": 1})
         else:
-            self._finalize_streamed(job, result)
-
-    @staticmethod
-    def _fail_streamed(job: Job, reason: str) -> None:
-        if reason == "cancelled":
-            job.fail("cancelled", state="cancelled")
-        else:
-            job.fail(reason, quarantine={"reason": reason, "attempts": 1})
+            job.fail(msg[1], quarantine={"reason": f"cell-error: {msg[1]}",
+                                         "attempts": 1})
 
     def _finalize_streamed(self, job: Job, result: RunResult) -> None:
         """Record the streamed result and write it through the dedup layer.
@@ -600,9 +653,13 @@ class JobRegistry:
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            if job.buffer is not None and job.state not in TERMINAL_STATES:
-                job.buffer.abort("server shutdown")
+            if job.kind == "streamed":
+                job.abort("server shutdown")
         self._dispatcher.join(timeout)
         for job in jobs:
             if job.thread is not None:
                 job.thread.join(timeout)
+        for job in jobs:
+            if job.worker is not None and job.worker.is_alive():
+                job.worker.terminate()
+                job.worker.join(timeout)

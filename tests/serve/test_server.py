@@ -7,6 +7,7 @@ blocking :class:`ServeClient` — the same pair the CI smoke job uses.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -14,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.api import stream_run
 from repro.harness.cache import RunCache
 from repro.harness.engine import ExperimentEngine
 from repro.resilience import RetryPolicy
-from repro.serve.app import ServerThread
+from repro.serve.app import ServerThread, _Handler
 from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.jobs import ServeConfig
 from repro.workloads.stream import default_steps
@@ -83,7 +85,7 @@ class TestStreamedJobs:
         """Clustering is incremental: state advances while still open.
 
         Progress may trail the newest buffered step by one (a sibling
-        rank can park the sim thread on the *next* step before rank 0's
+        rank can park the simulation on the *next* step before rank 0's
         publish runs), so with 3 steps sent we require >= 2 consumed.
         """
         import time
@@ -142,6 +144,70 @@ class TestStreamedJobs:
         job = client.create_job(nprocs=4)["job"]
         client.cancel(job)
         assert client.wait(job)["state"] == "cancelled"
+
+
+class TestWorkerProcesses:
+    """Each streamed job simulates in its own worker process."""
+
+    def test_two_streams_two_workers(self, server, client):
+        steps = default_steps()
+        expected = _oracle(steps)
+        before = set(multiprocessing.active_children())
+        jobs = [client.create_job(nprocs=NPROCS, mode="chameleon")["job"]
+                for _ in range(2)]
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        assert os.getpid() not in {w.pid for w in workers}
+        assert {server.registry.get(j).worker for j in jobs} == workers
+        for job in jobs:
+            client.send_events(job, steps)
+            client.close_job(job)
+        for job in jobs:
+            doc = client.wait(job)
+            assert doc["state"] == "complete"
+            assert doc["result"]["fingerprint"] == expected.fingerprint()
+            assert client.trace(job) == expected.trace.serialize()
+        assert not any(w.is_alive() for w in workers)
+
+    def test_killed_worker_fails_only_its_job(self, server, client):
+        steps = default_steps()
+        job = client.create_job(nprocs=NPROCS)["job"]
+        client.send_events(job, steps[:3])
+        os.kill(server.registry.get(job).worker.pid, signal.SIGKILL)
+        doc = client.wait(job)
+        assert doc["state"] == "failed"
+        assert doc["error"] == f"worker exited with code {-signal.SIGKILL}"
+        assert doc["quarantine"] == {"reason": "worker-died", "attempts": 1}
+        with pytest.raises(ServeHTTPError) as err:
+            client.send_events(job, steps[3:])
+        assert err.value.status == 409
+        again = client.create_job(nprocs=NPROCS)["job"]
+        client.send_events(again, steps)
+        client.close_job(again)
+        doc = client.wait(again)
+        assert doc["state"] == "complete"
+        assert doc["result"]["fingerprint"] == _oracle(steps).fingerprint()
+
+    def test_stop_with_an_open_stream_leaves_no_worker(self):
+        engine = ExperimentEngine(jobs=0, cache=None)
+        srv = ServerThread(engine, ServeConfig(port=0)).start()
+        try:
+            client = ServeClient(port=srv.port)
+            job = client.create_job(nprocs=4)["job"]
+            client.send_events(job, [{"ops": [{"op": "barrier"}]}])
+            worker = srv.registry.get(job).worker
+        finally:
+            srv.stop()
+        assert not worker.is_alive()
+        assert worker not in multiprocessing.active_children()
+
+    def test_cancelled_stream_leaves_no_worker(self, server, client):
+        job = client.create_job(nprocs=4)["job"]
+        client.send_events(job, [{"ops": [{"op": "barrier"}]}])
+        worker = server.registry.get(job).worker
+        client.cancel(job)
+        assert client.wait(job)["state"] == "cancelled"
+        assert not worker.is_alive()
 
 
 class TestConcurrentTenants:
@@ -272,6 +338,24 @@ class TestErrors:
         assert client.health() == {"ok": True}
         assert client.stats()["jobs"] == 0
         assert "Traceback" not in capfd.readouterr().err
+
+
+    @pytest.mark.parametrize("partial", [
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Le",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"nprocs\"",
+    ], ids=["mid-head", "mid-body"])
+    def test_stalled_client_is_disconnected(self, server, client,
+                                            monkeypatch, partial):
+        assert _Handler.timeout == 30.0  # the shipped bound, scaled down:
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(partial)
+            t0 = time.monotonic()
+            assert sock.recv(1024) == b""  # closed by the server
+            assert time.monotonic() - t0 < 4
+        assert client.health() == {"ok": True}
+        assert client.stats()["jobs"] == 0
 
 
 def _raw(server, request: bytes) -> tuple[int, dict]:
