@@ -9,7 +9,7 @@ This bench runs the same workload under all three selectors and compares
 tracing overhead and replay accuracy.
 """
 
-from repro.harness import Mode, overhead, render_table, run_suite
+from repro.harness import Mode, get_engine, overhead, render_table
 from repro.replay import accuracy, replay_trace
 
 ALGOS = ("kfarthest", "kmedoids", "krandom", "hierarchical")
@@ -20,7 +20,7 @@ PARAMS = {"problem_class": "A", "iterations": 12}
 def _rows():
     rows = []
     for algo in ALGOS:
-        suite = run_suite(
+        suite = get_engine().run_suite(
             "bt",
             P,
             modes=(Mode.APP, Mode.CHAMELEON),

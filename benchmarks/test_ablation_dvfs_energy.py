@@ -8,7 +8,7 @@ non-leads.
 """
 
 from repro.core import energy_report
-from repro.harness import Mode, render_table, run_suite
+from repro.harness import Mode, get_engine, render_table
 from repro.harness.runner import full_scale
 
 
@@ -18,7 +18,7 @@ def _rows():
     p_list = [16, 64, 256] if full_scale() else [16, 36]
     rows = []
     for p in p_list:
-        suite = run_suite(
+        suite = get_engine().run_suite(
             "bt",
             p,
             modes=(Mode.APP, Mode.CHAMELEON),

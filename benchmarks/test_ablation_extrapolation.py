@@ -7,7 +7,7 @@ from the native one — the property ScalaTrace's encodings were designed
 around and the reason Chameleon's cluster replay works at all.
 """
 
-from repro.harness import Mode, render_table, run_suite
+from repro.harness import Mode, get_engine, render_table
 from repro.harness.runner import full_scale
 from repro.replay import accuracy, extrapolate_trace, replay_trace
 
@@ -19,12 +19,12 @@ PARAMS = {"iterations": 12, "task_seconds": 0.002}
 def _rows():
     base_p = 9
     targets = [17, 33, 65] if full_scale() else [17, 33]
-    small = run_suite(
+    small = get_engine().run_suite(
         "emf", base_p, modes=(Mode.SCALATRACE,), workload_params=PARAMS
     )[Mode.SCALATRACE].trace
     rows = []
     for p in targets:
-        native_suite = run_suite(
+        native_suite = get_engine().run_suite(
             "emf", p, modes=(Mode.APP, Mode.SCALATRACE), workload_params=PARAMS
         )
         native = native_suite[Mode.SCALATRACE].trace

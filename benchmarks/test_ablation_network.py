@@ -7,7 +7,7 @@ small P, eroding the quick-scale gap.  Chameleon's advantage rests on
 merge-work dominance (large P / large traces), not on the interconnect.
 """
 
-from repro.harness import Mode, overhead, render_table, run_suite
+from repro.harness import Mode, get_engine, overhead, render_table
 from repro.simmpi import QDR_CLUSTER, SLOW_CLUSTER, SimConfig
 
 P = 16
@@ -17,7 +17,7 @@ PARAMS = {"problem_class": "A", "iterations": 10}
 def _rows():
     rows = []
     for name, network in (("qdr", QDR_CLUSTER), ("slow", SLOW_CLUSTER)):
-        suite = run_suite(
+        suite = get_engine().run_suite(
             "bt",
             P,
             modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),

@@ -9,7 +9,7 @@ regular and can be represented by 3 clusters" — reproduced here as the
 clustering.
 """
 
-from repro.harness import Mode, render_table, run_suite
+from repro.harness import Mode, get_engine, render_table
 
 P = 16
 PARAMS = {"grid_points": 64, "block": 8, "iterations": 12}
@@ -18,7 +18,7 @@ PARAMS = {"grid_points": 64, "block": 8, "iterations": 12}
 def _rows():
     rows = []
     for mode_name in ("sequence", "dedup"):
-        suite = run_suite(
+        suite = get_engine().run_suite(
             "pop",
             P,
             modes=(Mode.CHAMELEON,),

@@ -6,7 +6,7 @@ global trace must be identical in content regardless of arity — only the
 cost profile moves.
 """
 
-from repro.harness import Mode, overhead, render_table, run_suite
+from repro.harness import Mode, get_engine, overhead, render_table
 
 ARITIES = (2, 4, 8)
 P = 16
@@ -16,7 +16,7 @@ PARAMS = {"problem_class": "A", "iterations": 10}
 def _rows():
     rows = []
     for arity in ARITIES:
-        suite = run_suite(
+        suite = get_engine().run_suite(
             "bt",
             P,
             modes=(Mode.APP, Mode.SCALATRACE),

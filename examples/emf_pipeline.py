@@ -12,7 +12,7 @@ Run:  python examples/emf_pipeline.py
 """
 
 from repro.core import ChameleonConfig, ChameleonTracer
-from repro.harness import Mode, overhead, run_suite
+from repro.harness import Mode, get_engine, overhead
 from repro.replay import accuracy, replay_trace
 from repro.simmpi import run_spmd
 from repro.workloads import EMF
@@ -51,7 +51,7 @@ def run() -> None:
     # P because the traces are tiny — reproduce that crossover observation
     print("\noverhead comparison at P=16 (paper: ScalaTrace wins below the "
           "crossover at ~P=501):")
-    suite = run_suite(
+    suite = get_engine().run_suite(
         "emf",
         NPROCS,
         modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),

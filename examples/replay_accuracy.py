@@ -9,7 +9,7 @@ times against the application (paper Figure 5 / Observation 3).
 Run:  python examples/replay_accuracy.py
 """
 
-from repro.harness import Mode, overhead, render_table, run_suite
+from repro.harness import Mode, get_engine, overhead, render_table
 from repro.replay import AccuracyReport, replay_trace
 
 NPROCS = 16
@@ -18,7 +18,7 @@ PARAMS = {"problem_class": "A", "iterations": 12}
 
 def run() -> None:
     print(f"== BT class A on {NPROCS} simulated ranks ==\n")
-    suite = run_suite(
+    suite = get_engine().run_suite(
         "bt",
         NPROCS,
         modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE, Mode.ACURDION),

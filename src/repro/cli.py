@@ -10,6 +10,7 @@ Usage (installed as a module)::
     python -m repro stats run.obs.json
     python -m repro info bt.st
     python -m repro replay bt.st
+    python -m repro timeline bt.st --width 60
     python -m repro experiment table2
     python -m repro experiment fig4 --jobs 4
     python -m repro run --workload bt --faults plan.json --fault-seed 7
@@ -17,12 +18,16 @@ Usage (installed as a module)::
     python -m repro bench --baseline benchmarks/BENCH_scaling.json
     python -m repro serve --port 8537 --jobs 4
 
-``experiment`` regenerates one of the paper's tables/figures and prints the
-same rows the paper reports (see EXPERIMENTS.md for the mapping).  ``run``
-and ``experiment`` share the process-wide experiment engine: ``--jobs N``
-fans cells out over worker processes, and a content-addressed run cache
-(``--cache-dir``, disable with ``--no-cache``) makes re-invocations serve
-previously-computed cells from disk.
+``run`` builds one cell and, for a fault-free tracing mode, the APP
+baseline its overhead is measured against, runs them as one batch and
+prints one result block.  ``experiment`` regenerates one of the paper's
+tables/figures and prints the same rows the paper reports (see
+EXPERIMENTS.md for the mapping).  ``run``, ``experiment`` and ``serve``
+share the process-wide experiment engine: ``--jobs N`` fans cells out over
+worker processes, and a content-addressed run cache (``--cache-dir``,
+disable with ``--no-cache``) makes re-invocations serve previously-computed
+cells from disk.  Flags several subcommands take are declared once, in
+:func:`build_parser`'s shared groups.
 
 Observability: ``run --trace-out`` writes a Chrome ``trace_event`` JSON of
 the run's virtual-time timeline (open it in ui.perfetto.dev),
@@ -45,23 +50,31 @@ identical virtual-time results (docs/RESILIENCE.md).  ``repro cache
 verify`` (``--fix``) sweeps the run cache for corrupt and orphaned
 entries.
 
-Failures map to distinct exit codes with one-line diagnostics: invalid
-fault plan = 2, deadlock = 3, rank failure = 4, engine limit = 5,
-quarantined cells = 6 (partial results preserved on the error).  Pass
-``repro --traceback …`` to get the full Python stack instead.
+Failures map to distinct exit codes with one-line diagnostics: a usage
+error (including an out-of-range numeric flag) or invalid fault plan = 2,
+deadlock = 3, rank failure = 4, engine limit = 5, quarantined cells = 6
+(partial results preserved on the error).  Pass ``repro --traceback …`` to
+get the full Python stack instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .api import EXPERIMENTS as _EXPERIMENTS, run_experiment
 from .faults.plan import FaultPlan, FaultPlanError
-from .harness import Mode, overhead, run_suite
-from .harness.engine import CellEvent, ExperimentEngine, configure_engine
+from .harness import Mode, overhead
+from .harness.engine import (
+    CellEvent,
+    ExperimentEngine,
+    configure_engine,
+    make_cell,
+)
+from .obs import Recorder
 from .replay import accuracy, replay_trace
 from .resilience.policy import QuarantineError
 from .scalatrace.analysis import communication_matrix, hotspots, summarize
@@ -70,24 +83,18 @@ from .simmpi.errors import DeadlockError, EngineLimitError, TaskFailedError
 from .workloads.registry import workload_names
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for experiment cells "
-        "(default: $REPRO_JOBS or 1; 0 = all cores)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk run cache for this invocation",
-    )
-    parser.add_argument(
-        "--cache-dir", default="", metavar="DIR",
-        help="run cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="print per-cell progress (hit/start/done) to stderr",
-    )
+def _at_least(low: int) -> Callable[[str], int]:
+    """``type=`` for an integer flag that must be >= ``low``: a smaller
+    value is an argparse usage error (exit 2), not a traceback."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names it in "invalid int value"
+    return convert
 
 
 def _progress_printer(event: CellEvent) -> None:
@@ -116,8 +123,6 @@ def _faults_from(args: argparse.Namespace) -> FaultPlan | None:
         if args.fault_seed is not None:
             raise SystemExit("error: --fault-seed requires --faults PLAN.json")
         return None
-    import dataclasses
-
     plan = FaultPlan.load(args.faults)
     if args.fault_seed is not None:
         plan = dataclasses.replace(plan, seed=args.fault_seed)
@@ -135,114 +140,59 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    engine = _engine_from(args)
-    mode = Mode(args.mode)
-    if args.output and mode is Mode.APP:
-        print(
-            "warning: --output ignored — APP mode runs uninstrumented "
-            "and produces no trace; pick a tracing mode "
-            "(chameleon/scalatrace/acurdion) to save one",
-            file=sys.stderr,
-        )
+def _workload_params(args: argparse.Namespace) -> dict:
+    """The ``make_workload`` keywords the workload flags set."""
     params = {}
     if args.problem_class:
         params["problem_class"] = args.problem_class
     if args.iterations:
         params["iterations"] = args.iterations
-    sim = _sim_from(args)
+    return params
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    engine = _engine_from(args)
+    mode = Mode(args.mode)
     faults = _faults_from(args)
-    if faults is not None:
-        return _run_with_faults(args, engine, mode, params, faults, sim)
-    modes = (Mode.APP, mode) if mode is not Mode.APP else (Mode.APP,)
-    obs_wanted = bool(args.trace_out or args.metrics_out or args.obs_out)
-    if obs_wanted:
-        # The selected mode runs inline with a live Recorder (bypassing
-        # the cache); any baseline cells still go through the engine.
-        from .harness.engine import make_suite_cells
-        from .obs import Recorder
-
-        cells = make_suite_cells(
-            args.workload,
-            args.nprocs,
-            modes=modes,
-            workload_params=params,
-            call_frequency=args.call_frequency,
-            sim=sim,
-        )
-        suite = {}
-        for cell in cells:
-            if cell.mode is mode:
-                suite[cell.mode] = engine.run_cell_instrumented(
-                    cell, Recorder()
-                )
-            else:
-                (suite[cell.mode],) = engine.run_cells([cell])
-    else:
-        suite = run_suite(
-            args.workload,
-            args.nprocs,
-            modes=modes,
-            workload_params=params,
-            call_frequency=args.call_frequency,
-            sim=sim,
-        )
-    app = suite[Mode.APP]
-    print(f"application time (aggregated): {app.total_time:.6f} s")
-    if mode is not Mode.APP:
-        result = suite[mode]
-        print(f"{mode.value} overhead:            {overhead(result, app):.6f} s")
-        if result.trace is not None:
-            print(
-                f"trace: {result.trace.leaf_count()} PRSD events / "
-                f"{result.trace.expanded_count()} MPI calls"
-            )
-            if args.output:
-                result.trace.save(args.output)
-                print(f"written to {args.output}")
-        elif args.output:
-            print(
-                f"warning: --output ignored — the {mode.value} run "
-                "produced no trace",
-                file=sys.stderr,
-            )
-    if obs_wanted:
-        _write_obs_outputs(suite[mode], args)
-    return 0
-
-
-def _run_with_faults(
-    args: argparse.Namespace,
-    engine: ExperimentEngine,
-    mode: Mode,
-    params: dict,
-    faults: FaultPlan,
-    sim,
-) -> int:
-    """`run --faults`: one faulted cell, no fault-free APP baseline."""
-    from .api import run as api_run
-    from .obs import Recorder
-
-    obs_wanted = bool(args.trace_out or args.metrics_out or args.obs_out)
-    result = api_run(
+    cell = make_cell(
         args.workload,
         args.nprocs,
         mode,
-        workload_params=params or None,
+        workload_params=_workload_params(args),
         call_frequency=args.call_frequency,
-        sim=sim,
-        engine=engine,
-        instrument=Recorder() if obs_wanted else None,
+        sim=_sim_from(args),
         faults=faults,
     )
-    print(f"{mode.value} run under fault plan {args.faults}")
-    print(f"virtual makespan: {result.max_time:.6f} s")
-    if result.failed_ranks:
-        print(f"crashed ranks: {', '.join(map(str, result.failed_ranks))}")
-    summary = result.extra.get("fault_summary", {})
-    if summary:
-        items = ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
-        print(f"fault events: {items}")
+    # A fault-free traced run is measured against its APP baseline; a
+    # faulted run has no fault-free twin to compare with.
+    cells = [cell]
+    if faults is None and mode is not Mode.APP:
+        cells.insert(0, dataclasses.replace(cell, mode=Mode.APP))
+    recorder = (
+        Recorder() if args.trace_out or args.metrics_out or args.obs_out
+        else None
+    )
+    # with a Recorder the selected mode runs inline, bypassing the cache;
+    # a baseline still goes through the engine
+    results = engine.run_cells(cells if recorder is None else cells[:-1])
+    if recorder is not None:
+        results.append(engine.run_cell_instrumented(cell, recorder))
+    result = results[-1]
+    if faults is None:
+        app = results[0]
+        print(f"application time (aggregated): {app.total_time:.6f} s")
+        if mode is not Mode.APP:
+            print(f"{mode.value} overhead:            "
+                  f"{overhead(result, app):.6f} s")
+    else:
+        print(f"{mode.value} run under fault plan {args.faults}")
+        print(f"virtual makespan: {result.max_time:.6f} s")
+        if result.failed_ranks:
+            print(f"crashed ranks: {', '.join(map(str, result.failed_ranks))}")
+        summary = result.extra.get("fault_summary", {})
+        if summary:
+            items = ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
+            print(f"fault events: {items}")
     if result.trace is not None:
         print(
             f"trace: {result.trace.leaf_count()} PRSD events / "
@@ -252,12 +202,14 @@ def _run_with_faults(
             result.trace.save(args.output)
             print(f"written to {args.output}")
     elif args.output:
-        print(
-            f"warning: --output ignored — the {mode.value} run "
-            "produced no trace",
-            file=sys.stderr,
+        why = (
+            "APP mode runs uninstrumented and produces no trace; pick a "
+            "tracing mode (chameleon/scalatrace/acurdion) to save one"
+            if mode is Mode.APP
+            else f"the {mode.value} run produced no trace"
         )
-    if obs_wanted:
+        print(f"warning: --output ignored — {why}", file=sys.stderr)
+    if recorder is not None:
         _write_obs_outputs(result, args)
     return 0
 
@@ -458,11 +410,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"error: unknown chaos scenario(s): {', '.join(unknown)} "
             f"(known: {', '.join(CHAOS_SCENARIOS)})"
         )
-    params = {}
-    if args.problem_class:
-        params["problem_class"] = args.problem_class
-    if args.iterations:
-        params["iterations"] = args.iterations
+    params = _workload_params(args)
     print(
         f"chaos: {args.workload} x {args.nprocs} ranks, mode={mode.value}, "
         f"seed={seed:#x}"
@@ -718,6 +666,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_workload_flags(
+    parser: argparse.ArgumentParser,
+    workload: str | None = None,
+    modes: Sequence[Mode] = tuple(Mode),
+) -> None:
+    """The flags naming one cell, shared by ``run`` and ``chaos``; without
+    a default ``--workload`` is required."""
+    parser.add_argument(
+        "--workload", default=workload, required=workload is None,
+        choices=workload_names(),
+    )
+    parser.add_argument("--nprocs", type=_at_least(1), default=16)
+    parser.add_argument(
+        "--mode", default="chameleon", choices=[m.value for m in modes],
+        help="tracing mode (chaos: APP produces no trace to compare)",
+    )
+    parser.add_argument("--problem-class", default="")
+    parser.add_argument("--iterations", type=_at_least(0), default=0)
+    parser.add_argument(
+        "--fault-seed", type=int, default=None, metavar="N",
+        help="seed of the fault plan (run: overrides the --faults plan's; "
+        "chaos: every scenario's, default the plan default)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -730,21 +703,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flag groups several subcommands share, each declared once and
+    # inherited through ``parents=``.
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=_at_least(0), default=None, metavar="N",
+        help="worker processes for experiment cells "
+        "(default: $REPRO_JOBS or 1; 0 = all cores)",
+    )
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument(
+        "--cache-dir", default="", metavar="DIR",
+        help="run cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    engine = argparse.ArgumentParser(add_help=False,
+                                     parents=[jobs, cache_dir])
+    engine.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the on-disk run cache for this invocation",
+    )
+    engine.add_argument(
+        "--progress", action="store_true",
+        help="print per-cell progress (hit/start/done) to stderr",
+    )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument(
+        "--config", action="append", metavar="KEY=VAL",
+        help="engine option as a SimConfig field (repeatable): "
+        "network=qdr|slow|zero, collectives=fast|simulated, "
+        "p2p=fast|simulated, max_steps=N|none; with `run --trace-out`, "
+        "collectives=simulated and p2p=simulated put every constituent "
+        "message on the timeline",
+    )
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
+        "--report", default="", metavar="FILE",
+        help="write the machine-readable report as JSON",
+    )
+
     sub.add_parser("list", help="list workloads and experiments").set_defaults(
         fn=_cmd_list
     )
 
-    p_run = sub.add_parser("run", help="run a workload under a tracing mode")
-    p_run.add_argument("--workload", required=True, choices=workload_names())
-    p_run.add_argument("--nprocs", type=int, default=16)
-    p_run.add_argument(
-        "--mode",
-        default="chameleon",
-        choices=[m.value for m in Mode],
-    )
-    p_run.add_argument("--problem-class", default="")
-    p_run.add_argument("--iterations", type=int, default=0)
-    p_run.add_argument("--call-frequency", type=int, default=1)
+    p_run = sub.add_parser("run", parents=[engine, config],
+                           help="run a workload under a tracing mode")
+    _add_workload_flags(p_run)
+    p_run.add_argument("--call-frequency", type=_at_least(1), default=1)
     p_run.add_argument("-o", "--output", default="", help="save trace here")
     p_run.add_argument(
         "--trace-out", default="", metavar="FILE",
@@ -765,17 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(schema in docs/FAULTS.md); the run degrades gracefully and "
         "reports crashed ranks + fault-event counters",
     )
-    p_run.add_argument(
-        "--fault-seed", type=int, default=None, metavar="N",
-        help="override the fault plan's seed (requires --faults)",
-    )
-    p_run.add_argument(
-        "--config", action="append", metavar="KEY=VAL",
-        help="engine option as a SimConfig field (repeatable), as in "
-        "`repro bench --config`; with --trace-out, `collectives=simulated` "
-        "and `p2p=simulated` put every constituent message on the timeline",
-    )
-    _add_engine_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_info = sub.add_parser("info", help="summarize a trace file")
@@ -786,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="replay a trace file")
     p_replay.add_argument("trace")
-    p_replay.add_argument("--nprocs", type=int, default=0)
+    p_replay.add_argument("--nprocs", type=_at_least(0), default=0,
+                          help="ranks to replay on (0 = the trace's)")
     p_replay.add_argument(
         "--reference", type=float, default=None,
         help="reference time for the accuracy metric",
@@ -795,8 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tl = sub.add_parser("timeline", help="ASCII Gantt chart of a trace")
     p_tl.add_argument("trace")
-    p_tl.add_argument("--nprocs", type=int, default=0)
-    p_tl.add_argument("--width", type=int, default=72)
+    p_tl.add_argument("--nprocs", type=_at_least(0), default=0,
+                      help="ranks to replay on (0 = the trace's)")
+    p_tl.add_argument("--width", type=_at_least(10), default=72)
     p_tl.set_defaults(fn=_cmd_timeline)
 
     p_diff = sub.add_parser("diff", help="semantically compare two traces")
@@ -829,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(fn=_cmd_stats)
 
     p_chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[jobs, config, report],
         help="sweep a fault matrix (virtual-time faults) or the host-fault "
         "suite (`chaos host`); report survival and determinism",
     )
@@ -839,21 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default); host = kill/stop/delay real worker processes and "
         "damage cache files, asserting recorded recovery",
     )
-    p_chaos.add_argument(
-        "--workload", default="bt", choices=workload_names()
-    )
-    p_chaos.add_argument("--nprocs", type=int, default=16)
-    p_chaos.add_argument("--problem-class", default="")
-    p_chaos.add_argument("--iterations", type=int, default=0)
-    p_chaos.add_argument(
-        "--mode", default="chameleon",
-        choices=[m.value for m in Mode if m is not Mode.APP],
-        help="tracing mode to stress (APP produces no trace to compare)",
-    )
-    p_chaos.add_argument(
-        "--fault-seed", type=int, default=None, metavar="N",
-        help="seed for every scenario's plan (default: the plan default)",
-    )
+    _add_workload_flags(p_chaos, workload="bt",
+                        modes=[m for m in Mode if m is not Mode.APP])
     p_chaos.add_argument(
         "--scenario", action="append", metavar="NAME",
         help=f"run only this scenario (repeatable; matrix scenarios: "
@@ -861,23 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
         "kill-pool-worker, poison-cell, ... — an unknown name "
         "lists the full set)",
     )
-    p_chaos.add_argument(
-        "--config", action="append", metavar="KEY=VAL",
-        help="engine option as a SimConfig field (repeatable), "
-        "as in `repro bench --config`",
-    )
-    p_chaos.add_argument(
-        "--report", default="", metavar="FILE",
-        help="write the machine-readable chaos report as JSON",
-    )
-    p_chaos.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_JOBS or 1; 0 = all cores)",
-    )
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     p_cache = sub.add_parser(
-        "cache",
+        "cache", parents=[cache_dir, report],
         help="inspect and repair the on-disk run cache",
     )
     p_cache.add_argument(
@@ -891,19 +860,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete corrupt and orphaned files instead of just reporting "
         "them",
     )
-    p_cache.add_argument(
-        "--cache-dir", default="", metavar="DIR",
-        help="run cache directory (default: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    p_cache.add_argument(
-        "--report", default="", metavar="FILE",
-        help="write the verification report as JSON",
-    )
     p_cache.set_defaults(fn=_cmd_cache)
 
     p_bench = sub.add_parser(
-        "bench",
+        "bench", parents=[config],
         help="measure simulator scaling (wall time, RSS, match throughput) "
         "and optionally gate against a committed BENCH_scaling.json",
     )
@@ -930,17 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.2, metavar="FRAC",
         help="allowed wall-time growth vs baseline (default 0.2 = +20%%)",
     )
-    p_bench.add_argument(
-        "--config", action="append", metavar="KEY=VAL",
-        help="engine option as a SimConfig field (repeatable): "
-        "network=qdr|slow|zero, "
-        "collectives=fast|simulated, p2p=fast|simulated, "
-        "max_steps=N|none",
-    )
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_config = sub.add_parser(
-        "config",
+        "config", parents=[config],
         help="inspect the resolved engine configuration",
     )
     p_config.add_argument(
@@ -948,24 +901,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="show: print the resolved SimConfig (preset expanded) and "
         "its cache digest",
     )
-    p_config.add_argument(
-        "--config", action="append", metavar="KEY=VAL",
-        help="engine option as a SimConfig field (repeatable), "
-        "as in `repro bench --config`",
-    )
     p_config.set_defaults(fn=_cmd_config)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a paper experiment")
+    p_exp = sub.add_parser("experiment", parents=[engine],
+                           help="regenerate a paper experiment")
     p_exp.add_argument("name")
     p_exp.add_argument(
         "--export", default="",
         help="also write the rows to this .json or .csv file",
     )
-    _add_engine_flags(p_exp)
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_serve = sub.add_parser(
-        "serve",
+        "serve", parents=[engine],
         help="run the streaming trace-ingestion service (docs/SERVING.md)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -982,7 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail a streamed job when no event arrives for this long "
         "(default: 300)",
     )
-    _add_engine_flags(p_serve)
     p_serve.set_defaults(fn=_cmd_serve)
 
     return parser

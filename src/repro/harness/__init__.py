@@ -36,7 +36,6 @@ from .runner import (
     full_scale,
     overhead,
     run_mode,
-    run_suite,
 )
 from . import figures, tables
 
@@ -74,7 +73,6 @@ __all__ = [
     "rows_to_json",
     "run_mode",
     "run_scaling_bench",
-    "run_suite",
     "save_bench",
     "save_rows",
     "state_space_summary",

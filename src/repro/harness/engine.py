@@ -208,20 +208,14 @@ def make_suite_cells(
     the old per-mode reconstruction allowed is structurally impossible.
     """
     params = dict(workload_params or {})
-    workload = make_workload(workload_name, **params)
     config = chameleon_config_for(
-        workload, call_frequency=call_frequency, **(config_overrides or {})
+        make_workload(workload_name, **params),
+        call_frequency=call_frequency,
+        **(config_overrides or {}),
     )
     cells = [
-        Cell(
-            workload=workload_name,
-            params=_freeze(params),
-            warmup=tuple(warmup or ()),
-            nprocs=nprocs,
-            mode=mode,
-            config=config,
-            sim=sim or DEFAULT_CONFIG,
-        )
+        make_cell(workload_name, nprocs, mode, workload_params=params,
+                  config=config, sim=sim, warmup=warmup)
         for mode in modes
     ]
     keys = {cell.suite_key() for cell in cells}
@@ -340,8 +334,7 @@ class ExperimentEngine:
             simulation itself.
         policy: a :class:`~repro.resilience.RetryPolicy` bounding the
             engine's host-fault recovery (worker-death retries, per-cell
-            deadlines, quarantine); defaults to
-            :meth:`RetryPolicy.from_env`.
+            deadlines, quarantine); defaults to ``RetryPolicy()``.
     """
 
     def __init__(
@@ -358,7 +351,7 @@ class ExperimentEngine:
         self.cache = cache
         self.progress = progress
         self.instrument = instrument
-        self.policy = policy if policy is not None else RetryPolicy.from_env()
+        self.policy = policy if policy is not None else RetryPolicy()
         self.metrics = EngineMetrics()
 
     # -- scheduling --------------------------------------------------------
@@ -741,7 +734,7 @@ def configure_engine(
     """Install (and return) a new default engine.
 
     Unspecified arguments fall back to the environment: ``REPRO_JOBS``,
-    ``REPRO_CACHE_DIR``, ``REPRO_NO_CACHE`` and ``REPRO_CELL_DEADLINE``.
+    ``REPRO_CACHE_DIR`` and ``REPRO_NO_CACHE``.
     """
     global _DEFAULT_ENGINE
     if no_cache is None:

@@ -289,40 +289,6 @@ def run_mode(
     return result
 
 
-def run_suite(
-    workload_name: str,
-    nprocs: int,
-    modes: tuple[Mode, ...] = (Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
-    workload_params: dict[str, Any] | None = None,
-    call_frequency: int = 1,
-    config_overrides: dict[str, Any] | None = None,
-    sim: SimConfig | None = None,
-) -> dict[Mode, RunResult]:
-    """Run a workload under several modes with identical parameters.
-
-    The workload and config are constructed once for the whole suite (a
-    ``config_overrides``-derived config can therefore never drift between
-    modes), and execution routes through the process-wide
-    :class:`~repro.harness.engine.ExperimentEngine`, picking up its cache
-    and worker pool.
-
-    .. deprecated:: prefer :func:`repro.api.run` or an explicit
-       :class:`~repro.harness.engine.ExperimentEngine` for new code; this
-       entry point stays for compatibility with existing callers.
-    """
-    from .engine import get_engine  # local import: engine imports runner
-
-    return get_engine().run_suite(
-        workload_name,
-        nprocs,
-        modes=modes,
-        workload_params=workload_params,
-        call_frequency=call_frequency,
-        config_overrides=config_overrides,
-        sim=sim,
-    )
-
-
 def overhead(traced: RunResult, app: RunResult) -> float:
     """Aggregated tracing overhead in virtual seconds (>= 0)."""
     return max(traced.total_time - app.total_time, 0.0)

@@ -18,7 +18,8 @@ counterpart (impossible for exact traces, possible when clustering merged
 heterogeneous behaviour — the count is reported as a fidelity statistic and
 contributes to the paper's <100% accuracy).  Pass 2 executes the schedule
 under the simulator, which is deadlock-free by construction after
-reconciliation.
+reconciliation.  Pass 2 (``_replay``) is one interpreter for both
+:func:`replay_trace` and :func:`~repro.replay.timeline.reconstruct_timeline`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..scalatrace.events import EventRecord, Op
 from ..scalatrace.trace import Trace
 from ..simmpi.collectives import Communicator
 from ..simmpi.comm import ANY_SOURCE
-from ..simmpi.launcher import RankContext, run_spmd
+from ..simmpi.launcher import RankContext, SpmdResult, run_spmd
 from ..simmpi.simconfig import SimConfig
 from ..simmpi.timing import NetworkModel, QDR_CLUSTER
 
@@ -346,6 +347,19 @@ async def _issue_collective(
         raise ValueError(f"unsupported collective {kind}")
 
 
+@dataclass(frozen=True)
+class Interval:
+    """One activity span on a rank's timeline."""
+
+    kind: str  # "compute" | "send" | "recv" | "coll"
+    start: float
+    end: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
 def replay_trace(
     trace: Trace,
     nprocs: int | None = None,
@@ -354,6 +368,27 @@ def replay_trace(
     seed: int = 0x5CA1AB1E,
 ) -> ReplayResult:
     """Replay a trace on the simulated runtime and time it."""
+    result, stats = _replay(trace, nprocs, network, timing, seed)
+    return ReplayResult(
+        time=result.max_time,
+        clocks=result.clocks,
+        stats=stats,
+        total_messages=result.total_messages,
+        total_bytes=result.total_bytes,
+    )
+
+
+def _replay(
+    trace: Trace,
+    nprocs: int | None,
+    network: NetworkModel,
+    timing: str = "mean",
+    seed: int = 0x5CA1AB1E,
+    intervals: list[list[Interval]] | None = None,
+) -> tuple[SpmdResult, ReplayStats]:
+    """Both passes: the schedule, reconciled, executed under the simulator
+    with deadlock repair.  Given ``intervals`` (one list per rank), pass 2
+    also records each rank's activity spans there, refilled every round."""
     nprocs = trace.nprocs if nprocs is None else nprocs
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
@@ -376,13 +411,18 @@ def replay_trace(
                 sub = await ctx.comm.split(color, key=ctx.rank)
                 if sub is not None:
                     subcomms[group] = sub
+            mine = None if intervals is None else intervals[ctx.rank]
             my_stats = ReplayStats()
             pending = []  # outstanding sends: waited at the end so exchange
             # patterns recorded as send+recv cannot rendezvous-deadlock
             for i, op in enumerate(run_schedules[ctx.rank]):
                 progress[ctx.rank] = i
+                t0 = ctx.clock
                 if op.sleep > 0:
                     ctx.compute(op.sleep)
+                    if mine is not None:
+                        mine.append(Interval("compute", t0, ctx.clock))
+                        t0 = ctx.clock
                 if op.kind == "send":
                     pending.append(
                         ctx.comm.isend(
@@ -398,6 +438,8 @@ def replay_trace(
                     comm = subcomms.get(op.group or world, ctx.comm)
                     await _issue_collective(comm, op, nprocs)
                     my_stats.collectives += 1
+                if mine is not None:
+                    mine.append(Interval(op.kind, t0, ctx.clock))
                 my_stats.ops_issued += 1
             progress[ctx.rank] = len(run_schedules[ctx.rank])
             for req in pending:
@@ -428,6 +470,9 @@ def replay_trace(
     result = None
     for _round in range(stats.ops_scheduled + 1):
         progress = [0] * nprocs
+        if intervals is not None:
+            for spans in intervals:
+                spans.clear()
         try:
             result = attempt(schedules, progress)
             break
@@ -453,13 +498,7 @@ def replay_trace(
         stats.sends += sends
         stats.recvs += recvs
         stats.collectives += colls
-    return ReplayResult(
-        time=result.max_time,
-        clocks=result.clocks,
-        stats=stats,
-        total_messages=result.total_messages,
-        total_bytes=result.total_bytes,
-    )
+    return result, stats
 
 
 def _repair_deadlock(

@@ -12,25 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..scalatrace.trace import Trace
-from ..simmpi.comm import ANY_SOURCE
-from ..simmpi.launcher import run_spmd
-from ..simmpi.simconfig import SimConfig
 from ..simmpi.timing import NetworkModel, QDR_CLUSTER
-from .replayer import REPLAY_TAG, _issue_collective, build_schedule, \
-    coalesce_collectives, reconcile
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One activity span on a rank's timeline."""
-
-    kind: str  # "compute" | "send" | "recv" | "coll"
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+from .replayer import Interval, _replay
 
 
 @dataclass
@@ -82,52 +65,6 @@ def reconstruct_timeline(
 ) -> Timeline:
     """Replay a trace and capture per-rank activity intervals."""
     nprocs = trace.nprocs if nprocs is None else nprocs
-    schedules = build_schedule(trace, nprocs)
-    coalesce_collectives(schedules)
-    reconcile(schedules)
-    groups = {
-        op.group
-        for sched in schedules
-        for op in sched
-        if op.kind == "coll" and op.group is not None
-    }
-    world = tuple(range(nprocs))
-    recorded: list[list[Interval]] = [[] for _ in range(nprocs)]
-
-    async def main(ctx):
-        subcomms = {}
-        for group in sorted(groups):
-            if group == world:
-                subcomms[group] = ctx.comm
-                continue
-            color = 0 if ctx.rank in group else -1
-            sub = await ctx.comm.split(color, key=ctx.rank)
-            if sub is not None:
-                subcomms[group] = sub
-        pending = []
-        mine = recorded[ctx.rank]
-        for op in schedules[ctx.rank]:
-            if op.sleep > 0:
-                t0 = ctx.clock
-                ctx.compute(op.sleep)
-                mine.append(Interval("compute", t0, ctx.clock))
-            t0 = ctx.clock
-            if op.kind == "send":
-                pending.append(
-                    ctx.comm.isend(op.peer, None, tag=REPLAY_TAG, size=op.size)
-                )
-                mine.append(Interval("send", t0, ctx.clock))
-            elif op.kind == "recv":
-                src = ANY_SOURCE if op.peer is None else op.peer
-                await ctx.comm.recv(src, tag=REPLAY_TAG)
-                mine.append(Interval("recv", t0, ctx.clock))
-            else:
-                comm = subcomms.get(op.group or world, ctx.comm)
-                await _issue_collective(comm, op, nprocs)
-                mine.append(Interval("coll", t0, ctx.clock))
-        for req in pending:
-            await req.wait()
-        return None
-
-    result = run_spmd(main, nprocs, config=SimConfig(network=network))
-    return Timeline(intervals=recorded, makespan=result.max_time)
+    intervals: list[list[Interval]] = [[] for _ in range(nprocs)]
+    result, _stats = _replay(trace, nprocs, network, intervals=intervals)
+    return Timeline(intervals=intervals, makespan=result.max_time)

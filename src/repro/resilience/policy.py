@@ -24,12 +24,7 @@ code 6.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-
-#: Environment variable supplying the default per-cell wall-clock deadline
-#: in seconds (unset, non-positive or non-finite = no deadline).
-ENV_CELL_DEADLINE = "REPRO_CELL_DEADLINE"
 
 
 @dataclass(frozen=True)
@@ -68,17 +63,6 @@ class RetryPolicy:
             self.backoff_cap,
             self.backoff_base * (2.0 ** max(0, attempt - 1)),
         )
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """The default policy, with ``$REPRO_CELL_DEADLINE`` applied (no
-        deadline when it is unset or not a positive finite number)."""
-        try:
-            return cls(
-                cell_deadline=float(os.environ.get(ENV_CELL_DEADLINE, ""))
-            )
-        except ValueError:
-            return cls()
 
 
 @dataclass(frozen=True)

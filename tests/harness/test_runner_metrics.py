@@ -7,11 +7,11 @@ from repro.harness import (
     breakdown,
     chameleon_config_for,
     default_p_list,
+    get_engine,
     overhead,
     overhead_fraction,
     render_table,
     run_mode,
-    run_suite,
     state_space_summary,
 )
 from repro.harness.reporting import fmt, percent
@@ -22,7 +22,7 @@ PARAMS = {"problem_class": "A", "iterations": 6, "detail": 2}
 
 @pytest.fixture(scope="module")
 def bt_suite():
-    return run_suite(
+    return get_engine().run_suite(
         "bt",
         9,
         modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE, Mode.ACURDION),

@@ -26,6 +26,42 @@ def trace_of(prog, nprocs, tracer_cls=ScalaTraceTracer, **kw):
     return res.results[0]
 
 
+def clustered_stream_trace():
+    """A clustered three-group stream with a phase change, whose replay
+    needs many deadlock-repair rounds."""
+    import repro
+    from repro.harness.engine import ExperimentEngine
+
+    groups = 3
+
+    def computes(base):
+        return [{"op": "compute", "seconds": base + 1e-4 * g,
+                 "ranks": {"mod": groups, "eq": g}}
+                for g in range(groups)]
+
+    warmup = {"ops": [{"op": "compute", "seconds": 3e-4},
+                      {"op": "allreduce", "size": 8, "frame": "init"}]}
+    phase_a = {"ops": [
+        *computes(5e-4),
+        {"op": "shift", "groups": groups, "offset": 1, "size": 512,
+         "frame": "sweep_{group}"},
+        {"op": "bcast", "root": 3, "size": 64, "frame": "params"},
+        {"op": "allreduce", "size": 8, "frame": "residual"},
+    ]}
+    phase_b = {"ops": [
+        *computes(3e-4),
+        {"op": "shift", "groups": groups, "offset": 2, "tag": 1,
+         "size": 1024, "frame": "relax_{group}"},
+        {"op": "shift", "groups": groups, "offset": 1, "tag": 2,
+         "size": 128, "frame": "halo_{group}"},
+        {"op": "barrier", "frame": "sync"},
+        {"op": "allreduce", "size": 8, "frame": "norm"},
+    ]}
+    return repro.stream_run(
+        [warmup] * 2 + [phase_a] * 4 + [phase_b] * 6, 8, "chameleon",
+        engine=ExperimentEngine(jobs=1, cache=None)).trace
+
+
 async def stencil(ctx, tr, steps=4, work=0.01):
     for _ in range(steps):
         with ctx.frame("sweep"):
@@ -261,45 +297,15 @@ class TestDeadlockRepairOrder:
 
     def test_replay_does_not_depend_on_the_hash_seed(self, tmp_path):
         """One trace text, replayed in fresh interpreters under four hash
-        seeds: one event count.  The trace is a clustered three-group
-        stream with a phase change, whose replay needs many repair rounds."""
+        seeds: one event count."""
         import os
         import subprocess
         import sys
 
         import repro
-        from repro.harness.engine import ExperimentEngine
 
-        groups = 3
-
-        def computes(base):
-            return [{"op": "compute", "seconds": base + 1e-4 * g,
-                     "ranks": {"mod": groups, "eq": g}}
-                    for g in range(groups)]
-
-        warmup = {"ops": [{"op": "compute", "seconds": 3e-4},
-                          {"op": "allreduce", "size": 8, "frame": "init"}]}
-        phase_a = {"ops": [
-            *computes(5e-4),
-            {"op": "shift", "groups": groups, "offset": 1, "size": 512,
-             "frame": "sweep_{group}"},
-            {"op": "bcast", "root": 3, "size": 64, "frame": "params"},
-            {"op": "allreduce", "size": 8, "frame": "residual"},
-        ]}
-        phase_b = {"ops": [
-            *computes(3e-4),
-            {"op": "shift", "groups": groups, "offset": 2, "tag": 1,
-             "size": 1024, "frame": "relax_{group}"},
-            {"op": "shift", "groups": groups, "offset": 1, "tag": 2,
-             "size": 128, "frame": "halo_{group}"},
-            {"op": "barrier", "frame": "sync"},
-            {"op": "allreduce", "size": 8, "frame": "norm"},
-        ]}
-        result = repro.stream_run(
-            [warmup] * 2 + [phase_a] * 4 + [phase_b] * 6, 8, "chameleon",
-            engine=ExperimentEngine(jobs=1, cache=None))
         path = tmp_path / "trace.st"
-        result.trace.save(str(path))
+        clustered_stream_trace().save(str(path))
         script = (
             "import sys\n"
             "from repro.replay import replay_trace\n"

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.replay import reconstruct_timeline
+from repro.replay import reconstruct_timeline, replay_trace
 from repro.scalatrace import ScalaTraceTracer
 from repro.simmpi import run_spmd
+
+from .test_replayer import clustered_stream_trace
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +67,12 @@ class TestTimeline:
         from repro.replay import Timeline
 
         assert "(empty timeline)" in Timeline([], 0.0).gantt()
+
+
+def test_timeline_replays_what_replay_repairs():
+    """A clustered trace whose replay wedges until deadlock repair drops
+    operations: the timeline runs the same repaired schedule."""
+    trace = clustered_stream_trace()
+    replayed = replay_trace(trace)
+    assert replayed.stats.deadlock_repairs > 0
+    assert reconstruct_timeline(trace).makespan == replayed.time

@@ -234,25 +234,14 @@ class TestRetryPolicy:
             == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_deadlines_are_rejected(self, value, monkeypatch,
-                                               capsys):
+    def test_non_finite_deadlines_are_rejected(self, value, capsys):
         with pytest.raises(ValueError):
             RetryPolicy(cell_deadline=float(value))
         with pytest.raises(ValueError):
             ServeConfig(idle_timeout=float(value))
-        monkeypatch.setenv("REPRO_CELL_DEADLINE", value)
-        assert RetryPolicy.from_env().cell_deadline is None
         assert main(["serve", "--idle-timeout", value, "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "idle_timeout" in err and len(err.splitlines()) == 1
-
-    def test_from_env_reads_cell_deadline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
-        assert RetryPolicy.from_env().cell_deadline == 12.5
-        monkeypatch.setenv("REPRO_CELL_DEADLINE", "0")
-        assert RetryPolicy.from_env().cell_deadline is None
-        monkeypatch.setenv("REPRO_CELL_DEADLINE", "nope")
-        assert RetryPolicy.from_env().cell_deadline is None
 
     def test_quarantine_error_message_and_payload(self):
         from repro.resilience.policy import QuarantinedCell

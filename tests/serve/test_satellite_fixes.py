@@ -134,14 +134,6 @@ class TestIdleTimeoutPolicy:
     def test_none_allowed(self):
         assert ServeConfig(idle_timeout=None).idle_timeout is None
 
-    def test_from_env(self, monkeypatch):
-        # the environment sets the cell deadline only; a streamed job's
-        # idle timeout is `repro serve --idle-timeout`
-        monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
-        monkeypatch.setenv("REPRO_JOB_IDLE_TIMEOUT", "7")
-        assert RetryPolicy.from_env().cell_deadline == 12.5
-        assert ServeConfig().idle_timeout == 300.0
-
 
 class TestWorkerExceptionPickling:
     def test_task_failed_error_roundtrips(self):

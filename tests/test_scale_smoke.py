@@ -9,14 +9,14 @@ import time
 
 import pytest
 
-from repro.harness import Mode, overhead, run_suite
+from repro.harness import Mode, get_engine, overhead
 from repro.replay import replay_trace
 
 
 @pytest.mark.slow
 def test_p100_end_to_end_under_budget():
     t0 = time.monotonic()
-    suite = run_suite(
+    suite = get_engine().run_suite(
         "lu",
         100,
         modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
