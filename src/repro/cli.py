@@ -16,18 +16,19 @@ Usage (installed as a module)::
     python -m repro run --workload bt --faults plan.json --fault-seed 7
     python -m repro chaos --workload bt --nprocs 16 --report chaos.json
     python -m repro bench --baseline benchmarks/BENCH_scaling.json
-    python -m repro serve --port 8537 --jobs 4
+    python -m repro serve --port 8537
 
 ``run`` builds one cell and, for a fault-free tracing mode, the APP
 baseline its overhead is measured against, runs them as one batch and
 prints one result block.  ``experiment`` regenerates one of the paper's
 tables/figures and prints the same rows the paper reports (see
 EXPERIMENTS.md for the mapping).  ``run``, ``experiment`` and ``serve``
-share the process-wide experiment engine: ``--jobs N`` fans cells out over
-worker processes, and a content-addressed run cache (``--cache-dir``,
-disable with ``--no-cache``) makes re-invocations serve previously-computed
-cells from disk.  Flags several subcommands take are declared once, in
-:func:`build_parser`'s shared groups.
+share the process-wide experiment engine: ``--jobs N`` fans ``run`` and
+``experiment`` cells out over worker processes, and a content-addressed
+run cache (``--cache-dir``, disable with ``--no-cache``) makes
+re-invocations serve previously-computed cells from disk.  Flags several
+subcommands take are declared once, in :func:`build_parser`'s shared
+groups.
 
 Observability: ``run --trace-out`` writes a Chrome ``trace_event`` JSON of
 the run's virtual-time timeline (open it in ui.perfetto.dev),
@@ -83,14 +84,17 @@ from .simmpi.errors import DeadlockError, EngineLimitError, TaskFailedError
 from .workloads.registry import workload_names
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """``type=`` for an integer flag that must be >= ``low``: a smaller
-    value is an argparse usage error (exit 2), not a traceback."""
+def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """``type=`` for an integer flag that must be >= ``low`` (and <=
+    ``high``): a value out of range is an argparse usage error (exit 2),
+    not a traceback."""
 
     def convert(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or (high is not None and value > high):
+            bound = "" if high is None else f" and <= {high}"
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}{bound}, got {value}")
         return value
 
     convert.__name__ = "int"  # argparse names it in "invalid int value"
@@ -110,10 +114,11 @@ def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
             f"error: --cache-dir {args.cache_dir!r} is a file, not a directory"
         )
     return configure_engine(
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", None),
         cache_dir=args.cache_dir or None,
         no_cache=True if args.no_cache else None,
-        progress=_progress_printer if args.progress else None,
+        progress=_progress_printer if getattr(args, "progress", False)
+        else None,
     )
 
 
@@ -654,11 +659,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stop = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: stop.set())
-    with ServerThread(engine, config) as server:
+    try:
+        server = ServerThread(engine, config)
+    except OSError as exc:
+        print(f"repro serve: cannot listen on {config.host}:{config.port}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    with server:
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(jobs={engine.jobs}, cache="
-            f"{'on' if engine.cache is not None else 'off'})",
+            f"(cache={'on' if engine.cache is not None else 'off'})",
             flush=True,
         )
         stop.wait()
@@ -716,12 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default="", metavar="DIR",
         help="run cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
-    engine = argparse.ArgumentParser(add_help=False,
-                                     parents=[jobs, cache_dir])
-    engine.add_argument(
+    cache = argparse.ArgumentParser(add_help=False, parents=[cache_dir])
+    cache.add_argument(
         "--no-cache", action="store_true",
         help="disable the on-disk run cache for this invocation",
     )
+    engine = argparse.ArgumentParser(add_help=False, parents=[jobs, cache])
     engine.add_argument(
         "--progress", action="store_true",
         help="print per-cell progress (hit/start/done) to stderr",
@@ -913,17 +923,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_serve = sub.add_parser(
-        "serve", parents=[engine],
+        "serve", parents=[cache],
         help="run the streaming trace-ingestion service (docs/SERVING.md)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=8537,
+        "--port", type=_at_least(0, 65535), default=8537,
         help="TCP port (0 picks a free one and prints it)",
     )
     p_serve.add_argument(
         "--max-stream-jobs", type=int, default=32,
-        help="cap on concurrently-open streamed jobs",
+        help="cap on concurrently running jobs, streamed or uploaded",
     )
     p_serve.add_argument(
         "--idle-timeout", type=float, default=300.0, metavar="SECONDS",

@@ -364,46 +364,29 @@ class ExperimentEngine:
         if self.progress is not None:
             self.progress(event)
 
-    def run_cells(
-        self,
-        cells: Sequence[Cell],
-        *,
-        contain_errors: bool = False,
-        digests: Sequence[str] | None = None,
-    ) -> list[RunResult]:
+    def run_cells(self, cells: Sequence[Cell]) -> list[RunResult]:
         """Execute a batch, resolving duplicates and cache hits first.
 
         Returns results positionally aligned with ``cells``.  Identical
         cells (same digest) within the batch are simulated once and the
         result shared; order of the returned list is deterministic and
-        independent of worker completion order.  ``digests`` hands over
-        the cells' :meth:`Cell.digest` values when the caller already
-        holds them (a ``stream`` cell's digest hashes its whole step
-        program); otherwise each is computed here, once.
+        independent of worker completion order.
 
         Raises :class:`~repro.resilience.QuarantineError` when one or
         more cells exhausted their :class:`RetryPolicy` attempt budget
         (repeated worker deaths or deadline overruns); the error carries
-        the completed partial results instead of discarding them.
-
-        With ``contain_errors`` a cell whose *execution* raises (a
-        deterministic simulation error — bad root rank, deadlock, engine
-        limit) is quarantined with reason ``cell-error`` instead of
-        aborting the batch: its siblings complete and the
-        :class:`QuarantineError` carries their results.  This is how the
-        serve layer keeps one poisoned tenant job from failing everyone
-        multiplexed into the same batch; the default (re-raise) preserves
-        the CLI's fail-fast diagnostics.
+        the completed partial results instead of discarding them.  A
+        cell whose *execution* raises (a deterministic simulation error)
+        fails the batch with that error.
         """
         started = time.perf_counter()
         total = len(cells)
         self.metrics.batches += 1
         self.metrics.scheduled += total
-        if digests is None:
-            digests = [cell.digest() for cell in cells]
 
         by_digest: dict[str, list[int]] = {}
-        for i, (cell, digest) in enumerate(zip(cells, digests)):
+        for i, cell in enumerate(cells):
+            digest = cell.digest()
             by_digest.setdefault(digest, []).append(i)
             self._emit(CellEvent("scheduled", cell.label, digest, i, total))
         self.metrics.deduped += total - len(by_digest)
@@ -422,11 +405,8 @@ class ExperimentEngine:
             else:
                 pending[digest] = cell
 
-        quarantined: list[QuarantinedCell] = []
-        if pending:
-            quarantined = self._execute_pending(pending, by_digest, results,
-                                                total, contain_errors)
-
+        quarantined = self._execute_pending(pending, by_digest, results,
+                                            total)
         self.metrics.total_wall += time.perf_counter() - started
         if quarantined:
             raise QuarantineError(quarantined, list(results))
@@ -439,28 +419,13 @@ class ExperimentEngine:
         by_digest: dict[str, list[int]],
         results: list[RunResult | None],
         total: int,
-        contain_errors: bool = False,
     ) -> list[QuarantinedCell]:
-        quarantined: list[QuarantinedCell] = []
-
         def settle(digest: str,
                    outcome: Callable[[], tuple[RunResult, float]]) -> None:
-            """What became of one executed cell: its result — or, under
-            ``contain_errors``, its own error.  That reproduces on every
-            retry (unlike a host fault), so it consumes the cell at once:
-            one attempt, reason ``cell-error: <exception>``."""
+            """Record one executed cell's result; its error (or its
+            worker's death) propagates to the caller."""
             cell, indices = pending[digest], by_digest[digest]
-            try:
-                result, wall = outcome()
-            except BrokenProcessPool:
-                raise  # the worker's death, not the cell's error
-            except Exception as exc:
-                if not contain_errors:
-                    raise
-                quarantined.append(self._quarantine(
-                    cell, digest, f"cell-error: {type(exc).__name__}: {exc}",
-                    1, indices[0], total))
-                return
+            result, wall = outcome()
             if self.cache is not None:
                 self.cache.put(digest, result)
             self.metrics.executed += 1
@@ -473,12 +438,10 @@ class ExperimentEngine:
             self._emit(CellEvent("start", cell.label, digest,
                                  by_digest[digest][0], total))
         if self.jobs > 1 and len(pending) > 1:
-            quarantined += self._execute_pool(pending, by_digest, settle,
-                                              total)
-        else:
-            for digest, cell in pending.items():
-                settle(digest, partial(_execute_cell, cell, digest))
-        return quarantined
+            return self._execute_pool(pending, by_digest, settle, total)
+        for digest, cell in pending.items():
+            settle(digest, partial(_execute_cell, cell, digest))
+        return []
 
     def _quarantine(self, cell: Cell, digest: str, reason: str,
                     attempts: int, index: int, total: int) -> QuarantinedCell:
@@ -534,8 +497,8 @@ class ExperimentEngine:
         ``policy.max_attempts``.  A cell running past
         ``policy.cell_deadline`` (measured from its submission to the idle
         lane) has its lane's worker killed; siblings on other lanes are
-        untouched.  A worker *exception* is the cell's own error and
-        ``settle``'s business, like its result.
+        untouched.  A worker *exception* is the cell's own error:
+        ``settle`` raises it and the batch ends.
         """
         policy = self.policy
         queue = deque(pending)

@@ -72,7 +72,7 @@ class QuarantinedCell:
     label: str
     digest: str
     attempts: int
-    reason: str  # "pool-crash", "deadline", or "cell-error: <exception>"
+    reason: str  # "pool-crash" or "deadline"
 
 
 class QuarantineError(RuntimeError):

@@ -4,11 +4,11 @@ A long-running HTTP server (stdlib ``http.server``) behind ``repro serve``:
 clients create jobs, stream step events as NDJSON chunks (or upload a
 whole stream at creation), and the server feeds each tenant job's events
 into the Chameleon machinery *incrementally* — clustering state advances
-as chunks arrive, not at job close.  Jobs multiplex over the shared
-:class:`~repro.harness.engine.ExperimentEngine` with the
-content-addressed run cache as the dedup layer, supervised by the
-engine's :class:`~repro.resilience.RetryPolicy` (a poisoned job is
-quarantined and reported ``failed``; its siblings finish).
+as chunks arrive, not at job close.  Every job, streamed or uploaded,
+simulates in its own worker process; the shared
+:class:`~repro.harness.engine.ExperimentEngine`'s content-addressed run
+cache is the dedup layer (a poisoned job is quarantined and reported
+``failed``; its siblings finish).
 
 The core correctness claim is the **streamed-vs-batch bit-identity
 oracle**: a job fed chunk-by-chunk produces the exact clustering output

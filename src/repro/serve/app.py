@@ -5,9 +5,9 @@ Every connection carries one request on its own thread
 ``ServeConfig.max_body_bytes``, and all responses are JSON except the
 trace download (``text/plain``).  A connection that stalls mid-request
 for ``_Handler.timeout`` seconds is closed, freeing its thread.  The
-heavy lifting — streamed jobs' worker processes, engine batches,
-quarantine — lives in :mod:`repro.serve.jobs`; handlers here only
-translate HTTP to registry calls.
+heavy lifting — each job's worker process, the cache, quarantine —
+lives in :mod:`repro.serve.jobs`; handlers here only translate HTTP to
+registry calls.
 
 Routes (all under ``/v1`` except the health probe):
 

@@ -1,30 +1,29 @@
-"""Job registry: tenant lifecycle, engine multiplexing, quarantine.
+"""Job registry: tenant lifecycle, worker processes, quarantine.
 
-Two job kinds share one lifecycle vocabulary:
+Every job simulates in its own worker process
+(:func:`~repro.serve.ingest.stream_worker`, forked from a
+``forkserver``) fed over a pipe.  Two job kinds differ only in how the
+events arrive:
 
-* **streamed** jobs (``POST /v1/jobs`` then NDJSON chunks) each
-  simulate in their own worker process
-  (:func:`~repro.serve.ingest.stream_worker`, forked from a
-  ``forkserver``) fed chunk by chunk over a pipe — state ``open`` while
-  accepting events, ``finalizing`` after close, then
-  ``complete``/``failed``/``cancelled``.  The server keeps the job's
-  state and its steps; on success the result is written into the
-  engine's content-addressed cache under the digest of the *equivalent
-  batch cell*, so a later batch run (or upload of the same events) is a
-  cache hit.
-* **upload** jobs (``steps`` inline at creation) are batched by a single
-  dispatcher thread into one ``engine.run_cells(..., contain_errors=True)``
-  call: they multiplex over the engine's worker pool, dedup against the
-  cache and each other, and a poisoned job is *quarantined* by the
-  engine's :class:`~repro.resilience.RetryPolicy` machinery — it reports
-  ``failed`` with its quarantine record while its batch siblings
-  complete.
+* **streamed** jobs (``POST /v1/jobs`` then NDJSON chunks) are ``open``
+  while accepting events, ``finalizing`` after close, then
+  ``complete``/``failed``/``cancelled``.
+* **upload** jobs (``steps`` inline at creation) are a stream closed at
+  birth: all their steps and the close go down the pipe at once, so
+  they start ``finalizing``.  An upload whose batch cell the engine's
+  cache already holds completes from the cache at creation, with no
+  worker.
 
-A streamed job's supervision is ``ServeConfig.idle_timeout``, kept by
-its worker: a stream that goes quiet mid-job is aborted and failed as
-abandoned.  A worker that dies before its terminal message fails its job
-with the quarantine reason ``worker-died``; the server and its other
-jobs carry on.
+The server keeps each job's state and its steps; on success the result
+is written into the engine's content-addressed cache under the digest of
+the *equivalent batch cell*, so a later batch run (or upload of the same
+events) is a cache hit.
+
+A job's supervision is ``ServeConfig.idle_timeout``, kept by its worker:
+a stream that goes quiet mid-job is aborted and failed as abandoned.  A
+worker whose simulation raises fails its job with the quarantine reason
+``cell-error: …``, and a worker that dies before its terminal message
+fails it with ``worker-died``; the server and its other jobs carry on.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import itertools
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -43,7 +41,6 @@ from ..core.config import ChameleonConfig
 from ..harness.engine import Cell, ExperimentEngine, make_cell
 from ..harness.runner import Mode, RunResult, chameleon_config_for
 from ..obs.metrics import MetricsRegistry
-from ..resilience.policy import QuarantineError
 from ..simmpi.simconfig import SimConfig, parse_config
 from ..workloads.stream import (
     MAX_OPS_PER_STEP,
@@ -64,10 +61,6 @@ __all__ = [
 
 TERMINAL_STATES = ("complete", "failed", "cancelled")
 
-#: seconds the upload dispatcher waits after waking to coalesce
-#: concurrently-submitted jobs into one engine batch
-BATCH_WINDOW = 0.05
-
 
 class JobError(Exception):
     """A request-level error with an HTTP status."""
@@ -81,9 +74,11 @@ class JobError(Exception):
 class ServeConfig:
     """Tunables of the ingestion service (service-level DoS bounds).
 
-    ``idle_timeout`` is the wall-clock seconds a streamed job may wait
-    for its next event chunk before it is failed as abandoned; ``None``
-    disables the timeout.
+    ``max_stream_jobs`` caps the running (non-terminal) jobs, streamed
+    and uploaded alike: each holds a worker process.  ``idle_timeout`` is
+    the wall-clock seconds a streamed job may wait for its next event
+    chunk before it is failed as abandoned; ``None`` disables the
+    timeout.
     """
 
     host: str = "127.0.0.1"
@@ -97,6 +92,8 @@ class ServeConfig:
     retain_jobs: int = 1024
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in 0..65535")
         if self.max_stream_jobs < 1:
             raise ValueError("max_stream_jobs must be >= 1")
         if self.max_body_bytes < 1024:
@@ -174,18 +171,20 @@ def _parse_spec(body: dict[str, Any], limits: ServeConfig) -> JobSpec:
 class Job:
     """One tenant job; all mutable state is guarded by ``_lock``.
 
-    A streamed job also holds its worker process and the server's end of
+    A running job also holds its worker process and the server's end of
     the worker's pipe; what goes down the pipe is sent under
     ``_send_lock``, so the worker sees the steps in ``steps`` order.
+    ``steps`` given at construction make an upload: closed at birth.
     """
 
-    def __init__(self, job_id: str, spec: JobSpec, kind: str) -> None:
+    def __init__(self, job_id: str, spec: JobSpec,
+                 steps: list[dict] | None = None) -> None:
         self.id = job_id
         self.spec = spec
-        self.kind = kind  # "streamed" | "upload"
+        self.kind = "streamed" if steps is None else "upload"
         self._lock = threading.Lock()
-        self.state = "open" if kind == "streamed" else "finalizing"
-        self.steps: list[dict] = []
+        self.state = "open" if steps is None else "finalizing"
+        self.steps: list[dict] = steps or []
         self.chunks = 0
         self.bytes_in = 0
         self.consumed = 0
@@ -234,27 +233,17 @@ class Job:
     def close(self) -> str:
         with self._send_lock:
             with self._lock:
-                if self.state in TERMINAL_STATES:
+                if self.state != "open":
                     return self.state
-                if self.state == "open":
-                    self.state = "finalizing"
-            if self.kind == "streamed":
-                self._send(("close",))
+                self.state = "finalizing"
+            self._send(("close",))
         return "finalizing"
 
     def cancel(self) -> str:
-        if self.kind == "streamed":
-            return self.abort("cancelled")
-        # upload job: mark for the dispatcher to skip
-        with self._lock:
-            if self.state in TERMINAL_STATES:
-                return self.state
-            self.state = "cancelled"
-            self.error = "cancelled"
-        return "cancelling"
+        return self.abort("cancelled")
 
     def abort(self, reason: str) -> str:
-        """Tell a streamed job's worker to stop; its terminal message
+        """Tell the job's worker to stop; its terminal message
         (``aborted`` with ``reason``) ends the job."""
         with self._send_lock:
             with self._lock:
@@ -276,7 +265,7 @@ class Job:
             return False
         return True
 
-    # -- consumer side (receiver thread / dispatcher) --------------------
+    # -- consumer side (receiver thread) ---------------------------------
 
     def progress(self, step_index: int, snap: dict[str, Any]) -> None:
         with self._lock:
@@ -405,14 +394,6 @@ class JobRegistry:
         self._lock = threading.RLock()
         self._counter = itertools.count(1)
         self._ctx = worker_context()
-        self._upload_q: list[Job] = []
-        self._qcond = threading.Condition()
-        self._shutdown = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch",
-            daemon=True,
-        )
-        self._dispatcher.start()
 
     # -- creation --------------------------------------------------------
 
@@ -421,36 +402,35 @@ class JobRegistry:
 
     def create(self, body: dict[str, Any]) -> Job:
         spec = _parse_spec(body, self.config)
-        steps_raw = body.get("steps")
-        if steps_raw is not None:
+        steps = body.get("steps")
+        if steps is not None:
             try:
                 steps = normalize_steps(
-                    steps_raw, max_steps=self.config.max_steps_per_job,
+                    steps, max_steps=self.config.max_steps_per_job,
                     max_ops=self.config.max_ops_per_step,
                 )
             except ValueError as exc:
                 raise JobError(400, f"bad steps: {exc}") from None
             if not steps:
                 raise JobError(400, "steps must contain at least one step")
-            job = Job(self._new_id(), spec, "upload")
-            job.steps = steps
-            with self._lock:
-                self._register(job)
-            with self._qcond:
-                self._upload_q.append(job)
-                self._qcond.notify_all()
-            return job
+        job = Job(self._new_id(), spec, steps)
+        if steps is not None:
+            job.digest = job.batch_cell().digest()
+            cache = self.engine.cache
+            cached = cache.get(job.digest) if cache is not None else None
+            if cached is not None:
+                job.complete_with(cached, job.digest, "hit")
+                with self._lock:
+                    self._register(job)
+                return job
         with self._lock:
-            active = sum(
-                1 for j in self._jobs.values()
-                if j.kind == "streamed" and j.state not in TERMINAL_STATES
-            )
+            active = sum(1 for j in self._jobs.values()
+                         if j.state not in TERMINAL_STATES)
             if active >= self.config.max_stream_jobs:
                 raise JobError(
-                    429, f"too many open streamed jobs "
+                    429, f"too many running jobs "
                     f"({active}/{self.config.max_stream_jobs})"
                 )
-            job = Job(self._new_id(), spec, "streamed")
             job.conn, child_conn = self._ctx.Pipe()
             self._register(job)
         job.worker = self._ctx.Process(
@@ -468,6 +448,10 @@ class JobRegistry:
             # the worker's end lives in the worker alone, so the pipe
             # reports EOF the moment the worker dies
             child_conn.close()
+        if steps is not None:  # an upload: a stream closed at birth
+            with job._send_lock:
+                job._send(("steps", steps))
+                job._send(("close",))
         job.thread = threading.Thread(
             target=self._receive, args=(job,),
             name=f"repro-serve-{job.id}", daemon=True,
@@ -497,11 +481,6 @@ class JobRegistry:
         from .protocol import parse_ndjson_events
 
         job = self.get(job_id)
-        if job.kind != "streamed":
-            raise JobError(
-                409, f"job {job_id} is an upload job; it takes no event "
-                "chunks"
-            )
         try:
             steps = parse_ndjson_events(
                 body, max_ops_per_step=self.config.max_ops_per_step
@@ -513,7 +492,7 @@ class JobRegistry:
         return {"job": job.id, "accepted": len(steps),
                 "steps_received": total}
 
-    # -- streamed execution ----------------------------------------------
+    # -- execution (one worker process per job) --------------------------
 
     def _receive(self, job: Job) -> None:
         """The job's receiver thread: apply the worker's progress, then
@@ -535,7 +514,7 @@ class JobRegistry:
             job.fail(f"worker exited with code {job.worker.exitcode}",
                      quarantine={"reason": "worker-died", "attempts": 1})
         elif msg[0] == "result":
-            self._finalize_streamed(job, msg[1])
+            self._finalize(job, msg[1])
         elif msg[0] == "aborted":
             reason = msg[1]
             if reason == "cancelled":
@@ -547,8 +526,8 @@ class JobRegistry:
             job.fail(msg[1], quarantine={"reason": f"cell-error: {msg[1]}",
                                          "attempts": 1})
 
-    def _finalize_streamed(self, job: Job, result: RunResult) -> None:
-        """Record the streamed result and write it through the dedup layer.
+    def _finalize(self, job: Job, result: RunResult) -> None:
+        """Record the job's result and write it through the dedup layer.
 
         The digest is the *batch-equivalent cell's* — identical to what
         ``repro run --workload stream`` over the same events computes —
@@ -559,7 +538,7 @@ class JobRegistry:
         if not job.steps:
             job.complete_with(result, None, None)
             return
-        digest = job.batch_cell().digest()
+        digest = job.digest or job.batch_cell().digest()
         cache = self.engine.cache
         outcome = "disabled"
         if cache is not None:
@@ -574,62 +553,6 @@ class JobRegistry:
                 )
         job.complete_with(result, digest, outcome)
 
-    # -- upload execution (engine batches) --------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._qcond:
-                while not self._upload_q and not self._shutdown:
-                    self._qcond.wait()
-                if self._shutdown and not self._upload_q:
-                    return
-            time.sleep(BATCH_WINDOW)  # coalesce a burst
-            with self._qcond:
-                batch = [j for j in self._upload_q
-                         if j.state not in TERMINAL_STATES]
-                self._upload_q.clear()
-            if batch:
-                self._run_upload_batch(batch)
-
-    def _run_upload_batch(self, jobs: list[Job]) -> None:
-        cells = []
-        for job in jobs:
-            cell = job.batch_cell()
-            job.digest = cell.digest()
-            cells.append(cell)
-        cache = self.engine.cache
-        pre_hit = {
-            job.id: cache is not None and cache.path_for(job.digest).exists()
-            for job in jobs if job.digest is not None
-        }
-        quarantined: dict[str, Any] = {}
-        try:
-            results = self.engine.run_cells(
-                cells, contain_errors=True,
-                digests=[job.digest for job in jobs],
-            )
-        except QuarantineError as err:
-            results = err.results
-            quarantined = {q.digest: q for q in err.quarantined}
-        except Exception as exc:  # noqa: BLE001 - batch-level host failure
-            for job in jobs:
-                job.fail(f"{type(exc).__name__}: {exc}")
-            return
-        for job, result in zip(jobs, results):
-            if result is None:
-                q = quarantined.get(job.digest)
-                reason = q.reason if q is not None else "quarantined"
-                job.fail(reason, quarantine={
-                    "reason": reason,
-                    "attempts": q.attempts if q is not None else 1,
-                })
-            else:
-                if cache is None:
-                    outcome = "disabled"
-                else:
-                    outcome = "hit" if pre_hit.get(job.id) else "stored"
-                job.complete_with(result, job.digest, outcome)
-
     # -- service views ----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -640,22 +563,16 @@ class JobRegistry:
             doc: dict[str, Any] = {
                 "jobs": len(self._jobs),
                 "by_state": by_state,
-                "engine": self.engine.metrics.as_dict(),
             }
         if self.engine.cache is not None:
             doc["cache"] = self.engine.cache.stats.as_dict()
         return doc
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        with self._qcond:
-            self._shutdown = True
-            self._qcond.notify_all()
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            if job.kind == "streamed":
-                job.abort("server shutdown")
-        self._dispatcher.join(timeout)
+            job.abort("server shutdown")
         for job in jobs:
             if job.thread is not None:
                 job.thread.join(timeout)

@@ -1,8 +1,8 @@
 """Regression tests for the harness/cache correctness fixes that ride
 along with the serving PR: unique spill naming + in-flight detection,
 the dead-worker kill guard, the bench throughput floor, the streamed-job
-idle timeout, worker-exception pickling, and contained cell errors in
-``run_cells``.
+idle timeout, worker-exception pickling, and a cell error failing its
+``run_cells`` batch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.harness.bench import WALL_FLOOR_S, matched_per_s
 from repro.harness.cache import RunCache, _spill_path, _spill_writer_alive
 from repro.harness.engine import ExperimentEngine, make_cell
 from repro.harness.runner import Mode
-from repro.resilience import QuarantineError, RetryPolicy
 from repro.serve.jobs import ServeConfig
 from repro.simmpi.errors import TaskFailedError
 from repro.workloads.stream import canonical_steps_json, normalize_steps
@@ -153,37 +152,10 @@ def _cell(steps, nprocs=4, mode=Mode.APP):
     )
 
 
-GOOD = [{"ops": [{"op": "barrier"}]}]
 POISON = [{"ops": [{"op": "bcast", "root": 99}]}]
 
 
 class TestContainErrors:
-    def test_inline_contained(self):
-        engine = ExperimentEngine(jobs=0, cache=None)
-        cells = [_cell(GOOD), _cell(POISON), _cell(GOOD, nprocs=2)]
-        with pytest.raises(QuarantineError) as err:
-            engine.run_cells(cells, contain_errors=True)
-        assert [r is not None for r in err.value.results] == \
-            [True, False, True]
-        q = err.value.quarantined[0]
-        assert q.reason.startswith("cell-error:")
-        assert q.attempts == 1
-
-    def test_pool_contained(self):
-        engine = ExperimentEngine(
-            jobs=2, cache=None,
-            policy=RetryPolicy(max_attempts=2, cell_deadline=None),
-        )
-        cells = [_cell(GOOD), _cell(POISON), _cell(GOOD, nprocs=2)]
-        with pytest.raises(QuarantineError) as err:
-            engine.run_cells(cells, contain_errors=True)
-        assert [r is not None for r in err.value.results] == \
-            [True, False, True]
-        q = err.value.quarantined[0]
-        assert q.reason.startswith("cell-error:")
-        assert "root 99" in q.reason
-        assert q.attempts == 1  # deterministic errors are not retried
-
     def test_default_still_raises(self):
         engine = ExperimentEngine(jobs=0, cache=None)
         with pytest.raises(TaskFailedError):

@@ -57,6 +57,48 @@ def _oracle(steps, engine=None, **kw):
     )
 
 
+def _open_stream(client) -> str:
+    job = client.create_job(nprocs=4)["job"]
+    client.send_events(job, [{"ops": [{"op": "barrier"}]}])
+    return job
+
+
+def _long_upload(client) -> str:
+    """An upload that simulates for many seconds, so a kill, cancel or
+    stop lands while it runs."""
+    job = client.create_job(nprocs=64, steps=default_steps() * 200)["job"]
+    assert client.status(job)["state"] == "finalizing"
+    return job
+
+
+def _kill_worker(server, client, job: str) -> None:
+    os.kill(server.registry.get(job).worker.pid, signal.SIGKILL)
+    doc = client.wait(job)
+    assert doc["state"] == "failed"
+    assert doc["error"] == f"worker exited with code {-signal.SIGKILL}"
+    assert doc["quarantine"] == {"reason": "worker-died", "attempts": 1}
+
+
+def _stop_leaves_no_worker(start) -> None:
+    """Stop a server while the job ``start(client)`` made runs."""
+    engine = ExperimentEngine(jobs=0, cache=None)
+    srv = ServerThread(engine, ServeConfig(port=0)).start()
+    try:
+        job = start(ServeClient(port=srv.port))
+        worker = srv.registry.get(job).worker
+    finally:
+        srv.stop()
+    assert not worker.is_alive()
+    assert worker not in multiprocessing.active_children()
+
+
+def _cancel_leaves_no_worker(server, client, job: str) -> None:
+    worker = server.registry.get(job).worker
+    client.cancel(job)
+    assert client.wait(job)["state"] == "cancelled"
+    assert not worker.is_alive()
+
+
 class TestStreamedJobs:
     def test_streamed_equals_batch_fuzz(self, client):
         """Seeded fuzz: arbitrary chunk splits are bit-identical to batch."""
@@ -147,7 +189,8 @@ class TestStreamedJobs:
 
 
 class TestWorkerProcesses:
-    """Each streamed job simulates in its own worker process."""
+    """Each job, streamed or uploaded, simulates in its own worker
+    process."""
 
     def test_two_streams_two_workers(self, server, client):
         steps = default_steps()
@@ -169,15 +212,21 @@ class TestWorkerProcesses:
             assert client.trace(job) == expected.trace.serialize()
         assert not any(w.is_alive() for w in workers)
 
+    def test_upload_runs_in_its_own_worker(self, server, client):
+        steps = default_steps()
+        job = client.create_job(nprocs=NPROCS, steps=steps)["job"]
+        worker = server.registry.get(job).worker
+        assert worker is not None and worker.pid != os.getpid()
+        doc = client.wait(job)
+        assert doc["state"] == "complete"
+        assert doc["result"]["fingerprint"] == _oracle(steps).fingerprint()
+        assert not worker.is_alive()
+
     def test_killed_worker_fails_only_its_job(self, server, client):
         steps = default_steps()
         job = client.create_job(nprocs=NPROCS)["job"]
         client.send_events(job, steps[:3])
-        os.kill(server.registry.get(job).worker.pid, signal.SIGKILL)
-        doc = client.wait(job)
-        assert doc["state"] == "failed"
-        assert doc["error"] == f"worker exited with code {-signal.SIGKILL}"
-        assert doc["quarantine"] == {"reason": "worker-died", "attempts": 1}
+        _kill_worker(server, client, job)
         with pytest.raises(ServeHTTPError) as err:
             client.send_events(job, steps[3:])
         assert err.value.status == 409
@@ -188,26 +237,37 @@ class TestWorkerProcesses:
         assert doc["state"] == "complete"
         assert doc["result"]["fingerprint"] == _oracle(steps).fingerprint()
 
+    def test_killed_upload_worker_fails_its_job(self, server, client):
+        _kill_worker(server, client, _long_upload(client))
+
     def test_stop_with_an_open_stream_leaves_no_worker(self):
-        engine = ExperimentEngine(jobs=0, cache=None)
-        srv = ServerThread(engine, ServeConfig(port=0)).start()
-        try:
-            client = ServeClient(port=srv.port)
-            job = client.create_job(nprocs=4)["job"]
-            client.send_events(job, [{"ops": [{"op": "barrier"}]}])
-            worker = srv.registry.get(job).worker
-        finally:
-            srv.stop()
-        assert not worker.is_alive()
-        assert worker not in multiprocessing.active_children()
+        _stop_leaves_no_worker(_open_stream)
+
+    def test_stop_during_an_upload_leaves_no_worker(self):
+        _stop_leaves_no_worker(_long_upload)
 
     def test_cancelled_stream_leaves_no_worker(self, server, client):
-        job = client.create_job(nprocs=4)["job"]
-        client.send_events(job, [{"ops": [{"op": "barrier"}]}])
-        worker = server.registry.get(job).worker
-        client.cancel(job)
-        assert client.wait(job)["state"] == "cancelled"
-        assert not worker.is_alive()
+        _cancel_leaves_no_worker(server, client, _open_stream(client))
+
+    def test_cancelled_upload_leaves_no_worker(self, server, client):
+        _cancel_leaves_no_worker(server, client, _long_upload(client))
+
+    def test_cap_counts_uploads_but_not_cache_hits(self, tmp_path):
+        engine = ExperimentEngine(jobs=0, cache=RunCache(tmp_path / "cache"))
+        srv = ServerThread(engine, ServeConfig(port=0, max_stream_jobs=1))
+        with srv:
+            client = ServeClient(port=srv.port)
+            steps = default_steps()
+            warm = client.create_job(nprocs=NPROCS, steps=steps)["job"]
+            assert client.wait(warm)["cache"] == "stored"
+            stream = _open_stream(client)
+            with pytest.raises(ServeHTTPError) as err:
+                client.create_job(nprocs=NPROCS, steps=steps[:3])
+            assert err.value.status == 429
+            doc = client.create_job(nprocs=NPROCS, steps=steps)
+            assert doc["state"] == "complete" and doc["cache"] == "hit"
+            assert srv.registry.get(doc["job"]).worker is None
+            client.cancel(stream)
 
 
 class TestConcurrentTenants:
@@ -296,7 +356,8 @@ class TestErrors:
     def test_health_and_stats(self, client):
         assert client.health() == {"ok": True}
         stats = client.stats()
-        assert "jobs" in stats and "engine" in stats
+        assert "jobs" in stats and "by_state" in stats
+        assert "engine" not in stats
 
     # -- the transport itself, over raw sockets ---------------------------
 
@@ -410,7 +471,7 @@ class TestCliShutdown:
         # SIGTERM must take the same graceful path.
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--jobs", "1", "--no-cache"],
+             "--no-cache"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_src_env(),
             text=True,
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
@@ -426,3 +487,25 @@ class TestCliShutdown:
             raise
         assert proc.returncode == 0, out
         assert "shutting down" in out
+
+
+class TestCliAddress:
+    def test_port_in_use_is_a_one_line_error(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 "--no-cache"],
+                env=_src_env(), capture_output=True, text=True, timeout=60,
+            )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        (line,) = out.stderr.splitlines()
+        assert line.startswith(
+            f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+
+    def test_port_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match="port"):
+            ServeConfig(port=70000)

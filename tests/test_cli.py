@@ -149,6 +149,7 @@ def test_app_run_under_faults_warns_once(tmp_path, capsys):
     ["run", "--workload", "uniform", "--call-frequency", "0"],
     ["run", "--workload", "uniform", "--jobs", "-2"],
     ["timeline", "t.st", "--width", "5"],
+    ["serve", "--port", "70000"],
 ])
 def test_out_of_range_numeric_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -325,10 +326,8 @@ SURFACE = {
          'store'),
         (('--idle-timeout',), 'idle_timeout', 300.0, None, False, None,
          'store'),
-        (('--jobs',), 'jobs', None, None, False, None, 'store'),
         (('--no-cache',), 'no_cache', False, None, False, 0, 'store_true'),
         (('--cache-dir',), 'cache_dir', '', None, False, None, 'store'),
-        (('--progress',), 'progress', False, None, False, 0, 'store_true'),
     ],
 }
 
