@@ -38,18 +38,13 @@ offline.  Instrumented runs bypass the cache; their virtual clocks are
 bit-identical to uninstrumented ones.
 
 Fault injection: ``run --faults PLAN.json`` installs a deterministic
-:class:`~repro.faults.FaultPlan` (see docs/FAULTS.md for the schema), and
-``repro chaos`` sweeps a small built-in fault matrix — crash-a-lead,
-drop-messages, noisy-rank — running every scenario twice with the same
-seed to check bit-identical reproduction, and reports survival plus the
-trace-fidelity delta against the fault-free baseline.
-
-Host resilience: ``repro chaos host`` sweeps *host-level* faults — killed
-and hung pool worker processes, damaged cache files — twice, asserting
-every fault ends in a recorded retry, quarantine or invalidation with
-identical virtual-time results (docs/RESILIENCE.md).  ``repro cache
-verify`` (``--fix``) sweeps the run cache for corrupt and orphaned
-entries.
+:class:`~repro.faults.FaultPlan` (see docs/FAULTS.md for the schema).
+``repro chaos`` sweeps a built-in matrix of such faults, and ``repro
+chaos host`` one of *host-level* faults (killed and hung pool workers,
+damaged cache files; docs/RESILIENCE.md), both through one loop
+(:mod:`repro.resilience.chaos`) that runs every scenario twice and
+checks the reruns agree.  ``repro cache verify`` (``--fix``) sweeps the
+run cache for corrupt and orphaned entries.
 
 Failures map to distinct exit codes with one-line diagnostics: a usage
 error (including an out-of-range numeric flag) or invalid fault plan = 2,
@@ -63,6 +58,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -77,6 +73,13 @@ from .harness.engine import (
 )
 from .obs import Recorder
 from .replay import accuracy, replay_trace
+from .resilience.chaos import (
+    FAULT_SCENARIOS,
+    HOST_SCENARIOS,
+    UnknownScenarioError,
+    run_fault_chaos,
+    run_host_chaos,
+)
 from .resilience.policy import QuarantineError
 from .scalatrace.analysis import communication_matrix, hotspots, summarize
 from .scalatrace.trace import Trace
@@ -343,165 +346,28 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff.similarity() >= args.threshold else 1
 
 
-#: The built-in fault matrix swept by `repro chaos`.
-CHAOS_SCENARIOS = ("crash-a-lead", "drop-messages", "noisy-rank")
-
-
-def _chaos_plan(name: str, baseline, nprocs: int, seed: int) -> FaultPlan:
-    from .faults.plan import ComputeFault, CrashFault, MessageFaults
-
-    if name == "crash-a-lead":
-        # Prefer a non-zero lead, and crash past the clustering warm-up,
-        # so the run exercises lead re-election rather than the rank-0 /
-        # startup degraded fallback.
-        leads = sorted(r for r in baseline.lead_ranks if r != 0)
-        victim = leads[0] if leads else max(1, nprocs - 1)
-        return FaultPlan(
-            seed=seed,
-            crashes=(CrashFault(rank=victim, time=baseline.max_time * 0.7),),
-        )
-    if name == "drop-messages":
-        return FaultPlan(seed=seed, messages=MessageFaults(drop_prob=0.05))
-    if name == "noisy-rank":
-        return FaultPlan(
-            seed=seed,
-            compute=(
-                ComputeFault(rank=max(1, nprocs // 2), slowdown=1.5,
-                             jitter=0.1),
-            ),
-        )
-    raise ValueError(f"unknown chaos scenario {name!r}")
-
-
-def _cmd_chaos_host(args: argparse.Namespace) -> int:
-    from .resilience.chaos import HOST_SCENARIOS, run_host_chaos
-
-    scenarios = args.scenario or list(HOST_SCENARIOS)
-    seed = args.fault_seed if args.fault_seed is not None else 0x0457
-    print(f"chaos host: {len(scenarios)} scenarios, seed={seed:#x}")
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    seed = args.fault_seed
+    if args.kind == "host":
+        sweep = partial(run_host_chaos, seed=0x0457 if seed is None else seed)
+    else:
+        cell = make_cell(args.workload, args.nprocs, Mode(args.mode),
+                         workload_params=_workload_params(args),
+                         sim=_sim_from(args))
+        sweep = partial(run_fault_chaos, cell,
+                        seed=FaultPlan.seed if seed is None else seed)
     try:
-        report = run_host_chaos(scenarios, seed=seed,
-                                report_path=args.report, log=print)
-    except ValueError as exc:  # an unknown scenario name
+        report = sweep(args.scenario, report_path=args.report, log=print)
+    except UnknownScenarioError as exc:
         raise SystemExit(f"error: {exc}") from None
     if args.report:
         print(f"chaos report: {args.report}")
     if report["ok"]:
-        print("chaos host: every injected fault recovered, reruns identical")
+        print(f"chaos {report['kind']}: every scenario recovered, "
+              "reruns identical")
     else:
-        print("chaos host: FAILURES above", file=sys.stderr)
+        print(f"chaos {report['kind']}: FAILURES above", file=sys.stderr)
     return 0 if report["ok"] else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .api import run as api_run
-    from .simmpi.errors import SimMPIError
-
-    if args.kind == "host":
-        return _cmd_chaos_host(args)
-
-    # The determinism check needs both runs computed, not one computed and
-    # one served from disk, so chaos always bypasses the run cache.
-    engine = configure_engine(jobs=args.jobs, no_cache=True)
-    sim = _sim_from(args)
-    mode = Mode(args.mode)
-    seed = args.fault_seed if args.fault_seed is not None else FaultPlan.seed
-    scenarios = args.scenario or list(CHAOS_SCENARIOS)
-    unknown = [s for s in scenarios if s not in CHAOS_SCENARIOS]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown chaos scenario(s): {', '.join(unknown)} "
-            f"(known: {', '.join(CHAOS_SCENARIOS)})"
-        )
-    params = _workload_params(args)
-    print(
-        f"chaos: {args.workload} x {args.nprocs} ranks, mode={mode.value}, "
-        f"seed={seed:#x}"
-    )
-
-    baseline = api_run(args.workload, args.nprocs, mode,
-                       workload_params=params or None, sim=sim,
-                       engine=engine)
-    base_leaves = (
-        baseline.trace.leaf_count() if baseline.trace is not None else 0
-    )
-    print(
-        f"baseline: makespan {baseline.max_time:.6f} s, "
-        f"{base_leaves} trace events"
-    )
-
-    report = {
-        "workload": args.workload,
-        "nprocs": args.nprocs,
-        "mode": mode.value,
-        "fault_seed": seed,
-        "baseline": {
-            "fingerprint": baseline.fingerprint(),
-            "max_time": baseline.max_time,
-            "trace_leaves": base_leaves,
-        },
-        "scenarios": [],
-    }
-    ok = True
-    for name in scenarios:
-        plan = _chaos_plan(name, baseline, args.nprocs, seed)
-        entry = {"name": name, "plan": plan.to_dict()}
-        kwargs = dict(workload_params=params or None, sim=sim,
-                      engine=engine, faults=plan)
-        try:
-            first = api_run(args.workload, args.nprocs, mode, **kwargs)
-            second = api_run(args.workload, args.nprocs, mode, **kwargs)
-        except SimMPIError as exc:
-            entry.update(
-                survived=False,
-                deterministic=False,
-                error=str(exc).splitlines()[0],
-            )
-            ok = False
-        else:
-            deterministic = first.fingerprint() == second.fingerprint()
-            leaves = (
-                first.trace.leaf_count() if first.trace is not None else 0
-            )
-            delta = (
-                abs(leaves - base_leaves) / base_leaves * 100.0
-                if base_leaves
-                else 0.0
-            )
-            entry.update(
-                survived=True,
-                deterministic=deterministic,
-                failed_ranks=list(first.failed_ranks),
-                max_time=first.max_time,
-                trace_leaves=leaves,
-                fidelity_delta_pct=round(delta, 3),
-                fault_summary=dict(
-                    sorted(first.extra.get("fault_summary", {}).items())
-                ),
-            )
-            ok = ok and deterministic
-        report["scenarios"].append(entry)
-        if entry.get("survived"):
-            status = "ok" if entry["deterministic"] else "NON-DETERMINISTIC"
-            print(
-                f"  {name:<16s} {status:<17s} "
-                f"failed_ranks={entry['failed_ranks']} "
-                f"fidelity_delta={entry['fidelity_delta_pct']}%"
-            )
-        else:
-            print(f"  {name:<16s} FAILED            {entry['error']}")
-    report["ok"] = ok
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"chaos report: {args.report}")
-    if ok:
-        print("chaos: all scenarios survived, reruns bit-identical")
-    else:
-        print("chaos: FAILURES above", file=sys.stderr)
-    return 0 if ok else 1
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -715,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Flag groups several subcommands share, each declared once and
     # inherited through ``parents=``.
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument(
-        "--jobs", type=_at_least(0), default=None, metavar="N",
-        help="worker processes for experiment cells "
-        "(default: $REPRO_JOBS or 1; 0 = all cores)",
-    )
     cache_dir = argparse.ArgumentParser(add_help=False)
     cache_dir.add_argument(
         "--cache-dir", default="", metavar="DIR",
@@ -731,7 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the on-disk run cache for this invocation",
     )
-    engine = argparse.ArgumentParser(add_help=False, parents=[jobs, cache])
+    engine = argparse.ArgumentParser(add_help=False, parents=[cache])
+    engine.add_argument(
+        "--jobs", type=_at_least(0), default=None, metavar="N",
+        help="worker processes for experiment cells "
+        "(default: $REPRO_JOBS or 1; 0 = all cores)",
+    )
     engine.add_argument(
         "--progress", action="store_true",
         help="print per-cell progress (hit/start/done) to stderr",
@@ -834,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(fn=_cmd_stats)
 
     p_chaos = sub.add_parser(
-        "chaos", parents=[jobs, config, report],
+        "chaos", parents=[config, report],
         help="sweep a fault matrix (virtual-time faults) or the host-fault "
         "suite (`chaos host`); report survival and determinism",
     )
@@ -848,10 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                         modes=[m for m in Mode if m is not Mode.APP])
     p_chaos.add_argument(
         "--scenario", action="append", metavar="NAME",
-        help=f"run only this scenario (repeatable; matrix scenarios: "
-        f"{', '.join(CHAOS_SCENARIOS)}; host scenarios: "
-        "kill-pool-worker, poison-cell, ... — an unknown name "
-        "lists the full set)",
+        help="run only this scenario (repeatable; matrix scenarios: "
+        f"{', '.join(FAULT_SCENARIOS)}; host scenarios: "
+        f"{', '.join(HOST_SCENARIOS)})",
     )
     p_chaos.set_defaults(fn=_cmd_chaos)
 

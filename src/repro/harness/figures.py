@@ -57,37 +57,36 @@ def _freq_for(name: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_suites(
+    specs: list[tuple[str, int, dict[str, Any], int]]
+) -> list[tuple[str, int, dict]]:
+    """APP/Chameleon/ScalaTrace suites of ``(workload, P, params,
+    call_frequency)`` as one engine batch: ``(workload, P, suite)``."""
+    groups = [make_suite_cells(name, p, workload_params=params,
+                               call_frequency=freq)
+              for name, p, params, freq in specs]
+    suites = get_engine().run_suite_groups(groups)
+    return [(name, p, suite) for (name, p, _, _), suite in zip(specs, suites)]
+
+
 def _strong_suites(
     benchmarks: list[str], p_list: list[int]
 ) -> list[tuple[str, int, dict]]:
     """All (benchmark, P) suites of Figures 4/5 as one engine batch."""
-    combos = [
-        (name, p)
+    return _run_suites([
+        (name, p, _params_for(name), _freq_for(name))
         for name in benchmarks
         for p in p_list
         if not (name == "emf" and p < 2)
-    ]
-    groups = [
-        make_suite_cells(
-            name,
-            p,
-            modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
-            workload_params=_params_for(name),
-            call_frequency=_freq_for(name),
-        )
-        for name, p in combos
-    ]
-    suites = get_engine().run_suite_groups(groups)
-    return [(name, p, suite) for (name, p), suite in zip(combos, suites)]
+    ])
 
 
-def figure4(
-    benchmarks: list[str] | None = None, p_list: list[int] | None = None
+def _overhead_figure(
+    suites: list[tuple[str, int, dict]], title: str
 ) -> tuple[list[dict], str]:
-    benchmarks = benchmarks or list(STRONG_BENCHMARKS)
-    p_list = p_list or default_p_list()
+    """Figures 4/6: each suite's APP time and both tracers' overhead."""
     rows = []
-    for name, p, suite in _strong_suites(benchmarks, p_list):
+    for name, p, suite in suites:
         app = suite[Mode.APP]
         rows.append(
             {
@@ -108,9 +107,19 @@ def figure4(
              if r["chameleon_overhead"] else float("inf")]
             for r in rows
         ],
-        title="Figure 4: strong-scaling execution overhead",
+        title=title,
     )
     return rows, text
+
+
+def figure4(
+    benchmarks: list[str] | None = None, p_list: list[int] | None = None
+) -> tuple[list[dict], str]:
+    return _overhead_figure(
+        _strong_suites(benchmarks or list(STRONG_BENCHMARKS),
+                       p_list or default_p_list()),
+        "Figure 4: strong-scaling execution overhead",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,53 +191,18 @@ def _weak_workloads() -> dict[str, dict[str, Any]]:
 
 def _weak_suites(p_list: list[int]) -> list[tuple[str, int, dict]]:
     """All weak-scaling suites of Figures 6/7 as one engine batch."""
-    combos = [
-        (name, params, p)
+    return _run_suites([
+        (name, p, params, 3 if name == "luw" else 1)
         for name, params in _weak_workloads().items()
         for p in p_list
-    ]
-    groups = [
-        make_suite_cells(
-            name,
-            p,
-            modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
-            workload_params=params,
-            call_frequency=3 if name == "luw" else 1,
-        )
-        for name, params, p in combos
-    ]
-    suites = get_engine().run_suite_groups(groups)
-    return [(name, p, suite)
-            for (name, _params, p), suite in zip(combos, suites)]
+    ])
 
 
 def figure6(p_list: list[int] | None = None) -> tuple[list[dict], str]:
-    p_list = p_list or default_p_list()
-    rows = []
-    for name, p, suite in _weak_suites(p_list):
-        app = suite[Mode.APP]
-        rows.append(
-            {
-                "benchmark": name,
-                "P": p,
-                "app_time": app.total_time,
-                "chameleon_overhead": overhead(suite[Mode.CHAMELEON], app),
-                "scalatrace_overhead": overhead(suite[Mode.SCALATRACE], app),
-            }
-        )
-    text = render_table(
-        ["bench", "P", "APP total [s]", "Chameleon ovh [s]",
-         "ScalaTrace ovh [s]", "ST/CH"],
-        [
-            [r["benchmark"], r["P"], r["app_time"], r["chameleon_overhead"],
-             r["scalatrace_overhead"],
-             r["scalatrace_overhead"] / r["chameleon_overhead"]
-             if r["chameleon_overhead"] else float("inf")]
-            for r in rows
-        ],
-        title="Figure 6: weak-scaling execution overhead (LU-W, Sweep3D)",
+    return _overhead_figure(
+        _weak_suites(p_list or default_p_list()),
+        "Figure 6: weak-scaling execution overhead (LU-W, Sweep3D)",
     )
-    return rows, text
 
 
 def figure7(p_list: list[int] | None = None) -> tuple[list[dict], str]:
@@ -275,18 +249,11 @@ def figure8(
 ) -> tuple[list[dict], str]:
     benchmarks = benchmarks or ["bt", "lu", "sp", "pop", "emf"]
     nprocs = nprocs or (1024 if full_scale() else 16)
-    groups = [
-        make_suite_cells(
-            name,
-            nprocs,
-            modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
-            workload_params=_params_for(name),
-            call_frequency=1,  # max marker calls: one per timestep
-        )
-        for name in benchmarks
-    ]
+    # max marker calls: one per timestep
+    suites = _run_suites([(name, nprocs, _params_for(name), 1)
+                          for name in benchmarks])
     rows = []
-    for name, suite in zip(benchmarks, get_engine().run_suite_groups(groups)):
+    for name, _, suite in suites:
         ch = breakdown(suite[Mode.CHAMELEON])
         st = breakdown(suite[Mode.SCALATRACE])
         rows.append(
@@ -420,36 +387,22 @@ def figure11(
 ) -> tuple[list[dict], str]:
     nprocs = nprocs or (256 if full_scale() else 16)
     classes = classes or ["A", "B", "C", "D"]
-    class_params: list[dict[str, Any]] = []
-    for cls in classes:
-        iterations = (
-            None if full_scale() else {"A": 8, "B": 10, "C": 12, "D": 15}[cls]
-        )
-        params: dict[str, Any] = {"problem_class": cls}
-        if iterations is not None:
-            params["iterations"] = iterations
-        class_params.append(params)
-    groups = [
-        make_suite_cells(
-            "lu",
-            nprocs,
-            modes=(Mode.APP, Mode.CHAMELEON, Mode.SCALATRACE),
-            workload_params=params,
-            call_frequency=1,
-        )
-        for params in class_params
+    quick_iterations = {"A": 8, "B": 10, "C": 12, "D": 15}
+    class_params: list[dict[str, Any]] = [
+        {"problem_class": cls} if full_scale()
+        else {"problem_class": cls, "iterations": quick_iterations[cls]}
+        for cls in classes
     ]
+    suites = _run_suites([("lu", nprocs, params, 1)
+                          for params in class_params])
     rows = []
-    for cls, params, suite in zip(
-        classes, class_params, get_engine().run_suite_groups(groups)
-    ):
-        iterations = params.get("iterations")
+    for cls, params, (_, _, suite) in zip(classes, class_params, suites):
         app = suite[Mode.APP]
         ch = breakdown(suite[Mode.CHAMELEON])
         rows.append(
             {
                 "class": cls,
-                "iterations": suite[Mode.APP].extra.get("iters", iterations),
+                "iterations": params.get("iterations"),
                 "app_time": app.total_time,
                 "ch_clustering": ch.clustering + ch.vote + ch.signature,
                 "ch_intercompression": ch.intercompression,

@@ -1,31 +1,39 @@
-"""`repro chaos host`: a deterministic host-fault chaos sweep.
+"""`repro chaos` and `repro chaos host`: two deterministic sweeps, one loop.
 
-The virtual-time chaos matrix (``repro chaos``) proves the *simulated
-system* survives crashed ranks and dropped messages.  This sweep proves
-the *host machinery* survives real process faults: it arms one
+The fault matrix (:func:`run_fault_chaos`) proves the *simulated system*
+survives crashed ranks, dropped messages and noisy ranks, against a
+fault-free baseline of one cell.  The host sweep (:func:`run_host_chaos`)
+proves the *host machinery* survives real process faults: it arms one
 :class:`~repro.resilience.HostFaultPlan` per scenario, kills or hangs
-actual pool worker processes, damages actual cache files, and asserts that
-every fault terminates in a **recorded** retry, quarantine or invalidation
-— never a hang and never a wrong answer.
+actual pool worker processes, damages actual cache files, and asserts
+that every fault terminates in a **recorded** retry, quarantine or
+invalidation — never a hang and never a wrong answer.
 
-Every scenario runs ``runs`` times (default twice) and the outcomes must
-be equal; the report contains no wall-clock times or host paths, so two
-invocations of the whole sweep produce byte-identical JSON — which is
-exactly what the ``chaos-host`` CI job diffs.
+Every scenario runs :data:`RUNS` times and the outcomes must be equal;
+the report contains no wall-clock times or host paths, so two
+invocations of a sweep produce byte-identical JSON — which is exactly
+what the ``chaos`` and ``chaos-host`` CI jobs diff.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
+from ..faults.plan import ComputeFault, CrashFault, FaultPlan, MessageFaults
 from ..harness.cache import RunCache
-from ..harness.engine import ExperimentEngine, make_cell
-from ..harness.runner import Mode
+from ..harness.engine import Cell, ExperimentEngine, make_cell
+from ..harness.runner import Mode, RunResult
+from ..simmpi.errors import SimMPIError
 from .hostfaults import HostFaultPlan, apply_cache_faults, installed
 from .policy import QuarantineError, RetryPolicy
+
+#: Every virtual-time fault scenario of the matrix, in report order.
+FAULT_SCENARIOS = ("crash-a-lead", "drop-messages", "noisy-rank")
 
 #: Every host-fault scenario the sweep knows, in report order.
 HOST_SCENARIOS = (
@@ -138,57 +146,151 @@ def _scenario_runners(seed: int) -> dict[str, Callable[[], dict[str, Any]]]:
     }
 
 
-def run_host_chaos(
-    scenarios: list[str] | None = None,
-    *,
-    seed: int = 0x0457,
-    runs: int = 2,
-    report_path: str = "",
-    log: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Run the host-fault sweep; return (and optionally write) the report.
+class UnknownScenarioError(ValueError):
+    """A sweep was asked for a scenario name it does not know."""
 
-    Each scenario executes ``runs`` times and its outcomes must be equal
-    (``deterministic``); ``recovered`` asserts the fault ended in the
-    expected recorded outcome with unchanged virtual-time results.  The
-    report is free of wall times and paths, so identical invocations are
-    byte-identical — ``ok`` is the conjunction of every scenario's
-    ``recovered`` and ``deterministic``.
-    """
-    runners = _scenario_runners(seed)
-    names = list(scenarios) if scenarios else list(HOST_SCENARIOS)
-    unknown = [n for n in names if n not in runners]
+
+#: Every scenario runs this many times; equal outcomes are deterministic.
+RUNS = 2
+
+
+def _names(kind: str, known: Sequence[str],
+           scenarios: Sequence[str] | None) -> list[str]:
+    """The scenarios to run, all of ``known`` by default; reject unknowns."""
+    names = list(scenarios) if scenarios else list(known)
+    unknown = [n for n in names if n not in known]
     if unknown:
-        raise ValueError(
-            f"unknown host chaos scenario(s): {', '.join(unknown)} "
-            f"(known: {', '.join(HOST_SCENARIOS)})"
-        )
-    report: dict[str, Any] = {
-        "version": 2,
-        "kind": "host",
-        "seed": seed,
-        "runs": runs,
-        "scenarios": {},
-    }
-    ok = True
-    for name in names:
-        outcomes = [runners[name]() for _ in range(max(1, runs))]
+        raise UnknownScenarioError(
+            f"unknown {kind} chaos scenario(s): {', '.join(unknown)} "
+            f"(known: {', '.join(known)})")
+    return names
+
+
+def _sweep(kind: str, runners: dict[str, Callable[[], dict[str, Any]]],
+           head: dict[str, Any], *, seed: int, runs: int = RUNS,
+           report_path: str, log: Callable[[str], None] | None,
+           unlogged: tuple[str, ...] = ("recovered",)) -> dict[str, Any]:
+    """Run each runner (outcome: a dict with ``recovered``) ``runs`` times
+    and build the report on ``head``, the kind-specific top-level fields."""
+    if log is not None:
+        log(f"chaos {kind}: {len(runners)} scenario(s), seed={seed:#x}")
+    report: dict[str, Any] = {**head, "version": 3, "kind": kind,
+                              "seed": seed, "runs": runs, "scenarios": {}}
+    for name, runner in runners.items():
+        outcomes = [runner() for _ in range(max(1, runs))]
         deterministic = all(o == outcomes[0] for o in outcomes[1:])
-        entry = dict(outcomes[0])
-        entry["deterministic"] = deterministic
+        entry = {**outcomes[0], "deterministic": deterministic}
         report["scenarios"][name] = entry
-        ok = ok and deterministic and bool(entry.get("recovered"))
         if log is not None:
-            status = "ok" if entry["recovered"] else "NOT-RECOVERED"
-            if not deterministic:
-                status = "NON-DETERMINISTIC"
-            detail = ", ".join(
-                f"{k}={v}" for k, v in outcomes[0].items() if k != "recovered"
-            )
+            status = ("NON-DETERMINISTIC" if not deterministic
+                      else "ok" if entry["recovered"] else "NOT-RECOVERED")
+            detail = ", ".join(f"{k}={v}" for k, v in outcomes[0].items()
+                               if k not in unlogged)
             log(f"  {name:<18s} {status:<17s} {detail}")
-    report["ok"] = ok
+    report["ok"] = all(e["recovered"] and e["deterministic"]
+                       for e in report["scenarios"].values())
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
+
+
+def run_host_chaos(scenarios: list[str] | None = None, *, seed: int = 0x0457,
+                   runs: int = RUNS, report_path: str = "",
+                   log: Callable[[str], None] | None = None) -> dict[str, Any]:
+    """Run the host-fault sweep; return (and optionally write) the report.
+
+    ``recovered`` asserts the fault ended in the expected recorded
+    outcome with unchanged virtual-time results; ``ok`` is the
+    conjunction of every scenario's ``recovered`` and ``deterministic``.
+    """
+    runners = _scenario_runners(seed)
+    names = _names("host", HOST_SCENARIOS, scenarios)
+    return _sweep("host", {n: runners[n] for n in names}, {}, seed=seed,
+                  runs=runs, report_path=report_path, log=log)
+
+
+# -- the virtual-time fault matrix --------------------------------------------
+
+
+def _fault_plan(name: str, baseline: RunResult, nprocs: int,
+                seed: int) -> FaultPlan:
+    if name == "crash-a-lead":
+        # Prefer a non-zero lead, and crash past the clustering warm-up,
+        # so the run exercises lead re-election rather than the rank-0 /
+        # startup degraded fallback.
+        leads = sorted(r for r in baseline.lead_ranks if r != 0)
+        victim = leads[0] if leads else max(1, nprocs - 1)
+        return FaultPlan(
+            seed=seed,
+            crashes=(CrashFault(rank=victim, time=baseline.max_time * 0.7),),
+        )
+    if name == "drop-messages":
+        return FaultPlan(seed=seed, messages=MessageFaults(drop_prob=0.05))
+    assert name == "noisy-rank", name
+    return FaultPlan(
+        seed=seed,
+        compute=(
+            ComputeFault(rank=max(1, nprocs // 2), slowdown=1.5,
+                         jitter=0.1),
+        ),
+    )
+
+
+def _leaves(result: RunResult) -> int:
+    return result.trace.leaf_count() if result.trace is not None else 0
+
+
+def _run_fault(engine: ExperimentEngine, cell: Cell, plan: FaultPlan,
+               base_leaves: int) -> dict[str, Any]:
+    outcome: dict[str, Any] = {"plan": plan.to_dict()}
+    try:
+        (result,) = engine.run_cells([dataclasses.replace(cell, faults=plan)])
+    except SimMPIError as exc:
+        outcome.update(recovered=False, error=str(exc).splitlines()[0])
+        return outcome
+    leaves = _leaves(result)
+    delta = (abs(leaves - base_leaves) / base_leaves * 100.0
+             if base_leaves else 0.0)
+    outcome.update(
+        recovered=True,
+        fingerprint=result.fingerprint(),
+        failed_ranks=list(result.failed_ranks),
+        max_time=result.max_time,
+        trace_leaves=leaves,
+        fidelity_delta_pct=round(delta, 3),
+        fault_summary=dict(sorted(
+            result.extra.get("fault_summary", {}).items())),
+    )
+    return outcome
+
+
+def run_fault_chaos(cell: Cell, scenarios: list[str] | None = None, *,
+                    seed: int, report_path: str = "",
+                    log: Callable[[str], None] | None = None
+                    ) -> dict[str, Any]:
+    """Sweep the virtual-time fault matrix over the fault-free ``cell``.
+
+    The baseline and every faulted run execute on a private uncached
+    engine: the determinism check needs each run computed, not served
+    from disk.  ``recovered`` means the run completed under its plan."""
+    names = _names("matrix", FAULT_SCENARIOS, scenarios)
+    engine = ExperimentEngine(jobs=1, cache=None)
+    (baseline,) = engine.run_cells([cell])
+    leaves = _leaves(baseline)
+    if log is not None:
+        log(f"baseline: {cell.label}, makespan "
+            f"{baseline.max_time:.6f} s, {leaves} trace events")
+    head = {"workload": cell.workload, "nprocs": cell.nprocs,
+            "mode": cell.mode.value,
+            "baseline": {"fingerprint": baseline.fingerprint(),
+                         "max_time": baseline.max_time,
+                         "trace_leaves": leaves}}
+    runners = {n: partial(_run_fault, engine, cell,
+                          _fault_plan(n, baseline, cell.nprocs, seed), leaves)
+               for n in names}
+    return _sweep("matrix", runners, head, seed=seed,
+                  report_path=report_path, log=log,
+                  unlogged=("recovered", "plan", "fingerprint", "max_time",
+                            "trace_leaves", "fault_summary"))

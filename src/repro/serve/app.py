@@ -2,7 +2,7 @@
 
 Every connection carries one request on its own thread
 (``Connection: close``), bodies are bounded by
-``ServeConfig.max_body_bytes``, and all responses are JSON except the
+``jobs.MAX_BODY_BYTES``, and all responses are JSON except the
 trace download (``text/plain``).  A connection that stalls mid-request
 for ``_Handler.timeout`` seconds is closed, freeing its thread.  The
 heavy lifting — each job's worker process, the cache, quarantine —
@@ -36,7 +36,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..harness.engine import ExperimentEngine
-from .jobs import TERMINAL_STATES, JobError, JobRegistry, ServeConfig
+from .jobs import (
+    MAX_BODY_BYTES,
+    TERMINAL_STATES,
+    JobError,
+    JobRegistry,
+    ServeConfig,
+)
 
 __all__ = ["ServeApp", "ServeConfig", "ServerThread"]
 
@@ -62,7 +68,6 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = 30.0
 
     def _serve(self) -> None:
-        limit = self.server.config.max_body_bytes
         length_raw = self.headers.get("Content-Length", "0")
         try:
             length = int(length_raw)
@@ -72,9 +77,9 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             self._reply(400, {"error": "negative Content-Length"})
             return
-        if length > limit:
+        if length > MAX_BODY_BYTES:
             self._reply(413, {"error": f"body of {length} bytes exceeds the "
-                              f"{limit}-byte limit"})
+                              f"{MAX_BODY_BYTES}-byte limit"})
             return
         body = self.rfile.read(length) if length else b""
         if len(body) < length:

@@ -43,7 +43,6 @@ from ..harness.runner import Mode, RunResult, chameleon_config_for
 from ..obs.metrics import MetricsRegistry
 from ..simmpi.simconfig import SimConfig, parse_config
 from ..workloads.stream import (
-    MAX_OPS_PER_STEP,
     StreamWorkload,
     canonical_steps_json,
     normalize_steps,
@@ -61,6 +60,15 @@ __all__ = [
 
 TERMINAL_STATES = ("complete", "failed", "cancelled")
 
+#: Service-level DoS bounds: the largest request body, the most steps one
+#: job may carry, the widest job, and how many jobs the registry keeps
+#: before it forgets the oldest terminal ones.  (A step's op count is
+#: bounded by ``workloads.stream.MAX_OPS_PER_STEP``.)
+MAX_BODY_BYTES = 8 * 1024 * 1024
+MAX_STEPS_PER_JOB = 100_000
+MAX_NPROCS = 4096
+RETAIN_JOBS = 1024
+
 
 class JobError(Exception):
     """A request-level error with an HTTP status."""
@@ -72,7 +80,7 @@ class JobError(Exception):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables of the ingestion service (service-level DoS bounds).
+    """Tunables of the ingestion service.
 
     ``max_stream_jobs`` caps the running (non-terminal) jobs, streamed
     and uploaded alike: each holds a worker process.  ``idle_timeout`` is
@@ -84,22 +92,13 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8537
     max_stream_jobs: int = 32
-    max_body_bytes: int = 8 * 1024 * 1024
-    max_steps_per_job: int = 100_000
-    max_ops_per_step: int = MAX_OPS_PER_STEP
-    max_nprocs: int = 4096
     idle_timeout: float | None = 300.0
-    retain_jobs: int = 1024
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in 0..65535")
         if self.max_stream_jobs < 1:
             raise ValueError("max_stream_jobs must be >= 1")
-        if self.max_body_bytes < 1024:
-            raise ValueError("max_body_bytes must be >= 1024")
-        if self.max_nprocs < 1:
-            raise ValueError("max_nprocs must be >= 1")
         if self.idle_timeout is not None and not (
             math.isfinite(self.idle_timeout) and self.idle_timeout > 0
         ):
@@ -120,7 +119,7 @@ class JobSpec:
     label: str = ""
 
 
-def _parse_spec(body: dict[str, Any], limits: ServeConfig) -> JobSpec:
+def _parse_spec(body: dict[str, Any]) -> JobSpec:
     if not isinstance(body, dict):
         raise JobError(400, "job body must be a JSON object")
     known = {"nprocs", "mode", "call_frequency", "config_overrides",
@@ -130,10 +129,8 @@ def _parse_spec(body: dict[str, Any], limits: ServeConfig) -> JobSpec:
         raise JobError(400, f"unknown field(s): {', '.join(sorted(extra))}")
     nprocs = body.get("nprocs", 8)
     if (isinstance(nprocs, bool) or not isinstance(nprocs, int)
-            or not 1 <= nprocs <= limits.max_nprocs):
-        raise JobError(
-            400, f"nprocs must be an int in [1, {limits.max_nprocs}]"
-        )
+            or not 1 <= nprocs <= MAX_NPROCS):
+        raise JobError(400, f"nprocs must be an int in [1, {MAX_NPROCS}]")
     try:
         mode = Mode(body.get("mode", "chameleon"))
     except ValueError:
@@ -204,8 +201,7 @@ class Job:
 
     # -- producer side (HTTP handlers) ----------------------------------
 
-    def append_steps(self, steps: list[dict], nbytes: int,
-                     max_steps: int) -> int:
+    def append_steps(self, steps: list[dict], nbytes: int) -> int:
         with self._send_lock:
             with self._lock:
                 if self.state != "open":
@@ -215,10 +211,9 @@ class Job:
                     )
                 if self._aborted is not None:
                     raise JobError(409, f"job {self.id}: {self._aborted}")
-                if len(self.steps) + len(steps) > max_steps:
-                    raise JobError(
-                        413, f"job {self.id} would exceed {max_steps} steps"
-                    )
+                if len(self.steps) + len(steps) > MAX_STEPS_PER_JOB:
+                    raise JobError(413, f"job {self.id} would exceed "
+                                   f"{MAX_STEPS_PER_JOB} steps")
                 self.steps.extend(steps)
                 self.chunks += 1
                 self.bytes_in += nbytes
@@ -401,14 +396,11 @@ class JobRegistry:
         return f"j{next(self._counter):05d}-{os.urandom(3).hex()}"
 
     def create(self, body: dict[str, Any]) -> Job:
-        spec = _parse_spec(body, self.config)
+        spec = _parse_spec(body)
         steps = body.get("steps")
         if steps is not None:
             try:
-                steps = normalize_steps(
-                    steps, max_steps=self.config.max_steps_per_job,
-                    max_ops=self.config.max_ops_per_step,
-                )
+                steps = normalize_steps(steps, max_steps=MAX_STEPS_PER_JOB)
             except ValueError as exc:
                 raise JobError(400, f"bad steps: {exc}") from None
             if not steps:
@@ -461,11 +453,11 @@ class JobRegistry:
 
     def _register(self, job: Job) -> None:
         self._jobs[job.id] = job
-        if len(self._jobs) > self.config.retain_jobs:
+        if len(self._jobs) > RETAIN_JOBS:
             for jid, old in list(self._jobs.items()):
                 if old.state in TERMINAL_STATES:
                     del self._jobs[jid]
-                    if len(self._jobs) <= self.config.retain_jobs:
+                    if len(self._jobs) <= RETAIN_JOBS:
                         break
 
     def get(self, job_id: str) -> Job:
@@ -482,13 +474,10 @@ class JobRegistry:
 
         job = self.get(job_id)
         try:
-            steps = parse_ndjson_events(
-                body, max_ops_per_step=self.config.max_ops_per_step
-            )
+            steps = parse_ndjson_events(body)
         except ProtocolError as exc:
             raise JobError(400, str(exc)) from None
-        total = job.append_steps(steps, len(body),
-                                 self.config.max_steps_per_job)
+        total = job.append_steps(steps, len(body))
         return {"job": job.id, "accepted": len(steps),
                 "steps_received": total}
 

@@ -61,9 +61,7 @@ def event_schema() -> dict[str, Any] | None:
         return None
 
 
-def parse_ndjson_events(
-    body: bytes, *, max_ops_per_step: int | None = None
-) -> list[dict]:
+def parse_ndjson_events(body: bytes) -> list[dict]:
     """Parse one NDJSON chunk into a list of *normalized* step events.
 
     Raises :class:`ProtocolError` naming the offending line on any
@@ -91,10 +89,7 @@ def parse_ndjson_events(
                     f"line {lineno}: schema violation: {errors[0]}"
                 )
         try:
-            kwargs = {} if max_ops_per_step is None else {
-                "max_ops": max_ops_per_step
-            }
-            steps.append(normalize_step(event, **kwargs))
+            steps.append(normalize_step(event))
         except StreamSpecError as exc:
             raise ProtocolError(f"line {lineno}: {exc}") from None
     return steps

@@ -49,8 +49,6 @@ from .replay import EAGER_DONE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .timing import NetworkModel
 
-_OP_KINDS = ("isend", "send", "recv", "wait", "compute")
-
 
 class NeighborPattern:
     """One declared regular exchange: per-rank op scripts, validated.
@@ -93,22 +91,24 @@ class NeighborPattern:
         self._plan_tried = False
 
     def _validate(self, ops: tuple) -> tuple[int, int]:
-        """Single fused pass: validate every op and return the pattern's
-        ``(total_messages, total_bytes)``.
+        """Validate every op, raising the precise error at the first
+        offending one, and return ``(total_messages, total_bytes)``.
 
-        The hot loop makes only cheap combined checks; any anomaly defers
-        to :meth:`_diagnose`, which re-walks that rank's script with the
-        detailed per-op validator and raises the precise error.  Patterns
-        are built once per ``declare_pattern`` cache key, but at P=16384
-        even one pass over ~400k ops sits on the bench's critical path,
-        so the common case stays branch-light.
-        """
+        At P=16384 even this one pass over ~400k ops sits on the bench's
+        critical path, so the checks are exact ``type`` tests (a ``bool``
+        or numpy scalar is rejected like any other wrong type) and
+        messages are formatted only on the error path."""
+        name = self.name
         size = self.size
         maxtag = MAX_USER_TAG
         channels: dict[tuple[int, int, int], int] = {}
         get = channels.get
         nmsg = 0
         nbytes_total = 0
+
+        def bad(rank: int, pos: int, what: str) -> ValueError:
+            return ValueError(f"pattern {name!r} rank {rank} op {pos}: {what}")
+
         for rank, rank_ops in enumerate(ops):
             n_isends = 0
             waited = 0  # bitmask over this rank's isend indices
@@ -116,17 +116,22 @@ class NeighborPattern:
                 if op is None:
                     continue
                 if not isinstance(op, tuple) or not op:
-                    self._diagnose(rank, rank_ops)
+                    raise bad(rank, pos, f"unknown op {op!r}")
                 kind = op[0]
                 if kind == "isend" or kind == "send":
                     if len(op) != 4:
-                        self._diagnose(rank, rank_ops)
+                        raise bad(rank, pos,
+                                  f"{kind} needs (kind, dest, tag, nbytes)")
                     _, dest, tag, nbytes = op
-                    if (type(dest) is not int or dest < 0 or dest >= size
-                            or type(tag) is not int or tag < 0
-                            or tag > maxtag
-                            or type(nbytes) is not int or nbytes < 0):
-                        self._diagnose(rank, rank_ops)
+                    if type(dest) is not int or dest < 0 or dest >= size:
+                        raise bad(rank, pos, f"dest {dest!r} out of range "
+                                  f"for size {size}")
+                    if type(tag) is not int or tag < 0 or tag > maxtag:
+                        raise bad(rank, pos, f"tag {tag!r} must be a user "
+                                  f"tag in [0, {maxtag}]")
+                    if type(nbytes) is not int or nbytes < 0:
+                        raise bad(rank, pos, "nbytes must be a non-negative "
+                                  f"int, got {nbytes!r}")
                     key = (rank, dest, tag)
                     channels[key] = get(key, 0) + 1
                     nmsg += 1
@@ -135,131 +140,41 @@ class NeighborPattern:
                         n_isends += 1
                 elif kind == "recv":
                     if len(op) != 3:
-                        self._diagnose(rank, rank_ops)
+                        raise bad(rank, pos, "recv needs (kind, src, tag)")
                     _, src, tag = op
-                    if (type(src) is not int or src < 0 or src >= size
-                            or type(tag) is not int or tag < 0
-                            or tag > maxtag):
-                        self._diagnose(rank, rank_ops)
+                    if type(src) is not int or src < 0 or src >= size:
+                        raise bad(rank, pos, f"src {src!r} out of range "
+                                  f"for size {size}")
+                    if type(tag) is not int or tag < 0 or tag > maxtag:
+                        raise bad(rank, pos, f"tag {tag!r} must be a user "
+                                  f"tag in [0, {maxtag}]")
                     key = (src, rank, tag)
                     channels[key] = get(key, 0) - 1
                 elif kind == "wait":
-                    if len(op) != 2:
-                        self._diagnose(rank, rank_ops)
-                    k = op[1]
-                    if (type(k) is not int or k < 0 or k >= n_isends
-                            or (waited >> k) & 1):
-                        self._diagnose(rank, rank_ops)
+                    if len(op) != 2 or type(k := op[1]) is not int:
+                        raise bad(rank, pos, "wait needs (kind, isend_index)")
+                    if k < 0 or k >= n_isends:
+                        raise bad(rank, pos, f"wait({k}) does not follow "
+                                  f"isend #{k} (seen {n_isends})")
+                    if (waited >> k) & 1:
+                        raise bad(rank, pos, f"isend #{k} waited twice")
                     waited |= 1 << k
                 elif kind == "compute":
-                    if len(op) != 2:
-                        self._diagnose(rank, rank_ops)
-                    seconds = op[1]
-                    if (type(seconds) is not float
-                            and type(seconds) is not int) or seconds < 0:
-                        self._diagnose(rank, rank_ops)
+                    if (len(op) != 2 or (type(op[1]) is not float
+                                         and type(op[1]) is not int)
+                            or op[1] < 0):
+                        raise bad(rank, pos,
+                                  "compute needs (kind, seconds >= 0)")
                 else:
-                    self._diagnose(rank, rank_ops)
+                    raise bad(rank, pos, f"unknown op {op!r}")
         for (src, dest, tag), balance in channels.items():
             if balance:
-                nrecv = -min(balance, 0)
-                nsend = max(balance, 0)
+                more, fewer = (("send", "recv") if balance > 0
+                               else ("recv", "send"))
                 raise ValueError(
-                    f"pattern {self.name!r}: channel {src}->{dest} tag={tag} "
-                    f"has {nsend} more send(s) than recv(s)"
-                    if balance > 0 else
-                    f"pattern {self.name!r}: channel {src}->{dest} tag={tag} "
-                    f"has {nrecv} more recv(s) than send(s)"
-                )
+                    f"pattern {name!r}: channel {src}->{dest} tag={tag} "
+                    f"has {abs(balance)} more {more}(s) than {fewer}(s)")
         return nmsg, nbytes_total
-
-    def _diagnose(self, rank: int, rank_ops: tuple) -> None:
-        """Slow path: re-walk one rank's script with detailed checks and
-        raise the precise error the fast loop only detected."""
-        name = self.name
-        n_isends = 0
-        waited: set[int] = set()
-        for pos, op in enumerate(rank_ops):
-            if op is None:
-                continue
-            if not isinstance(op, tuple) or not op or op[0] not in _OP_KINDS:
-                raise ValueError(
-                    f"pattern {name!r} rank {rank} op {pos}: "
-                    f"unknown op {op!r}"
-                )
-            kind = op[0]
-            if kind == "isend" or kind == "send":
-                if len(op) != 4:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: "
-                        f"{kind} needs (kind, dest, tag, nbytes)"
-                    )
-                _, dest, tag, nbytes = op
-                self._check_peer(rank, pos, dest, "dest")
-                self._check_tag(rank, pos, tag)
-                if not isinstance(nbytes, int) or isinstance(nbytes, bool) \
-                        or nbytes < 0:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: "
-                        f"nbytes must be a non-negative int, got {nbytes!r}"
-                    )
-                if kind == "isend":
-                    n_isends += 1
-            elif kind == "recv":
-                if len(op) != 3:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: "
-                        "recv needs (kind, src, tag)"
-                    )
-                _, src, tag = op
-                self._check_peer(rank, pos, src, "src")
-                self._check_tag(rank, pos, tag)
-            elif kind == "wait":
-                if len(op) != 2 or not isinstance(op[1], int) \
-                        or isinstance(op[1], bool):
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: "
-                        "wait needs (kind, isend_index)"
-                    )
-                k = op[1]
-                if k < 0 or k >= n_isends:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: wait({k}) "
-                        f"does not follow isend #{k} (seen {n_isends})"
-                    )
-                if k in waited:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: "
-                        f"isend #{k} waited twice"
-                    )
-                waited.add(k)
-            else:  # compute
-                if len(op) != 2 or not isinstance(op[1], (int, float)) \
-                        or isinstance(op[1], bool) or op[1] < 0:
-                    raise ValueError(
-                        f"pattern {name!r} rank {rank} op {pos}: compute "
-                        "needs (kind, seconds >= 0)"
-                    )
-        raise AssertionError(
-            f"pattern {name!r} rank {rank}: fast validator flagged this "
-            "script but the detailed walk found nothing wrong"
-        )  # pragma: no cover - fast/slow paths check the same properties
-
-    def _check_peer(self, rank: int, pos: int, peer: Any, role: str) -> None:
-        if not isinstance(peer, int) or isinstance(peer, bool) \
-                or peer < 0 or peer >= self.size:
-            raise ValueError(
-                f"pattern {self.name!r} rank {rank} op {pos}: {role} "
-                f"{peer!r} out of range for size {self.size}"
-            )
-
-    def _check_tag(self, rank: int, pos: int, tag: Any) -> None:
-        if not isinstance(tag, int) or isinstance(tag, bool) \
-                or tag < 0 or tag > MAX_USER_TAG:
-            raise ValueError(
-                f"pattern {self.name!r} rank {rank} op {pos}: tag {tag!r} "
-                f"must be a user tag in [0, {MAX_USER_TAG}]"
-            )
 
     def __eq__(self, other: object) -> bool:
         """Content identity: what ranks joining one gate must agree on."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.faults.plan import CrashFault, FaultPlan, MessageFaults
 
@@ -78,11 +79,31 @@ def test_chaos_single_scenario_with_report(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "drop-messages" in out
-    assert "reruns bit-identical" in out
+    assert "reruns identical" in out
     report = json.loads(report_path.read_text())
     assert report["ok"] is True
-    (scenario,) = report["scenarios"]
-    assert scenario["name"] == "drop-messages"
-    assert scenario["survived"] and scenario["deterministic"]
+    assert report["kind"] == "matrix" and report["version"] == 3
+    (name,) = report["scenarios"]
+    assert name == "drop-messages"
+    scenario = report["scenarios"][name]
+    assert scenario["recovered"] and scenario["deterministic"]
     assert scenario["plan"]["messages"]["drop_prob"] == 0.05
     assert "fidelity_delta_pct" in scenario
+
+
+def test_chaos_unknown_scenario_rejected_before_the_baseline(capsys):
+    with pytest.raises(SystemExit, match="unknown matrix chaos scenario"):
+        main(["chaos", "--workload", "uniform", "--nprocs", "4",
+              "--scenario", "nope"])
+    assert "baseline:" not in capsys.readouterr().out
+
+
+def test_chaos_error_inside_the_sweep_is_not_a_name_error(monkeypatch):
+    # Only an unknown scenario name becomes a one-line `error:` exit; any
+    # other ValueError from the sweep reaches the caller with its stack.
+    def broken_sweep(*args, **kwargs):
+        raise ValueError("boom inside a run")
+
+    monkeypatch.setattr(cli, "run_fault_chaos", broken_sweep)
+    with pytest.raises(ValueError, match="boom inside a run"):
+        main(["chaos", "--workload", "uniform", "--nprocs", "4"])

@@ -13,8 +13,14 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.harness.engine import make_cell
+from repro.harness.runner import Mode
 from repro.resilience import HostFaultPlan, installed
-from repro.resilience.chaos import HOST_SCENARIOS, run_host_chaos
+from repro.resilience.chaos import (
+    HOST_SCENARIOS,
+    run_fault_chaos,
+    run_host_chaos,
+)
 from repro.resilience.hostfaults import (
     ENV_HOST_FAULTS,
     HostFaultPlanError,
@@ -94,6 +100,26 @@ class TestHostChaosSweep:
         text = (tmp_path / "r.json").read_text()
         assert "wall" not in text
         assert "/tmp" not in text and str(tmp_path) not in text
+
+
+class TestOneSweep:
+    def test_both_kinds_share_the_report_schema(self):
+        cell = make_cell("uniform", 4, Mode.CHAMELEON,
+                         workload_params={"iterations": 4})
+        matrix = run_fault_chaos(cell, ["drop-messages"], seed=3)
+        host = run_host_chaos(["corrupt-cache"])
+        shared = {"version", "kind", "seed", "runs", "scenarios", "ok"}
+        assert shared <= set(matrix) and shared <= set(host)
+        assert set(matrix) - shared == {"workload", "nprocs", "mode",
+                                         "baseline"}
+        assert (matrix["kind"], host["kind"]) == ("matrix", "host")
+        for report in (matrix, host):
+            assert report["version"] == 3 and report["runs"] == 2
+            assert report["ok"]
+            for entry in report["scenarios"].values():
+                assert entry["recovered"] and entry["deterministic"]
+        assert list(matrix["scenarios"]) == ["drop-messages"]
+        assert list(host["scenarios"]) == ["corrupt-cache"]
 
 
 class TestChaosHostCLI:

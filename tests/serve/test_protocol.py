@@ -14,6 +14,7 @@ from repro.serve.protocol import (
     parse_ndjson_events,
 )
 from repro.workloads.stream import (
+    MAX_OPS_PER_STEP,
     StreamSpecError,
     StreamWorkload,
     canonical_steps_json,
@@ -93,9 +94,10 @@ class TestNDJSON:
             parse_ndjson_events(b"\xff\xfe")
 
     def test_ops_cap_enforced(self):
-        body = encode_ndjson([{"ops": [{"op": "barrier"}] * 3}])
+        body = encode_ndjson(
+            [{"ops": [{"op": "barrier"}] * (MAX_OPS_PER_STEP + 1)}])
         with pytest.raises(ProtocolError):
-            parse_ndjson_events(body, max_ops_per_step=2)
+            parse_ndjson_events(body)
 
 
 class TestSchema:

@@ -25,7 +25,7 @@ from repro.harness.engine import ExperimentEngine
 from repro.resilience import RetryPolicy
 from repro.serve.app import ServerThread, _Handler
 from repro.serve.client import ServeClient, ServeHTTPError
-from repro.serve.jobs import ServeConfig
+from repro.serve.jobs import MAX_BODY_BYTES, ServeConfig
 from repro.workloads.stream import default_steps
 
 NPROCS = 8
@@ -376,7 +376,7 @@ class TestErrors:
         assert "Content-Length" in doc["error"]
 
     def test_oversized_body_413_before_it_is_sent(self, server):
-        limit = server.app.config.max_body_bytes
+        limit = MAX_BODY_BYTES
         status, doc = _raw(
             server, f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {limit + 1}"
             "\r\n\r\n".encode()

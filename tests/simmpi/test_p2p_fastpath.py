@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.faults.plan import CrashFault, FaultPlan
@@ -566,8 +567,10 @@ class TestPatternValidation:
             NeighborPattern("bad", 3, [(), ()])
 
     def test_rejects_negative_compute(self):
-        with pytest.raises(ValueError, match="compute"):
-            NeighborPattern("bad", 1, [(("compute", -1.0),)])
+        # a numpy scalar is rejected too: it would leak into task clocks
+        for seconds in (-1.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match="compute"):
+                NeighborPattern("bad", 1, [(("compute", seconds),)])
 
     def test_size_mismatch_with_communicator(self):
         pattern = _ring_pattern(3, name="mismatch-size")

@@ -284,7 +284,6 @@ SURFACE = {
         (('--scenario',), 'scenario', None, None, False, None, 'append'),
         (('--config',), 'config', None, None, False, None, 'append'),
         (('--report',), 'report', '', None, False, None, 'store'),
-        (('--jobs',), 'jobs', None, None, False, None, 'store'),
     ],
     'cache': [
         HELP,
