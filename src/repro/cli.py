@@ -717,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{', '.join(FAULT_SCENARIOS)}; host scenarios: "
         f"{', '.join(HOST_SCENARIOS)})",
     )
-    p_chaos.set_defaults(fn=_cmd_chaos)
+    p_chaos.set_defaults(fn=_cmd_chaos, chaos_parser=p_chaos)
 
     p_cache = sub.add_parser(
         "cache", parents=[cache_dir, report],
@@ -822,8 +822,28 @@ _DIAGNOSTIC_EXITS: tuple[tuple[type, int, str], ...] = (
 )
 
 
+def _reject_matrix_flags(chaos: argparse.ArgumentParser,
+                         chaos_argv: list[str]) -> None:
+    """Make a workload flag given to ``repro chaos host`` a usage error
+    (re-parsed with the flags preset to a sentinel, so a flag given at its
+    default value shows too)."""
+    dests, unset = ("workload", "nprocs", "mode", "problem_class",
+                    "iterations"), object()
+    seen = chaos.parse_args(chaos_argv, argparse.Namespace(
+        **dict.fromkeys(dests, unset)))
+    given = [f"--{d.replace('_', '-')}" for d in dests
+             if getattr(seen, d) is not unset]
+    if given:
+        chaos.error(f"chaos host takes no workload flags (given: "
+                    f"{', '.join(given)})")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    if args.command == "chaos" and args.kind == "host":
+        _reject_matrix_flags(args.chaos_parser,
+                             argv[argv.index("chaos") + 1:])
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `python -m repro list | head`

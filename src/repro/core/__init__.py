@@ -11,7 +11,7 @@ lead radix tree (:mod:`online`), the orchestrating tracer
 from .acurdion import AcurdionTracer
 from .automarker import AutoMarkerTracer
 from .callpath import IntervalSignatures, SignatureAccumulator
-from .chameleon import ChameleonStats, ChameleonTracer
+from .chameleon import ChameleonStats, ChameleonTracer, MarkerRecord
 from .clustering import (
     ClusterInfo,
     ClusterSet,
@@ -47,6 +47,7 @@ __all__ = [
     "EnergyReport",
     "IntervalSignatures",
     "MarkerDecision",
+    "MarkerRecord",
     "MarkerState",
     "ONLINE_TAG",
     "PhaseTracker",

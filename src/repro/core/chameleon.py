@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..faults.injector import LOST
 from ..scalatrace.trace import Trace
@@ -36,22 +36,99 @@ from .online import cluster_over_tree, fold_into_online, merge_lead_traces
 from .phase import MarkerDecision, MarkerState, PhaseTracker
 
 
+#: the state of the record ``finalize`` appends
+FINAL = MarkerState.F.value
+
+
+class Clustering(NamedTuple):
+    """What one clustering chose; ``view`` (rank 0 only) is the
+    :meth:`~repro.core.clustering.ClusterSet.view` job progress publishes."""
+
+    k: int  # Top-K size
+    num_callpaths: int
+    leads: tuple[int, ...]
+    view: dict[str, Any] | None
+
+
+#: a marker's timed sections, in order: ``MarkerRecord.<section>_s``
+SECTIONS = ("signature", "vote", "clustering", "intercompression")
+
+
+class MarkerRecord(NamedTuple):
+    """One effective marker call of one rank, or its finalize; a section's
+    seconds are None when it did not run at this marker."""
+
+    state: str  # MarkerState value
+    phase_changed: bool
+    #: intra + online trace bytes allocated when the marker fired (Table IV)
+    bytes: int
+    signature_s: float | None = None
+    vote_s: float | None = None
+    clustering_s: float | None = None
+    intercompression_s: float | None = None
+    cluster: Clustering | None = None  # set when clustering_s is
+
+
+def _seconds(stats: "ChameleonStats", section: str) -> float:
+    """One section's seconds summed over the log in order (bit-identical
+    to the running sum the marker used to keep)."""
+    total = 0.0
+    for record in stats.log:
+        seconds = getattr(record, section)
+        if seconds is not None:
+            total += seconds
+    return total
+
+
 @dataclass
 class ChameleonStats:
-    """Per-rank counters for the paper's evaluation tables/figures."""
+    """One rank's marker log; the evaluation's counters derive from it."""
 
     marker_invocations: int = 0  # raw marker() calls (timesteps)
-    effective_calls: int = 0  # calls surviving the Call_Frequency gate
-    state_counts: Counter = field(default_factory=Counter)  # AT/C/L per call
-    reclusterings: int = 0
-    signature_time: float = 0.0
-    vote_time: float = 0.0
-    clustering_time: float = 0.0
-    intercompression_time: float = 0.0
-    #: (state, bytes currently allocated) sampled at each effective call
-    space_samples: list[tuple[str, int]] = field(default_factory=list)
-    k_used: int = 0
-    num_callpaths: int = 0
+    log: list[MarkerRecord] = field(default_factory=list)
+
+    @property
+    def effective_calls(self) -> int:  # calls past the Call_Frequency gate
+        return sum(r.state != FINAL for r in self.log)
+
+    @property
+    def state_counts(self) -> Counter:  # AT/C/L markers, finalize not counted
+        return Counter(r.state for r in self.log if r.state != FINAL)
+
+    @property
+    def reclusterings(self) -> int:
+        return sum(r.cluster is not None for r in self.log)
+
+    signature_time = property(lambda self: _seconds(self, "signature_s"))
+    vote_time = property(lambda self: _seconds(self, "vote_s"))
+    clustering_time = property(lambda self: _seconds(self, "clustering_s"))
+    intercompression_time = property(
+        lambda self: _seconds(self, "intercompression_s"))
+
+    @property
+    def space_samples(self) -> list[tuple[str, int]]:  # (state, bytes)
+        return [(r.state, r.bytes) for r in self.log]
+
+    @property
+    def bytes_by_state(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for r in self.log:
+            out[r.state] = out.get(r.state, 0) + r.bytes
+        return out
+
+    @property
+    def k_used(self) -> int:
+        return max((r.cluster.k for r in self.log if r.cluster), default=0)
+
+    @property
+    def num_callpaths(self) -> int:
+        return max((r.cluster.num_callpaths for r in self.log if r.cluster),
+                   default=0)
+
+    @property
+    def cluster_view(self) -> dict[str, Any] | None:  # rank 0's latest
+        return next((r.cluster.view for r in reversed(self.log)
+                     if r.cluster and r.cluster.view is not None), None)
 
 
 class ChameleonTracer(ScalaTraceTracer):
@@ -61,12 +138,8 @@ class ChameleonTracer(ScalaTraceTracer):
         self, ctx: RankContext, config: ChameleonConfig | None = None
     ) -> None:
         config = config or ChameleonConfig()
-        super().__init__(
-            ctx,
-            costs=config.costs,
-            window=config.window,
-            tree_arity=config.tree_arity,
-        )
+        super().__init__(ctx, costs=config.costs, window=config.window,
+                         tree_arity=config.tree_arity)
         self.config = config
         self.phase = PhaseTracker()
         self.sigacc = SignatureAccumulator(mode=config.signature_filter)
@@ -88,10 +161,6 @@ class ChameleonTracer(ScalaTraceTracer):
         #: fault-degraded mode: clustering collapsed (or rank 0 died), so
         #: every survivor falls back to full ScalaTrace-style tracing
         self.degraded = False
-        # Last marker state seen by the observability bus, for emitting
-        # state-*transition* instants (cat "state") rather than one instant
-        # per marker.
-        self._obs_state: str | None = None
 
     # -- fault tolerance -----------------------------------------------------
 
@@ -176,6 +245,10 @@ class ChameleonTracer(ScalaTraceTracer):
 
     # -- the marker (Algorithm 3) ----------------------------------------------
 
+    def _intra_bytes(self) -> int:
+        """This rank's partial trace bytes (0 while not tracing)."""
+        return self.compressor.size_bytes() if self.tracing else 0
+
     async def marker(self) -> MarkerDecision | None:
         """Called at every timestep boundary; returns the decision taken at
         effective calls, None when gated off by ``call_frequency``."""
@@ -183,26 +256,19 @@ class ChameleonTracer(ScalaTraceTracer):
         self.ctx.compute(self.costs.per_marker_call)
         if self.cstats.marker_invocations % self.config.call_frequency != 0:
             return None
-        self.cstats.effective_calls += 1
-
-        obs = self.obs
 
         # (0) fault tolerance: take this round's failure snapshot, repair
         # the cluster map, and short-circuit when already degraded.
         failed: frozenset[int] = frozenset()
         if self.comm.engine.faults.active:
-            failed = self._fault_epoch(self.cstats.effective_calls)
+            failed = self._fault_epoch(len(self.cstats.log) + 1)
             self._ft_check(failed)
             if self.degraded:
                 # Degraded mode: no vote, no clustering, no merging — every
                 # survivor keeps full-tracing (counted as AT) and finalize
                 # merges the complete traces over the alive ranks.
                 decision = MarkerDecision(MarkerState.AT)
-                self.cstats.state_counts[decision.state.value] += 1
-                self._sample_space(
-                    decision.state.value,
-                    self.compressor.size_bytes() if self.tracing else 0,
-                )
+                self._append(decision, self._intra_bytes(), {})
                 self.sigacc.reset()
                 return decision
 
@@ -212,99 +278,52 @@ class ChameleonTracer(ScalaTraceTracer):
         self.ctx.compute(
             self.costs.per_signature_event * max(self.sigacc.prsd_events, 1)
         )
-        self.cstats.signature_time += self.ctx.clock - t0
-        if obs.enabled:
-            obs.span(self.rank, "signature", "chameleon", t0, self.ctx.clock,
-                     {"prsd_events": self.sigacc.prsd_events})
-            obs.metrics.count("marker/signature_time",
-                              self.ctx.clock - t0, rank=self.rank,
-                              t=self.ctx.clock)
+        spans = {"signature": (t0, self.ctx.clock)}
 
         # (2) Algorithm 1: collective vote + transition graph
         t0 = self.ctx.clock
         decision = await self.phase.decide(self.comm, sigs.callpath, failed)
-        self.cstats.vote_time += self.ctx.clock - t0
-        self.cstats.state_counts[decision.state.value] += 1
-        if obs.enabled:
-            state = decision.state.value
-            obs.span(self.rank, "vote", "chameleon", t0, self.ctx.clock,
-                     {"round": self.phase.votes, "state": state,
-                      "phase_changed": decision.phase_changed})
-            obs.instant(
-                self.rank, "marker", "chameleon", self.ctx.clock,
-                {"state": state, "call": self.cstats.effective_calls,
-                 "cluster": decision.do_cluster, "merge": decision.do_merge},
-            )
-            obs.metrics.count("marker/effective_calls", 1, rank=self.rank,
-                              phase=state, t=self.ctx.clock)
-            obs.metrics.count("marker/vote_time", self.ctx.clock - t0,
-                              rank=self.rank, phase=state, t=self.ctx.clock)
-            if state != self._obs_state:
-                obs.instant(
-                    self.rank, "state_transition", "state", self.ctx.clock,
-                    {"from": self._obs_state or "start", "to": state},
-                )
-                obs.metrics.count("marker/state_transitions", 1,
-                                  rank=self.rank, phase=state,
-                                  t=self.ctx.clock)
-                self._obs_state = state
+        spans["vote"] = (t0, self.ctx.clock)
 
         # Memory accounting snapshot (Table IV): the space this marker's
         # state required is what was allocated when the marker fired —
         # before any flush deletes the partial traces.
-        intra_bytes_pre = self.compressor.size_bytes() if self.tracing else 0
+        intra_bytes_pre = self._intra_bytes()
 
         # (3) clustering (state C)
+        cluster = None
         if decision.do_cluster:
-            await self._cluster(sigs, failed, final=False)
+            cluster = await self._cluster(sigs, failed, spans)
 
         # (4) inter-compression of lead traces into the online trace
         if decision.do_merge and self.topk is not None:
-            await self._merge(final=False)
+            await self._merge(spans)
 
         # (5) tracing control for the lead phase
         if decision.state is MarkerState.C:
             leads = set(self.topk.leads()) if self.topk else {self.rank}
             self.tracing = self.rank in leads
-            if obs.enabled:
-                obs.instant(
-                    self.rank, "lead_election", "chameleon", self.ctx.clock,
-                    {"leads": sorted(leads), "is_lead": self.tracing},
-                )
-                obs.metrics.count("marker/lead_elections", 1, rank=self.rank,
-                                  t=self.ctx.clock)
-                obs.metrics.gauge("marker/is_lead", float(self.tracing),
-                                  rank=self.rank)
         elif decision.do_merge or decision.phase_changed:
             # flush or pattern break: everyone traces again
             self.tracing = True
 
-        self._sample_space(decision.state.value, intra_bytes_pre)
+        self._append(decision, intra_bytes_pre, spans, spans["vote"][1],
+                     cluster)
         self.sigacc.reset()
         return decision
 
     async def _cluster(self, sigs, failed: frozenset[int],
-                       final: bool) -> None:
+                       spans: dict[str, tuple[float, float]]) -> Clustering:
         """Cluster the ranks on ``sigs`` over the tree and adopt the
         broadcast Top-K (a marker in state C, or finalize)."""
         t0 = self.ctx.clock
-        self.topk = await cluster_over_tree(self, sigs, self.config, failed)
-        self.cstats.clustering_time += self.ctx.clock - t0
-        self.cstats.reclusterings += 1
-        self.cstats.k_used = max(self.cstats.k_used, len(self.topk))
-        self.cstats.num_callpaths = max(
-            self.cstats.num_callpaths, self.topk.num_callpaths
-        )
-        obs = self.obs
-        if obs.enabled:
-            extra = ({"final": True} if final
-                     else {"callpaths": self.topk.num_callpaths})
-            obs.span(self.rank, "clustering", "chameleon", t0,
-                     self.ctx.clock, {"k": len(self.topk), **extra})
-            obs.metrics.count("marker/clustering_time", self.ctx.clock - t0,
-                              rank=self.rank, t=self.ctx.clock)
+        topk = self.topk = await cluster_over_tree(
+            self, sigs, self.config, failed)
+        spans["clustering"] = (t0, self.ctx.clock)
+        return Clustering(len(topk), topk.num_callpaths, tuple(topk.leads()),
+                          topk.view() if self.rank == 0 else None)
 
-    async def _merge(self, final: bool) -> None:
+    async def _merge(self, spans: dict[str, tuple[float, float]]) -> None:
         """Inter-compress the K lead traces into rank 0's online trace
         (a merging marker, or finalize); afterwards *all* ranks drop their
         partial intra-node trace — the last event end is kept, so delta
@@ -315,30 +334,73 @@ class ChameleonTracer(ScalaTraceTracer):
             self.online_bytes += fold_into_online(
                 self, self.online, segment, self.config.window
             )
-        self.cstats.intercompression_time += self.ctx.clock - t0
+        spans["intercompression"] = (t0, self.ctx.clock)
         self.compressor.take_nodes()
         self.mergeacc.reset()
-        obs = self.obs
-        if obs.enabled:
-            extra = {"final": True} if final else {}
-            obs.span(self.rank, "intercompression", "chameleon", t0,
-                     self.ctx.clock, {"k": len(self.topk), **extra})
-            obs.metrics.count("marker/intercompression_time",
-                              self.ctx.clock - t0, rank=self.rank,
-                              t=self.ctx.clock)
 
-    def _sample_space(self, state: str, intra_bytes: int) -> None:
-        allocated = intra_bytes + self.online_bytes
-        self.cstats.space_samples.append((state, allocated))
-        self.stats.bytes_by_state[state] = (
-            self.stats.bytes_by_state.get(state, 0) + allocated
+    def _append(self, decision: MarkerDecision, intra_bytes: int,
+                spans: dict[str, tuple[float, float]], t: float = 0.0,
+                cluster: Clustering | None = None) -> None:
+        """Append this marker's record to the log — the log's one writer —
+        and emit its obs events; ``spans`` holds the (start, end) clock of
+        each section that ran, ``t`` the clock the state was decided at."""
+        state, degraded = decision.state.value, self.degraded
+        record = MarkerRecord(
+            state, decision.phase_changed, intra_bytes + self.online_bytes,
+            *(spans[s][1] - spans[s][0] if s in spans else None
+              for s in SECTIONS),
+            cluster,
         )
-        ins = self.obs
-        if ins.enabled:
-            ins.metrics.gauge("space/bytes", float(allocated),
-                              rank=self.rank, phase=state)
-            ins.metrics.observe("space/bytes_per_marker", float(allocated),
-                                rank=self.rank, phase=state)
+        log = self.cstats.log
+        before = log[-1].state if log else "start"
+        log.append(record)
+        obs = self.obs
+        if not obs.enabled:
+            return
+        rank, metrics = self.rank, obs.metrics
+        final = {"final": True} if state == FINAL else {}
+        for name, (start, end) in spans.items():
+            if name == "signature":
+                args = {"prsd_events": self.sigacc.prsd_events}
+            elif name == "vote":
+                args = {"round": self.phase.votes, "state": state,
+                        "phase_changed": decision.phase_changed}
+            elif name == "clustering":
+                args = {"k": cluster.k,
+                        **(final or {"callpaths": cluster.num_callpaths})}
+            else:
+                args = ({"degraded": True, "final": True} if degraded
+                        else {"k": len(self.topk), **final})
+            obs.span(rank, name, "chameleon", start, end, args)
+            if not degraded:
+                metrics.count(f"marker/{name}_time", end - start, rank=rank,
+                              phase=state if name == "vote" else None, t=end)
+        if "vote" in spans:
+            obs.instant(
+                rank, "marker", "chameleon", t,
+                {"state": state, "call": len(log),
+                 "cluster": decision.do_cluster, "merge": decision.do_merge},
+            )
+            metrics.count("marker/effective_calls", 1, rank=rank,
+                          phase=state, t=t)
+        if state != before and not degraded:
+            obs.instant(rank, "state_transition", "state", t,
+                        {"from": before, "to": state})
+            if not final:
+                metrics.count("marker/state_transitions", 1, rank=rank,
+                              phase=state, t=t)
+        if decision.state is MarkerState.C:
+            obs.instant(
+                rank, "lead_election", "chameleon", self.ctx.clock,
+                {"leads": sorted(cluster.leads), "is_lead": self.tracing},
+            )
+            metrics.count("marker/lead_elections", 1, rank=rank,
+                          t=self.ctx.clock)
+            metrics.gauge("marker/is_lead", float(self.tracing), rank=rank)
+        metrics.gauge("space/bytes", float(record.bytes), rank=rank,
+                      phase=state)
+        metrics.observe("space/bytes_per_marker", float(record.bytes),
+                        rank=rank, phase=state)
 
     # -- finalize -----------------------------------------------------------
 
@@ -354,7 +416,6 @@ class ChameleonTracer(ScalaTraceTracer):
         when every rank is still tracing, and otherwise flush with the
         existing Top-K — "the inter-compression part remains the same".
         """
-        obs = self.obs
         failed: frozenset[int] = frozenset()
         if self.comm.engine.faults.active:
             failed = self._fault_epoch("final")
@@ -362,24 +423,21 @@ class ChameleonTracer(ScalaTraceTracer):
             if self.degraded:
                 return await self._finalize_degraded(failed)
         decision = self.phase.force_final()
-        if obs.enabled and decision.state.value != self._obs_state:
-            obs.instant(
-                self.rank, "state_transition", "state", self.ctx.clock,
-                {"from": self._obs_state or "start",
-                 "to": decision.state.value},
-            )
-            self._obs_state = decision.state.value
-        intra_bytes_pre = self.compressor.size_bytes() if self.tracing else 0
+        t = self.ctx.clock
+        intra_bytes_pre = self._intra_bytes()
         vote = await self.comm.allreduce(1 if self.tracing else 0, size=8)
         # Under faults the vote can be a LOST hole or missing dead ranks'
         # contributions; either way not everyone is provably tracing.
         all_tracing = vote is not LOST and bool(
             vote == self.nprocs - len(failed)
         )
+        spans: dict[str, tuple[float, float]] = {}
+        cluster = None
         if self.topk is None or all_tracing:
-            await self._cluster(self.mergeacc.snapshot(), failed, final=True)
-        await self._merge(final=True)
-        self._sample_space(decision.state.value, intra_bytes_pre)
+            cluster = await self._cluster(
+                self.mergeacc.snapshot(), failed, spans)
+        await self._merge(spans)
+        self._append(decision, intra_bytes_pre, spans, t, cluster)
         if self.rank == 0:
             assert self.online is not None
             self.online.nprocs = self.nprocs
@@ -398,21 +456,17 @@ class ChameleonTracer(ScalaTraceTracer):
         lowest surviving rank returns the merged full trace — the best
         available output.
         """
-        obs = self.obs
         decision = self.phase.force_final()
         alive = [r for r in range(self.nprocs) if r not in failed]
-        if obs.enabled:
-            obs.instant(self.rank, "degraded_finalize", "fault",
-                        self.ctx.clock,
-                        {"alive": len(alive), "failed": sorted(failed)})
-        intra_bytes_pre = self.compressor.size_bytes() if self.tracing else 0
+        if self.obs.enabled:
+            self.obs.instant(self.rank, "degraded_finalize", "fault",
+                             self.ctx.clock,
+                             {"alive": len(alive), "failed": sorted(failed)})
+        intra_bytes_pre = self._intra_bytes()
         t0 = self.ctx.clock
         merged = await super().finalize(members=alive)
-        self.cstats.intercompression_time += self.ctx.clock - t0
-        if obs.enabled:
-            obs.span(self.rank, "intercompression", "chameleon", t0,
-                     self.ctx.clock, {"degraded": True, "final": True})
-        self._sample_space(decision.state.value, intra_bytes_pre)
+        self._append(decision, intra_bytes_pre,
+                     {"intercompression": (t0, self.ctx.clock)})
         if self.rank != alive[0]:
             return None
         assert merged is not None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any
 
 from ..scalatrace.ranklist import RankSet
 from ..scalatrace.rsd import WorkMeter
@@ -321,6 +322,19 @@ class ClusterSet:
 
     def leads(self) -> list[int]:
         return sorted(c.lead for c in self.all_clusters())
+
+    def view(self, member_cap: int = 64) -> dict[str, Any]:
+        """Plain-data (JSON) view: each cluster's lead, size, signature
+        and, up to ``member_cap`` members, its member ranks."""
+        clusters = [
+            {"lead": c.lead, "size": c.members.count,
+             "signature": list(c.signature),
+             **({"members": list(c.members.ranks())}
+                if c.members.count <= member_cap else {})}
+            for c in self.all_clusters()
+        ]
+        return {"num_clusters": len(self), "num_callpaths": self.num_callpaths,
+                "leads": self.leads(), "clusters": clusters}
 
     def covered_ranks(self) -> tuple[int, ...]:
         out: set[int] = set()

@@ -127,47 +127,50 @@ def figure4(
 # ---------------------------------------------------------------------------
 
 
+def _replay_figure(
+    suites: list[tuple[str, int, dict]], title: str,
+    columns: tuple[tuple[str, str], ...],
+) -> tuple[list[dict], str]:
+    """Figures 5/7: each suite's APP time, both tracers' replay times on
+    the QDR cluster and their accuracy; ``columns`` are the (header, row
+    key) accuracy columns rendered."""
+    rows = []
+    for name, p, suite in suites:
+        st_replay, ch_replay = (
+            replay_trace(suite[mode].trace, nprocs=p, network=QDR_CLUSTER)
+            for mode in (Mode.SCALATRACE, Mode.CHAMELEON))
+        report = AccuracyReport(suite[Mode.APP].max_time, st_replay.time,
+                                ch_replay.time)
+        rows.append({
+            "benchmark": name, "P": p, "app": report.app_time,
+            "replay_scalatrace": report.scalatrace_replay_time,
+            "replay_chameleon": report.chameleon_replay_time,
+            "acc_vs_app": report.chameleon_vs_app,
+            "acc_vs_scalatrace": report.chameleon_vs_scalatrace,
+            "dropped_p2p": ch_replay.stats.p2p_dropped,
+        })
+    text = render_table(
+        ["bench", "P", "APP [s]", "ST replay [s]", "CH replay [s]",
+         *(header for header, _ in columns)],
+        [
+            [r["benchmark"], r["P"], r["app"], r["replay_scalatrace"],
+             r["replay_chameleon"], *(percent(r[key]) for _, key in columns)]
+            for r in rows
+        ],
+        title=title,
+    )
+    return rows, text
+
+
 def figure5(
     benchmarks: list[str] | None = None, p_list: list[int] | None = None
 ) -> tuple[list[dict], str]:
-    benchmarks = benchmarks or list(STRONG_BENCHMARKS)
-    p_list = p_list or default_p_list()
-    rows = []
-    for name, p, suite in _strong_suites(benchmarks, p_list):
-        st_trace = suite[Mode.SCALATRACE].trace
-        ch_trace = suite[Mode.CHAMELEON].trace
-        assert st_trace is not None and ch_trace is not None
-        st_replay = replay_trace(st_trace, nprocs=p, network=QDR_CLUSTER)
-        ch_replay = replay_trace(ch_trace, nprocs=p, network=QDR_CLUSTER)
-        report = AccuracyReport(
-            app_time=suite[Mode.APP].max_time,
-            scalatrace_replay_time=st_replay.time,
-            chameleon_replay_time=ch_replay.time,
-        )
-        rows.append(
-            {
-                "benchmark": name,
-                "P": p,
-                "app": report.app_time,
-                "replay_scalatrace": report.scalatrace_replay_time,
-                "replay_chameleon": report.chameleon_replay_time,
-                "acc_vs_app": report.chameleon_vs_app,
-                "acc_vs_scalatrace": report.chameleon_vs_scalatrace,
-                "dropped_p2p": ch_replay.stats.p2p_dropped,
-            }
-        )
-    text = render_table(
-        ["bench", "P", "APP [s]", "ST replay [s]", "CH replay [s]",
-         "ACC vs APP", "ACC vs ST"],
-        [
-            [r["benchmark"], r["P"], r["app"], r["replay_scalatrace"],
-             r["replay_chameleon"], percent(r["acc_vs_app"]),
-             percent(r["acc_vs_scalatrace"])]
-            for r in rows
-        ],
-        title="Figure 5: strong-scaling replay time / accuracy",
+    return _replay_figure(
+        _strong_suites(benchmarks or list(STRONG_BENCHMARKS),
+                       p_list or default_p_list()),
+        "Figure 5: strong-scaling replay time / accuracy",
+        (("ACC vs APP", "acc_vs_app"), ("ACC vs ST", "acc_vs_scalatrace")),
     )
-    return rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -206,37 +209,11 @@ def figure6(p_list: list[int] | None = None) -> tuple[list[dict], str]:
 
 
 def figure7(p_list: list[int] | None = None) -> tuple[list[dict], str]:
-    p_list = p_list or default_p_list()
-    rows = []
-    for name, p, suite in _weak_suites(p_list):
-        st_replay = replay_trace(suite[Mode.SCALATRACE].trace, nprocs=p)
-        ch_replay = replay_trace(suite[Mode.CHAMELEON].trace, nprocs=p)
-        report = AccuracyReport(
-            app_time=suite[Mode.APP].max_time,
-            scalatrace_replay_time=st_replay.time,
-            chameleon_replay_time=ch_replay.time,
-        )
-        rows.append(
-            {
-                "benchmark": name,
-                "P": p,
-                "app": report.app_time,
-                "replay_scalatrace": report.scalatrace_replay_time,
-                "replay_chameleon": report.chameleon_replay_time,
-                "acc_vs_app": report.chameleon_vs_app,
-            }
-        )
-    text = render_table(
-        ["bench", "P", "APP [s]", "ST replay [s]", "CH replay [s]",
-         "ACC vs APP"],
-        [
-            [r["benchmark"], r["P"], r["app"], r["replay_scalatrace"],
-             r["replay_chameleon"], percent(r["acc_vs_app"])]
-            for r in rows
-        ],
-        title="Figure 7: weak-scaling replay time / accuracy",
+    return _replay_figure(
+        _weak_suites(p_list or default_p_list()),
+        "Figure 7: weak-scaling replay time / accuracy",
+        (("ACC vs APP", "acc_vs_app"),),
     )
-    return rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +271,8 @@ def figure9(
     )
     freqs = [max(iters // calls, 1) for calls in call_counts]
     cells = [make_cell("lu", nprocs, Mode.APP, workload_params=params)] + [
-        make_cell(
-            "lu",
-            nprocs,
-            Mode.CHAMELEON,
-            workload_params=params,
-            call_frequency=freq,
-        )
+        make_cell("lu", nprocs, Mode.CHAMELEON, workload_params=params,
+                  call_frequency=freq)
         for freq in freqs
     ]
     app, *traced = get_engine().run_cells(cells)
@@ -341,13 +313,9 @@ def figure10(
         make_cell("lu", nprocs, Mode.APP, workload_params=params),
         make_cell("lu", nprocs, Mode.SCALATRACE, workload_params=params),
     ] + [
-        make_cell(
-            "lu_modified",
-            nprocs,
-            Mode.CHAMELEON,
-            workload_params={"phase_period": period, **params},
-            call_frequency=1,
-        )
+        make_cell("lu_modified", nprocs, Mode.CHAMELEON,
+                  workload_params={"phase_period": period, **params},
+                  call_frequency=1)
         for period in periods
     ]
     app, st, *traced = get_engine().run_cells(cells)

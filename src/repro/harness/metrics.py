@@ -34,36 +34,20 @@ def breakdown(result: RunResult) -> OverheadBreakdown:
     # stats were dropped (e.g. rebuilt from serialized form) still report
     # their recording cost; a live ``record/time`` metric fills in when the
     # tracer counter is absent entirely.
-    record = result.stat("record_time", source="tracer")
-    if record == 0.0:
-        record = result.stat("record/time")
+    record = (result.stat("record_time", source="tracer")
+              or result.stat("record/time"))
     if result.chameleon_stats:
-        return OverheadBreakdown(
-            record=record,
-            signature=result.stat("signature_time", source="chameleon"),
-            vote=result.stat("vote_time", source="chameleon"),
-            clustering=result.stat("clustering_time", source="chameleon"),
-            intercompression=result.stat(
-                "intercompression_time", source="chameleon"
-            ),
-        )
+        return OverheadBreakdown(record, *(
+            result.stat(f"{name}_time", source="chameleon")
+            for name in ("signature", "vote", "clustering",
+                         "intercompression")))
     if result.mode is Mode.ACURDION and "acurdion" in result.extra:
         return OverheadBreakdown(
-            record=record,
-            signature=0.0,
-            vote=0.0,
-            clustering=result.stat("clustering_time", source="acurdion"),
-            intercompression=result.stat(
-                "intercompression_time", source="acurdion"
-            ),
-        )
-    return OverheadBreakdown(
-        record=record,
-        signature=0.0,
-        vote=0.0,
-        clustering=0.0,
-        intercompression=result.stat("merge_time", source="tracer"),
-    )
+            record, 0.0, 0.0,
+            result.stat("clustering_time", source="acurdion"),
+            result.stat("intercompression_time", source="acurdion"))
+    return OverheadBreakdown(record, 0.0, 0.0, 0.0,
+                             result.stat("merge_time", source="tracer"))
 
 
 def overhead_fraction(traced: RunResult, app: RunResult) -> float:
@@ -74,19 +58,14 @@ def overhead_fraction(traced: RunResult, app: RunResult) -> float:
 
 
 def state_space_summary(result: RunResult) -> dict[int, dict[str, float]]:
-    """Per-rank average bytes per state from the space samples (Table IV)."""
+    """Per-rank average bytes per state from the marker logs (Table IV)."""
     out: dict[int, dict[str, float]] = {}
     for rank, cs in enumerate(result.chameleon_stats):
         per_state: dict[str, list[int]] = {}
-        for state, nbytes in cs.space_samples:
-            per_state.setdefault(state, []).append(nbytes)
-        out[rank] = {
-            state: sum(v) / len(v) for state, v in per_state.items()
-        }
-        out[rank]["calls"] = float(len(cs.space_samples))
-        out[rank]["avg"] = (
-            sum(b for _s, b in cs.space_samples) / len(cs.space_samples)
-            if cs.space_samples
-            else 0.0
-        )
+        for record in cs.log:
+            per_state.setdefault(record.state, []).append(record.bytes)
+        out[rank] = {s: sum(v) / len(v) for s, v in per_state.items()}
+        out[rank]["calls"] = float(len(cs.log))
+        out[rank]["avg"] = (sum(r.bytes for r in cs.log) / len(cs.log)
+                            if cs.log else 0.0)
     return out

@@ -15,10 +15,10 @@ against the APP run of the same configuration, aggregated over all ranks
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import os
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -90,18 +90,20 @@ class RunResult:
         """
         reg = MetricsRegistry()
         for rank, st in enumerate(self.tracer_stats):
-            for f in dataclasses.fields(st):
-                value = getattr(st, f.name)
-                if isinstance(value, (int, float)):
-                    reg.count(f"tracer/{f.name}", float(value), rank=rank)
-            for state, nbytes in st.bytes_by_state.items():
+            for name in ("events_recorded", "events_skipped", "record_time",
+                         "merge_time", "merge_comm_time", "peak_bytes"):
+                reg.count(f"tracer/{name}", float(getattr(st, name)),
+                          rank=rank)
+        for rank, cs in enumerate(self.chameleon_stats):
+            for state, nbytes in cs.bytes_by_state.items():
                 reg.count("tracer/bytes_by_state", float(nbytes),
                           rank=rank, phase=state)
-        for rank, cs in enumerate(self.chameleon_stats):
-            for f in dataclasses.fields(cs):
-                value = getattr(cs, f.name)
-                if isinstance(value, (int, float)):
-                    reg.count(f"chameleon/{f.name}", float(value), rank=rank)
+            for name in ("marker_invocations", "effective_calls",
+                         "reclusterings", "signature_time", "vote_time",
+                         "clustering_time", "intercompression_time",
+                         "k_used", "num_callpaths"):
+                reg.count(f"chameleon/{name}", float(getattr(cs, name)),
+                          rank=rank)
             for state, n in cs.state_counts.items():
                 reg.count("chameleon/state_markers", float(n),
                           rank=rank, phase=state)
@@ -153,7 +155,8 @@ class RunResult:
         identity-compared helper objects.
         """
         h = hashlib.sha256()
-        parts = [
+        # one rank's marker log at a time: their joint repr is large
+        for part in chain([
             self.mode.value,
             str(self.nprocs),
             self.workload,
@@ -165,10 +168,9 @@ class RunResult:
             repr(self.failed_ranks),
             self.trace.serialize() if self.trace is not None else "",
             repr(self.tracer_stats),
-            repr(self.chameleon_stats),
+        ], map(repr, self.chameleon_stats), [
             repr(sorted(self.extra.items(), key=lambda kv: kv[0])),
-        ]
-        for part in parts:
+        ]):
             h.update(part.encode("utf-8"))
             h.update(b"\x00")
         return h.hexdigest()

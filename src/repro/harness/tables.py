@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..core.chameleon import ChameleonStats
 from ..workloads.registry import PAPER_K
 from .engine import Cell, get_engine, make_cell, make_suite_cells
 from .metrics import state_space_summary
 from .reporting import render_table
-from .runner import Mode, RunResult, full_scale, overhead
+from .runner import Mode, full_scale, overhead
 
 # ---------------------------------------------------------------------------
 # Table II experiment configurations
@@ -93,19 +94,16 @@ def _chameleon_cell(cfg: Table2Config) -> Cell:
     params = dict(cfg.params)
     if cfg.workload != "emf":
         params.setdefault("iterations", cfg.iters)
-    return make_cell(
-        cfg.workload,
-        cfg.nprocs,
-        Mode.CHAMELEON,
-        workload_params=params,
-        call_frequency=cfg.freq,
-        warmup=cfg.warmup,
-    )
+    return make_cell(cfg.workload, cfg.nprocs, Mode.CHAMELEON,
+                     workload_params=params, call_frequency=cfg.freq,
+                     warmup=cfg.warmup)
 
 
-def _run_chameleon_rows(configs: list[Table2Config]) -> list[RunResult]:
-    """All Chameleon runs for Tables I/II as one engine batch."""
-    return get_engine().run_cells([_chameleon_cell(c) for c in configs])
+def _chameleon_rows() -> list[tuple[Table2Config, ChameleonStats]]:
+    """Each Table II config and its rank-0 marker log, in one batch."""
+    configs = table2_configs()
+    results = get_engine().run_cells([_chameleon_cell(c) for c in configs])
+    return [(cfg, result.cstats0) for cfg, result in zip(configs, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +115,7 @@ def table1() -> tuple[list[dict], str]:
     """Paper Table I: configured K per benchmark (determined a priori),
     plus this reproduction's measured Call-Path cluster count."""
     rows = []
-    configs = table2_configs()
-    for cfg, result in zip(configs, _run_chameleon_rows(configs)):
-        cs = result.cstats0
+    for cfg, cs in _chameleon_rows():
         rows.append(
             {
                 "pgm": cfg.pgm,
@@ -148,9 +144,7 @@ def table1() -> tuple[list[dict], str]:
 
 def table2() -> tuple[list[dict], str]:
     rows = []
-    configs = table2_configs()
-    for cfg, result in zip(configs, _run_chameleon_rows(configs)):
-        cs = result.cstats0
+    for cfg, cs in _chameleon_rows():
         rows.append(
             {
                 "pgm": f"{cfg.pgm}({cfg.nprocs})",
@@ -186,14 +180,12 @@ def table3(p_list: list[int] | None = None) -> tuple[list[dict], str]:
     if p_list is None:
         p_list = [16, 64, 256, 1024] if full_scale() else [4, 9, 16]
     iters = 25 if not full_scale() else 250
+    # call_frequency=1: the maximum number of calls (paper's constraint)
     groups = [
-        make_suite_cells(
-            "bt",
-            p,
-            modes=(Mode.APP, Mode.CHAMELEON, Mode.ACURDION),
-            workload_params={"problem_class": "A", "iterations": iters},
-            call_frequency=1,  # maximum number of calls (paper's constraint)
-        )
+        make_suite_cells("bt", p, call_frequency=1,
+                         modes=(Mode.APP, Mode.CHAMELEON, Mode.ACURDION),
+                         workload_params={"problem_class": "A",
+                                          "iterations": iters})
         for p in p_list
     ]
     rows = []
@@ -226,21 +218,14 @@ def table3(p_list: list[int] | None = None) -> tuple[list[dict], str]:
 def table4(nprocs: int | None = None) -> tuple[dict, str]:
     nprocs = nprocs or (256 if full_scale() else 16)
     iters = 30
-    cell = make_cell(
-        "bt",
-        nprocs,
-        Mode.CHAMELEON,
-        workload_params={"problem_class": "A", "iterations": iters},
-        call_frequency=3,
-    )
+    cell = make_cell("bt", nprocs, Mode.CHAMELEON, call_frequency=3,
+                     workload_params={"problem_class": "A",
+                                      "iterations": iters})
     (result,) = get_engine().run_cells([cell])
     summary = state_space_summary(result)
     # lead ranks: still allocating trace space during the lead phase
-    leads = sorted(
-        rank
-        for rank, cs in enumerate(result.chameleon_stats)
-        if any(s == "lead" and b > 0 for s, b in cs.space_samples)
-    )
+    leads = [rank for rank, cs in enumerate(result.chameleon_stats)
+             if any(r.state == "lead" and r.bytes for r in cs.log)]
     non_leads = [r for r in range(nprocs) if r not in leads]
     states = ["all-tracing", "clustering", "lead", "final"]
 

@@ -26,7 +26,7 @@ the event and on its clock, instead of being a second one beside it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..faults.injector import LOST
@@ -62,7 +62,6 @@ class TracerStats:
     merge_time: float = 0.0  # virtual seconds spent in inter-node merging
     merge_comm_time: float = 0.0  # virtual seconds in merge communication
     peak_bytes: int = 0
-    bytes_by_state: dict[str, int] = field(default_factory=dict)
 
 
 async def reduce_over_tree(

@@ -9,9 +9,9 @@ its own worker process (:func:`stream_worker`, started from a
 :class:`EventBuffer`; when the next step hasn't arrived yet the whole
 simulation parks (virtual time is untouched — clocks only advance on
 executed ops), and resumes the moment an HTTP chunk lands.  Clustering
-state really does advance chunk-by-chunk: after every marker the rank-0
-tracer's live :class:`~repro.core.clustering.ClusterSet` is sent to the
-server as a progress snapshot, long before close.
+state really does advance chunk-by-chunk: after every marker a progress
+snapshot of the rank-0 tracer's marker log goes to the server, long
+before close.
 
 Bit-identity with the batch path is structural: the loop below replays
 :meth:`repro.workloads.base.Workload.run` exactly (validate, setup,
@@ -31,6 +31,7 @@ from multiprocessing.connection import Connection
 from multiprocessing.context import BaseContext
 from typing import Any, Callable
 
+from ..core.chameleon import ChameleonStats, ChameleonTracer
 from ..core.config import ChameleonConfig
 from ..harness.runner import Mode, run_mode
 from ..simmpi.launcher import RankContext
@@ -43,7 +44,6 @@ __all__ = [
     "EventBuffer",
     "LiveStreamWorkload",
     "StreamAborted",
-    "cluster_snapshot",
     "stream_worker",
     "worker_context",
 ]
@@ -207,46 +207,22 @@ class LiveStreamWorkload(StreamWorkload):
             self.publish(step, decision, tracer)
 
 
-def cluster_snapshot(topk: Any, *, member_cap: int = 64) -> dict[str, Any]:
-    """JSON view of a live :class:`~repro.core.clustering.ClusterSet`."""
-    clusters = []
-    for info in topk.all_clusters():
-        entry: dict[str, Any] = {
-            "lead": info.lead,
-            "size": info.members.count,
-            "signature": list(info.signature),
-        }
-        if info.members.count <= member_cap:
-            entry["members"] = list(info.members.ranks())
-        clusters.append(entry)
-    return {
-        "num_clusters": len(topk),
-        "num_callpaths": topk.num_callpaths,
-        "leads": topk.leads(),
-        "clusters": clusters,
-    }
-
-
-def progress_snapshot(step_index: int, decision: Any,
-                      tracer: Any) -> dict[str, Any]:
-    """The per-marker progress document published to a job.
-
-    Built from whatever the tracer exposes: Chameleon tracers carry the
-    live Top-K cluster set and per-rank stats; ScalaTrace/APP tracers
-    yield steps-done only.
-    """
+def progress_snapshot(step_index: int,
+                      stats: ChameleonStats | None) -> dict[str, Any]:
+    """The per-marker progress document published to a job, built from a
+    Chameleon rank's marker log (the latest record's state, the latest
+    clustering's view); ScalaTrace/APP runs (no ``stats``) yield steps-done
+    only."""
     snap: dict[str, Any] = {"steps_done": step_index + 1}
-    if decision is not None:
-        snap["marker_state"] = decision.state.value
-        snap["phase_changed"] = bool(decision.phase_changed)
-    cstats = getattr(tracer, "cstats", None)
-    if cstats is not None:
-        snap["reclusterings"] = cstats.reclusterings
-        snap["k_used"] = cstats.k_used
-        snap["num_callpaths"] = cstats.num_callpaths
-    topk = getattr(tracer, "topk", None)
-    if topk is not None:
-        snap["clusters"] = cluster_snapshot(topk)
+    if stats is None:
+        return snap
+    if stats.log:
+        snap["marker_state"] = stats.log[-1].state
+        snap["phase_changed"] = stats.log[-1].phase_changed
+    snap.update(reclusterings=stats.reclusterings, k_used=stats.k_used,
+                num_callpaths=stats.num_callpaths)
+    if (view := stats.cluster_view) is not None:
+        snap["clusters"] = view
     return snap
 
 
@@ -304,8 +280,8 @@ def stream_worker(conn: Connection, nprocs: int, mode: Mode,
                      name="repro-serve-drain", daemon=True).start()
 
     def publish(step: int, decision: Any, tracer: Any) -> None:
-        conn.send(("progress", step,
-                   progress_snapshot(step, decision, tracer)))
+        stats = tracer.cstats if isinstance(tracer, ChameleonTracer) else None
+        conn.send(("progress", step, progress_snapshot(step, stats)))
 
     try:
         result = run_mode(

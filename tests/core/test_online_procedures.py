@@ -168,15 +168,16 @@ class TestOnlineByteCount:
     def _watch(monkeypatch) -> dict:
         seen = {"samples": 0, "folds": 0, "refolded": 0, "degraded_folds": 0,
                 "finalized": 0}
-        sample_space = chameleon.ChameleonTracer._sample_space
+        append = chameleon.ChameleonTracer._append
         finalize = chameleon.ChameleonTracer.finalize
         fold = chameleon.fold_into_online
 
-        def checked_sample(self, state, intra_bytes):
+        def checked_append(self, *args, **kwargs):
+            # the marker log's space sample reads online_bytes
             if self.rank == 0:
                 assert self.online_bytes == self.online.size_bytes()
                 seen["samples"] += 1
-            sample_space(self, state, intra_bytes)
+            append(self, *args, **kwargs)
 
         def checked_fold(tracer, online, segment, window):
             added = sum(n.size_bytes() for n in segment.nodes)
@@ -194,8 +195,8 @@ class TestOnlineByteCount:
                 seen["finalized"] += 1
             return trace
 
-        monkeypatch.setattr(chameleon.ChameleonTracer, "_sample_space",
-                            checked_sample)
+        monkeypatch.setattr(chameleon.ChameleonTracer, "_append",
+                            checked_append)
         monkeypatch.setattr(chameleon.ChameleonTracer, "finalize",
                             checked_finalize)
         monkeypatch.setattr(chameleon, "fold_into_online", checked_fold)

@@ -16,9 +16,11 @@ crashed lead (re-election), a crashed single-member lead (cluster
 collapse: degraded finalize folded into rank 0's online trace), a crashed
 rank 0 (degraded finalize on the lowest survivor) and message drops
 (``LOST`` holes in the vote and the cluster reduction).  Per case: the
-full ``repr`` of every rank's ``TracerStats`` and ``ChameleonStats`` (so
-``record_time``, ``merge_comm_time``, ``peak_bytes``, ``space_samples``
-and ``state_counts`` are held bit for bit, not only the clocks), a digest
+full ``repr`` of every rank's ``TracerStats`` and ``ChameleonStats`` in
+the format they had when recorded (so ``record_time``,
+``merge_comm_time``, ``peak_bytes``, ``space_samples`` and
+``state_counts`` are held bit for bit, not only the clocks; the fields
+that now derive from the marker log are rendered from it), a digest
 of the final virtual clocks, the lead ranks, the failed ranks, and the
 serialized trace with stack signatures renumbered by first appearance
 (stored deflated + base85 — the ``lu_modified`` traces are ~120 kB of text
@@ -31,6 +33,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import zlib
+from itertools import zip_longest
 
 import pytest
 
@@ -97,6 +100,28 @@ def _run_automarker(workload, nprocs: int):
     return run_spmd(main, nprocs)
 
 
+#: the fields of ``ChameleonStats``'s repr when the pins were recorded;
+#: all but the first now derive from its marker log
+_CSTATS_FIELDS = (
+    "marker_invocations", "effective_calls", "state_counts",
+    "reclusterings", "signature_time", "vote_time", "clustering_time",
+    "intercompression_time", "space_samples", "k_used", "num_callpaths",
+)
+
+
+def _chameleon_stats_repr(cs) -> str:
+    """``cs`` in the recorded ``ChameleonStats`` repr."""
+    fields = ", ".join(f"{f}={getattr(cs, f)!r}" for f in _CSTATS_FIELDS)
+    return f"ChameleonStats({fields})"
+
+
+def _tracer_stats_repr(st, cs) -> str:
+    """``st`` in the recorded ``TracerStats`` repr, whose last field,
+    ``bytes_by_state``, now derives from the rank's marker log ``cs``."""
+    by_state = cs.bytes_by_state if cs is not None else {}
+    return f"{repr(st)[:-1]}, bytes_by_state={by_state!r})"
+
+
 def observe(name: str) -> dict:
     workload_name, params, nprocs, tracer, faults = CASES[name]
     workload = make_workload(workload_name, **params)
@@ -124,8 +149,11 @@ def observe(name: str) -> dict:
             extra["fault_summary"] = sorted(
                 result.extra["fault_summary"].items())
     return {
-        "tracer_stats": [repr(st) for st in tracer_stats],
-        "chameleon_stats": [repr(cs) for cs in chameleon_stats],
+        "tracer_stats": [
+            _tracer_stats_repr(st, cs)
+            for st, cs in zip_longest(tracer_stats, chameleon_stats)],
+        "chameleon_stats": [_chameleon_stats_repr(cs)
+                            for cs in chameleon_stats],
         "clocks_sha": hashlib.sha256(repr(clocks).encode()).hexdigest()[:32],
         "leads": leads,
         "failed_ranks": list(failed),

@@ -107,3 +107,24 @@ def test_chaos_error_inside_the_sweep_is_not_a_name_error(monkeypatch):
     monkeypatch.setattr(cli, "run_fault_chaos", broken_sweep)
     with pytest.raises(ValueError, match="boom inside a run"):
         main(["chaos", "--workload", "uniform", "--nprocs", "4"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workload", "uniform"],
+    ["--nprocs", "16"],  # the default value, given explicitly
+    ["--mode", "scalatrace", "--iterations", "3"],
+    ["--problem-class", "A"],
+])
+def test_chaos_host_rejects_workload_flags(flags, monkeypatch, capsys):
+    # The host suite runs no cell, so a workload flag is a usage error
+    # before any scenario starts.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_host_chaos", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "host", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "chaos host takes no workload flags" in err
+    assert flags[0] in err

@@ -20,6 +20,7 @@ from repro.serve.ingest import (
     EventBuffer,
     LiveStreamWorkload,
     StreamAborted,
+    progress_snapshot,
 )
 from repro.workloads.stream import (
     StreamWorkload,
@@ -101,6 +102,29 @@ class TestBitIdentity:
             assert live.fingerprint() == expected_fp
             assert live.trace.serialize() == expected_trace
             assert live.lead_ranks == expected.lead_ranks
+
+    def test_rank0_log_equals_batch_and_feeds_progress(self):
+        steps = default_steps()
+        batch = _batch(steps)
+        docs: list[dict] = []
+
+        def publish(step, decision, tracer):
+            docs.append(progress_snapshot(step, tracer.cstats))
+
+        live = _streamed(steps, _random_chunks(steps, random.Random(7)),
+                         publish=publish)
+        log = batch.chameleon_stats[0].log
+        assert live.chameleon_stats[0].log == log
+        # progress is published after each marker, before finalize appends
+        # the last record
+        last = docs[-1]
+        assert last["steps_done"] == len(steps)
+        assert last["marker_state"] == log[-2].state
+        assert last["phase_changed"] == log[-2].phase_changed
+        picks = [r.cluster for r in log[:-1] if r.cluster is not None]
+        assert last["reclusterings"] == len(picks)
+        assert last["clusters"] == picks[-1].view
+        assert last["clusters"]["leads"] == list(picks[-1].leads)
 
     def test_progress_published_incrementally(self):
         steps = default_steps()

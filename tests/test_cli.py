@@ -170,7 +170,9 @@ def test_run_traced_mode_does_not_warn(tmp_path, capsys):
     assert out_file.exists()
 
 
-def test_engine_flags_and_cache_summary(tmp_path, capsys):
+def test_engine_flags_and_cache_summary(tmp_path, capsys, monkeypatch):
+    # REPRO_NO_CACHE would override --cache-dir and turn every hit off
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     cache_dir = str(tmp_path / "cache")
     args = ["experiment", "table4", "--cache-dir", cache_dir, "--jobs", "1"]
     assert main(args) == 0
