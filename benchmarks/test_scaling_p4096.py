@@ -78,9 +78,9 @@ def test_p4096_fast_vs_simulated_bit_identical():
     reference bit-for-bit (the exhaustive fuzz lives in
     tests/simmpi/test_collective_fastpath.py at smaller P)."""
     fast = run_spmd(_allreduce_barrier, 4096,
-                    config=SimConfig(collectives="fast"))
+                    config=SimConfig(gates="fast"))
     sim = run_spmd(_allreduce_barrier, 4096,
-                   config=SimConfig(collectives="simulated"))
+                   config=SimConfig(gates="simulated"))
     assert fast.results == sim.results
     assert fast.clocks == sim.clocks
     assert fast.busy_times == sim.busy_times
@@ -95,8 +95,7 @@ def test_p4096_linear_indexed_equivalence_spot_check(
     tests/simmpi/test_mailbox_matching.py at smaller P).  The simulated
     leg is the one that exercises the mailbox; under defaults the fast
     paths never touch it."""
-    for config in (SimConfig(collectives="simulated", p2p="simulated"),
-                   SimConfig()):
+    for config in (SimConfig(gates="simulated"), SimConfig()):
         indexed = run_spmd(_allreduce_barrier, 1024, config=config)
         with linear_matching():
             linear = run_spmd(_allreduce_barrier, 1024, config=config)

@@ -134,7 +134,7 @@ def run(
     engine's worker pool.
 
     ``sim`` is a :class:`SimConfig` carrying every simulator engine option
-    (network model, collectives mode, p2p mode, step budget).
+    (network model, gate strategy, step budget).
 
     Pass ``instrument=Recorder()`` to capture the run's virtual-time event
     timeline on ``result.obs`` (see :func:`inspect`); instrumented runs

@@ -469,12 +469,11 @@ def _cmd_config(args: argparse.Namespace) -> int:
     print(f"  o_recv              {n.o_recv:.3e} s")
     print(f"  eager_threshold     {n.eager_threshold} B")
     print(f"  min_message_bytes   {n.min_message_bytes} B")
-    print(f"collectives   {sim.collectives}")
-    print(f"p2p           {sim.p2p}")
+    print(f"gates         {sim.gates}")
     print(f"max_steps     {ms}")
     print(f"cache digest  {sim.digest()}")
     print("  (digests only the outcome-determining fields; "
-          "collectives/p2p\n   select bit-identical strategies and "
+          "gates\n   selects bit-identical strategies that "
           "share one cache slot)")
     return 0
 
@@ -605,9 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument(
         "--config", action="append", metavar="KEY=VAL",
         help="engine option as a SimConfig field (repeatable): "
-        "network=qdr|slow|zero, collectives=fast|simulated, "
-        "p2p=fast|simulated, max_steps=N|none; with `run --trace-out`, "
-        "collectives=simulated and p2p=simulated put every constituent "
+        "network=qdr|slow|zero, gates=fast|simulated, max_steps=N|none; "
+        "with `run --trace-out`, gates=simulated puts every constituent "
         "message on the timeline",
     )
     report = argparse.ArgumentParser(add_help=False)

@@ -32,12 +32,7 @@ class AcurdionTracer(ScalaTraceTracer):
         self, ctx: RankContext, config: ChameleonConfig | None = None
     ) -> None:
         config = config or ChameleonConfig()
-        super().__init__(
-            ctx,
-            costs=config.costs,
-            window=config.window,
-            tree_arity=config.tree_arity,
-        )
+        super().__init__(ctx, tree_arity=config.tree_arity)
         self.config = config
         self.sigacc = SignatureAccumulator()
         self._sigaccs = (self.sigacc,)
@@ -59,6 +54,6 @@ class AcurdionTracer(ScalaTraceTracer):
         t0 = self.ctx.clock
         segment = await merge_lead_traces(self, self.topk)
         if segment is not None:
-            fold_into_online(self, online, segment, self.config.window)
+            fold_into_online(self, online, segment)
         self.intercompression_time = self.ctx.clock - t0
         return online

@@ -138,8 +138,7 @@ class ChameleonTracer(ScalaTraceTracer):
         self, ctx: RankContext, config: ChameleonConfig | None = None
     ) -> None:
         config = config or ChameleonConfig()
-        super().__init__(ctx, costs=config.costs, window=config.window,
-                         tree_arity=config.tree_arity)
+        super().__init__(ctx, tree_arity=config.tree_arity)
         self.config = config
         self.phase = PhaseTracker()
         self.sigacc = SignatureAccumulator(mode=config.signature_filter)
@@ -220,7 +219,7 @@ class ChameleonTracer(ScalaTraceTracer):
                          "failed": sorted(failed)},
                     )
                     obs.metrics.count("fault/lead_reelections", 1,
-                                      rank=self.rank, t=self.ctx.clock)
+                                      rank=self.rank)
             if replacements and obs.enabled:
                 obs.instant(
                     self.rank, "lead_reelection", "fault", self.ctx.clock,
@@ -241,7 +240,7 @@ class ChameleonTracer(ScalaTraceTracer):
                      "failed": sorted(failed)},
                 )
                 obs.metrics.count("fault/degraded_entries", 1,
-                                  rank=self.rank, t=self.ctx.clock)
+                                  rank=self.rank)
 
     # -- the marker (Algorithm 3) ----------------------------------------------
 
@@ -332,7 +331,7 @@ class ChameleonTracer(ScalaTraceTracer):
         segment = await merge_lead_traces(self, self.topk)
         if segment is not None:
             self.online_bytes += fold_into_online(
-                self, self.online, segment, self.config.window
+                self, self.online, segment
             )
         spans["intercompression"] = (t0, self.ctx.clock)
         self.compressor.take_nodes()
@@ -374,7 +373,7 @@ class ChameleonTracer(ScalaTraceTracer):
             obs.span(rank, name, "chameleon", start, end, args)
             if not degraded:
                 metrics.count(f"marker/{name}_time", end - start, rank=rank,
-                              phase=state if name == "vote" else None, t=end)
+                              phase=state if name == "vote" else None)
         if "vote" in spans:
             obs.instant(
                 rank, "marker", "chameleon", t,
@@ -382,20 +381,19 @@ class ChameleonTracer(ScalaTraceTracer):
                  "cluster": decision.do_cluster, "merge": decision.do_merge},
             )
             metrics.count("marker/effective_calls", 1, rank=rank,
-                          phase=state, t=t)
+                          phase=state)
         if state != before and not degraded:
             obs.instant(rank, "state_transition", "state", t,
                         {"from": before, "to": state})
             if not final:
                 metrics.count("marker/state_transitions", 1, rank=rank,
-                              phase=state, t=t)
+                              phase=state)
         if decision.state is MarkerState.C:
             obs.instant(
                 rank, "lead_election", "chameleon", self.ctx.clock,
                 {"leads": sorted(cluster.leads), "is_lead": self.tracing},
             )
-            metrics.count("marker/lead_elections", 1, rank=rank,
-                          t=self.ctx.clock)
+            metrics.count("marker/lead_elections", 1, rank=rank)
             metrics.gauge("marker/is_lead", float(self.tracing), rank=rank)
         metrics.gauge("space/bytes", float(record.bytes), rank=rank,
                       phase=state)
@@ -472,7 +470,7 @@ class ChameleonTracer(ScalaTraceTracer):
         assert merged is not None
         if self.online is not None and self.online.nodes:
             self.online_bytes += fold_into_online(
-                self, self.online, merged, self.config.window
+                self, self.online, merged
             )
             merged = self.online
         merged.nprocs = self.nprocs

@@ -29,6 +29,9 @@ from typing import Any
 from ..scalatrace.ranklist import RankSet
 from ..scalatrace.rsd import WorkMeter
 
+#: RNG seed of the ``krandom`` selector.
+KRANDOM_SEED = 0x5EED
+
 SigTriple = tuple[int, int, int]  # (callpath, src, dest)
 
 
@@ -221,11 +224,20 @@ def hierarchical(
     return out
 
 
+def _k_random_group(
+    clusters: list[ClusterInfo], k: int, meter: WorkMeter | None = None
+) -> list[ClusterInfo]:
+    """``krandom`` over one Call-Path group (``prune`` selects per group):
+    the group draws from its own stream, ``KRANDOM_SEED ^ callpath``."""
+    seed = KRANDOM_SEED ^ clusters[0].callpath if clusters else KRANDOM_SEED
+    return k_random(clusters, k, seed, meter)
+
+
 _SELECTORS = {
-    "kfarthest": lambda cl, k, meter, seed: k_farthest(cl, k, meter),
-    "kmedoids": lambda cl, k, meter, seed: k_medoids(cl, k, meter),
-    "krandom": lambda cl, k, meter, seed: k_random(cl, k, seed, meter),
-    "hierarchical": lambda cl, k, meter, seed: hierarchical(cl, k, meter),
+    "kfarthest": k_farthest,
+    "kmedoids": k_medoids,
+    "krandom": _k_random_group,
+    "hierarchical": hierarchical,
 }
 
 
@@ -234,7 +246,6 @@ def find_top_k(
     k: int,
     algorithm: str = "kfarthest",
     meter: WorkMeter | None = None,
-    seed: int = 0,
 ) -> list[ClusterInfo]:
     """Algorithm 2: select ``k`` representatives and absorb the rest.
 
@@ -247,7 +258,7 @@ def find_top_k(
         selector = _SELECTORS[algorithm]
     except KeyError:
         raise ValueError(f"unknown clustering algorithm {algorithm!r}") from None
-    selected = selector(clusters, k, meter, seed)
+    selected = selector(clusters, k, meter)
     chosen = {id(c) for c in selected}
     for c in clusters:
         if id(c) in chosen:
@@ -294,7 +305,6 @@ class ClusterSet:
         k: int,
         algorithm: str = "kfarthest",
         meter: WorkMeter | None = None,
-        seed: int = 0,
     ) -> None:
         """Reduce to at most ``max(k, num_callpaths)`` clusters, keeping at
         least one per Call-Path group (dynamic-K rule)."""
@@ -311,7 +321,6 @@ class ClusterSet:
                     per_group,
                     algorithm,
                     meter,
-                    seed ^ cp,
                 )
             )
         self.clusters = {c.signature: c for c in kept}

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..scalatrace.costmodel import DEFAULT_COSTS, InstrumentationCostModel
-from ..scalatrace.intra import DEFAULT_WINDOW
+from dataclasses import dataclass
 
 #: Clustering algorithm names accepted by :mod:`repro.core.clustering`.
 CLUSTERING_ALGOS = ("kmedoids", "kfarthest", "krandom", "hierarchical")
@@ -15,28 +12,26 @@ CLUSTERING_ALGOS = ("kmedoids", "kfarthest", "krandom", "hierarchical")
 class ChameleonConfig:
     """Tunables of the online clustering framework.
 
+    The intra-compression window (``intra.DEFAULT_WINDOW``), the
+    ``krandom`` seed (``clustering.KRANDOM_SEED``) and the instrumentation
+    cost model (``costmodel.DEFAULT_COSTS``) are constants, not fields.
+
     Attributes:
         k: target number of lead processes (paper Table I; grows dynamically
             if the number of distinct Call-Path clusters exceeds it).
         call_frequency: run the transition graph every Nth marker call
             (Algorithm 3's ``Call_Frequency`` input).
         algorithm: lead-selection method inside each Call-Path cluster.
-        window: intra-compression repetition window.
         tree_arity: arity of the inter-compression radix tree.
-        seed: RNG seed for the ``krandom`` selector.
         signature_filter: ``"sequence"`` (paper default) or ``"dedup"`` —
             the automatic parameter filter applied to POP (paper §V).
-        costs: instrumentation cost model for virtual-time charging.
     """
 
     k: int = 9
     call_frequency: int = 1
     algorithm: str = "kfarthest"
-    window: int = DEFAULT_WINDOW
     tree_arity: int = 2
-    seed: int = 0x5EED
     signature_filter: str = "sequence"
-    costs: InstrumentationCostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -20,7 +20,7 @@ meter and cost model.
 from __future__ import annotations
 
 from ..faults.injector import LOST
-from ..scalatrace.intra import fold_tail
+from ..scalatrace.intra import DEFAULT_WINDOW, fold_tail
 from ..scalatrace.inter import merge_traces
 from ..scalatrace.ranklist import RankSet
 from ..scalatrace.rsd import TraceNode, iter_leaves
@@ -69,7 +69,7 @@ async def cluster_over_tree(
         local.merge(child_set, meter)
         # prune only when over the per-node budget (paper: <= 2K + 1 items)
         if len(local) > 2 * config.k + 1:
-            local.prune(config.k, config.algorithm, meter, config.seed)
+            local.prune(config.k, config.algorithm, meter)
         tracer.ctx.compute(
             (meter.total - work0) * tracer.costs.per_cluster_op
         )
@@ -81,7 +81,7 @@ async def cluster_over_tree(
     )
     if topk is not None:  # the tree root selects the Top-K
         work0 = meter.total
-        topk.prune(config.k, config.algorithm, meter, config.seed)
+        topk.prune(config.k, config.algorithm, meter)
         tracer.ctx.compute((meter.total - work0) * tracer.costs.per_cluster_op)
     topk = await comm.bcast(topk, root=0)
     if topk is None or topk is LOST:
@@ -175,7 +175,7 @@ async def merge_lead_traces(
 
 
 def fold_into_online(
-    tracer: ScalaTraceTracer, online: Trace, segment: Trace, window: int
+    tracer: ScalaTraceTracer, online: Trace, segment: Trace
 ) -> int:
     """Rank 0 appends one merged segment (an interval's lead traces, or the
     survivors' full traces of a degraded finalize) to the online trace,
@@ -185,7 +185,8 @@ def fold_into_online(
     work0 = meter.total
     grown = sum(n.size_bytes() for n in segment.nodes)
     online.nodes.extend(segment.nodes)
-    grown += fold_tail(online.nodes, window, meter, match_participants=True)
+    grown += fold_tail(online.nodes, DEFAULT_WINDOW, meter,
+                       match_participants=True)
     online.origin = online.origin.union(segment.origin)
     tracer.ctx.compute((meter.total - work0) * tracer.costs.per_merge_cell)
     return grown

@@ -12,9 +12,7 @@ so a quadratic regression in the mailbox or scheduler shows up as a red
 build rather than a slow paper run.
 
 Engine options come in as a :class:`~repro.simmpi.SimConfig` (CLI:
-``repro bench --config KEY=VAL``, e.g. ``--config collectives=simulated``).
-(The legacy ``collectives=`` keyword shipped one release as a deprecation
-shim and now raises ``TypeError``.)
+``repro bench --config KEY=VAL``, e.g. ``--config gates=simulated``).
 
 Kernels:
 
@@ -189,8 +187,7 @@ def run_scaling_bench(
         "ps": sorted({p for _, p in points}),
         "kernels": list(kernels),
         "config": {
-            "collectives": sim.collectives,
-            "p2p": sim.p2p,
+            "gates": sim.gates,
             "max_steps": sim.max_steps,
         },
         "results": results,

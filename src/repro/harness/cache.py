@@ -6,12 +6,13 @@ config, network)`` combination — is deterministic, so its
 from disk forever.  The cache key is a SHA-256 digest over
 
 * a canonical rendering of the cell (workload name + params, warmup
-  profile, process count, mode, every ``ChameleonConfig`` field including
-  the cost model, every ``NetworkModel`` field), and
+  profile, process count, mode, every ``ChameleonConfig`` field, every
+  ``NetworkModel`` field), and
 * the cache **schema version** plus a **code fingerprint** (a digest of
-  every ``repro`` source file), so editing the simulator or bumping
-  :data:`CACHE_SCHEMA_VERSION` cold-starts the cache instead of serving
-  stale results.
+  every ``repro`` source file), so editing the simulator — the
+  instrumentation cost model (``DEFAULT_COSTS``) included, a constant in
+  the sources — or bumping :data:`CACHE_SCHEMA_VERSION` cold-starts the
+  cache instead of serving stale results.
 
 Layout on disk (everything under one root, default ``.repro-cache`` or
 ``$REPRO_CACHE_DIR``)::

@@ -117,8 +117,8 @@ class Cell:
         normalizes ``config`` away — every suite over the same workload
         shares one cached baseline regardless of marker frequency.  The
         engine options enter through :meth:`SimConfig.cache_key`, which
-        excludes the bit-identity-invariant knobs (collectives, p2p):
-        equivalent spellings share one cache slot.
+        excludes the bit-identity-invariant ``gates`` switch: both
+        spellings share one cache slot.
         """
         config = None if self.mode is Mode.APP else self.config
         return digest_of(

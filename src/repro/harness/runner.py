@@ -28,7 +28,6 @@ from ..core.config import ChameleonConfig
 from ..faults.plan import FaultPlan
 from ..obs.instrument import NULL_INSTRUMENT, Instrument, ObsData, Recorder
 from ..obs.metrics import MetricsRegistry
-from ..scalatrace.costmodel import DEFAULT_COSTS
 from ..scalatrace.trace import Trace
 from ..scalatrace.tracer import ScalaTraceTracer, TracerStats
 from ..simmpi.launcher import run_spmd
@@ -180,11 +179,11 @@ def chameleon_config_for(
     workload: Workload, call_frequency: int = 1, **overrides: Any
 ) -> ChameleonConfig:
     """The paper's configuration for a workload: K from Table I, the
-    dedup signature filter where the paper applies it (POP)."""
+    dedup signature filter where the paper applies it (POP).  Window,
+    ``krandom`` seed and cost model are constants, not overrides."""
     kwargs: dict[str, Any] = {
         "k": PAPER_K.get(workload.name, getattr(workload, "paper_k", 9)),
         "call_frequency": call_frequency,
-        "costs": DEFAULT_COSTS,
     }
     if getattr(workload, "needs_signature_filter", False):
         kwargs["signature_filter"] = "dedup"
@@ -204,10 +203,10 @@ def run_mode(
     """Execute one (workload, P, mode) combination.
 
     ``sim`` carries every simulator engine option as one
-    :class:`~repro.simmpi.SimConfig` (network model, collectives mode,
-    p2p mode, step budget).  Both collectives and p2p modes yield
-    bit-identical results and virtual times, so the two are
-    deliberately excluded from :meth:`Cell.digest`.
+    :class:`~repro.simmpi.SimConfig` (network model, gate strategy,
+    step budget).  Both gate strategies yield bit-identical results
+    and virtual times, so the switch is deliberately excluded from
+    :meth:`Cell.digest`.
 
     Pass a :class:`~repro.obs.instrument.Recorder` as ``instrument`` to
     capture the run's event timeline; its snapshot is attached to
@@ -228,14 +227,15 @@ def run_mode(
         if mode is Mode.APP:
             tracer: Any = NullTracer(ctx)
         elif mode is Mode.SCALATRACE:
-            tracer = ScalaTraceTracer(ctx, costs=cfg.costs, window=cfg.window,
-                                      tree_arity=cfg.tree_arity)
+            tracer = ScalaTraceTracer(ctx, tree_arity=cfg.tree_arity)
         elif mode is Mode.CHAMELEON:
             tracer = ChameleonTracer(ctx, cfg)
         elif mode is Mode.ACURDION:
             tracer = AcurdionTracer(ctx, cfg)
         else:  # pragma: no cover - exhaustive
             raise ValueError(mode)
+        # The last frame of every stack signature is this line: moving it
+        # renumbers the signatures of every traced run.
         await workload.run(ctx, tracer)
         trace = await tracer.finalize()
         out: dict[str, Any] = {"trace": trace}

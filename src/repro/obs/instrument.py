@@ -194,25 +194,23 @@ class Recorder(Instrument):
     """Collecting instrument: buffers spans/instants and owns a registry.
 
     Args:
-        time_bucket: virtual-time bucket width for the registry's
-            time-resolved series (0 disables them).
         max_events: safety valve — beyond this many buffered events new
             spans/instants are dropped (counted in ``dropped``) so a
             pathological run cannot exhaust memory.
 
     A recorder records what ran and picks no strategy: a collective the
     closed form resolved is one ``coll`` span per rank, one the
-    message-level interpreter drove (``SimConfig(collectives="simulated")``)
+    message-level interpreter drove (``SimConfig(gates="simulated")``)
     has its constituent p2p events inside that span.  Virtual time is
     bit-identical either way.
     """
 
     enabled = True
 
-    def __init__(self, time_bucket: float = 0.0, max_events: int = 2_000_000):
+    def __init__(self, max_events: int = 2_000_000):
         self.spans: list[SpanEvent] = []
         self.instants: list[InstantEvent] = []
-        self.metrics = MetricsRegistry(time_bucket=time_bucket)
+        self.metrics = MetricsRegistry()
         self.max_events = max_events
         self.dropped = 0
 
@@ -253,7 +251,7 @@ class Recorder(Instrument):
         return ObsData(
             spans=list(self.spans),
             instants=list(self.instants),
-            metrics=MetricsRegistry(self.metrics.time_bucket).merge(self.metrics),
+            metrics=MetricsRegistry().merge(self.metrics),
             meta=data_meta,
         )
 
@@ -261,5 +259,5 @@ class Recorder(Instrument):
         """Drop buffered events and metrics (reuse between runs)."""
         self.spans.clear()
         self.instants.clear()
-        self.metrics = MetricsRegistry(time_bucket=self.metrics.time_bucket)
+        self.metrics = MetricsRegistry()
         self.dropped = 0

@@ -13,10 +13,8 @@ Aggregation is a query-time concern: :meth:`MetricsRegistry.value` sums
 every sample matching the labels you *did* specify, so "total vote time",
 "vote time on rank 3" and "markers in state L" are all one call.
 
-**Virtual-time bucketing.**  When a registry is created with a positive
-``time_bucket`` (virtual seconds), counter increments that carry a
-timestamp also accumulate into per-bucket series, giving time-resolved
-metrics (rate-over-virtual-time plots) without a second collection path.
+Time resolution is not kept here: it belongs to the analysis of a
+finished run (the recorder's spans and instants carry virtual times).
 
 Everything here is deterministic, pickle-friendly and JSON-serializable;
 no third-party dependency is involved.
@@ -100,22 +98,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with (rank, phase, op) labels.
+    """Counters, gauges and histograms with (rank, phase, op) labels."""
 
-    Args:
-        time_bucket: width of the virtual-time series buckets in virtual
-            seconds; ``0`` (the default) disables time-resolved series.
-    """
-
-    def __init__(self, time_bucket: float = 0.0) -> None:
-        if time_bucket < 0:
-            raise ValueError("time_bucket must be >= 0")
-        self.time_bucket = time_bucket
+    def __init__(self) -> None:
         self._counters: dict[MetricKey, float] = {}
         self._gauges: dict[MetricKey, float] = {}
         self._hists: dict[MetricKey, Histogram] = {}
-        #: (key, bucket index) -> accumulated value, for time-resolved series
-        self._series: dict[tuple[MetricKey, int], float] = {}
 
     # -- writing -----------------------------------------------------------
 
@@ -127,16 +115,10 @@ class MetricsRegistry:
         rank: int | None = None,
         phase: str | None = None,
         op: str | None = None,
-        t: float | None = None,
     ) -> None:
-        """Add ``value`` to a counter; ``t`` (virtual seconds) feeds the
-        time-resolved series when bucketing is enabled."""
+        """Add ``value`` to a counter."""
         key = _key(name, rank, phase, op)
         self._counters[key] = self._counters.get(key, 0.0) + value
-        if t is not None and self.time_bucket > 0:
-            bucket = int(t // self.time_bucket)
-            skey = (key, bucket)
-            self._series[skey] = self._series.get(skey, 0.0) + value
 
     def gauge(
         self,
@@ -209,21 +191,6 @@ class MetricsRegistry:
             key=lambda k: (k[1] if k[1] is not None else -1, k[2] or "", k[3] or ""),
         )
 
-    def series(
-        self,
-        name: str,
-        *,
-        rank: int | None = None,
-        phase: str | None = None,
-        op: str | None = None,
-    ) -> list[tuple[float, float]]:
-        """Time-resolved counter: sorted ``(bucket_start, value)`` pairs."""
-        acc: dict[int, float] = {}
-        for (key, bucket), v in self._series.items():
-            if _matches(key, name, rank, phase, op):
-                acc[bucket] = acc.get(bucket, 0.0) + v
-        return [(b * self.time_bucket, acc[b]) for b in sorted(acc)]
-
     def histogram(
         self,
         name: str,
@@ -250,9 +217,6 @@ class MetricsRegistry:
         for k, h in other._hists.items():
             mine = self._hists.get(k)
             self._hists[k] = h.merged(mine) if mine is not None else h.merged(Histogram())
-        if other.time_bucket == self.time_bucket and self.time_bucket > 0:
-            for sk, v in other._series.items():
-                self._series[sk] = self._series.get(sk, 0.0) + v
         return self
 
     # -- serialization -----------------------------------------------------
@@ -281,11 +245,6 @@ class MetricsRegistry:
             row = base("histogram", key)
             row.update(self._hists[key].as_dict())
             yield row
-        for key, bucket in sorted(self._series, key=repr):
-            row = base("series", (key[0], key[1], key[2], key[3]))
-            row["t"] = bucket * self.time_bucket
-            row["value"] = self._series[(key, bucket)]
-            yield row
 
     def rows(self) -> list[dict[str, Any]]:
         """Flat, JSONL-ready dict rows for every metric sample."""
@@ -293,7 +252,6 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "time_bucket": self.time_bucket,
             "counters": [
                 {"key": list(k), "value": v} for k, v in sorted(
                     self._counters.items(), key=lambda kv: repr(kv[0]))
@@ -306,15 +264,11 @@ class MetricsRegistry:
                 {"key": list(k), **h.as_dict()} for k, h in sorted(
                     self._hists.items(), key=lambda kv: repr(kv[0]))
             ],
-            "series": [
-                {"key": list(k), "bucket": b, "value": v}
-                for (k, b), v in sorted(self._series.items(), key=repr)
-            ],
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MetricsRegistry":
-        reg = cls(time_bucket=data.get("time_bucket", 0.0))
+        reg = cls()
         for row in data.get("counters", []):
             reg._counters[tuple(row["key"])] = row["value"]  # type: ignore[index]
         for row in data.get("gauges", []):
@@ -328,8 +282,6 @@ class MetricsRegistry:
                 buckets={int(b): n for b, n in row["buckets"].items()},
             )
             reg._hists[tuple(row["key"])] = hist  # type: ignore[index]
-        for row in data.get("series", []):
-            reg._series[(tuple(row["key"]), row["bucket"])] = row["value"]  # type: ignore[index]
         return reg
 
     def __len__(self) -> int:

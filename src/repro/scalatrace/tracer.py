@@ -41,7 +41,7 @@ from .costmodel import DEFAULT_COSTS, InstrumentationCostModel
 from .endpoint import EndpointStat
 from .events import EventRecord, Op, ParamStat
 from .inter import merge_traces
-from .intra import DEFAULT_WINDOW, IntraCompressor
+from .intra import IntraCompressor
 from .ranklist import RankSet
 from .rsd import WorkMeter
 from .signatures import StackWalker, push_logical
@@ -108,7 +108,6 @@ class ScalaTraceTracer:
         self,
         ctx: RankContext,
         costs: InstrumentationCostModel = DEFAULT_COSTS,
-        window: int = DEFAULT_WINDOW,
         tree_arity: int = 2,
     ) -> None:
         self.ctx = ctx
@@ -121,7 +120,7 @@ class ScalaTraceTracer:
         #: passed to run_spmd); never advances virtual time
         self.obs = ctx.comm.engine.instrument
         self.meter = WorkMeter()
-        self.compressor = IntraCompressor(window=window, meter=self.meter)
+        self.compressor = IntraCompressor(meter=self.meter)
         self.walker = StackWalker()
         #: what the signature hook feeds (the clustering tracers name theirs)
         self._sigaccs: tuple = ()
@@ -217,8 +216,8 @@ class ScalaTraceTracer:
         ins = self.obs
         if ins.enabled:
             ins.metrics.count("record/events", 1, rank=self.rank,
-                              op=op.name.lower(), t=t1)
-            ins.metrics.count("record/time", t1 - t0, rank=self.rank, t=t1)
+                              op=op.name.lower())
+            ins.metrics.count("record/time", t1 - t0, rank=self.rank)
 
     def _track_signatures(self, events: Sequence[tuple]) -> None:
         """The hook for one declared exchange: all its calls at once, in
@@ -522,7 +521,7 @@ class ScalaTraceTracer:
                 {"members": tree.size, "root": result is not None},
             )
             ins.metrics.count("merge/time", self.ctx.clock - t0,
-                              rank=self.rank, t=self.ctx.clock)
+                              rank=self.rank)
         return result
 
     async def finalize(self, members: Sequence[int] | None = None) -> Trace | None:

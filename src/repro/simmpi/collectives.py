@@ -29,7 +29,7 @@ window — and returns the rank's result.  Two interpreters run it:
 * the *message-level* one, :meth:`Communicator._drive`, issues every
   operation through the real ``isend``/``send``/``recv``/``Request.wait``
   — one engine-visible message per schedule edge through the Mailbox.  It
-  is what ``SimConfig(collectives="simulated")`` selects, what every
+  is what ``SimConfig(gates="simulated")`` selects, what every
   ineligible instance falls back to, and what the bit-identity suites
   compare against;
 * the *closed-form* one, :class:`repro.simmpi.replay.Replay`: the first
@@ -151,10 +151,10 @@ def _emit_coll(ins, ctx: CommContext, rank: int, name: str, algorithm: str,
     ins.span(world, name, "coll", t0, t1,
              {"algorithm": algorithm, "comm": ctx.id, "size": ctx.size})
     count = ins.metrics.count
-    count("coll/calls", 1, rank=world, op=name, t=t1)
-    count("coll/time", t1 - t0, rank=world, op=name, t=t1)
+    count("coll/calls", 1, rank=world, op=name)
+    count("coll/time", t1 - t0, rank=world, op=name)
     if fast_hit:
-        count("coll/fast_hits", 1, rank=world, op=name, t=t1)
+        count("coll/fast_hits", 1, rank=world, op=name)
 
 
 def _observed(name: str, algorithm: str):
@@ -699,12 +699,12 @@ class _Gate:
             return
         for ev in st.events:
             if ev[0] == "s":
-                ctx.emit_send(ins, rank, ev[2], ev[1])
+                ctx.emit_send(ins, rank, ev[1])
             else:
                 _, post, done, src, tag, nbytes, rdv = ev
                 ctx.emit_recv(ins, src, rank, tag, nbytes, rdv, post, done)
         ins.metrics.count("p2p/fast_hits", 1, rank=ctx.ranks[rank],
-                          op=self.name, t=st.clock)
+                          op=self.name)
 
 
 class Communicator(Comm):
@@ -748,10 +748,9 @@ class Communicator(Comm):
         at every arrival.  The only place reasons are decided; the ledger
         in docs/INTERNALS.md lists each with the test that reaches it."""
         engine = self.engine
-        exchange = kind == "exchange"
-        if (engine.p2p if exchange else engine.collectives) != "fast":
+        if engine.gates != "fast":
             return "disabled"
-        if exchange:
+        if kind == "exchange":
             if engine.faults.active:
                 # Any armed plan falls back — message/link faults perturb
                 # p2p directly, and compute factors are keyed to a per-rank
@@ -865,7 +864,7 @@ class Communicator(Comm):
             ins.metrics.count(
                 "p2p/fallbacks" if exchange else "coll/fallbacks", 1,
                 rank=self.world_rank(self.rank),
-                op=f"{gate.name}:{gate.reason}", t=t0,
+                op=f"{gate.name}:{gate.reason}",
             )
         schedule = _schedule(kind, gate.root, self.rank, self.size, genargs,
                              self.task)
@@ -1047,7 +1046,7 @@ class Communicator(Comm):
         script (a factory, see :func:`_schedule`) in place of the plain one.
         It is one more gate kind: eligible instances resolve in one bulk
         clock advance with no mailbox traffic; the rest, and every instance
-        under ``SimConfig(p2p="simulated")``, run this rank's schedule
+        under ``SimConfig(gates="simulated")``, run this rank's schedule
         through :meth:`_drive`.  Bit-identical virtual time all three ways.
 
         ``compute`` (pass ``ctx.compute``) charges the ``("compute", s)``

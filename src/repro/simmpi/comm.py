@@ -203,46 +203,22 @@ class Mailbox:
                 return msg
         return None
 
-    def _find_high_tag_any_source(
-        self, tag: int, remove: bool
-    ) -> Message | None:
-        # ANY_SOURCE with an exact above-user tag: not in the overflow lane
-        # (plumbing tags are wildcard-invisible), so arbitrate between the
-        # heads of every class lane carrying that tag.  Cold path: no
-        # built-in caller ever posts it, but the semantics must hold.
-        best: Message | None = None
-        best_key: tuple[int, int] | None = None
-        for key, lane in self._lanes.items():
-            if key[1] != tag or not lane:
-                continue
-            head = lane[0]
-            if best is None or head.seq < best.seq:
-                best, best_key = head, key
-        if best is not None and remove:
-            assert best_key is not None
-            lane = self._lanes[best_key]
-            lane.popleft()
-            if not lane:
-                del self._lanes[best_key]
-        return best
-
     def match_msg(self, source: int, tag: int) -> Message | None:
         """Remove and return the earliest queued message matching the
-        receive's ``(source, tag)`` filters, or None."""
+        receive's ``(source, tag)`` filters, or None.  A wildcard receive
+        names a user tag or ``ANY_TAG`` (``Comm.irecv`` rejects
+        ``ANY_SOURCE`` on a reserved tag), so the overflow lane holds
+        every message it could match."""
         if source != ANY_SOURCE and tag != ANY_TAG:
             return self._take_exact((source, tag))
-        if source != ANY_SOURCE or tag <= MAX_USER_TAG:
-            return self._find_wild(source, tag, remove=True)
-        return self._find_high_tag_any_source(tag, remove=True)
+        return self._find_wild(source, tag, remove=True)
 
     def peek_msg(self, source: int, tag: int) -> Message | None:
         """Like :meth:`match_msg` but non-destructive (``probe``)."""
         if source != ANY_SOURCE and tag != ANY_TAG:
             lane = self._lanes.get((source, tag))
             return lane[0] if lane else None
-        if source != ANY_SOURCE or tag <= MAX_USER_TAG:
-            return self._find_wild(source, tag, remove=False)
-        return self._find_high_tag_any_source(tag, remove=False)
+        return self._find_wild(source, tag, remove=False)
 
     def drain_messages(self) -> list[Message]:
         """Remove and return every queued message in arrival order."""
@@ -320,9 +296,7 @@ class Mailbox:
         return bool(self._lanes)
 
     def has_wild_pending(self) -> bool:
-        """Any live posted receive that could match by wildcard (the
-        overflow pending lane also carries ANY_SOURCE exact-high-tag
-        receives; counting them too only errs on the safe side)."""
+        """Any live posted receive that could match by wildcard?"""
         return any(not p.future.done for p in self._pending_wild)
 
     def has_tag_window(self, lo: int, hi: int) -> bool:
@@ -330,16 +304,14 @@ class Mailbox:
         ``[lo, hi)``?  The macro-collective eligibility probe: a collective
         may only bypass the mailbox when nothing could observe its private
         tag window.  ``ANY_TAG`` receives never can (wildcards are blind to
-        tags above ``MAX_USER_TAG``), so only exact tags are consulted."""
+        tags above ``MAX_USER_TAG``) and an ``ANY_SOURCE`` receive cannot
+        name one (``Comm.irecv`` rejects it), so only the exact lanes are
+        consulted."""
         for _src, tag in self._lanes:
             if lo <= tag < hi:
                 return True
         for _src, tag in self._pending_lanes:
             if lo <= tag < hi:
-                return True
-        for p in self._pending_wild:
-            # ANY_SOURCE receives with an exact high tag land here.
-            if not p.future.done and lo <= p.tag < hi:
                 return True
         return False
 
@@ -527,11 +499,11 @@ class CommContext:
     # message-level primitives emit through these, and a replayed exchange
     # synthesizes its messages' events through them.
 
-    def emit_send(self, ins, src: int, nbytes: int, t: float) -> None:
-        """One message's send counters, at its pre-charge post time."""
+    def emit_send(self, ins, src: int, nbytes: int) -> None:
+        """One message's send counters."""
         world = self.ranks[src]
-        ins.metrics.count("p2p/bytes_sent", nbytes, rank=world, op="send", t=t)
-        ins.metrics.count("p2p/messages", 1, rank=world, op="send", t=t)
+        ins.metrics.count("p2p/bytes_sent", nbytes, rank=world, op="send")
+        ins.metrics.count("p2p/messages", 1, rank=world, op="send")
 
     def emit_recv(self, ins, src: int, dest: int, tag: int, nbytes: int,
                   rendezvous: bool, post: float, done: float) -> None:
@@ -547,7 +519,7 @@ class CommContext:
              "rendezvous": rendezvous, "comm": self.id},
         )
         ins.metrics.count("p2p/bytes_received", nbytes, rank=wdest,
-                          op="recv", t=done)
+                          op="recv")
         ins.metrics.observe("p2p/recv_latency", max(done - post, 0.0),
                             rank=wdest)
 
@@ -654,6 +626,15 @@ class Comm:
         if tag < 0:
             raise MatchingError(f"negative tag {tag}")
 
+    @staticmethod
+    def _check_wildcard(source: int, tag: int) -> None:
+        # Tags above MAX_USER_TAG are the runtime's own and match exactly.
+        if source == ANY_SOURCE and tag > MAX_USER_TAG:
+            raise MatchingError(
+                f"ANY_SOURCE receive on reserved tag {tag} "
+                f"(above MAX_USER_TAG={MAX_USER_TAG}): name the source"
+            )
+
     # -- point to point ----------------------------------------------------
 
     async def send(
@@ -722,7 +703,7 @@ class Comm:
 
         ins = self.engine.instrument
         if ins.enabled:
-            self.context.emit_send(ins, self.rank, nbytes, task.clock)
+            self.context.emit_send(ins, self.rank, nbytes)
 
         fut = SimFuture(kind="isend", src=ranks[self.rank], dest=ranks[dest],
                         tag=tag, comm=self.context.id, post_time=task.clock)
@@ -739,8 +720,7 @@ class Comm:
                 ins.instant(wsrc, "dead_dest", "fault", task.clock,
                             {"dest": ranks[dest], "tag": tag,
                              "nbytes": nbytes})
-                ins.metrics.count("fault/dead_dest_sends", 1, rank=wsrc,
-                                  t=task.clock)
+                ins.metrics.count("fault/dead_dest_sends", 1, rank=wsrc)
             fut.resolve(None, time=task.clock)
             return Request(fut, task, "isend")
         if net.eager(nbytes):
@@ -762,7 +742,7 @@ class Comm:
                                     {"dest": wdest, "tag": tag,
                                      "nbytes": nbytes})
                         ins.metrics.count("fault/messages_lost", 1,
-                                          rank=wsrc, t=task.clock)
+                                          rank=wsrc)
                     fut.resolve(None, time=task.clock)
                     return Request(fut, task, "isend")
                 latency += extra
@@ -770,7 +750,7 @@ class Comm:
                     ins.instant(wsrc, "msg_delayed", "fault", task.clock,
                                 {"dest": wdest, "tag": tag, "extra": extra})
                     ins.metrics.count("fault/messages_delayed", 1,
-                                      rank=wsrc, t=task.clock)
+                                      rank=wsrc)
             msg = Message(
                 src=self.rank,
                 dest=dest,
@@ -803,6 +783,7 @@ class Comm:
         """Non-blocking receive; ``await req.wait()`` returns the payload."""
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
+        self._check_wildcard(source, tag)
         self._check_tag(tag, recv=True)
         task = self.task
         ranks = self.context.ranks
@@ -837,8 +818,7 @@ class Comm:
                 wdest = ranks[self.rank]
                 ins.instant(wdest, "dead_source", "fault", task.clock,
                             {"src": ranks[source], "tag": tag})
-                ins.metrics.count("fault/dead_source_recvs", 1, rank=wdest,
-                                  t=task.clock)
+                ins.metrics.count("fault/dead_source_recvs", 1, rank=wdest)
             fut.resolve(LOST, time=task.clock)
             return Request(fut, task, "irecv")
         mbox.push_pending(PendingRecv(source, tag, task.clock, fut, task))
@@ -847,6 +827,7 @@ class Comm:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> dict | None:
         """Non-blocking probe: status of the first matching queued message."""
+        self._check_wildcard(source, tag)
         mbox = self.context.mailbox(self.rank)
         msg = mbox.peek_msg(source, tag)
         return None if msg is None else _status_of(msg)

@@ -107,16 +107,15 @@ class Engine:
         max_steps: int | None = None,
         instrument: Instrument = NULL_INSTRUMENT,
         faults: FaultInjector = NULL_INJECTOR,
-        collectives: str = "fast",
-        p2p: str = "fast",
+        gates: str = "fast",
     ) -> None:
         self.network = network
-        #: gate policy per family (validated by ``SimConfig``): "fast" lets
-        #: eligible collectives / declared exchanges resolve in closed form
-        #: and falls back per instance otherwise, "simulated" runs every one
-        #: message-level.  Bit-identical in virtual time and results.
-        self.collectives = collectives
-        self.p2p = p2p
+        #: gate policy for every gate kind (validated by ``SimConfig``):
+        #: "fast" lets eligible collectives and declared exchanges resolve
+        #: in closed form and falls back per instance otherwise,
+        #: "simulated" runs every one message-level.  Bit-identical in
+        #: virtual time and results.
+        self.gates = gates
         #: per-rank gated calls of each family served by the closed form /
         #: run through the message-level interpreter
         self.collectives_fast = 0
@@ -320,7 +319,7 @@ class Engine:
                         ins.instant(task.rank, "rank_failed", "fault",
                                     task.clock, {"error": repr(exc)})
                         ins.metrics.count("fault/rank_failures", 1,
-                                          rank=task.rank, t=task.clock)
+                                          rank=task.rank)
                     continue
                 self._close_unfinished()
                 raise TaskFailedError(task.rank, exc) from exc
@@ -350,8 +349,7 @@ class Engine:
         if ins.enabled:
             ins.instant(task.rank, "crash", "fault", task.clock,
                         {"scheduled_at": inj.crash_time(task.rank)})
-            ins.metrics.count("fault/crashes", 1, rank=task.rank,
-                              t=task.clock)
+            ins.metrics.count("fault/crashes", 1, rank=task.rank)
 
     def _purge_pending(self, task: Task) -> None:
         """Sever the dead rank from every communicator it participates in:
@@ -425,8 +423,7 @@ class Engine:
             ins.instant(victim.rank, "op_timeout", "fault", release_t,
                         {"orphaned": fut.label,
                          "failed_ranks": sorted(self.faults.failed)})
-            ins.metrics.count("fault/timeouts", 1, rank=victim.rank,
-                              t=release_t)
+            ins.metrics.count("fault/timeouts", 1, rank=victim.rank)
         fut.resolve(LOST, time=release_t)
         return True
 

@@ -163,21 +163,15 @@ def run_spmd(
     results, and no error is raised for them.  An empty plan is a strict
     no-op — all virtual times stay bit-identical.
 
-    ``config.collectives`` selects the collective execution mode:
-    ``"fast"`` (default) lets eligible collectives take the closed-form
-    macro path — bit-identical virtual times and results, orders of
-    magnitude fewer engine steps — while anything a fault or tracer could
-    observe falls back per instance to ``"simulated"``, the
-    always-message-level reference path.  See docs/PERF.md
-    ("Macro-collectives").
-
-    ``config.p2p`` does the same for declared regular exchanges
-    (:class:`~repro.simmpi.patterns.NeighborPattern` via
-    ``Communicator.exchange``): ``"fast"`` (default) resolves eligible
-    instances through a per-instance gate replay — bit-identical virtual
-    times, one scheduler step per rank — while ``"simulated"`` (and any
-    eligibility fallback) drives the declared ops message-level.  See
-    docs/PERF.md ("Macro p2p").
+    ``config.gates`` selects how collectives and declared regular
+    exchanges (:class:`~repro.simmpi.patterns.NeighborPattern` via
+    ``Communicator.exchange``) execute: ``"fast"`` (default) lets an
+    eligible instance resolve in closed form at its gate — bit-identical
+    virtual times and results, orders of magnitude fewer engine steps —
+    while anything a fault or tracer could observe falls back per
+    instance to the message-level reference path that ``"simulated"``
+    takes for every instance.  See docs/PERF.md ("Macro-collectives",
+    "Macro p2p").
 
     From ``GC_PAUSE_NPROCS`` ranks up the cyclic garbage collector is paused
     for the duration of the run and restored to its previous state on the
@@ -191,7 +185,7 @@ def run_spmd(
         injector.plan.validate(nprocs)
     engine = Engine(network=cfg.network, max_steps=cfg.max_steps,
                     instrument=instrument, faults=injector,
-                    collectives=cfg.collectives, p2p=cfg.p2p)
+                    gates=cfg.gates)
     # Everything built below stays reachable from the engine until the
     # run returns: a collection during it can free nothing of the world.
     pause_gc = nprocs >= GC_PAUSE_NPROCS and gc.isenabled()

@@ -84,7 +84,7 @@ class RankState:
         self.bytes_received = entry.bytes_recvd0
         self.done = False
         self.result: Any = None
-        #: with ``collect``, the send-metric ``("s", t, nbytes)`` and
+        #: with ``collect``, the send-metric ``("s", nbytes)`` and
         #: recv-span ``("r", post, done, src, tag, nbytes, rendezvous)``
         #: events the message-level path would have emitted, program order
         self.events: list[tuple] | None = [] if collect else None
@@ -237,9 +237,7 @@ class Replay:
                size: int | None) -> Handle:
         nbytes = payload_nbytes(payload) if size is None else int(size)
         if st.events is not None:
-            # p2p/bytes_sent + p2p/messages are emitted at the pre-charge
-            # clock on the message-level path.
-            st.events.append(("s", st.clock, nbytes))
+            st.events.append(("s", nbytes))
         st.msgs_sent += 1
         st.bytes_sent += nbytes
         self.total_messages += 1

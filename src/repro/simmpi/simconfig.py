@@ -7,10 +7,10 @@ accepted everywhere a run starts — ``run_spmd(config=...)``,
 Cache participation: :meth:`SimConfig.digest` (and the tuple behind it,
 :meth:`SimConfig.cache_key`) covers only the fields that can change a
 run's *virtual-time outcome* — the network model and ``max_steps``.
-``collectives`` and ``p2p`` are bit-identity-preserving execution
-strategies (each is fuzz-verified against its reference path), so
-equivalent spellings of the same run hash identically and the run cache
-can serve a result computed under any of them.
+``gates`` picks a bit-identity-preserving execution strategy (each gate
+kind is fuzz-verified against the message-level reference), so both
+spellings of the same run hash identically and the run cache can serve a
+result computed under either.
 """
 
 from __future__ import annotations
@@ -31,18 +31,16 @@ class SimConfig:
 
     Attributes:
         network: LogGP cost model charged for every operation.
-        collectives: ``"fast"`` (closed-form macro collectives, default)
-            or ``"simulated"`` (always message-level).
-        p2p: ``"fast"`` (macro gate replay of declared
-            ``NeighborPattern`` exchanges, default) or ``"simulated"``
-            (always message-level).  Bit-identical either way; see
-            docs/PERF.md, "Macro p2p".
+        gates: ``"fast"`` (default: an eligible collective or declared
+            ``NeighborPattern`` exchange resolves in closed form at its
+            gate) or ``"simulated"`` (every instance of every gate kind
+            runs message-level).  Bit-identical either way; see
+            docs/PERF.md, "Macro-collectives" and "Macro p2p".
         max_steps: scheduler-resume budget; ``None`` means unlimited.
     """
 
     network: NetworkModel = QDR_CLUSTER
-    collectives: str = "fast"
-    p2p: str = "fast"
+    gates: str = "fast"
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
@@ -50,14 +48,9 @@ class SimConfig:
             raise ValueError(
                 f"network must be a NetworkModel, got {type(self.network).__name__}"
             )
-        if self.collectives not in ("fast", "simulated"):
+        if self.gates not in ("fast", "simulated"):
             raise ValueError(
-                "collectives must be 'fast' or 'simulated', "
-                f"got {self.collectives!r}"
-            )
-        if self.p2p not in ("fast", "simulated"):
-            raise ValueError(
-                f"p2p must be 'fast' or 'simulated', got {self.p2p!r}"
+                f"gates must be 'fast' or 'simulated', got {self.gates!r}"
             )
         if self.max_steps is not None and self.max_steps <= 0:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
@@ -71,9 +64,9 @@ class SimConfig:
     def cache_key(self) -> tuple:
         """The outcome-determining normal form used by the run cache.
 
-        Deliberately excludes ``collectives``/``p2p``: those select
-        bit-identical execution strategies, so two configs differing only
-        there describe the same run.
+        Deliberately excludes ``gates``: it selects a bit-identical
+        execution strategy, so two configs differing only there describe
+        the same run.
         """
         n = self.network
         return (
@@ -92,8 +85,7 @@ class SimConfig:
         return hashlib.sha256(repr(self.cache_key()).encode()).hexdigest()
 
 
-#: The default configuration (QDR network, fast collectives, fast p2p,
-#: unlimited steps).
+#: The default configuration (QDR network, fast gates, unlimited steps).
 DEFAULT_CONFIG = SimConfig()
 
 
@@ -110,7 +102,7 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
 
     This is the parser behind ``repro bench --config`` (and any future
     ``--config`` flag).  Accepted keys: ``network`` (a preset name from
-    :data:`NETWORK_PRESETS`), ``collectives``, ``p2p`` and ``max_steps``
+    :data:`NETWORK_PRESETS`), ``gates`` and ``max_steps``
     (int, or ``none`` for unlimited).
     Raises ``ValueError`` with a usable message on anything else; field
     values are validated by ``SimConfig`` itself.
@@ -130,7 +122,7 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
                     f"unknown network preset {value!r}; choose from "
                     f"{', '.join(sorted(NETWORK_PRESETS))}"
                 ) from None
-        elif key in ("collectives", "p2p"):
+        elif key == "gates":
             fields[key] = value
         elif key == "max_steps":
             if value.lower() == "none":
@@ -145,6 +137,6 @@ def parse_config(pairs: "list[str] | tuple[str, ...]") -> SimConfig:
         else:
             raise ValueError(
                 f"unknown --config key {key!r}; choose from "
-                "network, collectives, p2p, max_steps"
+                "network, gates, max_steps"
             )
     return SimConfig(**fields)

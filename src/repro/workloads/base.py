@@ -54,11 +54,11 @@ class NullTracer:
 # -- declared regular exchanges ---------------------------------------------
 #
 # A regular p2p phase is stated once: per-rank op scripts plus one call-site
-# table, handed to ``tracer.exchange(pattern, compute=ctx.compute)``.  The
-# NullTracer forwards that to ``Communicator.exchange`` (macro gate, or the
-# message-level driver); every real tracer runs this rank's script call by
-# call (``ScalaTraceTracer.exchange``), recording each op under the label
-# its position has in the table.  No workload writes the messages out again.
+# table, handed to ``tracer.exchange(pattern, compute=ctx.compute)``.  Every
+# tracer hands it on to ``Communicator.exchange`` (macro gate, or the
+# message-level driver); a real tracer also hands the schedule of this rank's
+# script (``ScalaTraceTracer._traced``) recording each op under the label its
+# position has in the table.  No workload writes the messages out again.
 
 #: process-wide pattern cache: building a NeighborPattern is O(P * ops) and
 #: workloads re-enter the same phase every timestep, so instances are built

@@ -116,7 +116,7 @@ class TestSelectors:
         clusters = [
             cluster(cp, src, dest, [i]) for i, (cp, src, dest) in enumerate(triples)
         ]
-        sel = find_top_k(clusters, k, algo, seed=7)
+        sel = find_top_k(clusters, k, algo)
         covered = set()
         for c in sel:
             covered.update(c.members.ranks())

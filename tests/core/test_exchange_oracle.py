@@ -29,10 +29,10 @@ from repro.faults.plan import (ComputeFault, CrashFault, FaultPlan,
                                MessageFaults)
 from repro.obs.instrument import Recorder
 from repro.scalatrace import ScalaTraceTracer
-from repro.simmpi import (DeadlockError, NeighborPattern, SimConfig,
-                          run_spmd)
+from repro.simmpi import DeadlockError, NeighborPattern, run_spmd
 from repro.simmpi.errors import TaskFailedError
 
+from ..gates import FAST, SIMULATED
 from ..scalatrace.exchange_oracle import CallCounts, per_call
 from ..simmpi.test_p2p_fastpath import _reasons
 from .test_callpath_phase import state_of
@@ -102,7 +102,6 @@ def program(patterns):
     return prog
 
 
-FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
 
 
 def run(tracer_cls, make_args, prog, nprocs, faults=None, tap=None, **kwargs):
@@ -146,7 +145,7 @@ def test_batched_exchange_equals_the_per_call_oracle(tracer, nprocs):
                     for i in range(3)]
         prog = program(patterns)
         clean = run(cls, args, prog, nprocs, config=FAST)
-        driven = run(cls, args, prog, nprocs, config=DRIVEN)
+        driven = run(cls, args, prog, nprocs, config=SIMULATED)
         assert observed(clean) == observed(driven) \
             == observed(run(per_call(cls), args, prog, nprocs))
         # every declared instance is consulted once per rank; nearly all are
@@ -173,7 +172,7 @@ def test_batched_exchange_equals_the_per_call_oracle(tracer, nprocs):
                       instrument=rec)
             assert observed(got) \
                 == observed(run(cls, args, prog, nprocs, faults=plan,
-                                config=DRIVEN)) \
+                                config=SIMULATED)) \
                 == observed(run(per_call(cls), args, prog, nprocs,
                                 faults=plan))
             assert all(crash.rank in got.failed_ranks
@@ -213,7 +212,7 @@ def test_aborted_gate_reruns_the_schedule_from_the_join_clocks(tracer):
     rec = Recorder()
     got = run(cls, args, prog, nprocs, instrument=rec)
     assert observed(got) == observed(run(per_call(cls), args, prog, nprocs)) \
-        == observed(run(cls, args, prog, nprocs, config=DRIVEN))
+        == observed(run(cls, args, prog, nprocs, config=SIMULATED))
     aborted = [(rank, op) for _, rank, _, op
                in rec.metrics.labels("p2p/fallbacks")
                if op.endswith(":mid-phase-traffic")]
@@ -223,7 +222,7 @@ def test_aborted_gate_reruns_the_schedule_from_the_join_clocks(tracer):
     assert got.p2p_fast > got.p2p_simulated
 
 
-@pytest.mark.parametrize("config", (FAST, DRIVEN), ids=("gate", "drive"))
+@pytest.mark.parametrize("config", (FAST, SIMULATED), ids=("gate", "drive"))
 def test_deadlocking_script_ends_in_a_deadlock_error_not_a_hang(config):
     """Two blocking rendezvous sends facing each other, tracer attached:
     the same verdict from both interpreters of the traced schedule."""

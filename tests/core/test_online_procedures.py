@@ -125,7 +125,7 @@ class TestMergeLeadTraces:
             segment = await merge_lead_traces(tr, topk)
             assert (segment is not None) == (ctx.rank == 0)
             if segment is not None:
-                fold_into_online(tr, online, segment, config.window)
+                fold_into_online(tr, online, segment)
             return online
 
         results = run_ranks(prog, 6)
@@ -148,8 +148,7 @@ class TestMergeLeadTraces:
                 topk = await cluster_over_tree(tr, sigs, config)
                 segment = await merge_lead_traces(tr, topk)
                 if segment is not None:
-                    grown = fold_into_online(tr, online, segment,
-                                             config.window)
+                    grown = fold_into_online(tr, online, segment)
                     assert grown == online.size_bytes() - before
             return online
 
@@ -179,9 +178,9 @@ class TestOnlineByteCount:
                 seen["samples"] += 1
             append(self, *args, **kwargs)
 
-        def checked_fold(tracer, online, segment, window):
+        def checked_fold(tracer, online, segment):
             added = sum(n.size_bytes() for n in segment.nodes)
-            grown = fold(tracer, online, segment, window)
+            grown = fold(tracer, online, segment)
             assert tracer.online_bytes + grown == online.size_bytes()
             seen["folds"] += 1
             seen["refolded"] += grown != added  # fold_tail rewrote the tail

@@ -11,7 +11,9 @@ table for the rest of the run.
 import pytest
 
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.simmpi import NeighborPattern, SimConfig, run_spmd
+from repro.simmpi import NeighborPattern, run_spmd
+
+from ..gates import SIMULATED
 
 NPROCS = 8
 
@@ -46,7 +48,7 @@ def _run(plan, config=None):
 
 
 @pytest.mark.parametrize("config", (
-    None, SimConfig(collectives="simulated", p2p="simulated")))
+    None, SIMULATED))
 class TestGateTable:
     def test_empty_after_a_fault_free_run(self, config):
         res, contexts = _run(None, config)

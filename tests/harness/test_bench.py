@@ -32,7 +32,7 @@ def _doc(*cells: tuple) -> dict:
         "schema": SCHEMA_ID,
         "ps": sorted({c[1] for c in cells}),
         "kernels": sorted({c[0] for c in cells}),
-        "config": {"collectives": "fast", "p2p": "fast", "max_steps": None},
+        "config": {"gates": "fast", "max_steps": None},
         "results": [
             {
                 "kernel": c[0],
@@ -116,8 +116,8 @@ class TestBenchDocument:
 
     def test_simulated_mode_still_matches_messages(self):
         doc = run_scaling_bench(ps=(4,), kernels=("allreduce_barrier",),
-                                sim=SimConfig(collectives="simulated"))
-        assert doc["config"]["collectives"] == "simulated"
+                                sim=SimConfig(gates="simulated"))
+        assert doc["config"]["gates"] == "simulated"
         (r,) = doc["results"]
         assert r["messages_matched"] > 0
         assert r["collectives_fast"] == 0
@@ -129,8 +129,8 @@ class TestBenchDocument:
 
     def test_p2p_simulated_mode_disables_fast_path(self):
         doc = run_scaling_bench(ps=(4,), kernels=("halo_exchange",),
-                                sim=SimConfig(p2p="simulated"))
-        assert doc["config"]["p2p"] == "simulated"
+                                sim=SimConfig(gates="simulated"))
+        assert doc["config"]["gates"] == "simulated"
         (r,) = doc["results"]
         assert r["p2p_fast"] == 0
         assert r["messages_matched"] > 0
@@ -191,18 +191,16 @@ class TestBenchCli:
         out = tmp_path / "b.json"
         assert main(
             ["bench", "--p", "4", "--kernel", "allreduce_barrier",
-             "-o", str(out), "--config", "collectives=simulated",
-             "--config", "p2p=simulated"]
+             "-o", str(out), "--config", "gates=simulated"]
         ) == 0
         doc = load_bench(str(out))
-        assert doc["config"]["collectives"] == "simulated"
-        assert doc["config"]["p2p"] == "simulated"
+        assert doc["config"] == {"gates": "simulated", "max_steps": None}
 
     def test_bench_rejects_bad_config(self):
         with pytest.raises(SystemExit, match="unknown --config key"):
             main(["bench", "--p", "4", "--config", "warp=9"])
         with pytest.raises(SystemExit, match="KEY=VAL"):
-            main(["bench", "--p", "4", "--config", "p2p"])
+            main(["bench", "--p", "4", "--config", "gates"])
 
     def test_bench_fails_on_regression(self, tmp_path, capsys):
         # Baseline with an impossible wall time: any real run regresses.
@@ -221,13 +219,13 @@ class TestBenchCli:
 
     def test_config_show_prints_resolved_config(self, capsys):
         assert main(
-            ["config", "show", "--config", "p2p=simulated",
+            ["config", "show", "--config", "gates=simulated",
              "--config", "network=slow"]
         ) == 0
         out = capsys.readouterr().out
         assert "network       slow" in out
-        assert "p2p           simulated" in out
-        assert "collectives   fast" in out
+        assert "gates         simulated" in out
+        assert "collectives" not in out and "p2p" not in out
         assert "matching" not in out
         assert "cache digest  " in out
 

@@ -19,13 +19,13 @@ import pytest
 from repro.harness import runner
 from repro.harness.runner import Mode, run_mode
 from repro.obs.instrument import Recorder
-from repro.simmpi import SimConfig
 from repro.simmpi.collectives import Communicator
 from repro.simmpi.comm import Mailbox
 from repro.workloads import make_workload
 from repro.workloads.stream import canonical_steps_json, normalize_steps
 
-FAST, DRIVEN = SimConfig(p2p="fast"), SimConfig(p2p="simulated")
+from ..gates import FAST, SIMULATED
+
 
 #: the two gated cells of benchmarks/pipeline, at test size
 CELLS = {
@@ -82,7 +82,7 @@ def cell(monkeypatch, spec, mode=None, **kwargs):
 def test_a_traced_cell_consults_every_gate_its_app_twin_does(monkeypatch,
                                                              spec):
     traced, spmd = cell(monkeypatch, spec, sim=FAST)
-    driven, spmd_driven = cell(monkeypatch, spec, sim=DRIVEN)
+    driven, spmd_driven = cell(monkeypatch, spec, sim=SIMULATED)
     _, spmd_app = cell(monkeypatch, spec, Mode.APP, sim=FAST)
     # every declared instance is consulted exactly once per rank
     assert spmd_app.p2p_fast > 0 == spmd_app.p2p_simulated
@@ -112,13 +112,26 @@ def test_a_span_recorder_does_not_pick_the_strategy(monkeypatch, spec):
     if not spmd.p2p_fast:
         return  # no declared phase: nothing for the gate to report
     # the schedule emits record/* at the resumed clock, the gate the
-    # per-message events its replay collected: totals are those of the run
-    # that drives every exchange message by message
+    # per-message events its replay collected: they are those of the run
+    # that drives every gate message by message.  That run also drives the
+    # collectives, whose messages carry reserved tags (``p2p.tool``
+    # spans), so the exchanges' messages are compared as the user-tag ones.
     driven = Recorder()
-    cell(monkeypatch, spec, instrument=driven, sim=DRIVEN)
-    for metric in ("record/events", "record/time", "p2p/bytes_sent",
-                   "p2p/messages", "p2p/bytes_received"):
+    cell(monkeypatch, spec, instrument=driven, sim=SIMULATED)
+    for metric in ("record/events", "record/time"):
         assert rec.metrics.value(metric) == driven.metrics.value(metric) > 0
+
+    def user_messages(r):
+        return sorted((s.rank, s.name, s.start, s.end, sorted(s.args.items()))
+                      for s in r.spans if s.cat == "p2p")
+
+    assert user_messages(rec) == user_messages(driven) != []
+    for r in (rec, driven):  # and the counters count every message sent
+        recvs = [s for s in r.spans if s.cat in ("p2p", "p2p.tool")]
+        assert r.metrics.value("p2p/messages") == len(recvs)
+        assert r.metrics.value("p2p/bytes_sent") \
+            == r.metrics.value("p2p/bytes_received") \
+            == sum(s.args["nbytes"] for s in recvs)
 
 
 def test_a_gate_instance_scans_the_mailboxes_once(monkeypatch):

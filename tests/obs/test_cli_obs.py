@@ -64,7 +64,7 @@ def test_run_config_asks_for_the_per_message_view(obs_run, tmp_path):
     rc = main(
         ["run", "--workload", "synthetic", "--nprocs", "4", "--iterations",
          "3", "--mode", "chameleon", "--no-cache", "--metrics-out", driven,
-         "--config", "collectives=simulated", "--config", "p2p=simulated"]
+         "--config", "gates=simulated"]
     )
     assert rc == 0
     assert _metric_total(driven, "coll/fast_hits") == 0

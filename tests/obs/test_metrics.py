@@ -1,6 +1,4 @@
-"""MetricsRegistry: labels, aggregation, bucketing, serialization."""
-
-import pytest
+"""MetricsRegistry: labels, aggregation, serialization."""
 
 from repro.obs.metrics import NULL_METRICS, Histogram, MetricsRegistry
 
@@ -42,24 +40,6 @@ class TestCounters:
         assert [k[1] for k in keys] == [None, 0, 3]
 
 
-class TestSeries:
-    def test_time_bucketing(self):
-        reg = MetricsRegistry(time_bucket=0.5)
-        reg.count("ev", 1, t=0.1)
-        reg.count("ev", 1, t=0.4)
-        reg.count("ev", 1, t=0.9)
-        assert reg.series("ev") == [(0.0, 2.0), (0.5, 1.0)]
-
-    def test_disabled_without_bucket(self):
-        reg = MetricsRegistry()
-        reg.count("ev", 1, t=0.1)
-        assert reg.series("ev") == []
-
-    def test_negative_bucket_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(time_bucket=-1.0)
-
-
 class TestHistograms:
     def test_observe_and_merge(self):
         reg = MetricsRegistry()
@@ -89,13 +69,12 @@ class TestCombination:
         assert a.histogram("h").count == 1
 
     def test_roundtrip(self):
-        reg = MetricsRegistry(time_bucket=0.25)
-        reg.count("c", 2, rank=1, phase="L", op="send", t=0.3)
+        reg = MetricsRegistry()
+        reg.count("c", 2, rank=1, phase="L", op="send")
         reg.gauge("g", 9.5, rank=0)
         reg.observe("h", 7.0)
         back = MetricsRegistry.from_dict(reg.to_dict())
         assert back.value("c", rank=1, phase="L") == 2
-        assert back.series("c") == reg.series("c")
         assert back.histogram("h").total == 7.0
         assert back.to_dict() == reg.to_dict()
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import ChameleonConfig, ChameleonTracer
+from repro.harness.figures import _params_for
+from repro.harness.runner import Mode, run_mode
 from repro.replay import (
     AccuracyReport,
     accuracy,
@@ -13,7 +15,8 @@ from repro.replay import (
     replay_trace,
 )
 from repro.scalatrace import ScalaTraceTracer
-from repro.simmpi import SimConfig, ZERO_COST, run_spmd
+from repro.simmpi import QDR_CLUSTER, SimConfig, ZERO_COST, run_spmd
+from repro.workloads import make_workload
 
 
 def trace_of(prog, nprocs, tracer_cls=ScalaTraceTracer, **kw):
@@ -325,3 +328,16 @@ class TestDeadlockRepairOrder:
         assert len(outputs) == 1
         issued, repairs = map(int, outputs.pop().split())
         assert issued > 0 and repairs > 0  # the repair path did run
+
+
+@pytest.mark.parametrize("name", ["bt", "lu", "sp", "pop", "emf"])
+def test_figure5_scalatrace_traces_replay_every_op(name):
+    """Fig. 5's ScalaTrace traces (its own parameters, P=16) replay whole:
+    no p2p op unmatched, no deadlock repaired.  What a Chameleon trace
+    drops (``dropped_p2p`` on every Fig. 5/7 row: POP and SP) is the
+    clustering's, not the replayer's."""
+    run = run_mode(make_workload(name, **_params_for(name)), 16,
+                   Mode.SCALATRACE)
+    stats = replay_trace(run.trace, nprocs=16, network=QDR_CLUSTER).stats
+    assert stats.ops_scheduled > 0
+    assert (stats.p2p_dropped, stats.deadlock_repairs) == (0, 0)

@@ -336,6 +336,20 @@ class TestErrors:
         assert err.value.status == 400
         assert "unknown --config key" in err.value.body
 
+    @pytest.mark.parametrize("key", ["collectives", "p2p"])
+    def test_per_kind_gate_key_400(self, client, key):
+        with pytest.raises(ServeHTTPError) as err:
+            client.create_job(nprocs=4, config={key: "simulated"})
+        assert err.value.status == 400
+        assert "choose from network, gates, max_steps" in err.value.body
+
+    @pytest.mark.parametrize("field", ["window", "seed", "costs"])
+    def test_constant_override_400(self, client, field):
+        with pytest.raises(ServeHTTPError) as err:
+            client.create_job(nprocs=4, config_overrides={field: 1})
+        assert err.value.status == 400
+        assert field in err.value.body
+
     def test_bad_spec_field_400(self, client):
         with pytest.raises(ServeHTTPError) as err:
             client.create_job(nprocs=4, bogus=True)

@@ -1,11 +1,11 @@
 """Seeded fuzz: the macro-collective fast path is bit-identical to the
 message-level reference.
 
-Every test here runs the same program twice — ``collectives="fast"`` and
-``collectives="simulated"`` — and asserts *exact* equality (``==`` on
-floats, no tolerances) of results, per-rank virtual clocks, per-rank busy
-times and traffic totals.  That is the fast path's contract: it is a pure
-wall-clock optimisation, invisible in virtual time.
+Every test here runs the same program twice — ``gates="fast"`` and
+``gates="simulated"`` (``tests/gates.py``) — and asserts *exact* equality
+(``==`` on floats, no tolerances) of results, per-rank virtual clocks,
+per-rank busy times and traffic totals.  That is the fast path's
+contract: it is a pure wall-clock optimisation, invisible in virtual time.
 
 Coverage:
 
@@ -40,28 +40,13 @@ from repro.obs.instrument import Recorder
 from repro.simmpi import SimConfig, run_spmd
 from repro.simmpi.collectives import BOR, LAND, LOR, MAX, MIN, PROD, SUM
 
+from ..gates import FAST, SIMULATED, assert_identical, run_pair
+
 FUZZ_PS = (3, 5, 16, 31, 64)
 ALL_OPS = {
     "sum": SUM, "prod": PROD, "max": MAX, "min": MIN,
     "lor": LOR, "land": LAND, "bor": BOR,
 }
-
-
-def _pair(prog, nprocs, **kwargs):
-    """Run ``prog`` under both collective modes and return (fast, sim)."""
-    fast = run_spmd(prog, nprocs, config=SimConfig(collectives="fast"), **kwargs)
-    sim = run_spmd(prog, nprocs, config=SimConfig(collectives="simulated"), **kwargs)
-    return fast, sim
-
-
-def _assert_identical(fast, sim, *, results: bool = True):
-    if results:
-        assert fast.results == sim.results
-    assert fast.clocks == sim.clocks
-    assert fast.busy_times == sim.busy_times
-    assert fast.total_messages == sim.total_messages
-    assert fast.total_bytes == sim.total_bytes
-    assert fast.failed_ranks == sim.failed_ranks
 
 
 class TestEveryCollective:
@@ -87,8 +72,8 @@ class TestEveryCollective:
             out.append(await comm.allreduce(float(rank), op=MAX))
             return out
 
-        fast, sim = _pair(prog, nprocs)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, nprocs)
+        assert_identical(fast, sim)
         assert fast.collectives_fast > 0
         assert fast.collectives_simulated == 0
         assert sim.collectives_fast == 0
@@ -106,8 +91,8 @@ class TestEveryCollective:
             c = await ctx.comm.scan(base, op=op)
             return (a, b, c)
 
-        fast, sim = _pair(prog, 13)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 13)
+        assert_identical(fast, sim)
 
     def test_rendezvous_payloads(self):
         # Payloads past eager_threshold exercise the rendezvous arithmetic
@@ -121,8 +106,8 @@ class TestEveryCollective:
             a = await comm.allgather(bytes(big // 8))
             return (len(v), len(g) if g else 0, len(a))
 
-        fast, sim = _pair(prog, 9)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 9)
+        assert_identical(fast, sim)
         assert fast.total_bytes == sim.total_bytes > 0
 
     def test_seeded_random_program(self):
@@ -159,8 +144,8 @@ class TestEveryCollective:
             return acc
 
         for nprocs in (5, 16, 31):
-            fast, sim = _pair(prog, nprocs)
-            _assert_identical(fast, sim)
+            fast, sim = run_pair(prog, nprocs)
+            assert_identical(fast, sim)
 
 
 class TestSubCommunicators:
@@ -176,8 +161,8 @@ class TestSubCommunicators:
             await comm.barrier()
             return (sub.rank, sub.size, a, b, c)
 
-        fast, sim = _pair(prog, nprocs)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, nprocs)
+        assert_identical(fast, sim)
         # split/dup are themselves built from leaf collectives, so the
         # fast path must have fired on the sub-communicators too.
         assert fast.collectives_fast > 0
@@ -192,8 +177,8 @@ class TestSubCommunicators:
                 out.append(await comm.allreduce(rank - i))
             return out
 
-        fast, sim = _pair(prog, 11)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 11)
+        assert_identical(fast, sim)
 
 
 class TestFallbacks:
@@ -211,8 +196,8 @@ class TestFallbacks:
                 await ctx.comm.barrier()
             return acc
 
-        fast, sim = _pair(prog, 8, faults=plan)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 8, faults=plan)
+        assert_identical(fast, sim)
         assert 2 in fast.failed_ranks
         # A crash armed on a participant is a standing fallback condition.
         assert fast.collectives_fast == 0
@@ -226,8 +211,8 @@ class TestFallbacks:
         async def prog(ctx):
             return await ctx.comm.allreduce(ctx.rank)
 
-        fast, sim = _pair(prog, 6, faults=plan)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 6, faults=plan)
+        assert_identical(fast, sim)
         assert fast.collectives_fast > 0
 
     def test_knob_forces_simulated(self):
@@ -235,7 +220,7 @@ class TestFallbacks:
             await ctx.comm.barrier()
             return await ctx.comm.allreduce(ctx.rank)
 
-        sim = run_spmd(prog, 7, config=SimConfig(collectives="simulated"))
+        sim = run_spmd(prog, 7, config=SIMULATED)
         assert sim.collectives_fast == 0
         assert sim.collectives_simulated == 3 * 7  # barrier+reduce+bcast
 
@@ -254,11 +239,11 @@ class TestFallbacks:
         assert {op.rsplit(":", 1)[1] for (_, _rank, _phase, op)
                 in rec.metrics.labels("coll/fallbacks")} == {reason}
         assert rec.metrics.value("coll/fallbacks") == res.collectives_simulated
-        _assert_identical(*_pair(prog, nprocs, **kwargs))
+        assert_identical(*run_pair(prog, nprocs, **kwargs))
 
     def test_reason_disabled(self):
         self._assert_reason(self._two_allreduces, 5, "disabled",
-                            config=SimConfig(collectives="simulated"))
+                            config=SIMULATED)
 
     def test_reason_message_faults(self):
         plan = FaultPlan(messages=MessageFaults(delay_prob=0.5))
@@ -324,8 +309,8 @@ class TestFallbacks:
         async def prog(ctx):
             return None
 
-        with pytest.raises(ValueError, match="collectives"):
-            run_spmd(prog, 2, config=SimConfig(collectives="warp"))
+        with pytest.raises(ValueError, match="gates"):
+            run_spmd(prog, 2, config=SimConfig(gates="warp"))
 
 
 class TestObservabilityParity:
@@ -346,9 +331,9 @@ class TestObservabilityParity:
         prog = self._prog
         rec_fast = Recorder()
         rec_sim = Recorder()
-        fast = run_spmd(prog, 9, config=SimConfig(collectives="fast"), instrument=rec_fast)
-        sim = run_spmd(prog, 9, config=SimConfig(collectives="simulated"), instrument=rec_sim)
-        _assert_identical(fast, sim)
+        fast = run_spmd(prog, 9, config=FAST, instrument=rec_fast)
+        sim = run_spmd(prog, 9, config=SIMULATED, instrument=rec_sim)
+        assert_identical(fast, sim)
         assert fast.collectives_fast == 4 * 9
         # The synthesized coll spans must be indistinguishable from the
         # simulated path's observed ones.
@@ -377,9 +362,9 @@ class TestObservabilityParity:
         fast = run_spmd(self._prog, 9, instrument=by_default)
         sim = run_spmd(
             self._prog, 9, instrument=driven,
-            config=SimConfig(collectives="simulated", p2p="simulated"),
+            config=SIMULATED,
         )
-        _assert_identical(fast, sim)
+        assert_identical(fast, sim)
         assert fast.collectives_fast == 4 * 9 \
             == by_default.metrics.value("coll/fast_hits")
         assert by_default.metrics.value("p2p/messages") == 0

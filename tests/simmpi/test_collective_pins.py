@@ -9,7 +9,7 @@ bodies still in place (commit e848b0e, ``python
 tests/simmpi/test_collective_pins.py > tests/simmpi/collective_pins.py``)
 and must not be re-recorded unless a change means to alter virtual time.
 
-Two families, both under ``SimConfig(collectives="simulated")``:
+Two families, both under ``SIMULATED``:
 
 * every leaf collective plus ``allreduce`` and ``split`` at P in {5, 16},
   eager and rendezvous payloads, skewed start clocks, a non-zero root —
@@ -26,9 +26,10 @@ import pytest
 
 from repro.faults import LOST  # noqa: F401 - named by the pinned literals
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.simmpi import SUM, SimConfig, run_spmd
+from repro.simmpi import SUM, run_spmd
 
-SIMULATED = SimConfig(collectives="simulated")
+from ..gates import SIMULATED
+
 SIZES = {"eager": 512, "rendezvous": 1 << 17}
 SKEW = 3e-7  # per-rank start skew, so arrival times differ across ranks
 KINDS = ("barrier", "bcast", "reduce", "gather", "scatter", "allgather",

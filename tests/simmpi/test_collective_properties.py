@@ -11,7 +11,7 @@ interpreters = st.sampled_from(["fast", "simulated"])
 
 
 def zero_cost(mode: str) -> SimConfig:
-    return SimConfig(network=ZERO_COST, collectives=mode)
+    return SimConfig(network=ZERO_COST, gates=mode)
 
 
 class TestCollectiveSemantics:
@@ -107,8 +107,8 @@ class TestDeterminism:
             await ctx.comm.barrier()
             return (out, ctx.clock)
 
-        a = run_spmd(main, nprocs, config=SimConfig(collectives=mode))
-        b = run_spmd(main, nprocs, config=SimConfig(collectives=mode))
+        a = run_spmd(main, nprocs, config=SimConfig(gates=mode))
+        b = run_spmd(main, nprocs, config=SimConfig(gates=mode))
         assert a.results == b.results
         assert a.clocks == b.clocks
         assert a.busy_times == b.busy_times

@@ -1,7 +1,7 @@
 """Collective correctness across communicator sizes (incl. non-powers of 2).
 
 Every test runs its program under both interpreters of the collective
-schedules — the closed-form gate replay (``collectives="fast"``) and the
+schedules — the closed-form gate replay (``gates="fast"``) and the
 message-level driver (``"simulated"``) — and asserts on each result, so an
 error in the one statement of an algorithm fails here whichever
 interpreter would have hidden it.
@@ -18,7 +18,7 @@ INTERPRETERS = ("fast", "simulated")
 def run_both(main, size):
     """One run per interpreter; each took the path its config names."""
     for mode in INTERPRETERS:
-        res = run_spmd(main, size, config=SimConfig(collectives=mode))
+        res = run_spmd(main, size, config=SimConfig(gates=mode))
         assert (res.collectives_simulated if mode == "fast"
                 else res.collectives_fast) == 0
         yield res
@@ -160,7 +160,7 @@ def test_scatter_wrong_count_raises():
 
     for mode in INTERPRETERS:
         with pytest.raises(TaskFailedError):
-            run_spmd(main, 4, config=SimConfig(collectives=mode))
+            run_spmd(main, 4, config=SimConfig(gates=mode))
 
 
 def test_mixed_collectives_sequence_stay_aligned():

@@ -10,14 +10,17 @@ from repro.faults import LOST
 from repro.faults.injector import injector_for
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.simmpi import (
+    ANY_SOURCE,
     DeadlockError,
     Engine,
+    MatchingError,
     SimFuture,
     Task,
     TaskFailedError,
     TaskState,
     run_spmd,
 )
+from repro.simmpi.comm import MAX_USER_TAG
 
 
 class TestDeadlockDiagnostics:
@@ -178,6 +181,34 @@ class TestTaskFailurePropagation:
         with pytest.raises(TaskFailedError) as ei:
             run_spmd(main, 4)
         assert ei.value.rank == 2
+
+
+class TestReservedTagWildcard:
+    """Tags above ``MAX_USER_TAG`` are the runtime's own and match exactly:
+    an ``ANY_SOURCE`` receive or probe naming one is a program error."""
+
+    @pytest.mark.parametrize("call", ["irecv", "recv", "probe"])
+    def test_any_source_on_reserved_tag_rejected(self, call):
+        async def main(ctx):
+            if ctx.rank == 1:
+                posted = getattr(ctx.comm, call)(ANY_SOURCE, MAX_USER_TAG + 1)
+                if call == "recv":
+                    await posted
+
+        with pytest.raises(TaskFailedError) as ei:
+            run_spmd(main, 2)
+        assert ei.value.rank == 1
+        assert isinstance(ei.value.original, MatchingError)
+        assert "reserved tag" in str(ei.value.original)
+
+    def test_named_source_on_reserved_tag_still_matches(self):
+        async def main(ctx):
+            if ctx.rank == 0:
+                await ctx.comm.send(1, "x", tag=MAX_USER_TAG + 1)
+                return None
+            return await ctx.comm.recv(0, tag=MAX_USER_TAG + 1)
+
+        assert run_spmd(main, 2).results == [None, "x"]
 
 
 class TestCleanTeardown:

@@ -30,10 +30,8 @@ import pytest
 
 from repro.simmpi import SimConfig, ANY_SOURCE, ANY_TAG, run_spmd
 
+from ..gates import SIMULATED
 from .linear_mailbox import linear_matching  # noqa: F401 - pytest fixture
-
-#: message-level everywhere, so every operation goes through the mailbox
-SIMULATED = SimConfig(collectives="simulated", p2p="simulated")
 
 EAGER_SIZES = (64, 4096, 1 << 15)
 RENDEZVOUS_SIZES = (1 << 17, 1 << 18)

@@ -3,7 +3,7 @@ message-level reference.
 
 Mirror of ``test_collective_fastpath.py`` for declared
 :class:`~repro.simmpi.NeighborPattern` exchanges.  Every bit-identity test
-runs the same program under ``p2p="fast"`` and ``p2p="simulated"`` and
+runs the same program under ``gates="fast"`` and ``gates="simulated"`` and
 asserts *exact* equality (``==`` on floats, no tolerances) of results,
 per-rank virtual clocks, per-rank busy times and traffic totals.  The
 workload tests add the traced legs: a cost-free tracer whose ``exchange``
@@ -41,7 +41,6 @@ from repro.simmpi import (
     NeighborPattern,
     PatternMismatchError,
     RankStateColumns,
-    SimConfig,
     run_spmd,
 )
 from repro.simmpi.errors import TaskFailedError
@@ -52,6 +51,7 @@ from repro.workloads.npb import CG
 from repro.workloads.pop import POP
 from repro.workloads.sweep3d import Sweep3D
 
+from ..gates import FAST, SIMULATED, assert_identical, run_pair
 from .linear_mailbox import linear_matching  # noqa: F401 - pytest fixture
 
 FUZZ_PS = (4, 16, 64, 256)
@@ -101,23 +101,6 @@ def _workload_prog(factory, traced: bool = False):
     return prog
 
 
-def _pair(prog, nprocs, **kwargs):
-    """Run ``prog`` under both p2p modes and return (fast, sim)."""
-    fast = run_spmd(prog, nprocs, config=SimConfig(p2p="fast"), **kwargs)
-    sim = run_spmd(prog, nprocs, config=SimConfig(p2p="simulated"), **kwargs)
-    return fast, sim
-
-
-def _assert_identical(fast, sim, *, results: bool = True):
-    if results:
-        assert fast.results == sim.results
-    assert fast.clocks == sim.clocks
-    assert fast.busy_times == sim.busy_times
-    assert fast.total_messages == sim.total_messages
-    assert fast.total_bytes == sim.total_bytes
-    assert fast.failed_ranks == sim.failed_ranks
-
-
 def _ring_pattern(size: int, nbytes: int = 8, rounds: int = 2,
                   name: str = "test-ring") -> NeighborPattern:
     """Slot-aligned periodic ring: vectorized slot-replay tier."""
@@ -152,12 +135,12 @@ def _chain_pattern(size: int, nbytes: int = 8) -> NeighborPattern:
 def _assert_three_legs_agree(factory, nprocs):
     """Four legs by now: the gate and ``_drive``, each under the NullTracer
     (the plain script) and under the tracer (its schedule of the script)."""
-    fast, sim = _pair(_workload_prog(factory), nprocs)
-    _assert_identical(fast, sim)
-    traced_fast, traced_sim = _pair(_workload_prog(factory, traced=True),
+    fast, sim = run_pair(_workload_prog(factory), nprocs)
+    assert_identical(fast, sim)
+    traced_fast, traced_sim = run_pair(_workload_prog(factory, traced=True),
                                     nprocs)
-    _assert_identical(fast, traced_fast)
-    _assert_identical(fast, traced_sim)
+    assert_identical(fast, traced_fast)
+    assert_identical(fast, traced_sim)
     for gated, driven in ((fast, sim), (traced_fast, traced_sim)):
         assert gated.p2p_fast > 0
         assert gated.p2p_simulated == 0
@@ -201,8 +184,8 @@ class TestReplayTiers:
                 await ctx.comm.exchange(pattern)
             return ctx.rank
 
-        fast, sim = _pair(prog, nprocs)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, nprocs)
+        assert_identical(fast, sim)
         assert fast.p2p_fast == 3 * nprocs
         assert fast.total_messages == 3 * pattern.total_messages
         assert fast.total_bytes == 3 * pattern.total_bytes
@@ -217,8 +200,8 @@ class TestReplayTiers:
             await ctx.comm.exchange(pattern)
             return ctx.rank
 
-        fast, sim = _pair(prog, nprocs)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, nprocs)
+        assert_identical(fast, sim)
         assert fast.p2p_fast == nprocs
 
     def test_compute_callback_matches_inline_charge(self):
@@ -230,8 +213,8 @@ class TestReplayTiers:
             await ctx.comm.exchange(pattern, compute=ctx.compute)
             return ctx.rank
 
-        fast, sim = _pair(prog, 4)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 4)
+        assert_identical(fast, sim)
 
 
 class TestStepCollapse:
@@ -281,7 +264,7 @@ class TestFallbackReasons:
         pattern = _ring_pattern(4, name="fb-disabled")
         rec = Recorder()
         res = run_spmd(self._pattern_prog(pattern), 4,
-                       config=SimConfig(p2p="simulated"), instrument=rec)
+                       config=SIMULATED, instrument=rec)
         _assert_fell_back(res, rec, "disabled")
 
     def test_linear_matching(self, linear_matching):  # noqa: F811
@@ -292,13 +275,12 @@ class TestFallbackReasons:
         fast = run_spmd(self._pattern_prog(pattern), 4)
         with linear_matching():
             sim = run_spmd(self._pattern_prog(pattern), 4,
-                           config=SimConfig(collectives="simulated",
-                                            p2p="simulated"))
+                           config=SIMULATED)
             defaults = run_spmd(self._pattern_prog(pattern), 4)
         assert sim.p2p_fast == 0 and sim.messages_matched > 0
         assert defaults.p2p_fast == 4
-        _assert_identical(fast, sim)
-        _assert_identical(fast, defaults)
+        assert_identical(fast, sim)
+        assert_identical(fast, defaults)
 
     def test_faults(self):
         # an armed crash is a standing fallback condition even when it
@@ -309,8 +291,8 @@ class TestFallbackReasons:
         res = run_spmd(self._pattern_prog(pattern), 4, faults=plan,
                        instrument=rec)
         _assert_fell_back(res, rec, "faults")
-        fast, sim = _pair(self._pattern_prog(pattern), 4, faults=plan)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(self._pattern_prog(pattern), 4, faults=plan)
+        assert_identical(fast, sim)
 
     def test_crash_mid_run_falls_back_identically(self):
         pattern = _ring_pattern(6, name="fb-crash")
@@ -321,8 +303,8 @@ class TestFallbackReasons:
             return ctx.rank
 
         plan = FaultPlan(crashes=(CrashFault(rank=2, time=1e-5),))
-        fast, sim = _pair(prog, 6, faults=plan)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(prog, 6, faults=plan)
+        assert_identical(fast, sim)
         assert 2 in fast.failed_ranks
         assert fast.p2p_fast == 0
 
@@ -342,7 +324,7 @@ class TestFallbackReasons:
         rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "pending-wildcard")
-        _assert_identical(*_pair(prog, 4))
+        assert_identical(*run_pair(prog, 4))
 
     def test_pending_recv(self):
         pattern = _ring_pattern(4, name="fb-pending")
@@ -360,7 +342,7 @@ class TestFallbackReasons:
         rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "pending-recv")
-        _assert_identical(*_pair(prog, 4))
+        assert_identical(*run_pair(prog, 4))
 
     def test_queued_traffic(self):
         pattern = _ring_pattern(4, name="fb-queued")
@@ -378,7 +360,7 @@ class TestFallbackReasons:
         rec = Recorder()
         res = run_spmd(prog, 4, instrument=rec)
         _assert_fell_back(res, rec, "queued-traffic")
-        _assert_identical(*_pair(prog, 4))
+        assert_identical(*run_pair(prog, 4))
 
     def test_mid_phase_traffic(self):
         # rank 0 consults a clean gate and parks; rank 1 then injects
@@ -400,13 +382,13 @@ class TestFallbackReasons:
         res = run_spmd(prog, 4, instrument=rec)
         # rank 0 reran after the abort; ranks 1-3 consulted an aborted gate
         _assert_fell_back(res, rec, "mid-phase-traffic")
-        _assert_identical(*_pair(prog, 4))
+        assert_identical(*run_pair(prog, 4))
 
     def test_clean_faultplan_without_crashes_keeps_fast_path(self):
         pattern = _ring_pattern(4, name="fb-cleanplan")
         plan = FaultPlan(compute=())
-        fast, sim = _pair(self._pattern_prog(pattern), 4, faults=plan)
-        _assert_identical(fast, sim)
+        fast, sim = run_pair(self._pattern_prog(pattern), 4, faults=plan)
+        assert_identical(fast, sim)
         assert fast.p2p_fast == 4
 
 
@@ -427,11 +409,11 @@ class TestObservabilityParity:
 
         rec_fast = Recorder()
         rec_sim = Recorder()
-        fast = run_spmd(prog, 6, config=SimConfig(p2p="fast"),
+        fast = run_spmd(prog, 6, config=FAST,
                         instrument=rec_fast)
-        sim = run_spmd(prog, 6, config=SimConfig(p2p="simulated"),
+        sim = run_spmd(prog, 6, config=SIMULATED,
                        instrument=rec_sim)
-        _assert_identical(fast, sim)
+        assert_identical(fast, sim)
         assert fast.p2p_fast == 6
         # the synthesized p2p spans must be indistinguishable from the
         # simulated path's observed ones
@@ -514,9 +496,8 @@ class TestInterleaving:
         rec_sim = Recorder()
         fast = run_spmd(prog, nprocs, instrument=rec_fast)
         sim = run_spmd(prog, nprocs, instrument=rec_sim,
-                       config=SimConfig(collectives="simulated",
-                                        p2p="simulated"))
-        _assert_identical(fast, sim)
+                       config=SIMULATED)
+        assert_identical(fast, sim)
         assert spans(rec_fast) == spans(rec_sim)
         # exactly one world exchange instance left the fast path, mid-gate:
         # three ranks were parked on it when rank 3's message showed up

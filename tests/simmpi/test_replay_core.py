@@ -32,7 +32,8 @@ from repro.simmpi.errors import TaskFailedError
 from repro.simmpi.patterns import _g_script
 from repro.simmpi.replay import EAGER_DONE, RankState, Replay
 
-MESSAGE_LEVEL = SimConfig(collectives="simulated", p2p="simulated")
+from ..gates import SIMULATED
+
 EAGER, RENDEZVOUS = 512, 1 << 17
 SKEW = 3e-7  # per-rank start skew, so arrival times differ across ranks
 
@@ -87,7 +88,7 @@ def test_collective_schedule_matches_message_level(kind, nbytes):
             return await comm.allgather(ctx.rank, size=nbytes)
         return await comm.scan(ctx.rank + 1, size=nbytes)
 
-    res = run_spmd(prog, size, config=MESSAGE_LEVEL)
+    res = run_spmd(prog, size, config=SIMULATED)
     sim = _replay([_GEN_FACTORIES[kind](r, size, *genargs(r))
                    for r in range(size)])
     _assert_matches(sim, res)
@@ -115,7 +116,7 @@ def test_pattern_script_matches_message_level(nbytes):
         ctx.compute(ctx.rank * SKEW)
         await ctx.comm.exchange(pattern, compute=ctx.compute)
 
-    res = run_spmd(prog, 3, config=MESSAGE_LEVEL)
+    res = run_spmd(prog, 3, config=SIMULATED)
     sim = _replay([_g_script(ops) for ops in pattern.ops], collect=True)
     _assert_matches(sim, res)
     # the lane delivered in FIFO order: rank 1's two receives saw the big
@@ -175,7 +176,7 @@ def test_raising_reduction_surfaces_on_the_right_rank():
         return await ctx.comm.reduce(ctx.rank, op=picky, root=0)
 
     with pytest.raises(TaskFailedError) as ei:
-        run_spmd(prog, 4, config=MESSAGE_LEVEL)
+        run_spmd(prog, 4, config=SIMULATED)
     sim = _replay([_GEN_FACTORIES["reduce"](r, 4, 0, r, picky, None)
                    for r in range(4)])
     assert isinstance(sim.failure, ArithmeticError)
@@ -202,7 +203,7 @@ def test_mutual_rendezvous_sends_deadlock_naming_blocked_ranks():
     async def prog(ctx):
         await ctx.comm.exchange(pattern)
 
-    for config in (SimConfig(), MESSAGE_LEVEL):  # same verdict either way
+    for config in (SimConfig(), SIMULATED):  # same verdict either way
         with pytest.raises((DeadlockError, TaskFailedError)) as run:
             run_spmd(prog, 3, config=config)
         err = getattr(run.value, "original", run.value)

@@ -31,8 +31,7 @@ class TestValidation:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.network is QDR_CLUSTER
-        assert cfg.collectives == "fast"
-        assert cfg.p2p == "fast"
+        assert cfg.gates == "fast"
         assert cfg.max_steps is None
         assert cfg == DEFAULT_CONFIG
 
@@ -40,8 +39,7 @@ class TestValidation:
         ("field", "value", "match"),
         [
             ("network", "qdr", "NetworkModel"),
-            ("collectives", "warp", "collectives"),
-            ("p2p", "warp", "p2p"),
+            ("gates", "warp", "gates"),
             ("max_steps", 0, "max_steps"),
             ("max_steps", -5, "max_steps"),
         ],
@@ -62,33 +60,39 @@ class TestValidation:
 
     def test_matching_field_is_gone(self):
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
-            "network", "collectives", "p2p", "max_steps"]
+            "network", "gates", "max_steps"]
         with pytest.raises(TypeError, match="matching"):
             SimConfig(matching="linear")
         with pytest.raises(ValueError, match="unknown --config key"):
             parse_config(["matching=linear"])
 
+    @pytest.mark.parametrize("field", ["collectives", "p2p"])
+    def test_per_kind_switches_are_gone(self, field):
+        """One ``gates`` switch serves every gate kind; the per-kind
+        spellings fail loudly and name the keys that are left."""
+        with pytest.raises(TypeError, match=field):
+            SimConfig(**{field: "simulated"})
+        with pytest.raises(ValueError, match="choose from network, gates, "
+                                             "max_steps"):
+            parse_config([f"{field}=simulated"])
+
     def test_invalid_knob_rejected_at_simconfig(self):
-        with pytest.raises(ValueError, match="collectives"):
-            run_spmd(_prog, 2, config=SimConfig(collectives="warp"))
+        with pytest.raises(ValueError, match="gates"):
+            run_spmd(_prog, 2, config=SimConfig(gates="warp"))
 
 
 class TestDigestStability:
     def test_equivalent_spellings_share_a_digest(self):
-        # collectives/p2p select bit-identical execution strategies; the
-        # cache must serve one result for all of them.
+        # gates selects a bit-identical execution strategy; the cache must
+        # serve one result for both.
         base = SimConfig()
         # pinned: cache entries written before the matching field was
         # removed must stay valid
         assert base.digest() == ("eda9881b2a1e7ec6b46ec1e4e1dfc46c"
                                  "dda7ef8c0ea40e180ae328eff6c9f08d")
-        for variant in (
-            SimConfig(collectives="simulated"),
-            SimConfig(p2p="simulated"),
-            SimConfig(collectives="simulated", p2p="simulated"),
-        ):
-            assert variant.digest() == base.digest()
-            assert variant.cache_key() == base.cache_key()
+        variant = SimConfig(gates="simulated")
+        assert variant.digest() == base.digest()
+        assert variant.cache_key() == base.cache_key()
 
     def test_outcome_fields_change_the_digest(self):
         base = SimConfig()
@@ -100,7 +104,7 @@ class TestDigestStability:
         mode = repro.Mode.CHAMELEON
         a = make_cell("bt", 8, mode, sim=SimConfig(network=SLOW_CLUSTER))
         b = make_cell("bt", 8, mode,
-                      sim=SimConfig(network=SLOW_CLUSTER, p2p="simulated"))
+                      sim=SimConfig(network=SLOW_CLUSTER, gates="simulated"))
         c = make_cell("bt", 8, mode)
         assert a.digest() == b.digest()
         assert c.digest() != a.digest()
@@ -114,8 +118,8 @@ class TestRetiredKwargs:
         # run_spmd forwards unknown keywords to ``main``, which rejects them
         with pytest.raises(TypeError, match=r"network"):
             run_spmd(_prog, 4, network=ZERO_COST)
-        with pytest.raises(TypeError, match=r"collectives"):
-            run_spmd(_prog, 4, collectives="simulated")
+        with pytest.raises(TypeError, match=r"gates"):
+            run_spmd(_prog, 4, gates="simulated")
 
     def test_run_spmd_config_path_is_quiet(self):
         with warnings.catch_warnings():
@@ -140,12 +144,10 @@ class TestRetiredKwargs:
 class TestParseConfig:
     def test_all_keys(self):
         cfg = parse_config([
-            "network=slow", "collectives=simulated",
-            "p2p=simulated", "max_steps=500",
+            "network=slow", "gates=simulated", "max_steps=500",
         ])
         assert cfg.network is SLOW_CLUSTER
-        assert cfg.collectives == "simulated"
-        assert cfg.p2p == "simulated"
+        assert cfg.gates == "simulated"
         assert cfg.max_steps == 500
 
     def test_empty_is_default(self):

@@ -87,6 +87,17 @@ def test_removed_config_key_rejected():
         main(["bench", "--p", "4", "--config", "shards=auto"])
 
 
+@pytest.mark.parametrize("key", ["collectives", "p2p"])
+def test_per_kind_gate_keys_are_gone(key):
+    """``gates`` replaced both per-kind switches; the old keys are errors
+    that name the valid ones."""
+    with pytest.raises(SystemExit, match=f"unknown --config key '{key}'; "
+                                         "choose from network, gates, "
+                                         "max_steps"):
+        main(["run", "--workload", "uniform", "--nprocs", "4",
+              "--config", f"{key}=simulated"])
+
+
 def test_timeline_and_diff(tmp_path, capsys):
     a = str(tmp_path / "a.st")
     b = str(tmp_path / "b.st")
