@@ -12,8 +12,6 @@ import pytest
 from repro.core import ClusterSet, SignatureAccumulator, find_top_k
 from repro.core.clustering import ClusterInfo
 from repro.scalatrace import (
-    EndpointStat,
-    EventRecord,
     IntraCompressor,
     Op,
     RankSet,
@@ -24,28 +22,26 @@ from repro.scalatrace import (
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
 
 
-def _event(site: int, rank: int = 0) -> EventRecord:
-    rec = EventRecord(
-        op=Op.SEND,
-        stack_sig=hash_u64(site),
-        comm_id=1,
-        dest=EndpointStat.of(rank + 1, rank),
-        participants=RankSet.single(rank),
-    )
-    rec.count.add(64)
-    rec.tag.add(0)
-    rec.dhist.record(1e-4)
-    return rec
+#: one rank's participants, shared by its calls as the tracer shares them
+_RANKS = [RankSet.single(rank) for rank in range(2)]
+
+
+def _call(site: int, rank: int = 0) -> tuple:
+    """``IntraCompressor.append``'s arguments for a send to ``rank + 1``."""
+    return (Op.SEND, (hash_u64(site), ()), _RANKS[rank], 1, None,
+            (1, rank + 1), None, 64, 0, 1e-4)
 
 
 def test_intra_fold_throughput(benchmark):
-    """Appending a periodic stream of 600 events (pattern of 6 sites)."""
-    stream = [s % 6 for s in range(600)]
+    """Appending a periodic stream of 600 calls (pattern of 6 sites): past
+    the iteration the compressor's cursor follows, the open loop absorbs
+    each call without a record or a scan."""
+    stream = [_call(s % 6) for s in range(600)]
 
     def run():
         c = IntraCompressor()
-        for s in stream:
-            c.append(_event(s))
+        for call in stream:
+            c.append(*call)
         return c.leaf_count()
 
     leaves = benchmark(run)
@@ -58,7 +54,7 @@ def test_inter_merge_alignment(benchmark):
     def make(rank):
         c = IntraCompressor()
         for s in range(120):
-            c.append(_event(s, rank))
+            c.append(*_call(s, rank))
         return c.take_nodes()
 
     def run():

@@ -133,7 +133,8 @@ def _replay_figure(
 ) -> tuple[list[dict], str]:
     """Figures 5/7: each suite's APP time, both tracers' replay times on
     the QDR cluster and their accuracy; ``columns`` are the (header, row
-    key) accuracy columns rendered."""
+    key) accuracy columns rendered, followed by the point-to-point ops the
+    Chameleon replay dropped as unmatched (what its accuracy leaves out)."""
     rows = []
     for name, p, suite in suites:
         st_replay, ch_replay = (
@@ -151,10 +152,11 @@ def _replay_figure(
         })
     text = render_table(
         ["bench", "P", "APP [s]", "ST replay [s]", "CH replay [s]",
-         *(header for header, _ in columns)],
+         *(header for header, _ in columns), "CH p2p dropped"],
         [
             [r["benchmark"], r["P"], r["app"], r["replay_scalatrace"],
-             r["replay_chameleon"], *(percent(r[key]) for _, key in columns)]
+             r["replay_chameleon"], *(percent(r[key]) for _, key in columns),
+             r["dropped_p2p"]]
             for r in rows
         ],
         title=title,

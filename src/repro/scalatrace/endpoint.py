@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class Pattern:
     """Arithmetic offset cycle: ``start + stride * (i mod length)``."""
 
@@ -152,9 +152,21 @@ class EndpointStat:
     def merged(self, other: "EndpointStat", allow_chain: bool = True) -> tuple | None:
         """``(rel, abs_, pattern)`` with ``other`` folded in, or None when no
         encoding survives (``can_merge`` is False).  Mutates nothing."""
-        pattern = self._patterns_mergeable(self.pattern, other.pattern, allow_chain)
-        rel = self.rel if self.rel == other.rel else None
-        abs_ = self.abs_ if self.abs_ == other.abs_ else None
+        return self._surviving(
+            other.rel, other.abs_,
+            self._patterns_mergeable(self.pattern, other.pattern, allow_chain))
+
+    def extended(self, rel: int, abs_: int) -> tuple | None:
+        """``merged`` with the one-observation stat ``of(abs_, abs_ - rel)``,
+        in stream order, without building it."""
+        p = self.pattern
+        return self._surviving(
+            rel, abs_, None if p is None else self._pattern_extended(p, rel))
+
+    def _surviving(self, rel: int | None, abs_: int | None,
+                   pattern: Pattern | None) -> tuple | None:
+        rel = self.rel if self.rel == rel else None
+        abs_ = self.abs_ if self.abs_ == abs_ else None
         if rel is None and abs_ is None and pattern is None:
             return None
         return rel, abs_, pattern

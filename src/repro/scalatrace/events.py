@@ -71,7 +71,7 @@ _COLLECTIVES = {
 _P2P = {Op.SEND, Op.RECV, Op.ISEND, Op.IRECV, Op.SENDRECV}
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamStat:
     """Mergeable min/max/mean statistic of an integer call parameter."""
 
@@ -125,9 +125,12 @@ class ParamStat:
 
 #: Fields that must agree exactly for two records to describe one event.
 StaticKey = tuple[str, int, int, int | None, bool, bool]
+#: A call's endpoint as its encodings see it: (offset from the calling rank,
+#: absolute rank).  One rank's stream keeps ``abs - offset`` fixed.
+Endpoint = tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class EventRecord:
     """One compressed MPI event (possibly covering many ranks/iterations)."""
 
@@ -142,6 +145,38 @@ class EventRecord:
     tag: ParamStat = field(default_factory=ParamStat)
     dhist: DeltaHistogram = field(default_factory=DeltaHistogram)
     frames: tuple[str, ...] = ()  # human-readable call path (debug only)
+
+    @classmethod
+    def of(
+        cls,
+        op: Op,
+        site: tuple[int, tuple[str, ...]],
+        participants: RankSet,
+        comm_id: int = 0,
+        src: Endpoint | None = None,
+        dest: Endpoint | None = None,
+        root: int | None = None,
+        nbytes: int = 0,
+        tag: int = 0,
+        dt: float = 0.0,
+    ) -> "EventRecord":
+        """The record of one call at ``site`` (stack signature, frames),
+        born with its one sample: ``dt`` is the compute gap before it."""
+        rec = cls(
+            op=op,
+            stack_sig=site[0],
+            comm_id=comm_id,
+            src=None if src is None else EndpointStat.of(src[1], src[1] - src[0]),
+            dest=None if dest is None else EndpointStat.of(dest[1], dest[1] - dest[0]),
+            root=root,
+            participants=participants,
+            # ParamStat.of, inlined
+            count=ParamStat(1, 0.0 + nbytes, nbytes, nbytes),
+            tag=ParamStat(1, 0.0 + tag, tag, tag),
+            frames=site[1],
+        )
+        rec.dhist.record(dt)
+        return rec
 
     def static_key(self) -> StaticKey:
         return (
@@ -209,6 +244,29 @@ class EventRecord:
             self.participants = union
         self.count.merge(other.count)
         self.tag.merge(other.tag)
+        return delta
+
+    def can_merge_sample(self, src: Endpoint | None, dest: Endpoint | None) -> bool:
+        """``can_merge`` of the record :meth:`of` would build for a call of
+        this record's own site, operation and participants (the caller
+        checked those), from its endpoints alone."""
+        return (src is None or self.src.extended(*src) is not None) and (
+            dest is None or self.dest.extended(*dest) is not None)
+
+    def merge_sample(self, src: Endpoint | None, dest: Endpoint | None,
+                     nbytes: int, tag: int, dt: float) -> int:
+        """``merge`` of that record, without building it; returns the change
+        of :meth:`size_bytes`.  ``can_merge_sample`` must hold.  Every
+        statistic takes the one sample's ``add``/``record``, which is
+        bit-equal to merging a one-sample statistic."""
+        delta = self.dhist.record(dt)
+        for ep, seen in ((self.src, src), (self.dest, dest)):
+            if seen is not None:
+                to = ep.extended(*seen)
+                delta -= 40 * (ep.pattern is not None and to[2] is None)
+                ep.rel, ep.abs_, ep.pattern = to
+        self.count.add(nbytes)
+        self.tag.add(tag)
         return delta
 
     def copy(self) -> "EventRecord":

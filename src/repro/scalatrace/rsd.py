@@ -45,7 +45,7 @@ class WorkMeter:
         return self.comparisons + self.merges + self.folds
 
 
-@dataclass
+@dataclass(slots=True)
 class EventNode:
     """A leaf: one compressed MPI event."""
 
@@ -67,7 +67,7 @@ class EventNode:
         return str(self.record)
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class LoopNode:
     """``iters`` repetitions of a node sequence (RSD / PRSD)."""
 

@@ -38,7 +38,7 @@ def _bin_bounds(idx: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaHistogram:
     """Mergeable log-binned histogram of non-negative durations."""
 
@@ -48,23 +48,29 @@ class DeltaHistogram:
     min: float = math.inf
     max: float = 0.0
 
-    def record(self, dt: float) -> None:
+    def record(self, dt: float) -> int:
+        """Add one duration; returns the change of :meth:`size_bytes` (16
+        when it opens a bin), bit-equal to :meth:`merge` of a one-sample
+        histogram."""
         if dt < 0:
             raise ValueError("delta times are non-negative")
-        self.counts[_bin_index(dt)] += 1
+        i = _bin_index(dt)
+        opened = not self.counts[i]
+        self.counts[i] += 1
         self.total += 1
         self.sum += dt
         self.min = dt if dt < self.min else self.min
         self.max = dt if dt > self.max else self.max
+        return 16 * opened
 
     def merge(self, other: "DeltaHistogram") -> int:
         """Returns the change of :meth:`size_bytes`: 16 per bin it opens."""
-        counts, opened = self.counts, 0
+        counts, theirs, opened = self.counts, other.counts, 0
         # one sample (every intra-node fold) fills one bin
-        for i in (other.counts.index(1),) if other.total == 1 else range(_NBINS):
-            if other.counts[i]:
+        for i in (theirs.index(1),) if other.total == 1 else range(_NBINS):
+            if theirs[i]:
                 opened += not counts[i]
-                counts[i] += other.counts[i]
+                counts[i] += theirs[i]
         self.total += other.total
         self.sum += other.sum
         self.min = min(self.min, other.min)

@@ -38,8 +38,7 @@ from ..simmpi.patterns import NeighborPattern
 from ..simmpi.replay import EAGER_DONE
 from ..simmpi.topology import RadixTree
 from .costmodel import DEFAULT_COSTS, InstrumentationCostModel
-from .endpoint import EndpointStat
-from .events import EventRecord, Op, ParamStat
+from .events import Op
 from .inter import merge_traces
 from .intra import IntraCompressor
 from .ranklist import RankSet
@@ -184,24 +183,17 @@ class ScalaTraceTracer:
     def _build(self, op: Op, t0: float, site: tuple[int, tuple[str, ...]],
                src: int | None, dest: int | None, nbytes: int, tag: int,
                root: int | None = None, comm_id: int | None = None) -> float:
-        """Build and compress the record of a call entered at virtual time
-        ``t0``; returns the charge, known the moment it is appended."""
-        rec = EventRecord(
-            op=op,
-            stack_sig=site[0],
-            comm_id=self.comm.context.id if comm_id is None else comm_id,
-            src=None if src is None else EndpointStat.of(src, self.rank),
-            dest=None if dest is None else EndpointStat.of(dest, self.rank),
-            root=root,
-            participants=self._self_set,
-            # born with the call's one sample: ParamStat.of, inlined
-            count=ParamStat(1, 0.0 + nbytes, nbytes, nbytes),
-            tag=ParamStat(1, 0.0 + tag, tag, tag),
-            frames=site[1],
-        )
-        rec.dhist.record(max(t0 - self._last_event_end, 0.0))
+        """Compress the call entered at virtual time ``t0`` (the compressor
+        builds its record only when its open loop will not absorb it);
+        returns the charge, known the moment it is appended."""
+        rank = self.rank
         work0 = self.meter.total
-        self.compressor.append(rec)
+        self.compressor.append(
+            op, site, self._self_set,
+            self.comm.context.id if comm_id is None else comm_id,
+            None if src is None else (src - rank, src),
+            None if dest is None else (dest - rank, dest),
+            root, nbytes, tag, max(t0 - self._last_event_end, 0.0))
         self.stats.events_recorded += 1
         return (
             self.costs.per_event_record

@@ -12,7 +12,7 @@ from repro.core import (
     ChameleonTracer,
     MarkerState,
 )
-from repro.scalatrace import Op, ScalaTraceTracer, StackWalker, Trace
+from repro.scalatrace import EventRecord, Op, ScalaTraceTracer, StackWalker, Trace
 from repro.simmpi import NeighborPattern, SimConfig, ZERO_COST, run_spmd
 
 
@@ -337,19 +337,30 @@ class TestEventPath:
         # lead and traces through the lead phase
         lambda ctx: ChameleonTracer(ctx, ChameleonConfig(k=4)),
     ), ids=("scalatrace", "chameleon-lead"))
-    def test_folded_events_are_not_retained(self, make):
+    def test_folded_events_are_not_retained(self, make, monkeypatch):
         """A rank that records N foldable events holds the compressed
-        tree's few records afterwards, not N raw ones."""
+        tree's few records afterwards, not N raw ones (whether or not the
+        compressor built a record for a call)."""
         steps, per_step = 50, 4
+        built: dict[tuple, list] = {}
+        of = EventRecord.of.__func__
+
+        def keep(cls, *call):
+            rec = of(cls, *call)
+            built.setdefault(rec.participants.ranks(), []).append(
+                weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(EventRecord, "of", classmethod(keep))
 
         async def main(ctx):
             tracer = make(ctx)
-            born = []
+            born = [0]
             append = tracer.compressor.append
 
-            def tap(record):
-                born.append(weakref.ref(record))
-                append(record)
+            def tap(*call):
+                born[0] += 1
+                append(*call)
 
             tracer.compressor.append = tap
             for _ in range(steps):
@@ -358,13 +369,14 @@ class TestEventPath:
                         await tracer.allreduce(1.0)
                 await tracer.marker()
             gc.collect()
-            live = sum(ref() is not None for ref in born)
+            live = sum(ref() is not None
+                       for ref in built.get((ctx.rank,), ()))
             leaves = tracer.compressor.leaf_count()
             online = getattr(tracer, "online", None)
             if online is not None:
                 leaves += online.leaf_count()
             await tracer.finalize()
-            return len(born), live, leaves
+            return born[0], live, leaves
 
         res = run_spmd(main, 2, config=SimConfig(network=ZERO_COST))
         assert [born for born, _, _ in res.results] == [steps * per_step] * 2

@@ -69,6 +69,22 @@ class TestFigureGenerators:
         rows, _ = figures.figure5(benchmarks=["bt"], p_list=[9])
         assert rows[0]["acc_vs_app"] > 0.8
 
+    def test_replay_figures_print_the_dropped_ops(self):
+        """Fig. 5/7 print each row's ``dropped_p2p`` beside the accuracy it
+        qualifies: POP's Chameleon trace drops ops, BT's none."""
+        rows, text = figures.figure5(benchmarks=["bt", "pop"], p_list=[9])
+        header, *lines = [line for line in text.splitlines() if "|" in line]
+        assert [c.strip() for c in header.split("|")][-2:] == [
+            "ACC vs ST", "CH p2p dropped"]
+        cells = [[c.strip() for c in line.split("|")] for line in lines
+                 if not set(line) <= set("-+")]
+        assert [int(row[-1]) for row in cells] == [r["dropped_p2p"]
+                                                   for r in rows]
+        dropped = {r["benchmark"]: r["dropped_p2p"] for r in rows}
+        assert dropped["bt"] == 0 < dropped["pop"]
+        _, weak = figures.figure7(p_list=[4])
+        assert "| CH p2p dropped" in weak
+
     def test_figure6_weak(self):
         rows, _ = figures.figure6(p_list=[4])
         assert {r["benchmark"] for r in rows} == {"luw", "sweep3d"}

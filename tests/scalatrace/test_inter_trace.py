@@ -17,6 +17,8 @@ from repro.scalatrace import (
     merge_traces,
 )
 
+from .calls import call
+
 
 def ev(sig, rank=0, op=Op.SEND, dest_off=1):
     from repro.scalatrace import EndpointStat
@@ -42,7 +44,7 @@ def ev(sig, rank=0, op=Op.SEND, dest_off=1):
 def compress(sigs, rank):
     c = IntraCompressor()
     for s in sigs:
-        c.append(ev(s, rank=rank))
+        c.append(*call(ev(s, rank=rank)))
     return c.take_nodes()
 
 

@@ -19,6 +19,7 @@ from repro.scalatrace import (
     fold_tail,
 )
 
+from .calls import call
 from .fold_oracle import fold_tail as frozen_fold_tail
 
 
@@ -43,7 +44,7 @@ def ev(sig: int, op: Op = Op.SEND, dest_off: int | None = 1, rank: int = 0) -> E
 
 def feed(compressor: IntraCompressor, sigs) -> None:
     for s in sigs:
-        compressor.append(ev(s))
+        compressor.append(*call(ev(s)))
 
 
 class TestBasicFolding:
@@ -82,9 +83,9 @@ class TestBasicFolding:
         outer, inner = 50, 20  # scaled-down but same structure
         for _ in range(outer):
             for _ in range(inner):
-                c.append(ev(101, Op.SEND))
-                c.append(ev(102, Op.RECV, dest_off=None))
-            c.append(ev(103, Op.BARRIER))
+                c.append(*call(ev(101, Op.SEND)))
+                c.append(*call(ev(102, Op.RECV, dest_off=None)))
+            c.append(*call(ev(103, Op.BARRIER)))
         assert len(c.nodes) == 1
         top = c.nodes[0]
         assert isinstance(top, LoopNode) and top.iters == outer
@@ -98,9 +99,9 @@ class TestBasicFolding:
     def test_leaf_count_is_paper_n(self):
         c = IntraCompressor()
         for _ in range(30):
-            c.append(ev(1))
-            c.append(ev(2))
-            c.append(ev(3))
+            c.append(*call(ev(1)))
+            c.append(*call(ev(2)))
+            c.append(*call(ev(3)))
         assert c.leaf_count() == 3
 
     def test_expanded_count_preserved(self):
@@ -115,7 +116,7 @@ class TestBasicFolding:
             r = ev(7)
             r.dhist = type(r.dhist)()
             r.dhist.record(float(i))
-            c.append(r)
+            c.append(*call(r))
         loop = c.nodes[0]
         leaf = loop.body[0]
         assert leaf.record.dhist.total == 8
@@ -270,7 +271,7 @@ class TestRunningByteCount:
         for body, reps in blocks:
             for rep in range(reps):
                 for site, mode, base, dt in body:
-                    c.append(_site_event(site, mode, base, dt, rep))
+                    c.append(*call(_site_event(site, mode, base, dt, rep)))
                     assert c.size_bytes() == _recursive_size(c)
                     appended += 1
                     if appended in take_at:
@@ -283,7 +284,7 @@ class TestRunningByteCount:
         for rel in (1, 0, 5):  # same target, offsets 1, 0, 5: no stride fits
             rec = ev(7)
             rec.dest = EndpointStat.of(3, 3 - rel)
-            c.append(rec)
+            c.append(*call(rec))
             sizes.append(c.size_bytes())
             assert c.size_bytes() == _recursive_size(c)
         (loop,) = c.nodes
@@ -310,14 +311,14 @@ class TestRunningByteCount:
         def phase_sizings(prefix: int) -> int:
             c = IntraCompressor()
             for i in range(prefix):
-                c.append(ev(1000 + i))
+                c.append(*call(ev(1000 + i)))
             calls[0] = 0
             for _ in range(20):  # 20 x (4 x 6 + 1) = 500 events
                 for _ in range(6):
                     for site in (1, 2, 3, 4):
-                        c.append(ev(site))
+                        c.append(*call(ev(site)))
                         c.size_bytes()
-                c.append(ev(5, Op.BARRIER))
+                c.append(*call(ev(5, Op.BARRIER)))
                 c.size_bytes()
             assert len(c.nodes) == prefix + 1
             return calls[0]
@@ -381,10 +382,137 @@ def _fixed_stream():
     return out
 
 
+# -- the compressor's cursor against the frozen fold ---------------------------
+
+
+class _Lockstep:
+    """One call stream through an ``IntraCompressor`` (its cursor's pending
+    path included) and through the frozen fold on a plain node list,
+    compared after every call: the meter, the running byte count against
+    a non-flushing view of the nodes, and that view by ``to_text`` (every
+    float's bits).  Counts the records the compressor builds."""
+
+    made = 0  # EventRecord.of calls so far, while ``counting_records``
+
+    def __init__(self, window: int = 64) -> None:
+        self.c = IntraCompressor(window=window)
+        self.window, self.ref, self.meter, self.bytes = window, [], WorkMeter(), 0
+        self.calls = self.built = 0
+
+    def append(self, *call_) -> None:
+        rec = EventRecord.of(*call_)
+        self.ref.append(EventNode(rec))
+        self.bytes += rec.size_bytes() + frozen_fold_tail(
+            self.ref, self.window, self.meter)
+        before = _Lockstep.made
+        self.c.append(*call_)
+        self.built += _Lockstep.made - before
+        self.calls += 1
+        self.check()
+
+    def check(self) -> None:
+        view = self.c.snapshot()
+        assert self.c.meter == self.meter
+        assert self.c.size_bytes() == self.bytes == sum(
+            n.size_bytes() for n in view)
+        assert _text(view) == _text(self.ref)
+
+    def read(self) -> None:
+        """A read of ``nodes`` builds the pending records into the list."""
+        assert _text(self.c.nodes) == _text(self.ref)
+        assert self.c.leaf_count() == sum(n.leaf_count() for n in self.ref)
+        self.check()
+
+    def take(self) -> None:
+        assert _text(self.c.take_nodes()) == _text(self.ref)
+        self.ref, self.bytes = [], 0
+        self.check()
+
+
+def _text(nodes) -> str:
+    return Trace(nodes=nodes).serialize()
+
+
+@pytest.fixture
+def counting_records(monkeypatch):
+    of = EventRecord.of.__func__
+
+    def counted(cls, *args):
+        _Lockstep.made += 1
+        return of(cls, *args)
+
+    monkeypatch.setattr(EventRecord, "of", classmethod(counted))
+
+
+#: traced cells whose compressors' calls (and ``take_nodes``) are replayed:
+#: nested loop bodies (sweep3d's octant pairs), NPB BT's flat ADI body,
+#: modified LU's phase changes, and the same under Chameleon, whose markers
+#: take the nodes every few steps (too soon for a followed iteration to pay)
+_LU = {"problem_class": "A", "iterations": 12, "phase_period": 5}
+_CELLS = {
+    "sweep3d": ("sweep3d", {}, 16, "scalatrace"),
+    "bt": ("bt", {"problem_class": "A", "iterations": 6}, 16, "scalatrace"),
+    "lu_modified": ("lu_modified", _LU, 9, "scalatrace"),
+    "lu_modified-chameleon": ("lu_modified", _LU, 9, "chameleon"),
+}
+
+
+@pytest.fixture(scope="module")
+def captured() -> dict[str, list[list]]:
+    """Per cell, each compressor's operations: a call's arguments, or
+    None for a ``take_nodes``."""
+    from repro.harness.runner import Mode, run_mode
+    from repro.workloads import make_workload
+
+    out: dict[str, list[list]] = {}
+    append, take = IntraCompressor.append, IntraCompressor.take_nodes
+    for cell, (name, params, nprocs, mode) in _CELLS.items():
+        ops: dict[int, list] = {}
+        live = []  # keeps every compressor alive: ids stay unique
+
+        def log(compressor, op) -> None:
+            if id(compressor) not in ops:
+                live.append(compressor)
+            ops.setdefault(id(compressor), []).append(op)
+
+        def tapped_append(self, *call_):
+            log(self, call_)
+            return append(self, *call_)
+
+        def tapped_take(self):
+            log(self, None)
+            return take(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntraCompressor, "append", tapped_append)
+            mp.setattr(IntraCompressor, "take_nodes", tapped_take)
+            run_mode(make_workload(name, **params), nprocs, Mode(mode))
+        out[cell] = list(ops.values())
+    return out
+
+
+def _hub(rank: int, rel: int, abs_: int) -> tuple:
+    """A send call whose offset and target move independently."""
+    return (Op.SEND, (7, ()), RankSet.single(rank), 1, None, (rel, abs_),
+            None, 64, 0, 1e-5)
+
+
+def _site_call(sig: int, *, dest=(1, 1), op=Op.SEND, dt=1e-5, nbytes=64):
+    return (op, (sig, ()), _RANK0, 1, None, dest if op.is_p2p else None,
+            None, nbytes, 0, dt)
+
+
+_RANK0 = RankSet.single(0)
+
+
+
+
 class TestAgainstFrozenFold:
     """``fold_oracle.fold_tail`` is the exhaustive scan, kept verbatim; the
     live one skips candidates and counts bytes differently, and must not be
-    told apart."""
+    told apart — nor the compressor's cursor, whose pending path (a call the
+    open loop absorbs builds no record and runs no scan) is held to it after
+    every call of captured and generated streams."""
 
     def test_meter_totals_of_a_fixed_stream(self):
         twins = _Twins(64)
@@ -415,7 +543,7 @@ class TestAgainstFrozenFold:
         sys.setprofile(profile)
         try:
             for rec in _fixed_stream():
-                c.append(rec)
+                c.append(*call(rec))
         finally:
             sys.setprofile(None)
         assert entered[0] > 0 and misses[0] == 0
@@ -466,7 +594,7 @@ class TestAgainstFrozenFold:
                 for body, reps in blocks:
                     for rep in range(reps):
                         for site, mode, base, dt in body:
-                            c.append(_site_event(site, mode, base, dt, rep))
+                            c.append(*call(_site_event(site, mode, base, dt, rep)))
                 segment = Trace(nodes=c.take_nodes())
                 for leaf in segment.leaves():
                     rec = leaf.record
@@ -475,3 +603,136 @@ class TestAgainstFrozenFold:
                         if heterogeneous and ep is not None and ep.abs_ is not None:
                             ep.rel = ep.pattern = None
                 twins.push(segment.nodes)
+
+    def test_call_round_trip(self):
+        rec = _site_event(3, "strided", 2, 1, 4)
+        assert _text([EventNode(EventRecord.of(*call(rec)))]) == _text(
+            [EventNode(rec)])
+
+    @pytest.mark.parametrize("cell", sorted(_CELLS))
+    def test_captured_streams(self, captured, cell, counting_records):
+        calls = built = 0
+        for stream in captured[cell]:
+            twin = _Lockstep()
+            for op in stream:
+                if op is None:
+                    twin.take()
+                else:
+                    twin.append(*op)
+            calls, built = calls + twin.calls, built + twin.built
+        # the open loops absorbed calls that built no record
+        assert 0 < built < calls or _CELLS[cell][3] == "chameleon"
+
+    def test_nested_body_builds_no_record_per_call(self, counting_records):
+        """``Loop(k, [Loop(3, [a, b]), c])``: past the followed iteration,
+        only a leaf inside the inner loop builds one record per iteration
+        of the open loop (the merged one), never one per call."""
+        twin = _Lockstep()
+        for _ in range(12):
+            for _ in range(3):
+                twin.append(*_site_call(1))
+                twin.append(*_site_call(2, op=Op.RECV, dest=None))
+            twin.append(*_site_call(3, op=Op.BARRIER))
+        built = twin.built
+        for _ in range(4):
+            for _ in range(3):
+                twin.append(*_site_call(1))
+                twin.append(*_site_call(2, op=Op.RECV, dest=None))
+            twin.append(*_site_call(3, op=Op.BARRIER))
+        assert twin.built - built == 4 * 2
+        assert twin.c.nodes[0].iters == 16
+
+    def test_endpoint_pattern_dropped_mid_loop(self):
+        """The open loop's send keeps its absolute target while its offset
+        jumps: the record merges through the absolute form and drops its
+        pattern, in the pending path, and shrinks by the pattern's words."""
+        twin = _Lockstep()
+        sizes = []
+        for i in range(10):
+            rel = 5 if i == 7 else 1
+            twin.append(*_hub(0, rel, 3))
+            twin.append(*_site_call(2, op=Op.BARRIER))
+            sizes.append(twin.c.size_bytes())
+        (loop,) = twin.c.nodes
+        assert loop.iters == 10 and loop.body[0].record.dest.pattern is None
+        assert sizes[7] < sizes[6]
+
+    @pytest.mark.parametrize("last", ("site", "endpoint"))
+    def test_mismatch_at_the_last_position(self, last):
+        """An iteration whose last call is another site, or an endpoint
+        nothing merges with, is not absorbed: the pending records are built
+        and the rules go on."""
+        twin = _Lockstep()
+        for i in range(9):
+            twin.append(*_site_call(1))
+            twin.append(*_site_call(2, op=Op.RECV, dest=None))
+            if i == 6 and last == "site":
+                twin.append(*_site_call(4, op=Op.BARRIER))
+            elif i == 6:
+                twin.append(*_site_call(3, dest=(4, 9)))
+            else:
+                twin.append(*_site_call(3, dest=(1, 1)))
+        assert len(twin.c.nodes) > 1
+
+    @pytest.mark.parametrize("window", (3, 4, 5))
+    def test_body_at_the_window_bound(self, window):
+        twin = _Lockstep(window)
+        for _ in range(8):
+            for site in range(4):
+                twin.append(*_site_call(10 + site))
+        loops = [n for n in twin.c.nodes if isinstance(n, LoopNode)]
+        assert bool(loops) == (window >= 4)
+
+    @pytest.mark.parametrize("at", (0, 1, 4, 5))
+    def test_take_nodes_and_reads_mid_iteration(self, at):
+        twin = _Lockstep()
+        for i in range(40):
+            twin.append(*_site_call(1 + i % 3))
+            if i > 12 and i % 7 == at:
+                twin.read()
+            if i == 25 + at:
+                twin.take()
+
+    @pytest.mark.parametrize("prefix", (2, 5))
+    def test_open_loop_compared_by_its_iteration_count(self, prefix):
+        """A loop of B's length in front, ``Loop(prefix, [A, B])``, is
+        compared with ``Loop(k, [C, D])`` at every call's scan: refused at
+        once unless ``k == prefix``, when the comparison goes on into the
+        bodies — that iteration must take the scan (and one recorded at
+        ``k == prefix`` must not be charged later)."""
+        twin = _Lockstep()
+        for _ in range(prefix):
+            twin.append(*_site_call(1))
+            twin.append(*_site_call(2, op=Op.RECV, dest=None))
+        twin.append(*_site_call(9, op=Op.BARRIER))
+        for _ in range(12):
+            twin.append(*_site_call(3))
+            twin.append(*_site_call(4, op=Op.RECV, dest=None))
+        assert [getattr(n, "iters", None) for n in twin.c.nodes] == [
+            prefix, None, 12]
+
+    @given(_nested, st.sampled_from([1, 3, 4, 64]),
+           st.sets(st.integers(0, 150), max_size=3),
+           st.sets(st.integers(0, 150), max_size=2))
+    @settings(max_examples=120, deadline=None)
+    def test_generated_streams(self, periods, window, reads, takes):
+        """Nested repetitive phases with noise, as the per-rank fold test
+        feeds them, with reads and ``take_nodes`` dropped in."""
+        twin = _Lockstep(window)
+
+        def push(rec):
+            twin.append(*call(rec))
+            if twin.calls in reads:
+                twin.read()
+            if twin.calls in takes:
+                twin.take()
+
+        for blocks, outer, noise in periods:
+            for _ in range(outer):
+                for body, reps in blocks:
+                    for rep in range(reps):
+                        for site, mode, base, dt in body:
+                            push(_site_event(site, mode, base, dt, rep))
+                push(ev(800, Op.ALLREDUCE))
+            if noise is not None:
+                push(noise)

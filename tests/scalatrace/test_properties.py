@@ -14,6 +14,8 @@ from repro.scalatrace import (
     merge_traces,
 )
 
+from .calls import call
+
 # -- generators --------------------------------------------------------------
 
 #: a small alphabet of call sites with associated ops / endpoint offsets
@@ -51,7 +53,7 @@ def make_event(site: int, rank: int, dt: float = 0.0) -> EventRecord:
 def compress(stream, rank):
     c = IntraCompressor()
     for site in stream:
-        c.append(make_event(site, rank))
+        c.append(*call(make_event(site, rank)))
     return c
 
 
@@ -78,7 +80,7 @@ class TestCompressionInvariants:
         for i, site in enumerate(stream):
             dt = 0.001 * (i + 1)
             total += dt
-            c.append(make_event(site, 0, dt=dt))
+            c.append(*call(make_event(site, 0, dt=dt)))
         mass = sum(l.record.dhist.sum for l in Trace(nodes=c.nodes).leaves())
         assert abs(mass - total) < 1e-9
 

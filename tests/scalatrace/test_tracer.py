@@ -197,13 +197,17 @@ class TestRecordSizingWork:
     setup events, then ``iters`` repetitions of a ``width``-site body."""
 
     PREFIX, WIDTH, ITERS = 40, 3, 30
+    COUNTED = ("size_bytes", "same_shape", "can_merge", "merge",
+               "can_merge_sample", "merge_sample")
 
-    def converged(self, monkeypatch) -> dict[str, list[int]]:
+    def converged(self, monkeypatch) -> tuple[dict, dict]:
         """Calls made inside each ``_record`` after the loop converged (two
-        bodies in), by what was called."""
+        bodies in), by what was called: in the first iteration, which runs
+        the rules while the compressor's cursor follows it, and in the
+        others, whose calls wait in the cursor's pending iteration."""
         from repro.scalatrace import EventRecord, intra
 
-        calls = dict.fromkeys(("size_bytes", "same_shape", "can_merge", "merge"), 0)
+        calls = dict.fromkeys(self.COUNTED, 0)
         per_record: dict[str, list[int]] = {name: [] for name in calls}
         record = ScalaTraceTracer._record
 
@@ -220,9 +224,10 @@ class TestRecordSizingWork:
                 per_record[name].append(calls[name] - before[name])
             return sig
 
-        for name in ("size_bytes", "can_merge", "merge"):
-            monkeypatch.setattr(
-                EventRecord, name, counting(name, getattr(EventRecord, name)))
+        for name in self.COUNTED:
+            if name != "same_shape":
+                monkeypatch.setattr(
+                    EventRecord, name, counting(name, getattr(EventRecord, name)))
         monkeypatch.setattr(
             intra, "same_shape", counting("same_shape", intra.same_shape))
         monkeypatch.setattr(ScalaTraceTracer, "_record", counted_record)
@@ -242,32 +247,44 @@ class TestRecordSizingWork:
                 n.size_bytes() for n in tr.compressor.nodes)
 
         run_spmd(main, 1, config=SimConfig(network=ZERO_COST))
-        tail = {name: counts[prefix + 2 * width:]
-                for name, counts in per_record.items()}
-        assert len(tail["merge"]) == (iters - 2) * width
-        return tail
+        start = prefix + 2 * width
+        followed = {name: counts[start:start + width]
+                    for name, counts in per_record.items()}
+        pending = {name: counts[start + width:]
+                   for name, counts in per_record.items()}
+        assert len(pending["merge"]) == (iters - 3) * width
+        return followed, pending
 
     def test_converged_loop_sizes_the_fold_not_the_tree(self, monkeypatch):
-        """One ``_record`` sizes the new record and, when its fold absorbs a
-        run, that run once (the merges report their own change) — never the
-        loop body, never the unfolded nodes in front of the loop."""
-        sized = self.converged(monkeypatch)["size_bytes"]
-        assert max(sized) == 1 + self.WIDTH < self.PREFIX
-        assert sum(sized) == (self.ITERS - 2) * (self.WIDTH + self.WIDTH)
+        """One ``_record`` of the followed iteration sizes the new record
+        and, when its fold absorbs a run, that run once (the merges report
+        their own change) — never the loop body, never the unfolded nodes in
+        front of the loop.  A pending call sizes nothing."""
+        followed, pending = self.converged(monkeypatch)
+        assert max(followed["size_bytes"]) == 1 + self.WIDTH < self.PREFIX
+        assert sum(followed["size_bytes"]) == self.WIDTH + self.WIDTH
+        assert sum(pending["size_bytes"]) == 0
 
     def test_converged_loop_compares_only_what_can_match(self, monkeypatch):
         """A candidate run length whose first pair differs in node type or
-        call site costs no ``same_shape`` call: what is left is one real
-        comparison per event, made when the body is complete."""
-        compared = self.converged(monkeypatch)["same_shape"]
-        assert max(compared) == self.WIDTH
-        assert sum(compared) == len(compared)  # <= 2 per append; here 1
+        call site costs no ``same_shape`` call: what is left in the followed
+        iteration is one real comparison per event, made when the body is
+        complete.  A pending call compares nothing."""
+        followed, pending = self.converged(monkeypatch)
+        assert max(followed["same_shape"]) == self.WIDTH
+        assert sum(followed["same_shape"]) == self.WIDTH
+        assert sum(pending["same_shape"]) == 0
 
     def test_one_can_merge_evaluation_per_merged_record(self, monkeypatch):
         """``merge`` validates for itself instead of calling ``can_merge``
-        and then merging the endpoints again."""
-        tail = self.converged(monkeypatch)
-        assert sum(tail["can_merge"]) == sum(tail["merge"]) == len(tail["merge"])
+        and then merging the endpoints again; the pending iteration checks
+        each of its samples once (``can_merge_sample``) before merging it."""
+        followed, pending = self.converged(monkeypatch)
+        assert (sum(followed["can_merge"]) == sum(followed["merge"])
+                == self.WIDTH)
+        assert sum(pending["can_merge"]) == sum(pending["merge"]) == 0
+        assert (sum(pending["can_merge_sample"])
+                == sum(pending["merge_sample"]) == len(pending["merge"]))
 
 
 class TestSharedParticipants:
@@ -287,9 +304,9 @@ class TestSharedParticipants:
             born = []
             append = tr.compressor.append
 
-            def tap(record):
-                born.append(record.participants)
-                append(record)
+            def tap(op, site, participants, *rest):
+                born.append(participants)
+                append(op, site, participants, *rest)
 
             tr.compressor.append = tap
             for _ in range(4):  # folds into one loop: fold_tail merges

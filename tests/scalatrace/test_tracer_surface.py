@@ -2,24 +2,24 @@
 
 import pytest
 
-from repro.scalatrace import Op, RankSet, ScalaTraceTracer, Trace
+from repro.scalatrace import EventRecord, Op, RankSet, ScalaTraceTracer, Trace
 from repro.simmpi import (ANY_SOURCE, ZERO_COST, NeighborPattern, SimConfig,
                           run_spmd)
 from repro.simmpi.errors import TaskFailedError
 
 
 class RecordingTracer(ScalaTraceTracer):
-    """Keeps every raw event record it hands to its compressor (the tracer
-    itself holds only the compressed tree)."""
+    """Keeps the raw event record of every call it hands to its compressor
+    (the tracer itself holds only the compressed tree)."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
         self.records = []
         append = self.compressor.append
 
-        def keep(record):
-            self.records.append(record)
-            append(record)
+        def keep(*call):
+            self.records.append(EventRecord.of(*call))
+            append(*call)
 
         self.compressor.append = keep
 
