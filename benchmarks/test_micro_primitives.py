@@ -2,9 +2,11 @@
 
 Unlike the experiment benches (which regenerate paper tables/figures once),
 these measure the primitives themselves with pytest-benchmark's repetition:
-intra-node fold throughput, the inter-node alignment merge, signature
+intra-node fold throughput (a flat and a nested loop body), the record
+merges a pending iteration makes, the inter-node alignment merge, signature
 computation, clustering selection, and a small end-to-end simulated run.
-Useful as a performance-regression canary for the simulator.
+Useful as a performance-regression canary for the simulator.  CI runs each
+case once, untimed (``--benchmark-disable``), so none of them rots.
 """
 
 import pytest
@@ -12,7 +14,9 @@ import pytest
 from repro.core import ClusterSet, SignatureAccumulator, find_top_k
 from repro.core.clustering import ClusterInfo
 from repro.scalatrace import (
+    EventRecord,
     IntraCompressor,
+    LoopNode,
     Op,
     RankSet,
     callpath_signature,
@@ -46,6 +50,86 @@ def test_intra_fold_throughput(benchmark):
 
     leaves = benchmark(run)
     assert leaves <= 12
+
+
+def _sweep_timestep(step: int, rank: int = 9) -> list[tuple]:
+    """One sweep3d-shaped timestep of ``append`` calls (34): two passes of
+    two octant directions, each direction twice — two receives from
+    upstream, two sends downstream, the offsets flipped per direction —
+    then two allreduces, the first with a compute gap that varies."""
+    ranks = RankSet.single(rank)
+    calls = []
+    for _ in range(2):
+        for d in (1, -1):
+            for _ in range(2):
+                for site, op, off in ((1, Op.RECV, -d), (2, Op.RECV, -3 * d),
+                                      (3, Op.SEND, d), (4, Op.SEND, 3 * d)):
+                    ep = (off, rank + off)
+                    calls.append((op, (hash_u64(site), ()), ranks, 1,
+                                  ep if op is Op.RECV else None,
+                                  ep if op is Op.SEND else None, None,
+                                  64 * (op is Op.SEND), 30 + site % 2, 1e-4))
+    for site, dt in ((5, 2e-4 * (1 + step % 3)), (6, 0.0)):
+        calls.append((Op.ALLREDUCE, (hash_u64(site), ()), ranks, 1, None,
+                      None, None, 8, 0, dt))
+    return calls
+
+
+def test_intra_nested_body(benchmark):
+    """40 sweep3d-shaped timesteps: the open loop's body is
+    ``[Loop(2, [Loop(2, 4 leaves), Loop(2, 4 leaves)]), allreduce,
+    allreduce]``, so each pending iteration builds accumulator records for
+    the inner leaves and merges samples and records into them."""
+    stream = [call for step in range(40) for call in _sweep_timestep(step)]
+
+    def run():
+        c = IntraCompressor()
+        for call in stream:
+            c.append(*call)
+        return c.nodes
+
+    nodes = benchmark(run)
+    assert len(nodes) == 1 and nodes[0].iters == 40
+    outer = nodes[0].body[0]
+    assert type(outer) is LoopNode and outer.iters == 2
+    assert [type(n) for n in outer.body] == [LoopNode, LoopNode]
+    assert nodes[0].expanded_count() == len(stream)
+
+
+def _record(dt: float = 1e-4) -> EventRecord:
+    return EventRecord.of(Op.SEND, (hash_u64(1), ()), _RANKS[0], 1, None,
+                          (1, 1), None, 64, 0, dt)
+
+
+def test_record_merge_sample(benchmark):
+    """A call's sample merged into an accumulator record in place."""
+    rec = _record()
+
+    def run():
+        for i in range(500):
+            rec.merge_sample(None, (1, 1), 64, 0, 1e-4 * (1 + i % 3))
+        return rec.count.n
+
+    benchmark(run)
+    assert rec.dhist.total == rec.count.n > 500
+
+
+def test_record_merge_multi_sample(benchmark):
+    """An inner loop's accumulator (four samples, three bins) merged into
+    the record of the enclosing body, as a pending iteration does."""
+    src = _record()
+    for i in range(3):
+        src.merge_sample(None, (1, 1), 64, 0, 1e-2 * (1 + i))
+    dst = _record()
+
+    def run():
+        for _ in range(500):
+            dst.merge(src)
+        return dst.count.n
+
+    benchmark(run)
+    assert dst.dhist.total == dst.count.n > 500 * src.count.n
+    assert dst.dest.rel == 1 and dst.dhist.size_bytes() == src.dhist.size_bytes()
 
 
 def test_inter_merge_alignment(benchmark):

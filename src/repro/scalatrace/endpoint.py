@@ -61,122 +61,52 @@ class EndpointStat:
     @classmethod
     def of(cls, absolute: int, rank: int) -> "EndpointStat":
         rel = absolute - rank
-        return cls(
-            rel=rel,
-            abs_=absolute,
-            pattern=Pattern(start=rel, stride=None, length=1, closed=False, n=1),
-        )
+        return cls(rel, absolute, Pattern(rel, None, 1, False, 1))
 
-    # -- single-observation extension (intra-rank, in stream order) --------
-
-    @staticmethod
-    def _pattern_extended(p: Pattern, rel_value: int) -> Pattern | None:
-        """The pattern after appending one relative offset, or None."""
-        q = p.copy()
-        q.n += 1
-        if rel_value == p.start and p.stride in (None, 0) and p.length == 1:
-            # repeated constant: normalize to a closed length-1 cycle
-            q.stride = 0
-            q.closed = True
-            return q
-        if not p.closed:
-            if p.stride is None:
-                # second distinct value fixes the stride
-                q.stride = rel_value - p.start
-                q.length = 2
-                return q
-            expected = p.start + p.stride * p.length
-            if rel_value == expected:
-                q.length += 1
-                return q
-            if rel_value == p.start and p.length >= 2:
-                q.closed = True
-                return q
-            return None
-        # closed cycle: the new observation (index p.n) must keep cycling
-        if rel_value == p.offset_at(p.n % p.length):
-            return q
-        return None
-
-    # -- merging two stats ---------------------------------------------------
-
-    @staticmethod
-    def _patterns_mergeable(
-        a: Pattern | None, b: Pattern | None, allow_chain: bool
-    ) -> Pattern | None:
-        """Merged pattern of two congruent stats, or None.
-
-        Two cases: (1) ``b`` is a single observation continuing ``a``'s
-        sequence — only valid when the two stats come from the *same rank's
-        stream* in order (``allow_chain``, i.e. intra-node folding; chaining
-        observations from different ranks would invent bogus strides);
-        (2) ``a`` and ``b`` are *identical* complete cycles (the loop-fold
-        and cross-rank merge path).
-        """
-        if a is None or b is None:
-            return None
-        if b.n == 1 and allow_chain:
-            return EndpointStat._pattern_extended(a, b.start)
-        if b.n == 1 and a.length == 1 and a.start == b.start:
-            # cross-rank: same constant offset, still a trivial cycle
-            merged = a.copy()
-            merged.n += 1
-            return merged
-        # identical cycles covering complete periods
-        if (
-            a.start == b.start
-            and a.length == b.length
-            and (a.stride == b.stride or a.length == 1)
-        ):
-            a_complete = a.closed or a.n == a.length
-            b_complete = b.closed or b.n == b.length
-            if a_complete and b_complete:
-                merged = a.copy()
-                merged.n = a.n + b.n
-                merged.closed = a.closed or b.closed or a.length > 1
-                if a.length == 1:
-                    merged.closed = True
-                return merged
-        return None
+    # -- folding observations and stats in place ---------------------------
 
     def can_merge(self, other: "EndpointStat", allow_chain: bool = True) -> bool:
         if self.rel is not None and self.rel == other.rel:
             return True
         if self.abs_ is not None and self.abs_ == other.abs_:
             return True
-        return (
-            self._patterns_mergeable(self.pattern, other.pattern, allow_chain)
-            is not None
-        )
+        p, q = self.pattern, other.pattern
+        return p is not None and q is not None and _join(p, q, allow_chain, False)
 
-    def merged(self, other: "EndpointStat", allow_chain: bool = True) -> tuple | None:
-        """``(rel, abs_, pattern)`` with ``other`` folded in, or None when no
-        encoding survives (``can_merge`` is False).  Mutates nothing."""
-        return self._surviving(
-            other.rel, other.abs_,
-            self._patterns_mergeable(self.pattern, other.pattern, allow_chain))
+    def merge(self, other: "EndpointStat", allow_chain: bool = True) -> int:
+        """Fold ``other`` into this stat in place; returns the change of
+        :meth:`size_bytes`.  Raises ``ValueError``, nothing moved, when
+        ``can_merge`` does not hold."""
+        p, q = self.pattern, other.pattern
+        return self._keep(other.rel, other.abs_, p is not None and q is not None
+                          and _join(p, q, allow_chain, True))
 
-    def extended(self, rel: int, abs_: int) -> tuple | None:
-        """``merged`` with the one-observation stat ``of(abs_, abs_ - rel)``,
+    def can_add(self, rel: int, abs_: int) -> bool:
+        """``can_merge`` of the one-observation stat ``of(abs_, abs_ - rel)``,
         in stream order, without building it."""
         p = self.pattern
-        return self._surviving(
-            rel, abs_, None if p is None else self._pattern_extended(p, rel))
+        return (self.rel == rel or self.abs_ == abs_
+                or (p is not None and _extend(p, rel, False)))
 
-    def _surviving(self, rel: int | None, abs_: int | None,
-                   pattern: Pattern | None) -> tuple | None:
+    def add(self, rel: int, abs_: int) -> int:
+        """``merge`` of that one-observation stat, without building it."""
+        p = self.pattern
+        return self._keep(rel, abs_, p is not None and _extend(p, rel, True))
+
+    def _keep(self, rel: int | None, abs_: int | None, joined: bool) -> int:
+        """Keep the constants the folded observations share and the pattern
+        if it ``joined`` them (already in place); the change of
+        :meth:`size_bytes`: a pattern is never gained, a dropped one frees
+        its 5 words."""
         rel = self.rel if self.rel == rel else None
         abs_ = self.abs_ if self.abs_ == abs_ else None
-        if rel is None and abs_ is None and pattern is None:
-            return None
-        return rel, abs_, pattern
-
-    def merge(self, other: "EndpointStat", allow_chain: bool = True) -> None:
-        """Fold ``other`` into this stat (``can_merge`` must hold)."""
-        encoding = self.merged(other, allow_chain)
-        if encoding is None:
+        if not joined and rel is None and abs_ is None:
             raise ValueError("endpoint stats are not mergeable")
-        self.rel, self.abs_, self.pattern = encoding
+        self.rel, self.abs_ = rel, abs_
+        if joined or self.pattern is None:
+            return 0
+        self.pattern = None
+        return -40
 
     # -- interpretation ------------------------------------------------------
 
@@ -246,3 +176,61 @@ class EndpointStat:
                 n=int(n),
             )
         return cls(rel=opt(rel_s), abs_=opt(abs_s), pattern=pattern)
+
+
+# -- pattern steps: decide without building, apply in place ------------------
+#
+# Each returns whether the step holds and, when ``apply``, takes it in ``p``
+# (``a``); a step that does not hold changes nothing.
+
+
+def _extend(p: Pattern, rel: int, apply: bool) -> bool:
+    """Append one relative offset to ``p`` (the same rank's stream, in
+    order)."""
+    if rel == p.start and p.stride in (None, 0) and p.length == 1:
+        if apply:  # repeated constant: normalize to a closed length-1 cycle
+            p.stride, p.closed = 0, True
+    elif not p.closed:
+        if p.stride is None:
+            if apply:  # second distinct value fixes the stride
+                p.stride, p.length = rel - p.start, 2
+        elif rel == p.start + p.stride * p.length:
+            if apply:
+                p.length += 1
+        elif rel == p.start and p.length >= 2:
+            if apply:
+                p.closed = True
+        else:
+            return False
+    elif rel != p.offset_at(p.n % p.length):
+        # closed cycle: the new observation (index p.n) must keep cycling
+        return False
+    if apply:
+        p.n += 1
+    return True
+
+
+def _join(a: Pattern, b: Pattern, allow_chain: bool, apply: bool) -> bool:
+    """Fold pattern ``b`` into ``a``.
+
+    Two cases: (1) ``b`` is a single observation continuing ``a``'s
+    sequence — only valid when the two stats come from the *same rank's
+    stream* in order (``allow_chain``, i.e. intra-node folding; chaining
+    observations from different ranks would invent bogus strides);
+    (2) ``a`` and ``b`` are *identical* complete cycles (the loop-fold
+    and cross-rank merge path).
+    """
+    if b.n == 1 and allow_chain:
+        return _extend(a, b.start, apply)
+    if b.n == 1 and a.length == 1 and a.start == b.start:
+        if apply:  # cross-rank: same constant offset, still a trivial cycle
+            a.n += 1
+        return True
+    if not (a.start == b.start and a.length == b.length
+            and (a.stride == b.stride or a.length == 1)
+            and (a.closed or a.n == a.length) and (b.closed or b.n == b.length)):
+        return False
+    if apply:  # identical cycles covering complete periods
+        a.n += b.n
+        a.closed = a.closed or b.closed or a.length >= 1
+    return True

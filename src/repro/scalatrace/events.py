@@ -90,8 +90,8 @@ class ParamStat:
     def add(self, value: float) -> None:
         self.n += 1
         self.mean += (value - self.mean) / self.n
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        self.min = value if value < self.min else self.min
+        self.max = value if value > self.max else self.max
 
     def merge(self, other: "ParamStat") -> None:
         if other.n == 0:
@@ -99,8 +99,8 @@ class ParamStat:
         total = self.n + other.n
         self.mean += (other.mean - self.mean) * other.n / total
         self.n = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+        self.min = other.min if other.min < self.min else self.min
+        self.max = other.max if other.max > self.max else self.max
 
     def copy(self) -> "ParamStat":
         s = ParamStat()
@@ -162,21 +162,13 @@ class EventRecord:
     ) -> "EventRecord":
         """The record of one call at ``site`` (stack signature, frames),
         born with its one sample: ``dt`` is the compute gap before it."""
-        rec = cls(
-            op=op,
-            stack_sig=site[0],
-            comm_id=comm_id,
-            src=None if src is None else EndpointStat.of(src[1], src[1] - src[0]),
-            dest=None if dest is None else EndpointStat.of(dest[1], dest[1] - dest[0]),
-            root=root,
-            participants=participants,
-            # ParamStat.of, inlined
-            count=ParamStat(1, 0.0 + nbytes, nbytes, nbytes),
-            tag=ParamStat(1, 0.0 + tag, tag, tag),
-            frames=site[1],
-        )
-        rec.dhist.record(dt)
-        return rec
+        return cls(  # positional, in field order: this is hot
+            op, site[0], comm_id,
+            None if src is None else EndpointStat.of(src[1], src[1] - src[0]),
+            None if dest is None else EndpointStat.of(dest[1], dest[1] - dest[0]),
+            root, participants,
+            ParamStat.of(nbytes), ParamStat.of(tag),
+            DeltaHistogram.of(dt), site[1])
 
     def static_key(self) -> StaticKey:
         return (
@@ -203,41 +195,20 @@ class EventRecord:
         ``allow_chain`` distinguishes intra-node folding (stream order —
         strided endpoint patterns may extend) from inter-node merging
         (different ranks — only matching constant/cycle encodings merge).
-        :meth:`static_key`'s fields are compared in place: this is hot.
         """
-        return (
-            self.op is other.op
-            and self.stack_sig == other.stack_sig
-            and self.comm_id == other.comm_id
-            and self.root == other.root
-            and (self.src is None) == (other.src is None)
-            and (self.dest is None) == (other.dest is None)
-            and (self.src is None or self.src.can_merge(other.src, allow_chain))
-            and (self.dest is None or self.dest.can_merge(other.dest, allow_chain))
-        )
+        return _mergeable(self, other, allow_chain)
 
     def merge(self, other: "EventRecord", allow_chain: bool = True) -> int:
-        """Fold ``other`` in; returns the change of :meth:`size_bytes`.  Decides
-        what :meth:`can_merge` decides, but keeps both endpoints' merged encodings
-        and only then assigns: a refused pair raises ``ValueError``, nothing moved."""
-        src, dest = self.src, self.dest
-        src_to = dest_to = None
-        if not (
-            self.op is other.op
-            and self.stack_sig == other.stack_sig
-            and self.comm_id == other.comm_id
-            and self.root == other.root
-            and (src is None) == (other.src is None)
-            and (dest is None) == (other.dest is None)
-            and (src is None or (src_to := src.merged(other.src, allow_chain)))
-            and (dest is None or (dest_to := dest.merged(other.dest, allow_chain)))
-        ):
+        """Fold ``other`` in place; returns the change of :meth:`size_bytes`.
+        Checks :meth:`can_merge` first: a refused pair raises ``ValueError``,
+        nothing moved."""
+        if not _mergeable(self, other, allow_chain):
             raise ValueError(f"cannot merge events: {self} vs {other}")
         delta = self.dhist.merge(other.dhist)
-        for ep, to in ((src, src_to), (dest, dest_to)):
-            if to:  # a pattern is never gained; dropped, its 5 words go
-                delta -= 40 * (ep.pattern is not None and to[2] is None)
-                ep.rel, ep.abs_, ep.pattern = to
+        if self.src is not None:
+            delta += self.src.merge(other.src, allow_chain)
+        if self.dest is not None:
+            delta += self.dest.merge(other.dest, allow_chain)
         union = self.participants.union(other.participants)
         if union is not self.participants:  # never on an intra-node fold
             delta += union.size_bytes() - self.participants.size_bytes()
@@ -250,8 +221,8 @@ class EventRecord:
         """``can_merge`` of the record :meth:`of` would build for a call of
         this record's own site, operation and participants (the caller
         checked those), from its endpoints alone."""
-        return (src is None or self.src.extended(*src) is not None) and (
-            dest is None or self.dest.extended(*dest) is not None)
+        return (src is None or self.src.can_add(*src)) and (
+            dest is None or self.dest.can_add(*dest))
 
     def merge_sample(self, src: Endpoint | None, dest: Endpoint | None,
                      nbytes: int, tag: int, dt: float) -> int:
@@ -260,11 +231,10 @@ class EventRecord:
         statistic takes the one sample's ``add``/``record``, which is
         bit-equal to merging a one-sample statistic."""
         delta = self.dhist.record(dt)
-        for ep, seen in ((self.src, src), (self.dest, dest)):
-            if seen is not None:
-                to = ep.extended(*seen)
-                delta -= 40 * (ep.pattern is not None and to[2] is None)
-                ep.rel, ep.abs_, ep.pattern = to
+        if src is not None:
+            delta += self.src.add(*src)
+        if dest is not None:
+            delta += self.dest.add(*dest)
         self.count.add(nbytes)
         self.tag.add(tag)
         return delta
@@ -306,3 +276,19 @@ class EventRecord:
             f"{self.op.value}{ep} sig={self.stack_sig & 0xFFFF:04x} "
             f"ranks={self.participants}"
         )
+
+
+def _mergeable(a: EventRecord, b: EventRecord, allow_chain: bool) -> bool:
+    """``a.can_merge(b)``; :meth:`EventRecord.merge` checks with it too.
+    :meth:`~EventRecord.static_key`'s fields are compared in place: this is
+    hot."""
+    return (
+        a.op is b.op
+        and a.stack_sig == b.stack_sig
+        and a.comm_id == b.comm_id
+        and a.root == b.root
+        and (a.src is None) == (b.src is None)
+        and (a.dest is None) == (b.dest is None)
+        and (a.src is None or a.src.can_merge(b.src, allow_chain))
+        and (a.dest is None or a.dest.can_merge(b.dest, allow_chain))
+    )

@@ -23,6 +23,15 @@ class TestHistogramDraw:
             # within the 0.01 bin (log bins: factor ~1.8 wide)
             assert 0.002 < v < 0.02
 
+    def test_all_zero_samples_draw_zero(self):
+        """Zero gaps (POP's back-to-back isends) leave ``max`` at 0.0: a
+        draw clamps to it, not to the top of the [0, 1 ns) bin."""
+        h = DeltaHistogram()
+        for _ in range(3):
+            h.record(0.0)
+        rng = random.Random(1)
+        assert [h.draw(rng) for _ in range(20)] == [0.0] * 20
+
     def test_draw_respects_distribution(self):
         h = DeltaHistogram()
         for _ in range(90):
@@ -72,6 +81,22 @@ class TestSampledReplay:
         a = replay_trace(trace, timing="sampled", seed=11).time
         b = replay_trace(trace, timing="sampled", seed=12).time
         assert a != b
+
+    def test_zero_gaps_replay_as_zero(self):
+        """A trace whose every gap was 0.0 replays sampled exactly as it
+        replays with means."""
+
+        async def main(ctx):
+            tracer = ScalaTraceTracer(ctx)
+            for _ in range(8):
+                with ctx.frame("step"):
+                    await tracer.allreduce(0.0, size=8)
+            return await tracer.finalize()
+
+        trace = run_spmd(main, 4, config=SimConfig(network=ZERO_COST)).results[0]
+        assert all(leaf.record.dhist.max == 0.0 for leaf in trace.leaves())
+        mean_time = replay_trace(trace, timing="mean").time
+        assert replay_trace(trace, timing="sampled", seed=5).time == mean_time
 
     def test_sampled_accuracy_close_to_mean(self):
         trace = make_trace()
