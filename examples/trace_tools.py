@@ -16,13 +16,8 @@ Run:  python examples/trace_tools.py
 import numpy as np
 
 from repro.core import ChameleonConfig, ChameleonTracer
-from repro.replay import reconstruct_timeline
-from repro.scalatrace import (
-    ScalaTraceTracer,
-    communication_matrix,
-    diff_traces,
-    summarize,
-)
+from repro.replay import communication_matrix, reconstruct_timeline
+from repro.scalatrace import ScalaTraceTracer, diff_traces, summarize
 from repro.simmpi import run_spmd
 from repro.workloads import LULESH
 

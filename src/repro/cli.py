@@ -72,7 +72,7 @@ from .harness.engine import (
     make_cell,
 )
 from .obs import Recorder
-from .replay import accuracy, replay_trace
+from .replay import accuracy, communication_matrix, hotspots, replay_trace
 from .resilience.chaos import (
     FAULT_SCENARIOS,
     HOST_SCENARIOS,
@@ -81,7 +81,7 @@ from .resilience.chaos import (
     run_host_chaos,
 )
 from .resilience.policy import QuarantineError
-from .scalatrace.analysis import communication_matrix, hotspots, summarize
+from .scalatrace.analysis import summarize
 from .scalatrace.trace import Trace
 from .simmpi.errors import DeadlockError, EngineLimitError, TaskFailedError
 from .workloads.registry import workload_names

@@ -89,9 +89,9 @@ class AutoMarkerTracer(ChameleonTracer):
             return True
         return False
 
-    async def _collective_done(self, stack_sig: int | None) -> None:
+    async def _collective_done(self, stack_sig: int) -> None:
         await super()._collective_done(stack_sig)
-        if stack_sig is not None and self._observe_collective(stack_sig):
+        if self._observe_collective(stack_sig):
             self.auto_markers += 1
             await super().marker()
 

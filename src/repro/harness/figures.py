@@ -142,14 +142,8 @@ def _replay_figure(
             for mode in (Mode.SCALATRACE, Mode.CHAMELEON))
         report = AccuracyReport(suite[Mode.APP].max_time, st_replay.time,
                                 ch_replay.time)
-        rows.append({
-            "benchmark": name, "P": p, "app": report.app_time,
-            "replay_scalatrace": report.scalatrace_replay_time,
-            "replay_chameleon": report.chameleon_replay_time,
-            "acc_vs_app": report.chameleon_vs_app,
-            "acc_vs_scalatrace": report.chameleon_vs_scalatrace,
-            "dropped_p2p": ch_replay.stats.p2p_dropped,
-        })
+        rows.append({"benchmark": name, "P": p, **report.row(),
+                     "dropped_p2p": ch_replay.stats.p2p_dropped})
     text = render_table(
         ["bench", "P", "APP [s]", "ST replay [s]", "CH replay [s]",
          *(header for header, _ in columns), "CH p2p dropped"],

@@ -3,11 +3,12 @@
 Replays compressed traces on the simulated MPI runtime, including the
 paper's cluster-wide replay (a lead's trace re-interpreted by every member
 of its cluster with endpoint transposition), and computes the replay
-accuracy metric used in Figures 5 and 7.
+accuracy metric used in Figures 5 and 7.  :func:`build_schedule` is the one
+per-rank expansion of a trace: the replay, its statistics and the
+communication matrix all read it.
 """
 
 from .accuracy import AccuracyReport, accuracy
-from .cluster_replay import CoverageReport, coverage, events_by_rank
 from .extrapolate import ExtrapolationReport, extrapolate_trace
 from .timeline import Interval, Timeline, reconstruct_timeline
 from .replayer import (
@@ -17,13 +18,14 @@ from .replayer import (
     ReplayStats,
     build_schedule,
     coalesce_collectives,
+    communication_matrix,
+    hotspots,
     reconcile,
     replay_trace,
 )
 
 __all__ = [
     "AccuracyReport",
-    "CoverageReport",
     "ExtrapolationReport",
     "Interval",
     "REPLAY_TAG",
@@ -34,9 +36,9 @@ __all__ = [
     "accuracy",
     "build_schedule",
     "coalesce_collectives",
-    "coverage",
-    "events_by_rank",
+    "communication_matrix",
     "extrapolate_trace",
+    "hotspots",
     "reconcile",
     "reconstruct_timeline",
     "replay_trace",

@@ -25,8 +25,10 @@ reconciliation.  Pass 2 (``_replay``) is one interpreter for both
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..scalatrace.events import EventRecord, Op
 from ..scalatrace.trace import Trace
@@ -68,9 +70,12 @@ class ReplayOp:
 
 @dataclass
 class ReplayStats:
+    """Read off the schedules, as built and as the completed attempt ran
+    them (:func:`_execute`)."""
+
     ops_scheduled: int = 0
     ops_issued: int = 0
-    p2p_dropped: int = 0
+    p2p_dropped: int = 0  # p2p ops scheduled but not issued
     collectives: int = 0
     sends: int = 0
     recvs: int = 0
@@ -192,6 +197,25 @@ def _schedule_record(
                 )
         return
     # MARKER / FINALIZE: tracing artefacts, nothing to replay.
+
+
+def communication_matrix(trace: Trace, nprocs: int | None = None) -> np.ndarray:
+    """P x P matrix of the bytes rank i sends rank j when the trace is
+    replayed: the ``size`` of every send op of :func:`build_schedule`."""
+    nprocs = trace.nprocs if nprocs is None else nprocs
+    matrix = np.zeros((nprocs, nprocs), dtype=np.float64)
+    for r, sched in enumerate(build_schedule(trace, nprocs)):
+        for op in sched:
+            if op.kind == "send":
+                matrix[r, op.peer] += op.size
+    return matrix
+
+
+def hotspots(trace: Trace, top: int = 5) -> list[tuple[int, float]]:
+    """Ranks sending the most point-to-point bytes: [(rank, bytes)]."""
+    sent = communication_matrix(trace).sum(axis=1)
+    order = np.argsort(sent)[::-1][:top]
+    return [(int(r), float(sent[r])) for r in order if sent[r] > 0]
 
 
 def coalesce_collectives(schedules: list[list[ReplayOp]]) -> int:
@@ -387,15 +411,34 @@ def _replay(
     intervals: list[list[Interval]] | None = None,
 ) -> tuple[SpmdResult, ReplayStats]:
     """Both passes: the schedule, reconciled, executed under the simulator
-    with deadlock repair.  Given ``intervals`` (one list per rank), pass 2
-    also records each rank's activity spans there, refilled every round."""
+    with deadlock repair (:func:`_execute`)."""
     nprocs = trace.nprocs if nprocs is None else nprocs
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
     schedules = build_schedule(trace, nprocs, timing=timing, seed=seed)
-    stats = ReplayStats(ops_scheduled=sum(len(s) for s in schedules))
+    return _execute(schedules, network, intervals)
+
+
+def _kinds(schedules: list[list[ReplayOp]]) -> Counter:
+    return Counter(op.kind for sched in schedules for op in sched)
+
+
+def _execute(
+    schedules: list[list[ReplayOp]],
+    network: NetworkModel,
+    intervals: list[list[Interval]] | None = None,
+) -> tuple[SpmdResult, ReplayStats]:
+    """Pass 2 on built ``schedules`` (edited in place): coalesce, reconcile,
+    run under the simulator with deadlock repair.  Every statistic is read
+    off the schedules: as built, and as the attempt that completed ran them
+    (each rank issues its whole final schedule).  Given ``intervals`` (one
+    list per rank), also records each rank's activity spans there, refilled
+    every round."""
+    nprocs = len(schedules)
+    scheduled = _kinds(schedules)
     coalesce_collectives(schedules)
-    stats.p2p_dropped = reconcile(schedules)
+    reconcile(schedules)
+    reconciled = sum(len(s) for s in schedules)
     world = tuple(range(nprocs))
 
     def attempt(run_schedules: list[list[ReplayOp]], progress: list[int]):
@@ -412,7 +455,6 @@ def _replay(
                 if sub is not None:
                     subcomms[group] = sub
             mine = None if intervals is None else intervals[ctx.rank]
-            my_stats = ReplayStats()
             pending = []  # outstanding sends: waited at the end so exchange
             # patterns recorded as send+recv cannot rendezvous-deadlock
             for i, op in enumerate(run_schedules[ctx.rank]):
@@ -429,27 +471,17 @@ def _replay(
                             op.peer, None, tag=REPLAY_TAG, size=op.size
                         )
                     )
-                    my_stats.sends += 1
                 elif op.kind == "recv":
                     src = ANY_SOURCE if op.peer is None else op.peer
                     await ctx.comm.recv(src, tag=REPLAY_TAG)
-                    my_stats.recvs += 1
                 else:
                     comm = subcomms.get(op.group or world, ctx.comm)
                     await _issue_collective(comm, op, nprocs)
-                    my_stats.collectives += 1
                 if mine is not None:
                     mine.append(Interval(op.kind, t0, ctx.clock))
-                my_stats.ops_issued += 1
             progress[ctx.rank] = len(run_schedules[ctx.rank])
             for req in pending:
                 await req.wait()
-            return (
-                my_stats.ops_issued,
-                my_stats.sends,
-                my_stats.recvs,
-                my_stats.collectives,
-            )
 
         return run_spmd(main, nprocs, config=SimConfig(network=network))
 
@@ -468,7 +500,7 @@ def _replay(
     )
 
     result = None
-    for _round in range(stats.ops_scheduled + 1):
+    for _round in range(reconciled + 1):
         progress = [0] * nprocs
         if intervals is not None:
             for spans in intervals:
@@ -477,28 +509,26 @@ def _replay(
             result = attempt(schedules, progress)
             break
         except DeadlockError:
-            removed = _repair_deadlock(schedules, progress)
-            if removed == 0:
+            if _repair_deadlock(schedules, progress) == 0:
                 raise
-            stats.deadlock_repairs += removed
-            stats.p2p_dropped += removed
         except TaskFailedError as exc:
             if not isinstance(exc.original, CollectiveMismatchError):
                 raise
-            removed = _repair_deadlock(schedules, progress,
-                                       colls_only=True)
-            if removed == 0:
+            if _repair_deadlock(schedules, progress, colls_only=True) == 0:
                 raise
-            # Collective instances are not p2p ops: count them as repairs
-            # only, so the p2p_dropped accounting keeps its meaning.
-            stats.deadlock_repairs += removed
     assert result is not None
-    for issued, sends, recvs, colls in result.results:
-        stats.ops_issued += issued
-        stats.sends += sends
-        stats.recvs += recvs
-        stats.collectives += colls
-    return result, stats
+    issued = _kinds(schedules)
+    ops_issued = sum(issued.values())
+    return result, ReplayStats(
+        ops_scheduled=sum(scheduled.values()),
+        ops_issued=ops_issued,
+        p2p_dropped=(scheduled["send"] + scheduled["recv"]
+                     - issued["send"] - issued["recv"]),
+        collectives=issued["coll"],
+        sends=issued["send"],
+        recvs=issued["recv"],
+        deadlock_repairs=reconciled - ops_issued,
+    )
 
 
 def _repair_deadlock(

@@ -7,13 +7,7 @@ and the *inter-node* radix-tree trace reduction normally run inside
 ``MPI_Finalize``.
 """
 
-from .analysis import (
-    TraceSummary,
-    collective_volume,
-    communication_matrix,
-    hotspots,
-    summarize,
-)
+from .analysis import TraceSummary, collective_volume, summarize
 from .costmodel import DEFAULT_COSTS, ZERO_COSTS, InstrumentationCostModel
 from .difftool import KeyDiff, TraceDiff, diff_traces
 from .endpoint import EndpointStat, Pattern
@@ -74,7 +68,6 @@ __all__ = [
     "ZERO_COSTS",
     "callpath_signature",
     "collective_volume",
-    "communication_matrix",
     "combine_frames",
     "expand",
     "fnv1a64",
@@ -82,7 +75,6 @@ __all__ = [
     "frame_signature",
     "diff_traces",
     "hash_u64",
-    "hotspots",
     "KeyDiff",
     "iter_leaves",
     "merge_many",

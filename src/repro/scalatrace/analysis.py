@@ -1,9 +1,10 @@
-"""Trace analysis: summaries and communication matrices from trace files.
+"""Trace analysis: summaries from trace files.
 
 Downstream users of a tracing toolset mostly want aggregate views: which
-operations dominate, how much data moved between which ranks, where compute
-time went.  These helpers derive them from a (compressed) trace without
-expanding it per rank more than once.
+operations dominate, how much data moved, where compute time went.  These
+helpers derive them from the (compressed) records, weighted by their
+participant counts; who sends whom is the replay schedule's
+(:func:`repro.replay.communication_matrix`).
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .events import Op
 from .trace import Trace
-
-_P2P_SENDING = {Op.SEND, Op.ISEND, Op.SENDRECV}
 
 
 @dataclass
@@ -69,31 +65,6 @@ def summarize(trace: Trace) -> TraceSummary:
     return summary
 
 
-def communication_matrix(trace: Trace, nprocs: int | None = None) -> np.ndarray:
-    """P x P matrix of bytes sent from rank i to rank j during replay.
-
-    Endpoints are resolved exactly like the replay engine does (relative /
-    absolute / strided encodings, occurrence-indexed), so the matrix shows
-    the traffic the trace *represents*.
-    """
-    nprocs = trace.nprocs if nprocs is None else nprocs
-    matrix = np.zeros((nprocs, nprocs), dtype=np.float64)
-    occurrences: dict[int, int] = {}
-    for rec in trace.events():
-        idx = occurrences.get(id(rec), 0)
-        occurrences[id(rec)] = idx + 1
-        if rec.op not in _P2P_SENDING or rec.dest is None:
-            continue
-        nbytes = rec.count.mean if rec.count.n else 0.0
-        for r in rec.participants.ranks():
-            if r >= nprocs:
-                continue
-            target = rec.dest.resolve(r, idx)
-            if target is not None and 0 <= target < nprocs:
-                matrix[r, target] += nbytes
-    return matrix
-
-
 def collective_volume(trace: Trace) -> float:
     """Total bytes moved through collective operations (modelled payloads)."""
     total = 0.0
@@ -102,10 +73,3 @@ def collective_volume(trace: Trace) -> float:
             total += rec.count.mean * rec.participants.count
     return total
 
-
-def hotspots(trace: Trace, top: int = 5) -> list[tuple[int, float]]:
-    """Ranks sending the most point-to-point bytes: [(rank, bytes)]."""
-    matrix = communication_matrix(trace)
-    sent = matrix.sum(axis=1)
-    order = np.argsort(sent)[::-1][:top]
-    return [(int(r), float(sent[r])) for r in order if sent[r] > 0]

@@ -7,11 +7,8 @@ inter-node compression: all P ranks reduce their compressed traces over a
 radix tree rooted at rank 0, interior nodes merging child traces into their
 own — the ``O(n^2 log P)`` step whose cost Chameleon attacks.
 
-Two per-rank flags gate the event path (:meth:`ScalaTraceTracer._record`:
+One per-rank flag gates the event path (:meth:`ScalaTraceTracer._record`:
 one stack walk, the signature hook, build-or-skip, charge).
-``tracer.enabled = False`` takes the whole interposition layer out: no
-stack walk, no signatures, the call is only counted as skipped (a test and
-fidelity-comparison switch; nothing in ``src/`` clears it).
 ``tracer.tracing = False`` stops *building trace records* while the stack
 signature of every call keeps flowing into the signature hook — Chameleon
 sets it on non-lead processes in the L state, which is where the paper's
@@ -126,8 +123,6 @@ class ScalaTraceTracer:
         #: shared by every record of this rank (a RankSet has no mutator)
         self._self_set = RankSet.single(self.rank)
         self._scripts: dict[tuple, tuple] = {}  # see _script
-        #: the interposition layer is on (see the module docstring)
-        self.enabled = True
         #: building trace records (False on Chameleon's non-leads during
         #: the lead phase: signatures only)
         self.tracing = True
@@ -152,16 +147,13 @@ class ScalaTraceTracer:
         nbytes: int = 0,
         tag: int = 0,
         comm_id: int | None = None,
-    ) -> int | None:
+    ) -> int:
         """PMPI pre-wrapper of a direct call (collective or p2p), the event
         path in this rank's own frames: capture the call site, feed the
         signature hook, then either build, charge and account the event
         record or (``tracing`` off) only charge the signature.  Returns the
-        stack signature, None when the layer is disabled.
+        stack signature.
         """
-        if not self.enabled:
-            self.stats.events_skipped += 1
-            return None
         ctx, rank, task = self.ctx, self.rank, self.ctx.task
         t0 = task.clock
         site = self.walker.capture(task.logical_stack)
@@ -222,7 +214,7 @@ class ScalaTraceTracer:
         """PMPI post-wrapper: next delta time starts after the call."""
         self._last_event_end = self.ctx.clock
 
-    async def _collective_done(self, stack_sig: int | None) -> None:
+    async def _collective_done(self, stack_sig: int) -> None:
         """Post-wrapper of every collective: the one collective-completion
         point (the auto-marker tracer hangs its anchor detector here)."""
         self._post()
@@ -306,8 +298,7 @@ class ScalaTraceTracer:
         size, source, recvtag)`` op.  ``events``: the hook's inputs, in
         program order.
         """
-        captured = (self.walker.capture(self.ctx.task.logical_stack)
-                    if self.enabled else (0, ()))
+        captured = self.walker.capture(self.ctx.task.logical_stack)
         key = (captured, id(pattern))
         known = self._scripts.get(key)
         if known is not None:
@@ -353,16 +344,14 @@ class ScalaTraceTracer:
         What needs this rank's own frames happens here, at the call: the
         one stack walk (:meth:`_script`; the ops of one ``exchange`` share
         their real frames and differ in the label ``pattern.sites`` gives
-        their position) and the signature hook, fed the call as one batch
-        (a disabled layer walks nothing and feeds no hook).  The calls are
-        a schedule (:meth:`_traced`) handed to ``Communicator.exchange``:
-        the gate's last arrival replays it, or this rank drives it message
-        by message — one statement either way.
+        their position) and the signature hook, fed the call as one batch.
+        The calls are a schedule (:meth:`_traced`) handed to
+        ``Communicator.exchange``: the gate's last arrival replays it, or
+        this rank drives it message by message — one statement either way.
         """
         self.comm.check_pattern(pattern)  # before a script is looked up
         steps, events, _ = self._script(pattern)
-        if self.enabled:
-            self._track_signatures(events)
+        self._track_signatures(events)
         await self.comm.exchange(
             pattern, compute=compute or self.ctx.compute,
             schedule=functools.partial(self._traced, steps))
@@ -370,14 +359,14 @@ class ScalaTraceTracer:
     def _traced(self, steps: list, state: Any):
         """The schedule of ``steps`` (:meth:`_script`), for whichever
         interpreter starts it: per call the pre-step this rank's state asks
-        for (build + charge + account, the signature charge alone with
-        ``tracing`` off, a bare count when disabled), the call in the replay
-        core's vocabulary, the post-step.  It never walks the stack (it may
+        for (build + charge + account, or the signature charge alone with
+        ``tracing`` off), the call in the replay core's vocabulary, the
+        post-step.  It never walks the stack (it may
         run in the last arrival's frames: sites were resolved at the call)
         and reads time only off ``state.clock`` — the ``Task`` or
         ``RankState`` the interpreter advances."""
-        tracing = self.tracing and self.enabled
-        skip = self.enabled and ("compute", self.costs.per_signature_event)
+        tracing = self.tracing
+        skip = ("compute", self.costs.per_signature_event)
         handles: list = []
         for op, event in steps:
             kind = op[0]
@@ -394,8 +383,7 @@ class ScalaTraceTracer:
                     self._account(event[0], t0, state.clock)
                 else:
                     self.stats.events_skipped += 1
-                    if skip:
-                        yield skip
+                    yield skip
                 if kind == "recv":
                     yield op
                 elif kind == "send":

@@ -33,7 +33,6 @@ class NullTracer:
     def __init__(self, ctx: RankContext) -> None:
         self.ctx = ctx
         self.comm = ctx.comm
-        self.enabled = False
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.comm, name)

@@ -36,7 +36,6 @@ from ..gates import FAST, SIMULATED
 from ..scalatrace.exchange_oracle import CallCounts, per_call
 from ..simmpi.test_p2p_fastpath import _reasons
 from .test_callpath_phase import state_of
-from .test_chameleon import CountingWalker
 
 LABELS = ("put", "get", "halo", "edge")
 
@@ -315,30 +314,3 @@ def test_sigacc_state_after_a_declared_interval(mode):
     assert sorted(states[False], key=itemgetter(0)) \
         == sorted(states[True], key=itemgetter(0))
     assert all(sigacc[3] > 0 for _, sigacc, _ in states[True])  # .events
-
-
-def test_disabled_layer_walks_nothing_and_feeds_no_hook():
-    nprocs = 4
-    pattern = random_pattern(random.Random(5), nprocs, "off")
-
-    async def main(ctx):
-        tracer = ChameleonTracer(ctx, ChameleonConfig(k=2))
-        tracer.walker = CountingWalker()
-        tracer.enabled = False
-        await tracer.exchange(pattern)
-        return (tracer.sigacc.events, tracer.stats.events_recorded,
-                tracer.stats.events_skipped, ctx.clock, tracer.walker.calls)
-
-    async def app(ctx):
-        await ctx.comm.exchange(pattern)
-        return ctx.clock
-
-    res = run_spmd(main, nprocs)
-    events = [sum(op is not None and op[0] in ("isend", "send", "recv")
-                  for op in ops) for ops in pattern.ops]
-    fused = sum(type(s) is tuple for s in pattern.sites)
-    for (seen, recorded, skipped, _, walks), n in zip(res.results, events):
-        assert (seen, recorded, walks) == (0, 0, 0)
-        assert skipped == n - fused  # a fused sendrecv is one call
-    # no instrumentation charge either: the uninstrumented clocks
-    assert [r[3] for r in res.results] == run_spmd(app, nprocs).results

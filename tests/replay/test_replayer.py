@@ -7,10 +7,10 @@ from repro.harness.figures import _params_for
 from repro.harness.runner import Mode, run_mode
 from repro.replay import (
     AccuracyReport,
+    ReplayStats,
     accuracy,
     build_schedule,
-    coverage,
-    events_by_rank,
+    coalesce_collectives,
     reconcile,
     replay_trace,
 )
@@ -214,13 +214,16 @@ class TestTimedReplay:
         )
         rep = replay_trace(trace)
         assert rep.time > 0
-        cov = coverage(trace)
-        assert cov.full_coverage
-        assert cov.out_of_range_endpoints == 0
+        # every rank's own stencil, endpoints resolved in range: each of
+        # the 6 steps sends right and receives from the left
+        for r, sched in enumerate(build_schedule(trace, 8)):
+            p2p = [(op.kind, op.peer) for op in sched if op.kind != "coll"]
+            step = [("send", r + 1)] * (r < 7) + [("recv", r - 1)] * (r > 0)
+            assert p2p == step * 6
 
     def test_events_by_rank_balanced_for_spmd(self):
         trace = trace_of(stencil, 8)
-        counts = events_by_rank(trace)
+        counts = [len(sched) for sched in build_schedule(trace, 8)]
         assert len(counts) == 8
         assert min(counts) > 0
         assert max(counts) <= 2 * min(counts)
@@ -328,6 +331,50 @@ class TestDeadlockRepairOrder:
         assert len(outputs) == 1
         issued, repairs = map(int, outputs.pop().split())
         assert issued > 0 and repairs > 0  # the repair path did run
+
+
+class TestReplayStats:
+    """Every statistic is read off the schedules, as built and as the
+    completed attempt ran them: a collective instance the deadlock repair
+    removes is a repair, never a dropped p2p op."""
+
+    def test_clustered_stream_counts(self):
+        trace = clustered_stream_trace()
+        schedules = build_schedule(trace, trace.nprocs)
+        coalesce_collectives(schedules)
+        assert reconcile(schedules) == 49
+        stats = replay_trace(trace).stats
+        # reconcile's 49 plus the 13 receives the repair removed; its 240
+        # collective ops count as repairs only
+        assert stats.p2p_dropped == 49 + 13
+        assert stats.deadlock_repairs == 253
+        assert (stats.ops_issued, stats.sends, stats.recvs,
+                stats.collectives) == (64, 33, 20, 11)
+
+    def test_repaired_collective_is_not_a_p2p_drop(self):
+        """Three sub-group collectives wait on each other in a cycle: the
+        repair removes their six ops, and the send/recv pair behind them
+        still runs."""
+        from repro.replay.replayer import ReplayOp, _execute
+        from repro.scalatrace import Op
+
+        def coll(sig, group):
+            return ReplayOp("coll", 0.0, 8, op=Op.ALLREDUCE, group=group,
+                            key=(Op.ALLREDUCE.value, sig, 0))
+
+        schedules = [
+            [coll(1, (0, 1)), coll(3, (0, 2)),
+             ReplayOp("send", 0.0, 8, peer=1)],
+            [coll(2, (1, 2)), coll(1, (0, 1)),
+             ReplayOp("recv", 0.0, 8, peer=0)],
+            [coll(3, (0, 2)), coll(2, (1, 2))],
+        ]
+        _, stats = _execute(schedules, ZERO_COST)
+        assert [[op.kind for op in s] for s in schedules] \
+            == [["send"], ["recv"], []]
+        assert stats == ReplayStats(
+            ops_scheduled=8, ops_issued=2, p2p_dropped=0, collectives=0,
+            sends=1, recvs=1, deadlock_repairs=6)
 
 
 @pytest.mark.parametrize("name", ["bt", "lu", "sp", "pop", "emf"])

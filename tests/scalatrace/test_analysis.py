@@ -1,15 +1,9 @@
-"""Trace analysis: summaries, communication matrices, hotspots."""
+"""Trace analysis: summaries and collective volume."""
 
-import numpy as np
 import pytest
 
 from repro.scalatrace import ScalaTraceTracer
-from repro.scalatrace.analysis import (
-    collective_volume,
-    communication_matrix,
-    hotspots,
-    summarize,
-)
+from repro.scalatrace.analysis import collective_volume, summarize
 from repro.simmpi import SimConfig, ZERO_COST, run_spmd
 
 
@@ -57,43 +51,8 @@ class TestSummarize:
 
 
 class TestCommunicationMatrix:
-    def test_chain_pattern(self, chain_trace):
-        m = communication_matrix(chain_trace)
-        assert m.shape == (6, 6)
-        for r in range(5):
-            assert m[r, r + 1] == pytest.approx(400.0)  # 4 steps x 100 B
-        # nothing else
-        expected = np.zeros((6, 6))
-        for r in range(5):
-            expected[r, r + 1] = 400.0
-        assert np.allclose(m, expected)
+    """The collective side of the traffic; the p2p matrix is the replay
+    schedule's (``tests/replay/test_matrix.py``)."""
 
     def test_collective_volume(self, chain_trace):
         assert collective_volume(chain_trace) == pytest.approx(8 * 24)
-
-    def test_hotspots(self, chain_trace):
-        hs = hotspots(chain_trace, top=3)
-        assert len(hs) == 3
-        ranks = {r for r, _b in hs}
-        assert ranks <= set(range(5))  # rank 5 sends nothing
-        assert all(b == pytest.approx(400.0) for _r, b in hs)
-
-    def test_hub_pattern_resolved_via_abs(self):
-        """Workers sending to the absolute master show up as column 0."""
-
-        async def main(ctx):
-            tracer = ScalaTraceTracer(ctx)
-            for _ in range(3):
-                with ctx.frame("round"):
-                    if ctx.rank == 0:
-                        for _w in range(ctx.size - 1):
-                            await tracer.recv()
-                    else:
-                        await tracer.send(0, None, size=64)
-            return await tracer.finalize()
-
-        trace = run_spmd(main, 5, config=SimConfig(network=ZERO_COST)).results[0]
-        m = communication_matrix(trace)
-        for w in range(1, 5):
-            assert m[w, 0] == pytest.approx(3 * 64)
-        assert m[:, 1:].sum() == 0

@@ -91,9 +91,9 @@ class TestIntervalTracking:
     def test_events_counters(self):
         async def prog(ctx, tr):
             await tr.barrier()
-            tr.enabled = False
+            tr.tracing = False
             await tr.barrier()
-            tr.enabled = True
+            tr.tracing = True
             await tr.finalize()
             return (tr.stats.events_recorded, tr.stats.events_skipped)
 

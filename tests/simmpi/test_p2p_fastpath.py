@@ -35,7 +35,7 @@ import pytest
 
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.obs.instrument import Recorder
-from repro.scalatrace import ScalaTraceTracer
+from repro.scalatrace import ZERO_COSTS, ScalaTraceTracer
 from repro.simmpi import (
     ANY_SOURCE,
     NeighborPattern,
@@ -86,15 +86,15 @@ _LULESH = {
 
 
 def _workload_prog(factory, traced: bool = False):
-    """``traced`` swaps the NullTracer for a tracer with recording switched
-    off: it charges nothing, but hands the gate its own schedule of every
+    """``traced`` swaps the NullTracer for a zero-charge tracer: it records
+    at no virtual cost, and hands the gate its own schedule of every
     declared script (pre-step, op, post-step per call) in place of the
     plain one."""
 
     async def prog(ctx):
         workload = factory()
-        tracer = (ScalaTraceTracer if traced else NullTracer)(ctx)
-        tracer.enabled = False
+        tracer = (ScalaTraceTracer(ctx, costs=ZERO_COSTS) if traced
+                  else NullTracer(ctx))
         await workload.run(ctx, tracer)
         return ctx.rank
 
