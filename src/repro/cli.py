@@ -294,13 +294,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     print(summarize(trace).report())
-    hs = hotspots(trace)
+    matrix = communication_matrix(trace)
+    hs = hotspots(matrix)
     if hs:
         print("  top senders (p2p bytes):")
         for rank, nbytes in hs:
             print(f"    rank {rank:5d}: {nbytes:.0f} B")
     if args.matrix:
-        matrix = communication_matrix(trace)
         print("  communication matrix (bytes):")
         for row in matrix:
             print("   ", " ".join(f"{v:10.0f}" for v in row))

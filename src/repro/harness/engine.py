@@ -49,7 +49,6 @@ from ..obs.instrument import NULL_INSTRUMENT, Instrument
 from ..resilience.hostfaults import cell_hook
 from ..resilience.policy import QuarantinedCell, QuarantineError, RetryPolicy
 from ..simmpi.simconfig import DEFAULT_CONFIG, SimConfig
-from ..simmpi.timing import NetworkModel
 from ..workloads.base import Workload
 from ..workloads.registry import make_workload
 from .cache import (
@@ -100,11 +99,6 @@ class Cell:
     #: deterministic fault-injection plan, hashed into the cell digest so a
     #: faulted run never shares a cache slot with its fault-free twin
     faults: FaultPlan | None = None
-
-    @property
-    def network(self) -> NetworkModel:
-        """The simulated network model (shorthand for ``sim.network``)."""
-        return self.sim.network
 
     @property
     def label(self) -> str:
@@ -283,10 +277,6 @@ class EngineMetrics:
     quarantined: int = 0  # cells abandoned after repeated host faults
     batches: int = 0
     total_wall: float = 0.0  # wall-clock across batches
-
-    @property
-    def misses(self) -> int:
-        return self.executed
 
     def hit_rate(self) -> float:
         """Fraction of unique cells served from cache (0 when idle)."""

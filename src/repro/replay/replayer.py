@@ -41,18 +41,6 @@ from ..simmpi.timing import NetworkModel, QDR_CLUSTER
 #: tag used for all replayed point-to-point traffic
 REPLAY_TAG = 7
 
-_COLLECTIVE_OPS = {
-    Op.BARRIER,
-    Op.BCAST,
-    Op.REDUCE,
-    Op.ALLREDUCE,
-    Op.GATHER,
-    Op.SCATTER,
-    Op.ALLGATHER,
-    Op.ALLTOALL,
-    Op.SCAN,
-}
-
 
 @dataclass
 class ReplayOp:
@@ -150,7 +138,7 @@ def _schedule_record(
     sleep = rec.dhist.draw(rng) if rng is not None else rec.dhist.sample()
     size = _mean_int(rec.count)
 
-    if rec.op in _COLLECTIVE_OPS:
+    if rec.op.is_collective:
         group = tuple(members)
         root = rec.root if rec.root is not None else group[0]
         if root not in group:
@@ -195,8 +183,6 @@ def _schedule_record(
                 schedules[r].append(
                     ReplayOp("recv", sleep_recv, size, peer=src)
                 )
-        return
-    # MARKER / FINALIZE: tracing artefacts, nothing to replay.
 
 
 def communication_matrix(trace: Trace, nprocs: int | None = None) -> np.ndarray:
@@ -211,9 +197,10 @@ def communication_matrix(trace: Trace, nprocs: int | None = None) -> np.ndarray:
     return matrix
 
 
-def hotspots(trace: Trace, top: int = 5) -> list[tuple[int, float]]:
-    """Ranks sending the most point-to-point bytes: [(rank, bytes)]."""
-    sent = communication_matrix(trace).sum(axis=1)
+def hotspots(matrix: np.ndarray, top: int = 5) -> list[tuple[int, float]]:
+    """Ranks sending the most point-to-point bytes in a
+    :func:`communication_matrix`: [(rank, bytes)]."""
+    sent = matrix.sum(axis=1)
     order = np.argsort(sent)[::-1][:top]
     return [(int(r), float(sent[r])) for r in order if sent[r] > 0]
 

@@ -43,8 +43,6 @@ class Op(enum.Enum):
     ALLGATHER = "allgather"
     ALLTOALL = "alltoall"
     SCAN = "scan"
-    MARKER = "marker"
-    FINALIZE = "finalize"
 
     @property
     def is_collective(self) -> bool:
@@ -65,8 +63,6 @@ _COLLECTIVES = {
     Op.ALLGATHER,
     Op.ALLTOALL,
     Op.SCAN,
-    Op.MARKER,
-    Op.FINALIZE,
 }
 _P2P = {Op.SEND, Op.RECV, Op.ISEND, Op.IRECV, Op.SENDRECV}
 

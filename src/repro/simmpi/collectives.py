@@ -395,8 +395,7 @@ def _barrier_vector(sim: Replay, size: int) -> None:
     sim.total_messages = size * nrounds
 
 
-def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
-                 size: int) -> bool:
+def _tree_vector(sim: Replay, kind: str, root: int, size: int) -> bool:
     """Binomial-tree bcast/reduce over arrays.
 
     Both schedules are round-synchronous in relative-rank space: bcast
@@ -413,9 +412,9 @@ def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
     """
     net = sim.net
     eager_max = net.eager_threshold
-    by_rank = {e.rank: e for e in entries}
+    states = sim.states
     # relative rank u lives at comm-local rank (u + root) % size
-    rel = [by_rank[(u + root) % size] for u in range(size)]
+    rel = [states[(u + root) % size] for u in range(size)]
     halves = []
     half = 1
     while half < size:
@@ -469,8 +468,8 @@ def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
         results = [None] * size
         results[0] = acc[0]  # only the root returns the reduction
     o_recv = net.o_recv
-    C = np.array([e.clock0 for e in rel], dtype=np.float64)
-    B = np.array([e.busy0 for e in rel], dtype=np.float64)
+    C = np.array([st.clock for st in rel], dtype=np.float64)
+    B = np.array([st.busy for st in rel], dtype=np.float64)
     sent = np.zeros(size, dtype=np.int64)
     recvd = np.zeros(size, dtype=np.int64)
     bsent = np.zeros(size, dtype=np.int64)
@@ -492,9 +491,7 @@ def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
         total_bytes += int(nbs.sum())
     sim.total_messages = size - 1
     sim.total_bytes = total_bytes
-    states = sim.states
-    for i, e in enumerate(rel):
-        st = states[e.rank]
+    for i, st in enumerate(rel):
         st.clock = float(C[i])
         st.busy = float(B[i])
         st.msgs_sent += int(sent[i])
@@ -506,23 +503,24 @@ def _tree_vector(sim: Replay, entries: list, kind: str, root: int,
     return True
 
 
-def _run_replay(kind: str, root: Any, net, entries: list, size: int,
-                collect: bool = False) -> Replay:
-    """Run one gate instance through the cheapest bit-exact replay.
+def _run_replay(kind: str, root: Any, net, entries: list) -> Replay:
+    """Run one gate instance through the cheapest bit-exact replay,
+    advancing the ``entries`` (the ranks' join states) in place.
 
     Large barriers, eager bcast/reduce and slot-aligned exchanges take the
     array replays; everything else (and anything an array replay declines)
     drives the schedule generators through the scalar core.  Generators
     are only built when that path actually runs.  Only the core can run
     the schedules exchange entries bring along (all or none do: a run's
-    ranks share one tracer class) or, with ``collect``, record an exchange's
-    per-message obs events.
+    ranks share one tracer class) or record an exchange's per-message obs
+    events (entries given an ``events`` list).
     """
     if kind == "exchange":
         # A script has no user callable whose raise order the arrival
         # order would decide, and the slot columns are positional.
         entries.sort(key=_entry_rank)
-        cols = None if collect or entries[0].genargs \
+        first = entries[0]
+        cols = None if first.events is not None or first.genargs \
             else slots_vector(root, entries, net)
         if cols is not None:
             sim = Replay(net, ())
@@ -530,16 +528,17 @@ def _run_replay(kind: str, root: Any, net, entries: list, size: int,
             sim.total_messages = root.total_messages
             sim.total_bytes = root.total_bytes
             return sim
-    sim = Replay(net, [RankState(e, collect) for e in entries])
+    sim = Replay(net, entries)
+    size = len(entries)
     if kind != "exchange" and size >= _VEC_MIN_SIZE:
         if kind == "barrier":
             _barrier_vector(sim, size)
             return sim
         if (kind == "bcast" or kind == "reduce") and \
-                _tree_vector(sim, entries, kind, root, size):
+                _tree_vector(sim, kind, root, size):
             return sim
-    for st, e in zip(sim.states.values(), entries):
-        st.gen = _schedule(kind, root, e.rank, size, e.genargs, st)
+    for st in entries:
+        st.gen = _schedule(kind, root, st.rank, size, st.genargs, st)
     sim.run()
     return sim
 
@@ -567,31 +566,6 @@ def _tag_base(seq: int) -> int:
     return MAX_USER_TAG + 1024 + seq * _TAG_STRIDE
 
 
-class _GateEntry:
-    """One rank's registration at a gate: its schedule arguments plus a
-    snapshot of the task state at join time (fault-timeout releases can
-    move the task on before the gate completes, so live reads would be
-    stale).  The schedule generator itself is built at replay time, and
-    only when the scalar core runs."""
-
-    __slots__ = (
-        "rank", "task", "fut", "genargs", "clock0", "busy0", "sent0",
-        "bytes_sent0", "recvd0", "bytes_recvd0",
-    )
-
-    def __init__(self, rank, task, fut, genargs=()):
-        self.rank = rank
-        self.task = task
-        self.fut = fut
-        self.genargs = genargs
-        self.clock0 = task.clock
-        self.busy0 = task.busy
-        self.sent0 = task.msgs_sent
-        self.bytes_sent0 = task.bytes_sent
-        self.recvd0 = task.msgs_received
-        self.bytes_recvd0 = task.bytes_received
-
-
 class _Gate:
     """Rendezvous point for one gated instance — a collective or a declared
     exchange — on one communicator.
@@ -599,9 +573,10 @@ class _Gate:
     The first arriving rank computes the fast-vs-simulated verdict
     (``reason`` is ``None`` for fast, else a fallback reason of the ledger
     in docs/INTERNALS.md); the verdict is cached so every participant takes
-    the same path.  Fast joiners register a :class:`_GateEntry` and park;
-    the last arrival replays the whole instance (:func:`_run_replay`) and
-    resolves everyone in one bulk advance.  A conflict that only shows up
+    the same path.  Fast joiners register a :class:`RankState` (their join
+    snapshot, task and future) and park; the last arrival replays the
+    whole instance on those states (:func:`_run_replay`) and resolves
+    everyone in one bulk advance.  A conflict that only shows up
     between arrivals aborts the gate instead (:meth:`abort`).
 
     ``root`` is what, beyond ``kind``, all ranks of the instance must agree
@@ -620,7 +595,7 @@ class _Gate:
         self.seq = seq
         self.reason = reason
         self.awaited = awaited
-        self.entries: list[_GateEntry] = []
+        self.entries: list[RankState] = []
 
     @property
     def name(self) -> str:
@@ -633,18 +608,20 @@ class _Gate:
         (parking cost nothing in virtual time)."""
         self.reason = reason
         entries, self.entries = self.entries, []
-        engine.wave_resolve([(e.fut, RUN_SIM, e.clock0) for e in entries])
+        engine.wave_resolve(
+            [(st.fut, RUN_SIM, st.fut.post_time) for st in entries])
 
     def complete(self, ctx: CommContext) -> None:
-        """Every awaited rank has joined: replay the instance, write each
-        entry's replayed state (``rank -> RankState``, or whole columns)
-        back onto its task, emit what its message-level run would have, and
-        resolve all of them in one bulk advance, in rank order."""
+        """Every awaited rank has joined: replay the instance on the
+        entries, write each replayed state (or whole columns) back onto its
+        task, emit what its message-level run would have, and resolve all
+        of them in one bulk advance, in rank order."""
         engine = ctx.engine
         entries = self.entries
-        sim = _run_replay(
-            self.kind, self.root, engine.network, entries, len(entries),
-            self.kind == "exchange" and engine.instrument.enabled)
+        if self.kind == "exchange" and engine.instrument.enabled:
+            for st in entries:
+                st.events = []  # the core collects what _emit reports
+        sim = _run_replay(self.kind, self.root, engine.network, entries)
         engine.total_messages += sim.total_messages
         engine.total_bytes += sim.total_bytes
         if sim.failure is not None:
@@ -655,47 +632,43 @@ class _Gate:
             # simulated path; with faults the op-timeout backstop releases
             # them, as it releases any rank orphaned mid-collective.
             st = sim.failed_state
-            entry = next(e for e in entries if e.rank == st.rank)
-            st.write_back(entry.task)
-            engine.wave_resolve(
-                [(entry.fut, _Raised(sim.failure), st.clock)]
-            )
+            st.write_back()
+            engine.wave_resolve([(st.fut, _Raised(sim.failure), st.clock)])
             return
         entries.sort(key=_entry_rank)  # wake order: by rank
-        states = sim.states
-        if type(states) is RankStateColumns:
+        cols = sim.states
+        if type(cols) is RankStateColumns:
             # A slot-replayed exchange, entries in rank order: uninstrumented
             # (nothing to emit) and fault-free (nobody was released early).
-            states.write_back([e.task for e in entries])
+            cols.write_back([st.task for st in entries])
             engine.wave_resolve(
-                [(e.fut, None, t)
-                 for e, t in zip(entries, states.clock.tolist())])
+                [(st.fut, None, t)
+                 for st, t in zip(entries, cols.clock.tolist())])
             return
         ins = engine.instrument
         emit = ins.enabled
         resolutions = []
-        for entry in entries:
-            if entry.fut.done:
+        for st in entries:
+            if st.fut.done:
                 # Released by a fault timeout while parked: the task
                 # already moved on with LOST at the release time; its
                 # replayed state must not overwrite the real one.
                 continue
-            st = states[entry.rank]
-            st.write_back(entry.task)
+            st.write_back()
             if emit:
-                self._emit(ins, ctx, entry.rank, entry.clock0, st)
-            resolutions.append((entry.fut, st.result, st.clock))
+                self._emit(ins, ctx, st)
+            resolutions.append((st.fut, st.result, st.clock))
         engine.wave_resolve(resolutions)
 
-    def _emit(self, ins, ctx: CommContext, rank: int, t0: float,
-              st: RankState) -> None:
-        """What the closed form reports of ``rank``'s part in this
-        instance: a collective's one ``coll`` span; an exchange's
-        per-message events, which the core collected."""
+    def _emit(self, ins, ctx: CommContext, st: RankState) -> None:
+        """What the closed form reports of ``st``'s part in this instance:
+        a collective's one ``coll`` span, from the join clock; an
+        exchange's per-message events, which the core collected."""
         kind = self.kind
+        rank = st.rank
         if kind != "exchange":
-            _emit_coll(ins, ctx, rank, kind, _ALGORITHMS[kind], t0,
-                       st.clock, True)
+            _emit_coll(ins, ctx, rank, kind, _ALGORITHMS[kind],
+                       st.fut.post_time, st.clock, True)
             return
         for ev in st.events:
             if ev[0] == "s":
@@ -830,7 +803,7 @@ class Communicator(Comm):
             kind="p2p" if exchange else "coll", tag=gate.seq,
             dest=ctx.ranks[self.rank], comm=ctx.id, post_time=task.clock,
         )
-        gate.entries.append(_GateEntry(self.rank, task, fut, genargs))
+        gate.entries.append(RankState(self.rank, task, fut, genargs))
         if not gate.awaited:
             # The quorum is in: these calls are served by the fast path.
             if exchange:

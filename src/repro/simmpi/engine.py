@@ -174,16 +174,10 @@ class Engine:
         computed in closed form during the waking rank's step, so the
         O(1) re-entries it queues are accounted to that step rather than
         inflating the count with P-1 bookkeeping resumes.  The raw resume
-        count (which the ``max_steps`` budget is enforced against) stays
-        available as :attr:`resumes`.
+        count, which the ``max_steps`` budget is enforced against, is
+        ``_resumes``.
         """
         return self._steps
-
-    @property
-    def resumes(self) -> int:
-        """Raw coroutine resume count (every ``coro.send``, no exclusions);
-        the ``max_steps`` runaway guard is enforced against this."""
-        return self._resumes
 
     def alloc_comm_id(self) -> int:
         self._next_comm_id += 1

@@ -157,13 +157,3 @@ class SimFuture:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "pending"
         return f"<SimFuture {self.label!r} {state}>"
-
-
-async def gather(*awaitables: Any) -> list[Any]:
-    """Await several awaitables sequentially, returning their values.
-
-    In the simulator awaiting in sequence is equivalent to true concurrent
-    completion *within one task* because each await simply advances the
-    task's clock to the max of the completion times.
-    """
-    return [await aw for aw in awaitables]

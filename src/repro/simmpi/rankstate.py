@@ -1,16 +1,17 @@
 """Columnar per-rank state: numpy arrays instead of per-rank objects.
 
 The macro fast paths resolve whole phases (a collective instance, a
-declared p2p pattern) for every participant at once.  Holding each
+declared p2p pattern) for every participant at once.  Advancing each
 participant's clock/busy/traffic counters in one Python object per rank —
-the ``RankState`` layout the scalar replay core uses — costs an
-allocation per rank per gate plus pointer-chasing over P objects, which
-docs/PERF.md measured as a ~10% GC + LLC working-set drag at P=16384.
+the ``RankState`` a rank registers at its gate, which the scalar replay
+core advances — costs pointer-chasing over P objects, which docs/PERF.md
+measured as a ~10% GC + LLC working-set drag at P=16384.
 
 :class:`RankStateColumns` is the structure-of-arrays alternative: six
-parallel numpy columns indexed by position (local rank).  The vectorized
-slot replay mutates the columns and :meth:`write_back` copies the final
-values onto the engine ``Task`` objects in one pass.
+parallel numpy columns indexed by position (local rank), read once from
+the gate's states.  The vectorized slot replay mutates the columns and
+:meth:`write_back` copies the final values onto the engine ``Task``
+objects in one pass.
 
 Bit-exactness contract: every column round-trips through numpy without
 changing a single bit.  ``float64`` scalars and arrays perform IEEE-754
@@ -54,20 +55,20 @@ class RankStateColumns:
 
     @classmethod
     def from_entries(cls, entries: Sequence) -> "RankStateColumns":
-        """Build columns from gate entries carrying ``clock0``/``busy0``/
-        counter snapshots (``_GateEntry`` shaped objects), position ``i``
-        holding ``entries[i]``'s snapshot."""
+        """Build columns from a gate's entries (the ``RankState`` join
+        snapshots of :mod:`repro.simmpi.replay`), position ``i`` holding
+        ``entries[i]``'s state."""
         cols = cls(len(entries))
         clock, busy = cols.clock, cols.busy
         ms, bs = cols.msgs_sent, cols.bytes_sent
         mr, br = cols.msgs_received, cols.bytes_received
         for i, e in enumerate(entries):
-            clock[i] = e.clock0
-            busy[i] = e.busy0
-            ms[i] = e.sent0
-            bs[i] = e.bytes_sent0
-            mr[i] = e.recvd0
-            br[i] = e.bytes_recvd0
+            clock[i] = e.clock
+            busy[i] = e.busy
+            ms[i] = e.msgs_sent
+            bs[i] = e.bytes_sent
+            mr[i] = e.msgs_received
+            br[i] = e.bytes_received
         return cols
 
     def write_back(self, tasks: Sequence["Task"]) -> None:

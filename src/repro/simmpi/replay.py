@@ -14,6 +14,9 @@ gates the script generator of :mod:`repro.simmpi.patterns`.  It is
 one of a schedule's two interpreters; the other, ``Communicator._drive``,
 issues the same operations through the real message-level primitives.
 
+A gate's :class:`RankState` objects are what its ranks registered at
+join: the replay advances them in place and the gate writes them back.
+
 The replay reproduces what the real scheduler does under that message-level
 interpreter, without touching the mailbox or parking a task per
 message: generators are driven from a FIFO seeded in the order the states
@@ -62,37 +65,49 @@ EAGER_DONE.time = -1.0
 
 
 class RankState:
-    """One participant's replica of its Task state during a replay."""
+    """One rank's share of one gated instance: registered when it joins
+    the gate, replayed, and written back onto its task.
+
+    It snapshots the task at join — fault-timeout releases can move the
+    task on before the gate completes, so live reads would be stale — and
+    the replays advance the snapshot, so the float accumulation chains
+    continue exactly where the task left off.  The join clock stays on
+    ``fut.post_time``.  The schedule generator is attached at replay time,
+    and only when the scalar core runs: the vector replays never drive
+    one."""
 
     __slots__ = (
-        "rank", "gen", "clock", "busy", "msgs_sent", "bytes_sent",
-        "msgs_received", "bytes_received", "done", "result", "events", "op",
+        "rank", "task", "fut", "genargs", "gen", "clock", "busy",
+        "msgs_sent", "bytes_sent", "msgs_received", "bytes_received",
+        "done", "result", "events", "op",
     )
 
-    def __init__(self, entry: Any, collect: bool = False) -> None:
-        """Snapshot a gate entry's join-time state (``clock0``/``busy0``/
-        counter fields), so the float accumulation chains continue exactly
-        where the task left off.  The schedule generator is attached later:
-        the vector replays never drive one."""
-        self.rank = entry.rank
+    def __init__(self, rank: int, task: Any, fut: Any = None,
+                 genargs: Any = ()) -> None:
+        self.rank = rank
+        self.task = task
+        self.fut = fut
+        self.genargs = genargs
         self.gen: Any = None
-        self.clock = entry.clock0
-        self.busy = entry.busy0
-        self.msgs_sent = entry.sent0
-        self.bytes_sent = entry.bytes_sent0
-        self.msgs_received = entry.recvd0
-        self.bytes_received = entry.bytes_recvd0
+        self.clock = task.clock
+        self.busy = task.busy
+        self.msgs_sent = task.msgs_sent
+        self.bytes_sent = task.bytes_sent
+        self.msgs_received = task.msgs_received
+        self.bytes_received = task.bytes_received
         self.done = False
         self.result: Any = None
-        #: with ``collect``, the send-metric ``("s", nbytes)`` and
-        #: recv-span ``("r", post, done, src, tag, nbytes, rendezvous)``
-        #: events the message-level path would have emitted, program order
-        self.events: list[tuple] | None = [] if collect else None
+        #: ``[]`` when the gate collects them: the send-metric ``("s",
+        #: nbytes)`` and recv-span ``("r", post, done, src, tag, nbytes,
+        #: rendezvous)`` events the message-level path would have emitted,
+        #: in program order
+        self.events: list[tuple] | None = None
         #: the op this rank is parked on (deadlock diagnosis)
         self.op: tuple | None = None
 
-    def write_back(self, task: Any) -> None:
+    def write_back(self) -> None:
         """Copy the replayed state onto the engine task it replicated."""
+        task = self.task
         task.clock = self.clock
         task.busy = self.busy
         task.msgs_sent = self.msgs_sent

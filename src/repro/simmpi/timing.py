@@ -100,24 +100,6 @@ class NetworkModel:
         ``post_time[i]``."""
         return self.match_start_array(post_time, sent_clock + self.latency)
 
-    def scaled(
-        self, latency_factor: float = 1.0, bandwidth_factor: float = 1.0
-    ) -> "NetworkModel":
-        """A degraded copy of this model (``bandwidth_factor > 1`` means
-        slower transfers, matching :class:`repro.faults.LinkFault`).
-
-        Useful for whole-network degradation sweeps; per-link degradation
-        goes through a fault plan instead so only the named link suffers.
-        """
-        return NetworkModel(
-            latency=self.latency * latency_factor,
-            bandwidth=self.bandwidth / max(bandwidth_factor, 1e-12),
-            o_send=self.o_send,
-            o_recv=self.o_recv,
-            eager_threshold=self.eager_threshold,
-            min_message_bytes=self.min_message_bytes,
-        )
-
 
 #: A zero-cost network, useful in unit tests that only check semantics.
 ZERO_COST = NetworkModel(

@@ -40,9 +40,6 @@ class NullTracer:
     async def wait(self, request) -> Any:
         return await request.wait()
 
-    async def wait_all(self, requests) -> list[Any]:
-        return [await r.wait() for r in requests]
-
     async def marker(self) -> None:
         return None
 

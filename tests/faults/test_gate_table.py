@@ -10,7 +10,8 @@ table for the rest of the run.
 
 import pytest
 
-from repro.faults.plan import CrashFault, FaultPlan
+from repro.faults import LOST
+from repro.faults.plan import ComputeFault, CrashFault, FaultPlan
 from repro.simmpi import NeighborPattern, run_spmd
 
 from ..gates import SIMULATED
@@ -66,3 +67,37 @@ class TestGateTable:
             assert ctx._gates == {}
             # later gates wait for the live members only
             assert ctx.gate_quorum == ctx.size - (3 in ctx.local_of)
+
+
+def test_entry_released_while_parked_is_not_written_back():
+    """A fast gate whose first joiner an op-timeout releases before the
+    quorum is in.  Rank 0 parks in the barrier; rank 1 waits for a message
+    rank 0 sends only after it.  A compute-only plan arms the timeout
+    backstop but leaves the barrier eligible, so the release resolves
+    rank 0's gate future with ``LOST``, and rank 0 moves on.  When rank 1
+    then completes the gate, ``_Gate.complete`` skips the released entry:
+    its replayed join snapshot must not overwrite rank 0's clock, and its
+    future is not resolved twice."""
+    plan = FaultPlan(compute=(ComputeFault(rank=0, slowdown=2.0),))
+    seen = {}
+
+    async def prog(ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            seen[0] = await comm.barrier()
+            seen["after_release"] = ctx.clock
+            await comm.send(1, "x", tag=1)
+        else:
+            await comm.recv(0, tag=1)
+            seen[1] = await comm.barrier()
+        return ctx.clock
+
+    res = run_spmd(prog, 2, faults=plan)
+    assert res.failed_ranks == ()
+    assert res.collectives_fast == 2 and res.collectives_simulated == 0
+    assert res.fault_summary["timeout"] == 1
+    assert seen[0] is LOST and seen[1] is None
+    # released at its join clock (0) plus the timeout, and the clock rank
+    # 0 finished its program with is the one the run reports
+    assert seen["after_release"] == plan.op_timeout
+    assert res.clocks[0] == res.results[0]

@@ -26,7 +26,7 @@ class TestCommunicationMatrix:
         assert np.allclose(m, expected)
 
     def test_hotspots(self, chain_trace):
-        hs = hotspots(chain_trace, top=3)
+        hs = hotspots(communication_matrix(chain_trace), top=3)
         assert len(hs) == 3
         ranks = {r for r, _b in hs}
         assert ranks <= set(range(5))  # rank 5 sends nothing

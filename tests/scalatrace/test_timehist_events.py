@@ -322,4 +322,3 @@ class TestEventRecord:
     def test_collective_vs_p2p_flags(self):
         assert Op.BARRIER.is_collective and not Op.BARRIER.is_p2p
         assert Op.SEND.is_p2p and not Op.SEND.is_collective
-        assert Op.MARKER.is_collective

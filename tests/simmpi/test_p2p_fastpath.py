@@ -613,21 +613,21 @@ class TestColumnarState:
 
         class _Entry:
             def __init__(self, i):
-                self.clock0 = 0.1 + 0.2 * i  # not exactly representable
-                self.busy0 = 1e-9 * (i + 1)
-                self.sent0 = i
-                self.bytes_sent0 = 8 * i
-                self.recvd0 = 2 * i
-                self.bytes_recvd0 = 16 * i
+                self.clock = 0.1 + 0.2 * i  # not exactly representable
+                self.busy = 1e-9 * (i + 1)
+                self.msgs_sent = i
+                self.bytes_sent = 8 * i
+                self.msgs_received = 2 * i
+                self.bytes_received = 16 * i
 
         entries = [_Entry(i) for i in range(5)]
         cols = RankStateColumns.from_entries(entries)
         tasks = [_Stub() for _ in range(5)]
         cols.write_back(tasks)
         for e, t in zip(entries, tasks):
-            assert t.clock == e.clock0 and type(t.clock) is float
-            assert t.busy == e.busy0
-            assert t.msgs_sent == e.sent0 and type(t.msgs_sent) is int
-            assert t.bytes_sent == e.bytes_sent0
-            assert t.msgs_received == e.recvd0
-            assert t.bytes_received == e.bytes_recvd0
+            assert t.clock == e.clock and type(t.clock) is float
+            assert t.busy == e.busy
+            assert t.msgs_sent == e.msgs_sent and type(t.msgs_sent) is int
+            assert t.bytes_sent == e.bytes_sent
+            assert t.msgs_received == e.msgs_received
+            assert t.bytes_received == e.bytes_received

@@ -38,20 +38,21 @@ EAGER, RENDEZVOUS = 512, 1 << 17
 SKEW = 3e-7  # per-rank start skew, so arrival times differ across ranks
 
 
-class _Entry:
-    """A gate entry: rank ``r`` joins after ``r * SKEW`` of compute."""
+class _Task:
+    """A joining task: rank ``r`` joins after ``r * SKEW`` of compute."""
 
     def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.clock0 = self.busy0 = rank * SKEW
-        self.sent0 = self.bytes_sent0 = self.recvd0 = self.bytes_recvd0 = 0
+        self.clock = self.busy = rank * SKEW
+        self.msgs_sent = self.bytes_sent = 0
+        self.msgs_received = self.bytes_received = 0
 
 
 def _replay(schedules, collect=False) -> Replay:
-    states = [RankState(_Entry(r), collect=collect)
-              for r in range(len(schedules))]
+    states = [RankState(r, _Task(r)) for r in range(len(schedules))]
     for st, gen in zip(states, schedules):
         st.gen = gen
+        if collect:
+            st.events = []
     sim = Replay(QDR_CLUSTER, states)
     sim.run()
     return sim
@@ -269,7 +270,7 @@ def test_replay_core_hoisted_copy_agrees_with_helpers_bitwise(seed):
         def receiver():
             yield ("recv", 0, 0)
 
-        states = [RankState(_Entry(0)), RankState(_Entry(1))]
+        states = [RankState(0, _Task(0)), RankState(1, _Task(1))]
         states[0].clock, states[1].clock = c0, c1
         states[0].gen, states[1].gen = sender(), receiver()
         Replay(net, states).run()

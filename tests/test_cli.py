@@ -57,6 +57,30 @@ def test_run_and_inspect_and_replay(tmp_path, capsys):
     assert "accuracy vs reference" in out
 
 
+def test_info_matrix_expands_the_trace_once(tmp_path, capsys, monkeypatch):
+    """The top senders are ranked from the matrix ``--matrix`` prints: one
+    ``build_schedule`` per ``repro info``."""
+    from repro.replay import replayer
+
+    trace_file = str(tmp_path / "t.st")
+    assert main(["run", "--workload", "lu", "--nprocs", "4",
+                 "--mode", "scalatrace", "--iterations", "2",
+                 "-o", trace_file]) == 0
+    capsys.readouterr()
+    calls = []
+    build = replayer.build_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(replayer, "build_schedule", counting)
+    assert main(["info", trace_file, "--matrix"]) == 0
+    out = capsys.readouterr().out
+    assert "top senders" in out and "communication matrix" in out
+    assert len(calls) == 1
+
+
 def test_run_scalatrace_mode(capsys):
     rc = main(
         ["run", "--workload", "uniform", "--nprocs", "4", "--iterations",
