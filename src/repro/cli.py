@@ -5,7 +5,7 @@ Usage (installed as a module)::
     python -m repro list
     python -m repro run --workload bt --nprocs 16 --mode chameleon -o bt.st
     python -m repro run --workload synthetic --mode chameleon \
-        --trace-out t.json --obs-out run.obs.json
+        --obs-out run.obs.json
     python -m repro trace run.obs.json -o t.json
     python -m repro stats run.obs.json
     python -m repro info bt.st
@@ -30,12 +30,12 @@ re-invocations serve previously-computed cells from disk.  Flags several
 subcommands take are declared once, in :func:`build_parser`'s shared
 groups.
 
-Observability: ``run --trace-out`` writes a Chrome ``trace_event`` JSON of
-the run's virtual-time timeline (open it in ui.perfetto.dev),
-``--metrics-out`` a flat metrics JSONL, and ``--obs-out`` the raw
-observability bundle that ``repro trace`` and ``repro stats`` consume
-offline.  Instrumented runs bypass the cache; their virtual clocks are
-bit-identical to uninstrumented ones.
+Observability: ``run --obs-out`` writes the run's observability bundle
+(spans, instants and every metric of ``RunResult.registry()``);
+``repro trace`` exports it as a Chrome ``trace_event`` JSON of the
+virtual-time timeline (open it in ui.perfetto.dev) and ``repro stats
+--jsonl`` as a flat metrics JSONL.  Instrumented runs bypass the cache;
+their virtual clocks are bit-identical to uninstrumented ones.
 
 Fault injection: ``run --faults PLAN.json`` installs a deterministic
 :class:`~repro.faults.FaultPlan` (see docs/FAULTS.md for the schema).
@@ -176,10 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cells = [cell]
     if faults is None and mode is not Mode.APP:
         cells.insert(0, dataclasses.replace(cell, mode=Mode.APP))
-    recorder = (
-        Recorder() if args.trace_out or args.metrics_out or args.obs_out
-        else None
-    )
+    recorder = Recorder() if args.obs_out else None
     # with a Recorder the selected mode runs inline, bypassing the cache;
     # a baseline still goes through the engine
     results = engine.run_cells(cells if recorder is None else cells[:-1])
@@ -218,34 +215,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"warning: --output ignored — {why}", file=sys.stderr)
     if recorder is not None:
-        _write_obs_outputs(result, args)
+        _write_obs_bundle(result, args.obs_out)
     return 0
 
 
-def _write_obs_outputs(result, args: argparse.Namespace) -> None:
+def _write_obs_bundle(result, path: str) -> None:
+    """The instrumented run's spans and instants, with every metric of
+    ``result.registry()`` (the per-rank statistics and the live ones)."""
     import json
 
-    from .obs import export_chrome_trace, export_metrics_jsonl
-
-    obs = result.obs
-    assert obs is not None  # guaranteed by the instrumented path
-    if args.trace_out:
-        doc = export_chrome_trace(obs, args.trace_out)
-        print(
-            f"chrome trace: {args.trace_out} "
-            f"({len(doc['traceEvents'])} events, {len(obs.ranks())} lanes)"
-            " — open in ui.perfetto.dev"
-        )
-    if args.metrics_out:
-        rows = export_metrics_jsonl(result.registry(), args.metrics_out)
-        print(f"metrics: {args.metrics_out} ({rows} rows)")
-    if args.obs_out:
-        with open(args.obs_out, "w", encoding="utf-8") as fh:
-            json.dump(obs.to_dict(), fh)
-        print(
-            f"obs bundle: {args.obs_out} "
-            "(inspect with `repro trace` / `repro stats`)"
-        )
+    obs = dataclasses.replace(result.obs, metrics=result.registry())
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obs.to_dict(), fh)
+    print(f"obs bundle: {path} (inspect with `repro trace` / `repro stats`)")
 
 
 def _load_obs_bundle(path: str):
@@ -605,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", action="append", metavar="KEY=VAL",
         help="engine option as a SimConfig field (repeatable): "
         "network=qdr|slow|zero, gates=fast|simulated, max_steps=N|none; "
-        "with `run --trace-out`, gates=simulated puts every constituent "
+        "with `run --obs-out`, gates=simulated puts every constituent "
         "message on the timeline",
     )
     report = argparse.ArgumentParser(add_help=False)
@@ -624,17 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--call-frequency", type=_at_least(1), default=1)
     p_run.add_argument("-o", "--output", default="", help="save trace here")
     p_run.add_argument(
-        "--trace-out", default="", metavar="FILE",
-        help="write a Chrome trace_event JSON of the run's virtual-time "
-        "timeline (open in ui.perfetto.dev); implies instrumentation",
-    )
-    p_run.add_argument(
-        "--metrics-out", default="", metavar="FILE",
-        help="write the run's metrics as JSONL (one sample per line)",
-    )
-    p_run.add_argument(
         "--obs-out", default="", metavar="FILE",
-        help="write the raw observability bundle for `repro trace`/`stats`",
+        help="instrument the run and write its observability bundle "
+        "(export with `repro trace` / `repro stats --jsonl`)",
     )
     p_run.add_argument(
         "--faults", default="", metavar="PLAN.json",

@@ -29,25 +29,26 @@ class OverheadBreakdown:
 
 
 def breakdown(result: RunResult) -> OverheadBreakdown:
-    # Registry-backed: record time no longer depends on the truthiness of
-    # the tracer_stats list, so Chameleon results whose per-rank tracer
-    # stats were dropped (e.g. rebuilt from serialized form) still report
-    # their recording cost; a live ``record/time`` metric fills in when the
-    # tracer counter is absent entirely.
-    record = (result.stat("record_time", source="tracer")
-              or result.stat("record/time"))
+    # One registry for every lookup (``RunResult.stat`` builds one per call).
+    # A result whose per-rank tracer stats were dropped still reports its
+    # recording cost from the live ``record/time`` metric when instrumented.
+    reg = result.registry()
+
+    def stat(name: str) -> float:
+        return float(reg.value(name))
+
+    record = stat("tracer/record_time") or stat("record/time")
     if result.chameleon_stats:
         return OverheadBreakdown(record, *(
-            result.stat(f"{name}_time", source="chameleon")
+            stat(f"chameleon/{name}_time")
             for name in ("signature", "vote", "clustering",
                          "intercompression")))
     if result.mode is Mode.ACURDION and "acurdion" in result.extra:
         return OverheadBreakdown(
-            record, 0.0, 0.0,
-            result.stat("clustering_time", source="acurdion"),
-            result.stat("intercompression_time", source="acurdion"))
+            record, 0.0, 0.0, stat("acurdion/clustering_time"),
+            stat("acurdion/intercompression_time"))
     return OverheadBreakdown(record, 0.0, 0.0, 0.0,
-                             result.stat("merge_time", source="tracer"))
+                             stat("tracer/merge_time"))
 
 
 def overhead_fraction(traced: RunResult, app: RunResult) -> float:

@@ -42,15 +42,15 @@ loop's count; the scan runs at the equal count.  So it does for a call
 that does not match, a merge that would not hold, and after any read of
 ``nodes``, ``take_nodes()``, ``leaf_count()`` or ``expanded_count()``: the
 pending records are built exactly as the tail would hold them and the
-rules take over until the cursor can take the tail back.  When the
-recorded scans compared sample values (endpoint encodings of this
-iteration's calls or of the nodes in front of the loop), a call must also
-carry the endpoints its position had when recorded.
+rules carry the rest of that iteration: the cursor changes mode only
+between iterations.  When the recorded scans compared sample values
+(endpoint encodings of this iteration's calls or of the nodes in front
+of the loop), a call must also carry the endpoints its position had when
+recorded.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any
 
 from .events import Endpoint, EventRecord, Op
@@ -253,27 +253,6 @@ def _view(plan: list, it: _Iter, copy: bool) -> list[TraceNode]:
     return out
 
 
-def _fill(plan: list, it: _Iter, nodes: list[TraceNode], pos: int) -> int:
-    """``_view`` backwards: put the records of ``nodes[pos:]`` into the
-    filled slots of ``it``; returns the position after them."""
-    for i, entry in enumerate(plan):
-        slot = it.slots[i]
-        if slot is None:
-            break
-        if type(entry) is _Leaf:
-            it.slots[i] = nodes[pos].record
-            pos += 1
-            continue
-        if slot.c == 1:
-            pos = _fill(entry.plan, slot.done, nodes, pos)
-        elif slot.c:
-            _fill(entry.plan, slot.done, nodes[pos].body, 0)
-            pos += 1
-        if slot.cur is not None:
-            pos = _fill(entry.plan, slot.cur, nodes, pos)
-    return pos
-
-
 def _fits(plan: list, dst: _Iter | None, src: _Iter) -> bool:
     """Would ``same_shape`` hold between the complete iteration ``src`` and
     ``dst`` (None: B itself)?  Shapes agree by construction; two samples of
@@ -381,7 +360,6 @@ def _learn(log: list, k: int, loop: LoopNode, work0: tuple,
     return tuple(work), frozenset(guard) if guard else _NO_GUARD, worst
 
 
-_CONFLICT = object()  # a position's calls carried different endpoints
 _SAME_BODY = (False, ())  # the next leaf is in the same body: no rewrite
 _NO_GUARD: frozenset = frozenset()
 
@@ -389,9 +367,8 @@ _NO_GUARD: frozenset = frozenset()
 class _Cursor:
     """The open loop's body, where the pending iteration stands, and how."""
 
-    def __init__(self, loop: LoopNode, at: int) -> None:
+    def __init__(self, loop: LoopNode) -> None:
         self.loop = loop
-        self.at = at  # its index in the node list (what precedes it stays)
         self.plan = _compile(loop.body)
         #: the first iteration runs the rules and fills the memo
         self.recording = True
@@ -402,9 +379,6 @@ class _Cursor:
         self.restart()
 
     def restart(self) -> None:
-        #: every call of the iteration so far carried its position's
-        #: recorded endpoints (the pending path checks them when ``equal``)
-        self.clean = True
         self.base = _Iter(self.plan)
         #: the iterations being filled, B's first, and the inner loops
         #: they belong to (no back references: nothing here is a cycle)
@@ -440,9 +414,6 @@ class IntraCompressor:
         #: pending iteration; ``take_nodes`` zeroes it
         self._bytes = 0
         self._cursor: _Cursor | None = None
-        #: the loop whose first followed iteration broke B's shape (weakly:
-        #: a loop merged away is not kept alive)
-        self._dead: weakref.ref | None = None
 
     def append(
         self,
@@ -483,10 +454,7 @@ class IntraCompressor:
                     op, site, participants, comm_id, src, dest, root, nbytes,
                     tag, dt))
                 return
-            if cur.fast:
-                self._flush()
-            elif cur.recording:
-                self._dead = weakref.ref(cur.loop)
+            self._flush()
             self._cursor = None
         self._fold(EventRecord.of(op, site, participants, comm_id, src, dest,
                                   root, nbytes, tag, dt))
@@ -504,13 +472,9 @@ class IntraCompressor:
 
     def _settle(self) -> None:
         """After the rules ran with no cursor left: follow the loop the tail
-        now ends in, unless its first followed iteration broke B's shape."""
+        now ends in."""
         last = self._nodes[-1] if self._nodes else None
-        if type(last) is LoopNode and not (
-                self._dead is not None and self._dead() is last):
-            self._cursor = _Cursor(last, len(self._nodes) - 1)
-        else:
-            self._cursor = None
+        self._cursor = _Cursor(last) if type(last) is LoopNode else None
 
     def _follow(self, cur: _Cursor, leaf: _Leaf, ends: tuple,
                 rec: EventRecord) -> None:
@@ -527,9 +491,6 @@ class IntraCompressor:
         k = len(predicted)
         if [e[:2] for e in rewrites[:k]] != list(predicted) or (
                 not done and len(rewrites) != k):
-            if cur.recording:
-                self._dead = weakref.ref(cur.loop)
-            self._cursor = None
             self._settle()
             return
         if cur.recording:
@@ -547,39 +508,15 @@ class IntraCompressor:
                 # a position met again in the iteration (a middle phase)
                 leaf.memo[phases] = (
                     work if known[0] == work else None,
-                    known[1] if known[1] == ends else _CONFLICT,
+                    known[1] if known[1] == ends else None,
                     known[2] | guard)
-        else:  # the rules took a call the pending path would not
-            known = leaf.memo.get(phases)
-            cur.clean &= known is not None and known[1] == ends
         if done:
             if self._nodes[-1] is cur.loop:
                 cur.recording = False
                 cur.fast = True
                 cur.restart()
             else:
-                self._cursor = None
                 self._settle()
-        elif not cur.recording and (cur.clean or not cur.equal) \
-                and self._usable(cur):
-            self._adopt(cur)
-
-    @staticmethod
-    def _usable(cur: _Cursor) -> bool:
-        """Whether the next position's recorded work holds now."""
-        it = cur.top
-        entry = it.plan[it.i].memo.get(cur.phases)
-        return (entry is not None and entry[0] is not None
-                and cur.loop.iters not in entry[2])
-
-    def _adopt(self, cur: _Cursor) -> None:
-        """Take the nodes after the open loop back into the pending
-        iteration: the rules rewrote them as B's shape predicts, so they
-        are its view, entry by entry."""
-        at = cur.at + 1
-        _fill(cur.plan, cur.base, self._nodes[at:], 0)
-        del self._nodes[at:]
-        cur.fast = True
 
     def _move(self, cur: _Cursor, work: tuple | None) -> tuple | None:
         """Move past the leaf just filled.  With the position's recorded
@@ -694,5 +631,5 @@ class IntraCompressor:
         """Detach and return the compressed nodes (compressor resets)."""
         nodes = self.nodes
         self._nodes, self._bytes = [], 0
-        self._cursor = self._dead = None
+        self._cursor = None
         return nodes

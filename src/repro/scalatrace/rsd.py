@@ -67,7 +67,7 @@ class EventNode:
         return str(self.record)
 
 
-@dataclass(slots=True, weakref_slot=True)
+@dataclass(slots=True)
 class LoopNode:
     """``iters`` repetitions of a node sequence (RSD / PRSD)."""
 

@@ -1,16 +1,17 @@
-"""CLI observability surface: --trace-out/--metrics-out/--obs-out, trace, stats."""
+"""CLI observability surface: ``run --obs-out`` and its exporters, trace
+and stats."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
 
 
-@pytest.fixture(scope="module")
-def obs_run(tmp_path_factory):
-    """One instrumented synthetic run with every output flavour written."""
-    tmp = tmp_path_factory.mktemp("obs")
+def _instrumented_run(tmp, *extra) -> dict[str, str]:
+    """A synthetic Chameleon run's bundle, exported by ``repro trace`` and
+    ``repro stats --jsonl``."""
     paths = {
         "trace": str(tmp / "t.json"),
         "metrics": str(tmp / "m.jsonl"),
@@ -19,12 +20,17 @@ def obs_run(tmp_path_factory):
     rc = main(
         ["run", "--workload", "synthetic", "--nprocs", "4", "--iterations",
          "3", "--mode", "chameleon", "--no-cache",
-         "--trace-out", paths["trace"],
-         "--metrics-out", paths["metrics"],
-         "--obs-out", paths["bundle"]]
+         "--obs-out", paths["bundle"], *extra]
     )
     assert rc == 0
+    assert main(["trace", paths["bundle"], "-o", paths["trace"]]) == 0
+    assert main(["stats", paths["bundle"], "--jsonl", paths["metrics"]]) == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def obs_run(tmp_path_factory):
+    return _instrumented_run(tmp_path_factory.mktemp("obs"))
 
 
 def test_trace_out_is_valid_chrome_trace(obs_run):
@@ -43,12 +49,14 @@ def test_trace_out_is_valid_chrome_trace(obs_run):
 
 
 def test_metrics_out_is_jsonl(obs_run):
+    """The bundle holds the run's whole registry: the live metrics and the
+    per-rank tracer and Chameleon statistics."""
     with open(obs_run["metrics"], encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh]
     assert rows
     names = {r["name"] for r in rows}
     assert any(n.startswith("coll/") for n in names)
-    assert any(n.startswith("chameleon/") for n in names)
+    assert {"tracer/events_recorded", "chameleon/k_used"} <= names
 
 
 def _metric_total(path, name):
@@ -60,27 +68,22 @@ def _metric_total(path, name):
 def test_run_config_asks_for_the_per_message_view(obs_run, tmp_path):
     """The recorder records what ran; ``--config`` picks what runs."""
     assert _metric_total(obs_run["metrics"], "coll/fast_hits") > 0
-    driven = str(tmp_path / "driven.jsonl")
-    rc = main(
-        ["run", "--workload", "synthetic", "--nprocs", "4", "--iterations",
-         "3", "--mode", "chameleon", "--no-cache", "--metrics-out", driven,
-         "--config", "gates=simulated"]
-    )
-    assert rc == 0
+    driven = _instrumented_run(tmp_path, "--config", "gates=simulated")[
+        "metrics"]
     assert _metric_total(driven, "coll/fast_hits") == 0
     assert _metric_total(driven, "p2p/messages") \
         > _metric_total(obs_run["metrics"], "p2p/messages")
 
 
 def test_trace_subcommand(obs_run, tmp_path, capsys):
-    out = str(tmp_path / "exported.json")
-    assert main(["trace", obs_run["bundle"], "-o", out]) == 0
+    """Without ``-o`` the export lands next to the bundle."""
+    bundle = shutil.copyfile(obs_run["bundle"], tmp_path / "copy.obs.json")
+    assert main(["trace", str(bundle)]) == 0
     assert "ui.perfetto.dev" in capsys.readouterr().out
-    with open(out, encoding="utf-8") as fh:
+    with open(tmp_path / "copy.obs.trace.json", encoding="utf-8") as fh:
         exported = json.load(fh)
     with open(obs_run["trace"], encoding="utf-8") as fh:
-        direct = json.load(fh)
-    assert exported == direct  # offline export == live export
+        assert exported == json.load(fh)
 
 
 def test_stats_subcommand(obs_run, tmp_path, capsys):

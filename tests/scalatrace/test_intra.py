@@ -711,6 +711,36 @@ class TestAgainstFrozenFold:
         assert [getattr(n, "iters", None) for n in twin.c.nodes] == [
             prefix, None, 12]
 
+    @pytest.mark.parametrize("prefix", (4, 5))
+    def test_a_miss_hands_the_rest_of_its_iteration_to_the_rules(
+            self, prefix, counting_records):
+        """The cursor changes mode only between iterations.  As above, with
+        three-call bodies: at ``k == prefix`` the first call misses on its
+        guard, so it and each remaining call of that iteration build their
+        record for the rules; the next iteration is pending again."""
+        body = (_site_call(3), _site_call(4, op=Op.RECV, dest=None),
+                _site_call(5))
+        twin = _Lockstep()
+
+        def built(call_) -> int:
+            before = twin.built
+            twin.append(*call_)
+            return twin.built - before
+
+        for _ in range(prefix):
+            twin.append(*_site_call(1))
+            twin.append(*_site_call(2, op=Op.RECV, dest=None))
+            twin.append(*_site_call(6))
+        twin.append(*_site_call(9, op=Op.BARRIER))
+        for _ in range(prefix):  # the last one pending, at k == prefix - 1
+            per_call = [built(c) for c in body]
+        assert per_call == [0, 0, 0]
+        assert twin.c.snapshot()[-1].iters == prefix
+        assert [built(c) for c in body] == [1, 1, 1]
+        assert [built(c) for c in body] == [0, 0, 0]
+        assert [getattr(n, "iters", None) for n in twin.c.nodes] == [
+            prefix, None, prefix + 2]
+
     @given(_nested, st.sampled_from([1, 3, 4, 64]),
            st.sets(st.integers(0, 150), max_size=3),
            st.sets(st.integers(0, 150), max_size=2))

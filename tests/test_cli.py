@@ -263,8 +263,6 @@ SURFACE = {
         (('--call-frequency',), 'call_frequency', 1, None, False, None,
          'store'),
         (('-o', '--output'), 'output', '', None, False, None, 'store'),
-        (('--trace-out',), 'trace_out', '', None, False, None, 'store'),
-        (('--metrics-out',), 'metrics_out', '', None, False, None, 'store'),
         (('--obs-out',), 'obs_out', '', None, False, None, 'store'),
         (('--faults',), 'faults', '', None, False, None, 'store'),
         (('--fault-seed',), 'fault_seed', None, None, False, None, 'store'),
