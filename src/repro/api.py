@@ -171,7 +171,7 @@ def inspect(result: RunResult) -> Inspection:
     Always provides the metrics registry (tracer/Chameleon/ACURDION
     statistics under ``tracer/…``, ``chameleon/…``, ``acurdion/…`` names);
     when the run executed with a :class:`Recorder` the event timeline
-    (spans, instants, live ``p2p/…``/``coll/…``/``marker/…`` metrics) is
+    (spans, instants, live ``p2p/…``/``coll/…``/``fault/…`` metrics) is
     included too::
 
         result = repro.run("bt", 16, "chameleon", instrument=repro.Recorder())

@@ -356,7 +356,7 @@ class ChameleonTracer(ScalaTraceTracer):
         obs = self.obs
         if not obs.enabled:
             return
-        rank, metrics = self.rank, obs.metrics
+        rank = self.rank
         final = {"final": True} if state == FINAL else {}
         for name, (start, end) in spans.items():
             if name == "signature":
@@ -371,34 +371,20 @@ class ChameleonTracer(ScalaTraceTracer):
                 args = ({"degraded": True, "final": True} if degraded
                         else {"k": len(self.topk), **final})
             obs.span(rank, name, "chameleon", start, end, args)
-            if not degraded:
-                metrics.count(f"marker/{name}_time", end - start, rank=rank,
-                              phase=state if name == "vote" else None)
         if "vote" in spans:
             obs.instant(
                 rank, "marker", "chameleon", t,
                 {"state": state, "call": len(log),
                  "cluster": decision.do_cluster, "merge": decision.do_merge},
             )
-            metrics.count("marker/effective_calls", 1, rank=rank,
-                          phase=state)
         if state != before and not degraded:
             obs.instant(rank, "state_transition", "state", t,
                         {"from": before, "to": state})
-            if not final:
-                metrics.count("marker/state_transitions", 1, rank=rank,
-                              phase=state)
         if decision.state is MarkerState.C:
             obs.instant(
                 rank, "lead_election", "chameleon", self.ctx.clock,
                 {"leads": sorted(cluster.leads), "is_lead": self.tracing},
             )
-            metrics.count("marker/lead_elections", 1, rank=rank)
-            metrics.gauge("marker/is_lead", float(self.tracing), rank=rank)
-        metrics.gauge("space/bytes", float(record.bytes), rank=rank,
-                      phase=state)
-        metrics.observe("space/bytes_per_marker", float(record.bytes),
-                        rank=rank, phase=state)
 
     # -- finalize -----------------------------------------------------------
 

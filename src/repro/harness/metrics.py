@@ -30,14 +30,12 @@ class OverheadBreakdown:
 
 def breakdown(result: RunResult) -> OverheadBreakdown:
     # One registry for every lookup (``RunResult.stat`` builds one per call).
-    # A result whose per-rank tracer stats were dropped still reports its
-    # recording cost from the live ``record/time`` metric when instrumented.
     reg = result.registry()
 
     def stat(name: str) -> float:
         return float(reg.value(name))
 
-    record = stat("tracer/record_time") or stat("record/time")
+    record = stat("tracer/record_time")
     if result.chameleon_stats:
         return OverheadBreakdown(record, *(
             stat(f"chameleon/{name}_time")

@@ -5,9 +5,8 @@ One collection path for everything a run can tell you about itself:
 * :mod:`repro.obs.instrument` — the :class:`Instrument` event bus (spans +
   instants in virtual time) with a zero-cost no-op default and the
   collecting :class:`Recorder`;
-* :mod:`repro.obs.metrics`    — the :class:`MetricsRegistry` of counters,
-  gauges and histograms keyed on ``(rank, phase, op)`` with virtual-time
-  bucketing;
+* :mod:`repro.obs.metrics`    — the :class:`MetricsRegistry` of counters
+  and histograms keyed on ``(rank, phase, op)``;
 * :mod:`repro.obs.export`     — Chrome ``trace_event`` JSON (opens directly
   in ui.perfetto.dev), flat metrics JSONL and terminal summaries;
 * :mod:`repro.obs.schema`     — dependency-free validation of exporter

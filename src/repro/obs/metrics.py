@@ -1,4 +1,4 @@
-"""MetricsRegistry: typed counters/gauges/histograms keyed on (rank, phase, op).
+"""MetricsRegistry: typed counters/histograms keyed on (rank, phase, op).
 
 One registry replaces the ad-hoc ``tracer_stats`` / ``chameleon_stats``
 dict-summing the harness used to do: every metric is addressed by a *name*
@@ -98,11 +98,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with (rank, phase, op) labels."""
+    """Counters and histograms with (rank, phase, op) labels."""
 
     def __init__(self) -> None:
         self._counters: dict[MetricKey, float] = {}
-        self._gauges: dict[MetricKey, float] = {}
         self._hists: dict[MetricKey, Histogram] = {}
 
     # -- writing -----------------------------------------------------------
@@ -119,18 +118,6 @@ class MetricsRegistry:
         """Add ``value`` to a counter."""
         key = _key(name, rank, phase, op)
         self._counters[key] = self._counters.get(key, 0.0) + value
-
-    def gauge(
-        self,
-        name: str,
-        value: float,
-        *,
-        rank: int | None = None,
-        phase: str | None = None,
-        op: str | None = None,
-    ) -> None:
-        """Set a gauge to its latest value."""
-        self._gauges[_key(name, rank, phase, op)] = value
 
     def observe(
         self,
@@ -170,17 +157,15 @@ class MetricsRegistry:
         )
 
     def has(self, name: str) -> bool:
-        """Whether any counter/gauge/histogram sample exists under ``name``."""
+        """Whether any counter/histogram sample exists under ``name``."""
         return any(
-            k[0] == name
-            for store in (self._counters, self._gauges, self._hists)
+            k[0] == name for store in (self._counters, self._hists)
             for k in store
         )
 
     def names(self) -> list[str]:
         """Sorted distinct metric names across all stores."""
         out = {k[0] for k in self._counters}
-        out.update(k[0] for k in self._gauges)
         out.update(k[0] for k in self._hists)
         return sorted(out)
 
@@ -209,11 +194,10 @@ class MetricsRegistry:
     # -- combination -------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (counters add, gauges take the
-        other's value, histograms combine).  Returns ``self``."""
+        """Fold ``other`` into this registry (counters add, histograms
+        combine).  Returns ``self``."""
         for k, v in other._counters.items():
             self._counters[k] = self._counters.get(k, 0.0) + v
-        self._gauges.update(other._gauges)
         for k, h in other._hists.items():
             mine = self._hists.get(k)
             self._hists[k] = h.merged(mine) if mine is not None else h.merged(Histogram())
@@ -237,10 +221,6 @@ class MetricsRegistry:
             row = base("counter", key)
             row["value"] = self._counters[key]
             yield row
-        for key in sorted(self._gauges, key=repr):
-            row = base("gauge", key)
-            row["value"] = self._gauges[key]
-            yield row
         for key in sorted(self._hists, key=repr):
             row = base("histogram", key)
             row.update(self._hists[key].as_dict())
@@ -256,10 +236,6 @@ class MetricsRegistry:
                 {"key": list(k), "value": v} for k, v in sorted(
                     self._counters.items(), key=lambda kv: repr(kv[0]))
             ],
-            "gauges": [
-                {"key": list(k), "value": v} for k, v in sorted(
-                    self._gauges.items(), key=lambda kv: repr(kv[0]))
-            ],
             "histograms": [
                 {"key": list(k), **h.as_dict()} for k, h in sorted(
                     self._hists.items(), key=lambda kv: repr(kv[0]))
@@ -271,8 +247,6 @@ class MetricsRegistry:
         reg = cls()
         for row in data.get("counters", []):
             reg._counters[tuple(row["key"])] = row["value"]  # type: ignore[index]
-        for row in data.get("gauges", []):
-            reg._gauges[tuple(row["key"])] = row["value"]  # type: ignore[index]
         for row in data.get("histograms", []):
             hist = Histogram(
                 count=row["count"],
@@ -285,12 +259,12 @@ class MetricsRegistry:
         return reg
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._hists)
+        return len(self._counters) + len(self._hists)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} hists={len(self._hists)}>"
+            f"hists={len(self._hists)}>"
         )
 
 
@@ -298,9 +272,6 @@ class NullMetrics(MetricsRegistry):
     """Write-discarding registry backing the no-op Instrument."""
 
     def count(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
-        pass
-
-    def gauge(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
         pass
 
     def observe(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102

@@ -54,6 +54,7 @@ class ReplayOp:
     group: tuple[int, ...] | None = None  # collectives: participant ranks
     root: int = 0
     key: tuple | None = None  # collectives: (op, stack_sig, comm) identity
+    instance: int = 0  # collectives: this rank's occurrence index of key
 
 
 @dataclass
@@ -215,7 +216,8 @@ def coalesce_collectives(schedules: list[list[ReplayOp]]) -> int:
     synchronization and can even deadlock against interleaved point-to-point
     ordering.  This pass aligns each rank's *i*-th occurrence of a collective
     key with every other rank's *i*-th occurrence and rebuilds the true
-    participant group: ``group_i = { r : rank r has > i occurrences }``.
+    participant group: ``group_i = { r : rank r has > i occurrences }``,
+    and stores ``i`` as each op's ``instance``.
 
     Returns the number of operations whose group changed.
     """
@@ -238,7 +240,7 @@ def coalesce_collectives(schedules: list[list[ReplayOp]]) -> int:
         for op in sched:
             if op.kind != "coll" or op.key is None:
                 continue
-            i = seen[op.key][r]
+            i = op.instance = seen[op.key][r]
             seen[op.key][r] = i + 1
             group = groups_by_key[op.key][i]
             if group != op.group:
@@ -526,8 +528,9 @@ def _repair_deadlock(
 
     A blocked receive is simply dropped.  A blocked collective instance is
     dropped from *every* rank that has not executed it yet (identified by
-    its key and per-rank instance index), keeping the collective sequence
-    aligned.  Returns the number of removed operations.
+    its key and the instance index :func:`coalesce_collectives` gave it),
+    keeping the collective sequence aligned.  Returns the number of removed
+    operations.
 
     With ``colls_only`` (the collective-mismatch abort, where ranks not
     parked in the disputed gate were interrupted mid-flight, not blocked)
@@ -535,7 +538,7 @@ def _repair_deadlock(
     cursor may have been about to complete normally.
     """
     removed = 0
-    colls_to_drop: list[tuple[tuple, int]] = []  # (key, instance index)
+    colls_to_drop: set[tuple[tuple, int]] = set()  # (key, instance)
     for rank, sched in enumerate(schedules):
         i = progress[rank]
         if i >= len(sched):
@@ -547,24 +550,16 @@ def _repair_deadlock(
             del sched[i]
             removed += 1
         elif op.kind == "coll" and op.key is not None:
-            instance = sum(
-                1 for prior in sched[:i] if prior.kind == "coll"
-                and prior.key == op.key
-            )
-            colls_to_drop.append((op.key, instance))
+            colls_to_drop.add((op.key, op.instance))
         # blocked sends resolve at the end; they cannot wedge mid-schedule
-    # first-seen order: a set would follow signature values and the hash seed
-    for key, instance in dict.fromkeys(colls_to_drop):
+    # each names one op per rank, so the drops commute: any order will do
+    for key, instance in colls_to_drop:
         for rank, sched in enumerate(schedules):
             for idx in range(progress[rank], len(sched)):
                 op = sched[idx]
-                if op.kind == "coll" and op.key == key:
-                    prior = sum(
-                        1 for p in sched[:idx]
-                        if p.kind == "coll" and p.key == key
-                    )
-                    if prior == instance:
-                        del sched[idx]
-                        removed += 1
-                        break
+                if (op.kind == "coll" and op.key == key
+                        and op.instance == instance):
+                    del sched[idx]
+                    removed += 1
+                    break
     return removed

@@ -166,7 +166,7 @@ class ScalaTraceTracer:
         if self.tracing:
             ctx.compute(self._build(op, t0, site, src, dest, nbytes, tag,
                                     root, comm_id))
-            self._account(op, t0, task.clock)
+            self._account(t0, task.clock)
         else:  # no trace is built; the signature still lets the rank vote
             self.stats.events_skipped += 1
             ctx.compute(self.costs.per_signature_event)
@@ -192,16 +192,11 @@ class ScalaTraceTracer:
             + (self.meter.total - work0) * self.costs.per_compression_op
         )
 
-    def _account(self, op: Op, t0: float, t1: float) -> None:
+    def _account(self, t0: float, t1: float) -> None:
         """The event path past the charge, which ended at clock ``t1``."""
         stats = self.stats
         stats.record_time += t1 - t0
         stats.peak_bytes = max(stats.peak_bytes, self.compressor.size_bytes())
-        ins = self.obs
-        if ins.enabled:
-            ins.metrics.count("record/events", 1, rank=self.rank,
-                              op=op.name.lower())
-            ins.metrics.count("record/time", t1 - t0, rank=self.rank)
 
     def _track_signatures(self, events: Sequence[tuple]) -> None:
         """The hook for one declared exchange: all its calls at once, in
@@ -380,7 +375,7 @@ class ScalaTraceTracer:
                 if tracing:
                     t0 = state.clock
                     yield ("compute", self._build(event[0], t0, *event[1]))
-                    self._account(event[0], t0, state.clock)
+                    self._account(t0, state.clock)
                 else:
                     self.stats.events_skipped += 1
                     yield skip
@@ -500,8 +495,6 @@ class ScalaTraceTracer:
                 self.rank, "merge_over_tree", "tracer", t0, self.ctx.clock,
                 {"members": tree.size, "root": result is not None},
             )
-            ins.metrics.count("merge/time", self.ctx.clock - t0,
-                              rank=self.rank)
         return result
 
     async def finalize(self, members: Sequence[int] | None = None) -> Trace | None:

@@ -97,28 +97,55 @@ class TestRegistry:
 
 
 class TestBreakdownFix:
-    def test_chameleon_record_without_tracer_stats(self, chameleon):
-        """Record time must survive the loss of the tracer_stats list.
-
-        The old implementation gated on ``if result.tracer_stats`` and
-        reported record=0.0 whenever that list was empty even though the
-        Chameleon stats (and the registry) still knew the recording cost.
-        """
-        import dataclasses
-
-        assert breakdown(chameleon).record > 0.0
-        # registry still derives record time when the run was instrumented
-        recorded = run_mode(
-            make_workload("synthetic", **PARAMS), 4, Mode.CHAMELEON,
-            instrument=Recorder(),
-        )
-        stripped = dataclasses.replace(recorded, tracer_stats=[])
-        assert breakdown(stripped).record > 0.0
-        assert stripped.chameleon_stats  # chameleon stats were present
-
     def test_breakdown_totals_consistent(self, chameleon):
         bd = breakdown(chameleon)
+        assert bd.record > 0.0
         assert bd.total == pytest.approx(
             bd.record + bd.signature + bd.vote + bd.clustering
             + bd.intercompression
         )
+
+
+class TestOneNamePerFact:
+    """A recorder's live metrics restate nothing that the tracer stats or
+    the marker log hold: each fact is read under its stats-derived name."""
+
+    RESTATED = ("tracer/", "chameleon/", "acurdion/", "record/", "merge/",
+                "marker/", "space/")
+
+    def test_chameleon_cell(self):
+        result = run_mode(
+            make_workload("lu_modified", problem_class="A", iterations=12,
+                          phase_period=5),
+            9, Mode.CHAMELEON, instrument=Recorder(),
+        )
+        live = result.obs.metrics.names()
+        assert live and not [n for n in live if n.startswith(self.RESTATED)]
+        reg = result.registry()
+        assert {name: reg.value(name) for name in (
+            "tracer/record_time", "tracer/events_recorded",
+            "tracer/merge_time", "chameleon/signature_time",
+            "chameleon/vote_time", "chameleon/clustering_time",
+            "chameleon/intercompression_time", "chameleon/state_markers",
+        )} == {
+            "tracer/record_time": 0.0020058600000001756,
+            "tracer/events_recorded": 2538,
+            "tracer/merge_time": 0.03151827466666673,
+            "chameleon/signature_time": 7.613999999997543e-05,
+            "chameleon/vote_time": 0.0011381040000006757,
+            "chameleon/clustering_time": 0.00046053333333353347,
+            "chameleon/intercompression_time": 0.031787074666666734,
+            "chameleon/state_markers": 108,
+        }
+
+    def test_scalatrace_cell(self):
+        result = run_mode(
+            make_workload("synthetic", **PARAMS), 4, Mode.SCALATRACE,
+            instrument=Recorder(),
+        )
+        live = result.obs.metrics.names()
+        assert live and not [n for n in live if n.startswith(self.RESTATED)]
+        reg = result.registry()
+        for name in ("tracer/events_recorded", "tracer/record_time",
+                     "tracer/merge_time"):
+            assert reg.value(name) > 0

@@ -111,15 +111,18 @@ def test_a_span_recorder_does_not_pick_the_strategy(monkeypatch, spec):
     assert rec.metrics.value("coll/fast_hits") == spmd.collectives_fast
     if not spmd.p2p_fast:
         return  # no declared phase: nothing for the gate to report
-    # the schedule emits record/* at the resumed clock, the gate the
-    # per-message events its replay collected: they are those of the run
-    # that drives every gate message by message.  That run also drives the
-    # collectives, whose messages carry reserved tags (``p2p.tool``
-    # spans), so the exchanges' messages are compared as the user-tag ones.
+    # the schedule accounts each record at the resumed clock, the gate
+    # emits the per-message events its replay collected: they are those of
+    # the run that drives every gate message by message.  That run also
+    # drives the collectives, whose messages carry reserved tags
+    # (``p2p.tool`` spans), so the exchanges' messages are compared as the
+    # user-tag ones.
     driven = Recorder()
-    cell(monkeypatch, spec, instrument=driven, sim=SIMULATED)
-    for metric in ("record/events", "record/time"):
-        assert rec.metrics.value(metric) == driven.metrics.value(metric) > 0
+    driven_result, _ = cell(monkeypatch, spec, instrument=driven,
+                            sim=SIMULATED)
+    for metric in ("tracer/events_recorded", "tracer/record_time"):
+        assert recorded.registry().value(metric) \
+            == driven_result.registry().value(metric) > 0
 
     def user_messages(r):
         return sorted((s.rank, s.name, s.start, s.end, sorted(s.args.items()))

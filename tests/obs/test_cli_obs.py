@@ -3,10 +3,41 @@ and stats."""
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.obs import MetricsRegistry, ObsData
+from repro.obs.schema import validate
+
+SCHEMAS = Path(__file__).resolve().parents[2] / "schemas"
+
+#: a bundle as written while the registry still had a gauge kind: its
+#: metrics carry a ``gauges`` list beside the counters and histograms
+OLD_BUNDLE = {
+    "version": 1,
+    "meta": {"workload": "synthetic", "nprocs": 2, "mode": "chameleon"},
+    "spans": [{"rank": 0, "name": "vote", "cat": "chameleon",
+               "start": 0.0, "end": 1e-05, "args": {"state": "AT"}}],
+    "instants": [{"rank": 1, "name": "state_transition", "cat": "state",
+                  "ts": 1e-05, "args": {"from": "start", "to": "AT"}}],
+    "metrics": {
+        "counters": [
+            {"key": ["p2p/messages", 0, None, "send"], "value": 4.0},
+            {"key": ["tracer/record_time", 1, None, None], "value": 2e-06},
+        ],
+        "gauges": [
+            {"key": ["marker/is_lead", 0, None, None], "value": 1.0},
+            {"key": ["space/bytes", 1, "L", None], "value": 512.0},
+        ],
+        "histograms": [
+            {"key": ["p2p/recv_latency", 0, None, None], "count": 2,
+             "sum": 3e-06, "min": 1e-06, "max": 2e-06, "mean": 1.5e-06,
+             "buckets": {"-19": 2}},
+        ],
+    },
+}
 
 
 def _instrumented_run(tmp, *extra) -> dict[str, str]:
@@ -113,3 +144,23 @@ def test_plain_run_stays_uninstrumented(capsys):
     )
     assert rc == 0
     assert "chrome trace" not in capsys.readouterr().out
+
+
+def test_a_bundle_with_gauges_still_loads(tmp_path):
+    """Counters and histograms load; the gauges are ignored, and the rows
+    ``repro stats --jsonl`` writes from such a bundle fit the schema."""
+    names = ["p2p/messages", "p2p/recv_latency", "tracer/record_time"]
+    reg = MetricsRegistry.from_dict(OLD_BUNDLE["metrics"])
+    assert reg.names() == names
+    assert reg.value("p2p/messages", op="send") == 4.0
+    assert reg.histogram("p2p/recv_latency").count == 2
+    obs = ObsData.from_dict(OLD_BUNDLE)
+    assert obs.metrics.names() == names and len(obs.spans) == 1
+    bundle, jsonl = tmp_path / "old.obs.json", tmp_path / "old.jsonl"
+    bundle.write_text(json.dumps(OLD_BUNDLE), encoding="utf-8")
+    assert main(["stats", str(bundle), "--jsonl", str(jsonl)]) == 0
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert sorted(r["name"] for r in rows) == names
+    schema = json.loads((SCHEMAS / "metrics_row.schema.json").read_text())
+    for row in rows:
+        assert validate(row, schema) == []

@@ -86,7 +86,6 @@ class TestRecorder:
     def test_metrics_collected(self, chameleon_obs):
         reg = chameleon_obs.metrics
         assert reg.value("coll/calls") > 0
-        assert reg.value("marker/effective_calls") > 0
         assert reg.value("p2p/messages") > 0
 
     def test_roundtrip(self, chameleon_obs):

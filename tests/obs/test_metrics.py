@@ -25,11 +25,10 @@ class TestCounters:
     def test_has_and_names(self):
         reg = MetricsRegistry()
         reg.count("a/x", 1)
-        reg.gauge("b/y", 2.0)
         reg.observe("c/z", 3.0)
-        assert reg.has("a/x") and reg.has("b/y") and reg.has("c/z")
+        assert reg.has("a/x") and reg.has("c/z")
         assert not reg.has("a")
-        assert reg.names() == ["a/x", "b/y", "c/z"]
+        assert reg.names() == ["a/x", "c/z"]
 
     def test_labels_sorted(self):
         reg = MetricsRegistry()
@@ -71,7 +70,6 @@ class TestCombination:
     def test_roundtrip(self):
         reg = MetricsRegistry()
         reg.count("c", 2, rank=1, phase="L", op="send")
-        reg.gauge("g", 9.5, rank=0)
         reg.observe("h", 7.0)
         back = MetricsRegistry.from_dict(reg.to_dict())
         assert back.value("c", rank=1, phase="L") == 2
@@ -90,7 +88,6 @@ class TestCombination:
 
 def test_null_metrics_discards_everything():
     NULL_METRICS.count("x", 1)
-    NULL_METRICS.gauge("y", 2.0)
     NULL_METRICS.observe("z", 3.0)
     assert len(NULL_METRICS) == 0
     assert NULL_METRICS.value("x") == 0.0

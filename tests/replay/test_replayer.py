@@ -278,9 +278,10 @@ class TestAccuracyMetric:
 
 
 class TestDeadlockRepairOrder:
-    """The repair drops blocked collective instances in first-seen order
-    (by rank), not in the iteration order of a set — which follows the
-    signature values and ``PYTHONHASHSEED``."""
+    """The repair names a blocked collective instance by its key and the
+    index ``coalesce_collectives`` gave it, so what it drops does not follow
+    the order of the drops — nor the signature values or
+    ``PYTHONHASHSEED``."""
 
     def test_two_droppable_instances_of_one_key(self):
         from repro.replay.replayer import ReplayOp, _repair_deadlock
@@ -288,18 +289,20 @@ class TestDeadlockRepairOrder:
 
         # Rank 0 is blocked on instance 0 of the key, rank 1 (which ran its
         # instance 0 in an earlier, partly repaired round) on instance 1.
-        # Instance 0 goes first: rank 0 loses its 1st and then — renumbered
-        # — its 3rd op; dropping instance 1 first would leave its 3rd.
+        # Each instance keeps the index coalesce_collectives gave it, so
+        # both ranks lose instance 1 and rank 0 its instance 0 too; both
+        # keep instance 2, whatever order the drops go in.
         for sig in range(16):  # some key hashes every set order wrong
             key = (Op.ALLREDUCE.value, sig, 0)
             schedules = [
-                [ReplayOp("coll", sleep, 8, op=Op.ALLREDUCE, key=key)
-                 for sleep in (0.1, 0.2, 0.3)]
+                [ReplayOp("coll", sleep, 8, op=Op.ALLREDUCE, key=key,
+                          instance=i)
+                 for i, sleep in enumerate((0.1, 0.2, 0.3))]
                 for _rank in range(2)
             ]
             assert _repair_deadlock(schedules, [0, 1]) == 3
             assert [[op.sleep for op in s] for s in schedules] \
-                == [[0.2], [0.1, 0.3]]
+                == [[0.3], [0.1, 0.3]]
 
     def test_replay_does_not_depend_on_the_hash_seed(self, tmp_path):
         """One trace text, replayed in fresh interpreters under four hash
@@ -344,12 +347,12 @@ class TestReplayStats:
         coalesce_collectives(schedules)
         assert reconcile(schedules) == 49
         stats = replay_trace(trace).stats
-        # reconcile's 49 plus the 13 receives the repair removed; its 240
+        # reconcile's 49 plus the 15 receives the repair removed; its 240
         # collective ops count as repairs only
-        assert stats.p2p_dropped == 49 + 13
-        assert stats.deadlock_repairs == 253
+        assert stats.p2p_dropped == 49 + 15
+        assert stats.deadlock_repairs == 255
         assert (stats.ops_issued, stats.sends, stats.recvs,
-                stats.collectives) == (64, 33, 20, 11)
+                stats.collectives) == (62, 33, 18, 11)
 
     def test_repaired_collective_is_not_a_p2p_drop(self):
         """Three sub-group collectives wait on each other in a cycle: the
