@@ -171,8 +171,10 @@ def inspect(result: RunResult) -> Inspection:
     Always provides the metrics registry (tracer/Chameleon/ACURDION
     statistics under ``tracer/…``, ``chameleon/…``, ``acurdion/…`` names);
     when the run executed with a :class:`Recorder` the event timeline
-    (spans, instants, live ``p2p/…``/``coll/…``/``fault/…`` metrics) is
-    included too::
+    (spans, instants, the live ``p2p/…``/``coll/…`` send and fast-path
+    counters) is included too.  A fact a span or instant records is read
+    off it (a collective's count and time from its ``coll`` spans, a
+    crash from its ``fault`` instant), not from a counter::
 
         result = repro.run("bt", 16, "chameleon", instrument=repro.Recorder())
         view = repro.inspect(result)

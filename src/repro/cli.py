@@ -249,6 +249,16 @@ def _load_obs_bundle(path: str):
     return ObsData.from_dict(data)
 
 
+def _load_trace(path: str) -> Trace:
+    """``Trace.load``, or one line on stderr and exit 2 for a file that
+    cannot be read (``repro diff`` keeps exit 1 for "the traces differ")."""
+    try:
+        return Trace.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read trace {path!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import export_chrome_trace
 
@@ -274,7 +284,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
     print(summarize(trace).report())
     matrix = communication_matrix(trace)
     hs = hotspots(matrix)
@@ -290,7 +300,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
     nprocs = args.nprocs or trace.nprocs
     result = replay_trace(trace, nprocs=nprocs)
     print(f"replayed {result.stats.ops_issued} operations on {nprocs} ranks")
@@ -305,7 +315,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from .replay import reconstruct_timeline
 
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
     nprocs = args.nprocs or trace.nprocs
     timeline = reconstruct_timeline(trace, nprocs=nprocs)
     print(timeline.gantt(width=args.width))
@@ -321,8 +331,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from .scalatrace.difftool import diff_traces
 
-    a = Trace.load(args.trace_a)
-    b = Trace.load(args.trace_b)
+    a = _load_trace(args.trace_a)
+    b = _load_trace(args.trace_b)
     diff = diff_traces(a, b)
     print(diff.report())
     return 0 if diff.similarity() >= args.threshold else 1

@@ -218,8 +218,6 @@ class ChameleonTracer(ScalaTraceTracer):
                          "cluster": list(mine.members.ranks()),
                          "failed": sorted(failed)},
                     )
-                    obs.metrics.count("fault/lead_reelections", 1,
-                                      rank=self.rank)
             if replacements and obs.enabled:
                 obs.instant(
                     self.rank, "lead_reelection", "fault", self.ctx.clock,
@@ -239,8 +237,6 @@ class ChameleonTracer(ScalaTraceTracer):
                      "collapsed": [list(sig) for sig in collapsed],
                      "failed": sorted(failed)},
                 )
-                obs.metrics.count("fault/degraded_entries", 1,
-                                  rank=self.rank)
 
     # -- the marker (Algorithm 3) ----------------------------------------------
 

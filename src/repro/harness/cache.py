@@ -299,7 +299,6 @@ class RunCache:
             if ins.enabled:
                 ins.instant(-1, "cache_corrupt", "fault", 0.0,
                             {"digest": digest, "error": str(exc)})
-                ins.metrics.count("fault/cache_invalidated", 1)
             try:
                 path.unlink()
             except OSError:
@@ -386,7 +385,6 @@ class RunCache:
                         -1, "cache_corrupt", "fault", 0.0,
                         {"digest": path.stem, "error": str(exc)},
                     )
-                    self.instrument.metrics.count("fault/cache_invalidated", 1)
         if self.root.is_dir():
             for path in sorted(self.root.rglob("*.tmp")):
                 if _spill_writer_alive(path):

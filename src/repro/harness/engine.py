@@ -318,10 +318,11 @@ class ExperimentEngine:
             ``0`` means "all cores".
         cache: a :class:`RunCache`, or None to disable caching.
         progress: optional callback receiving :class:`CellEvent`\\ s.
-        instrument: an :class:`~repro.obs.instrument.Instrument`; scheduling
-            activity (scheduled/hit/executed cells) is counted into its
-            metrics, and :meth:`run_cell_instrumented` threads it into the
-            simulation itself.
+        instrument: an :class:`~repro.obs.instrument.Instrument`; every
+            :class:`CellEvent` (scheduled/hit/executed cells, retries,
+            deadlines, quarantines) is counted into its metrics once, as
+            ``engine/cells_<kind>``, and :meth:`run_cell_instrumented`
+            threads it into the simulation itself.
         policy: a :class:`~repro.resilience.RetryPolicy` bounding the
             engine's host-fault recovery (worker-death retries, per-cell
             deadlines, quarantine); defaults to ``RetryPolicy()``.
@@ -438,10 +439,6 @@ class ExperimentEngine:
         """Abandon ``cell`` so its batch can finish: counted, reported as
         a ``quarantine`` event, returned for the :class:`QuarantineError`."""
         self.metrics.quarantined += 1
-        if self.instrument.enabled:
-            self.instrument.metrics.count(
-                "resilience/cell_quarantined", 1, op=cell.label
-            )
         self._emit(CellEvent(
             "quarantine", f"{cell.label} ({reason} x{attempts})", digest,
             index, total
@@ -515,9 +512,6 @@ class ExperimentEngine:
                     due = left if due is None else min(due, left)
                     continue
                 cell = pending[digest]
-                if self.instrument.enabled:
-                    self.instrument.metrics.count(
-                        "resilience/cell_deadline", 1, op=cell.label)
                 self._emit(CellEvent("deadline", cell.label, digest,
                                      by_digest[digest][0], total))
                 self._kill_pool_workers(lane)
@@ -532,9 +526,6 @@ class ExperimentEngine:
                 quarantined.append(self._quarantine(
                     cell, digest, reason, attempts[digest], index, total))
                 return
-            if self.instrument.enabled:
-                self.instrument.metrics.count("fault/pool_retries", 1,
-                                              op=cell.label)
             self._emit(CellEvent("retry", cell.label, digest, index, total))
             time.sleep(policy.backoff(attempts[digest]))
             queue.append(digest)

@@ -6,7 +6,8 @@ One collection path for everything a run can tell you about itself:
   instants in virtual time) with a zero-cost no-op default and the
   collecting :class:`Recorder`;
 * :mod:`repro.obs.metrics`    — the :class:`MetricsRegistry` of counters
-  and histograms keyed on ``(rank, phase, op)``;
+  keyed on ``(rank, phase, op)``, for the facts no span or instant
+  records;
 * :mod:`repro.obs.export`     — Chrome ``trace_event`` JSON (opens directly
   in ui.perfetto.dev), flat metrics JSONL and terminal summaries;
 * :mod:`repro.obs.schema`     — dependency-free validation of exporter
@@ -32,10 +33,9 @@ from .instrument import (
     Recorder,
     SpanEvent,
 )
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = [
-    "Histogram",
     "Inspection",
     "InstantEvent",
     "Instrument",

@@ -15,6 +15,7 @@ timeline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, IO
 
@@ -147,6 +148,12 @@ def format_summary(obs: ObsData, width: int = 72) -> str:
             f" last {last_args.get('from')}->{last_args.get('to')}"
             f" @ {states[-1].ts:.6f} s"
         )
+
+    faults = Counter(i.name for i in obs.instants if i.cat == "fault")
+    if faults:
+        lines.append("  fault instants:")
+        for name in sorted(faults):
+            lines.append(f"    {name:<32s} {faults[name]:14d}")
 
     reg = obs.metrics
     names = reg.names()

@@ -10,7 +10,7 @@ trace files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from .endpoint import EndpointStat
 from .events import EventRecord, Op, ParamStat
@@ -93,30 +93,39 @@ class Trace:
 
     @classmethod
     def deserialize(cls, text: str) -> "Trace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#scalatrace"):
+        """Parse :meth:`serialize` output.  Anything else raises
+        ``ValueError`` naming the bad header field or line."""
+        lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
+        if not lines or not lines[0][1].startswith("#scalatrace"):
             raise ValueError("not a scalatrace trace file")
-        header = lines[0].split()
-        meta = dict(part.split("=", 1) for part in header[2:])
-        trace = cls(
-            nodes=[],
-            origin=RankSet.from_text(meta["origin"]),
-            nprocs=int(meta["nprocs"]),
-        )
+        meta = dict(part.partition("=")[::2]
+                    for part in lines[0][1].split()[2:])
+        fields: dict[str, Any] = {}
+        for key, parse in (("nprocs", int), ("origin", RankSet.from_text)):
+            if key not in meta:
+                raise ValueError(f"trace header has no {key}= field")
+            try:
+                fields[key] = parse(meta[key])
+            except ValueError:
+                raise ValueError(f"trace header field {key}={meta[key]!r} "
+                                 "is malformed") from None
+        trace = cls(nodes=[], **fields)
         stack: list[list[TraceNode]] = [trace.nodes]
-        for line in lines[1:]:
-            stripped = line.strip()
-            if stripped.startswith("loop "):
-                iters = int(stripped.split()[1])
-                loop = LoopNode(iters, [])
-                stack[-1].append(loop)
-                stack.append(loop.body)
-            elif stripped == "}":
-                if len(stack) == 1:
-                    raise ValueError("unbalanced loop brackets")
-                stack.pop()
-            else:
-                stack[-1].append(EventNode(_event_from_text(stripped)))
+        for n, line in lines[1:]:
+            try:
+                if line.startswith("loop "):
+                    loop = LoopNode(int(line.split()[1]), [])
+                    stack[-1].append(loop)
+                    stack.append(loop.body)
+                elif line == "}":
+                    if len(stack) == 1:
+                        raise ValueError("unbalanced loop brackets")
+                    stack.pop()
+                else:
+                    stack[-1].append(EventNode(_event_from_text(line)))
+            except ValueError as exc:
+                raise ValueError(f"trace line {n}: {exc}") from None
         if len(stack) != 1:
             raise ValueError("unterminated loop in trace file")
         return trace

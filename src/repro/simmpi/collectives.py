@@ -143,18 +143,16 @@ _ALGORITHMS = {
 
 def _emit_coll(ins, ctx: CommContext, rank: int, name: str, algorithm: str,
                t0: float, t1: float, fast_hit: bool) -> None:
-    """One collective call as a span on its caller's lane (cat ``coll``)
-    plus its ``coll/*`` counters.  The only place they are emitted: the
+    """One collective call as a span on its caller's lane (cat ``coll``;
+    its count and duration are read off the spans), plus ``coll/fast_hits``
+    when a gate answered it.  The only place they are emitted: the
     message-level interpreter, the composed collectives and every gate
     write-back end here, so the paths cannot label a call differently."""
     world = ctx.ranks[rank]
     ins.span(world, name, "coll", t0, t1,
              {"algorithm": algorithm, "comm": ctx.id, "size": ctx.size})
-    count = ins.metrics.count
-    count("coll/calls", 1, rank=world, op=name)
-    count("coll/time", t1 - t0, rank=world, op=name)
     if fast_hit:
-        count("coll/fast_hits", 1, rank=world, op=name)
+        ins.metrics.count("coll/fast_hits", 1, rank=world, op=name)
 
 
 def _observed(name: str, algorithm: str):

@@ -518,10 +518,6 @@ class CommContext:
             {"src": wsrc, "tag": tag, "nbytes": nbytes,
              "rendezvous": rendezvous, "comm": self.id},
         )
-        ins.metrics.count("p2p/bytes_received", nbytes, rank=wdest,
-                          op="recv")
-        ins.metrics.observe("p2p/recv_latency", max(done - post, 0.0),
-                            rank=wdest)
 
 
 def _status_of(msg: Message) -> dict:
@@ -720,7 +716,6 @@ class Comm:
                 ins.instant(wsrc, "dead_dest", "fault", task.clock,
                             {"dest": ranks[dest], "tag": tag,
                              "nbytes": nbytes})
-                ins.metrics.count("fault/dead_dest_sends", 1, rank=wsrc)
             fut.resolve(None, time=task.clock)
             return Request(fut, task, "isend")
         if net.eager(nbytes):
@@ -741,16 +736,12 @@ class Comm:
                         ins.instant(wsrc, "msg_lost", "fault", task.clock,
                                     {"dest": wdest, "tag": tag,
                                      "nbytes": nbytes})
-                        ins.metrics.count("fault/messages_lost", 1,
-                                          rank=wsrc)
                     fut.resolve(None, time=task.clock)
                     return Request(fut, task, "isend")
                 latency += extra
                 if extra and ins.enabled:
                     ins.instant(wsrc, "msg_delayed", "fault", task.clock,
                                 {"dest": wdest, "tag": tag, "extra": extra})
-                    ins.metrics.count("fault/messages_delayed", 1,
-                                      rank=wsrc)
             msg = Message(
                 src=self.rank,
                 dest=dest,
@@ -818,7 +809,6 @@ class Comm:
                 wdest = ranks[self.rank]
                 ins.instant(wdest, "dead_source", "fault", task.clock,
                             {"src": ranks[source], "tag": tag})
-                ins.metrics.count("fault/dead_source_recvs", 1, rank=wdest)
             fut.resolve(LOST, time=task.clock)
             return Request(fut, task, "irecv")
         mbox.push_pending(PendingRecv(source, tag, task.clock, fut, task))

@@ -312,8 +312,6 @@ class Engine:
                     if ins.enabled:
                         ins.instant(task.rank, "rank_failed", "fault",
                                     task.clock, {"error": repr(exc)})
-                        ins.metrics.count("fault/rank_failures", 1,
-                                          rank=task.rank)
                     continue
                 self._close_unfinished()
                 raise TaskFailedError(task.rank, exc) from exc
@@ -343,7 +341,6 @@ class Engine:
         if ins.enabled:
             ins.instant(task.rank, "crash", "fault", task.clock,
                         {"scheduled_at": inj.crash_time(task.rank)})
-            ins.metrics.count("fault/crashes", 1, rank=task.rank)
 
     def _purge_pending(self, task: Task) -> None:
         """Sever the dead rank from every communicator it participates in:
@@ -417,7 +414,6 @@ class Engine:
             ins.instant(victim.rank, "op_timeout", "fault", release_t,
                         {"orphaned": fut.label,
                          "failed_ranks": sorted(self.faults.failed)})
-            ins.metrics.count("fault/timeouts", 1, rank=victim.rank)
         fut.resolve(LOST, time=release_t)
         return True
 

@@ -2,11 +2,14 @@
 observability of every fault event."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.api import run as api_run
-from repro.faults.plan import ComputeFault, FaultPlan, LinkFault, MessageFaults
+from repro.faults.plan import (
+    ComputeFault, CrashFault, FaultPlan, LinkFault, MessageFaults,
+)
 from repro.harness.engine import ExperimentEngine
 from repro.harness.runner import Mode, run_mode
 from repro.obs import Recorder, export_chrome_trace
@@ -129,9 +132,20 @@ class TestObservability:
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "fault" in cats
 
-    def test_fault_metrics_in_registry(self, engine):
-        plan = FaultPlan(seed=7, messages=MessageFaults(drop_prob=0.3))
+    def test_fault_instants_count_the_fault_summary(self, engine):
+        """A fault is counted once, by its instant: each pair below is
+        advanced at one site (``comm.isend``, ``Engine._crash``,
+        ``Engine._release_one_orphan``)."""
+        plan = FaultPlan(
+            seed=7, crashes=(CrashFault(rank=3, time=0.03),),
+            messages=MessageFaults(drop_prob=0.3, max_retries=1),
+        )
         res = _run(engine, plan, instrument=Recorder())
-        reg = res.registry()
-        assert reg.has("fault/messages_lost") or res.extra[
-            "fault_summary"]["lost"] == 0
+        summary = res.extra["fault_summary"]
+        assert summary["lost"] > 0 and summary["crash"] == 1
+        assert summary["timeout"] > 0
+        counts = Counter(i.name for i in res.obs.instants_for(cat="fault"))
+        assert [counts["msg_lost"], counts["crash"], counts["op_timeout"]] \
+            == [summary["lost"], summary["crash"], summary["timeout"]]
+        assert not [n for n in res.registry().names()
+                    if n.startswith("fault/")]

@@ -92,7 +92,7 @@ class TestRegistry:
             instrument=Recorder(),
         )
         reg = result.registry()
-        assert reg.value("coll/calls") > 0  # live metric, via obs
+        assert reg.value("p2p/messages") > 0  # live metric, via obs
         assert reg.has("chameleon/vote_time")  # stats-derived
 
 
@@ -107,11 +107,15 @@ class TestBreakdownFix:
 
 
 class TestOneNamePerFact:
-    """A recorder's live metrics restate nothing that the tracer stats or
-    the marker log hold: each fact is read under its stats-derived name."""
+    """A recorder's live metrics restate nothing that the tracer stats, the
+    marker log or the recorder's own spans and instants hold: each fact is
+    read under its stats-derived name, or off its span or instant (a
+    collective's count and time, a receive's bytes and latency, a fault)."""
 
     RESTATED = ("tracer/", "chameleon/", "acurdion/", "record/", "merge/",
-                "marker/", "space/")
+                "marker/", "space/", "coll/calls", "coll/time",
+                "p2p/bytes_received", "p2p/recv_latency", "fault/",
+                "resilience/")
 
     def test_chameleon_cell(self):
         result = run_mode(

@@ -119,8 +119,23 @@ class TestSummary:
         text = format_summary(result.obs)
         assert "span time by category" in text
         assert "state transitions" in text
-        assert "coll/calls" in text
+        assert "p2p/messages" in text
         assert f"{result.nprocs} ranks" in text
+
+    def test_counts_fault_instants_by_name(self):
+        from repro.obs import InstantEvent, ObsData
+
+        obs = ObsData(instants=[
+            InstantEvent(2, "crash", "fault", 0.5),
+            InstantEvent(0, "op_timeout", "fault", 0.6),
+            InstantEvent(1, "op_timeout", "fault", 0.7),
+            InstantEvent(1, "marker", "chameleon", 0.7),
+        ])
+        lines = format_summary(obs).splitlines()
+        at = lines.index("  fault instants:")
+        assert [line.split() for line in lines[at + 1:at + 3]] == [
+            ["crash", "1"], ["op_timeout", "2"]]
+        assert "marker" not in "".join(lines)
 
     def test_empty_obs_does_not_crash(self):
         from repro.obs import ObsData

@@ -85,15 +85,15 @@ class TestRecorder:
 
     def test_metrics_collected(self, chameleon_obs):
         reg = chameleon_obs.metrics
-        assert reg.value("coll/calls") > 0
+        assert reg.value("coll/fast_hits") > 0
         assert reg.value("p2p/messages") > 0
 
     def test_roundtrip(self, chameleon_obs):
         back = ObsData.from_dict(chameleon_obs.to_dict())
         assert back.to_dict() == chameleon_obs.to_dict()
         assert len(back.spans) == len(chameleon_obs.spans)
-        assert back.metrics.value("coll/calls") == (
-            chameleon_obs.metrics.value("coll/calls")
+        assert back.metrics.value("p2p/bytes_sent") == (
+            chameleon_obs.metrics.value("p2p/bytes_sent")
         )
 
     def test_max_events_drops_and_counts(self):

@@ -1,6 +1,6 @@
 """MetricsRegistry: labels, aggregation, serialization."""
 
-from repro.obs.metrics import NULL_METRICS, Histogram, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
 class TestCounters:
@@ -25,7 +25,7 @@ class TestCounters:
     def test_has_and_names(self):
         reg = MetricsRegistry()
         reg.count("a/x", 1)
-        reg.observe("c/z", 3.0)
+        reg.count("c/z", 3.0, rank=2)
         assert reg.has("a/x") and reg.has("c/z")
         assert not reg.has("a")
         assert reg.names() == ["a/x", "c/z"]
@@ -39,21 +39,6 @@ class TestCounters:
         assert [k[1] for k in keys] == [None, 0, 3]
 
 
-class TestHistograms:
-    def test_observe_and_merge(self):
-        reg = MetricsRegistry()
-        for v in (1.0, 2.0, 1000.0):
-            reg.observe("lat", v, rank=0)
-        reg.observe("lat", 4.0, rank=1)
-        merged = reg.histogram("lat")
-        assert merged.count == 4
-        assert merged.max == 1000.0
-        assert reg.histogram("lat", rank=1).count == 1
-
-    def test_histogram_mean_empty(self):
-        assert Histogram().mean == 0.0
-
-
 class TestCombination:
     def test_merge_adds_counters(self):
         a = MetricsRegistry()
@@ -61,33 +46,33 @@ class TestCombination:
         a.count("x", 1, rank=0)
         b.count("x", 2, rank=0)
         b.count("y", 5)
-        b.observe("h", 3.0)
         a.merge(b)
         assert a.value("x", rank=0) == 3
         assert a.value("y") == 5
-        assert a.histogram("h").count == 1
+        assert len(a) == 2
 
     def test_roundtrip(self):
         reg = MetricsRegistry()
         reg.count("c", 2, rank=1, phase="L", op="send")
-        reg.observe("h", 7.0)
+        reg.count("h", 7.0)
         back = MetricsRegistry.from_dict(reg.to_dict())
         assert back.value("c", rank=1, phase="L") == 2
-        assert back.histogram("h").total == 7.0
+        assert back.value("h") == 7.0
         assert back.to_dict() == reg.to_dict()
+        assert list(reg.to_dict()) == ["counters"]
 
     def test_rows_are_flat_json(self):
         reg = MetricsRegistry()
         reg.count("c", 1, rank=0)
-        reg.observe("h", 2.0)
-        rows = reg.rows()
-        kinds = {r["kind"] for r in rows}
-        assert kinds == {"counter", "histogram"}
-        assert all("name" in r for r in rows)
+        reg.count("h", 2.0, phase="L", op="send")
+        assert reg.rows() == [
+            {"kind": "counter", "name": "c", "rank": 0, "value": 1},
+            {"kind": "counter", "name": "h", "phase": "L", "op": "send",
+             "value": 2.0},
+        ]
 
 
 def test_null_metrics_discards_everything():
     NULL_METRICS.count("x", 1)
-    NULL_METRICS.observe("z", 3.0)
     assert len(NULL_METRICS) == 0
     assert NULL_METRICS.value("x") == 0.0

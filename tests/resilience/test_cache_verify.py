@@ -92,7 +92,10 @@ class TestVerify:
         before = cache.stats.invalidated
         cache.verify()
         assert cache.stats.invalidated == before + 2
-        assert recorder.metrics.value("fault/cache_invalidated") == 2.0
+        corrupt = [i for i in recorder.instants
+                   if (i.cat, i.name) == ("fault", "cache_corrupt")]
+        assert len(corrupt) == 2
+        assert not recorder.metrics.names()
 
     def test_report_as_dict_roundtrips_json(self, cache):
         _fill(cache, n=1)

@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.harness import engine as engine_module
 from repro.harness.engine import CellEvent, ExperimentEngine, make_cell
 from repro.harness.runner import Mode
+from repro.obs import Recorder
 from repro.resilience import (
     HostFaultPlan,
     QuarantineError,
@@ -48,7 +49,9 @@ class TestQuarantine:
     def test_poison_cell_quarantined_siblings_finish(self):
         cells = _cells(6)
         poison = cells[2].digest()
-        engine = ExperimentEngine(jobs=2, cache=None, policy=FAST)
+        recorder = Recorder()
+        engine = ExperimentEngine(jobs=2, cache=None, policy=FAST,
+                                  instrument=recorder)
         with installed(HostFaultPlan(kill_cell=poison)):
             with pytest.raises(QuarantineError) as excinfo:
                 engine.run_cells(cells)
@@ -60,6 +63,12 @@ class TestQuarantine:
         # poisoned index is None.
         assert [i for i, r in enumerate(err.results) if r is None] == [2]
         assert engine.metrics.quarantined == 1
+        # Each retry and the quarantine are counted once, as engine events.
+        reg = recorder.metrics
+        assert [reg.value(f"engine/cells_{kind}")
+                for kind in ("done", "retry", "quarantine")] \
+            == [5, FAST.max_attempts - 1, 1]
+        assert all(n.startswith("engine/") for n in reg.names())
 
     def test_hanging_cell_trips_deadline(self):
         cells = _cells(4)

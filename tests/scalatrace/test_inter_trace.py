@@ -175,6 +175,23 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace.deserialize("#scalatrace v1 nprocs=1 origin=0\nloop 5 {\n")
 
+    @pytest.mark.parametrize("text, names", [
+        ("#scalatrace v2 nprocs=4", "trace header has no origin= field"),
+        ("#scalatrace v1 origin=0", "trace header has no nprocs= field"),
+        ("#scalatrace v1 nprocs origin=0",
+         "trace header field nprocs='' is malformed"),
+        ("#scalatrace v1 nprocs=4 origin=0,x",
+         "trace header field origin='0,x' is malformed"),
+        ("#scalatrace v1 nprocs=4 origin=0\n\nloop {\n}",
+         "trace line 3: "),
+        ("#scalatrace v1 nprocs=4 origin=0\n}", "trace line 2: unbalanced"),
+        ("#scalatrace v1 nprocs=4 origin=0\nev zzz", "trace line 2: bad event"),
+    ])
+    def test_deserialize_names_the_bad_field_or_line(self, text, names):
+        with pytest.raises(ValueError) as exc:
+            Trace.deserialize(text)
+        assert str(exc.value).startswith(names)
+
     def test_empty_trace(self):
         t = Trace()
         assert t.leaf_count() == 0

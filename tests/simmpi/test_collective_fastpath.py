@@ -336,18 +336,9 @@ class TestObservabilityParity:
         assert_identical(fast, sim)
         assert fast.collectives_fast == 4 * 9
         # The synthesized coll spans must be indistinguishable from the
-        # simulated path's observed ones.
+        # simulated path's observed ones: a call's count and virtual time
+        # are its span, exactly.
         assert self._coll_spans(rec_fast) == self._coll_spans(rec_sim)
-        # Per-label exact equality (the wildcard aggregate would sum the
-        # same floats in a different dict order — a spurious 1-ulp diff).
-        for name in ("coll/calls", "coll/time"):
-            labels = rec_sim.metrics.labels(name)
-            assert rec_fast.metrics.labels(name) == labels
-            for _, rank, phase, op in labels:
-                assert rec_fast.metrics.value(
-                    name, rank=rank, phase=phase, op=op
-                ) == rec_sim.metrics.value(name, rank=rank, phase=phase,
-                                           op=op)
         # Coverage counters: every instance was a fast hit in one run and
         # absent in the other.
         assert rec_fast.metrics.value("coll/fast_hits") == 4 * 9

@@ -144,6 +144,36 @@ def test_timeline_and_diff(tmp_path, capsys):
     assert main(["diff", a, b, "--threshold", "0.99"]) == 1
 
 
+#: unreadable trace files: what each one's error names
+BAD_TRACES = {
+    "missing": (None, "No such file"),
+    "garbage": (b"\x89PNG\r\n\x1a\n\x00\xff", "cannot read trace"),
+    "no-origin": (b"#scalatrace v2 nprocs=4\n", "no origin= field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+@pytest.mark.parametrize("command", ("info", "replay", "timeline", "diff"))
+def test_an_unreadable_trace_is_one_error_line(tmp_path, capsys, command,
+                                               case):
+    """Exit 2 with one ``error:`` line, no traceback; ``repro diff`` keeps
+    exit 1 for "the traces differ"."""
+    content, names = BAD_TRACES[case]
+    bad = tmp_path / "bad.st"
+    if content is not None:
+        bad.write_bytes(content)
+    good = tmp_path / "good.st"
+    good.write_text("#scalatrace v1 nprocs=4 origin=0\n", encoding="utf-8")
+    argv = [command, str(bad)] if command != "diff" \
+        else [command, str(good), str(bad)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read trace {str(bad)!r}: ")
+    assert names in err and len(err.splitlines()) == 1
+
+
 def test_run_app_mode_warns_on_ignored_output(tmp_path, capsys):
     out_file = tmp_path / "app.st"
     rc = main(
