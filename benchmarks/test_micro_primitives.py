@@ -4,7 +4,8 @@ Unlike the experiment benches (which regenerate paper tables/figures once),
 these measure the primitives themselves with pytest-benchmark's repetition:
 intra-node fold throughput (a flat and a nested loop body), the record
 merges a pending iteration makes, the inter-node alignment merge, signature
-computation, clustering selection, and a small end-to-end simulated run.
+computation, clustering selection, a small end-to-end simulated run and
+the allreduce gate at P=36 and P=1024.
 Useful as a performance-regression canary for the simulator.  CI runs each
 case once, untimed (``--benchmark-disable``), so none of them rots.
 """
@@ -211,3 +212,23 @@ def test_simulator_event_rate(benchmark):
         return run_spmd(main, 16, config=SimConfig(network=ZERO_COST)).nprocs
 
     assert benchmark(run) == 16
+
+
+@pytest.mark.parametrize("nprocs", (36, 1024))
+def test_allreduce_gate(benchmark, nprocs):
+    """100 allreduces per rank, each one gate instance whose completion
+    runs the reduce tree and then the bcast tree."""
+
+    async def main(ctx):
+        total = 0.0
+        for i in range(100):
+            total += await ctx.comm.allreduce(float(ctx.rank + i), size=8)
+        return total
+
+    def run():
+        return run_spmd(main, nprocs)
+
+    res = benchmark(run)
+    assert res.results[0] == sum(r + i for r in range(nprocs)
+                                 for i in range(100))
+    assert res.collectives_fast == 2 * 100 * nprocs

@@ -2,8 +2,8 @@
 
 Every effective marker call each process computes its interval Call-Path
 signature, votes collectively on whether *any* process saw a change
-(``MPI_Reduce`` of mismatch flags + ``MPI_Bcast`` of the sum — the
-``O(n log P)`` step), and the shared flags ``Re-Clustering`` and ``Lead``
+(an allreduce: ``MPI_Reduce`` of mismatch flags + ``MPI_Bcast`` of the sum —
+the ``O(n log P)`` step), and the shared flags ``Re-Clustering`` and ``Lead``
 drive the transition graph:
 
 ==================  ======================  =============================
@@ -96,8 +96,7 @@ class PhaseTracker:
         if comm.engine.faults.active:
             glob, missing = await self._vote_ft(comm, mismatch, failed)
         else:
-            glob = await comm.reduce(mismatch, op=SUM, root=0, size=8)
-            glob = await comm.bcast(glob, root=0, size=8)
+            glob = await comm.allreduce(mismatch, op=SUM, size=8)
             missing = 0
         self.votes += 1
         self.old_callpath = current_callpath

@@ -94,13 +94,14 @@ class Trace:
     @classmethod
     def deserialize(cls, text: str) -> "Trace":
         """Parse :meth:`serialize` output.  Anything else raises
-        ``ValueError`` naming the bad header field or line."""
+        ``ValueError`` naming the bad header field, the unsupported format
+        version or the bad line."""
         lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
                  if ln.strip()]
         if not lines or not lines[0][1].startswith("#scalatrace"):
             raise ValueError("not a scalatrace trace file")
-        meta = dict(part.partition("=")[::2]
-                    for part in lines[0][1].split()[2:])
+        header = lines[0][1].split()
+        meta = dict(part.partition("=")[::2] for part in header[2:])
         fields: dict[str, Any] = {}
         for key, parse in (("nprocs", int), ("origin", RankSet.from_text)):
             if key not in meta:
@@ -110,6 +111,10 @@ class Trace:
             except ValueError:
                 raise ValueError(f"trace header field {key}={meta[key]!r} "
                                  "is malformed") from None
+        version = header[1] if len(header) > 1 else ""
+        if version != f"v{_FORMAT_VERSION}":
+            raise ValueError(f"trace format {version!r} is not supported "
+                             f"(this reader reads v{_FORMAT_VERSION})")
         trace = cls(nodes=[], **fields)
         stack: list[list[TraceNode]] = [trace.nodes]
         for n, line in lines[1:]:

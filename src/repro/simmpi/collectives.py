@@ -6,7 +6,7 @@ would use, so its virtual-time cost has the right shape automatically:
 * ``barrier``      — dissemination, ``ceil(log2 P)`` rounds
 * ``bcast``        — binomial tree, ``ceil(log2 P)`` rounds
 * ``reduce``       — binomial tree (leaves fold upward)
-* ``allreduce``    — reduce + bcast
+* ``allreduce``    — reduce to rank 0, then bcast from it: one gate
 * ``gather``       — binomial tree with growing segments
 * ``scatter``      — binomial tree with shrinking segments
 * ``allgather``    — ring, ``P - 1`` steps
@@ -67,6 +67,11 @@ reaching it.
 A gate waits for the communicator's live members
 (:attr:`CommContext.gate_quorum`); the last to join replays it
 (:meth:`_Gate.complete`).  See docs/PERF.md ("Gates").
+
+``allreduce`` is one gate instance standing for two *leaves*, a reduce to
+rank 0 and a bcast of its result: it claims both their tag windows,
+replays both on the same states at completion, and reports what the two
+would — their spans, two calls in the strategy counters.
 """
 
 from __future__ import annotations
@@ -159,20 +164,22 @@ def _observed(name: str, algorithm: str):
     """Wrap a composed collective so its whole execution becomes one span,
     tagged with the algorithm the simulated MPI library would have used
     (the leaf calls inside emit their own).  With the no-op instrument the
-    wrapper is a single attribute check — virtual time is untouched either
-    way."""
+    wrapper is a single attribute check and hands back ``fn``'s awaitable
+    itself, adding no frame to the await chain — virtual time is untouched
+    either way."""
 
     def deco(fn):
-        @functools.wraps(fn)
-        async def wrapper(self: "Communicator", *args: Any, **kwargs: Any):
-            ins = self.engine.instrument
-            if not ins.enabled:
-                return await fn(self, *args, **kwargs)
-            t0 = self.task.clock
-            result = await fn(self, *args, **kwargs)
-            _emit_coll(ins, self.context, self.rank, name, algorithm, t0,
-                       self.task.clock, False)
+        async def spanned(self: "Communicator", t0: float, awaitable):
+            result = await awaitable
+            _emit_coll(self.engine.instrument, self.context, self.rank, name,
+                       algorithm, t0, self.task.clock, False)
             return result
+
+        @functools.wraps(fn)
+        def wrapper(self: "Communicator", *args: Any, **kwargs: Any):
+            if not self.engine.instrument.enabled:
+                return fn(self, *args, **kwargs)
+            return spanned(self, self.task.clock, fn(self, *args, **kwargs))
 
         return wrapper
 
@@ -348,6 +355,12 @@ def _schedule(kind: str, root: Any, rank: int, size: int, genargs: Any,
     return _GEN_FACTORIES[kind](rank, size, *genargs)
 
 
+def _leaves(kind: str) -> int:
+    """Leaf collectives an instance of ``kind`` stands for, each with its
+    own tag window and strategy count: an allreduce's reduce and bcast."""
+    return 2 if kind == "allreduce" else 1
+
+
 # -- macro fast path: vector replays -----------------------------------------
 #
 # Whole-world numpy recurrences for the highest-traffic schedules.  They
@@ -511,7 +524,9 @@ def _run_replay(kind: str, root: Any, net, entries: list) -> Replay:
     are only built when that path actually runs.  Only the core can run
     the schedules exchange entries bring along (all or none do: a run's
     ranks share one tracer class) or record an exchange's per-message obs
-    events (entries given an ``events`` list).
+    events (entries given an ``events`` list).  An allreduce is two such
+    runs on the same states: its reduce, then (unless an op raised) the
+    bcast of the root's result, ``mid`` set in between.
     """
     if kind == "exchange":
         # A script has no user callable whose raise order the arrival
@@ -527,18 +542,36 @@ def _run_replay(kind: str, root: Any, net, entries: list) -> Replay:
             sim.total_bytes = root.total_bytes
             return sim
     sim = Replay(net, entries)
-    size = len(entries)
+    if kind != "allreduce":
+        _replay_leaf(sim, kind, root)
+        return sim
+    _replay_leaf(sim, "reduce", 0)
+    if sim.failure is None:
+        messages, nbytes = sim.total_messages, sim.total_bytes
+        sim.total_messages = sim.total_bytes = 0
+        for st in entries:
+            st.mid = st.clock
+            st.done = False
+            st.genargs = (0, st.result, st.genargs[3])
+        _replay_leaf(sim, "bcast", 0)
+        sim.total_messages += messages
+        sim.total_bytes += nbytes
+    return sim
+
+
+def _replay_leaf(sim: Replay, kind: str, root: Any) -> None:
+    """One leaf instance of :func:`_run_replay` on ``sim``'s states."""
+    size = len(sim.states)
     if kind != "exchange" and size >= _VEC_MIN_SIZE:
         if kind == "barrier":
             _barrier_vector(sim, size)
-            return sim
+            return
         if (kind == "bcast" or kind == "reduce") and \
                 _tree_vector(sim, kind, root, size):
-            return sim
-    for st in entries:
+            return
+    for st in sim.states.values():
         st.gen = _schedule(kind, root, st.rank, size, st.genargs, st)
     sim.run()
-    return sim
 
 
 class _Raised:
@@ -660,10 +693,17 @@ class _Gate:
 
     def _emit(self, ins, ctx: CommContext, st: RankState) -> None:
         """What the closed form reports of ``st``'s part in this instance:
-        a collective's one ``coll`` span, from the join clock; an
-        exchange's per-message events, which the core collected."""
+        a collective's one ``coll`` span, from the join clock (an
+        allreduce's two, its leaves', split at ``st.mid``); an exchange's
+        per-message events, which the core collected."""
         kind = self.kind
         rank = st.rank
+        if kind == "allreduce":
+            _emit_coll(ins, ctx, rank, "reduce", _ALGORITHMS["reduce"],
+                       st.fut.post_time, st.mid, True)
+            _emit_coll(ins, ctx, rank, "bcast", _ALGORITHMS["bcast"],
+                       st.mid, st.clock, True)
+            return
         if kind != "exchange":
             _emit_coll(ins, ctx, rank, kind, _ALGORITHMS[kind],
                        st.fut.post_time, st.clock, True)
@@ -685,8 +725,9 @@ class Communicator(Comm):
     thin dispatchers onto :meth:`_gated`: consult the instance's
     :class:`_Gate` and hand the schedule's arguments to the interpreter its
     verdict names, :meth:`_join` (closed form) or :meth:`_simulate`
-    (message level).  ``allreduce``, ``split`` and ``dup`` are compositions
-    of the leaf collectives and need no dispatch of their own.
+    (message level).  ``allreduce`` is one such instance standing for a
+    reduce and a bcast; ``split`` and ``dup`` are compositions of the leaf
+    collectives and need no dispatch of their own.
     """
 
     # -- the gate protocol -----------------------------------------------
@@ -733,8 +774,9 @@ class Communicator(Comm):
         if reason is not None:
             return reason
         base = _tag_base(seq)
+        end = base + _leaves(kind) * _TAG_STRIDE
         for mbox in ctx._mailboxes.values():
-            if mbox.has_tag_window(base, base + _TAG_STRIDE):
+            if mbox.has_tag_window(base, end):
                 return "tag-window"
         return None
 
@@ -773,7 +815,7 @@ class Communicator(Comm):
         elif exchange and gate.reason is None \
                 and self._traffic_reason() is not None:
             gate.abort(self.engine, "mid-phase-traffic")
-        seqs[self.rank] = seq + 1
+        seqs[self.rank] = seq + _leaves(kind)
         gate.awaited -= 1
         if not gate.awaited:
             del ctx._gates[key]
@@ -807,7 +849,8 @@ class Communicator(Comm):
             if exchange:
                 self.engine.p2p_fast += len(gate.entries)
             else:
-                self.engine.collectives_fast += len(gate.entries)
+                self.engine.collectives_fast += \
+                    len(gate.entries) * _leaves(gate.kind)
             gate.complete(ctx)
         result = await fut
         task.advance_to(fut.time)
@@ -818,11 +861,18 @@ class Communicator(Comm):
         return result
 
     async def _simulate(self, gate: _Gate, genargs: tuple,
-                        compute: Callable[[float], Any] | None = None) -> Any:
+                        compute: Callable[[float], Any] | None = None,
+                        kind: str | None = None, window: int = 0) -> Any:
         """The message-level tail: run this rank's schedule for ``gate``'s
         instance through :meth:`_drive` — a collective inside its private
-        tag window, an exchange on the script's own user tags (base 0)."""
-        kind = gate.kind
+        tag window, an exchange on the script's own user tags (base 0).
+        An allreduce runs as its two leaves (``kind``), the bcast in the
+        second window (``window``)."""
+        if kind is None and gate.kind == "allreduce":
+            reduced = await self._simulate(gate, genargs, kind="reduce")
+            return await self._simulate(gate, (0, reduced, genargs[3]),
+                                        kind="bcast", window=1)
+        kind = kind or gate.kind
         exchange = kind == "exchange"
         engine = self.engine
         if exchange:
@@ -835,12 +885,13 @@ class Communicator(Comm):
             ins.metrics.count(
                 "p2p/fallbacks" if exchange else "coll/fallbacks", 1,
                 rank=self.world_rank(self.rank),
-                op=f"{gate.name}:{gate.reason}",
+                op=f"{gate.name if exchange else kind}:{gate.reason}",
             )
         schedule = _schedule(kind, gate.root, self.rank, self.size, genargs,
                              self.task)
         result = await self._drive(
-            schedule, 0 if exchange else _tag_base(gate.seq), compute)
+            schedule, 0 if exchange else _tag_base(gate.seq + window),
+            compute)
         if ins.enabled and not exchange:
             _emit_coll(ins, self.context, self.rank, kind, _ALGORITHMS[kind],
                        t0, self.task.clock, False)
@@ -906,15 +957,16 @@ class Communicator(Comm):
         return await self._gated("reduce", root, (root, value, op, size))
 
     @_observed("allreduce", "reduce+bcast")
-    async def allreduce(
+    def allreduce(
         self,
         value: Any,
         op: Callable[[Any, Any], Any] = SUM,
         size: int | None = None,
     ) -> Any:
-        """Reduce to rank 0 followed by broadcast; all ranks get the result."""
-        reduced = await self.reduce(value, op=op, root=0, size=size)
-        return await self.bcast(reduced, root=0, size=size)
+        """Reduce to rank 0 followed by broadcast; all ranks get the result.
+        One gated instance (its arguments are the reduce's), awaited like
+        the leaves."""
+        return self._gated("allreduce", None, (0, value, op, size))
 
     async def gather(
         self, value: Any, root: int = 0, size: int | None = None

@@ -79,7 +79,7 @@ class RankState:
     __slots__ = (
         "rank", "task", "fut", "genargs", "gen", "clock", "busy",
         "msgs_sent", "bytes_sent", "msgs_received", "bytes_received",
-        "done", "result", "events", "op",
+        "done", "result", "events", "op", "mid",
     )
 
     def __init__(self, rank: int, task: Any, fut: Any = None,
@@ -104,6 +104,8 @@ class RankState:
         self.events: list[tuple] | None = None
         #: the op this rank is parked on (deadlock diagnosis)
         self.op: tuple | None = None
+        #: an allreduce's clock between its reduce and its bcast
+        self.mid = 0.0
 
     def write_back(self) -> None:
         """Copy the replayed state onto the engine task it replicated."""

@@ -186,6 +186,9 @@ class TestTrace:
          "trace line 3: "),
         ("#scalatrace v1 nprocs=4 origin=0\n}", "trace line 2: unbalanced"),
         ("#scalatrace v1 nprocs=4 origin=0\nev zzz", "trace line 2: bad event"),
+        ("#scalatrace v9 nprocs=4 origin=0",
+         "trace format 'v9' is not supported (this reader reads v1)"),
+        ("#scalatrace 1 nprocs=4 origin=0", "trace format '1' is not"),
     ])
     def test_deserialize_names_the_bad_field_or_line(self, text, names):
         with pytest.raises(ValueError) as exc:

@@ -149,6 +149,7 @@ BAD_TRACES = {
     "missing": (None, "No such file"),
     "garbage": (b"\x89PNG\r\n\x1a\n\x00\xff", "cannot read trace"),
     "no-origin": (b"#scalatrace v2 nprocs=4\n", "no origin= field"),
+    "version": (b"#scalatrace v9 nprocs=4 origin=0\n", "format 'v9'"),
 }
 
 
